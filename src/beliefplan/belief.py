@@ -215,25 +215,18 @@ def propagate(b: GaussianBelief, a: CandidateAction) -> GaussianBelief:
     return GaussianBelief(mean, root_plus, layout)
 
 
-def evaluate_candidates(b: GaussianBelief, candidates, max_workers: int | None = None) -> np.ndarray:
+def evaluate_candidates(b: GaussianBelief, candidates) -> np.ndarray:
     """Objective values for every candidate, in candidate order.
 
-    Evaluations are independent and may fan out to a thread pool; the
-    result vector order never depends on completion order.  Failures are
-    re-raised tagged with the offending candidate id.
+    Failures are re-raised tagged with the offending candidate id.
     """
-    def one(a: CandidateAction) -> float:
+    values = np.empty(len(candidates))
+    for i, a in enumerate(candidates):
         try:
-            return objective(b, a)
+            values[i] = objective(b, a)
         except Exception as e:  # noqa: BLE001 - tagged and re-raised
             raise EvaluationError(a.action_id, e) from e
-
-    if max_workers is not None and max_workers > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return np.array(list(pool.map(one, candidates)))
-    return np.array([one(a) for a in candidates])
+    return values
 
 
 def nnz_report(b: GaussianBelief) -> tuple[int, int]:

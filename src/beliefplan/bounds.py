@@ -165,8 +165,7 @@ def determinant_bounds(b: GaussianBelief, a: CandidateAction) -> tuple[float, fl
 
     post_diag = np.zeros(n_post)
     post_diag[: b.dim] = b.root.gram_diagonal()
-    for cols, vals in zip(u.row_cols, u.row_vals):
-        post_diag[cols] += vals ** 2
+    np.add.at(post_diag, u.indices, u.data ** 2)
     if np.any(post_diag <= 0.0):
         raise RankDeficientAugmentation("posterior diagonal has a non-positive entry")
     ub = 0.5 * (float(np.sum(np.log(post_diag))) - n_post * LN_2PI_E)
@@ -225,7 +224,7 @@ def rank1_offset_bound(
         for a in candidates:
             if a.jacobian.n_rows != 1:
                 raise NotRankOne(f"candidate {a.action_id} has {a.jacobian.n_rows} rows")
-            peak = max((float(np.max(v ** 2)) for v in a.jacobian.row_vals if v.size), default=0.0)
+            peak = float(np.max(a.jacobian.data ** 2, initial=0.0))
             if peak > alpha:
                 raise AlphaTooSmall(f"alpha {alpha} < max squared entry {peak}")
 

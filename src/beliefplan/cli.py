@@ -8,13 +8,13 @@ Subcommands:
 - ``bench``: run a batch of seeded sessions and aggregate medians;
 - ``bounds``: evaluate objective bounds for a scenario without solving.
 
-Exit codes encode mathematical guarantees, not just crashes: 0 on success,
-1 on usage/IO errors, 2 when a guarantee check fails (uninvolved-mode
+Exit codes encode mathematical guarantees, not just crashes: 0 on success
+(``--help`` included), 1 on usage errors (unknown or malformed options) and
+on input/IO errors, 2 only when a guarantee check fails (uninvolved-mode
 sparsification changed objective values beyond tolerance, or an objective
 bound was violated), so CI can gate on the invariants directly.
 
-Environment overrides: ``BELIEFPLAN_OUT_DIR`` (default output directory),
-``BELIEFPLAN_WORKERS`` (candidate-evaluation pool size).
+Environment override: ``BELIEFPLAN_OUT_DIR`` (default output directory).
 """
 
 from __future__ import annotations
@@ -99,15 +99,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("BELIEFPLAN_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _specs_from_modes(mode_names, blocks) -> list:
     specs = []
     for name in mode_names:
@@ -180,7 +171,6 @@ def cmd_solve(args) -> int:
         modes=specs,
         noise_ratios=args.ratios,
         timing_repeats=args.repeats,
-        max_workers=_workers(args),
     )
     out_dir = _out_dir(args)
     stem = f"session_{scenario.config.seed}"
@@ -231,7 +221,6 @@ def cmd_bench(args) -> int:
             modes=specs,
             noise_ratios=args.ratios,
             timing_repeats=args.repeats,
-            max_workers=_workers(args),
         )
         problems = _guarantee_violations(report)
         if problems:
@@ -354,8 +343,16 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, keeping exit code 2 for violated guarantees."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beliefplan",
         description="Belief-space planning with belief sparsification on synthetic pose-SLAM scenarios.",
     )
@@ -378,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--ratios", type=_parse_ratios, default=DEFAULT_NOISE_RATIOS)
     p_solve.add_argument("--repeats", type=int, default=1, help="timing repetitions per phase")
     p_solve.add_argument("--out-dir", default=None)
-    p_solve.add_argument("--workers", type=int, default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run seeded sessions and aggregate medians")
@@ -390,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ratios", type=_parse_ratios, default=DEFAULT_NOISE_RATIOS)
     p_bench.add_argument("--repeats", type=int, default=5)
     p_bench.add_argument("--out-dir", default=None)
-    p_bench.add_argument("--workers", type=int, default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     p_bounds = sub.add_parser("bounds", help="evaluate objective bounds for a scenario")

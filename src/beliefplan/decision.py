@@ -32,7 +32,6 @@ from .errors import IndexOutOfRange, LengthMismatch
 class DecisionProblem:
     belief: GaussianBelief
     candidates: tuple
-    objective_kind: str = "entropy_objective"
 
     def __post_init__(self):
         candidates = tuple(self.candidates)
@@ -41,8 +40,6 @@ class DecisionProblem:
         ids = [a.action_id for a in candidates]
         if len(set(ids)) != len(ids):
             raise ValueError("candidate ids must be unique")
-        if self.objective_kind != "entropy_objective":
-            raise ValueError(f"unknown objective kind {self.objective_kind!r}")
         object.__setattr__(self, "candidates", candidates)
 
 
@@ -60,13 +57,13 @@ class Solution:
         object.__setattr__(self, "values", values)
 
 
-def solve(p: DecisionProblem, max_workers: int | None = None) -> Solution:
+def solve(p: DecisionProblem) -> Solution:
     """Evaluate every candidate and select the argmax.
 
     Ties break to the lowest candidate index, so the result is
-    deterministic for given inputs regardless of evaluation order.
+    deterministic for given inputs.
     """
-    values = evaluate_candidates(p.belief, p.candidates, max_workers=max_workers)
+    values = evaluate_candidates(p.belief, p.candidates)
     return Solution(int(np.argmax(values)), values)
 
 
@@ -91,15 +88,19 @@ def _check_paired(v1, v2) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def action_consistent(values_1, values_2) -> bool:
+def _pair_signs(v: np.ndarray, tol: float) -> np.ndarray:
+    d = v[:, None] - v[None, :]
+    return np.where(np.abs(d) <= tol, 0.0, np.sign(d))
+
+
+def action_consistent(values_1, values_2, tol: float = 0.0) -> bool:
     """True iff the two vectors order every candidate pair identically
-    (strict inequalities match in both directions; ties co-occur)."""
+    (strict inequalities match in both directions; ties co-occur), where
+    differences within ``tol`` count as ties."""
     a, b = _check_paired(values_1, values_2)
     if a.size == 0:
         raise LengthMismatch("value vectors must be non-empty")
-    sa = np.sign(a[:, None] - a[None, :])
-    sb = np.sign(b[:, None] - b[None, :])
-    return bool(np.array_equal(sa, sb))
+    return bool(np.array_equal(_pair_signs(a, tol), _pair_signs(b, tol)))
 
 
 def offset(values_orig, values_simp, balance: Callable[[np.ndarray], np.ndarray] | None = None) -> float:

@@ -62,6 +62,10 @@ class InfeasibleConfig(BeliefPlanError):
     """Scenario generation could not satisfy its guarantees after retries."""
 
 
+class InvalidScenario(BeliefPlanError):
+    """A scenario file is inconsistent with its own schema or noise model."""
+
+
 class EvaluationError(BeliefPlanError):
     """Objective evaluation failed for a specific candidate."""
 

@@ -16,11 +16,12 @@ from .sparse import SparseRowBlock, SparseSymmetric, UpperTriangular
 _HEADER = "%%MatrixMarket matrix coordinate real {symmetry}"
 
 
-def _format_entries(rows, cols, vals) -> list[str]:
-    return [f"{int(i) + 1} {int(j) + 1} {v:.17g}" for i, j, v in zip(rows, cols, vals)]
+def _format_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[str]:
+    return [f"{i + 1} {j + 1} {v:.17g}" for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
 
 
 def _parse(text: str, expect_symmetry: str):
+    """Header sizes plus zero-based coordinate arrays of the entries."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ValueError("missing MatrixMarket header")
@@ -31,17 +32,16 @@ def _parse(text: str, expect_symmetry: str):
         raise ValueError(f"expected {expect_symmetry} matrix, found {header[4]}")
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     n_rows, n_cols, nnz = (int(tok) for tok in body[0].split())
-    entries = body[1:]
-    if len(entries) != nnz:
-        raise ValueError(f"declared {nnz} entries, found {len(entries)}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    for k, ln in enumerate(entries):
-        i, j, v = ln.split()
-        rows[k] = int(i) - 1
-        cols[k] = int(j) - 1
-        vals[k] = float(v)
+    if len(body) - 1 != nnz:
+        raise ValueError(f"declared {nnz} entries, found {len(body) - 1}")
+    tokens = " ".join(body[1:]).split()
+    if len(tokens) != 3 * nnz:
+        raise ValueError("each entry needs a row, a column and a value")
+    rows = np.array(tokens[0::3], dtype=np.int64) - 1
+    cols = np.array(tokens[1::3], dtype=np.int64) - 1
+    vals = np.array(tokens[2::3], dtype=np.float64)
+    if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
+        raise ValueError("entry coordinates out of range")
     return n_rows, n_cols, rows, cols, vals
 
 
@@ -62,55 +62,29 @@ def mm_to_symmetric(text: str) -> SparseSymmetric:
 
 
 def triangular_to_mm(r: UpperTriangular) -> str:
-    lines = [_HEADER.format(symmetry="general"), f"{r.dim} {r.dim} {r.nnz}"]
-    for i in range(r.dim):
-        lines += _format_entries([i], [i], [r.diag[i]])
-        lines += _format_entries([i] * r.row_cols[i].size, r.row_cols[i], r.row_vals[i])
-    return "\n".join(lines) + "\n"
+    return row_block_to_mm(r.as_row_block())
 
 
 def mm_to_triangular(text: str) -> UpperTriangular:
-    n_rows, n_cols, rows, cols, vals = _parse(text, "general")
-    if n_rows != n_cols:
+    u = mm_to_row_block(text)
+    if u.n_rows != u.n_cols:
         raise ValueError("triangular factor must be square")
-    diag = np.zeros(n_rows)
-    row_cols: list[list[int]] = [[] for _ in range(n_rows)]
-    row_vals: list[list[float]] = [[] for _ in range(n_rows)]
-    for i, j, v in zip(rows, cols, vals):
-        if j < i:
-            raise ValueError("factor entry below the diagonal")
-        if i == j:
-            diag[i] = v
-        else:
-            row_cols[i].append(int(j))
-            row_vals[i].append(float(v))
-    packed_c = []
-    packed_v = []
-    for rc, rv in zip(row_cols, row_vals):
-        order = np.argsort(rc)
-        packed_c.append(np.asarray(rc, dtype=np.int64)[order])
-        packed_v.append(np.asarray(rv, dtype=np.float64)[order])
-    return UpperTriangular(n_rows, diag, tuple(packed_c), tuple(packed_v))
+    if np.any(u.indices < u.row_ids):
+        raise ValueError("factor entry below the diagonal")
+    on_diag = u.indices == u.row_ids
+    diag = np.zeros(u.n_rows)
+    diag[u.row_ids[on_diag]] = u.data[on_diag]
+    off = ~on_diag
+    return UpperTriangular(
+        diag, SparseRowBlock.from_coo(u.n_rows, u.n_cols, u.row_ids[off], u.indices[off], u.data[off])
+    )
 
 
 def row_block_to_mm(u: SparseRowBlock) -> str:
     lines = [_HEADER.format(symmetry="general"), f"{u.n_rows} {u.n_cols} {u.nnz}"]
-    for i in range(u.n_rows):
-        lines += _format_entries([i] * u.row_cols[i].size, u.row_cols[i], u.row_vals[i])
+    lines += _format_entries(u.row_ids, u.indices, u.data)
     return "\n".join(lines) + "\n"
 
 
 def mm_to_row_block(text: str) -> SparseRowBlock:
-    n_rows, n_cols, rows, cols, vals = _parse(text, "general")
-    row_cols: list[list[int]] = [[] for _ in range(n_rows)]
-    row_vals: list[list[float]] = [[] for _ in range(n_rows)]
-    for i, j, v in zip(rows, cols, vals):
-        row_cols[i].append(int(j))
-        row_vals[i].append(float(v))
-    packed_c = []
-    packed_v = []
-    for rc, rv in zip(row_cols, row_vals):
-        order = np.argsort(rc)
-        packed_c.append(np.asarray(rc, dtype=np.int64)[order])
-        packed_v.append(np.asarray(rv, dtype=np.float64)[order])
-    return SparseRowBlock(n_rows, n_cols, tuple(packed_c), tuple(packed_v))
+    return SparseRowBlock.from_coo(*_parse(text, "general"))

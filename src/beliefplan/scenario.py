@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import CandidateAction, GaussianBelief, VariableLayout, objective
+from .belief import CandidateAction, GaussianBelief, VariableLayout, evaluate_candidates
 from .bounds import (
     PoseGraph,
     TopologicalNoiseConfig,
@@ -47,7 +47,7 @@ from .decision import (
     rank_correlation,
     simplification_loss,
 )
-from .errors import InfeasibleConfig, LayoutMismatch
+from .errors import InfeasibleConfig, InvalidScenario, LayoutMismatch
 from .sparse import SparseRowBlock, SparseSymmetric, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
@@ -169,23 +169,6 @@ def _factor_blocks(factor: Factor, means: dict) -> list:
     return [(factor.i, block_a), (factor.j, block_b)]
 
 
-def _whitened_rows(factor: Factor, means: dict, sqrt_info: np.ndarray, col_of_pose: dict):
-    """Yield (cols, vals) sparse rows of the whitened factor Jacobian."""
-    blocks = [(pid, sqrt_info @ blk) for pid, blk in _factor_blocks(factor, means)]
-    blocks.sort(key=lambda item: col_of_pose[item[0]])
-    for r in range(3):
-        cols = []
-        vals = []
-        for pid, blk in blocks:
-            base = col_of_pose[pid]
-            for c in range(3):
-                v = blk[r, c]
-                if v != 0.0:
-                    cols.append(base + c)
-                    vals.append(v)
-        yield np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=np.float64)
-
-
 def build_collective_jacobian(
     factors,
     means: dict,
@@ -211,17 +194,20 @@ def build_collective_jacobian(
         col_of_pose[pid] = base + 3 * k
 
     n_new = 3 * len(new_pose_ids)
-    row_cols = []
-    row_vals = []
-    for factor in factors:
+    rows, cols, vals = [], [], []
+    for k, factor in enumerate(factors):
         for pid in ((factor.i,) if factor.kind == "anchor" else (factor.i, factor.j)):
             if pid not in col_of_pose:
                 raise LayoutMismatch(f"factor references unknown pose {pid}")
-        for cols, vals in _whitened_rows(factor, means, sqrt_info, col_of_pose):
-            row_cols.append(cols)
-            row_vals.append(vals)
+        for pid, blk in _factor_blocks(factor, means):
+            whitened = sqrt_info @ blk
+            r, c = np.nonzero(whitened)
+            rows.append(3 * k + r)
+            cols.append(col_of_pose[pid] + c)
+            vals.append(whitened[r, c])
 
-    jac = SparseRowBlock(len(row_cols), layout.dim + n_new, tuple(row_cols), tuple(row_vals))
+    coo = [np.concatenate(part) if part else [] for part in (rows, cols, vals)]
+    jac = SparseRowBlock.from_coo(3 * len(factors), layout.dim + n_new, *coo)
     if new_pose_means is None:
         predicted = np.empty(0)
     else:
@@ -534,23 +520,13 @@ def _median_timed(fn, repeats: int):
     return result, float(np.median(times))
 
 
-def _evaluate_all(belief: GaussianBelief, candidates, repeats: int, max_workers: int = 1):
-    per_candidate = np.zeros(len(candidates))
-    values = np.zeros(len(candidates))
-
-    def timed(cand):
-        return _median_timed(lambda: objective(belief, cand), repeats)
-
-    if max_workers > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(timed, candidates))
-    else:
-        outcomes = [timed(c) for c in candidates]
-    for idx, (val, secs) in enumerate(outcomes):
-        values[idx] = val
-        per_candidate[idx] = secs
+def _evaluate_all(belief: GaussianBelief, candidates, repeats: int):
+    """Per-candidate values and median seconds, one candidate at a time."""
+    outcomes = [
+        _median_timed(lambda a=a: evaluate_candidates(belief, [a])[0], repeats) for a in candidates
+    ]
+    values = np.array([val for val, _ in outcomes], dtype=np.float64)
+    per_candidate = np.array([secs for _, secs in outcomes], dtype=np.float64)
     return values, per_candidate
 
 
@@ -560,7 +536,6 @@ def run_session(
     noise_ratios=DEFAULT_NOISE_RATIOS,
     timing_repeats: int = 1,
     consistency_tolerance: float = 1e-9,
-    max_workers: int = 1,
 ) -> SessionReport:
     """Solve the decision problem on the original belief and on each
     sparsified version, collecting comparison metrics and loss bounds.
@@ -576,7 +551,7 @@ def run_session(
     never = mask.never_involved(layout)
     uninvolved_ratio = len(never) / len(layout.block_ids)
 
-    values_orig, cand_secs = _evaluate_all(scenario.prior, candidates, timing_repeats, max_workers)
+    values_orig, cand_secs = _evaluate_all(scenario.prior, candidates, timing_repeats)
     root_nnz, info_nnz = scenario.prior.root.nnz, scenario.prior.root.gram().nnz
     baseline = ModeResult(
         label="original",
@@ -596,7 +571,7 @@ def run_session(
         sparsified, sp_secs = _median_timed(
             lambda s=spec: sparsify_belief(scenario.prior, s, mask), timing_repeats
         )
-        values, cand_secs_m = _evaluate_all(sparsified, candidates, timing_repeats, max_workers)
+        values, cand_secs_m = _evaluate_all(sparsified, candidates, timing_repeats)
         best = int(np.argmax(values))
         r_nnz, i_nnz = sparsified.root.nnz, sparsified.root.gram().nnz
         mode_results.append(
@@ -614,7 +589,7 @@ def run_session(
                 offset_shift_upper=balanced_offset_upper(values_orig, values),
                 rho=rank_correlation(values_orig, values),
                 consistent_exact=action_consistent(values_orig, values),
-                consistent_tol=_consistent_tol(values_orig, values, consistency_tolerance),
+                consistent_tol=action_consistent(values_orig, values, consistency_tolerance),
             )
         )
 
@@ -664,15 +639,6 @@ def run_session(
         loss_bounds=loss_bounds,
         consistency_tolerance=consistency_tolerance,
     )
-
-
-def _consistent_tol(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
-    """Pairwise-order agreement treating differences within tol as ties."""
-    d1 = v1[:, None] - v1[None, :]
-    d2 = v2[:, None] - v2[None, :]
-    s1 = np.where(np.abs(d1) <= tol, 0, np.sign(d1))
-    s2 = np.where(np.abs(d2) <= tol, 0, np.sign(d2))
-    return bool(np.array_equal(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +695,29 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _check_scenario_doc(doc: dict, cfg: ScenarioConfig):
+    """Reject what the loader would otherwise crash on or silently ignore."""
+    ids = np.sort(np.array([int(p["id"]) for p in doc["poses"]], dtype=np.int64))
+    if not np.array_equal(ids, np.arange(ids.size)):
+        raise InvalidScenario(f"pose ids must be 0..{ids.size - 1}, each exactly once")
+    if not doc["candidates"]:
+        raise InvalidScenario("scenario has no candidates")
+    factor_docs = doc["factors"] + [fd for cd in doc["candidates"] for fd in cd["factors"]]
+    got = np.array([fd["sqrt_info"] for fd in factor_docs], dtype=np.float64)
+    expected = noise_sqrt_info(cfg).reshape(1, -1)
+    if got.size and (got.shape[1:] != expected.shape[1:] or not np.allclose(got, expected, rtol=1e-12, atol=0)):
+        raise InvalidScenario(
+            "a factor sqrt_info differs from the noise model of the config "
+            f"(position_std {cfg.position_std}, angular_std {cfg.angular_std})"
+        )
+
+
 def scenario_from_json(text: str) -> Scenario:
     doc = json.loads(text)
+    if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
+        raise InvalidScenario(
+            f"scenario schema_version {doc.get('schema_version')!r} is not {SCENARIO_SCHEMA_VERSION}"
+        )
     cfg = ScenarioConfig(
         seed=int(doc["seed"]),
         n_prior_poses=int(doc["config"]["n_prior_poses"]),
@@ -742,6 +729,7 @@ def scenario_from_json(text: str) -> Scenario:
         candidate_length=int(doc["config"]["candidate_length"]),
         loop_index_window=int(doc["config"].get("loop_index_window", 40)),
     )
+    _check_scenario_doc(doc, cfg)
     poses = np.zeros((len(doc["poses"]), 3))
     for entry in doc["poses"]:
         poses[int(entry["id"])] = (entry["x"], entry["y"], entry["theta"])

@@ -2,9 +2,16 @@
 
 Storage is deliberately simple and structural:
 
-- symmetric matrices keep an upper-triangle coordinate list,
-- triangular factors keep per-row sorted column/value arrays plus a dense
-  diagonal vector.
+- symmetric matrices keep an upper-triangle coordinate list;
+- constraint-row blocks keep compressed row storage (CSR): ``indptr``
+  delimits each row's slice of the column-sorted ``indices``/``data``
+  arrays, the layout ``scipy.sparse.csr_matrix`` shares;
+- triangular factors keep a dense diagonal vector plus their strictly-upper
+  entries as one CSR row block.
+
+Every CSR block is validated once, by whole-array checks, when it is built.
+``row_cols``/``row_vals`` expose each row as a read-only view for the
+kernels that work row by row (Givens updates, symbolic fill).
 
 "Structural" means the stored pattern is the symbolic support produced by
 the operation (elimination fill, rotation unions), independent of values
@@ -12,15 +19,18 @@ that happen to cancel to zero.  Nonzero counts reported elsewhere in the
 package are counts of stored entries, so they are exact and reproducible.
 
 All types are immutable after construction and every operation returns a
-new object; instances can be shared freely across threads.
+new object; instances can be shared freely.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatch,
@@ -149,153 +159,255 @@ class SparseSymmetric:
         out[self.cols, self.rows] = self.vals
         return out
 
-    def diagonal_vector(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        on_diag = self.rows == self.cols
-        out[self.rows[on_diag]] = self.vals[on_diag]
+
+def _row_views(a: np.ndarray, indptr: np.ndarray) -> tuple:
+    frozen = a.view()
+    frozen.flags.writeable = False
+    bounds = indptr.tolist()
+    return tuple(frozen[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+@dataclass(frozen=True)
+class SparseRowBlock:
+    """Stack of sparse constraint rows over ``n_cols`` variables, in
+    compressed row storage.
+
+    Row ``i`` stores columns ``indices[indptr[i]:indptr[i + 1]]`` (strictly
+    increasing) with values ``data[indptr[i]:indptr[i + 1]]``.  Rows with
+    zero stored entries are permitted (vacuous constraints).
+    """
+
+    n_rows: int
+    n_cols: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        if self.n_cols <= 0:
+            raise ValueError("n_cols must be positive")
+        if self.n_rows < 0:
+            raise ValueError("n_rows must be non-negative")
+        indptr = _as_index_array(self.indptr)
+        indices = _as_index_array(self.indices)
+        data = _as_value_array(self.data)
+        if indptr.size != self.n_rows + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must rise from 0 with one entry per row boundary")
+        if indices.size != data.size or indptr[-1] != indices.size:
+            raise ValueError("row arrays must have equal length")
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= self.n_cols:
+                raise ValueError("row entry column out of range")
+            rising = np.diff(indices) > 0
+            starts = indptr[1:-1]
+            # a new row may restart at any column
+            rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+            if not rising.all():
+                raise ValueError("row columns must be strictly increasing")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def from_rows(cls, n_cols: int, row_cols, row_vals) -> "SparseRowBlock":
+        """Pack per-row sorted column/value arrays."""
+        n_rows = len(row_cols)
+        lengths = np.fromiter(map(len, row_cols), dtype=np.int64, count=n_rows)
+        if len(row_vals) != n_rows or not np.array_equal(
+            lengths, np.fromiter(map(len, row_vals), dtype=np.int64, count=len(row_vals))
+        ):
+            raise ValueError("row arrays must have equal length")
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        if not n_rows:
+            return cls(0, n_cols, indptr, _EMPTY_I, _EMPTY_F)
+        return cls(n_rows, n_cols, indptr, np.concatenate(row_cols), np.concatenate(row_vals))
+
+    @classmethod
+    def from_coo(cls, n_rows: int, n_cols: int, rows, cols, vals) -> "SparseRowBlock":
+        """Build from coordinates in any order; a repeated coordinate is
+        rejected, not summed."""
+        rows = _as_index_array(rows)
+        cols = _as_index_array(cols)
+        vals = _as_value_array(vals)
+        if not (rows.size == cols.size == vals.size):
+            raise ValueError("coordinate arrays must have equal length")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise ValueError("row index out of range")
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(n_rows, n_cols, indptr, cols[order], vals[order])
+
+    @classmethod
+    def from_dense(cls, a, n_cols: int | None = None, tol: float = 0.0) -> "SparseRowBlock":
+        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        rows, cols = np.nonzero(np.abs(a) > tol)
+        return cls.from_coo(a.shape[0], a.shape[1] if n_cols is None else n_cols, rows, cols, a[rows, cols])
+
+    @classmethod
+    def empty(cls, n_cols: int, n_rows: int = 0) -> "SparseRowBlock":
+        """``n_rows`` rows without stored entries."""
+        return cls(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64), _EMPTY_I, _EMPTY_F)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+    @cached_property
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
+
+    @cached_property
+    def row_cols(self) -> tuple:
+        """Read-only per-row views of ``indices``."""
+        return _row_views(self.indices, self.indptr)
+
+    @cached_property
+    def row_vals(self) -> tuple:
+        """Read-only per-row views of ``data``."""
+        return _row_views(self.data, self.indptr)
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[self.row_ids, self.indices] = self.data
         return out
 
-    def row_adjacency(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-row column/value arrays of the stored upper triangle."""
-        cols_by_row: list[np.ndarray] = [_EMPTY_I] * self.dim
-        vals_by_row: list[np.ndarray] = [_EMPTY_F] * self.dim
-        if self.rows.size:
-            boundaries = np.searchsorted(self.rows, np.arange(self.dim + 1))
-            for i in range(self.dim):
-                lo, hi = boundaries[i], boundaries[i + 1]
-                if hi > lo:
-                    cols_by_row[i] = self.cols[lo:hi]
-                    vals_by_row[i] = self.vals[lo:hi]
-        return cols_by_row, vals_by_row
+    def to_scipy(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols))
+
+    def column_support(self) -> np.ndarray:
+        """Sorted array of columns that carry at least one stored entry."""
+        return np.unique(self.indices)
 
 
 @dataclass(frozen=True)
 class UpperTriangular:
     """Upper-triangular factor with positive diagonal.
 
-    The diagonal is dense; each row additionally stores its strictly-upper
-    entries as sorted column/value arrays.  ``nnz`` counts the diagonal plus
-    all stored off-diagonal entries.
+    The diagonal is dense; ``upper`` holds the strictly-upper entries as a
+    square CSR row block.  ``nnz`` counts the diagonal plus all stored
+    off-diagonal entries.
     """
 
-    dim: int
     diag: np.ndarray
-    row_cols: tuple
-    row_vals: tuple
+    upper: SparseRowBlock
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
         diag = _as_value_array(self.diag)
-        if diag.size != self.dim:
-            raise ValueError("diagonal length must equal dim")
         if np.any(diag <= 0.0):
             raise ValueError("diagonal entries must be strictly positive")
-        if len(self.row_cols) != self.dim or len(self.row_vals) != self.dim:
-            raise ValueError("need one column/value array per row")
-        row_cols = []
-        row_vals = []
-        for i in range(self.dim):
-            cols = _as_index_array(self.row_cols[i])
-            vals = _as_value_array(self.row_vals[i])
-            if cols.size != vals.size:
-                raise ValueError("row arrays must have equal length")
-            if cols.size:
-                if cols[0] <= i or cols[-1] >= self.dim:
-                    raise ValueError("row entries must satisfy row < col < dim")
-                if np.any(np.diff(cols) <= 0):
-                    raise ValueError("row columns must be strictly increasing")
-            row_cols.append(cols)
-            row_vals.append(vals)
+        # n_cols is positive, so this also rejects an empty diagonal
+        if self.upper.n_rows != diag.size or self.upper.n_cols != diag.size:
+            raise ValueError("off-diagonal block must be dim x dim")
+        if np.any(self.upper.indices <= self.upper.row_ids):
+            raise ValueError("row entries must satisfy row < col < dim")
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "row_cols", tuple(row_cols))
-        object.__setattr__(self, "row_vals", tuple(row_vals))
 
     @classmethod
-    def identity(cls, dim: int) -> "UpperTriangular":
-        return cls(dim, np.ones(dim), (_EMPTY_I,) * dim, (_EMPTY_F,) * dim)
+    def from_rows(cls, diag, row_cols, row_vals) -> "UpperTriangular":
+        """Build from the diagonal plus per-row strictly-upper column/value arrays."""
+        return cls(diag, SparseRowBlock.from_rows(len(diag), row_cols, row_vals))
 
     @classmethod
     def from_diagonal(cls, values) -> "UpperTriangular":
         values = _as_value_array(values)
-        n = values.size
-        return cls(n, values, (_EMPTY_I,) * n, (_EMPTY_F,) * n)
+        return cls(values, SparseRowBlock.empty(values.size, values.size))
+
+    @classmethod
+    def identity(cls, dim: int) -> "UpperTriangular":
+        return cls.from_diagonal(np.ones(dim))
 
     @classmethod
     def from_dense(cls, a, tol: float = 0.0) -> "UpperTriangular":
         a = np.asarray(a, dtype=np.float64)
-        n = a.shape[0]
-        if a.ndim != 2 or a.shape[1] != n:
+        if a.ndim != 2 or a.shape[1] != a.shape[0]:
             raise ValueError("expected a square matrix")
         if np.any(np.abs(np.tril(a, -1)) > 0):
             raise ValueError("matrix has entries below the diagonal")
-        row_cols = []
-        row_vals = []
-        for i in range(n):
-            tail = a[i, i + 1:]
-            nz = np.nonzero(np.abs(tail) > tol)[0]
-            row_cols.append(nz + i + 1)
-            row_vals.append(tail[nz])
-        return cls(n, a.diagonal().copy(), tuple(row_cols), tuple(row_vals))
+        return cls(a.diagonal().copy(), SparseRowBlock.from_dense(np.triu(a, 1), tol=tol))
+
+    @property
+    def dim(self) -> int:
+        return int(self.diag.size)
 
     @property
     def nnz(self) -> int:
-        return self.dim + sum(int(c.size) for c in self.row_cols)
+        return self.dim + self.upper.nnz
+
+    @property
+    def row_cols(self) -> tuple:
+        return self.upper.row_cols
+
+    @property
+    def row_vals(self) -> tuple:
+        return self.upper.row_vals
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
+        out = self.upper.to_dense()
         out[np.arange(self.dim), np.arange(self.dim)] = self.diag
-        for i in range(self.dim):
-            out[i, self.row_cols[i]] = self.row_vals[i]
         return out
+
+    def as_row_block(self) -> SparseRowBlock:
+        """Every stored entry, diagonal included, as one CSR row block."""
+        u = self.upper
+        n = self.dim
+        starts = u.indptr[:-1]
+        return SparseRowBlock(
+            n,
+            n,
+            u.indptr + np.arange(n + 1),
+            np.insert(u.indices, starts, np.arange(n)),
+            np.insert(u.data, starts, self.diag),
+        )
 
     def diagonal_only(self) -> "UpperTriangular":
         """Drop every off-diagonal entry, keeping the diagonal."""
         return UpperTriangular.from_diagonal(self.diag)
 
+    def trailing(self, k: int) -> "UpperTriangular":
+        """The principal block of rows and columns ``k..dim-1``."""
+        u = self.upper
+        start = u.indptr[k]
+        m = self.dim - k
+        return UpperTriangular(
+            self.diag[k:], SparseRowBlock(m, m, u.indptr[k:] - start, u.indices[start:] - k, u.data[start:])
+        )
+
+    def with_diagonal_head(self, head) -> "UpperTriangular":
+        """Block-diagonal factor diag(head) (+) self."""
+        head = _as_value_array(head)
+        k = head.size
+        u = self.upper
+        n = self.dim + k
+        indptr = np.concatenate([np.zeros(k, dtype=np.int64), u.indptr])
+        return UpperTriangular(
+            np.concatenate([head, self.diag]), SparseRowBlock(n, n, indptr, u.indices + k, u.data)
+        )
+
     def gram(self) -> SparseSymmetric:
         """Form the symmetric product (self)^T (self) structurally."""
         n = self.dim
-        pair_cache: dict = {}
-
-        def pairs(m: int):
-            got = pair_cache.get(m)
-            if got is None:
-                got = np.triu_indices(m)
-                pair_cache[m] = got
-            return got
-
-        chunks_k = []
-        for k in range(n):
-            support = np.concatenate(([k], self.row_cols[k]))
-            ii, jj = pairs(support.size)
-            chunks_k.append(support[ii] * n + support[jj])
-        keys = np.concatenate(chunks_k)
+        full = self.as_row_block()
+        # pair counts of a 0/1 pattern never cancel, so this is the
+        # structural support, stored zeros included
+        pattern = sp.csr_matrix((np.ones(full.nnz), full.indices, full.indptr), shape=(n, n))
+        support = sp.triu(pattern.T @ pattern).tocoo()
+        rows = support.row.astype(np.int64)
+        cols = support.col.astype(np.int64)
         if n * n <= 1 << 24:
-            # scatter by flat key: presence mask keeps structural zeros
-            present = np.bincount(keys, minlength=n * n).astype(bool)
             dense_r = self.to_dense()
-            flat = (dense_r.T @ dense_r).reshape(-1)
-            idx = np.nonzero(present)[0]
-            return SparseSymmetric(n, idx // n, idx % n, flat[idx])
-        chunks_v = []
-        for k in range(n):
-            values = np.concatenate(([self.diag[k]], self.row_vals[k]))
-            m = values.size
-            ii, jj = np.triu_indices(m)
-            chunks_v.append(values[ii] * values[jj])
-        return SparseSymmetric.accumulate(
-            n,
-            keys // n,
-            keys % n,
-            np.concatenate(chunks_v),
-        )
+            vals = (dense_r.T @ dense_r)[rows, cols]
+        else:
+            r = full.to_scipy()
+            vals = np.asarray((r.T @ r).tocsr()[rows, cols]).ravel()
+        return SparseSymmetric(n, rows, cols, vals)
 
     def gram_diagonal(self) -> np.ndarray:
         """Diagonal of (self)^T (self) without forming the product."""
         out = self.diag ** 2
-        for k in range(self.dim):
-            np.add.at(out, self.row_cols[k], self.row_vals[k] ** 2)
+        np.add.at(out, self.upper.indices, self.upper.data ** 2)
         return out
 
 
@@ -348,92 +460,17 @@ class Permutation:
     def inverted(self) -> "Permutation":
         return Permutation(self.inverse.copy())
 
-    def is_identity(self) -> bool:
-        return bool(np.all(self.forward == np.arange(self.dim)))
-
-
-@dataclass(frozen=True)
-class SparseRowBlock:
-    """Stack of sparse constraint rows over ``n_cols`` variables.
-
-    Rows with zero stored entries are permitted (vacuous constraints).
-    """
-
-    n_rows: int
-    n_cols: int
-    row_cols: tuple
-    row_vals: tuple
-
-    def __post_init__(self):
-        if self.n_cols <= 0:
-            raise ValueError("n_cols must be positive")
-        if self.n_rows < 0:
-            raise ValueError("n_rows must be non-negative")
-        if len(self.row_cols) != self.n_rows or len(self.row_vals) != self.n_rows:
-            raise ValueError("need one column/value array per row")
-        row_cols = []
-        row_vals = []
-        for cols, vals in zip(self.row_cols, self.row_vals):
-            cols = _as_index_array(cols)
-            vals = _as_value_array(vals)
-            if cols.size != vals.size:
-                raise ValueError("row arrays must have equal length")
-            if cols.size:
-                if cols[0] < 0 or cols[-1] >= self.n_cols:
-                    raise ValueError("row entry column out of range")
-                if np.any(np.diff(cols) <= 0):
-                    raise ValueError("row columns must be strictly increasing")
-            row_cols.append(cols)
-            row_vals.append(vals)
-        object.__setattr__(self, "row_cols", tuple(row_cols))
-        object.__setattr__(self, "row_vals", tuple(row_vals))
-
-    @classmethod
-    def from_dense(cls, a, n_cols: int | None = None, tol: float = 0.0) -> "SparseRowBlock":
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        n_cols = a.shape[1] if n_cols is None else n_cols
-        row_cols = []
-        row_vals = []
-        for r in a:
-            nz = np.nonzero(np.abs(r) > tol)[0]
-            row_cols.append(nz)
-            row_vals.append(r[nz])
-        return cls(a.shape[0], n_cols, tuple(row_cols), tuple(row_vals))
-
-    @classmethod
-    def empty(cls, n_cols: int) -> "SparseRowBlock":
-        return cls(0, n_cols, (), ())
-
-    @property
-    def nnz(self) -> int:
-        return sum(int(c.size) for c in self.row_cols)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        for i in range(self.n_rows):
-            out[i, self.row_cols[i]] = self.row_vals[i]
-        return out
-
-    def column_support(self) -> np.ndarray:
-        """Sorted array of columns that carry at least one stored entry."""
-        if not self.row_cols:
-            return _EMPTY_I
-        return np.unique(np.concatenate(self.row_cols))
-
-    def gram_dense(self) -> np.ndarray:
-        dense = self.to_dense()
-        return dense.T @ dense
-
 
 # ---------------------------------------------------------------------------
 # Factorization and updates
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_fill(m: SparseSymmetric) -> list:
-    """Strictly-upper fill pattern of the factor, per row, via the
-    elimination tree: build the tree with ancestor compression, then
-    enumerate each row's reach by climbing plain parent pointers.
+def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly-upper fill pattern of the factor as CSR ``(indptr,
+    indices)``, via the elimination tree: build the tree with ancestor
+    compression, then enumerate each row's reach by climbing plain parent
+    pointers.
 
     The pattern depends only on the stored coordinates (stored zeros are
     structural), and each row's columns come out already sorted.
@@ -470,7 +507,10 @@ def _symbolic_fill(m: SparseSymmetric) -> list:
                 rows_fill[k].append(i)
                 mark[k] = i
                 k = parent[k]
-    return rows_fill
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows_fill), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(rows_fill), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
 
 
 def cholesky(m: SparseSymmetric) -> UpperTriangular:
@@ -496,15 +536,9 @@ def cholesky(m: SparseSymmetric) -> UpperTriangular:
             f"pivot {diag_out[i] ** 2:.3e} at index {i} is at or below {PIVOT_FLOOR:.0e}"
         )
 
-    rows_fill = _symbolic_fill(m)
-    rows_cols: list[np.ndarray] = [_EMPTY_I] * n
-    rows_vals: list[np.ndarray] = [_EMPTY_F] * n
-    for i, fill in enumerate(rows_fill):
-        if fill:
-            cols = np.asarray(fill, dtype=np.int64)
-            rows_cols[i] = cols
-            rows_vals[i] = lower[cols, i].copy()
-    return UpperTriangular(n, diag_out, tuple(rows_cols), tuple(rows_vals))
+    indptr, indices = _symbolic_fill(m)
+    row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return UpperTriangular(diag_out, SparseRowBlock(n, n, indptr, indices, lower[indices, row_ids]))
 
 
 def permute_symmetric(m: SparseSymmetric, p: Permutation) -> SparseSymmetric:
@@ -532,32 +566,24 @@ def permute_triangular_back(
     """
     if p.dim != r.dim:
         raise DimensionMismatch(f"permutation dim {p.dim} != factor dim {r.dim}")
-    for i in sparsified:
-        if r.row_cols[i].size:
-            raise ShapeViolation(f"row {i} was named as sparsified but still has off-diagonal entries")
-    n = r.dim
+    named = np.fromiter(sparsified, dtype=np.int64, count=len(sparsified))
+    still_dense = named[np.diff(r.upper.indptr)[named] > 0]
+    if still_dense.size:
+        raise ShapeViolation(
+            f"row {int(still_dense.min())} was named as sparsified but still has off-diagonal entries"
+        )
     inv = p.inverse
-    new_diag = np.empty(n)
+    new_diag = np.empty(r.dim)
     new_diag[inv] = r.diag
-
-    rows_cols: list[np.ndarray] = [_EMPTY_I] * n
-    rows_vals: list[np.ndarray] = [_EMPTY_F] * n
-    for i in range(n):
-        cols = r.row_cols[i]
-        if not cols.size:
-            continue
-        ni = inv[i]
-        ncols = inv[cols]
-        if np.any(ncols < ni):
-            raise ShapeViolation(
-                f"entry of row {i} would land below the diagonal after permutation; "
-                "rows selected for sparsification still carry off-diagonal entries"
-            )
-        order = np.argsort(ncols, kind="stable")
-        rows_cols[ni] = ncols[order]
-        rows_vals[ni] = r.row_vals[i][order]
-
-    return UpperTriangular(n, new_diag, tuple(rows_cols), tuple(rows_vals))
+    new_rows = inv[r.upper.row_ids]
+    new_cols = inv[r.upper.indices]
+    below = np.nonzero(new_cols < new_rows)[0]
+    if below.size:
+        raise ShapeViolation(
+            f"entry of row {int(r.upper.row_ids[below[0]])} would land below the diagonal after "
+            "permutation; rows selected for sparsification still carry off-diagonal entries"
+        )
+    return UpperTriangular(new_diag, SparseRowBlock.from_coo(r.dim, r.dim, new_rows, new_cols, r.upper.data))
 
 
 def _rotate_sparse_rows(
@@ -581,7 +607,7 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  Each constraint row is folded
     in by rotating it against the factor row at its leading column, so only
     rows reachable from the row's sparsity pattern are touched; all other
-    rows are shared with the input factor.
+    rows keep their stored entries.
 
     Raises RankDeficientAugmentation if any of the ``n_new`` appended
     variables ends up without diagonal support (singular posterior).
@@ -630,7 +656,7 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     if n_new and np.any(diag[r.dim:] == 0.0):
         missing = int(np.nonzero(diag[r.dim:] == 0.0)[0][0]) + r.dim
         raise RankDeficientAugmentation(f"appended variable {missing} has no supporting row")
-    return UpperTriangular(nd, diag, tuple(rows_cols), tuple(rows_vals))
+    return UpperTriangular.from_rows(diag, rows_cols, rows_vals)
 
 
 def logdet_triangular(r: UpperTriangular) -> float:

@@ -27,7 +27,6 @@ from .belief import GaussianBelief, VariableLayout
 from .errors import InvalidSpec, LayoutMismatch
 from .sparse import (
     Permutation,
-    UpperTriangular,
     cholesky,
     permute_symmetric,
     permute_triangular_back,
@@ -124,15 +123,6 @@ def resolve_blocks(
     return spec.custom_blocks
 
 
-def _zero_leading_rows(root: UpperTriangular, k: int) -> UpperTriangular:
-    """Drop the off-diagonal entries of rows 0..k-1."""
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=np.float64)
-    row_cols = tuple(empty_i if i < k else root.row_cols[i] for i in range(root.dim))
-    row_vals = tuple(empty_f if i < k else root.row_vals[i] for i in range(root.dim))
-    return UpperTriangular(root.dim, root.diag.copy(), row_cols, row_vals)
-
-
 def sparsify_belief(
     b: GaussianBelief, spec: SparsificationSpec, mask: InvolvementMask | None = None
 ) -> GaussianBelief:
@@ -147,8 +137,7 @@ def sparsify_belief(
     if not s_blocks:
         return b
     s_scalars = b.layout.scalar_indices(sorted(s_blocks))
-    n = b.dim
-    selected = np.zeros(n, dtype=bool)
+    selected = np.zeros(b.dim, dtype=bool)
     selected[s_scalars] = True
     kept = np.nonzero(~selected)[0]
     if kept.size == 0:
@@ -160,32 +149,11 @@ def sparsify_belief(
     # (the leading factor block is untouched by the reordering)
     split = int(kept[0])
     suffix_s = s_scalars[s_scalars >= split] - split
-    if suffix_s.size == 0:
-        return GaussianBelief(b.mean, _zero_leading_rows(b.root, split), b.layout)
-
-    m = n - split
-    tail = UpperTriangular(
-        m,
-        b.root.diag[split:].copy(),
-        tuple(b.root.row_cols[i] - split for i in range(split, n)),
-        tuple(b.root.row_vals[i] for i in range(split, n)),
-    )
-    perm = Permutation.move_to_front(m, suffix_s)
-    info_p = permute_symmetric(tail.gram(), perm)
-    root_p_s = _zero_leading_rows(cholesky(info_p), suffix_s.size)
-    tail_s = permute_triangular_back(root_p_s, perm.inverted(), set(range(suffix_s.size)))
-
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0, dtype=np.float64)
-    diag = np.concatenate([b.root.diag[:split], tail_s.diag])
-    row_cols = tuple(empty_i for _ in range(split)) + tuple(c + split for c in tail_s.row_cols)
-    row_vals = tuple(empty_f for _ in range(split)) + tail_s.row_vals
-    root_s = UpperTriangular(n, diag, row_cols, row_vals)
-    return GaussianBelief(b.mean, root_s, b.layout)
-
-
-def fast_full_sparsify(b: GaussianBelief) -> GaussianBelief:
-    """Full sparsification of a root-form belief: keep only the factor
-    diagonal.  Equivalent to ``sparsify_belief`` in full mode, at linear
-    cost."""
-    return GaussianBelief(b.mean, b.root.diagonal_only(), b.layout)
+    tail = b.root.trailing(split)
+    if suffix_s.size:
+        k = suffix_s.size
+        perm = Permutation.move_to_front(tail.dim, suffix_s)
+        root_p = cholesky(permute_symmetric(tail.gram(), perm))
+        root_p_s = root_p.trailing(k).with_diagonal_head(root_p.diag[:k])
+        tail = permute_triangular_back(root_p_s, perm.inverted(), set(range(k)))
+    return GaussianBelief(b.mean, tail.with_diagonal_head(b.root.diag[:split]), b.layout)

@@ -158,8 +158,7 @@ def test_criterion_3_back_permuted_factor_stays_triangular():
         root_p = cholesky(permute_symmetric(info, perm))
         empty_i = np.empty(0, dtype=np.int64)
         empty_f = np.empty(0)
-        root_p_s = UpperTriangular(
-            n,
+        root_p_s = UpperTriangular.from_rows(
             root_p.diag,
             tuple(empty_i if i < k else root_p.row_cols[i] for i in range(n)),
             tuple(empty_f if i < k else root_p.row_vals[i] for i in range(n)),

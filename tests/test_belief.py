@@ -175,8 +175,7 @@ class TestNnzReport:
             assert info_nnz == dense_count
 
     def test_root_nnz_counts_stored_entries(self):
-        r = UpperTriangular(
-            3,
+        r = UpperTriangular.from_rows(
             np.array([1.0, 1.0, 1.0]),
             (np.array([2]), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
             (np.array([0.5]), np.empty(0), np.empty(0)),

@@ -4,8 +4,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import beliefplan.cli as cli
+from beliefplan.errors import BeliefPlanError
 from beliefplan.scenario import run_session, scenario_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -165,7 +167,52 @@ class TestEnvironmentOverrides:
         assert code == 0
         assert (tmp_path / "envout" / "session_11.csv").exists()
 
-    def test_workers_env_parsed(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("BELIEFPLAN_WORKERS", "2")
-        code = run(["solve", "--scenario", str(TINY), "--out-dir", str(tmp_path)])
-        assert code == 0
+
+
+class TestUsageErrors:
+    def test_retired_workers_flag_exits_1(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--scenario", str(TINY), "--workers", "2", "--out-dir", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_ERROR
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    def test_help_exits_0_and_unknown_flag_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--help"])
+        assert exc.value.code == cli.EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--scenario", str(TINY), "--bogus"])
+        assert exc.value.code == cli.EXIT_ERROR
+
+
+def _drop_candidates(doc):
+    doc["candidates"] = []
+
+
+def _other_noise_model(doc):
+    doc["candidates"][1]["factors"][0]["sqrt_info"][8] = 40.0
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["poses"][3].update(id=99),
+            lambda doc: doc["poses"][3].update(id=2),
+            lambda doc: doc.update(schema_version=99),
+            _drop_candidates,
+            _other_noise_model,
+        ],
+        ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info"],
+    )
+    def test_bad_scenario_is_a_typed_error_and_exits_1(self, mutate, tmp_path, capsys):
+        doc = json.loads(TINY.read_text())
+        mutate(doc)
+        text = json.dumps(doc)
+        with pytest.raises(BeliefPlanError):
+            scenario_from_json(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -4,6 +4,8 @@ log-determinants, and the Matrix Market interchange."""
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from io import BytesIO
 
 from beliefplan import mmio
@@ -145,7 +147,7 @@ class TestPermuteTriangularBack:
             k = len(s_vars)
             rows_c = tuple(np.empty(0, dtype=np.int64) if i < k else rp.row_cols[i] for i in range(n))
             rows_v = tuple(np.empty(0) if i < k else rp.row_vals[i] for i in range(n))
-            rp_s = UpperTriangular(n, rp.diag, rows_c, rows_v)
+            rp_s = UpperTriangular.from_rows(rp.diag, rows_c, rows_v)
             out = permute_triangular_back(rp_s, perm.inverted(), set(range(k)))
             # triangularity is guaranteed by the type; check the product
             target = permute_symmetric(rp_s.gram(), perm.inverted()).to_dense()
@@ -194,12 +196,15 @@ class TestLowRankUpdate:
             np.testing.assert_allclose(out.to_dense().T @ out.to_dense(), target, rtol=1e-8, atol=1e-8)
 
     def test_untouched_rows_are_shared(self):
-        # rows outside the update's reach must be the same objects
-        r = cholesky(SparseSymmetric.from_dense(np.diag([1.0, 2.0, 3.0, 4.0])))
-        u = SparseRowBlock.from_dense([[0.0, 0.0, 1.0, 1.0]])
+        # rows outside the update's reach keep their entries, bit for bit
+        rng = np.random.default_rng(4)
+        r = cholesky(SparseSymmetric.from_dense(random_sparse_spd(rng, 6, density=0.4)))
+        u = SparseRowBlock.from_dense([[0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
         out = lowrank_update(r, u, 0)
-        assert out.row_cols[0] is r.row_cols[0]
-        assert out.row_cols[1] is r.row_cols[1]
+        for i in range(4):
+            assert out.diag[i] == r.diag[i]
+            np.testing.assert_array_equal(out.row_cols[i], r.row_cols[i])
+            np.testing.assert_array_equal(out.row_vals[i], r.row_vals[i])
 
     def test_rank_deficient_augmentation(self):
         r = UpperTriangular.identity(2)
@@ -252,8 +257,8 @@ class TestTypes:
 
     def test_triangular_rejects_subdiagonal(self):
         with pytest.raises(ValueError):
-            UpperTriangular(2, [1.0, 1.0], (np.array([0]), np.array([], dtype=np.int64)),
-                            (np.array([1.0]), np.array([])))
+            UpperTriangular.from_rows([1.0, 1.0], (np.array([0]), np.array([], dtype=np.int64)),
+                                      (np.array([1.0]), np.array([])))
 
     def test_row_block_allows_vacuous_rows(self):
         u = SparseRowBlock.from_dense(np.zeros((2, 3)))
@@ -301,3 +306,130 @@ class TestMatrixMarket:
         r = cholesky(m)
         parsed_r = scipy.io.mmread(BytesIO(mmio.triangular_to_mm(r).encode()))
         np.testing.assert_array_equal(parsed_r.toarray(), r.to_dense())
+
+
+# ---------------------------------------------------------------------------
+# Compressed row storage: exact round trips and whole-array validation
+# ---------------------------------------------------------------------------
+
+finite_values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def upper_triangular_dense(draw):
+    n = draw(st.integers(1, 7))
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, i] = draw(st.floats(min_value=1e-300, max_value=1e300))
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a[i, j] = draw(finite_values)
+    return a
+
+
+@st.composite
+def row_block_dense(draw):
+    n_rows = draw(st.integers(0, 5))
+    n_cols = draw(st.integers(1, 6))
+    a = np.zeros((n_rows, n_cols))
+    for i in range(n_rows):
+        for j in range(n_cols):
+            if draw(st.booleans()):
+                a[i, j] = draw(finite_values)
+    return a
+
+
+def _per_row_valid(n_cols, row_cols, row_vals, diag=None):
+    """The rules one row at a time; ``diag`` adds the triangular ones."""
+    if diag is not None and not all(np.isfinite(d) and d > 0 for d in diag):
+        return False
+    for i, (cols, vals) in enumerate(zip(row_cols, row_vals)):
+        if not np.all(np.isfinite(vals)):
+            return False
+        if len(cols) and (cols[0] <= (i if diag is not None else -1) or cols[-1] >= n_cols):
+            return False
+        if np.any(np.diff(cols) <= 0):
+            return False
+    return True
+
+
+@st.composite
+def rows_maybe_invalid(draw):
+    """Per-row columns/values that are mostly valid but may break any rule."""
+    n = draw(st.integers(1, 6))
+    row_cols, row_vals = [], []
+    for i in range(n):
+        cols = draw(st.lists(st.integers(-1, n), max_size=4))
+        if draw(st.booleans()):
+            cols = sorted({c for c in cols if i < c < n})
+        row_cols.append(np.array(cols, dtype=np.int64))
+        row_vals.append(np.array(
+            draw(st.lists(st.sampled_from([0.5, -2.0, 0.0, np.nan, np.inf]), min_size=len(cols),
+                          max_size=len(cols))), dtype=np.float64))
+    diag = draw(st.lists(st.sampled_from([1.0, 2.5, 1.0, 0.0, -1.0, np.nan]), min_size=n, max_size=n))
+    return n, diag, row_cols, row_vals
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+class TestCompressedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(upper_triangular_dense())
+    def test_triangular_round_trips_are_exact(self, a):
+        r = UpperTriangular.from_dense(a)
+        np.testing.assert_array_equal(r.to_dense(), a)
+        back = mmio.mm_to_triangular(mmio.triangular_to_mm(r))
+        np.testing.assert_array_equal(back.diag, r.diag)
+        np.testing.assert_array_equal(back.upper.indptr, r.upper.indptr)
+        np.testing.assert_array_equal(back.upper.indices, r.upper.indices)
+        np.testing.assert_array_equal(back.upper.data, r.upper.data)
+        assert back.nnz == r.nnz == a.shape[0] + np.count_nonzero(np.triu(a, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_block_dense())
+    def test_row_block_round_trips_are_exact(self, a):
+        u = SparseRowBlock.from_dense(a)
+        np.testing.assert_array_equal(u.to_dense(), a)
+        back = mmio.mm_to_row_block(mmio.row_block_to_mm(u))
+        assert (back.n_rows, back.n_cols) == a.shape
+        np.testing.assert_array_equal(back.indptr, u.indptr)
+        np.testing.assert_array_equal(back.indices, u.indices)
+        np.testing.assert_array_equal(back.data, u.data)
+        for i in range(u.n_rows):
+            np.testing.assert_array_equal(u.row_vals[i], a[i, u.row_cols[i]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows_maybe_invalid())
+    def test_validator_agrees_with_the_per_row_rules(self, case):
+        n, diag, row_cols, row_vals = case
+        assert _accepts(lambda: UpperTriangular.from_rows(diag, row_cols, row_vals)) == _per_row_valid(
+            n, row_cols, row_vals, diag)
+        assert _accepts(lambda: SparseRowBlock.from_rows(n, row_cols, row_vals)) == _per_row_valid(
+            n, row_cols, row_vals)
+
+    @pytest.mark.parametrize("diag, cols, vals", [
+        ([1.0, 1.0, 1.0], [[2, 1], [], []], [[1.0, 1.0], [], []]),  # unsorted
+        ([1.0, 1.0, 1.0], [[1, 1], [], []], [[1.0, 1.0], [], []]),  # repeated
+        ([1.0, 1.0, 1.0], [[], [1], []], [[], [1.0], []]),  # on the diagonal
+        ([1.0, 1.0, 1.0], [[], [], [0]], [[], [], [1.0]]),  # below the diagonal
+        ([1.0, 1.0, 1.0], [[3], [], []], [[1.0], [], []]),  # out of range
+        ([1.0, 1.0, 1.0], [[1], [], []], [[np.nan], [], []]),  # not finite
+        ([1.0, 0.0, 1.0], [[], [], []], [[], [], []]),  # non-positive diagonal
+    ], ids=["unsorted", "repeated", "diagonal", "below", "out-of-range", "non-finite", "diag"])
+    def test_validator_rejects(self, diag, cols, vals):
+        with pytest.raises(ValueError):
+            UpperTriangular.from_rows(diag, [np.array(c, dtype=np.int64) for c in cols],
+                                      [np.array(v, dtype=np.float64) for v in vals])
+
+    def test_row_views_are_read_only(self):
+        r = UpperTriangular.from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]]))
+        assert r.row_cols is r.row_cols
+        with pytest.raises(ValueError):
+            r.row_vals[0][0] = 5.0
+        assert r.upper.data[0] == 2.0

@@ -17,7 +17,6 @@ from beliefplan.sparsify import (
     InvolvementMask,
     SparsificationSpec,
     detect_involvement,
-    fast_full_sparsify,
     resolve_blocks,
     sparsify_belief,
 )
@@ -206,7 +205,7 @@ class TestSparsifyBelief:
 class TestFastFullSparsify:
     def test_diagonal_root_is_fixed_point(self):
         b = scalar_belief(np.diag([1.0, 4.0, 9.0]))
-        out = fast_full_sparsify(b)
+        out = sparsify_belief(b, SparsificationSpec.full())
         np.testing.assert_array_equal(out.root.to_dense(), b.root.to_dense())
 
     def test_drops_offdiagonals_preserving_logdet(self):
@@ -215,17 +214,9 @@ class TestFastFullSparsify:
         r = UpperTriangular.from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
         layout = VariableLayout.from_sizes([1, 1])
         b = GaussianBelief(np.zeros(2), r, layout)
-        out = fast_full_sparsify(b)
+        out = sparsify_belief(b, SparsificationSpec.full())
         np.testing.assert_array_equal(out.root.to_dense(), np.eye(2))
         assert logdet_triangular(out.root) == logdet_triangular(b.root) == 0.0
-
-    def test_equals_full_mode(self):
-        rng = np.random.default_rng(61)
-        b = scalar_belief(random_sparse_spd(rng, 10))
-        fast = fast_full_sparsify(b)
-        slow = sparsify_belief(b, SparsificationSpec.full())
-        np.testing.assert_array_equal(fast.root.to_dense(), slow.root.to_dense())
-        assert fast.root.nnz == b.dim
 
 
 class TestSpecResolution:
