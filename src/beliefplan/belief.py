@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import mmio
-from .errors import DimensionMismatch, EvaluationError
+from .errors import DimensionMismatch, EvaluationError, InvalidBelief
 from .sparse import SparseRowBlock, UpperTriangular, logdet_triangular, lowrank_update
 
 LN_2PI_E = math.log(2.0 * math.pi) + 1.0
@@ -87,11 +88,16 @@ class VariableLayout:
     def block_ids(self) -> tuple:
         return tuple(blk.block_id for blk in self.blocks)
 
+    @cached_property
+    def _position(self) -> dict:
+        """Block id -> index into ``blocks``."""
+        return {blk.block_id: k for k, blk in enumerate(self.blocks)}
+
     def block(self, block_id: int) -> LayoutBlock:
-        for blk in self.blocks:
-            if blk.block_id == block_id:
-                return blk
-        raise KeyError(f"unknown block id {block_id}")
+        k = self._position.get(block_id)
+        if k is None:
+            raise KeyError(f"unknown block id {block_id}")
+        return self.blocks[k]
 
     def block_of_scalar(self) -> np.ndarray:
         """Map each scalar index to the id of its block."""
@@ -163,6 +169,8 @@ class GaussianBelief:
         mean = np.asarray(self.mean, dtype=np.float64)
         if mean.ndim != 1 or mean.size != self.root.dim:
             raise ValueError("mean length must equal factor dimension")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
         if self.layout.dim != self.root.dim:
             raise ValueError("layout size must equal factor dimension")
         object.__setattr__(self, "mean", mean)
@@ -231,7 +239,7 @@ def evaluate_candidates(b: GaussianBelief, candidates) -> np.ndarray:
 
 def nnz_report(b: GaussianBelief) -> tuple[int, int]:
     """(stored entries of the root factor, upper-triangle entries of R^T R)."""
-    return b.root.nnz, b.root.gram().nnz
+    return b.root.nnz, b.root.gram_nnz()
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +259,17 @@ def belief_to_json(b: GaussianBelief) -> str:
 
 
 def belief_from_json(text: str) -> GaussianBelief:
-    doc = json.loads(text)
-    blocks = []
-    offset = 0
-    for entry in doc["layout"]:
-        blocks.append(LayoutBlock(int(entry["id"]), entry["kind"], int(entry["size"]), offset))
-        offset += int(entry["size"])
-    layout = VariableLayout(tuple(blocks))
-    root = mmio.mm_to_triangular(doc["root_mm"])
-    return GaussianBelief(np.asarray(doc["mean"], dtype=np.float64), root, layout)
+    """Load a belief file; a malformed file raises ``InvalidBelief`` or
+    ``ValueError``."""
+    try:
+        doc = json.loads(text)
+        blocks = []
+        offset = 0
+        for entry in doc["layout"]:
+            blocks.append(LayoutBlock(int(entry["id"]), entry["kind"], int(entry["size"]), offset))
+            offset += int(entry["size"])
+        root = mmio.mm_to_triangular(doc["root_mm"])
+        mean = np.asarray(doc["mean"], dtype=np.float64)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
+        raise InvalidBelief(f"malformed belief file: {type(e).__name__}: {e}") from e
+    return GaussianBelief(mean, root, VariableLayout(tuple(blocks)))

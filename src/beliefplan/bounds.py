@@ -8,7 +8,10 @@ Three bound families over the posterior-entropy objective:
   ``3 ln t(G) + mu``; the upper bound adds a Hadamard-style correction
   ``sum ln(d_i + psi) - ln|reduced Laplacian|``.  ``mu`` and ``psi`` are
   noise-model constants supplied by the caller (the synthetic scenario
-  derives them from its own factor model, see ``scenario``);
+  derives them from its own factor model, see ``scenario``).  ln t(G)
+  and the degrees do not depend on the noise constants: a ``PoseGraph``
+  is immutable and computes them once, with array operations and one
+  dense ``slogdet``, however many noise ratios are bounded with it;
 - determinant: a Minkowski lower bound and a Hadamard upper bound on the
   posterior log-determinant; assumption-free, useful when the information
   matrix is diagonally dominant;
@@ -23,10 +26,13 @@ simplified problem's selection is ``post_solution_loss_bound``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.sparse.csgraph import connected_components
 
 from .belief import LN_2PI_E, CandidateAction, GaussianBelief
 from .errors import (
@@ -42,59 +48,96 @@ from .sparse import logdet_triangular
 from .sparsify import InvolvementMask
 
 
+def _checked_edges(n_nodes: int, edges) -> np.ndarray:
+    """Edges as an ``(E, 2)`` int array with ``i < j`` in every row; the
+    first self-loop or out-of-range edge is reported."""
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (i, j) node pairs")
+    loops = pairs[:, 0] == pairs[:, 1]
+    bad = np.flatnonzero(loops | np.any((pairs < 0) | (pairs >= n_nodes), axis=1))
+    if bad.size:
+        i, j = pairs[bad[0]].tolist()
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        raise ValueError(f"edge ({i}, {j}) out of range")
+    return np.sort(pairs, axis=1)
+
+
 @dataclass(frozen=True)
 class PoseGraph:
     """Undirected graph over pose nodes (no self-loops; parallel edges sum
     into the Laplacian).  Node 0 is the grounded node removed when forming
-    the reduced Laplacian."""
+    the reduced Laplacian.
+
+    ``edges`` is normalised to ``(min, max)`` pairs; ``pairs`` holds the
+    same edges as a read-only ``(E, 2)`` int array.  The graph is immutable,
+    so its tree count and degrees are computed once, on first use.
+    """
 
     n_nodes: int
     edges: tuple
+    pairs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise ValueError("graph needs at least one node")
-        normalized = []
-        for i, j in self.edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            normalized.append((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", tuple(normalized))
+        self._set_pairs(_checked_edges(self.n_nodes, self.edges))
+
+    def _set_pairs(self, pairs: np.ndarray):
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "edges", tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())))
+
+    def extended(self, n_nodes: int, edges) -> "PoseGraph":
+        """This graph grown to ``n_nodes`` nodes plus ``edges``; only the
+        new edges are validated."""
+        if n_nodes < self.n_nodes:
+            raise ValueError("an extended graph cannot lose nodes")
+        grown = object.__new__(PoseGraph)
+        object.__setattr__(grown, "n_nodes", n_nodes)
+        grown._set_pairs(np.concatenate([self.pairs, _checked_edges(n_nodes, edges)]))
+        return grown
 
     def laplacian(self) -> np.ndarray:
-        lap = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j in self.edges:
-            lap[i, i] += 1.0
-            lap[j, j] += 1.0
-            lap[i, j] -= 1.0
-            lap[j, i] -= 1.0
+        n = self.n_nodes
+        i, j = self.pairs[:, 0], self.pairs[:, 1]
+        lap = np.zeros((n, n))
+        np.add.at(lap, (i, j), -1.0)
+        np.add.at(lap, (j, i), -1.0)
+        lap[np.diag_indices(n)] = np.bincount(self.pairs.ravel(), minlength=n)
         return lap
 
     def reduced_laplacian(self) -> np.ndarray:
         return self.laplacian()[1:, 1:]
 
+    @cached_property
     def reduced_degrees(self) -> np.ndarray:
-        """Degrees of the non-grounded nodes (the reduced Laplacian diagonal)."""
-        return self.laplacian().diagonal()[1:].copy()
+        """Degrees of the non-grounded nodes (the reduced Laplacian
+        diagonal), read-only."""
+        degrees = np.bincount(self.pairs.ravel(), minlength=self.n_nodes)[1:].astype(np.float64)
+        degrees.flags.writeable = False
+        return degrees
 
     def is_connected(self) -> bool:
-        seen = np.zeros(self.n_nodes, dtype=bool)
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        return bool(seen.all())
+        n = self.n_nodes
+        ones = np.ones(len(self.pairs))
+        adjacency = sp.coo_matrix((ones, (self.pairs[:, 0], self.pairs[:, 1])), shape=(n, n))
+        n_components, _ = connected_components(adjacency, directed=False)
+        return bool(n_components == 1)
+
+    @cached_property
+    def log_tree_count(self) -> float:
+        """ln of the spanning tree count, via the dense reduced-Laplacian
+        determinant.  A disconnected graph raises on every access."""
+        if not self.is_connected():
+            raise DisconnectedGraph("spanning tree count needs a connected graph")
+        sign, logdet = np.linalg.slogdet(self.reduced_laplacian())
+        if self.n_nodes > 1 and sign <= 0:
+            raise DisconnectedGraph("reduced Laplacian is numerically singular")
+        return float(logdet)
 
 
 @dataclass(frozen=True)
@@ -122,12 +165,7 @@ class TopologicalNoiseConfig:
 
 def spanning_tree_count(g: PoseGraph) -> float:
     """ln of the spanning tree count, via the reduced-Laplacian determinant."""
-    if not g.is_connected():
-        raise DisconnectedGraph("spanning tree count needs a connected graph")
-    sign, logdet = np.linalg.slogdet(g.reduced_laplacian())
-    if g.n_nodes > 1 and sign <= 0:
-        raise DisconnectedGraph("reduced Laplacian is numerically singular")
-    return float(logdet)
+    return g.log_tree_count
 
 
 def topological_bounds(g: PoseGraph, cfg: TopologicalNoiseConfig) -> tuple[float, float]:
@@ -139,7 +177,7 @@ def topological_bounds(g: PoseGraph, cfg: TopologicalNoiseConfig) -> tuple[float
     """
     log_t = spanning_tree_count(g)
     lb = 3.0 * log_t + cfg.mu
-    degrees = g.reduced_degrees()
+    degrees = g.reduced_degrees
     width = float(np.sum(np.log(degrees + cfg.psi)) - log_t) if degrees.size else 0.0
     ub = lb + width
     if ub < lb - 1e-9:

@@ -88,6 +88,13 @@ def _parse_ratios(text: str) -> tuple:
     return ratios
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_blocks(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -153,7 +160,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
-    root_nnz, info_nnz = scenario.prior.root.nnz, scenario.prior.root.gram().nnz
+    root_nnz, info_nnz = scenario.prior.root.nnz, scenario.prior.root.gram_nnz()
     n_loops = sum(1 for f in scenario.prior_factors if f.kind == "loop")
     print(f"wrote {out}")
     print(
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run seeded sessions and aggregate medians")
     _add_config_flags(p_bench)
-    p_bench.add_argument("--seeds", type=int, default=20, help="number of sessions")
+    p_bench.add_argument("--seeds", type=_positive_int, default=20, help="number of sessions")
     p_bench.add_argument("--first-seed", type=int, default=0)
     p_bench.add_argument("--modes", default="uninvolved,full", help="comma-separated mode list")
     p_bench.add_argument("--blocks", type=_parse_blocks, default=())

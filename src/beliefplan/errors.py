@@ -66,6 +66,10 @@ class InvalidScenario(BeliefPlanError):
     """A scenario file is inconsistent with its own schema or noise model."""
 
 
+class InvalidBelief(BeliefPlanError):
+    """A belief file does not follow its schema."""
+
+
 class EvaluationError(BeliefPlanError):
     """Objective evaluation failed for a specific candidate."""
 

@@ -26,11 +26,13 @@ def _parse(text: str, expect_symmetry: str):
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ValueError("missing MatrixMarket header")
     header = lines[0].split()
-    if header[1:4] != ["matrix", "coordinate", "real"]:
+    if len(header) < 5 or header[1:4] != ["matrix", "coordinate", "real"]:
         raise ValueError(f"unsupported MatrixMarket header: {lines[0]}")
     if header[4] != expect_symmetry:
         raise ValueError(f"expected {expect_symmetry} matrix, found {header[4]}")
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
+    if not body:
+        raise ValueError("missing MatrixMarket size line")
     n_rows, n_cols, nnz = (int(tok) for tok in body[0].split())
     if len(body) - 1 != nnz:
         raise ValueError(f"declared {nnz} entries, found {len(body) - 1}")

@@ -29,6 +29,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +133,18 @@ class Scenario:
     @property
     def n_poses(self) -> int:
         return self.executed_path.shape[0]
+
+    @cached_property
+    def prior_factor_ends(self) -> np.ndarray:
+        """``(i, j)`` pose ids of the relative prior factors, in order."""
+        return _factor_ends(self.prior_factors)
+
+
+def _factor_ends(factors) -> np.ndarray:
+    """Read-only ``(F, 2)`` pose ids of the non-anchor factors, in order."""
+    ends = np.array([(f.i, f.j) for f in factors if f.kind != "anchor"], dtype=np.int64).reshape(-1, 2)
+    ends.flags.writeable = False
+    return ends
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +400,7 @@ def _graph_node(pose_id: int) -> int:
 def posterior_pose_graph(scenario: Scenario, plan: CandidatePlan) -> PoseGraph:
     """Pose graph of the prior plus one candidate's predicted factors."""
     n_nodes = scenario.n_poses + len(plan.new_pose_ids) + 1
-    edges = list(scenario.pose_graph.edges)
-    for f in plan.factors:
-        edges.append((_graph_node(f.i), _graph_node(f.j)))
-    return PoseGraph(n_nodes, tuple(edges))
+    return scenario.pose_graph.extended(n_nodes, [(_graph_node(f.i), _graph_node(f.j)) for f in plan.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +410,21 @@ def posterior_pose_graph(scenario: Scenario, plan: CandidatePlan) -> PoseGraph:
 
 def _lever_mass(scenario: Scenario, plan: CandidatePlan | None) -> float:
     """max over poses of the summed squared lever arms of factors whose
-    residual is expressed in that pose's frame."""
-    means = {k: scenario.executed_path[k] for k in range(scenario.n_poses)}
-    factors = list(scenario.prior_factors)
+    residual is expressed in that pose's frame.
+
+    New poses are numbered on from the prior (``_check_scenario_doc``), so
+    a pose id indexes the stacked positions directly.  Each pose's sum adds
+    dx^2, then dy^2, factor by factor (prior factors first), the order that
+    fixes the bounds' last bits.
+    """
+    positions = scenario.executed_path[:, :2]
+    ends = scenario.prior_factor_ends
     if plan is not None:
-        for pid, pose in zip(plan.new_pose_ids, plan.new_pose_means):
-            means[pid] = pose
-        factors += list(plan.factors)
-    mass: dict[int, float] = {}
-    for f in factors:
-        if f.kind == "anchor":
-            continue
-        dx = means[f.j][0] - means[f.i][0]
-        dy = means[f.j][1] - means[f.i][1]
-        mass[f.i] = mass.get(f.i, 0.0) + dx * dx + dy * dy
-    return max(mass.values(), default=0.0)
+        positions = np.concatenate([positions, plan.new_pose_means[:, :2]])
+        ends = np.concatenate([ends, _factor_ends(plan.factors)])
+    lever = positions[ends[:, 1]] - positions[ends[:, 0]]
+    mass = np.bincount(np.repeat(ends[:, 0], 2), weights=(lever * lever).ravel())
+    return float(mass.max(initial=0.0))
 
 
 def topological_constants(
@@ -552,7 +562,7 @@ def run_session(
     uninvolved_ratio = len(never) / len(layout.block_ids)
 
     values_orig, cand_secs = _evaluate_all(scenario.prior, candidates, timing_repeats)
-    root_nnz, info_nnz = scenario.prior.root.nnz, scenario.prior.root.gram().nnz
+    root_nnz, info_nnz = scenario.prior.root.nnz, scenario.prior.root.gram_nnz()
     baseline = ModeResult(
         label="original",
         values=values_orig,
@@ -573,7 +583,7 @@ def run_session(
         )
         values, cand_secs_m = _evaluate_all(sparsified, candidates, timing_repeats)
         best = int(np.argmax(values))
-        r_nnz, i_nnz = sparsified.root.nnz, sparsified.root.gram().nnz
+        r_nnz, i_nnz = sparsified.root.nnz, sparsified.root.gram_nnz()
         mode_results.append(
             ModeResult(
                 label=spec.mode,
@@ -702,6 +712,10 @@ def _check_scenario_doc(doc: dict, cfg: ScenarioConfig):
         raise InvalidScenario(f"pose ids must be 0..{ids.size - 1}, each exactly once")
     if not doc["candidates"]:
         raise InvalidScenario("scenario has no candidates")
+    for cd in doc["candidates"]:
+        new_ids = [int(p["id"]) for p in cd["new_poses"]]
+        if new_ids != list(range(ids.size, ids.size + len(new_ids))):
+            raise InvalidScenario(f"candidate {cd['id']}: new pose ids must count on from {ids.size}")
     factor_docs = doc["factors"] + [fd for cd in doc["candidates"] for fd in cd["factors"]]
     got = np.array([fd["sqrt_info"] for fd in factor_docs], dtype=np.float64)
     expected = noise_sqrt_info(cfg).reshape(1, -1)
@@ -712,8 +726,8 @@ def _check_scenario_doc(doc: dict, cfg: ScenarioConfig):
         )
 
 
-def scenario_from_json(text: str) -> Scenario:
-    doc = json.loads(text)
+def _read_scenario_doc(doc: dict) -> tuple:
+    """(config, poses, prior factors, plans) of a parsed scenario file."""
     if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
         raise InvalidScenario(
             f"scenario schema_version {doc.get('schema_version')!r} is not {SCENARIO_SCHEMA_VERSION}"
@@ -733,12 +747,28 @@ def scenario_from_json(text: str) -> Scenario:
     poses = np.zeros((len(doc["poses"]), 3))
     for entry in doc["poses"]:
         poses[int(entry["id"])] = (entry["x"], entry["y"], entry["theta"])
-    n = poses.shape[0]
 
     prior_factors = [Factor("anchor", 0, 0)]
     for fd in doc["factors"]:
         prior_factors.append(Factor(fd["type"], int(fd["i"]), int(fd["j"])))
 
+    plans = []
+    for cd in doc["candidates"]:
+        new_ids = tuple(int(p["id"]) for p in cd["new_poses"])
+        new_means = np.array([[p["x"], p["y"], p["theta"]] for p in cd["new_poses"]], dtype=np.float64)
+        factors = tuple(Factor(fd["type"], int(fd["i"]), int(fd["j"])) for fd in cd["factors"])
+        plans.append(CandidatePlan(int(cd["id"]), new_ids, new_means.reshape(-1, 3), factors))
+    return cfg, poses, tuple(prior_factors), tuple(plans)
+
+
+def scenario_from_json(text: str) -> Scenario:
+    """Load a scenario file; a malformed or inconsistent file raises
+    ``InvalidScenario`` or ``ValueError``."""
+    try:
+        cfg, poses, prior_factors, plans = _read_scenario_doc(json.loads(text))
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
+        raise InvalidScenario(f"malformed scenario file: {type(e).__name__}: {e}") from e
+    n = poses.shape[0]
     layout = VariableLayout.from_sizes([3] * n, kind="pose")
     sqrt_info = noise_sqrt_info(cfg)
     means = {k: tuple(poses[k]) for k in range(n)}
@@ -746,25 +776,19 @@ def scenario_from_json(text: str) -> Scenario:
     root = cholesky(_information_from_rows(prior_rows))
     prior = GaussianBelief(poses.reshape(-1), root, layout)
 
-    plans = []
     candidates = []
-    for cd in doc["candidates"]:
-        new_ids = tuple(int(p["id"]) for p in cd["new_poses"])
-        new_means = np.array([[p["x"], p["y"], p["theta"]] for p in cd["new_poses"]])
-        factors = tuple(Factor(fd["type"], int(fd["i"]), int(fd["j"])) for fd in cd["factors"])
-        plan = CandidatePlan(int(cd["id"]), new_ids, new_means, factors)
-        plans.append(plan)
+    for plan in plans:
         cand_means = dict(means)
-        for pid, pose in zip(new_ids, new_means):
+        for pid, pose in zip(plan.new_pose_ids, plan.new_pose_means):
             cand_means[pid] = tuple(pose)
         candidates.append(
             build_collective_jacobian(
-                factors,
+                plan.factors,
                 cand_means,
                 layout,
                 sqrt_info,
-                new_pose_ids=new_ids,
-                new_pose_means=new_means,
+                new_pose_ids=plan.new_pose_ids,
+                new_pose_means=plan.new_pose_means,
                 action_id=plan.candidate_id,
             )
         )
@@ -774,7 +798,7 @@ def scenario_from_json(text: str) -> Scenario:
         for f in prior_factors
     ]
     pose_graph = PoseGraph(n + 1, tuple(graph_edges))
-    return Scenario(cfg, prior, poses, tuple(prior_factors), tuple(candidates), tuple(plans), pose_graph)
+    return Scenario(cfg, prior, poses, prior_factors, tuple(candidates), plans, pose_graph)
 
 
 CANDIDATE_CSV_BASE_COLUMNS = ("candidate_id",)

@@ -386,21 +386,30 @@ class UpperTriangular:
             np.concatenate([head, self.diag]), SparseRowBlock(n, n, indptr, u.indices + k, u.data)
         )
 
-    def gram(self) -> SparseSymmetric:
-        """Form the symmetric product (self)^T (self) structurally."""
+    def _gram_support(self) -> sp.coo_matrix:
+        """Upper triangle of the structural support of (self)^T (self)."""
         n = self.dim
         full = self.as_row_block()
         # pair counts of a 0/1 pattern never cancel, so this is the
         # structural support, stored zeros included
         pattern = sp.csr_matrix((np.ones(full.nnz), full.indices, full.indptr), shape=(n, n))
-        support = sp.triu(pattern.T @ pattern).tocoo()
+        return sp.triu(pattern.T @ pattern).tocoo()
+
+    def gram_nnz(self) -> int:
+        """``gram().nnz``, counted from the pattern without forming values."""
+        return int(self._gram_support().nnz)
+
+    def gram(self) -> SparseSymmetric:
+        """Form the symmetric product (self)^T (self) structurally."""
+        n = self.dim
+        support = self._gram_support()
         rows = support.row.astype(np.int64)
         cols = support.col.astype(np.int64)
         if n * n <= 1 << 24:
             dense_r = self.to_dense()
             vals = (dense_r.T @ dense_r)[rows, cols]
         else:
-            r = full.to_scipy()
+            r = self.as_row_block().to_scipy()
             vals = np.asarray((r.T @ r).tocsr()[rows, cols]).ravel()
         return SparseSymmetric(n, rows, cols, vals)
 

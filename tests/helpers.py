@@ -146,3 +146,83 @@ def symbolic_cholesky_pattern(adjacency, dim):
         for j in reach[i]:
             reach[j].update(k for k in reach[i] if k > j)
     return reach
+
+
+def loop_laplacian(n_nodes, edges):
+    """Graph Laplacian built edge by edge; parallel edges add up."""
+    lap = np.zeros((n_nodes, n_nodes))
+    for i, j in edges:
+        lap[i, i] += 1.0
+        lap[j, j] += 1.0
+        lap[i, j] -= 1.0
+        lap[j, i] -= 1.0
+    return lap
+
+
+def loop_is_connected(n_nodes, edges):
+    """Depth-first search from node 0."""
+    adj = [[] for _ in range(n_nodes)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == n_nodes
+
+
+def loop_lever_mass(scenario, plan):
+    """max over poses of the summed squared lever arms of the factors framed
+    at that pose, accumulated factor by factor in a dict."""
+    means = {k: scenario.executed_path[k] for k in range(scenario.n_poses)}
+    factors = list(scenario.prior_factors)
+    if plan is not None:
+        for pid, pose in zip(plan.new_pose_ids, plan.new_pose_means):
+            means[pid] = pose
+        factors += list(plan.factors)
+    mass = {}
+    for f in factors:
+        if f.kind == "anchor":
+            continue
+        dx = means[f.j][0] - means[f.i][0]
+        dy = means[f.j][1] - means[f.i][1]
+        mass[f.i] = mass.get(f.i, 0.0) + dx * dx + dy * dy
+    return max(mass.values(), default=0.0)
+
+
+def mutate_json(data, doc, max_depth=6):
+    """Delete or replace one node of a parsed JSON document, in place, and
+    return the document (a new one when the root itself is replaced).
+
+    ``data`` is a hypothesis ``st.data()`` object; the node is reached by
+    descending up to ``max_depth`` levels through random keys and indices.
+    """
+    from hypothesis import strategies as st
+
+    junk = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**20), 10**20),
+        st.floats(),
+        st.text(max_size=4),
+        st.lists(st.integers(-3, 3), max_size=3),
+        st.just({}),
+    )
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, max_depth), label="depth")):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        parent, key = node, data.draw(st.sampled_from(keys), label="key")
+        node = parent[key]
+    if parent is None:
+        return data.draw(junk, label="root")
+    if data.draw(st.booleans(), label="delete"):
+        del parent[key]
+    else:
+        parent[key] = data.draw(junk, label="value")
+    return doc

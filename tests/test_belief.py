@@ -1,7 +1,11 @@
 """Belief representation, entropy, objective, propagation, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefplan.belief import (
     LN_2PI_E,
@@ -16,10 +20,10 @@ from beliefplan.belief import (
     objective,
     propagate,
 )
-from beliefplan.errors import EvaluationError, RankDeficientAugmentation
+from beliefplan.errors import BeliefPlanError, EvaluationError, RankDeficientAugmentation
 from beliefplan.sparse import SparseRowBlock, SparseSymmetric, UpperTriangular, cholesky
 
-from helpers import build_toy_full_slam, dense_logdet, random_sparse_spd, random_update
+from helpers import build_toy_full_slam, dense_logdet, mutate_json, random_sparse_spd, random_update
 
 
 def belief_from_dense(info, mean=None):
@@ -174,6 +178,13 @@ class TestNnzReport:
             dense_count = int(np.count_nonzero(np.triu(dense_info)))
             assert info_nnz == dense_count
 
+    def test_pattern_count_equals_formed_gram(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            root = belief_from_dense(random_sparse_spd(rng, n, density=0.2)).root
+            assert root.gram_nnz() == root.gram().nnz
+
     def test_root_nnz_counts_stored_entries(self):
         r = UpperTriangular.from_rows(
             np.array([1.0, 1.0, 1.0]),
@@ -198,6 +209,28 @@ class TestSerialization:
         assert back.layout.blocks == belief.layout.blocks
         assert entropy(back) == entropy(belief)
 
+    @pytest.mark.parametrize(
+        "root_mm",
+        ["%%MatrixMarket matrix coordinate real general\n", "%%MatrixMarket matrix coordinate real\n6 6 0\n"],
+        ids=["no-size-line", "four-token-header"],
+    )
+    def test_short_matrix_market_text_is_a_value_error(self, root_mm):
+        belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
+        doc = json.loads(belief_to_json(belief))
+        doc["root_mm"] = root_mm
+        with pytest.raises(ValueError, match="MatrixMarket"):
+            belief_from_json(json.dumps(doc))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_belief_fails_typed(self, data):
+        belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
+        doc = mutate_json(data, json.loads(belief_to_json(belief)))
+        try:
+            belief_from_json(json.dumps(doc))
+        except (BeliefPlanError, ValueError):
+            pass
+
 
 class TestLayout:
     def test_block_lookup_and_scalars(self):
@@ -205,6 +238,13 @@ class TestLayout:
         assert layout.dim == 8
         np.testing.assert_array_equal(layout.scalar_indices([1]), [3, 4, 5])
         np.testing.assert_array_equal(layout.block_of_scalar(), [0, 0, 0, 1, 1, 1, 2, 2])
+
+    def test_lookup_by_id_not_position(self):
+        layout = VariableLayout.from_sizes([2, 1, 3], ids=[7, 3, 5])
+        assert layout.block(5).offset == 3
+        np.testing.assert_array_equal(layout.scalar_indices([5, 7]), [0, 1, 3, 4, 5])
+        with pytest.raises(KeyError, match="unknown block id 4"):
+            layout.scalar_indices([4])
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefplan.belief import LN_2PI_E, CandidateAction, GaussianBelief, VariableLayout, objective
 from beliefplan.bounds import (
@@ -27,7 +29,7 @@ from beliefplan.errors import (
 from beliefplan.sparse import SparseRowBlock, SparseSymmetric, cholesky
 from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
-from helpers import random_sparse_spd, random_update
+from helpers import loop_is_connected, loop_laplacian, random_sparse_spd, random_update
 
 
 def count_spanning_trees_brute_force(n_nodes, edges):
@@ -101,6 +103,82 @@ class TestSpanningTrees:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             PoseGraph(2, ((0, 0),))
+
+
+@st.composite
+def multigraphs(draw, max_nodes=8):
+    """(n_nodes, edges): either orientation, parallel edges allowed."""
+    n = draw(st.integers(1, max_nodes))
+    if n == 1:
+        return n, []
+    node = st.integers(0, n - 1)
+    edge = st.tuples(node, node).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(edge, max_size=20))
+
+
+class TestPoseGraphKernels:
+    """Array kernels of ``PoseGraph`` against the edge-by-edge oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(multigraphs())
+    def test_array_kernels_match_loop_oracles(self, graph):
+        n, edges = graph
+        g = PoseGraph(n, tuple(edges))
+        lap = loop_laplacian(n, edges)
+        assert g.edges == tuple((min(i, j), max(i, j)) for i, j in edges)
+        np.testing.assert_array_equal(g.laplacian(), lap)
+        np.testing.assert_array_equal(g.reduced_laplacian(), lap[1:, 1:])
+        np.testing.assert_array_equal(g.reduced_degrees, lap.diagonal()[1:])
+        assert not g.reduced_degrees.flags.writeable
+        assert g.is_connected() == loop_is_connected(n, edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multigraphs())
+    def test_cached_tree_count_is_a_fresh_dense_slogdet(self, graph):
+        n, edges = graph
+        g = PoseGraph(n, tuple(edges))
+        cfg = TopologicalNoiseConfig(mu=0.5, psi=2.0)
+        if not loop_is_connected(n, edges):
+            for _ in range(2):  # a failed count is never cached
+                with pytest.raises(DisconnectedGraph):
+                    spanning_tree_count(g)
+                with pytest.raises(DisconnectedGraph):
+                    topological_bounds(g, cfg)
+            return
+        sign, logdet = np.linalg.slogdet(loop_laplacian(n, edges)[1:, 1:])
+        assert sign > 0 or n == 1
+        assert spanning_tree_count(g) == float(logdet)
+        assert spanning_tree_count(g) == float(logdet)
+        lb, ub = topological_bounds(g, cfg)
+        assert lb == 3.0 * float(logdet) + 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(multigraphs(), st.integers(0, 3), st.data())
+    def test_extended_equals_the_graph_built_whole(self, graph, extra_nodes, data):
+        n0, base_edges = graph
+        n = n0 + extra_nodes
+        node = st.integers(0, n - 1)
+        new_edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=6))
+        grown = PoseGraph(n0, tuple(base_edges)).extended(n, new_edges)
+        whole = PoseGraph(n, tuple(base_edges) + tuple(new_edges))
+        assert grown == whole
+        np.testing.assert_array_equal(grown.pairs, whole.pairs)
+        np.testing.assert_array_equal(grown.laplacian(), whole.laplacian())
+        assert grown.is_connected() == whole.is_connected()
+
+    def test_extended_validates_new_edges(self):
+        g = PoseGraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="self-loop at node 3"):
+            g.extended(4, [(2, 3), (3, 3)])
+        with pytest.raises(ValueError, match=r"edge \(2, 4\) out of range"):
+            g.extended(4, [(2, 4)])
+        with pytest.raises(ValueError):
+            g.extended(2, [])
+
+    @pytest.mark.parametrize("edges", [((0, 1, 2),), (0, 1), ((0, 5),), ((-1, 0),)])
+    def test_malformed_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            PoseGraph(3, edges)
 
 
 class TestTopologicalBounds:

@@ -1,17 +1,26 @@
 """Command-line interface: file outputs, determinism, exit-code policy."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beliefplan.cli as cli
 from beliefplan.errors import BeliefPlanError
 from beliefplan.scenario import run_session, scenario_from_json
 
+from helpers import mutate_json
+
 DATA = Path(__file__).parent / "data"
 TINY = DATA / "tiny_scenario.json"
+TINY_DOC = json.loads(TINY.read_text())
 
 
 def run(argv):
@@ -176,6 +185,13 @@ class TestUsageErrors:
         assert exc.value.code == cli.EXIT_ERROR
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
+    def test_zero_seeds_exits_1_before_any_session(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--seeds", "0", "--n-poses", "12", "--out-dir", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_ERROR
+        assert "--seeds: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_help_exits_0_and_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "--help"])
@@ -202,8 +218,10 @@ class TestScenarioValidation:
             lambda doc: doc.update(schema_version=99),
             _drop_candidates,
             _other_noise_model,
+            lambda doc: doc["candidates"][2]["new_poses"][1].update(id=40),
         ],
-        ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info"],
+        ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info",
+             "new-pose-id-gap"],
     )
     def test_bad_scenario_is_a_typed_error_and_exits_1(self, mutate, tmp_path, capsys):
         doc = json.loads(TINY.read_text())
@@ -216,3 +234,25 @@ class TestScenarioValidation:
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_mutated_scenario_fails_typed_and_exits_without_traceback(self, data):
+        text = json.dumps(mutate_json(data, copy.deepcopy(TINY_DOC)))
+        try:
+            scenario_from_json(text)
+            loaded = True
+        except (BeliefPlanError, ValueError):
+            loaded = False
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "mutated.json"
+            path.write_text(text)
+            # an exception escaping main would be a traceback
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(["bounds", "--scenario", str(path)])
+        if not loaded:
+            assert code == cli.EXIT_ERROR
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_GUARANTEE_VIOLATED)

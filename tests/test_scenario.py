@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from beliefplan.belief import VariableLayout, entropy, objective
-from beliefplan.bounds import topological_bounds
+from beliefplan.bounds import PoseGraph, topological_bounds
 from beliefplan.errors import InfeasibleConfig, LayoutMismatch
 from beliefplan.scenario import (
     Factor,
     ScenarioConfig,
+    _lever_mass,
     build_collective_jacobian,
     generate,
     noise_sqrt_info,
@@ -27,6 +28,8 @@ from beliefplan.scenario import (
 )
 from beliefplan.sparse import logdet_triangular
 from beliefplan.sparsify import SparsificationSpec, detect_involvement
+
+from helpers import loop_lever_mass
 
 
 SMALL = ScenarioConfig(seed=5, n_prior_poses=25, n_candidates=4, candidate_length=3)
@@ -155,6 +158,21 @@ class TestTopologicalConstants:
             lbl, ubl = topological_bounds(graph, topological_constants(sc, plan))
             lb, ub = objective_scale_bounds(lbl, ubl, n_vars)
             assert lb - 1e-9 <= j <= ub + 1e-9
+
+    def test_lever_mass_is_the_loop_oracle_bit_for_bit(self):
+        for cfg in (SMALL, ScenarioConfig(seed=3, n_prior_poses=90, n_candidates=5, loop_closure_radius=2.2)):
+            sc = generate(cfg)
+            for plan in (None,) + sc.plans:
+                assert _lever_mass(sc, plan) == loop_lever_mass(sc, plan)
+
+    def test_posterior_graph_equals_the_graph_built_whole(self):
+        sc = generate(SMALL)
+        for plan in sc.plans:
+            edges = sc.pose_graph.edges + tuple((f.i + 1, f.j + 1) for f in plan.factors)
+            whole = PoseGraph(sc.n_poses + len(plan.new_pose_ids) + 1, edges)
+            graph = posterior_pose_graph(sc, plan)
+            assert graph == whole
+            assert graph.log_tree_count == whole.log_tree_count
 
 
 class TestSession:
