@@ -20,6 +20,13 @@ def _format_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> lis
     return [f"{i + 1} {j + 1} {v:.17g}" for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
 
 
+def _int64(tokens) -> np.ndarray:
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError as e:
+        raise ValueError(f"index does not fit a 64-bit integer: {e}") from e
+
+
 def _parse(text: str, expect_symmetry: str):
     """Header sizes plus zero-based coordinate arrays of the entries."""
     lines = text.splitlines()
@@ -33,14 +40,14 @@ def _parse(text: str, expect_symmetry: str):
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
         raise ValueError("missing MatrixMarket size line")
-    n_rows, n_cols, nnz = (int(tok) for tok in body[0].split())
+    n_rows, n_cols, nnz = _int64(body[0].split()).tolist()
     if len(body) - 1 != nnz:
         raise ValueError(f"declared {nnz} entries, found {len(body) - 1}")
     tokens = " ".join(body[1:]).split()
     if len(tokens) != 3 * nnz:
         raise ValueError("each entry needs a row, a column and a value")
-    rows = np.array(tokens[0::3], dtype=np.int64) - 1
-    cols = np.array(tokens[1::3], dtype=np.int64) - 1
+    rows = _int64(tokens[0::3]) - 1
+    cols = _int64(tokens[1::3]) - 1
     vals = np.array(tokens[2::3], dtype=np.float64)
     if nnz and (rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols):
         raise ValueError("entry coordinates out of range")

@@ -235,18 +235,29 @@ def build_collective_jacobian(
 
 
 def _information_from_rows(jac: SparseRowBlock) -> SparseSymmetric:
-    """Accumulate the upper triangle of jac^T jac."""
-    chunks_r, chunks_c, chunks_v = [], [], []
-    for cols, vals in zip(jac.row_cols, jac.row_vals):
-        m = cols.size
-        if not m:
-            continue
+    """Accumulate the upper triangle of jac^T jac.
+
+    Each row contributes the products of its entry pairs ``(i, j)``, ``i <=
+    j``, in ``np.triu_indices`` order, laid end to end row after row.  Rows
+    of equal length share one pair pattern, so the gather indices of a
+    whole length class are scattered into place at once; the coordinate and
+    product arrays, and with them every summed entry, are those of a plain
+    per-row loop.
+    """
+    lengths = np.diff(jac.indptr)
+    starts = np.zeros(jac.n_rows + 1, dtype=np.int64)
+    np.cumsum(lengths * (lengths + 1) // 2, out=starts[1:])
+    first = np.empty(starts[-1], dtype=np.int64)
+    second = np.empty_like(first)
+    for m in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.nonzero(lengths == m)[0]
         ii, jj = np.triu_indices(m)
-        chunks_r.append(cols[ii])
-        chunks_c.append(cols[jj])
-        chunks_v.append(vals[ii] * vals[jj])
+        at = (starts[rows, None] + np.arange(ii.size)).ravel()
+        base = jac.indptr[rows, None]
+        first[at] = (base + ii).ravel()
+        second[at] = (base + jj).ravel()
     return SparseSymmetric.accumulate(
-        jac.n_cols, np.concatenate(chunks_r), np.concatenate(chunks_c), np.concatenate(chunks_v)
+        jac.n_cols, jac.indices[first], jac.indices[second], jac.data[first] * jac.data[second]
     )
 
 
@@ -707,15 +718,20 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 def _check_scenario_doc(doc: dict, cfg: ScenarioConfig):
     """Reject what the loader would otherwise crash on or silently ignore."""
+    n, n_cand, length = cfg.n_prior_poses, cfg.n_candidates, cfg.candidate_length
+    if len(doc["poses"]) != n or len(doc["candidates"]) != n_cand:
+        raise InvalidScenario(
+            f"config declares {n} poses and {n_cand} candidates, "
+            f"the file has {len(doc['poses'])} and {len(doc['candidates'])}"
+        )
     ids = np.sort(np.array([int(p["id"]) for p in doc["poses"]], dtype=np.int64))
-    if not np.array_equal(ids, np.arange(ids.size)):
-        raise InvalidScenario(f"pose ids must be 0..{ids.size - 1}, each exactly once")
-    if not doc["candidates"]:
-        raise InvalidScenario("scenario has no candidates")
+    if not np.array_equal(ids, np.arange(n)):
+        raise InvalidScenario(f"pose ids must be 0..{n - 1}, each exactly once")
     for cd in doc["candidates"]:
-        new_ids = [int(p["id"]) for p in cd["new_poses"]]
-        if new_ids != list(range(ids.size, ids.size + len(new_ids))):
-            raise InvalidScenario(f"candidate {cd['id']}: new pose ids must count on from {ids.size}")
+        if [int(p["id"]) for p in cd["new_poses"]] != list(range(n, n + length)):
+            raise InvalidScenario(
+                f"candidate {cd['id']}: new pose ids must be {n}..{n + length - 1} (candidate_length {length})"
+            )
     factor_docs = doc["factors"] + [fd for cd in doc["candidates"] for fd in cd["factors"]]
     got = np.array([fd["sqrt_info"] for fd in factor_docs], dtype=np.float64)
     expected = noise_sqrt_info(cfg).reshape(1, -1)

@@ -18,6 +18,13 @@ the operation (elimination fill, rotation unions), independent of values
 that happen to cancel to zero.  Nonzero counts reported elsewhere in the
 package are counts of stored entries, so they are exact and reproducible.
 
+The kernels never form a dense n x n matrix (``to_dense``/``from_dense`` and
+``dense_logdet_oracle`` exist for tests and small inputs).  ``cholesky``
+splits into the elimination-tree symbolic fill, which fixes the pattern,
+and a numeric sparse factorization by SuperLU in the given order;
+``gram`` takes its pattern from a 0/1 sparse product and its values from a
+sparse product of the factor.
+
 All types are immutable after construction and every operation returns a
 new object; instances can be shared freely.
 """
@@ -31,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     DimensionMismatch,
@@ -403,15 +411,14 @@ class UpperTriangular:
         """Form the symmetric product (self)^T (self) structurally."""
         n = self.dim
         support = self._gram_support()
-        rows = support.row.astype(np.int64)
-        cols = support.col.astype(np.int64)
-        if n * n <= 1 << 24:
-            dense_r = self.to_dense()
-            vals = (dense_r.T @ dense_r)[rows, cols]
-        else:
-            r = self.as_row_block().to_scipy()
-            vals = np.asarray((r.T @ r).tocsr()[rows, cols]).ravel()
-        return SparseSymmetric(n, rows, cols, vals)
+        keys = np.sort(support.row.astype(np.int64) * n + support.col)
+        r = self.as_row_block().to_scipy()
+        # the value product drops entries that cancel to zero; gathering it
+        # onto the structural support keeps them
+        prod = sp.triu(r.T @ r).tocoo()
+        vals = np.zeros(keys.size)
+        vals[np.searchsorted(keys, prod.row.astype(np.int64) * n + prod.col)] = prod.data
+        return SparseSymmetric(n, keys // n, keys % n, vals)
 
     def gram_diagonal(self) -> np.ndarray:
         """Diagonal of (self)^T (self) without forming the product."""
@@ -494,8 +501,9 @@ def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
         rows_sorted[boundaries[i]: boundaries[i + 1]].tolist() for i in range(n)
     ]
 
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    # plain lists: the walks below read and write one element at a time
+    parent = [-1] * n
+    ancestor = [-1] * n
     for i in range(n):
         for j in col_adj[i]:
             k = j
@@ -507,7 +515,7 @@ def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
                 k = nxt
 
     rows_fill: list[list[int]] = [[] for _ in range(n)]
-    mark = np.full(n, -1, dtype=np.int64)
+    mark = [-1] * n
     for i in range(n):
         mark[i] = i
         for j in col_adj[i]:
@@ -522,32 +530,80 @@ def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def cholesky(m: SparseSymmetric) -> UpperTriangular:
-    """Sparse-structural Cholesky: upper-triangular R with R^T R = m.
+def _unpivoted_lu(m: SparseSymmetric, k: int):
+    """SuperLU factorization of the leading ``k`` x ``k`` block of ``m`` in
+    the given order, asked never to pivot; ``None`` if SuperLU finds an
+    exactly singular column."""
+    off = m.rows != m.cols
+    keep = m.cols < k
+    rows = np.concatenate([m.rows[keep], m.cols[keep & off]])
+    cols = np.concatenate([m.cols[keep], m.rows[keep & off]])
+    vals = np.concatenate([m.vals[keep], m.vals[keep & off]])
+    full = sp.csc_matrix((vals, (rows, cols)), shape=(k, k))
+    try:
+        return spla.splu(full, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as e:
+        if "singular" not in str(e):
+            raise
+        return None
 
-    The stored pattern is the exact symbolic fill of the given ordering
-    (no reordering is attempted); the numeric work runs on the dense
-    matrix, whose factor agrees with sparse elimination entrywise and is
-    exactly zero outside the fill.  Raises NotPositiveDefinite on any
-    pivot at or below the pivot floor; the input is never jittered.
+
+def _first_bad_pivot(lu) -> int | None:
+    """Index of the first pivot of a factorization that is at or below the
+    floor, or where SuperLU permuted a row or column."""
+    pivots = lu.U.diagonal()
+    bad = np.nonzero(~(pivots > PIVOT_FLOOR))[0]
+    ident = np.arange(lu.shape[0])
+    moved = np.nonzero((lu.perm_r != ident) | (lu.perm_c != ident))[0]
+    found = [int(a[0]) for a in (bad, moved) if a.size]
+    return min(found) if found else None
+
+
+def _failing_pivot(m: SparseSymmetric) -> int:
+    """First failing pivot of a matrix whose full factorization failed.
+
+    A leading block factors cleanly exactly when every pivot it contains
+    does, so bisect on the block size; each probe is one factorization.
+    """
+    good, bad = 0, m.dim
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        lu = _unpivoted_lu(m, mid)
+        if lu is not None and _first_bad_pivot(lu) is None:
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def cholesky(m: SparseSymmetric) -> UpperTriangular:
+    """Sparse Cholesky: upper-triangular R with R^T R = m, in the given order.
+
+    The stored pattern is the exact symbolic fill of ``_symbolic_fill`` (no
+    reordering is attempted; stored zeros are structural).  The values come
+    from SuperLU's unpivoted LU = L D L^T of the full symmetric matrix:
+    ``R_ii = sqrt(U_ii)`` and ``R_ij = U_ij / R_ii``, gathered onto the fill
+    pattern, which also restores entries SuperLU dropped as zero.  Raises
+    NotPositiveDefinite, naming the first failing pivot, when a pivot is at
+    or below the pivot floor or SuperLU had to pivot or found the matrix
+    singular; the input is never jittered.  No dense matrix is formed.
     """
     n = m.dim
-    dense = m.to_dense()
-    try:
-        lower = np.linalg.cholesky(dense)
-    except np.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(str(e)) from e
-    diag_out = lower.diagonal().copy()
-    bad = np.nonzero(diag_out * diag_out <= PIVOT_FLOOR)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NotPositiveDefinite(
-            f"pivot {diag_out[i] ** 2:.3e} at index {i} is at or below {PIVOT_FLOOR:.0e}"
-        )
+    lu = _unpivoted_lu(m, n)
+    i = _failing_pivot(m) if lu is None else _first_bad_pivot(lu)
+    if i is not None:
+        raise NotPositiveDefinite(f"pivot at index {i} is at or below {PIVOT_FLOOR:.0e} or off the diagonal")
 
+    u = lu.U.tocsr()
+    u_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(u.indptr))
+    u_off = u.indices != u_rows
+    diag = np.sqrt(u.diagonal())
     indptr, indices = _symbolic_fill(m)
     row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    return UpperTriangular(diag_out, SparseRowBlock(n, n, indptr, indices, lower[indices, row_ids]))
+    vals = np.zeros(indices.size)
+    at = np.searchsorted(row_ids * n + indices, u_rows[u_off] * n + u.indices[u_off])
+    vals[at] = u.data[u_off] / diag[u_rows[u_off]]
+    return UpperTriangular(diag, SparseRowBlock(n, n, indptr, indices, vals))
 
 
 def permute_symmetric(m: SparseSymmetric, p: Permutation) -> SparseSymmetric:

@@ -6,8 +6,10 @@ patterns.
 """
 
 import numpy as np
+from scipy.linalg import lapack
 
-from beliefplan.sparse import SparseRowBlock, SparseSymmetric, UpperTriangular
+from beliefplan.errors import NotPositiveDefinite
+from beliefplan.sparse import PIVOT_FLOOR, SparseRowBlock, SparseSymmetric, UpperTriangular
 
 
 def random_sparse_spd(rng, dim, density=0.3, shift=1.0):
@@ -35,6 +37,39 @@ def dense_logdet(m):
     sign, val = np.linalg.slogdet(np.asarray(m, dtype=float))
     assert sign > 0, "oracle needs a positive-definite matrix"
     return float(val)
+
+
+def dense_cholesky(m: SparseSymmetric):
+    """Dense upper factor R (R^T R = m) from LAPACK ``potrf``.
+
+    Raises NotPositiveDefinite naming the first pivot at or below the pivot
+    floor, in the message form the sparse kernel uses ("at index i").
+    """
+    r, info = lapack.dpotrf(m.to_dense(), lower=0, clean=1)
+    # potrf stops at the first pivot that is not positive (info is 1-based)
+    done = info - 1 if info > 0 else m.dim
+    bad = np.nonzero(r.diagonal()[:done] ** 2 <= PIVOT_FLOOR)[0]
+    if bad.size or info > 0:
+        raise NotPositiveDefinite(f"pivot at index {int(bad[0]) if bad.size else done} is not positive")
+    return r
+
+
+def loop_information_from_rows(jac: SparseRowBlock) -> SparseSymmetric:
+    """Upper triangle of jac^T jac, one ``np.triu_indices`` gather per row."""
+    chunks_r = [np.empty(0, dtype=np.int64)]
+    chunks_c = [np.empty(0, dtype=np.int64)]
+    chunks_v = [np.empty(0)]
+    for cols, vals in zip(jac.row_cols, jac.row_vals):
+        m = cols.size
+        if not m:
+            continue
+        ii, jj = np.triu_indices(m)
+        chunks_r.append(cols[ii])
+        chunks_c.append(cols[jj])
+        chunks_v.append(vals[ii] * vals[jj])
+    return SparseSymmetric.accumulate(
+        jac.n_cols, np.concatenate(chunks_r), np.concatenate(chunks_c), np.concatenate(chunks_v)
+    )
 
 
 def upper_pattern(r: UpperTriangular):

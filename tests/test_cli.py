@@ -219,9 +219,12 @@ class TestScenarioValidation:
             _drop_candidates,
             _other_noise_model,
             lambda doc: doc["candidates"][2]["new_poses"][1].update(id=40),
+            lambda doc: doc["config"].update(n_prior_poses=99),
+            lambda doc: doc["config"].update(n_candidates=1),
+            lambda doc: doc["config"].update(candidate_length=7),
         ],
         ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info",
-             "new-pose-id-gap"],
+             "new-pose-id-gap", "config-n-prior-poses", "config-n-candidates", "config-candidate-length"],
     )
     def test_bad_scenario_is_a_typed_error_and_exits_1(self, mutate, tmp_path, capsys):
         doc = json.loads(TINY.read_text())

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefplan.belief import VariableLayout, entropy, objective
 from beliefplan.bounds import PoseGraph, topological_bounds
@@ -12,6 +14,7 @@ from beliefplan.errors import InfeasibleConfig, LayoutMismatch
 from beliefplan.scenario import (
     Factor,
     ScenarioConfig,
+    _information_from_rows,
     _lever_mass,
     build_collective_jacobian,
     generate,
@@ -26,10 +29,10 @@ from beliefplan.scenario import (
     scenario_to_json,
     topological_constants,
 )
-from beliefplan.sparse import logdet_triangular
+from beliefplan.sparse import SparseRowBlock, logdet_triangular
 from beliefplan.sparsify import SparsificationSpec, detect_involvement
 
-from helpers import loop_lever_mass
+from helpers import loop_information_from_rows, loop_lever_mass
 
 
 SMALL = ScenarioConfig(seed=5, n_prior_poses=25, n_candidates=4, candidate_length=3)
@@ -139,6 +142,40 @@ class TestJacobianAssembly:
         dense = cand.jacobian.to_dense()
         lever = math.hypot(4.0 - 1.0, -2.0 - 2.0)
         np.testing.assert_allclose(np.linalg.norm(dense[:2, 2]), lever, rtol=1e-12)
+
+
+@st.composite
+def constraint_rows(draw):
+    """Rows of mixed length over few columns (so coordinates repeat), empty
+    rows and stored zeros included."""
+    n_cols = draw(st.integers(1, 8))
+    value = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
+    row_cols, row_vals = [], []
+    for _ in range(draw(st.integers(0, 14))):
+        cols = sorted(draw(st.sets(st.integers(0, n_cols - 1))))
+        row_cols.append(np.array(cols, dtype=np.int64))
+        row_vals.append(np.array(draw(st.lists(value, min_size=len(cols), max_size=len(cols))), dtype=float))
+    return SparseRowBlock.from_rows(n_cols, row_cols, row_vals)
+
+
+class TestInformationAssembly:
+    @settings(max_examples=200, deadline=None)
+    @given(constraint_rows())
+    def test_equals_the_row_loop_bit_for_bit(self, jac):
+        got, oracle = _information_from_rows(jac), loop_information_from_rows(jac)
+        assert np.array_equal(got.rows, oracle.rows)
+        assert np.array_equal(got.cols, oracle.cols)
+        assert np.array_equal(got.vals.view(np.int64), oracle.vals.view(np.int64))
+
+    def test_generated_prior_equals_the_row_loop_bit_for_bit(self):
+        cfg = ScenarioConfig(seed=3, n_prior_poses=90, n_candidates=5, loop_closure_radius=2.2)
+        sc = generate(cfg)
+        layout = VariableLayout.from_sizes([3] * sc.n_poses, kind="pose")
+        means = {k: tuple(p) for k, p in enumerate(sc.executed_path)}
+        jac = build_collective_jacobian(sc.prior_factors, means, layout, noise_sqrt_info(cfg)).jacobian
+        got, oracle = _information_from_rows(jac), loop_information_from_rows(jac)
+        assert np.array_equal(got.vals.view(np.int64), oracle.vals.view(np.int64))
+        assert np.array_equal(got.rows * got.dim + got.cols, oracle.rows * oracle.dim + oracle.cols)
 
 
 class TestTopologicalConstants:

@@ -1,6 +1,8 @@
 """Sparse kernel tests: factorization, permutations, Givens updates,
 log-determinants, and the Matrix Market interchange."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -29,6 +31,7 @@ from beliefplan.sparse import (
 )
 
 from helpers import (
+    dense_cholesky,
     dense_logdet,
     random_sparse_spd,
     random_update,
@@ -84,6 +87,103 @@ class TestCholesky:
             r = cholesky(m)
             got = [set(r.row_cols[i].tolist()) for i in range(n)]
             assert got == expected
+
+
+@st.composite
+def spd_with_stored_zeros(draw):
+    """Random sparse SPD matrix, some of whose zero upper entries are stored."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = random_sparse_spd(rng, n, density=draw(st.sampled_from([0.05, 0.15, 0.3])))
+    m = SparseSymmetric.from_dense(dense)
+    iu, ju = np.triu_indices(n)
+    zero = (dense[iu, ju] == 0.0) & (rng.random(iu.size) < draw(st.sampled_from([0.0, 0.1, 0.4])))
+    return SparseSymmetric(
+        n,
+        np.concatenate([m.rows, iu[zero]]),
+        np.concatenate([m.cols, ju[zero]]),
+        np.concatenate([m.vals, np.zeros(int(zero.sum()))]),
+    )
+
+
+def _pivot_index(exc_info) -> int:
+    return int(re.search(r"at index (\d+)", str(exc_info.value)).group(1))
+
+
+class TestSparseFactorKernels:
+    """The sparse Cholesky and gram kernels against dense oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spd_with_stored_zeros())
+    def test_cholesky_keeps_the_fill_pattern_and_matches_the_dense_oracle(self, m):
+        adjacency = [set() for _ in range(m.dim)]
+        for i, j in zip(m.rows.tolist(), m.cols.tolist()):
+            if i != j:
+                adjacency[i].add(j)
+        r = cholesky(m)
+        assert [set(c.tolist()) for c in r.row_cols] == symbolic_cholesky_pattern(adjacency, m.dim)
+        oracle = dense_cholesky(m)
+        np.testing.assert_allclose(r.to_dense(), oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["indefinite", "zero-leading", "under-floor"]),
+        st.data(),
+    )
+    def test_not_positive_definite_at_the_oracle_pivot(self, n, seed, kind, data):
+        rng = np.random.default_rng(seed)
+        if kind == "zero-leading":
+            dense = random_sparse_spd(rng, n, density=0.3)
+            dense[0, 0] = 0.0
+            k = 0
+        else:
+            # the unpivoted LDL^T pivots of U^T D U (U unit upper) are D
+            k = data.draw(st.integers(0, n - 1), label="pivot")
+            unit = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3), 1) + np.eye(n)
+            d = rng.uniform(0.5, 2.0, n)
+            d[k] = -rng.uniform(0.1, 2.0) if kind == "indefinite" else 1e-14
+            dense = unit.T @ (d[:, None] * unit)
+        m = SparseSymmetric.from_dense(dense)
+        with pytest.raises(NotPositiveDefinite) as oracle:
+            dense_cholesky(m)
+        with pytest.raises(NotPositiveDefinite) as got:
+            cholesky(m)
+        assert _pivot_index(got) == _pivot_index(oracle) == k
+
+    def test_negative_pivot_ahead_of_a_singular_column(self):
+        # SuperLU stops at the empty column 2 without a factor; the first
+        # failing pivot is still the negative one at index 1
+        m = SparseSymmetric.from_dense([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1.0]])
+        with pytest.raises(NotPositiveDefinite, match="at index 1 "):
+            dense_cholesky(m)
+        with pytest.raises(NotPositiveDefinite, match="at index 1 "):
+            cholesky(m)
+
+    @pytest.mark.parametrize("n", [64, 4096, 4097])
+    def test_gram_matches_the_banded_product(self, n):
+        # 4096 was the largest dimension the product was once formed densely
+        b = 3
+        rng = np.random.default_rng(n)
+        # band[d, i] = R[i, i + d]; a quarter of the stored entries are zeros
+        stored = (rng.random((b + 1, n)) < 0.6) & (np.arange(n) + np.arange(b + 1)[:, None] < n)
+        stored[0] = True
+        band = np.where(stored, rng.normal(size=(b + 1, n)) * (rng.random((b + 1, n)) < 0.75), 0.0)
+        band[0] = rng.uniform(0.5, 2.0, n)
+        d, i = np.nonzero(stored[1:])
+        r = UpperTriangular(band[0], SparseRowBlock.from_coo(n, n, i, i + d + 1, band[1:][d, i]))
+        # (R^T R)[j, j + e] = sum over d of R[j - d, j] R[j - d, j + e]
+        vals = np.zeros((b + 1, n))
+        support = np.zeros((b + 1, n), dtype=bool)
+        for e in range(b + 1):
+            for d in range(b + 1 - e):
+                vals[e, d:] += band[d, : n - d] * band[d + e, : n - d]
+                support[e, d:] |= stored[d, : n - d] & stored[d + e, : n - d]
+        g = r.gram()
+        e, j = np.nonzero(support)
+        assert set(zip(g.rows.tolist(), g.cols.tolist())) == set(zip(j.tolist(), (j + e).tolist()))
+        np.testing.assert_allclose(g.vals, vals[g.cols - g.rows, g.rows], rtol=0, atol=1e-13 * np.abs(vals).max())
 
 
 class TestPermutations:
@@ -296,6 +396,16 @@ class TestMatrixMarket:
         back = mmio.mm_to_row_block(mmio.row_block_to_mm(u))
         np.testing.assert_array_equal(back.to_dense(), u.to_dense())
         assert back.n_cols == u.n_cols
+
+    @pytest.mark.parametrize(
+        "reader, symmetry",
+        [(mmio.mm_to_row_block, "general"), (mmio.mm_to_triangular, "general"), (mmio.mm_to_symmetric, "symmetric")],
+        ids=["row-block", "triangular", "symmetric"],
+    )
+    def test_coordinate_beyond_int64_is_a_value_error(self, reader, symmetry):
+        text = f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 1\n99999999999999999999 1 1.0\n"
+        with pytest.raises(ValueError, match="64-bit"):
+            reader(text)
 
     def test_external_reader_agrees(self):
         # scipy.io acts as the external oracle for format compliance

@@ -1,6 +1,8 @@
 """Sparsification pipeline: involvement detection, entropy preservation,
 zero-offset guarantee for uninvolved blocks, and structural behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,27 @@ class TestSparsifyBelief:
             b_s = sparsify_belief(b, SparsificationSpec.uninvolved(), mask)
             for cand in candidates:
                 assert abs(objective(b, cand) - objective(b_s, cand)) <= 1e-6
+
+
+class TestMemory:
+    def test_factor_gram_and_sparsify_allocate_no_dense_square(self):
+        # banded with some fill: a dense n x n float array would take 288 MB
+        n = 6000
+        idx = np.arange(n)
+        rows = np.concatenate([idx, idx[:-1], idx[:-5]])
+        cols = np.concatenate([idx, idx[:-1] + 1, idx[:-5] + 5])
+        vals = np.concatenate([np.full(n, 4.0), np.full(n - 1, -1.0), np.full(n - 5, 0.5)])
+        belief = GaussianBelief(
+            np.zeros(n), cholesky(SparseSymmetric(n, rows, cols, vals)), VariableLayout.from_sizes([1] * n)
+        )
+        tracemalloc.start()
+        try:
+            cholesky(belief.root.gram())
+            sparsify_belief(belief, SparsificationSpec.custom(range(n // 3, n // 2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 10
 
 
 class TestFastFullSparsify:
