@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import spsolve_triangular
 
 from .belief import LN_2PI_E, CandidateAction, GaussianBelief
 from .errors import (
@@ -229,14 +229,14 @@ def determinant_bounds(b: GaussianBelief, a: CandidateAction) -> tuple[float, fl
 
 
 def _inverse_block(b: GaussianBelief, scalar_idx: np.ndarray) -> np.ndarray:
-    """Rows/columns ``scalar_idx`` of the covariance, via triangular solves
-    against the root factor (no explicit inverse)."""
-    dense_r = b.root.to_dense()
+    """Rows/columns ``scalar_idx`` of the covariance, via two sparse
+    triangular solves against the root factor (no inverse, no dense n x n
+    array)."""
+    r = b.root.as_row_block().to_scipy()
     rhs = np.zeros((b.dim, scalar_idx.size))
     rhs[scalar_idx, np.arange(scalar_idx.size)] = 1.0
-    half = solve_triangular(dense_r.T, rhs, lower=True)
-    full = solve_triangular(dense_r, half, lower=False)
-    return full[scalar_idx, :]
+    half = spsolve_triangular(r.T.tocsr(), rhs, lower=True)
+    return spsolve_triangular(r, half, lower=False)[scalar_idx, :]
 
 
 def rank1_offset_bound(

@@ -6,13 +6,17 @@ Subcommands:
 - ``solve``: run one planning session on a scenario file, writing a
   per-candidate CSV and a JSON summary;
 - ``bench``: run a batch of seeded sessions and aggregate medians;
-- ``bounds``: evaluate objective bounds for a scenario without solving.
+- ``bounds``: evaluate objective bounds for a scenario without solving;
+  it scores and bounds the candidates with the session's own calls
+  (``evaluate_candidates``, ``scenario.candidate_bounds``).
 
 Exit codes encode mathematical guarantees, not just crashes: 0 on success
 (``--help`` included), 1 on usage errors (unknown or malformed options) and
 on input/IO errors, 2 only when a guarantee check fails (uninvolved-mode
 sparsification changed objective values beyond tolerance, or an objective
-bound was violated), so CI can gate on the invariants directly.
+bound was violated), so CI can gate on the invariants directly.  ``solve``,
+``bench`` and ``bounds`` check objective-bound containment with one helper
+and one slack, ``BOUND_SLACK``.
 
 Environment override: ``BELIEFPLAN_OUT_DIR`` (default output directory).
 """
@@ -27,26 +31,25 @@ from pathlib import Path
 
 import numpy as np
 
+from .belief import evaluate_candidates
 from .errors import BeliefPlanError
 from .scenario import (
     DEFAULT_NOISE_RATIOS,
     Scenario,
     ScenarioConfig,
     SessionReport,
+    candidate_bounds,
     generate,
-    objective_scale_bounds,
-    posterior_pose_graph,
     report_to_csv,
     report_to_json,
     run_session,
     scenario_from_json,
     scenario_to_json,
-    topological_constants,
 )
-from .bounds import determinant_bounds, topological_bounds
 from .sparsify import SparsificationSpec
 
 ZERO_OFFSET_TOLERANCE = 1e-6
+BOUND_SLACK = 1e-9
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -121,8 +124,18 @@ def _load_scenario(path: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Guarantee checks shared by solve/bench
+# Guarantee checks shared by solve, bench and bounds
 # ---------------------------------------------------------------------------
+
+
+def _objective_bound_violations(values, top: tuple, det: tuple) -> list:
+    """Names of the ``(lb, ub)`` bound families that fail to contain every
+    objective value within ``BOUND_SLACK``; a NaN value or bound fails."""
+    return [
+        f"{name} objective bounds violated"
+        for name, (lb, ub) in (("topological", top), ("determinant", det))
+        if not np.all((lb - BOUND_SLACK <= values) & (values <= ub + BOUND_SLACK))
+    ]
 
 
 def _guarantee_violations(report: SessionReport) -> list:
@@ -134,17 +147,14 @@ def _guarantee_violations(report: SessionReport) -> list:
                     "uninvolved-mode values diverged from the original problem "
                     f"(offset {res.offset_identity:.3e}, loss {res.loss:.3e})"
                 )
-    values = report.baseline.values
-    slack = 1e-9
-    for name, lb, ub in (
-        ("topological", report.bound_lb_top, report.bound_ub_top),
-        ("determinant", report.bound_lb_det, report.bound_ub_det),
-    ):
-        if np.any(values < lb - slack) or np.any(values > ub + slack):
-            problems.append(f"{name} objective bounds violated")
+    problems += _objective_bound_violations(
+        report.baseline.values,
+        (report.bound_lb_top, report.bound_ub_top),
+        (report.bound_lb_det, report.bound_ub_det),
+    )
     for res in report.modes:
         fam = report.loss_bounds[res.label]
-        if fam["topological"] < res.loss - slack or fam["determinant"] < res.loss - slack:
+        if fam["topological"] < res.loss - BOUND_SLACK or fam["determinant"] < res.loss - BOUND_SLACK:
             problems.append(f"loss bound below actual loss in mode {res.label}")
     return problems
 
@@ -308,7 +318,9 @@ def _print_bench_table(rows, mode_names, medians):
 
 def cmd_bounds(args) -> int:
     scenario = _load_scenario(args.scenario)
-    from .belief import objective
+    values = evaluate_candidates(scenario.prior, scenario.candidates)
+    bounds = candidate_bounds(scenario, args.ratios)
+    lb_det, ub_det = bounds.det
 
     lines = ["candidate_id,j," + ",".join(
         ["lb_det", "ub_det"]
@@ -318,33 +330,21 @@ def cmd_bounds(args) -> int:
     for r in args.ratios:
         print(f" {'lb_top@' + format(r, 'g'):>12} {'ub_top@' + format(r, 'g'):>12}", end="")
     print()
-    violated = False
-    for cand, plan in zip(scenario.candidates, scenario.plans):
-        j = objective(scenario.prior, cand)
-        lb_d, ub_d = determinant_bounds(scenario.prior, cand)
-        graph = posterior_pose_graph(scenario, plan)
-        n_vars = 3 * (scenario.n_poses + len(plan.new_pose_ids))
-        cells = [str(cand.action_id), f"{j:.12g}", f"{lb_d:.12g}", f"{ub_d:.12g}"]
-        print(f"{cand.action_id:>5} {j:>10.3f} {lb_d:>10.3f} {ub_d:>10.3f}", end="")
-        if not lb_d - 1e-9 <= j <= ub_d + 1e-9:
-            violated = True
-        # only the scenario's actual noise model certifies validity; swept
-        # ratios describe hypothetical noise and are reported uncheck-gated
-        lba, uba = topological_bounds(graph, topological_constants(scenario, plan))
-        jla, jua = objective_scale_bounds(lba, uba, n_vars)
-        if not jla - 1e-9 <= j <= jua + 1e-9:
-            violated = True
+    for idx, (cand, j) in enumerate(zip(scenario.candidates, values)):
+        cells = [str(cand.action_id), f"{j:.12g}", f"{lb_det[idx]:.12g}", f"{ub_det[idx]:.12g}"]
+        print(f"{cand.action_id:>5} {j:>10.3f} {lb_det[idx]:>10.3f} {ub_det[idx]:>10.3f}", end="")
         for r in args.ratios:
-            lbl, ubl = topological_bounds(graph, topological_constants(scenario, plan, ratio=r))
-            jl, ju = objective_scale_bounds(lbl, ubl, n_vars)
-            cells += [f"{jl:.12g}", f"{ju:.12g}"]
-            print(f" {jl:>12.3f} {ju:>12.3f}", end="")
+            lb_r, ub_r = bounds.top_by_ratio[float(r)]
+            cells += [f"{lb_r[idx]:.12g}", f"{ub_r[idx]:.12g}"]
+            print(f" {lb_r[idx]:>12.3f} {ub_r[idx]:>12.3f}", end="")
         print()
         lines.append(",".join(cells))
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
-    if violated:
+    # only the scenario's actual noise model certifies validity; swept
+    # ratios describe hypothetical noise and are reported unchecked
+    if _objective_bound_violations(values, bounds.top, bounds.det):
         print("GUARANTEE VIOLATED: an objective bound does not contain J", file=sys.stderr)
         return EXIT_GUARANTEE_VIOLATED
     return EXIT_OK

@@ -75,9 +75,14 @@ def triangular_to_mm(r: UpperTriangular) -> str:
 
 
 def mm_to_triangular(text: str) -> UpperTriangular:
-    u = mm_to_row_block(text)
-    if u.n_rows != u.n_cols:
+    n_rows, n_cols, rows, cols, vals = _parse(text, "general")
+    # checked before anything of size n is allocated: every row of a factor
+    # stores its diagonal, so a size line beyond the entry count is refused
+    if n_rows != n_cols:
         raise ValueError("triangular factor must be square")
+    if n_rows > rows.size:
+        raise ValueError(f"a {n_rows}x{n_cols} factor needs at least {n_rows} entries, found {rows.size}")
+    u = SparseRowBlock.from_coo(n_rows, n_cols, rows, cols, vals)
     if np.any(u.indices < u.row_ids):
         raise ValueError("factor entry below the diagonal")
     on_diag = u.indices == u.row_ids

@@ -18,9 +18,17 @@ graph incidence, so the information log-determinant is pinned to the tree
 count up to a noise constant, plus an angular correction controlled by the
 squared lever arms (scaled by the angular:position variance ratio).
 
+``generate`` and ``scenario_from_json`` build a scenario the same way:
+``_prior_belief`` (whitened prior rows, their information, its sparse
+factor), ``_candidate_actions`` (one whitened Jacobian per plan) and
+``_prior_pose_graph``.  ``build_collective_jacobian`` whitens the 3x3
+blocks of all factors as one array stack.
+
 A planning session evaluates all candidates on the original belief and on
 each requested sparsified version, then reports values, selections, loss,
-offsets, rank correlation, nonzero counts, timings, and loss bounds.
+offsets, rank correlation, nonzero counts, timings, and loss bounds.  The
+per-candidate objective bounds come from ``candidate_bounds``, which the
+``beliefplan bounds`` command uses as well.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,34 +161,12 @@ def _factor_ends(factors) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def noise_sqrt_info(cfg: ScenarioConfig) -> np.ndarray:
     w = 1.0 / cfg.position_std
     return np.diag([w, w, 1.0 / cfg.angular_std])
 
 
-def _factor_blocks(factor: Factor, means: dict) -> list:
-    """Unwhitened 3-row Jacobian blocks [(pose_id, 3x3 block), ...] of the
-    relative-pose (or anchor) residual, linearized at the given means."""
-    if factor.kind == "anchor":
-        return [(factor.i, np.eye(3))]
-    xa, ya, ta = means[factor.i]
-    xb, yb, _ = means[factor.j]
-    rot_t = _rotation(ta).T
-    lever = np.array([xb - xa, yb - ya])
-    s_t = np.array([[0.0, 1.0], [-1.0, 0.0]])  # transpose of the 90-degree rotation
-    block_a = np.zeros((3, 3))
-    block_a[:2, :2] = -rot_t
-    block_a[:2, 2] = s_t @ rot_t @ lever
-    block_a[2, 2] = -1.0
-    block_b = np.zeros((3, 3))
-    block_b[:2, :2] = rot_t
-    block_b[2, 2] = 1.0
-    return [(factor.i, block_a), (factor.j, block_b)]
+_S_T = np.array([[0.0, 1.0], [-1.0, 0.0]])  # transpose of the 90-degree rotation
 
 
 def build_collective_jacobian(
@@ -196,31 +183,44 @@ def build_collective_jacobian(
     ``means`` maps global pose id to its (x, y, theta) linearization point,
     covering both prior poses (laid out by ``layout``) and the appended
     ``new_pose_ids`` (columns after the prior, in the given order).
+
+    Factor ``k`` owns rows ``3k..3k+2`` and two unwhitened 3x3 blocks of
+    its relative-pose residual: one on pose ``i`` (the identity for an
+    anchor) and one on pose ``j`` (zero for an anchor).  All blocks are
+    built and whitened as one stack; batched ``matmul`` gives every entry
+    the bits of a separate 3x3 product per factor, and exact zeros are not
+    stored.
     """
-    col_of_pose = {}
-    for blk in layout.blocks:
-        col_of_pose[blk.block_id] = blk.offset
-    base = layout.dim
+    col_of_pose = {blk.block_id: blk.offset for blk in layout.blocks}
     for k, pid in enumerate(new_pose_ids):
         if pid in col_of_pose:
             raise LayoutMismatch(f"new pose id {pid} collides with the prior layout")
-        col_of_pose[pid] = base + 3 * k
+        col_of_pose[pid] = layout.dim + 3 * k
+    try:
+        cols = np.array([(col_of_pose[f.i], col_of_pose[f.j]) for f in factors], dtype=np.int64).reshape(-1, 2)
+    except KeyError as e:
+        raise LayoutMismatch(f"factor references unknown pose {e.args[0]}") from None
+
+    relative = np.array([f.kind != "anchor" for f in factors], dtype=bool)
+    ends = [(means[f.i], means[f.j]) for f in factors if f.kind != "anchor"]
+    ends = np.array(ends, dtype=np.float64).reshape(-1, 2, 3)
+    cos, sin = np.cos(ends[:, 0, 2]), np.sin(ends[:, 0, 2])
+    rot_t = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=1)
+    lever = ends[:, 1, :2] - ends[:, 0, :2]
+    blocks = np.zeros((len(factors), 2, 3, 3))
+    blocks[~relative, 0] = np.eye(3)
+    blocks[relative, 0, :2, :2] = -rot_t
+    blocks[relative, 0, :2, 2] = ((_S_T @ rot_t) @ lever[..., None])[..., 0]
+    blocks[relative, 0, 2, 2] = -1.0
+    blocks[relative, 1, :2, :2] = rot_t
+    blocks[relative, 1, 2, 2] = 1.0
+    whitened = sqrt_info @ blocks
+    k, side, r, c = np.nonzero(whitened)
 
     n_new = 3 * len(new_pose_ids)
-    rows, cols, vals = [], [], []
-    for k, factor in enumerate(factors):
-        for pid in ((factor.i,) if factor.kind == "anchor" else (factor.i, factor.j)):
-            if pid not in col_of_pose:
-                raise LayoutMismatch(f"factor references unknown pose {pid}")
-        for pid, blk in _factor_blocks(factor, means):
-            whitened = sqrt_info @ blk
-            r, c = np.nonzero(whitened)
-            rows.append(3 * k + r)
-            cols.append(col_of_pose[pid] + c)
-            vals.append(whitened[r, c])
-
-    coo = [np.concatenate(part) if part else [] for part in (rows, cols, vals)]
-    jac = SparseRowBlock.from_coo(3 * len(factors), layout.dim + n_new, *coo)
+    jac = SparseRowBlock.from_coo(
+        3 * len(factors), layout.dim + n_new, 3 * k + r, cols[k, side] + c, whitened[k, side, r, c]
+    )
     if new_pose_means is None:
         predicted = np.empty(0)
     else:
@@ -303,7 +303,7 @@ def _prior_loop_closures(poses: np.ndarray, radius: float, window: int, max_per_
 
 def _candidate_plans(
     cfg: ScenarioConfig, poses: np.ndarray, goal: np.ndarray, rng: np.random.Generator
-) -> list:
+) -> tuple:
     n = poses.shape[0]
     plans = []
     spread = np.linspace(-0.9, 0.9, cfg.n_candidates)
@@ -336,7 +336,7 @@ def _candidate_plans(
         plans.append(
             CandidatePlan(c, new_ids, new_means, tuple(factors))
         )
-    return plans
+    return tuple(plans)
 
 
 def generate(cfg: ScenarioConfig) -> Scenario:
@@ -354,13 +354,7 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     prior_factors += [Factor("odom", k, k + 1) for k in range(n - 1)]
     prior_factors += _prior_loop_closures(poses, cfg.loop_closure_radius, cfg.loop_index_window)
 
-    layout = VariableLayout.from_sizes([3] * n, kind="pose")
-    sqrt_info = noise_sqrt_info(cfg)
-    means = {k: tuple(poses[k]) for k in range(n)}
-    prior_rows = build_collective_jacobian(prior_factors, means, layout, sqrt_info).jacobian
-    info = _information_from_rows(prior_rows)
-    root = cholesky(info)
-    prior = GaussianBelief(poses.reshape(-1), root, layout)
+    prior = _prior_belief(cfg, poses, prior_factors)
 
     half = cfg.world_extent / 2.0
     for _attempt in range(40):
@@ -368,34 +362,10 @@ def generate(cfg: ScenarioConfig) -> Scenario:
         goal = poses[anchor_pose, :2] + rng.normal(0.0, cfg.loop_closure_radius, size=2)
         goal = np.clip(goal, -half, half)
         plans = _candidate_plans(cfg, poses, goal, rng)
-        candidates = []
-        for plan in plans:
-            cand_means = dict(means)
-            for pid, pose in zip(plan.new_pose_ids, plan.new_pose_means):
-                cand_means[pid] = tuple(pose)
-            candidates.append(
-                build_collective_jacobian(
-                    plan.factors,
-                    cand_means,
-                    layout,
-                    sqrt_info,
-                    new_pose_ids=plan.new_pose_ids,
-                    new_pose_means=plan.new_pose_means,
-                    action_id=plan.candidate_id,
-                )
-            )
-        mask = detect_involvement(layout, candidates)
-        if n < 10 or mask.never_involved(layout):
-            graph_edges = [(_graph_node(f.i), _graph_node(f.j)) if f.kind != "anchor" else (0, _graph_node(0)) for f in prior_factors]
-            pose_graph = PoseGraph(n + 1, tuple(graph_edges))
+        candidates = _candidate_actions(cfg, poses, plans, prior.layout)
+        if n < 10 or detect_involvement(prior.layout, candidates).never_involved(prior.layout):
             return Scenario(
-                cfg,
-                prior,
-                poses,
-                tuple(prior_factors),
-                tuple(candidates),
-                tuple(plans),
-                pose_graph,
+                cfg, prior, poses, tuple(prior_factors), candidates, plans, _prior_pose_graph(prior_factors, n)
             )
     raise InfeasibleConfig(
         "could not place a goal leaving at least one prior pose uninvolved; "
@@ -406,6 +376,39 @@ def generate(cfg: ScenarioConfig) -> Scenario:
 def _graph_node(pose_id: int) -> int:
     # node 0 is the ground node the anchor ties pose 0 to
     return pose_id + 1
+
+
+def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, prior_factors) -> GaussianBelief:
+    """The prior: whitened prior factor rows, their information, its factor."""
+    layout = VariableLayout.from_sizes([3] * poses.shape[0], kind="pose")
+    means = dict(enumerate(poses.tolist()))
+    rows = build_collective_jacobian(prior_factors, means, layout, noise_sqrt_info(cfg)).jacobian
+    return GaussianBelief(poses.reshape(-1), cholesky(_information_from_rows(rows)), layout)
+
+
+def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, plans, layout: VariableLayout) -> tuple:
+    """One whitened CandidateAction per plan, linearized at the prior poses
+    and the plan's new pose means."""
+    sqrt_info = noise_sqrt_info(cfg)
+    means = dict(enumerate(poses.tolist()))
+    return tuple(
+        build_collective_jacobian(
+            plan.factors,
+            {**means, **dict(zip(plan.new_pose_ids, plan.new_pose_means.tolist()))},
+            layout,
+            sqrt_info,
+            new_pose_ids=plan.new_pose_ids,
+            new_pose_means=plan.new_pose_means,
+            action_id=plan.candidate_id,
+        )
+        for plan in plans
+    )
+
+
+def _prior_pose_graph(prior_factors, n_poses: int) -> PoseGraph:
+    """Pose graph of the prior factors; an anchor ties its pose to node 0."""
+    edges = [(0 if f.kind == "anchor" else _graph_node(f.i), _graph_node(f.j)) for f in prior_factors]
+    return PoseGraph(n_poses + 1, tuple(edges))
 
 
 def posterior_pose_graph(scenario: Scenario, plan: CandidatePlan) -> PoseGraph:
@@ -475,6 +478,34 @@ def objective_scale_bounds(lb_logdet: float, ub_logdet: float, n_vars: int) -> t
 
     c = n_vars * LN_2PI_E
     return 0.5 * (lb_logdet - c), 0.5 * (ub_logdet - c)
+
+
+class CandidateBounds(NamedTuple):
+    """Objective-scale bounds of every candidate on the original problem,
+    each an ``(lb, ub)`` pair of arrays in candidate order."""
+
+    top: tuple  # topological, at the scenario's actual noise ratio
+    det: tuple  # determinant
+    top_by_ratio: dict  # topological, per swept noise ratio
+
+
+def candidate_bounds(scenario: Scenario, noise_ratios) -> CandidateBounds:
+    """Topological and determinant objective bounds of every candidate.
+
+    Only the bounds at the actual noise ratio (``top``) and ``det`` certify
+    the objective; the swept ratios describe hypothetical noise models.
+    """
+    n = len(scenario.candidates)
+    top, det = (np.zeros(n), np.zeros(n)), (np.zeros(n), np.zeros(n))
+    by_ratio = {float(r): (np.zeros(n), np.zeros(n)) for r in noise_ratios}
+    for idx, (cand, plan) in enumerate(zip(scenario.candidates, scenario.plans)):
+        graph = posterior_pose_graph(scenario, plan)
+        n_vars = 3 * (scenario.n_poses + len(plan.new_pose_ids))
+        for ratio, (lb, ub) in [(None, top), *by_ratio.items()]:
+            lbl, ubl = topological_bounds(graph, topological_constants(scenario, plan, ratio=ratio))
+            lb[idx], ub[idx] = objective_scale_bounds(lbl, ubl, n_vars)
+        det[0][idx], det[1][idx] = determinant_bounds(scenario.prior, cand)
+    return CandidateBounds(top, det, by_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -614,49 +645,33 @@ def run_session(
             )
         )
 
-    # per-candidate objective bounds on the ORIGINAL problem
-    n_cand = len(candidates)
-    lb_top = np.zeros(n_cand)
-    ub_top = np.zeros(n_cand)
-    lb_det = np.zeros(n_cand)
-    ub_det = np.zeros(n_cand)
-    topo_by_ratio = {float(r): (np.zeros(n_cand), np.zeros(n_cand)) for r in noise_ratios}
-    for idx, (cand, plan) in enumerate(zip(candidates, scenario.plans)):
-        graph = posterior_pose_graph(scenario, plan)
-        n_vars = 3 * (scenario.n_poses + len(plan.new_pose_ids))
-        lbl, ubl = topological_bounds(graph, topological_constants(scenario, plan))
-        lb_top[idx], ub_top[idx] = objective_scale_bounds(lbl, ubl, n_vars)
-        lb_det[idx], ub_det[idx] = determinant_bounds(scenario.prior, cand)
-        for r in noise_ratios:
-            lbr, ubr = topological_bounds(graph, topological_constants(scenario, plan, ratio=r))
-            jl, ju = objective_scale_bounds(lbr, ubr, n_vars)
-            topo_by_ratio[float(r)][0][idx] = jl
-            topo_by_ratio[float(r)][1][idx] = ju
+    bounds = candidate_bounds(scenario, noise_ratios)
 
-    loss_bounds: dict = {}
-    for res in mode_results:
-        per_mode = {
-            "topological": post_solution_loss_bound(res.values, res.best_index, ub_top, float(lb_top[res.best_index])),
-            "determinant": post_solution_loss_bound(res.values, res.best_index, ub_det, float(lb_det[res.best_index])),
-            "topological_by_ratio": {
-                r: post_solution_loss_bound(res.values, res.best_index, ub_r, float(lb_r[res.best_index]))
-                for r, (lb_r, ub_r) in topo_by_ratio.items()
-            },
+    def loss_bound(res: ModeResult, pair: tuple) -> float:
+        lb, ub = pair
+        return post_solution_loss_bound(res.values, res.best_index, ub, float(lb[res.best_index]))
+
+    loss_bounds = {
+        res.label: {
+            "topological": loss_bound(res, bounds.top),
+            "determinant": loss_bound(res, bounds.det),
+            "topological_by_ratio": {r: loss_bound(res, pair) for r, pair in bounds.top_by_ratio.items()},
         }
-        loss_bounds[res.label] = per_mode
+        for res in mode_results
+    }
 
     return SessionReport(
         seed=scenario.config.seed,
         prior_dim=scenario.prior.dim,
-        n_candidates=n_cand,
+        n_candidates=len(candidates),
         uninvolved_block_ratio=uninvolved_ratio,
         noise_ratios=tuple(float(r) for r in noise_ratios),
         baseline=baseline,
         modes=tuple(mode_results),
-        bound_lb_top=lb_top,
-        bound_ub_top=ub_top,
-        bound_lb_det=lb_det,
-        bound_ub_det=ub_det,
+        bound_lb_top=bounds.top[0],
+        bound_ub_top=bounds.top[1],
+        bound_lb_det=bounds.det[0],
+        bound_ub_det=bounds.det[1],
         loss_bounds=loss_bounds,
         consistency_tolerance=consistency_tolerance,
     )
@@ -784,37 +799,10 @@ def scenario_from_json(text: str) -> Scenario:
         cfg, poses, prior_factors, plans = _read_scenario_doc(json.loads(text))
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
         raise InvalidScenario(f"malformed scenario file: {type(e).__name__}: {e}") from e
-    n = poses.shape[0]
-    layout = VariableLayout.from_sizes([3] * n, kind="pose")
-    sqrt_info = noise_sqrt_info(cfg)
-    means = {k: tuple(poses[k]) for k in range(n)}
-    prior_rows = build_collective_jacobian(prior_factors, means, layout, sqrt_info).jacobian
-    root = cholesky(_information_from_rows(prior_rows))
-    prior = GaussianBelief(poses.reshape(-1), root, layout)
-
-    candidates = []
-    for plan in plans:
-        cand_means = dict(means)
-        for pid, pose in zip(plan.new_pose_ids, plan.new_pose_means):
-            cand_means[pid] = tuple(pose)
-        candidates.append(
-            build_collective_jacobian(
-                plan.factors,
-                cand_means,
-                layout,
-                sqrt_info,
-                new_pose_ids=plan.new_pose_ids,
-                new_pose_means=plan.new_pose_means,
-                action_id=plan.candidate_id,
-            )
-        )
-
-    graph_edges = [
-        (0, _graph_node(0)) if f.kind == "anchor" else (_graph_node(f.i), _graph_node(f.j))
-        for f in prior_factors
-    ]
-    pose_graph = PoseGraph(n + 1, tuple(graph_edges))
-    return Scenario(cfg, prior, poses, prior_factors, tuple(candidates), plans, pose_graph)
+    prior = _prior_belief(cfg, poses, prior_factors)
+    candidates = _candidate_actions(cfg, poses, plans, prior.layout)
+    pose_graph = _prior_pose_graph(prior_factors, poses.shape[0])
+    return Scenario(cfg, prior, poses, prior_factors, candidates, plans, pose_graph)
 
 
 CANDIDATE_CSV_BASE_COLUMNS = ("candidate_id",)

@@ -54,6 +54,18 @@ def dense_cholesky(m: SparseSymmetric):
     return r
 
 
+def dense_inverse_block(b, scalar_idx):
+    """Rows/columns ``scalar_idx`` of the covariance, by two dense
+    triangular solves against the dense root factor."""
+    from scipy.linalg import solve_triangular
+
+    dense_r = b.root.to_dense()
+    rhs = np.zeros((b.dim, scalar_idx.size))
+    rhs[scalar_idx, np.arange(scalar_idx.size)] = 1.0
+    half = solve_triangular(dense_r.T, rhs, lower=True)
+    return solve_triangular(dense_r, half, lower=False)[scalar_idx, :]
+
+
 def loop_information_from_rows(jac: SparseRowBlock) -> SparseSymmetric:
     """Upper triangle of jac^T jac, one ``np.triu_indices`` gather per row."""
     chunks_r = [np.empty(0, dtype=np.int64)]
@@ -261,3 +273,40 @@ def mutate_json(data, doc, max_depth=6):
     else:
         parent[key] = data.draw(junk, label="value")
     return doc
+
+
+def loop_collective_jacobian(factors, means, layout, sqrt_info, new_pose_ids=()):
+    """Whitened factor rows as a SparseRowBlock, one 3x3 product and one
+    ``np.nonzero`` per factor block."""
+    import math
+
+    col_of_pose = {blk.block_id: blk.offset for blk in layout.blocks}
+    for k, pid in enumerate(new_pose_ids):
+        col_of_pose[pid] = layout.dim + 3 * k
+    s_t = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rows, cols, vals = [], [], []
+    for k, factor in enumerate(factors):
+        if factor.kind == "anchor":
+            blocks = [(factor.i, np.eye(3))]
+        else:
+            xa, ya, ta = means[factor.i]
+            xb, yb, _ = means[factor.j]
+            c, s = math.cos(ta), math.sin(ta)
+            rot_t = np.array([[c, -s], [s, c]]).T
+            lever = np.array([xb - xa, yb - ya])
+            block_a = np.zeros((3, 3))
+            block_a[:2, :2] = -rot_t
+            block_a[:2, 2] = s_t @ rot_t @ lever
+            block_a[2, 2] = -1.0
+            block_b = np.zeros((3, 3))
+            block_b[:2, :2] = rot_t
+            block_b[2, 2] = 1.0
+            blocks = [(factor.i, block_a), (factor.j, block_b)]
+        for pid, blk in blocks:
+            whitened = sqrt_info @ blk
+            r, c = np.nonzero(whitened)
+            rows.append(3 * k + r)
+            cols.append(col_of_pose[pid] + c)
+            vals.append(whitened[r, c])
+    coo = [np.concatenate(part) if part else [] for part in (rows, cols, vals)]
+    return SparseRowBlock.from_coo(3 * len(factors), layout.dim + 3 * len(new_pose_ids), *coo)

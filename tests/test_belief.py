@@ -221,6 +221,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="MatrixMarket"):
             belief_from_json(json.dumps(doc))
 
+    def test_oversized_factor_size_line_is_a_value_error(self, monkeypatch):
+        from beliefplan import mmio
+
+        def no_allocation(*args):
+            raise AssertionError("row storage built from an unchecked size line")
+
+        belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
+        doc = json.loads(belief_to_json(belief))
+        doc["root_mm"] = "%%MatrixMarket matrix coordinate real general\n1000000000000 1000000000000 0\n"
+        monkeypatch.setattr(mmio.SparseRowBlock, "from_coo", no_allocation)
+        with pytest.raises(ValueError, match="factor needs at least"):
+            belief_from_json(json.dumps(doc))
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_mutated_belief_fails_typed(self, data):

@@ -3,6 +3,7 @@ bounds, the rank-1 offset bound, and loss-bound assembly."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from beliefplan.belief import LN_2PI_E, CandidateAction, GaussianBelief, Variabl
 from beliefplan.bounds import (
     PoseGraph,
     TopologicalNoiseConfig,
+    _inverse_block,
     determinant_bounds,
     post_solution_loss_bound,
     rank1_offset_bound,
@@ -29,7 +31,7 @@ from beliefplan.errors import (
 from beliefplan.sparse import SparseRowBlock, SparseSymmetric, cholesky
 from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
-from helpers import loop_is_connected, loop_laplacian, random_sparse_spd, random_update
+from helpers import dense_inverse_block, loop_is_connected, loop_laplacian, random_sparse_spd, random_update
 
 
 def count_spanning_trees_brute_force(n_nodes, edges):
@@ -337,6 +339,44 @@ class TestRankOneOffsetBound:
         b, b_s, mask, candidates = single_row_problem(rng, 6, 1)
         with pytest.raises(AlphaTooSmall):
             rank1_offset_bound(b, b_s, mask, alpha=1e-9, candidates=candidates)
+
+
+class TestInverseBlock:
+    def test_sparse_solves_match_the_dense_oracle(self):
+        from beliefplan.scenario import ScenarioConfig, generate
+
+        rng = np.random.default_rng(23)
+        beliefs = [scalar_belief(random_sparse_spd(rng, n, density=0.4)) for n in (1, 5, 30, 80)]
+        beliefs.append(generate(ScenarioConfig(seed=2, n_prior_poses=60, n_candidates=4)).prior)
+        for b in beliefs:
+            for k in sorted({1, min(b.dim, 3), min(b.dim, 36)}):
+                idx = np.sort(rng.choice(b.dim, size=k, replace=False))
+                got, oracle = _inverse_block(b, idx), dense_inverse_block(b, idx)
+                np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+    def test_rank1_offset_bound_allocates_no_dense_square(self):
+        # banded prior: a dense n x n float array would take 288 MB
+        n = 6000
+        idx = np.arange(n)
+        rows = np.concatenate([idx, idx[:-1], idx[:-5]])
+        cols = np.concatenate([idx, idx[:-1] + 1, idx[:-5] + 5])
+        vals = np.concatenate([np.full(n, 4.0), np.full(n - 1, -1.0), np.full(n - 5, 0.5)])
+        b = GaussianBelief(
+            np.zeros(n), cholesky(SparseSymmetric(n, rows, cols, vals)), VariableLayout.from_sizes([1] * n)
+        )
+        row = np.zeros((1, n))
+        row[0, [2000, 2001, 4500]] = (0.5, 0.3, 0.7)
+        candidates = [CandidateAction(0, SparseRowBlock.from_dense(row))]
+        mask = detect_involvement(b.layout, candidates)
+        b_s = sparsify_belief(b, SparsificationSpec.custom(range(n // 3, n // 2)), mask)
+        tracemalloc.start()
+        try:
+            bound = rank1_offset_bound(b, b_s, mask, alpha=0.5, candidates=candidates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(bound)
+        assert peak < 8 * n * n / 10
 
 
 class TestPostSolutionLossBound:

@@ -168,6 +168,24 @@ class TestBounds:
         assert lines[0].startswith("candidate_id,j,lb_det,ub_det")
         assert len(lines) == 1 + 4
 
+    def test_table_equals_the_session_values_and_bounds(self, tmp_path):
+        # the tiny scenario's actual noise ratio is 0.25, so its swept column
+        # pair is the certified topological bound of run_session
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--scenario", str(TINY), "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        table = {name: [row.split(",")[k] for row in lines[1:]] for k, name in enumerate(header)}
+        report = run_session(scenario_from_json(TINY.read_text()))
+        for column, values in (
+            ("j", report.baseline.values),
+            ("lb_det", report.bound_lb_det),
+            ("ub_det", report.bound_ub_det),
+            ("lb_top_r0.25", report.bound_lb_top),
+            ("ub_top_r0.25", report.bound_ub_top),
+        ):
+            assert table[column] == [f"{v:.12g}" for v in values], column
+
 
 class TestEnvironmentOverrides:
     def test_out_dir_env(self, tmp_path, monkeypatch):

@@ -32,7 +32,7 @@ from beliefplan.scenario import (
 from beliefplan.sparse import SparseRowBlock, logdet_triangular
 from beliefplan.sparsify import SparsificationSpec, detect_involvement
 
-from helpers import loop_information_from_rows, loop_lever_mass
+from helpers import loop_collective_jacobian, loop_information_from_rows, loop_lever_mass
 
 
 SMALL = ScenarioConfig(seed=5, n_prior_poses=25, n_candidates=4, candidate_length=3)
@@ -142,6 +142,75 @@ class TestJacobianAssembly:
         dense = cand.jacobian.to_dense()
         lever = math.hypot(4.0 - 1.0, -2.0 - 2.0)
         np.testing.assert_allclose(np.linalg.norm(dense[:2, 2]), lever, rtol=1e-12)
+
+
+@st.composite
+def factor_sets(draw):
+    """Prior and new poses with factors among them: anchors, repeated
+    factors, coincident positions (zero lever arms) and zero headings."""
+    n_prior, n_new = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    ids = list(range(n_prior + n_new))
+    coord = st.one_of(st.sampled_from([0.0, 1.5]), st.floats(-50, 50))
+    heading = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi))
+    means = {pid: (draw(coord), draw(coord), draw(heading)) for pid in ids}
+    factors = [
+        Factor("anchor", i, i) if i == j else Factor(draw(st.sampled_from(["odom", "loop"])), i, j)
+        for i, j in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=12))
+    ]
+    sqrt_info = np.diag(draw(st.lists(st.floats(0.5, 100.0), min_size=3, max_size=3)))
+    return n_prior, n_new, means, factors, sqrt_info
+
+
+def assert_bit_equal(got: SparseRowBlock, oracle: SparseRowBlock):
+    assert (got.n_rows, got.n_cols) == (oracle.n_rows, oracle.n_cols)
+    assert np.array_equal(got.indptr, oracle.indptr)
+    assert np.array_equal(got.indices, oracle.indices)
+    assert np.array_equal(got.data.view(np.int64), oracle.data.view(np.int64))
+
+
+def assert_jacobian_matches_loop(n_prior, n_new, means, factors, sqrt_info):
+    layout = VariableLayout.from_sizes([3] * n_prior, kind="pose")
+    new_ids = tuple(range(n_prior, n_prior + n_new))
+    new_means = np.array([means[pid] for pid in new_ids]).reshape(-1, 3)
+    got = build_collective_jacobian(factors, means, layout, sqrt_info, new_pose_ids=new_ids, new_pose_means=new_means)
+    assert_bit_equal(got.jacobian, loop_collective_jacobian(factors, means, layout, sqrt_info, new_pose_ids=new_ids))
+
+
+class TestJacobianKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(factor_sets())
+    def test_equals_the_factor_loop_bit_for_bit(self, case):
+        assert_jacobian_matches_loop(*case)
+
+    def test_named_cases_equal_the_factor_loop(self):
+        means = {0: (2.0, -1.0, 0.0), 1: (2.0, -1.0, 0.0), 2: (0.5, 3.0, -2.5), 3: (1.0, 1.0, 0.0)}
+        factors = [
+            Factor("anchor", 0, 0),
+            Factor("odom", 0, 1),  # coincident poses, heading 0
+            Factor("loop", 2, 0),
+            Factor("odom", 1, 3),  # to a new pose
+            Factor("anchor", 3, 3),
+        ]
+        assert_jacobian_matches_loop(3, 1, means, factors, np.diag([10.0, 10.0, 20.0]))
+        assert_jacobian_matches_loop(3, 0, means, [], np.eye(3))
+
+    def test_generated_scenarios_equal_the_factor_loop(self):
+        for cfg in (SMALL, ScenarioConfig(seed=3, n_prior_poses=90, n_candidates=5, loop_closure_radius=2.2)):
+            sc = generate(cfg)
+            means = {k: tuple(p) for k, p in enumerate(sc.executed_path)}
+            sqrt_info = noise_sqrt_info(cfg)
+            assert_bit_equal(
+                build_collective_jacobian(sc.prior_factors, means, sc.prior.layout, sqrt_info).jacobian,
+                loop_collective_jacobian(sc.prior_factors, means, sc.prior.layout, sqrt_info),
+            )
+            for cand, plan in zip(sc.candidates, sc.plans):
+                cand_means = {**means, **{pid: tuple(p) for pid, p in zip(plan.new_pose_ids, plan.new_pose_means)}}
+                assert_bit_equal(
+                    cand.jacobian,
+                    loop_collective_jacobian(
+                        plan.factors, cand_means, sc.prior.layout, sqrt_info, new_pose_ids=plan.new_pose_ids
+                    ),
+                )
 
 
 @st.composite
@@ -266,7 +335,15 @@ class TestSerialization:
         sc = generate(SMALL)
         loaded = scenario_from_json(scenario_to_json(sc))
         np.testing.assert_array_equal(loaded.executed_path, sc.executed_path)
-        np.testing.assert_array_equal(loaded.prior.root.diag, sc.prior.root.diag)
+        for got, want in (
+            (loaded.prior.root.diag, sc.prior.root.diag),
+            (loaded.prior.root.upper.indptr, sc.prior.root.upper.indptr),
+            (loaded.prior.root.upper.indices, sc.prior.root.upper.indices),
+            (loaded.prior.root.upper.data, sc.prior.root.upper.data),
+        ):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert loaded.pose_graph.edges == sc.pose_graph.edges
+        assert loaded.pose_graph.n_nodes == sc.pose_graph.n_nodes
         for a, b in zip(loaded.candidates, sc.candidates):
             np.testing.assert_array_equal(a.jacobian.to_dense(), b.jacobian.to_dense())
         v0 = [objective(sc.prior, c) for c in sc.candidates]

@@ -407,6 +407,19 @@ class TestMatrixMarket:
         with pytest.raises(ValueError, match="64-bit"):
             reader(text)
 
+    @pytest.mark.parametrize(
+        "size_line", ["1000000000000 1000000000000 0", "1000000000000 3 0"], ids=["rows-beyond-entries", "not-square"]
+    )
+    def test_oversized_factor_size_line_is_refused_before_allocation(self, size_line, monkeypatch):
+        # were the size line trusted, building the rows would allocate
+        # 10^12 row pointers; the guard makes that a test failure instead
+        def no_allocation(*args):
+            raise AssertionError("row storage built from an unchecked size line")
+
+        monkeypatch.setattr(mmio.SparseRowBlock, "from_coo", no_allocation)
+        with pytest.raises(ValueError, match="factor"):
+            mmio.mm_to_triangular(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n")
+
     def test_external_reader_agrees(self):
         # scipy.io acts as the external oracle for format compliance
         rng = np.random.default_rng(16)
