@@ -157,6 +157,8 @@ class TopologicalNoiseConfig:
     ratio: float = 0.25
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu, self.psi, self.ratio)):
+            raise ValueError("mu, psi and ratio must be finite")
         if self.psi < 0:
             raise ValueError("psi must be non-negative")
         if self.ratio <= 0:

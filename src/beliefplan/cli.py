@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -86,8 +87,8 @@ def _config_from_args(args, seed: int | None = None) -> ScenarioConfig:
 
 def _parse_ratios(text: str) -> tuple:
     ratios = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if not ratios or any(r <= 0 for r in ratios):
-        raise argparse.ArgumentTypeError("ratios must be positive numbers")
+    if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise argparse.ArgumentTypeError("ratios must be finite positive numbers")
     return ratios
 
 
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--blocks", type=_parse_blocks, default=(), help="custom-mode block ids, e.g. 3,5,9")
     p_solve.add_argument("--ratios", type=_parse_ratios, default=DEFAULT_NOISE_RATIOS)
-    p_solve.add_argument("--repeats", type=int, default=1, help="timing repetitions per phase")
+    p_solve.add_argument("--repeats", type=_positive_int, default=1, help="timing repetitions per phase")
     p_solve.add_argument("--out-dir", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--modes", default="uninvolved,full", help="comma-separated mode list")
     p_bench.add_argument("--blocks", type=_parse_blocks, default=())
     p_bench.add_argument("--ratios", type=_parse_ratios, default=DEFAULT_NOISE_RATIOS)
-    p_bench.add_argument("--repeats", type=int, default=5)
+    p_bench.add_argument("--repeats", type=_positive_int, default=5)
     p_bench.add_argument("--out-dir", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -1,19 +1,18 @@
 """Matrix Market coordinate-format interchange.
 
 Writers emit 17 significant digits so float64 values round-trip exactly,
-which keeps externally cross-checked determinants bit-comparable.
-Symmetric matrices use the ``symmetric`` qualifier (entries stored in the
-lower triangle, per the format convention); factors and constraint-row
-blocks use ``general``.
+which keeps externally cross-checked determinants bit-comparable.  Factors
+and constraint-row blocks are written, and factors read back, as
+``general`` matrices; no other qualifier is read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sparse import SparseRowBlock, SparseSymmetric, UpperTriangular
+from .sparse import SparseRowBlock, UpperTriangular
 
-_HEADER = "%%MatrixMarket matrix coordinate real {symmetry}"
+_HEADER = "%%MatrixMarket matrix coordinate real general"
 
 
 def _format_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[str]:
@@ -27,7 +26,7 @@ def _int64(tokens) -> np.ndarray:
         raise ValueError(f"index does not fit a 64-bit integer: {e}") from e
 
 
-def _parse(text: str, expect_symmetry: str):
+def _parse(text: str):
     """Header sizes plus zero-based coordinate arrays of the entries."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -35,8 +34,8 @@ def _parse(text: str, expect_symmetry: str):
     header = lines[0].split()
     if len(header) < 5 or header[1:4] != ["matrix", "coordinate", "real"]:
         raise ValueError(f"unsupported MatrixMarket header: {lines[0]}")
-    if header[4] != expect_symmetry:
-        raise ValueError(f"expected {expect_symmetry} matrix, found {header[4]}")
+    if header[4] != "general":
+        raise ValueError(f"expected general matrix, found {header[4]}")
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
         raise ValueError("missing MatrixMarket size line")
@@ -54,28 +53,12 @@ def _parse(text: str, expect_symmetry: str):
     return n_rows, n_cols, rows, cols, vals
 
 
-def symmetric_to_mm(m: SparseSymmetric) -> str:
-    lines = [_HEADER.format(symmetry="symmetric"), f"{m.dim} {m.dim} {m.nnz}"]
-    # stored upper triangle flips to the lower triangle the format expects
-    lines += _format_entries(m.cols, m.rows, m.vals)
-    return "\n".join(lines) + "\n"
-
-
-def mm_to_symmetric(text: str) -> SparseSymmetric:
-    n_rows, n_cols, rows, cols, vals = _parse(text, "symmetric")
-    if n_rows != n_cols:
-        raise ValueError("symmetric matrix must be square")
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    return SparseSymmetric(n_rows, lo, hi, vals)
-
-
 def triangular_to_mm(r: UpperTriangular) -> str:
     return row_block_to_mm(r.as_row_block())
 
 
 def mm_to_triangular(text: str) -> UpperTriangular:
-    n_rows, n_cols, rows, cols, vals = _parse(text, "general")
+    n_rows, n_cols, rows, cols, vals = _parse(text)
     # checked before anything of size n is allocated: every row of a factor
     # stores its diagonal, so a size line beyond the entry count is refused
     if n_rows != n_cols:
@@ -95,10 +78,6 @@ def mm_to_triangular(text: str) -> UpperTriangular:
 
 
 def row_block_to_mm(u: SparseRowBlock) -> str:
-    lines = [_HEADER.format(symmetry="general"), f"{u.n_rows} {u.n_cols} {u.nnz}"]
+    lines = [_HEADER, f"{u.n_rows} {u.n_cols} {u.nnz}"]
     lines += _format_entries(u.row_ids, u.indices, u.data)
     return "\n".join(lines) + "\n"
-
-
-def mm_to_row_block(text: str) -> SparseRowBlock:
-    return SparseRowBlock.from_coo(*_parse(text, "general"))

@@ -565,7 +565,7 @@ def _median_timed(fn, repeats: int):
     """Run fn() ``repeats`` times; return (last result, median seconds)."""
     times = []
     result = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
@@ -595,8 +595,10 @@ def run_session(
     The original problem is always evaluated (it provides the ground-truth
     values for loss and offsets); a requested "none" mode is reported as
     that baseline.  Wall-clock figures are medians over ``timing_repeats``
-    repetitions of each phase.
+    repetitions of each phase; fewer than one repetition is a ValueError.
     """
+    if timing_repeats < 1:
+        raise ValueError(f"timing_repeats must be at least 1, got {timing_repeats}")
     candidates = scenario.candidates
     layout = scenario.prior.layout
     mask = detect_involvement(layout, candidates)

@@ -1,29 +1,31 @@
 """Sparse symmetric and triangular matrix kernels.
 
-Storage is deliberately simple and structural:
+Storage is deliberately simple and structural, and it is one format:
+compressed row storage (CSR), where ``indptr`` delimits each row's slice of
+the column-sorted ``indices``/``data`` arrays, the layout
+``scipy.sparse.csr_matrix`` shares.
 
-- symmetric matrices keep an upper-triangle coordinate list;
-- constraint-row blocks keep compressed row storage (CSR): ``indptr``
-  delimits each row's slice of the column-sorted ``indices``/``data``
-  arrays, the layout ``scipy.sparse.csr_matrix`` shares;
+- constraint-row blocks are one CSR row block;
+- symmetric matrices keep their upper triangle, diagonal included, as one
+  square CSR row block;
 - triangular factors keep a dense diagonal vector plus their strictly-upper
   entries as one CSR row block.
 
 Every CSR block is validated once, by whole-array checks, when it is built.
 ``row_cols``/``row_vals`` expose each row as a read-only view for the
-kernels that work row by row (Givens updates, symbolic fill).
+kernel that works row by row (Givens updates).
 
 "Structural" means the stored pattern is the symbolic support produced by
 the operation (elimination fill, rotation unions), independent of values
 that happen to cancel to zero.  Nonzero counts reported elsewhere in the
 package are counts of stored entries, so they are exact and reproducible.
 
-The kernels never form a dense n x n matrix (``to_dense``/``from_dense`` and
-``dense_logdet_oracle`` exist for tests and small inputs).  ``cholesky``
-splits into the elimination-tree symbolic fill, which fixes the pattern,
-and a numeric sparse factorization by SuperLU in the given order;
-``gram`` takes its pattern from a 0/1 sparse product and its values from a
-sparse product of the factor.
+The kernels never form a dense n x n matrix (``to_dense`` exists for tests
+and small inputs).  ``cholesky`` splits into the elimination-tree symbolic
+fill, which fixes the pattern, and a numeric sparse factorization by
+SuperLU in the given order; ``gram`` takes its pattern from a 0/1 sparse
+product and its values from a sparse product of the factor.  Both scatter
+the numeric product onto the structural pattern (``_values_on_pattern``).
 
 All types are immutable after construction and every operation returns a
 new object; instances can be shared freely.
@@ -73,106 +75,24 @@ def _as_value_array(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SparseSymmetric:
-    """Symmetric matrix stored as its upper triangle in coordinate form.
-
-    ``rows[k] <= cols[k] < dim`` for every stored entry and coordinates are
-    unique and lexicographically sorted.  The dense form is symmetric by
-    construction; only the stored (upper) entries count toward ``nnz``.
-    """
-
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        rows = _as_index_array(self.rows)
-        cols = _as_index_array(self.cols)
-        vals = _as_value_array(self.vals)
-        if not (rows.size == cols.size == vals.size):
-            raise ValueError("coordinate arrays must have equal length")
-        if rows.size:
-            if rows.min() < 0 or cols.max() >= self.dim:
-                raise ValueError("coordinates out of range")
-            if np.any(rows > cols):
-                raise ValueError("entries must lie in the upper triangle (row <= col)")
-        keys = rows * self.dim + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if keys.size > 1 and np.any(np.diff(keys) == 0):
-            raise ValueError("duplicate coordinates")
-        object.__setattr__(self, "rows", rows[order])
-        object.__setattr__(self, "cols", cols[order])
-        object.__setattr__(self, "vals", vals[order])
-
-    @classmethod
-    def from_entries(cls, dim: int, entries) -> "SparseSymmetric":
-        """Build from an iterable of ``(row, col, value)`` upper-triangle entries."""
-        if entries:
-            rows, cols, vals = map(np.asarray, zip(*entries))
-        else:
-            rows, cols, vals = _EMPTY_I, _EMPTY_I, _EMPTY_F
-        return cls(dim, rows, cols, vals)
-
-    @classmethod
-    def accumulate(cls, dim: int, rows, cols, vals) -> "SparseSymmetric":
-        """Build from upper-triangle coordinates, summing duplicates.
-
-        Used when assembling an information matrix from factor outer
-        products, where many factors hit the same entry.
-        """
-        rows = _as_index_array(rows)
-        cols = _as_index_array(cols)
-        vals = _as_value_array(vals)
-        keys = rows * dim + cols
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(summed, inverse, vals)
-        return cls(dim, uniq // dim, uniq % dim, summed)
-
-    @classmethod
-    def from_dense(cls, a, tol: float = 0.0) -> "SparseSymmetric":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.allclose(a, a.T, rtol=0.0, atol=max(tol, 1e-13 * max(1.0, np.abs(a).max(initial=0.0)))):
-            raise ValueError("matrix is not symmetric")
-        iu = np.triu_indices(a.shape[0])
-        mask = np.abs(a[iu]) > tol
-        return cls(a.shape[0], iu[0][mask], iu[1][mask], a[iu][mask])
-
-    @classmethod
-    def identity(cls, dim: int) -> "SparseSymmetric":
-        idx = np.arange(dim, dtype=np.int64)
-        return cls(dim, idx, idx, np.ones(dim))
-
-    @classmethod
-    def diagonal(cls, values) -> "SparseSymmetric":
-        values = _as_value_array(values)
-        idx = np.arange(values.size, dtype=np.int64)
-        return cls(values.size, idx, idx, values)
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored upper-triangle entries."""
-        return int(self.vals.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        out[self.rows, self.cols] = self.vals
-        out[self.cols, self.rows] = self.vals
-        return out
-
-
 def _row_views(a: np.ndarray, indptr: np.ndarray) -> tuple:
     frozen = a.view()
     frozen.flags.writeable = False
     bounds = indptr.tolist()
     return tuple(frozen[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+def _values_on_pattern(indptr: np.ndarray, indices: np.ndarray, rows, cols, vals) -> np.ndarray:
+    """Values for the square CSR pattern ``(indptr, indices)``: ``vals`` at
+    their ``(rows, cols)``, which the pattern must contain, and zero at every
+    other stored position, so entries a numeric product dropped stay
+    structural."""
+    n = indptr.size - 1
+    # n is the size of an in-memory matrix, so n**2 fits int64
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+    out = np.zeros(indices.size)
+    out[np.searchsorted(keys, np.asarray(rows, dtype=np.int64) * n + cols)] = vals
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,12 +168,6 @@ class SparseRowBlock:
         return cls(n_rows, n_cols, indptr, cols[order], vals[order])
 
     @classmethod
-    def from_dense(cls, a, n_cols: int | None = None, tol: float = 0.0) -> "SparseRowBlock":
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        rows, cols = np.nonzero(np.abs(a) > tol)
-        return cls.from_coo(a.shape[0], a.shape[1] if n_cols is None else n_cols, rows, cols, a[rows, cols])
-
-    @classmethod
     def empty(cls, n_cols: int, n_rows: int = 0) -> "SparseRowBlock":
         """``n_rows`` rows without stored entries."""
         return cls(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64), _EMPTY_I, _EMPTY_F)
@@ -291,6 +205,62 @@ class SparseRowBlock:
 
 
 @dataclass(frozen=True)
+class SparseSymmetric:
+    """Symmetric matrix stored as its upper triangle, diagonal included, in
+    one square CSR row block.
+
+    Row ``i`` stores columns ``j >= i``.  The dense form is symmetric by
+    construction; only the stored (upper) entries count toward ``nnz``.
+    """
+
+    upper: SparseRowBlock
+
+    def __post_init__(self):
+        if self.upper.n_rows != self.upper.n_cols:
+            raise ValueError("symmetric matrix block must be square")
+        if np.any(self.upper.indices < self.upper.row_ids):
+            raise ValueError("entries must lie in the upper triangle (row <= col)")
+
+    @classmethod
+    def accumulate(cls, dim: int, rows, cols, vals) -> "SparseSymmetric":
+        """Build from upper-triangle coordinates, summing duplicates in
+        input order.
+
+        Used when assembling an information matrix from factor outer
+        products, where many factors hit the same entry.
+        """
+        rows = _as_index_array(rows)
+        cols = _as_index_array(cols)
+        vals = _as_value_array(vals)
+        if not (rows.size == cols.size == vals.size):
+            raise ValueError("coordinate arrays must have equal length")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
+            raise ValueError("coordinates out of range")
+        # dim is the size of an in-memory matrix, so dim**2 fits int64
+        keys = rows * dim + cols
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        summed = np.zeros(uniq.size, dtype=np.float64)
+        np.add.at(summed, inverse, vals)
+        indptr = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(uniq // dim, minlength=dim), out=indptr[1:])
+        return cls(SparseRowBlock(dim, dim, indptr, uniq % dim, summed))
+
+    @property
+    def dim(self) -> int:
+        return self.upper.n_rows
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored upper-triangle entries."""
+        return self.upper.nnz
+
+    def to_dense(self) -> np.ndarray:
+        out = self.upper.to_dense()
+        out[self.upper.indices, self.upper.row_ids] = self.upper.data
+        return out
+
+
+@dataclass(frozen=True)
 class UpperTriangular:
     """Upper-triangular factor with positive diagonal.
 
@@ -322,19 +292,6 @@ class UpperTriangular:
     def from_diagonal(cls, values) -> "UpperTriangular":
         values = _as_value_array(values)
         return cls(values, SparseRowBlock.empty(values.size, values.size))
-
-    @classmethod
-    def identity(cls, dim: int) -> "UpperTriangular":
-        return cls.from_diagonal(np.ones(dim))
-
-    @classmethod
-    def from_dense(cls, a, tol: float = 0.0) -> "UpperTriangular":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != a.shape[0]:
-            raise ValueError("expected a square matrix")
-        if np.any(np.abs(np.tril(a, -1)) > 0):
-            raise ValueError("matrix has entries below the diagonal")
-        return cls(a.diagonal().copy(), SparseRowBlock.from_dense(np.triu(a, 1), tol=tol))
 
     @property
     def dim(self) -> int:
@@ -394,14 +351,17 @@ class UpperTriangular:
             np.concatenate([head, self.diag]), SparseRowBlock(n, n, indptr, u.indices + k, u.data)
         )
 
-    def _gram_support(self) -> sp.coo_matrix:
-        """Upper triangle of the structural support of (self)^T (self)."""
+    def _gram_support(self) -> sp.csr_matrix:
+        """Upper triangle of the structural support of (self)^T (self), with
+        sorted column indices."""
         n = self.dim
         full = self.as_row_block()
         # pair counts of a 0/1 pattern never cancel, so this is the
         # structural support, stored zeros included
         pattern = sp.csr_matrix((np.ones(full.nnz), full.indices, full.indptr), shape=(n, n))
-        return sp.triu(pattern.T @ pattern).tocoo()
+        support = sp.triu(pattern.T @ pattern, format="csr")
+        support.sort_indices()
+        return support
 
     def gram_nnz(self) -> int:
         """``gram().nnz``, counted from the pattern without forming values."""
@@ -411,14 +371,12 @@ class UpperTriangular:
         """Form the symmetric product (self)^T (self) structurally."""
         n = self.dim
         support = self._gram_support()
-        keys = np.sort(support.row.astype(np.int64) * n + support.col)
         r = self.as_row_block().to_scipy()
         # the value product drops entries that cancel to zero; gathering it
         # onto the structural support keeps them
         prod = sp.triu(r.T @ r).tocoo()
-        vals = np.zeros(keys.size)
-        vals[np.searchsorted(keys, prod.row.astype(np.int64) * n + prod.col)] = prod.data
-        return SparseSymmetric(n, keys // n, keys % n, vals)
+        vals = _values_on_pattern(support.indptr, support.indices, prod.row, prod.col, prod.data)
+        return SparseSymmetric(SparseRowBlock(n, n, support.indptr, support.indices, vals))
 
     def gram_diagonal(self) -> np.ndarray:
         """Diagonal of (self)^T (self) without forming the product."""
@@ -456,10 +414,6 @@ class Permutation:
         object.__setattr__(self, "inverse", inverse)
 
     @classmethod
-    def identity(cls, dim: int) -> "Permutation":
-        return cls(np.arange(dim, dtype=np.int64))
-
-    @classmethod
     def move_to_front(cls, dim: int, first: list[int]) -> "Permutation":
         """Stable permutation placing ``first`` (in their original relative
         order) ahead of all remaining indices (also order-preserving)."""
@@ -492,14 +446,11 @@ def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
     structural), and each row's columns come out already sorted.
     """
     n = m.dim
-    # column adjacency of the upper triangle: for node i, the rows j < i
-    order = np.argsort(m.cols, kind="stable")
-    cols_sorted = m.cols[order]
-    rows_sorted = m.rows[order]
-    boundaries = np.searchsorted(cols_sorted, np.arange(n + 1))
-    col_adj = [
-        rows_sorted[boundaries[i]: boundaries[i + 1]].tolist() for i in range(n)
-    ]
+    # column adjacency of the upper triangle: for node i, the rows j <= i
+    by_col = m.upper.to_scipy().tocsc()
+    bounds = by_col.indptr.tolist()
+    rows_by_col = by_col.indices.tolist()
+    col_adj = [rows_by_col[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # plain lists: the walks below read and write one element at a time
     parent = [-1] * n
@@ -534,11 +485,12 @@ def _unpivoted_lu(m: SparseSymmetric, k: int):
     """SuperLU factorization of the leading ``k`` x ``k`` block of ``m`` in
     the given order, asked never to pivot; ``None`` if SuperLU finds an
     exactly singular column."""
-    off = m.rows != m.cols
-    keep = m.cols < k
-    rows = np.concatenate([m.rows[keep], m.cols[keep & off]])
-    cols = np.concatenate([m.cols[keep], m.rows[keep & off]])
-    vals = np.concatenate([m.vals[keep], m.vals[keep & off]])
+    u = m.upper
+    off = u.row_ids != u.indices
+    keep = u.indices < k
+    rows = np.concatenate([u.row_ids[keep], u.indices[keep & off]])
+    cols = np.concatenate([u.indices[keep], u.row_ids[keep & off]])
+    vals = np.concatenate([u.data[keep], u.data[keep & off]])
     full = sp.csc_matrix((vals, (rows, cols)), shape=(k, k))
     try:
         return spla.splu(full, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -599,10 +551,9 @@ def cholesky(m: SparseSymmetric) -> UpperTriangular:
     u_off = u.indices != u_rows
     diag = np.sqrt(u.diagonal())
     indptr, indices = _symbolic_fill(m)
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    vals = np.zeros(indices.size)
-    at = np.searchsorted(row_ids * n + indices, u_rows[u_off] * n + u.indices[u_off])
-    vals[at] = u.data[u_off] / diag[u_rows[u_off]]
+    vals = _values_on_pattern(
+        indptr, indices, u_rows[u_off], u.indices[u_off], u.data[u_off] / diag[u_rows[u_off]]
+    )
     return UpperTriangular(diag, SparseRowBlock(n, n, indptr, indices, vals))
 
 
@@ -610,11 +561,12 @@ def permute_symmetric(m: SparseSymmetric, p: Permutation) -> SparseSymmetric:
     """Symmetric reordering: out[i, j] = m[p(i), p(j)].  nnz is unchanged."""
     if p.dim != m.dim:
         raise DimensionMismatch(f"permutation dim {p.dim} != matrix dim {m.dim}")
-    new_r = p.inverse[m.rows]
-    new_c = p.inverse[m.cols]
+    u = m.upper
+    new_r = p.inverse[u.row_ids]
+    new_c = p.inverse[u.indices]
     lo = np.minimum(new_r, new_c)
     hi = np.maximum(new_r, new_c)
-    return SparseSymmetric(m.dim, lo, hi, m.vals.copy())
+    return SparseSymmetric(SparseRowBlock.from_coo(m.dim, m.dim, lo, hi, u.data))
 
 
 def permute_triangular_back(
@@ -727,13 +679,3 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
 def logdet_triangular(r: UpperTriangular) -> float:
     """log |R^T R| = 2 * sum(log diag(R)); linear in the dimension."""
     return float(2.0 * np.sum(np.log(r.diag)))
-
-
-def dense_logdet_oracle(m: SparseSymmetric) -> float:
-    """Dense-factorization log-determinant, for tests and cross-checks only."""
-    dense = m.to_dense()
-    try:
-        chol = np.linalg.cholesky(dense)
-    except np.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(str(e)) from e
-    return float(2.0 * np.sum(np.log(chol.diagonal())))

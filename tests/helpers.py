@@ -12,14 +12,56 @@ from beliefplan.errors import NotPositiveDefinite
 from beliefplan.sparse import PIVOT_FLOOR, SparseRowBlock, SparseSymmetric, UpperTriangular
 
 
+def row_block_from_dense(a, n_cols=None) -> SparseRowBlock:
+    """Nonzero entries of ``a`` as a CSR row block over ``n_cols`` (default:
+    ``a``'s own columns)."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    rows, cols = np.nonzero(a)
+    return SparseRowBlock.from_coo(a.shape[0], a.shape[1] if n_cols is None else n_cols, rows, cols, a[rows, cols])
+
+
+def triangular_from_dense(a) -> UpperTriangular:
+    """The diagonal and nonzero strictly-upper entries of a square ``a``."""
+    a = np.asarray(a, dtype=np.float64)
+    return UpperTriangular(a.diagonal().copy(), row_block_from_dense(np.triu(a, 1)))
+
+
+def symmetric_from_coo(dim, rows, cols, vals) -> SparseSymmetric:
+    """Upper-triangle coordinates in any order; a repeat is rejected."""
+    return SparseSymmetric(SparseRowBlock.from_coo(dim, dim, rows, cols, vals))
+
+
+def symmetric_from_dense(a) -> SparseSymmetric:
+    """Nonzero upper-triangle entries of a symmetric ``a``."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-13 * max(1.0, np.abs(a).max(initial=0.0))):
+        raise ValueError("matrix is not symmetric")
+    iu, ju = np.triu_indices(a.shape[0])
+    keep = a[iu, ju] != 0.0
+    return symmetric_from_coo(a.shape[0], iu[keep], ju[keep], a[iu, ju][keep])
+
+
+def symmetric_diagonal(values) -> SparseSymmetric:
+    """Diagonal matrix storing every diagonal entry, zeros included."""
+    idx = np.arange(len(values))
+    return symmetric_from_coo(len(values), idx, idx, values)
+
+
+def dense_logdet_oracle(m: SparseSymmetric) -> float:
+    """Dense-factorization log-determinant of a sparse symmetric matrix."""
+    try:
+        chol = np.linalg.cholesky(m.to_dense())
+    except np.linalg.LinAlgError as e:
+        raise NotPositiveDefinite(str(e)) from e
+    return float(2.0 * np.sum(np.log(chol.diagonal())))
+
+
 def random_sparse_spd(rng, dim, density=0.3, shift=1.0):
     """Random sparse SPD matrix built as A^T A + d I."""
     a = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < density)
     return a.T @ a + np.eye(dim) * (shift + rng.random())
-
-
-def random_spd_sparse_symmetric(rng, dim, density=0.3):
-    return SparseSymmetric.from_dense(random_sparse_spd(rng, dim, density))
 
 
 def random_update(rng, dim, n_new, extra_rows, density=0.5):
@@ -30,7 +72,7 @@ def random_update(rng, dim, n_new, extra_rows, density=0.5):
     for k in range(n_new):
         u[k, dim + k] = rng.normal() + 2.0
         u[k, dim + k + 1:] = 0.0
-    return SparseRowBlock.from_dense(u, n_cols=dim + n_new)
+    return row_block_from_dense(u, n_cols=dim + n_new)
 
 
 def dense_logdet(m):
@@ -92,10 +134,6 @@ def upper_pattern(r: UpperTriangular):
     return coords
 
 
-def symmetric_pattern(m: SparseSymmetric):
-    return set(zip(m.rows.tolist(), m.cols.tolist()))
-
-
 def pair_row(dim, i, j, a, b):
     """Rank-1 constraint row a*e_i + b*e_j over ``dim`` variables."""
     row = np.zeros(dim)
@@ -115,7 +153,7 @@ def build_toy_full_slam(rng=None):
     import numpy as np
 
     from beliefplan.belief import CandidateAction, GaussianBelief, VariableLayout
-    from beliefplan.sparse import SparseRowBlock, SparseSymmetric, cholesky
+    from beliefplan.sparse import cholesky
 
     rng = np.random.default_rng(77) if rng is None else rng
     names = ("x1", "x2", "x3", "l1", "l2", "l3")
@@ -128,7 +166,7 @@ def build_toy_full_slam(rng=None):
     for i, j in [(0, 1), (1, 2), (0, 3), (0, 4), (1, 4), (2, 5)]:
         rows.append(pair_row(n, i, j, val(), -val()))
     prior_rows = np.vstack(rows)
-    info = SparseSymmetric.from_dense(prior_rows.T @ prior_rows)
+    info = symmetric_from_dense(prior_rows.T @ prior_rows)
     layout = VariableLayout.from_sizes([1] * n)
     belief = GaussianBelief(np.zeros(n), cholesky(info), layout)
 
@@ -142,7 +180,7 @@ def build_toy_full_slam(rng=None):
         u[2][n] = -val()  # observe the landmark from new pose 1
         return CandidateAction(
             action_id,
-            SparseRowBlock.from_dense(u, n_cols=n + 2),
+            row_block_from_dense(u, n_cols=n + 2),
             n_new_vars=2,
             predicted_new_means=np.array([0.5, 1.0]),
             new_blocks=(("generic", 1), ("generic", 1)),
@@ -157,11 +195,11 @@ def single_row_problem(rng, n, n_inv, sparsify_involved=0.5):
     nonnegative measurement rows over a small shared involved set, with the
     uninvolved blocks (plus a random slice of involved ones) sparsified."""
     from beliefplan.belief import CandidateAction, GaussianBelief, VariableLayout
-    from beliefplan.sparse import SparseRowBlock, SparseSymmetric, cholesky
+    from beliefplan.sparse import cholesky
     from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
     lam = random_sparse_spd(rng, n, density=0.6)
-    root = cholesky(SparseSymmetric.from_dense(lam))
+    root = cholesky(symmetric_from_dense(lam))
     b = GaussianBelief(np.zeros(n), root, VariableLayout.from_sizes([1] * n))
     inv_vars = sorted(rng.choice(n, size=n_inv, replace=False).tolist())
     candidates = []
@@ -172,7 +210,7 @@ def single_row_problem(rng, n, n_inv, sparsify_involved=0.5):
                 row[v] = 0.2 + rng.random()
         if not row.any():
             row[inv_vars[0]] = 0.5
-        candidates.append(CandidateAction(cid, SparseRowBlock.from_dense(row[None, :], n_cols=n)))
+        candidates.append(CandidateAction(cid, row_block_from_dense(row[None, :], n_cols=n)))
     mask = detect_involvement(b.layout, candidates)
     involved = sorted(mask.involved_blocks)
     extra = [v for v in involved if rng.random() < sparsify_involved]

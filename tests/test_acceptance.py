@@ -31,10 +31,8 @@ from beliefplan.scenario import (
 )
 from beliefplan.sparse import (
     Permutation,
-    SparseSymmetric,
     UpperTriangular,
     cholesky,
-    dense_logdet_oracle,
     logdet_triangular,
     lowrank_update,
     permute_symmetric,
@@ -43,7 +41,7 @@ from beliefplan.sparse import (
 from beliefplan.bounds import rank1_offset_bound
 from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
-from helpers import random_sparse_spd, random_update, single_row_problem
+from helpers import dense_logdet_oracle, random_sparse_spd, random_update, single_row_problem, symmetric_from_dense
 from test_bounds import count_spanning_trees_brute_force
 
 
@@ -129,7 +127,7 @@ def test_criterion_2_sparsification_preserves_logdet():
     worst = 0.0
     for _ in range(500):
         n = int(rng.integers(2, 121))
-        root = cholesky(SparseSymmetric.from_dense(random_sparse_spd(rng, n, density=0.15)))
+        root = cholesky(symmetric_from_dense(random_sparse_spd(rng, n, density=0.15)))
         b = GaussianBelief(np.zeros(n), root, VariableLayout.from_sizes([1] * n))
         blocks = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
         b_s = sparsify_belief(b, SparsificationSpec.custom(blocks))
@@ -151,7 +149,7 @@ def test_criterion_3_back_permuted_factor_stays_triangular():
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(3, 64))
-        info = SparseSymmetric.from_dense(random_sparse_spd(rng, n, density=0.2))
+        info = symmetric_from_dense(random_sparse_spd(rng, n, density=0.2))
         k = int(rng.integers(1, n))
         s_vars = sorted(rng.choice(n, size=k, replace=False).tolist())
         perm = Permutation.move_to_front(n, s_vars)
@@ -181,13 +179,13 @@ def test_criterion_4_givens_update_matches_dense_oracle():
     for _ in range(200):
         n = int(rng.integers(1, 40))
         dense = random_sparse_spd(rng, n)
-        root = cholesky(SparseSymmetric.from_dense(dense))
+        root = cholesky(symmetric_from_dense(dense))
         n_new = int(rng.integers(0, 4))
         u = random_update(rng, n, n_new, extra_rows=int(rng.integers(0, 6)))
         updated = lowrank_update(root, u, n_new)
         aug = np.zeros((n + n_new, n + n_new))
         aug[:n, :n] = dense
-        expected = dense_logdet_oracle(SparseSymmetric.from_dense(aug + u.to_dense().T @ u.to_dense()))
+        expected = dense_logdet_oracle(symmetric_from_dense(aug + u.to_dense().T @ u.to_dense()))
         got = logdet_triangular(updated)
         rel = abs(got - expected) / max(1.0, abs(expected))
         worst = max(worst, rel)

@@ -21,13 +21,21 @@ from beliefplan.belief import (
     propagate,
 )
 from beliefplan.errors import BeliefPlanError, EvaluationError, RankDeficientAugmentation
-from beliefplan.sparse import SparseRowBlock, SparseSymmetric, UpperTriangular, cholesky
+from beliefplan.sparse import SparseRowBlock, UpperTriangular, cholesky
 
-from helpers import build_toy_full_slam, dense_logdet, mutate_json, random_sparse_spd, random_update
+from helpers import (
+    build_toy_full_slam,
+    dense_logdet,
+    mutate_json,
+    random_sparse_spd,
+    random_update,
+    row_block_from_dense,
+    symmetric_from_dense,
+)
 
 
 def belief_from_dense(info, mean=None):
-    root = cholesky(SparseSymmetric.from_dense(info))
+    root = cholesky(symmetric_from_dense(info))
     layout = VariableLayout.from_sizes([1] * root.dim)
     mean = np.zeros(root.dim) if mean is None else np.asarray(mean, dtype=float)
     return GaussianBelief(mean, root, layout)
@@ -51,7 +59,7 @@ class TestEntropy:
 class TestObjective:
     def test_rank1_on_identity(self):
         b = belief_from_dense(np.eye(2))
-        a = CandidateAction(0, SparseRowBlock.from_dense([[1.0, 0.0]]))
+        a = CandidateAction(0, row_block_from_dense([[1.0, 0.0]]))
         np.testing.assert_allclose(objective(b, a), -2.4913034761293727, rtol=1e-13)
 
     def test_noop_action_is_negated_prior_entropy(self):
@@ -64,7 +72,7 @@ class TestObjective:
         b = belief_from_dense([[1.0]])
         a = CandidateAction(
             0,
-            SparseRowBlock.from_dense([[0.0, 1.0]], n_cols=2),
+            row_block_from_dense([[0.0, 1.0]], n_cols=2),
             n_new_vars=1,
             predicted_new_means=np.array([0.5]),
         )
@@ -87,7 +95,7 @@ class TestObjective:
 
     def test_rank_deficient_augmentation_propagates(self):
         b = belief_from_dense([[1.0]])
-        a = CandidateAction(3, SparseRowBlock.from_dense([[1.0, 0.0]], n_cols=2), n_new_vars=1,
+        a = CandidateAction(3, row_block_from_dense([[1.0, 0.0]], n_cols=2), n_new_vars=1,
                             predicted_new_means=np.array([0.0]))
         with pytest.raises(RankDeficientAugmentation):
             objective(b, a)
@@ -108,7 +116,7 @@ class TestPropagate:
         b = belief_from_dense([[1.0]], mean=[0.25])
         a = CandidateAction(
             0,
-            SparseRowBlock.from_dense([[0.0, 1.0]], n_cols=2),
+            row_block_from_dense([[0.0, 1.0]], n_cols=2),
             n_new_vars=1,
             predicted_new_means=np.array([0.5]),
         )
@@ -143,7 +151,7 @@ class TestPropagate:
             stacked_rows[u1.n_rows:, :] = u2.to_dense()
             stacked = CandidateAction(
                 2,
-                SparseRowBlock.from_dense(stacked_rows, n_cols=n + 2),
+                row_block_from_dense(stacked_rows, n_cols=n + 2),
                 n_new_vars=2,
                 predicted_new_means=np.zeros(2),
             )

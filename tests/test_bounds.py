@@ -28,10 +28,19 @@ from beliefplan.errors import (
     NotRankOne,
     RankDeficientAugmentation,
 )
-from beliefplan.sparse import SparseRowBlock, SparseSymmetric, cholesky
+from beliefplan.sparse import SparseRowBlock, cholesky
 from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
-from helpers import dense_inverse_block, loop_is_connected, loop_laplacian, random_sparse_spd, random_update
+from helpers import (
+    dense_inverse_block,
+    loop_is_connected,
+    loop_laplacian,
+    random_sparse_spd,
+    random_update,
+    row_block_from_dense,
+    symmetric_from_coo,
+    symmetric_from_dense,
+)
 
 
 def count_spanning_trees_brute_force(n_nodes, edges):
@@ -70,7 +79,7 @@ def random_connected_graph(rng, n_nodes):
 
 
 def scalar_belief(info):
-    root = cholesky(SparseSymmetric.from_dense(info))
+    root = cholesky(symmetric_from_dense(info))
     return GaussianBelief(np.zeros(root.dim), root, VariableLayout.from_sizes([1] * root.dim))
 
 
@@ -219,11 +228,17 @@ class TestTopologicalBounds:
         with pytest.raises(ValueError):
             TopologicalNoiseConfig(psi=-0.1)
 
+    @pytest.mark.parametrize("field", ["mu", "psi", "ratio"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constants_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TopologicalNoiseConfig(**{field: value})
+
 
 class TestDeterminantBounds:
     def test_rank1_lower(self):
         b = scalar_belief(np.diag([2.0, 2.0]))
-        a = CandidateAction(0, SparseRowBlock.from_dense([[1.0, 0.0]]))
+        a = CandidateAction(0, row_block_from_dense([[1.0, 0.0]]))
         lb, ub = determinant_bounds(b, a)
         j = objective(b, a)
         np.testing.assert_allclose(lb, 0.5 * (math.log(4.0) - 2 * LN_2PI_E), rtol=1e-12)
@@ -233,7 +248,7 @@ class TestDeterminantBounds:
     def test_hadamard_upper(self):
         # posterior [[2,1],[1,2]]: diagonal product 4 dominates det 3
         b = scalar_belief(np.eye(2))
-        a = CandidateAction(0, SparseRowBlock.from_dense([[1.0, 1.0]]))
+        a = CandidateAction(0, row_block_from_dense([[1.0, 1.0]]))
         _, ub = determinant_bounds(b, a)
         j = objective(b, a)
         np.testing.assert_allclose(ub, 0.5 * (math.log(4.0) - 2 * LN_2PI_E), rtol=1e-12)
@@ -261,7 +276,7 @@ class TestDeterminantBounds:
 
     def test_unsupported_augmentation_rejected(self):
         b = scalar_belief(np.eye(2))
-        u = SparseRowBlock.from_dense([[1.0, 0.0, 0.0]], n_cols=3)
+        u = row_block_from_dense([[1.0, 0.0, 0.0]], n_cols=3)
         with pytest.raises(RankDeficientAugmentation):
             determinant_bounds(b, CandidateAction(0, u, n_new_vars=1, predicted_new_means=np.zeros(1)))
 
@@ -274,7 +289,7 @@ class TestRankOneOffsetBound:
         rng = np.random.default_rng(2)
         b = scalar_belief(random_sparse_spd(rng, 6))
         mask = detect_involvement(
-            b.layout, [CandidateAction(0, SparseRowBlock.from_dense([[1.0] + [0.0] * 5]))]
+            b.layout, [CandidateAction(0, row_block_from_dense([[1.0] + [0.0] * 5]))]
         )
         assert rank1_offset_bound(b, b, mask, alpha=1.0) == 0.0
 
@@ -330,7 +345,7 @@ class TestRankOneOffsetBound:
     def test_multirow_candidate_rejected(self):
         rng = np.random.default_rng(13)
         b, b_s, mask, _ = single_row_problem(rng, 6, 1)
-        wide = CandidateAction(9, SparseRowBlock.from_dense(np.ones((2, 6))))
+        wide = CandidateAction(9, row_block_from_dense(np.ones((2, 6))))
         with pytest.raises(NotRankOne):
             rank1_offset_bound(b, b_s, mask, alpha=10.0, candidates=[wide])
 
@@ -362,11 +377,11 @@ class TestInverseBlock:
         cols = np.concatenate([idx, idx[:-1] + 1, idx[:-5] + 5])
         vals = np.concatenate([np.full(n, 4.0), np.full(n - 1, -1.0), np.full(n - 5, 0.5)])
         b = GaussianBelief(
-            np.zeros(n), cholesky(SparseSymmetric(n, rows, cols, vals)), VariableLayout.from_sizes([1] * n)
+            np.zeros(n), cholesky(symmetric_from_coo(n, rows, cols, vals)), VariableLayout.from_sizes([1] * n)
         )
         row = np.zeros((1, n))
         row[0, [2000, 2001, 4500]] = (0.5, 0.3, 0.7)
-        candidates = [CandidateAction(0, SparseRowBlock.from_dense(row))]
+        candidates = [CandidateAction(0, row_block_from_dense(row))]
         mask = detect_involvement(b.layout, candidates)
         b_s = sparsify_belief(b, SparsificationSpec.custom(range(n // 3, n // 2)), mask)
         tracemalloc.start()

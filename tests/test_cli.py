@@ -203,12 +203,26 @@ class TestUsageErrors:
         assert exc.value.code == cli.EXIT_ERROR
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
-    def test_zero_seeds_exits_1_before_any_session(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--seeds", "0", "--n-poses", "12"], "--seeds: must be at least 1"),
+            (["bench", "--repeats", "0", "--n-poses", "12"], "--repeats: must be at least 1"),
+            (["solve", "--scenario", str(TINY), "--repeats", "-3"], "--repeats: must be at least 1"),
+            (["solve", "--scenario", str(TINY), "--ratios", "0.25,nan"], "--ratios: ratios must be finite"),
+            (["bounds", "--scenario", str(TINY), "--ratios", "nan"], "--ratios: ratios must be finite"),
+            (["bounds", "--scenario", str(TINY), "--ratios", "inf"], "--ratios: ratios must be finite"),
+        ],
+        ids=["seeds-0", "bench-repeats-0", "solve-repeats-negative", "solve-ratios-nan", "bounds-ratios-nan",
+             "bounds-ratios-inf"],
+    )
+    def test_bad_count_or_ratio_exits_1_before_any_session(self, argv, message, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "bounds.csv")] if argv[0] == "bounds" else ["--out-dir", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
-            run(["bench", "--seeds", "0", "--n-poses", "12", "--out-dir", str(tmp_path)])
+            run(argv + out)
         assert exc.value.code == cli.EXIT_ERROR
-        assert "--seeds: must be at least 1" in capsys.readouterr().err
-        assert not (tmp_path / "bench.csv").exists()
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_help_exits_0_and_unknown_flag_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -51,7 +51,7 @@ class TestGeneration:
         sc = generate(cfg)
         assert all(f.kind != "loop" for f in sc.prior_factors)
         info = sc.prior.root.gram()
-        for i, j in zip(info.rows, info.cols):
+        for i, j in zip(info.upper.row_ids, info.upper.indices):
             assert abs(int(j) // 3 - int(i) // 3) <= 1
 
     def test_prior_root_reconstructs_factor_sum(self):
@@ -232,9 +232,9 @@ class TestInformationAssembly:
     @given(constraint_rows())
     def test_equals_the_row_loop_bit_for_bit(self, jac):
         got, oracle = _information_from_rows(jac), loop_information_from_rows(jac)
-        assert np.array_equal(got.rows, oracle.rows)
-        assert np.array_equal(got.cols, oracle.cols)
-        assert np.array_equal(got.vals.view(np.int64), oracle.vals.view(np.int64))
+        assert np.array_equal(got.upper.indptr, oracle.upper.indptr)
+        assert np.array_equal(got.upper.indices, oracle.upper.indices)
+        assert np.array_equal(got.upper.data.view(np.int64), oracle.upper.data.view(np.int64))
 
     def test_generated_prior_equals_the_row_loop_bit_for_bit(self):
         cfg = ScenarioConfig(seed=3, n_prior_poses=90, n_candidates=5, loop_closure_radius=2.2)
@@ -243,8 +243,9 @@ class TestInformationAssembly:
         means = {k: tuple(p) for k, p in enumerate(sc.executed_path)}
         jac = build_collective_jacobian(sc.prior_factors, means, layout, noise_sqrt_info(cfg)).jacobian
         got, oracle = _information_from_rows(jac), loop_information_from_rows(jac)
-        assert np.array_equal(got.vals.view(np.int64), oracle.vals.view(np.int64))
-        assert np.array_equal(got.rows * got.dim + got.cols, oracle.rows * oracle.dim + oracle.cols)
+        assert np.array_equal(got.upper.data.view(np.int64), oracle.upper.data.view(np.int64))
+        assert np.array_equal(got.upper.indptr, oracle.upper.indptr)
+        assert np.array_equal(got.upper.indices, oracle.upper.indices)
 
 
 class TestTopologicalConstants:
@@ -323,6 +324,11 @@ class TestSession:
         np.testing.assert_array_equal(first.baseline.values, second.baseline.values)
         for res_1, res_2 in zip(first.modes, second.modes):
             np.testing.assert_array_equal(res_1.values, res_2.values)
+
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_fewer_than_one_timing_repeat_is_a_value_error(self, repeats):
+        with pytest.raises(ValueError, match="timing_repeats"):
+            run_session(generate(SMALL), timing_repeats=repeats)
 
     def test_explicit_none_mode_maps_to_baseline(self):
         rep = run_session(generate(SMALL), modes=[SparsificationSpec.none()])

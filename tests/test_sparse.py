@@ -23,7 +23,6 @@ from beliefplan.sparse import (
     SparseSymmetric,
     UpperTriangular,
     cholesky,
-    dense_logdet_oracle,
     logdet_triangular,
     lowrank_update,
     permute_symmetric,
@@ -33,10 +32,15 @@ from beliefplan.sparse import (
 from helpers import (
     dense_cholesky,
     dense_logdet,
+    dense_logdet_oracle,
     random_sparse_spd,
     random_update,
+    row_block_from_dense,
     symbolic_cholesky_pattern,
-    symmetric_pattern,
+    symmetric_diagonal,
+    symmetric_from_coo,
+    symmetric_from_dense,
+    triangular_from_dense,
     upper_pattern,
 )
 
@@ -44,18 +48,18 @@ from helpers import (
 class TestCholesky:
     def test_hand_2x2(self):
         # [[2,1],[1,2]] factors to [[sqrt(2), 1/sqrt(2)], [0, sqrt(3/2)]]
-        m = SparseSymmetric.from_dense([[2.0, 1.0], [1.0, 2.0]])
+        m = symmetric_from_dense([[2.0, 1.0], [1.0, 2.0]])
         r = cholesky(m)
         expected = np.array([[1.4142135623730951, 0.7071067811865475], [0.0, 1.224744871391589]])
         np.testing.assert_allclose(r.to_dense(), expected, rtol=1e-12)
         np.testing.assert_allclose(r.to_dense().T @ r.to_dense(), m.to_dense(), rtol=1e-10)
 
     def test_identity(self):
-        r = cholesky(SparseSymmetric.identity(5))
+        r = cholesky(symmetric_diagonal(np.ones(5)))
         np.testing.assert_array_equal(r.to_dense(), np.eye(5))
 
     def test_diagonal(self):
-        r = cholesky(SparseSymmetric.diagonal([4.0, 9.0]))
+        r = cholesky(symmetric_diagonal([4.0, 9.0]))
         np.testing.assert_array_equal(r.to_dense(), np.diag([2.0, 3.0]))
 
     def test_reconstruction_random(self):
@@ -63,24 +67,24 @@ class TestCholesky:
         for _ in range(60):
             n = int(rng.integers(1, 65))
             dense = random_sparse_spd(rng, n)
-            r = cholesky(SparseSymmetric.from_dense(dense))
+            r = cholesky(symmetric_from_dense(dense))
             np.testing.assert_allclose(r.to_dense().T @ r.to_dense(), dense, rtol=1e-9, atol=1e-9)
             assert np.all(r.diag > 0)
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
-            cholesky(SparseSymmetric.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky(symmetric_from_dense([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
-            cholesky(SparseSymmetric.diagonal([1.0, 0.0]))
+            cholesky(symmetric_diagonal([1.0, 0.0]))
 
     def test_fill_pattern_matches_symbolic_elimination(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(2, 30))
             dense = random_sparse_spd(rng, n, density=0.2)
-            m = SparseSymmetric.from_dense(dense)
+            m = symmetric_from_dense(dense)
             adjacency = [set() for _ in range(n)]
-            for i, j in zip(m.rows, m.cols):
+            for i, j in zip(m.upper.row_ids, m.upper.indices):
                 if i != j:
                     adjacency[int(i)].add(int(j))
             expected = symbolic_cholesky_pattern(adjacency, n)
@@ -95,14 +99,14 @@ def spd_with_stored_zeros(draw):
     n = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dense = random_sparse_spd(rng, n, density=draw(st.sampled_from([0.05, 0.15, 0.3])))
-    m = SparseSymmetric.from_dense(dense)
+    m = symmetric_from_dense(dense)
     iu, ju = np.triu_indices(n)
     zero = (dense[iu, ju] == 0.0) & (rng.random(iu.size) < draw(st.sampled_from([0.0, 0.1, 0.4])))
-    return SparseSymmetric(
+    return symmetric_from_coo(
         n,
-        np.concatenate([m.rows, iu[zero]]),
-        np.concatenate([m.cols, ju[zero]]),
-        np.concatenate([m.vals, np.zeros(int(zero.sum()))]),
+        np.concatenate([m.upper.row_ids, iu[zero]]),
+        np.concatenate([m.upper.indices, ju[zero]]),
+        np.concatenate([m.upper.data, np.zeros(int(zero.sum()))]),
     )
 
 
@@ -117,7 +121,7 @@ class TestSparseFactorKernels:
     @given(spd_with_stored_zeros())
     def test_cholesky_keeps_the_fill_pattern_and_matches_the_dense_oracle(self, m):
         adjacency = [set() for _ in range(m.dim)]
-        for i, j in zip(m.rows.tolist(), m.cols.tolist()):
+        for i, j in zip(m.upper.row_ids.tolist(), m.upper.indices.tolist()):
             if i != j:
                 adjacency[i].add(j)
         r = cholesky(m)
@@ -145,7 +149,7 @@ class TestSparseFactorKernels:
             d = rng.uniform(0.5, 2.0, n)
             d[k] = -rng.uniform(0.1, 2.0) if kind == "indefinite" else 1e-14
             dense = unit.T @ (d[:, None] * unit)
-        m = SparseSymmetric.from_dense(dense)
+        m = symmetric_from_dense(dense)
         with pytest.raises(NotPositiveDefinite) as oracle:
             dense_cholesky(m)
         with pytest.raises(NotPositiveDefinite) as got:
@@ -155,7 +159,7 @@ class TestSparseFactorKernels:
     def test_negative_pivot_ahead_of_a_singular_column(self):
         # SuperLU stops at the empty column 2 without a factor; the first
         # failing pivot is still the negative one at index 1
-        m = SparseSymmetric.from_dense([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1.0]])
+        m = symmetric_from_dense([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1.0]])
         with pytest.raises(NotPositiveDefinite, match="at index 1 "):
             dense_cholesky(m)
         with pytest.raises(NotPositiveDefinite, match="at index 1 "):
@@ -182,24 +186,58 @@ class TestSparseFactorKernels:
                 support[e, d:] |= stored[d, : n - d] & stored[d + e, : n - d]
         g = r.gram()
         e, j = np.nonzero(support)
-        assert set(zip(g.rows.tolist(), g.cols.tolist())) == set(zip(j.tolist(), (j + e).tolist()))
-        np.testing.assert_allclose(g.vals, vals[g.cols - g.rows, g.rows], rtol=0, atol=1e-13 * np.abs(vals).max())
+        rows, cols = g.upper.row_ids, g.upper.indices
+        assert set(zip(rows.tolist(), cols.tolist())) == set(zip(j.tolist(), (j + e).tolist()))
+        np.testing.assert_allclose(g.upper.data, vals[cols - rows, rows], rtol=0, atol=1e-13 * np.abs(vals).max())
+
+
+@st.composite
+def upper_coordinates(draw):
+    """Upper-triangle coordinates in any order, with repeats and stored
+    zeros; magnitudes far apart make every sum depend on its order."""
+    dim = draw(st.integers(1, 6))
+    value = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e17, 1e17), st.floats(-1.0, 1.0))
+    entries = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), value), max_size=40))
+    return dim, [(min(i, j), max(i, j), v) for i, j, v in entries]
+
+
+class TestAccumulate:
+    @settings(max_examples=300, deadline=None)
+    @given(upper_coordinates())
+    def test_sums_repeats_in_input_order_bit_for_bit(self, case):
+        dim, entries = case
+        sums = {}
+        for i, j, v in entries:
+            sums[i, j] = sums.get((i, j), 0.0) + v
+        rows, cols, vals = (np.array([e[k] for e in entries]) for k in range(3))
+        m = SparseSymmetric.accumulate(dim, rows, cols, vals)
+        keys = sorted(sums)
+        assert m.dim == dim
+        assert m.upper.row_ids.tolist() == [i for i, _ in keys]
+        assert m.upper.indices.tolist() == [j for _, j in keys]
+        assert np.array_equal(m.upper.data.view(np.int64), np.array([sums[k] for k in keys]).view(np.int64))
+
+    @pytest.mark.parametrize("rows, cols", [([1], [0]), ([0], [2]), ([-1], [1]), ([2], [2])],
+                             ids=["below", "column-out-of-range", "negative-row", "row-out-of-range"])
+    def test_rejects_coordinates_outside_the_upper_triangle(self, rows, cols):
+        with pytest.raises(ValueError):
+            SparseSymmetric.accumulate(2, rows, cols, [1.0])
 
 
 class TestPermutations:
     def test_diagonal_permutation(self):
-        m = SparseSymmetric.diagonal([1.0, 2.0, 3.0])
+        m = symmetric_diagonal([1.0, 2.0, 3.0])
         p = Permutation(np.array([2, 0, 1]))
         out = permute_symmetric(m, p)
         np.testing.assert_array_equal(out.to_dense(), np.diag([3.0, 1.0, 2.0]))
 
     def test_identity_permutation(self):
-        m = SparseSymmetric.from_dense([[2.0, 1.0], [1.0, 3.0]])
-        out = permute_symmetric(m, Permutation.identity(2))
+        m = symmetric_from_dense([[2.0, 1.0], [1.0, 3.0]])
+        out = permute_symmetric(m, Permutation(np.arange(2)))
         np.testing.assert_array_equal(out.to_dense(), m.to_dense())
 
     def test_swap_matches_dense_oracle(self):
-        m = SparseSymmetric.from_dense([[2.0, 1.0], [1.0, 3.0]])
+        m = symmetric_from_dense([[2.0, 1.0], [1.0, 3.0]])
         p = Permutation(np.array([1, 0]))
         out = permute_symmetric(m, p)
         oracle = m.to_dense()[np.ix_(p.forward, p.forward)]
@@ -210,17 +248,17 @@ class TestPermutations:
         rng = np.random.default_rng(3)
         for _ in range(40):
             n = int(rng.integers(2, 40))
-            m = SparseSymmetric.from_dense(random_sparse_spd(rng, n))
+            m = symmetric_from_dense(random_sparse_spd(rng, n))
             p = Permutation(rng.permutation(n))
             back = permute_symmetric(permute_symmetric(m, p), p.inverted())
-            assert np.array_equal(back.rows, m.rows)
-            assert np.array_equal(back.cols, m.cols)
-            assert np.array_equal(back.vals, m.vals)
+            assert np.array_equal(back.upper.indptr, m.upper.indptr)
+            assert np.array_equal(back.upper.indices, m.upper.indices)
+            assert np.array_equal(back.upper.data, m.upper.data)
             assert permute_symmetric(m, p).nnz == m.nnz
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            permute_symmetric(SparseSymmetric.identity(3), Permutation.identity(2))
+            permute_symmetric(symmetric_diagonal(np.ones(3)), Permutation(np.arange(2)))
 
     def test_forward_inverse_compose_to_identity(self):
         rng = np.random.default_rng(9)
@@ -242,7 +280,7 @@ class TestPermuteTriangularBack:
             dense = random_sparse_spd(rng, n, density=0.4)
             s_vars = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
             perm = Permutation.move_to_front(n, s_vars)
-            rp = cholesky(permute_symmetric(SparseSymmetric.from_dense(dense), perm))
+            rp = cholesky(permute_symmetric(symmetric_from_dense(dense), perm))
             # sparsify the leading rows, then permute back
             k = len(s_vars)
             rows_c = tuple(np.empty(0, dtype=np.int64) if i < k else rp.row_cols[i] for i in range(n))
@@ -254,27 +292,27 @@ class TestPermuteTriangularBack:
             np.testing.assert_allclose(out.to_dense().T @ out.to_dense(), target, rtol=1e-9, atol=1e-9)
 
     def test_shape_violation_when_rows_not_sparsified(self):
-        r = cholesky(SparseSymmetric.from_dense([[2.0, 1.0], [1.0, 2.0]]))
+        r = cholesky(symmetric_from_dense([[2.0, 1.0], [1.0, 2.0]]))
         with pytest.raises(ShapeViolation):
             permute_triangular_back(r, Permutation(np.array([1, 0])), {0})
 
 
 class TestLowRankUpdate:
     def test_hand_rank1(self):
-        r = UpperTriangular.identity(2)
-        u = SparseRowBlock.from_dense([[1.0, 1.0]])
+        r = UpperTriangular.from_diagonal(np.ones(2))
+        u = row_block_from_dense([[1.0, 1.0]])
         out = lowrank_update(r, u, 0)
         expected = np.array([[1.4142135623730951, 0.7071067811865475], [0.0, 1.224744871391589]])
         np.testing.assert_allclose(out.to_dense(), expected, rtol=1e-12)
 
     def test_empty_update_is_noop(self):
-        r = UpperTriangular.identity(2)
+        r = UpperTriangular.from_diagonal(np.ones(2))
         out = lowrank_update(r, SparseRowBlock.empty(2), 0)
         np.testing.assert_array_equal(out.to_dense(), np.eye(2))
 
     def test_augmentation_single_new_var(self):
         r = UpperTriangular.from_diagonal([1.0])
-        u = SparseRowBlock.from_dense([[0.0, 1.0]], n_cols=2)
+        u = row_block_from_dense([[0.0, 1.0]], n_cols=2)
         out = lowrank_update(r, u, 1)
         np.testing.assert_allclose(out.to_dense(), np.eye(2))
 
@@ -283,7 +321,7 @@ class TestLowRankUpdate:
         for _ in range(200):
             n = int(rng.integers(1, 25))
             dense = random_sparse_spd(rng, n)
-            r = cholesky(SparseSymmetric.from_dense(dense))
+            r = cholesky(symmetric_from_dense(dense))
             n_new = int(rng.integers(0, 4))
             u = random_update(rng, n, n_new, extra_rows=int(rng.integers(0, 6)))
             out = lowrank_update(r, u, n_new)
@@ -298,8 +336,8 @@ class TestLowRankUpdate:
     def test_untouched_rows_are_shared(self):
         # rows outside the update's reach keep their entries, bit for bit
         rng = np.random.default_rng(4)
-        r = cholesky(SparseSymmetric.from_dense(random_sparse_spd(rng, 6, density=0.4)))
-        u = SparseRowBlock.from_dense([[0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
+        r = cholesky(symmetric_from_dense(random_sparse_spd(rng, 6, density=0.4)))
+        u = row_block_from_dense([[0.0, 0.0, 0.0, 0.0, 1.0, 1.0]])
         out = lowrank_update(r, u, 0)
         for i in range(4):
             assert out.diag[i] == r.diag[i]
@@ -307,14 +345,14 @@ class TestLowRankUpdate:
             np.testing.assert_array_equal(out.row_vals[i], r.row_vals[i])
 
     def test_rank_deficient_augmentation(self):
-        r = UpperTriangular.identity(2)
-        u = SparseRowBlock.from_dense([[1.0, 0.0, 0.0]], n_cols=3)
+        r = UpperTriangular.from_diagonal(np.ones(2))
+        u = row_block_from_dense([[1.0, 0.0, 0.0]], n_cols=3)
         with pytest.raises(RankDeficientAugmentation):
             lowrank_update(r, u, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            lowrank_update(UpperTriangular.identity(2), SparseRowBlock.empty(4), 1)
+            lowrank_update(UpperTriangular.from_diagonal(np.ones(2)), SparseRowBlock.empty(4), 1)
 
 
 class TestLogDet:
@@ -323,33 +361,37 @@ class TestLogDet:
         np.testing.assert_allclose(logdet_triangular(r), 3.58351893845611, rtol=1e-12)
 
     def test_identity(self):
-        assert logdet_triangular(UpperTriangular.identity(7)) == 0.0
+        assert logdet_triangular(UpperTriangular.from_diagonal(np.ones(7))) == 0.0
 
     def test_factor_of_2x2(self):
-        r = cholesky(SparseSymmetric.from_dense([[2.0, 1.0], [1.0, 2.0]]))
+        r = cholesky(symmetric_from_dense([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(logdet_triangular(r), 1.0986122886681098, rtol=1e-12)
 
     def test_oracle_values(self):
-        m = SparseSymmetric.from_dense([[2.0, 1.0], [1.0, 2.0]])
+        m = symmetric_from_dense([[2.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(dense_logdet_oracle(m), 1.0986122886681098, rtol=1e-12)
-        assert dense_logdet_oracle(SparseSymmetric.identity(4)) == 0.0
-        np.testing.assert_allclose(dense_logdet_oracle(SparseSymmetric.diagonal([2.0, 2.0])), 2 * np.log(2.0))
+        assert dense_logdet_oracle(symmetric_diagonal(np.ones(4))) == 0.0
+        np.testing.assert_allclose(dense_logdet_oracle(symmetric_diagonal([2.0, 2.0])), 2 * np.log(2.0))
         with pytest.raises(NotPositiveDefinite):
-            dense_logdet_oracle(SparseSymmetric.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+            dense_logdet_oracle(symmetric_from_dense([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestTypes:
     def test_symmetric_rejects_lower_entries(self):
         with pytest.raises(ValueError):
-            SparseSymmetric.from_entries(2, [(1, 0, 1.0)])
+            SparseSymmetric(SparseRowBlock(2, 2, [0, 0, 1], [0], [1.0]))
 
     def test_symmetric_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            SparseSymmetric.from_entries(2, [(0, 1, 1.0), (0, 1, 2.0)])
+            SparseSymmetric(SparseRowBlock(2, 2, [0, 2, 2], [1, 1], [1.0, 2.0]))
 
     def test_symmetric_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            SparseSymmetric.from_entries(2, [(0, 1, np.nan)])
+            SparseSymmetric(SparseRowBlock(2, 2, [0, 1, 1], [1], [np.nan]))
+
+    def test_symmetric_rejects_non_square_block(self):
+        with pytest.raises(ValueError):
+            SparseSymmetric(SparseRowBlock(1, 2, [0, 1], [1], [1.0]))
 
     def test_triangular_requires_positive_diagonal(self):
         with pytest.raises(ValueError):
@@ -361,7 +403,7 @@ class TestTypes:
                                       (np.array([1.0]), np.array([])))
 
     def test_row_block_allows_vacuous_rows(self):
-        u = SparseRowBlock.from_dense(np.zeros((2, 3)))
+        u = row_block_from_dense(np.zeros((2, 3)))
         assert u.n_rows == 2 and u.nnz == 0
 
     def test_permutation_rejects_repeats(self):
@@ -371,39 +413,21 @@ class TestTypes:
     def test_gram_diagonal_matches_dense(self):
         rng = np.random.default_rng(2)
         dense = random_sparse_spd(rng, 12)
-        r = cholesky(SparseSymmetric.from_dense(dense))
+        r = cholesky(symmetric_from_dense(dense))
         np.testing.assert_allclose(r.gram_diagonal(), np.diag(dense), rtol=1e-10)
 
 
 class TestMatrixMarket:
-    def test_symmetric_round_trip_exact(self):
-        rng = np.random.default_rng(13)
-        m = SparseSymmetric.from_dense(random_sparse_spd(rng, 9))
-        back = mmio.mm_to_symmetric(mmio.symmetric_to_mm(m))
-        assert np.array_equal(back.vals, m.vals)
-        assert symmetric_pattern(back) == symmetric_pattern(m)
-
     def test_triangular_round_trip_exact(self):
         rng = np.random.default_rng(14)
-        r = cholesky(SparseSymmetric.from_dense(random_sparse_spd(rng, 9)))
+        r = cholesky(symmetric_from_dense(random_sparse_spd(rng, 9)))
         back = mmio.mm_to_triangular(mmio.triangular_to_mm(r))
         assert np.array_equal(back.diag, r.diag)
         assert upper_pattern(back) == upper_pattern(r)
 
-    def test_row_block_round_trip(self):
-        rng = np.random.default_rng(15)
-        u = random_update(rng, 6, 2, extra_rows=3)
-        back = mmio.mm_to_row_block(mmio.row_block_to_mm(u))
-        np.testing.assert_array_equal(back.to_dense(), u.to_dense())
-        assert back.n_cols == u.n_cols
-
-    @pytest.mark.parametrize(
-        "reader, symmetry",
-        [(mmio.mm_to_row_block, "general"), (mmio.mm_to_triangular, "general"), (mmio.mm_to_symmetric, "symmetric")],
-        ids=["row-block", "triangular", "symmetric"],
-    )
-    def test_coordinate_beyond_int64_is_a_value_error(self, reader, symmetry):
-        text = f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 1\n99999999999999999999 1 1.0\n"
+    @pytest.mark.parametrize("reader", [mmio.mm_to_triangular], ids=["triangular"])
+    def test_coordinate_beyond_int64_is_a_value_error(self, reader):
+        text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n99999999999999999999 1 1.0\n"
         with pytest.raises(ValueError, match="64-bit"):
             reader(text)
 
@@ -423,10 +447,7 @@ class TestMatrixMarket:
     def test_external_reader_agrees(self):
         # scipy.io acts as the external oracle for format compliance
         rng = np.random.default_rng(16)
-        m = SparseSymmetric.from_dense(random_sparse_spd(rng, 8))
-        parsed = scipy.io.mmread(BytesIO(mmio.symmetric_to_mm(m).encode()))
-        np.testing.assert_array_equal(parsed.toarray(), m.to_dense())
-        r = cholesky(m)
+        r = cholesky(symmetric_from_dense(random_sparse_spd(rng, 8)))
         parsed_r = scipy.io.mmread(BytesIO(mmio.triangular_to_mm(r).encode()))
         np.testing.assert_array_equal(parsed_r.toarray(), r.to_dense())
 
@@ -505,7 +526,7 @@ class TestCompressedRows:
     @settings(max_examples=150, deadline=None)
     @given(upper_triangular_dense())
     def test_triangular_round_trips_are_exact(self, a):
-        r = UpperTriangular.from_dense(a)
+        r = triangular_from_dense(a)
         np.testing.assert_array_equal(r.to_dense(), a)
         back = mmio.mm_to_triangular(mmio.triangular_to_mm(r))
         np.testing.assert_array_equal(back.diag, r.diag)
@@ -517,13 +538,12 @@ class TestCompressedRows:
     @settings(max_examples=150, deadline=None)
     @given(row_block_dense())
     def test_row_block_round_trips_are_exact(self, a):
-        u = SparseRowBlock.from_dense(a)
+        u = row_block_from_dense(a)
         np.testing.assert_array_equal(u.to_dense(), a)
-        back = mmio.mm_to_row_block(mmio.row_block_to_mm(u))
-        assert (back.n_rows, back.n_cols) == a.shape
-        np.testing.assert_array_equal(back.indptr, u.indptr)
-        np.testing.assert_array_equal(back.indices, u.indices)
-        np.testing.assert_array_equal(back.data, u.data)
+        # the package reads factors only; scipy.io reads the written block
+        back = scipy.io.mmread(BytesIO(mmio.row_block_to_mm(u).encode()))
+        assert back.shape == a.shape
+        np.testing.assert_array_equal(back.toarray(), a)
         for i in range(u.n_rows):
             np.testing.assert_array_equal(u.row_vals[i], a[i, u.row_cols[i]])
 
@@ -551,7 +571,7 @@ class TestCompressedRows:
                                       [np.array(v, dtype=np.float64) for v in vals])
 
     def test_row_views_are_read_only(self):
-        r = UpperTriangular.from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]]))
+        r = triangular_from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 0.0, 1.0]]))
         assert r.row_cols is r.row_cols
         with pytest.raises(ValueError):
             r.row_vals[0][0] = 5.0

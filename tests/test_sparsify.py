@@ -14,7 +14,7 @@ from beliefplan.belief import (
     objective,
 )
 from beliefplan.errors import InvalidSpec, LayoutMismatch
-from beliefplan.sparse import SparseRowBlock, SparseSymmetric, cholesky, logdet_triangular
+from beliefplan.sparse import SparseRowBlock, cholesky, logdet_triangular
 from beliefplan.sparsify import (
     InvolvementMask,
     SparsificationSpec,
@@ -27,13 +27,17 @@ from helpers import (
     build_toy_full_slam,
     pair_row,
     random_sparse_spd,
+    row_block_from_dense,
     symbolic_cholesky_pattern,
+    symmetric_from_coo,
+    symmetric_from_dense,
+    triangular_from_dense,
     upper_pattern,
 )
 
 
 def scalar_belief(info, rng=None):
-    root = cholesky(SparseSymmetric.from_dense(info))
+    root = cholesky(symmetric_from_dense(info))
     layout = VariableLayout.from_sizes([1] * root.dim)
     return GaussianBelief(np.zeros(root.dim), root, layout)
 
@@ -41,7 +45,7 @@ def scalar_belief(info, rng=None):
 class TestDetectInvolvement:
     def test_zero_columns_are_uninvolved(self):
         layout = VariableLayout.from_sizes([1] * 5)
-        u = SparseRowBlock.from_dense(
+        u = row_block_from_dense(
             [[0.0, 0.0, 0.0, 1.2, 0.3], [0.0, 0.0, 0.0, 0.0, 2.0]]
         )
         mask = detect_involvement(layout, [CandidateAction(0, u)])
@@ -58,13 +62,13 @@ class TestDetectInvolvement:
 
     def test_all_zero_jacobians(self):
         layout = VariableLayout.from_sizes([1] * 4)
-        cands = [CandidateAction(0, SparseRowBlock.from_dense(np.zeros((2, 4))))]
+        cands = [CandidateAction(0, row_block_from_dense(np.zeros((2, 4))))]
         mask = detect_involvement(layout, cands)
         assert mask.never_involved(layout) == {0, 1, 2, 3}
 
     def test_augmented_columns_ignored(self):
         layout = VariableLayout.from_sizes([1, 1])
-        u = SparseRowBlock.from_dense([[0.0, 0.0, 1.0]], n_cols=3)
+        u = row_block_from_dense([[0.0, 0.0, 1.0]], n_cols=3)
         mask = detect_involvement(
             layout, [CandidateAction(0, u, n_new_vars=1, predicted_new_means=np.zeros(1))]
         )
@@ -100,7 +104,7 @@ class TestSparsifyBelief:
         for i, j in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 4), (4, 5)]:
             rows.append(pair_row(n, i, j, 0.5 + rng.random(), -(0.5 + rng.random())))
         dense_rows = np.vstack(rows)
-        info = SparseSymmetric.from_dense(dense_rows.T @ dense_rows)
+        info = symmetric_from_dense(dense_rows.T @ dense_rows)
         b = scalar_belief(info.to_dense())
         s_scalars = [0, 2, 3]
 
@@ -109,7 +113,7 @@ class TestSparsifyBelief:
         order = [0, 2, 3, 1, 4, 5]
         pos = {v: k for k, v in enumerate(order)}
         adjacency = [set() for _ in range(n)]
-        for i, j in zip(info.rows, info.cols):
+        for i, j in zip(info.upper.row_ids, info.upper.indices):
             if i != j:
                 a, c = pos[int(i)], pos[int(j)]
                 adjacency[min(a, c)].add(max(a, c))
@@ -120,10 +124,10 @@ class TestSparsifyBelief:
         # factor keeps only the surviving conditionals: l1->x3 and x3->l3
         assert upper_pattern(out.root) == {(i, i) for i in range(n)} | {(1, 4), (4, 5)}
         info_s = out.root.gram()
-        pattern_s = set(zip(info_s.rows.tolist(), info_s.cols.tolist()))
+        pattern_s = set(zip(info_s.upper.row_ids.tolist(), info_s.upper.indices.tolist()))
         assert pattern_s == {(i, i) for i in range(n)} | {(1, 4), (4, 5)}
         # (l1, x3) is a new nonzero introduced by the sparsification
-        assert (1, 4) not in set(zip(info.rows.tolist(), info.cols.tolist()))
+        assert (1, 4) not in set(zip(info.upper.row_ids.tolist(), info.upper.indices.tolist()))
         # determinant preserved
         np.testing.assert_allclose(
             logdet_triangular(out.root), logdet_triangular(b.root), rtol=1e-10
@@ -195,7 +199,7 @@ class TestSparsifyBelief:
                     for t in touched:
                         if rng.random() < 0.7:
                             u[r, t] = rng.normal()
-                candidates.append(CandidateAction(cid, SparseRowBlock.from_dense(u, n_cols=n)))
+                candidates.append(CandidateAction(cid, row_block_from_dense(u, n_cols=n)))
             mask = detect_involvement(b.layout, candidates)
             if not mask.never_involved(b.layout):
                 continue
@@ -213,7 +217,7 @@ class TestMemory:
         cols = np.concatenate([idx, idx[:-1] + 1, idx[:-5] + 5])
         vals = np.concatenate([np.full(n, 4.0), np.full(n - 1, -1.0), np.full(n - 5, 0.5)])
         belief = GaussianBelief(
-            np.zeros(n), cholesky(SparseSymmetric(n, rows, cols, vals)), VariableLayout.from_sizes([1] * n)
+            np.zeros(n), cholesky(symmetric_from_coo(n, rows, cols, vals)), VariableLayout.from_sizes([1] * n)
         )
         tracemalloc.start()
         try:
@@ -232,9 +236,7 @@ class TestFastFullSparsify:
         np.testing.assert_array_equal(out.root.to_dense(), b.root.to_dense())
 
     def test_drops_offdiagonals_preserving_logdet(self):
-        from beliefplan.sparse import UpperTriangular
-
-        r = UpperTriangular.from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        r = triangular_from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
         layout = VariableLayout.from_sizes([1, 1])
         b = GaussianBelief(np.zeros(2), r, layout)
         out = sparsify_belief(b, SparsificationSpec.full())
