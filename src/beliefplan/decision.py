@@ -9,7 +9,8 @@ compared to the original through:
 - action consistency: identical pairwise ordering of the two value
   vectors, which implies zero loss;
 - simplification offset: the max per-candidate value discrepancy, possibly
-  after re-calibrating the simplified values with a monotone balance map.
+  after re-calibrating the simplified values with a monotone balance map;
+- rank correlation, with the tie rule (``_pair_signs``) of consistency.
 
 The minimum offset over all monotone balance maps is not computable in
 general; ``balanced_offset_upper`` returns the minimum over constant
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .belief import GaussianBelief, evaluate_candidates
 from .errors import IndexOutOfRange, LengthMismatch
@@ -132,21 +132,21 @@ def balanced_offset_upper(values_orig, values_simp) -> float:
     return float((d.max() - d.min()) / 2.0)
 
 
-def rank_correlation(values_1, values_2) -> float:
-    """Pearson correlation of the two rank vectors (average ranks on ties).
+def rank_correlation(values_1, values_2, tol: float = 0.0) -> float:
+    """Pearson correlation of the two rank vectors (average ranks on ties,
+    differences within ``tol`` counting as ties, as in ``action_consistent``).
 
     Degenerate inputs are mapped rather than raised: 1.0 when both vectors
-    are constant (identical trivial rankings), 0.0 when exactly one is.
+    are all tied (identical trivial rankings), 0.0 when exactly one is.
     """
     a, b = _check_paired(values_1, values_2)
     if a.size < 2:
         raise LengthMismatch("rank correlation needs at least two candidates")
-    a_const = bool(np.all(a == a[0]))
-    b_const = bool(np.all(b == b[0]))
+    # centred mid-ranks: half the sum over j of sign(v_i - v_j)
+    ra = _pair_signs(a, tol).sum(axis=1) / 2.0
+    rb = _pair_signs(b, tol).sum(axis=1) / 2.0
+    a_const = not ra.any()
+    b_const = not rb.any()
     if a_const or b_const:
         return 1.0 if (a_const and b_const) else 0.0
-    ra = rankdata(a)
-    rb = rankdata(b)
-    ra = ra - ra.mean()
-    rb = rb - rb.mean()
     return float(np.dot(ra, rb) / np.sqrt(np.dot(ra, ra) * np.dot(rb, rb)))

@@ -19,14 +19,15 @@ count up to a noise constant, plus an angular correction controlled by the
 squared lever arms (scaled by the angular:position variance ratio).
 
 ``generate`` and ``scenario_from_json`` build a scenario the same way:
-``_prior_belief`` (whitened prior rows, their information, its sparse
-factor), ``_candidate_actions`` (one whitened Jacobian per plan) and
+``_prior_belief`` (whitened prior rows, their information ``gram()``, its
+sparse factor), ``_candidate_actions`` (one whitened Jacobian per plan) and
 ``_prior_pose_graph``.  ``build_collective_jacobian`` whitens the 3x3
 blocks of all factors as one array stack.
 
 A planning session evaluates all candidates on the original belief and on
 each requested sparsified version, then reports values, selections, loss,
-offsets, rank correlation, nonzero counts, timings, and loss bounds.  The
+offsets, rank correlation and consistency (both tying values within
+``consistency_tolerance``), nonzero counts, timings, and loss bounds.  The
 per-candidate objective bounds come from ``candidate_bounds``, which the
 ``beliefplan bounds`` command uses as well.
 """
@@ -58,13 +59,13 @@ from .decision import (
     simplification_loss,
 )
 from .errors import InfeasibleConfig, InvalidScenario, LayoutMismatch
-from .sparse import SparseRowBlock, SparseSymmetric, cholesky
+from .sparse import SparseRowBlock, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
 DEFAULT_NOISE_RATIOS = (0.01, 0.25, 0.85)
 
 SCENARIO_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,12 @@ class ScenarioConfig:
             raise ValueError("need at least two prior poses")
         if self.loop_index_window < 2:
             raise ValueError("loop index window must be at least 2")
-        if self.position_std <= 0 or self.angular_std <= 0:
-            raise ValueError("noise stds must be positive")
-        if self.loop_closure_radius <= 0:
-            raise ValueError("loop closure radius must be positive")
+        for name in ("world_extent", "position_std", "angular_std", "loop_closure_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.n_candidates < 1 or self.candidate_length < 1:
             raise ValueError("need at least one candidate with one pose")
-        if self.world_extent <= 0:
-            raise ValueError("world extent must be positive")
 
     @property
     def noise_ratio(self) -> float:
@@ -234,33 +233,6 @@ def build_collective_jacobian(
     )
 
 
-def _information_from_rows(jac: SparseRowBlock) -> SparseSymmetric:
-    """Accumulate the upper triangle of jac^T jac.
-
-    Each row contributes the products of its entry pairs ``(i, j)``, ``i <=
-    j``, in ``np.triu_indices`` order, laid end to end row after row.  Rows
-    of equal length share one pair pattern, so the gather indices of a
-    whole length class are scattered into place at once; the coordinate and
-    product arrays, and with them every summed entry, are those of a plain
-    per-row loop.
-    """
-    lengths = np.diff(jac.indptr)
-    starts = np.zeros(jac.n_rows + 1, dtype=np.int64)
-    np.cumsum(lengths * (lengths + 1) // 2, out=starts[1:])
-    first = np.empty(starts[-1], dtype=np.int64)
-    second = np.empty_like(first)
-    for m in np.unique(lengths[lengths > 0]).tolist():
-        rows = np.nonzero(lengths == m)[0]
-        ii, jj = np.triu_indices(m)
-        at = (starts[rows, None] + np.arange(ii.size)).ravel()
-        base = jac.indptr[rows, None]
-        first[at] = (base + ii).ravel()
-        second[at] = (base + jj).ravel()
-    return SparseSymmetric.accumulate(
-        jac.n_cols, jac.indices[first], jac.indices[second], jac.data[first] * jac.data[second]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
@@ -383,7 +355,7 @@ def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, prior_factors) -> Gaus
     layout = VariableLayout.from_sizes([3] * poses.shape[0], kind="pose")
     means = dict(enumerate(poses.tolist()))
     rows = build_collective_jacobian(prior_factors, means, layout, noise_sqrt_info(cfg)).jacobian
-    return GaussianBelief(poses.reshape(-1), cholesky(_information_from_rows(rows)), layout)
+    return GaussianBelief(poses.reshape(-1), cholesky(rows.gram()), layout)
 
 
 def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, plans, layout: VariableLayout) -> tuple:
@@ -527,8 +499,7 @@ class ModeResult:
     offset_identity: float | None = None
     offset_shift_upper: float | None = None
     rho: float | None = None
-    consistent_exact: bool | None = None
-    consistent_tol: bool | None = None
+    consistent: bool | None = None
 
     @property
     def total_seconds(self) -> float:
@@ -641,9 +612,8 @@ def run_session(
                 loss=simplification_loss(values_orig, best),
                 offset_identity=offset(values_orig, values),
                 offset_shift_upper=balanced_offset_upper(values_orig, values),
-                rho=rank_correlation(values_orig, values),
-                consistent_exact=action_consistent(values_orig, values),
-                consistent_tol=action_consistent(values_orig, values, consistency_tolerance),
+                rho=rank_correlation(values_orig, values, consistency_tolerance),
+                consistent=action_consistent(values_orig, values, consistency_tolerance),
             )
         )
 
@@ -856,8 +826,7 @@ def _mode_doc(res: ModeResult) -> dict:
             offset_identity=res.offset_identity,
             offset_shift_upper=res.offset_shift_upper,
             rho=res.rho,
-            consistent_exact=res.consistent_exact,
-            consistent_tol=res.consistent_tol,
+            consistent=res.consistent,
         )
     return doc
 

@@ -23,9 +23,11 @@ package are counts of stored entries, so they are exact and reproducible.
 The kernels never form a dense n x n matrix (``to_dense`` exists for tests
 and small inputs).  ``cholesky`` splits into the elimination-tree symbolic
 fill, which fixes the pattern, and a numeric sparse factorization by
-SuperLU in the given order; ``gram`` takes its pattern from a 0/1 sparse
-product and its values from a sparse product of the factor.  Both scatter
-the numeric product onto the structural pattern (``_values_on_pattern``).
+SuperLU in the given order.  ``SparseRowBlock.gram``, the one Gram kernel
+(J^T J of constraint rows; R^T R of a factor, through ``UpperTriangular``),
+takes its pattern from a 0/1 sparse product and its values from the data
+product.  Both scatter the numeric product onto the structural pattern
+(``_values_on_pattern``).
 
 All types are immutable after construction and every operation returns a
 new object; instances can be shared freely.
@@ -162,7 +164,9 @@ class SparseRowBlock:
             raise ValueError("coordinate arrays must have equal length")
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
             raise ValueError("row index out of range")
-        order = np.lexsort((cols, rows))
+        if int(n_rows) * int(n_cols) > np.iinfo(np.int64).max:
+            raise ValueError(f"a {n_rows} x {n_cols} block is too large to index")
+        order = np.argsort(rows * n_cols + cols, kind="stable")
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         return cls(n_rows, n_cols, indptr, cols[order], vals[order])
@@ -203,6 +207,32 @@ class SparseRowBlock:
         """Sorted array of columns that carry at least one stored entry."""
         return np.unique(self.indices)
 
+    def _upper_gram(self, data) -> tuple:
+        """Row-sorted coordinates ``(rows, cols, vals)`` of the upper triangle
+        of m^T m, m this pattern carrying ``data``.  scipy sums each entry
+        over the rows of m in increasing order."""
+        m = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols))
+        prod = (m.T @ m).T  # the product is CSC; read it as the same symmetric CSR
+        prod.sort_indices()
+        rows = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(prod.indptr))
+        keep = prod.indices >= rows
+        return rows[keep], prod.indices[keep].astype(np.int64), prod.data[keep]
+
+    def gram_nnz(self) -> int:
+        """``gram().nnz``, counted from the pattern without forming values."""
+        return int(self._upper_gram(np.ones(self.nnz))[0].size)
+
+    def gram(self) -> "SparseSymmetric":
+        """(self)^T (self) on its structural support, stored zeros included."""
+        n = self.n_cols
+        # pair counts of a 0/1 pattern never cancel, so they give the support;
+        # the value product drops entries that cancel, scattering keeps them
+        rows, cols, _ = self._upper_gram(np.ones(self.nnz))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        vals = _values_on_pattern(indptr, cols, *self._upper_gram(self.data))
+        return SparseSymmetric(SparseRowBlock(n, n, indptr, cols, vals))
+
 
 @dataclass(frozen=True)
 class SparseSymmetric:
@@ -220,30 +250,6 @@ class SparseSymmetric:
             raise ValueError("symmetric matrix block must be square")
         if np.any(self.upper.indices < self.upper.row_ids):
             raise ValueError("entries must lie in the upper triangle (row <= col)")
-
-    @classmethod
-    def accumulate(cls, dim: int, rows, cols, vals) -> "SparseSymmetric":
-        """Build from upper-triangle coordinates, summing duplicates in
-        input order.
-
-        Used when assembling an information matrix from factor outer
-        products, where many factors hit the same entry.
-        """
-        rows = _as_index_array(rows)
-        cols = _as_index_array(cols)
-        vals = _as_value_array(vals)
-        if not (rows.size == cols.size == vals.size):
-            raise ValueError("coordinate arrays must have equal length")
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
-            raise ValueError("coordinates out of range")
-        # dim is the size of an in-memory matrix, so dim**2 fits int64
-        keys = rows * dim + cols
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(summed, inverse, vals)
-        indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(uniq // dim, minlength=dim), out=indptr[1:])
-        return cls(SparseRowBlock(dim, dim, indptr, uniq % dim, summed))
 
     @property
     def dim(self) -> int:
@@ -351,32 +357,12 @@ class UpperTriangular:
             np.concatenate([head, self.diag]), SparseRowBlock(n, n, indptr, u.indices + k, u.data)
         )
 
-    def _gram_support(self) -> sp.csr_matrix:
-        """Upper triangle of the structural support of (self)^T (self), with
-        sorted column indices."""
-        n = self.dim
-        full = self.as_row_block()
-        # pair counts of a 0/1 pattern never cancel, so this is the
-        # structural support, stored zeros included
-        pattern = sp.csr_matrix((np.ones(full.nnz), full.indices, full.indptr), shape=(n, n))
-        support = sp.triu(pattern.T @ pattern, format="csr")
-        support.sort_indices()
-        return support
-
     def gram_nnz(self) -> int:
-        """``gram().nnz``, counted from the pattern without forming values."""
-        return int(self._gram_support().nnz)
+        return self.as_row_block().gram_nnz()
 
     def gram(self) -> SparseSymmetric:
-        """Form the symmetric product (self)^T (self) structurally."""
-        n = self.dim
-        support = self._gram_support()
-        r = self.as_row_block().to_scipy()
-        # the value product drops entries that cancel to zero; gathering it
-        # onto the structural support keeps them
-        prod = sp.triu(r.T @ r).tocoo()
-        vals = _values_on_pattern(support.indptr, support.indices, prod.row, prod.col, prod.data)
-        return SparseSymmetric(SparseRowBlock(n, n, support.indptr, support.indices, vals))
+        """(self)^T (self); see ``SparseRowBlock.gram``."""
+        return self.as_row_block().gram()
 
     def gram_diagonal(self) -> np.ndarray:
         """Diagonal of (self)^T (self) without forming the product."""

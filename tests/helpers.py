@@ -109,21 +109,47 @@ def dense_inverse_block(b, scalar_idx):
 
 
 def loop_information_from_rows(jac: SparseRowBlock) -> SparseSymmetric:
-    """Upper triangle of jac^T jac, one ``np.triu_indices`` gather per row."""
-    chunks_r = [np.empty(0, dtype=np.int64)]
-    chunks_c = [np.empty(0, dtype=np.int64)]
-    chunks_v = [np.empty(0)]
+    """Upper triangle of jac^T jac: the products of every row's entry pairs,
+    summed in a dict row after row."""
+    sums = {}
     for cols, vals in zip(jac.row_cols, jac.row_vals):
-        m = cols.size
-        if not m:
-            continue
-        ii, jj = np.triu_indices(m)
-        chunks_r.append(cols[ii])
-        chunks_c.append(cols[jj])
-        chunks_v.append(vals[ii] * vals[jj])
-    return SparseSymmetric.accumulate(
-        jac.n_cols, np.concatenate(chunks_r), np.concatenate(chunks_c), np.concatenate(chunks_v)
+        for a in range(cols.size):
+            for b in range(a, cols.size):
+                key = (int(cols[a]), int(cols[b]))
+                sums[key] = sums.get(key, 0.0) + float(vals[a]) * float(vals[b])
+    keys = list(sums)
+    return symmetric_from_coo(
+        jac.n_cols, [i for i, _ in keys], [j for _, j in keys], [sums[k] for k in keys]
     )
+
+
+def lexsort_from_coo(n_rows, n_cols, rows, cols, vals) -> SparseRowBlock:
+    """A row block from coordinates in any order, ordered by ``np.lexsort``
+    on (row, column)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return SparseRowBlock(n_rows, n_cols, indptr, cols[order], np.asarray(vals, dtype=np.float64)[order])
+
+
+def rankdata_correlation(values_1, values_2) -> float:
+    """Pearson correlation of ``scipy.stats.rankdata`` average ranks; 1.0
+    when both vectors are constant, 0.0 when exactly one is."""
+    from scipy.stats import rankdata
+
+    a = np.asarray(values_1, dtype=np.float64)
+    b = np.asarray(values_2, dtype=np.float64)
+    a_const = bool(np.all(a == a[0]))
+    b_const = bool(np.all(b == b[0]))
+    if a_const or b_const:
+        return 1.0 if (a_const and b_const) else 0.0
+    ra = rankdata(a)
+    rb = rankdata(b)
+    ra = ra - ra.mean()
+    rb = rb - rb.mean()
+    return float(np.dot(ra, rb) / np.sqrt(np.dot(ra, ra) * np.dot(rb, rb)))
 
 
 def upper_pattern(r: UpperTriangular):

@@ -191,7 +191,9 @@ class TestNnzReport:
         for _ in range(20):
             n = int(rng.integers(1, 30))
             root = belief_from_dense(random_sparse_spd(rng, n, density=0.2)).root
-            assert root.gram_nnz() == root.gram().nnz
+            rows = random_update(rng, n, 0, int(rng.integers(0, 8)), density=0.3)
+            for block in (root, rows):
+                assert block.gram_nnz() == block.gram().nnz
 
     def test_root_nnz_counts_stored_entries(self):
         r = UpperTriangular.from_rows(

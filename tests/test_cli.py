@@ -4,6 +4,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -44,6 +47,19 @@ class TestGenerate:
         run(["generate", "--seed", "3", "--n-poses", "20", "--out", str(a)])
         run(["generate", "--seed", "3", "--n-poses", "20", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--pos-std", "nan", "position_std"),
+        ("--ang-std", "inf", "angular_std"),
+        ("--world-extent", "inf", "world_extent"),
+        ("--world-extent", "nan", "world_extent"),
+        ("--loop-radius", "nan", "loop_closure_radius"),
+    ])
+    def test_non_finite_scale_exits_1_naming_the_field(self, flag, value, field, tmp_path, capsys):
+        out = tmp_path / "sc.json"
+        assert run(["generate", "--n-poses", "12", flag, value, "--out", str(out)]) == cli.EXIT_ERROR
+        assert f"{field} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wider_loop_radius_densifies_information(self, tmp_path):
         narrow = tmp_path / "narrow.json"
@@ -291,3 +307,12 @@ class TestScenarioValidation:
             assert err.getvalue().startswith("error: ")
         else:
             assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_GUARANTEE_VIOLATED)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half of the command's start-up time
+    probe = "import sys, beliefplan.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"

@@ -18,7 +18,7 @@ from beliefplan.decision import (
 )
 from beliefplan.errors import IndexOutOfRange, LengthMismatch
 
-from helpers import build_toy_full_slam, dense_logdet
+from helpers import build_toy_full_slam, dense_logdet, rankdata_correlation
 
 value_vectors = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=8
@@ -224,3 +224,24 @@ class TestRankCorrelation:
     def test_needs_two_candidates(self):
         with pytest.raises(LengthMismatch):
             rank_correlation([1.0], [1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_without_tolerance_equals_average_ranks_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 10))
+        tie_prone = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e3, 1e3))
+        v1, v2 = (data.draw(st.lists(tie_prone, min_size=n, max_size=n)) for _ in range(2))
+        got = np.float64(rank_correlation(v1, v2))
+        assert got.view(np.int64) == np.float64(rankdata_correlation(v1, v2)).view(np.int64)
+
+    def test_ties_within_the_tolerance_rank_together(self):
+        # the first two candidates swap by one part in 10^12: a tie at 1e-9
+        v1 = [1.0, 1.0 + 1e-12, 3.0]
+        v2 = [1.0 + 1e-12, 1.0, 3.0]
+        assert rank_correlation(v1, v2) == 0.5
+        assert not action_consistent(v1, v2)
+        assert rank_correlation(v1, v2, 1e-9) == 1.0
+        assert action_consistent(v1, v2, 1e-9)
+        # every candidate tied in one vector only
+        assert rank_correlation([1.0, 1.0 + 1e-12], [1.0, 2.0], 1e-9) == 0.0
+        assert rank_correlation([1.0, 1.0 + 1e-12], [2.0, 2.0 - 1e-12], 1e-9) == 1.0

@@ -33,6 +33,7 @@ from helpers import (
     dense_cholesky,
     dense_logdet,
     dense_logdet_oracle,
+    lexsort_from_coo,
     random_sparse_spd,
     random_update,
     row_block_from_dense,
@@ -192,36 +193,41 @@ class TestSparseFactorKernels:
 
 
 @st.composite
-def upper_coordinates(draw):
-    """Upper-triangle coordinates in any order, with repeats and stored
-    zeros; magnitudes far apart make every sum depend on its order."""
-    dim = draw(st.integers(1, 6))
-    value = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e17, 1e17), st.floats(-1.0, 1.0))
-    entries = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), value), max_size=40))
-    return dim, [(min(i, j), max(i, j), v) for i, j, v in entries]
+def coordinates(draw):
+    """Coordinates in any order, with repeats, columns out of range and
+    values of both signs; a repeat or a bad column makes the block
+    invalid."""
+    n_rows = draw(st.integers(0, 5))
+    n_cols = draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(-1, n_cols),
+                      st.floats(-1e17, 1e17))
+    entries = draw(st.lists(entry, max_size=30 if n_rows else 0))
+    if draw(st.booleans()):
+        # valid: one value per in-range coordinate
+        entries = [(i, j, v) for (i, j), v in {(i, j): v for i, j, v in entries if 0 <= j < n_cols}.items()]
+    return n_rows, n_cols, entries
 
 
-class TestAccumulate:
+class TestFromCoo:
     @settings(max_examples=300, deadline=None)
-    @given(upper_coordinates())
-    def test_sums_repeats_in_input_order_bit_for_bit(self, case):
-        dim, entries = case
-        sums = {}
-        for i, j, v in entries:
-            sums[i, j] = sums.get((i, j), 0.0) + v
-        rows, cols, vals = (np.array([e[k] for e in entries]) for k in range(3))
-        m = SparseSymmetric.accumulate(dim, rows, cols, vals)
-        keys = sorted(sums)
-        assert m.dim == dim
-        assert m.upper.row_ids.tolist() == [i for i, _ in keys]
-        assert m.upper.indices.tolist() == [j for _, j in keys]
-        assert np.array_equal(m.upper.data.view(np.int64), np.array([sums[k] for k in keys]).view(np.int64))
+    @given(coordinates())
+    def test_equals_the_lexsort_order(self, case):
+        n_rows, n_cols, entries = case
+        rows, cols, vals = ([e[k] for e in entries] for k in range(3))
+        try:
+            oracle = lexsort_from_coo(n_rows, n_cols, rows, cols, vals)
+        except ValueError:
+            with pytest.raises(ValueError):
+                SparseRowBlock.from_coo(n_rows, n_cols, rows, cols, vals)
+            return
+        got = SparseRowBlock.from_coo(n_rows, n_cols, rows, cols, vals)
+        assert np.array_equal(got.indptr, oracle.indptr)
+        assert np.array_equal(got.indices, oracle.indices)
+        assert np.array_equal(got.data.view(np.int64), oracle.data.view(np.int64))
 
-    @pytest.mark.parametrize("rows, cols", [([1], [0]), ([0], [2]), ([-1], [1]), ([2], [2])],
-                             ids=["below", "column-out-of-range", "negative-row", "row-out-of-range"])
-    def test_rejects_coordinates_outside_the_upper_triangle(self, rows, cols):
-        with pytest.raises(ValueError):
-            SparseSymmetric.accumulate(2, rows, cols, [1.0])
+    def test_shape_beyond_int64_keys_is_a_value_error(self):
+        with pytest.raises(ValueError, match="too large"):
+            SparseRowBlock.from_coo(3, 2**62, [0], [5], [1.0])
 
 
 class TestPermutations:
