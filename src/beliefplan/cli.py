@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .belief import evaluate_candidates
+from .belief import evaluate_candidates, nnz_report
 from .errors import BeliefPlanError
 from .scenario import (
     DEFAULT_NOISE_RATIOS,
@@ -55,6 +55,8 @@ BOUND_SLACK = 1e-9
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_GUARANTEE_VIOLATED = 2
+
+DEFAULT_MODES = ("uninvolved", "full")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -103,6 +105,10 @@ def _parse_blocks(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def _parse_modes(text: str) -> tuple:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _out_dir(args) -> Path:
     out = args.out_dir or os.environ.get("BELIEFPLAN_OUT_DIR") or "."
     path = Path(out)
@@ -114,7 +120,7 @@ def _specs_from_modes(mode_names, blocks) -> list:
     specs = []
     for name in mode_names:
         if name == "custom":
-            specs.append(SparsificationSpec.custom(blocks or ()))
+            specs.append(SparsificationSpec.custom(blocks))
         else:
             specs.append(SparsificationSpec(name))
     return specs
@@ -171,7 +177,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
-    root_nnz, info_nnz = scenario.prior.root.nnz, scenario.prior.root.gram_nnz()
+    root_nnz, info_nnz = nnz_report(scenario.prior)
     n_loops = sum(1 for f in scenario.prior_factors if f.kind == "loop")
     print(f"wrote {out}")
     print(
@@ -183,7 +189,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
-    specs = _specs_from_modes(args.mode or ["uninvolved", "full"], args.blocks)
+    specs = _specs_from_modes(args.modes, args.blocks)
     report = run_session(
         scenario,
         modes=specs,
@@ -227,8 +233,9 @@ def _bench_columns(mode_names) -> list:
 
 
 def cmd_bench(args) -> int:
-    mode_names = args.modes.split(",") if args.modes else ["uninvolved", "full"]
-    specs = _specs_from_modes(mode_names, args.blocks)
+    specs = _specs_from_modes(args.modes, args.blocks)
+    # the original problem is always reported; "none" adds no columns
+    reported = [s.mode for s in specs if s.mode != "none"]
     rows = []
     any_violation = False
     for k in range(args.seeds):
@@ -261,7 +268,7 @@ def cmd_bench(args) -> int:
             row[f"loss_{res.label}"] = res.loss
         rows.append(row)
 
-    cols = _bench_columns([s.mode for s in specs])
+    cols = _bench_columns(reported)
     out_dir = _out_dir(args)
     csv_path = out_dir / "bench.csv"
     with csv_path.open("w") as fh:
@@ -277,7 +284,7 @@ def cmd_bench(args) -> int:
     (out_dir / "bench.json").write_text(json.dumps({"sessions": rows, "medians": medians}, indent=1))
     print(f"wrote {csv_path} and {out_dir / 'bench.json'}")
 
-    _print_bench_table(rows, [s.mode for s in specs], medians)
+    _print_bench_table(rows, reported, medians)
     return EXIT_GUARANTEE_VIOLATED if any_violation else EXIT_OK
 
 
@@ -376,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--mode",
         action="append",
+        dest="modes",
         choices=["none", "uninvolved", "full", "custom"],
         help="sparsification mode (repeatable; default: uninvolved and full)",
     )
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_bench)
     p_bench.add_argument("--seeds", type=_positive_int, default=20, help="number of sessions")
     p_bench.add_argument("--first-seed", type=int, default=0)
-    p_bench.add_argument("--modes", default="uninvolved,full", help="comma-separated mode list")
+    p_bench.add_argument("--modes", type=_parse_modes, help="comma-separated mode list (default: uninvolved,full)")
     p_bench.add_argument("--blocks", type=_parse_blocks, default=())
     p_bench.add_argument("--ratios", type=_parse_ratios, default=DEFAULT_NOISE_RATIOS)
     p_bench.add_argument("--repeats", type=_positive_int, default=5)
@@ -408,6 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("solve", "bench"):
+        args.modes = args.modes or DEFAULT_MODES
+        # an ignored --blocks, or a custom mode without one, is a usage error
+        if args.blocks and "custom" not in args.modes:
+            parser.error("--blocks applies only to the custom mode")
+        if "custom" in args.modes and not args.blocks:
+            parser.error("the custom mode needs --blocks")
     try:
         return args.func(args)
     except (BeliefPlanError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:

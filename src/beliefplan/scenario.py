@@ -27,7 +27,7 @@ blocks of all factors as one array stack.
 A planning session evaluates all candidates on the original belief and on
 each requested sparsified version, then reports values, selections, loss,
 offsets, rank correlation and consistency (both tying values within
-``consistency_tolerance``), nonzero counts, timings, and loss bounds.  The
+``CONSISTENCY_TOLERANCE``), nonzero counts, timings, and loss bounds.  The
 per-candidate objective bounds come from ``candidate_bounds``, which the
 ``beliefplan bounds`` command uses as well.
 """
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .belief import CandidateAction, GaussianBelief, VariableLayout, evaluate_candidates
+from .belief import CandidateAction, GaussianBelief, VariableLayout, evaluate_candidates, nnz_report
 from .bounds import (
     PoseGraph,
     TopologicalNoiseConfig,
@@ -63,6 +63,8 @@ from .sparse import SparseRowBlock, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
 DEFAULT_NOISE_RATIOS = (0.01, 0.25, 0.85)
+# objective values within this distance count as tied by rho and consistency
+CONSISTENCY_TOLERANCE = 1e-9
 
 SCENARIO_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 2
@@ -520,7 +522,6 @@ class SessionReport:
     bound_lb_det: np.ndarray
     bound_ub_det: np.ndarray
     loss_bounds: dict
-    consistency_tolerance: float = 1e-9
 
     def mode(self, label: str) -> ModeResult:
         for m in self.modes:
@@ -558,7 +559,6 @@ def run_session(
     modes=(SparsificationSpec.uninvolved(), SparsificationSpec.full()),
     noise_ratios=DEFAULT_NOISE_RATIOS,
     timing_repeats: int = 1,
-    consistency_tolerance: float = 1e-9,
 ) -> SessionReport:
     """Solve the decision problem on the original belief and on each
     sparsified version, collecting comparison metrics and loss bounds.
@@ -566,10 +566,15 @@ def run_session(
     The original problem is always evaluated (it provides the ground-truth
     values for loss and offsets); a requested "none" mode is reported as
     that baseline.  Wall-clock figures are medians over ``timing_repeats``
-    repetitions of each phase; fewer than one repetition is a ValueError.
+    repetitions of each phase.  Fewer than one repetition, or a mode
+    requested twice, is a ValueError.
     """
     if timing_repeats < 1:
         raise ValueError(f"timing_repeats must be at least 1, got {timing_repeats}")
+    labels = [spec.mode for spec in modes]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"mode {label!r} is requested more than once")
     candidates = scenario.candidates
     layout = scenario.prior.layout
     mask = detect_involvement(layout, candidates)
@@ -577,7 +582,7 @@ def run_session(
     uninvolved_ratio = len(never) / len(layout.block_ids)
 
     values_orig, cand_secs = _evaluate_all(scenario.prior, candidates, timing_repeats)
-    root_nnz, info_nnz = scenario.prior.root.nnz, scenario.prior.root.gram_nnz()
+    root_nnz, info_nnz = nnz_report(scenario.prior)
     baseline = ModeResult(
         label="original",
         values=values_orig,
@@ -598,7 +603,7 @@ def run_session(
         )
         values, cand_secs_m = _evaluate_all(sparsified, candidates, timing_repeats)
         best = int(np.argmax(values))
-        r_nnz, i_nnz = sparsified.root.nnz, sparsified.root.gram_nnz()
+        r_nnz, i_nnz = nnz_report(sparsified)
         mode_results.append(
             ModeResult(
                 label=spec.mode,
@@ -612,8 +617,8 @@ def run_session(
                 loss=simplification_loss(values_orig, best),
                 offset_identity=offset(values_orig, values),
                 offset_shift_upper=balanced_offset_upper(values_orig, values),
-                rho=rank_correlation(values_orig, values, consistency_tolerance),
-                consistent=action_consistent(values_orig, values, consistency_tolerance),
+                rho=rank_correlation(values_orig, values, CONSISTENCY_TOLERANCE),
+                consistent=action_consistent(values_orig, values, CONSISTENCY_TOLERANCE),
             )
         )
 
@@ -645,7 +650,6 @@ def run_session(
         bound_lb_det=bounds.det[0],
         bound_ub_det=bounds.det[1],
         loss_bounds=loss_bounds,
-        consistency_tolerance=consistency_tolerance,
     )
 
 
@@ -715,7 +719,9 @@ def _check_scenario_doc(doc: dict, cfg: ScenarioConfig):
     if not np.array_equal(ids, np.arange(n)):
         raise InvalidScenario(f"pose ids must be 0..{n - 1}, each exactly once")
     for cd in doc["candidates"]:
-        if [int(p["id"]) for p in cd["new_poses"]] != list(range(n, n + length)):
+        new_ids = [int(p["id"]) for p in cd["new_poses"]]
+        # compare lengths first: a huge declared length must not build its range
+        if len(new_ids) != length or new_ids != list(range(n, n + length)):
             raise InvalidScenario(
                 f"candidate {cd['id']}: new pose ids must be {n}..{n + length - 1} (candidate_length {length})"
             )
@@ -839,7 +845,7 @@ def report_to_json(report: SessionReport) -> str:
         "n_candidates": report.n_candidates,
         "uninvolved_block_ratio": report.uninvolved_block_ratio,
         "noise_ratios": list(report.noise_ratios),
-        "consistency_tolerance": report.consistency_tolerance,
+        "consistency_tolerance": CONSISTENCY_TOLERANCE,
         "baseline": _mode_doc(report.baseline),
         "modes": [_mode_doc(res) for res in report.modes],
         "bounds": {

@@ -21,8 +21,9 @@ that happen to cancel to zero.  Nonzero counts reported elsewhere in the
 package are counts of stored entries, so they are exact and reproducible.
 
 The kernels never form a dense n x n matrix (``to_dense`` exists for tests
-and small inputs).  ``cholesky`` splits into the elimination-tree symbolic
-fill, which fixes the pattern, and a numeric sparse factorization by
+and small inputs).  ``cholesky`` splits into a symbolic fill, one sweep
+that builds each factor row from its own entries and its elimination-tree
+children and so fixes the pattern, and a numeric sparse factorization by
 SuperLU in the given order.  ``SparseRowBlock.gram``, the one Gram kernel
 (J^T J of constraint rows; R^T R of a factor, through ``UpperTriangular``),
 takes its pattern from a 0/1 sparse product and its values from the data
@@ -424,43 +425,25 @@ class Permutation:
 
 def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
     """Strictly-upper fill pattern of the factor as CSR ``(indptr,
-    indices)``, via the elimination tree: build the tree with ancestor
-    compression, then enumerate each row's reach by climbing plain parent
-    pointers.
+    indices)``, in one sweep over the rows.
 
-    The pattern depends only on the stored coordinates (stored zeros are
-    structural), and each row's columns come out already sorted.
+    Row i of the factor holds the columns stored in row i of ``m`` plus the
+    columns of every factor row whose first column is i (its children in
+    the elimination tree), less i itself (Liu 1990).  The pattern depends
+    only on the stored coordinates, so stored zeros are structural.
     """
     n = m.dim
-    # column adjacency of the upper triangle: for node i, the rows j <= i
-    by_col = m.upper.to_scipy().tocsc()
-    bounds = by_col.indptr.tolist()
-    rows_by_col = by_col.indices.tolist()
-    col_adj = [rows_by_col[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    # plain lists: the walks below read and write one element at a time
-    parent = [-1] * n
-    ancestor = [-1] * n
+    bounds = m.upper.indptr.tolist()
+    cols = m.upper.indices.tolist()
+    children: list[list[list[int]]] = [[] for _ in range(n)]
+    rows_fill = []
     for i in range(n):
-        for j in col_adj[i]:
-            k = j
-            while k != -1 and k < i:
-                nxt = ancestor[k]
-                ancestor[k] = i
-                if nxt == -1:
-                    parent[k] = i
-                k = nxt
-
-    rows_fill: list[list[int]] = [[] for _ in range(n)]
-    mark = [-1] * n
-    for i in range(n):
-        mark[i] = i
-        for j in col_adj[i]:
-            k = j
-            while k != -1 and k < i and mark[k] != i:
-                rows_fill[k].append(i)
-                mark[k] = i
-                k = parent[k]
+        fill = set(cols[bounds[i]:bounds[i + 1]]).union(*children[i])
+        fill.discard(i)
+        row = sorted(fill)
+        rows_fill.append(row)
+        if row:
+            children[row[0]].append(row)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, rows_fill), dtype=np.int64, count=n), out=indptr[1:])
     indices = np.fromiter(itertools.chain.from_iterable(rows_fill), dtype=np.int64, count=int(indptr[-1]))

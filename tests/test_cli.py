@@ -140,6 +140,12 @@ class TestSolve:
         code = run(["solve", "--scenario", str(TINY), "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_GUARANTEE_VIOLATED
 
+    def test_repeated_mode_exits_1_without_output(self, tmp_path, capsys):
+        code = run(["solve", "--scenario", str(TINY), "--mode", "full", "--mode", "full", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_ERROR
+        assert "mode 'full' is requested more than once" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["solve", "--scenario", str(tmp_path / "nope.json")]) == cli.EXIT_ERROR
 
@@ -161,6 +167,18 @@ class TestBench:
         assert doc["medians"]["loss_uninvolved"] == 0.0
         table = capsys.readouterr().out
         assert "median" in table
+
+    def test_mode_none_adds_no_columns(self, tmp_path):
+        # the original problem is always reported, so "none" is not a column group
+        code = run([
+            "bench", "--seeds", "1", "--n-poses", "18", "--candidates", "4", "--candidate-length", "3",
+            "--repeats", "1", "--modes", "none,full", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        header = (tmp_path / "bench.csv").read_text().splitlines()[0].split(",")
+        assert header == ["seed", "prior_dim", "uninvolved_ratio"] + [
+            f"{col}_full" for col in ("runtime_delta", "sparsify_share", "nnz_delta", "rho", "loss")
+        ]
 
     def test_single_seed_degenerates_to_session_values(self, tmp_path):
         run([
@@ -228,9 +246,15 @@ class TestUsageErrors:
             (["solve", "--scenario", str(TINY), "--ratios", "0.25,nan"], "--ratios: ratios must be finite"),
             (["bounds", "--scenario", str(TINY), "--ratios", "nan"], "--ratios: ratios must be finite"),
             (["bounds", "--scenario", str(TINY), "--ratios", "inf"], "--ratios: ratios must be finite"),
+            (["solve", "--scenario", str(TINY), "--mode", "full", "--blocks", "0,1"],
+             "--blocks applies only to the custom mode"),
+            (["solve", "--scenario", str(TINY), "--mode", "custom"], "the custom mode needs --blocks"),
+            (["bench", "--n-poses", "12", "--blocks", "0,1"], "--blocks applies only to the custom mode"),
+            (["bench", "--n-poses", "12", "--modes", "uninvolved,custom"], "the custom mode needs --blocks"),
         ],
         ids=["seeds-0", "bench-repeats-0", "solve-repeats-negative", "solve-ratios-nan", "bounds-ratios-nan",
-             "bounds-ratios-inf"],
+             "bounds-ratios-inf", "solve-blocks-without-custom", "solve-custom-without-blocks",
+             "bench-blocks-without-custom", "bench-custom-without-blocks"],
     )
     def test_bad_count_or_ratio_exits_1_before_any_session(self, argv, message, tmp_path, capsys):
         out = ["--out", str(tmp_path / "bounds.csv")] if argv[0] == "bounds" else ["--out-dir", str(tmp_path)]
@@ -270,9 +294,11 @@ class TestScenarioValidation:
             lambda doc: doc["config"].update(n_prior_poses=99),
             lambda doc: doc["config"].update(n_candidates=1),
             lambda doc: doc["config"].update(candidate_length=7),
+            lambda doc: doc["config"].update(candidate_length=10**12),
         ],
         ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info",
-             "new-pose-id-gap", "config-n-prior-poses", "config-n-candidates", "config-candidate-length"],
+             "new-pose-id-gap", "config-n-prior-poses", "config-n-candidates", "config-candidate-length",
+             "config-candidate-length-huge"],
     )
     def test_bad_scenario_is_a_typed_error_and_exits_1(self, mutate, tmp_path, capsys):
         doc = json.loads(TINY.read_text())

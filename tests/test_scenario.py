@@ -353,6 +353,11 @@ class TestSession:
         with pytest.raises(ValueError, match="timing_repeats"):
             run_session(generate(SMALL), timing_repeats=repeats)
 
+    def test_repeated_mode_is_a_value_error(self):
+        with pytest.raises(ValueError, match="mode 'full' is requested more than once"):
+            run_session(generate(SMALL), modes=[SparsificationSpec.full(), SparsificationSpec.uninvolved(),
+                                                SparsificationSpec.full()])
+
     def test_explicit_none_mode_maps_to_baseline(self):
         rep = run_session(generate(SMALL), modes=[SparsificationSpec.none()])
         assert rep.modes == ()

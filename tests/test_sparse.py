@@ -17,6 +17,7 @@ from beliefplan.errors import (
     RankDeficientAugmentation,
     ShapeViolation,
 )
+from beliefplan.scenario import ScenarioConfig, generate
 from beliefplan.sparse import (
     Permutation,
     SparseRowBlock,
@@ -28,6 +29,7 @@ from beliefplan.sparse import (
     permute_symmetric,
     permute_triangular_back,
 )
+from beliefplan.sparsify import detect_involvement
 
 from helpers import (
     dense_cholesky,
@@ -80,14 +82,26 @@ class TestCholesky:
 
     def test_fill_pattern_matches_symbolic_elimination(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            n = int(rng.integers(2, 30))
-            dense = random_sparse_spd(rng, n, density=0.2)
-            m = symmetric_from_dense(dense)
+        matrices = [symmetric_from_dense(random_sparse_spd(rng, int(rng.integers(2, 30)), density=0.2))
+                    for _ in range(20)]
+        # the plan-1k prior information (dim 1020, where SuperLU drops 342
+        # exactly-cancelled fill entries) and the selected-first tail that
+        # uninvolved sparsification re-factors
+        sc = generate(ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5))
+        layout = sc.prior.layout
+        s = layout.scalar_indices(sorted(detect_involvement(layout, sc.candidates).never_involved(layout)))
+        split = int(np.setdiff1d(np.arange(layout.dim), s)[0])
+        tail = sc.prior.root.trailing(split)
+        matrices += [
+            sc.prior.root.gram(),
+            permute_symmetric(tail.gram(), Permutation.move_to_front(tail.dim, s[s >= split] - split)),
+        ]
+        for m in matrices:
+            n = m.dim
             adjacency = [set() for _ in range(n)]
-            for i, j in zip(m.upper.row_ids, m.upper.indices):
+            for i, j in zip(m.upper.row_ids.tolist(), m.upper.indices.tolist()):
                 if i != j:
-                    adjacency[int(i)].add(int(j))
+                    adjacency[i].add(j)
             expected = symbolic_cholesky_pattern(adjacency, n)
             r = cholesky(m)
             got = [set(r.row_cols[i].tolist()) for i in range(n)]
