@@ -3,7 +3,7 @@
 Core pieces:
 
 - ``sparse``: symmetric/triangular sparse kernels (Cholesky, permutations,
-  Givens low-rank updates, log-determinants);
+  multiple-rank factor updates, log-determinants);
 - ``belief``: Gaussian beliefs in square-root information form, entropy and
   the posterior-entropy planning objective;
 - ``sparsify``: belief sparsification and uninvolved-variable detection;

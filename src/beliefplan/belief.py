@@ -201,8 +201,10 @@ def posterior_root(b: GaussianBelief, a: CandidateAction) -> UpperTriangular:
 def objective(b: GaussianBelief, a: CandidateAction) -> float:
     """Posterior-information objective 0.5 * (ln|Lambda + U^T U| - N ln(2*pi*e)).
 
-    Evaluated through the updated factor diagonal, so cost tracks the factor
-    sparsity rather than the posterior dimension cubed.  Higher is better
+    Evaluated through the diagonal of the factor updated by
+    ``sparse.lowrank_update``, which folds all of the candidate's rows into
+    each factor row they reach at once, so cost tracks the factor rows the
+    candidate reaches rather than the posterior dimension cubed.  Higher is better
     (less posterior uncertainty); the value may be negative because of the
     normalization term, and is reported as-is.
     """

@@ -91,6 +91,11 @@ def _parse_ratios(text: str) -> tuple:
     ratios = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not ratios or not all(math.isfinite(r) and r > 0 for r in ratios):
         raise argparse.ArgumentTypeError("ratios must be finite positive numbers")
+    # ratios are told apart as printed: ``bounds`` names its columns by %g
+    labels = [format(r, "g") for r in ratios]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise argparse.ArgumentTypeError(f"ratio {label} is given more than once")
     return ratios
 
 

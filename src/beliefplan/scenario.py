@@ -463,12 +463,22 @@ class CandidateBounds(NamedTuple):
     top_by_ratio: dict  # topological, per swept noise ratio
 
 
+def _check_distinct(noise_ratios):
+    """A ratio swept twice would be one bound under two names."""
+    ratios = [float(r) for r in noise_ratios]
+    for r in ratios:
+        if ratios.count(r) > 1:
+            raise ValueError(f"noise ratio {r:g} is given more than once")
+
+
 def candidate_bounds(scenario: Scenario, noise_ratios) -> CandidateBounds:
     """Topological and determinant objective bounds of every candidate.
 
     Only the bounds at the actual noise ratio (``top``) and ``det`` certify
-    the objective; the swept ratios describe hypothetical noise models.
+    the objective; the swept ratios describe hypothetical noise models.  A
+    repeated ratio is a ValueError.
     """
+    _check_distinct(noise_ratios)
     n = len(scenario.candidates)
     top, det = (np.zeros(n), np.zeros(n)), (np.zeros(n), np.zeros(n))
     by_ratio = {float(r): (np.zeros(n), np.zeros(n)) for r in noise_ratios}
@@ -566,8 +576,9 @@ def run_session(
     The original problem is always evaluated (it provides the ground-truth
     values for loss and offsets); a requested "none" mode is reported as
     that baseline.  Wall-clock figures are medians over ``timing_repeats``
-    repetitions of each phase.  Fewer than one repetition, or a mode
-    requested twice, is a ValueError.
+    repetitions of each phase.  Fewer than one repetition, a mode requested
+    twice, a repeated noise ratio, or a sparsified mode with fewer than two
+    candidates to rank is a ValueError, raised before any evaluation.
     """
     if timing_repeats < 1:
         raise ValueError(f"timing_repeats must be at least 1, got {timing_repeats}")
@@ -575,7 +586,10 @@ def run_session(
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"mode {label!r} is requested more than once")
+    _check_distinct(noise_ratios)
     candidates = scenario.candidates
+    if len(candidates) < 2 and any(label != "none" for label in labels):
+        raise ValueError(f"a sparsified mode needs at least two candidates to rank; the scenario has {len(candidates)}")
     layout = scenario.prior.layout
     mask = detect_involvement(layout, candidates)
     never = mask.never_involved(layout)

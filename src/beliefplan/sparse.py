@@ -13,12 +13,13 @@ the column-sorted ``indices``/``data`` arrays, the layout
 
 Every CSR block is validated once, by whole-array checks, when it is built.
 ``row_cols``/``row_vals`` expose each row as a read-only view for the
-kernel that works row by row (Givens updates).
+kernel that works row by row (the factor update).
 
 "Structural" means the stored pattern is the symbolic support produced by
-the operation (elimination fill, rotation unions), independent of values
-that happen to cancel to zero.  Nonzero counts reported elsewhere in the
-package are counts of stored entries, so they are exact and reproducible.
+the operation (elimination fill, the pattern unions of an update),
+independent of values that happen to cancel to zero.  Nonzero counts
+reported elsewhere in the package are counts of stored entries, so they are
+exact and reproducible.
 
 The kernels never form a dense n x n matrix (``to_dense`` exists for tests
 and small inputs).  ``cholesky`` splits into a symbolic fill, one sweep
@@ -28,7 +29,9 @@ SuperLU in the given order.  ``SparseRowBlock.gram``, the one Gram kernel
 (J^T J of constraint rows; R^T R of a factor, through ``UpperTriangular``),
 takes its pattern from a 0/1 sparse product and its values from the data
 product.  Both scatter the numeric product onto the structural pattern
-(``_values_on_pattern``).
+(``_values_on_pattern``).  ``lowrank_update`` adds constraint rows to a
+factor one pivot row at a time: the rows that reach a pivot are merged with
+it into one small dense block and folded in by one Householder reflection.
 
 All types are immutable after construction and every operation returns a
 new object; instances can be shared freely.
@@ -36,6 +39,7 @@ new object; instances can be shared freely.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -572,31 +576,41 @@ def permute_triangular_back(
     return UpperTriangular(new_diag, SparseRowBlock.from_coo(r.dim, r.dim, new_rows, new_cols, r.upper.data))
 
 
-def _rotate_sparse_rows(
-    tc: np.ndarray, tv: np.ndarray, uc: np.ndarray, uv: np.ndarray, c: float, s: float
-):
-    """Givens-rotate two sparse row tails; returns (union, new_row, new_upd)."""
-    union = np.union1d(tc, uc)
-    a = np.zeros(union.size)
-    b = np.zeros(union.size)
-    if tc.size:
-        a[np.searchsorted(union, tc)] = tv
-    if uc.size:
-        b[np.searchsorted(union, uc)] = uv
-    return union, c * a + s * b, c * b - s * a
+def _merge_onto_row(t: int, d: float, row_c, row_v, groups) -> tuple:
+    """Factor row ``t`` (diagonal ``d``, tail ``row_c``/``row_v``) stacked over
+    the ``(columns, block)`` groups that start at column ``t``, as one dense
+    ``(1 + m) x |pattern|`` array on the union of their patterns."""
+    pattern = np.concatenate([row_c, *(cols for cols, _ in groups)])
+    pattern.sort()
+    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
+    out = np.zeros((1 + sum(block.shape[0] for _, block in groups), pattern.size))
+    out[0, 0] = d
+    out[0, pattern.searchsorted(row_c)] = row_v
+    i = 1
+    for cols, block in groups:
+        out[i:i + block.shape[0], pattern.searchsorted(cols)] = block
+        i += block.shape[0]
+    return pattern, out
 
 
 def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
-    """Rank-k information update of a triangular factor by Givens rotations.
+    """Rank-k information update of a triangular factor, one pivot row at a
+    time (the multiple-rank update of Davis & Hager, SIAM J. Matrix Anal.
+    Appl. 2001).
 
     Returns upper-triangular R+ of dimension ``r.dim + n_new`` satisfying
-    (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  Each constraint row is folded
-    in by rotating it against the factor row at its leading column, so only
-    rows reachable from the row's sparsity pattern are touched; all other
-    rows keep their stored entries.
+    (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  The update rows travel in
+    groups, each a dense block over the union of its rows' columns, kept in
+    a heap by first column.  At pivot ``t`` every group that starts there is
+    merged with factor row ``t`` and folded in by one Householder
+    reflection, the blocked form of a Givens sequence; the block left over
+    travels on to its next column.  A group whose leading column holds only
+    zeros drops that column without touching the row.  Rows no group
+    reaches keep their stored entries, bit for bit.
 
     Raises RankDeficientAugmentation if any of the ``n_new`` appended
-    variables ends up without diagonal support (singular posterior).
+    variables ends up without diagonal support, its squared diagonal at or
+    below ``PIVOT_FLOOR`` as for ``cholesky`` (singular posterior).
     """
     if n_new < 0:
         raise ValueError("n_new must be non-negative")
@@ -609,39 +623,55 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     rows_cols = list(r.row_cols) + [_EMPTY_I] * n_new
     rows_vals = list(r.row_vals) + [_EMPTY_F] * n_new
 
-    for cur_c, cur_v in zip(u.row_cols, u.row_vals):
-        while cur_c.size:
-            x = cur_v[0]
-            if x == 0.0:
-                # structurally stored zero eliminates trivially
-                cur_c = cur_c[1:]
-                cur_v = cur_v[1:]
-                continue
-            j = int(cur_c[0])
-            d = diag[j]
-            if d == 0.0:
-                # previously untouched appended row: the rotation reduces to
-                # moving the (sign-normalized) constraint row into place
-                sign = 1.0 if x > 0 else -1.0
-                diag[j] = abs(x)
-                rows_cols[j] = cur_c[1:].copy()
-                rows_vals[j] = sign * cur_v[1:]
-                break
-            hyp = math.hypot(d, x)
-            c = d / hyp
-            s = x / hyp
-            union, new_row, new_upd = _rotate_sparse_rows(
-                rows_cols[j], rows_vals[j], cur_c[1:], cur_v[1:], c, s
-            )
-            diag[j] = hyp
-            rows_cols[j] = union
-            rows_vals[j] = new_row
-            cur_c = union
-            cur_v = new_upd
+    # (first column, tie-break, columns, dense block of rows over them)
+    heap = [(int(c[0]), k, c, v[np.newaxis]) for k, (c, v) in enumerate(zip(u.row_cols, u.row_vals)) if c.size]
+    heapq.heapify(heap)
+    tick = itertools.count(u.n_rows)
+    while heap:
+        t = heap[0][0]
+        groups = []
+        while heap and heap[0][0] == t:
+            _, _, cols, block = heapq.heappop(heap)
+            if np.count_nonzero(block[:, 0]):
+                groups.append((cols, block))
+            elif cols.size > 1:
+                # a column of stored zeros is eliminated without a reflection
+                heapq.heappush(heap, (int(cols[1]), next(tick), cols[1:], block[:, 1:]))
+        if not groups:
+            continue
+        pattern, a = _merge_onto_row(t, diag[t], rows_cols[t], rows_vals[t], groups)
+        if diag[t] == 0.0:
+            # an appended variable no row reached yet: the first row that
+            # supports it moves into place, sign-normalized, and leaves the
+            # block; a reflection would leave a rounding residue of it that
+            # could pose as support for a later appended variable
+            i = 1 + int(np.flatnonzero(a[1:, 0])[0])
+            a[0] = a[i] if a[i, 0] > 0 else -a[i]
+            a = np.delete(a, i, axis=0)
+        v = a[:, 0].copy()
+        ww = float(v[1:] @ v[1:])
+        if ww > 0.0:
+            # H = I - beta v v^T with v = (d - hyp, w) maps (d, w) to (hyp, 0);
+            # d - hyp is formed as -w.w / (d + hyp), without cancellation
+            d = v[0]
+            hyp = math.hypot(d, math.sqrt(ww))
+            v[0] = -ww / (d + hyp)
+            beta = (d + hyp) / (hyp * ww)
+            a[:, 1:] -= np.multiply.outer(beta * v, v @ a[:, 1:])
+            a[0, 0] = hyp
+        diag[t] = a[0, 0]
+        rows_cols[t] = pattern[1:]
+        rows_vals[t] = a[0, 1:].copy()
+        if a.shape[0] > 1 and pattern.size > 1:
+            heapq.heappush(heap, (int(pattern[1]), next(tick), pattern[1:], a[1:, 1:]))
 
-    if n_new and np.any(diag[r.dim:] == 0.0):
-        missing = int(np.nonzero(diag[r.dim:] == 0.0)[0][0]) + r.dim
-        raise RankDeficientAugmentation(f"appended variable {missing} has no supporting row")
+    # a pivot at or below the floor is no support: the variable's column was
+    # empty, or its rows depend on rows that other variables already used
+    weak = np.nonzero(diag[r.dim:] ** 2 <= PIVOT_FLOOR)[0]
+    if weak.size:
+        raise RankDeficientAugmentation(
+            f"appended variable {int(weak[0]) + r.dim} has no supporting row (pivot at or below {PIVOT_FLOOR:.0e})"
+        )
     return UpperTriangular.from_rows(diag, rows_cols, rows_vals)
 
 

@@ -5,10 +5,12 @@ factorizations for values, and plain set arithmetic for symbolic sparsity
 patterns.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import lapack
 
-from beliefplan.errors import NotPositiveDefinite
+from beliefplan.errors import DimensionMismatch, NotPositiveDefinite, RankDeficientAugmentation
 from beliefplan.sparse import PIVOT_FLOOR, SparseRowBlock, SparseSymmetric, UpperTriangular
 
 
@@ -94,6 +96,63 @@ def dense_cholesky(m: SparseSymmetric):
     if bad.size or info > 0:
         raise NotPositiveDefinite(f"pivot at index {int(bad[0]) if bad.size else done} is not positive")
     return r
+
+
+def _rotate_sparse_rows(tc, tv, uc, uv, c, s):
+    """Givens-rotate two sparse row tails; returns (union, new_row, new_upd)."""
+    union = np.union1d(tc, uc)
+    a = np.zeros(union.size)
+    b = np.zeros(union.size)
+    if tc.size:
+        a[np.searchsorted(union, tc)] = tv
+    if uc.size:
+        b[np.searchsorted(union, uc)] = uv
+    return union, c * a + s * b, c * b - s * a
+
+
+def givens_update_oracle(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
+    """``sparse.lowrank_update`` one update row and one Givens rotation at a
+    time: each row is rotated against the factor row at its leading column
+    until it is used up.  A leading stored zero is dropped without a
+    rotation; the first row to reach an appended variable moves into place,
+    sign-normalized.  Same contract and errors as the package kernel."""
+    if n_new < 0:
+        raise ValueError("n_new must be non-negative")
+    nd = r.dim + n_new
+    if u.n_cols != nd:
+        raise DimensionMismatch(f"update has {u.n_cols} columns, expected {nd}")
+    diag = np.zeros(nd)
+    diag[: r.dim] = r.diag
+    rows_cols = list(r.row_cols) + [np.empty(0, dtype=np.int64)] * n_new
+    rows_vals = list(r.row_vals) + [np.empty(0)] * n_new
+    for cur_c, cur_v in zip(u.row_cols, u.row_vals):
+        while cur_c.size:
+            x = cur_v[0]
+            if x == 0.0:
+                cur_c = cur_c[1:]
+                cur_v = cur_v[1:]
+                continue
+            j = int(cur_c[0])
+            d = diag[j]
+            if d == 0.0:
+                sign = 1.0 if x > 0 else -1.0
+                diag[j] = abs(x)
+                rows_cols[j] = cur_c[1:].copy()
+                rows_vals[j] = sign * cur_v[1:]
+                break
+            hyp = math.hypot(d, x)
+            union, new_row, new_upd = _rotate_sparse_rows(
+                rows_cols[j], rows_vals[j], cur_c[1:], cur_v[1:], d / hyp, x / hyp
+            )
+            diag[j] = hyp
+            rows_cols[j] = union
+            rows_vals[j] = new_row
+            cur_c = union
+            cur_v = new_upd
+    if n_new and np.any(diag[r.dim:] == 0.0):
+        missing = int(np.nonzero(diag[r.dim:] == 0.0)[0][0]) + r.dim
+        raise RankDeficientAugmentation(f"appended variable {missing} has no supporting row")
+    return UpperTriangular.from_rows(diag, rows_cols, rows_vals)
 
 
 def dense_inverse_block(b, scalar_idx):

@@ -149,6 +149,26 @@ class TestSolve:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(["solve", "--scenario", str(tmp_path / "nope.json")]) == cli.EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_one_candidate_exits_1_before_scoring(self, command, tmp_path, capsys, monkeypatch):
+        scenario = tmp_path / "one.json"
+        config = ["--seed", "3", "--n-poses", "12", "--candidates", "1"]
+        assert run(["generate", *config, "--out", str(scenario)]) == cli.EXIT_OK
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a candidate was scored")
+
+        monkeypatch.setattr("beliefplan.scenario.evaluate_candidates", no_scoring)
+        if command == "solve":
+            code = run(["solve", "--scenario", str(scenario), "--out-dir", str(out_dir)])
+        else:
+            code = run(["bench", *config, "--seeds", "1", "--out-dir", str(out_dir)])
+        assert code == cli.EXIT_ERROR
+        assert "at least two candidates to rank; the scenario has 1" in capsys.readouterr().err
+        assert not any(out_dir.iterdir())
+
 
 class TestBench:
     def test_writes_aggregate_outputs(self, tmp_path, capsys):
@@ -246,6 +266,11 @@ class TestUsageErrors:
             (["solve", "--scenario", str(TINY), "--ratios", "0.25,nan"], "--ratios: ratios must be finite"),
             (["bounds", "--scenario", str(TINY), "--ratios", "nan"], "--ratios: ratios must be finite"),
             (["bounds", "--scenario", str(TINY), "--ratios", "inf"], "--ratios: ratios must be finite"),
+            (["solve", "--scenario", str(TINY), "--ratios", "0.25,0.25"], "--ratios: ratio 0.25 is given more than once"),
+            (["bounds", "--scenario", str(TINY), "--ratios", "0.25,0.1,0.250"],
+             "--ratios: ratio 0.25 is given more than once"),
+            (["bounds", "--scenario", str(TINY), "--ratios", "0.25,0.2500001"],
+             "--ratios: ratio 0.25 is given more than once"),
             (["solve", "--scenario", str(TINY), "--mode", "full", "--blocks", "0,1"],
              "--blocks applies only to the custom mode"),
             (["solve", "--scenario", str(TINY), "--mode", "custom"], "the custom mode needs --blocks"),
@@ -253,7 +278,8 @@ class TestUsageErrors:
             (["bench", "--n-poses", "12", "--modes", "uninvolved,custom"], "the custom mode needs --blocks"),
         ],
         ids=["seeds-0", "bench-repeats-0", "solve-repeats-negative", "solve-ratios-nan", "bounds-ratios-nan",
-             "bounds-ratios-inf", "solve-blocks-without-custom", "solve-custom-without-blocks",
+             "bounds-ratios-inf", "solve-ratios-repeated", "bounds-ratios-repeated",
+             "bounds-ratios-alike-as-printed", "solve-blocks-without-custom", "solve-custom-without-blocks",
              "bench-blocks-without-custom", "bench-custom-without-blocks"],
     )
     def test_bad_count_or_ratio_exits_1_before_any_session(self, argv, message, tmp_path, capsys):

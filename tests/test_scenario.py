@@ -1,5 +1,6 @@
 """Scenario generation, Jacobian assembly, session execution, file formats."""
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from beliefplan.scenario import (
     ScenarioConfig,
     _lever_mass,
     build_collective_jacobian,
+    candidate_bounds,
     generate,
     noise_sqrt_info,
     objective_scale_bounds,
@@ -357,6 +359,24 @@ class TestSession:
         with pytest.raises(ValueError, match="mode 'full' is requested more than once"):
             run_session(generate(SMALL), modes=[SparsificationSpec.full(), SparsificationSpec.uninvolved(),
                                                 SparsificationSpec.full()])
+
+    def test_repeated_noise_ratio_is_a_value_error(self):
+        sc = generate(SMALL)
+        with pytest.raises(ValueError, match="noise ratio 0.25 is given more than once"):
+            candidate_bounds(sc, (0.25, 0.1, 0.25))
+        with pytest.raises(ValueError, match="noise ratio 0.25 is given more than once"):
+            run_session(sc, noise_ratios=(0.25, 0.25))
+
+    def test_one_candidate_with_a_sparsified_mode_is_a_value_error_before_scoring(self, monkeypatch):
+        sc = generate(dataclasses.replace(SMALL, n_candidates=1))
+        calls = []
+        monkeypatch.setattr("beliefplan.scenario.evaluate_candidates", lambda *a: calls.append(a) or [0.0])
+        for modes in ([SparsificationSpec.uninvolved()], [SparsificationSpec.none(), SparsificationSpec.full()]):
+            with pytest.raises(ValueError, match="at least two candidates to rank; the scenario has 1"):
+                run_session(sc, modes=modes)
+        assert not calls
+        monkeypatch.undo()
+        assert run_session(sc, modes=[SparsificationSpec.none()]).n_candidates == 1
 
     def test_explicit_none_mode_maps_to_baseline(self):
         rep = run_session(generate(SMALL), modes=[SparsificationSpec.none()])

@@ -1,4 +1,4 @@
-"""Sparse kernel tests: factorization, permutations, Givens updates,
+"""Sparse kernel tests: factorization, permutations, factor updates,
 log-determinants, and the Matrix Market interchange."""
 
 import re
@@ -19,6 +19,7 @@ from beliefplan.errors import (
 )
 from beliefplan.scenario import ScenarioConfig, generate
 from beliefplan.sparse import (
+    PIVOT_FLOOR,
     Permutation,
     SparseRowBlock,
     SparseSymmetric,
@@ -29,12 +30,13 @@ from beliefplan.sparse import (
     permute_symmetric,
     permute_triangular_back,
 )
-from beliefplan.sparsify import detect_involvement
+from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
 from helpers import (
     dense_cholesky,
     dense_logdet,
     dense_logdet_oracle,
+    givens_update_oracle,
     lexsort_from_coo,
     random_sparse_spd,
     random_update,
@@ -109,9 +111,9 @@ class TestCholesky:
 
 
 @st.composite
-def spd_with_stored_zeros(draw):
+def spd_with_stored_zeros(draw, max_dim=24):
     """Random sparse SPD matrix, some of whose zero upper entries are stored."""
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(1, max_dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dense = random_sparse_spd(rng, n, density=draw(st.sampled_from([0.05, 0.15, 0.3])))
     m = symmetric_from_dense(dense)
@@ -317,6 +319,69 @@ class TestPermuteTriangularBack:
             permute_triangular_back(r, Permutation(np.array([1, 0])), {0})
 
 
+@st.composite
+def update_problems(draw):
+    """``(r, u, n_new)``: the factor of a random SPD prior (dim 1-40, some zero
+    entries stored), 0-3 appended variables, and update rows with stored
+    zeros, exact-zero leading values and a repeated row.  Each appended
+    variable has a dedicated row, nonzero on it and empty after it, which
+    makes the posterior nonsingular.  One variable may lose its dedicated
+    row, leaving it to the other 0-6 rows to support it or not (a repeated
+    row is no support), or lose its information too: its column then holds
+    only stored zeros."""
+    r = cholesky(draw(spd_with_stored_zeros(max_dim=40)))
+    n = r.dim
+    n_new = draw(st.integers(0, 3))
+    n_cols = n + n_new
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.integers(0, 6))
+    mask = rng.random((extra + n_new, n_cols)) < draw(st.sampled_from([0.1, 0.3, 0.6]))
+    vals = rng.normal(size=mask.shape)
+    vals *= rng.random(mask.shape) >= draw(st.sampled_from([0.0, 0.3]))
+    own = (np.arange(extra, extra + n_new), np.arange(n, n_cols))
+    for k, col in zip(*own):
+        mask[k, col + 1:] = False
+    mask[own] = True
+    vals[own] = rng.normal(size=n_new) + 3.0
+    if draw(st.booleans()):
+        lead = np.nonzero(mask.any(axis=1))[0]
+        lead_cols = mask[lead].argmax(axis=1)
+        dedicated = (lead >= extra) & (lead_cols == n + lead - extra)
+        vals[lead[~dedicated], lead_cols[~dedicated]] = 0.0
+    if mask.shape[0] and draw(st.booleans()):
+        k = draw(st.integers(0, mask.shape[0] - 1))
+        mask = np.vstack([mask, mask[k]])
+        vals = np.vstack([vals, vals[k]])
+    loss = draw(st.sampled_from(["none", "dedicated row", "information"])) if n_new else "none"
+    if loss != "none":
+        var = draw(st.integers(0, n_new - 1))
+        keep = np.arange(mask.shape[0]) != extra + var
+        mask, vals = mask[keep], vals[keep]
+        if loss == "information":
+            vals[:, n + var] = 0.0
+    order = rng.permutation(mask.shape[0])
+    rows, cols = np.nonzero(mask[order])
+    return r, SparseRowBlock.from_coo(order.size, n_cols, rows, cols, vals[order][rows, cols]), n_new
+
+
+def _pattern(r: UpperTriangular) -> tuple:
+    return r.upper.indptr, r.upper.indices
+
+
+def _scale(r: UpperTriangular) -> float:
+    return max(np.abs(r.diag).max(), np.abs(r.upper.data).max(initial=0.0))
+
+
+def _assert_unreached_rows_kept(r: UpperTriangular, want: UpperTriangular, got: UpperTriangular):
+    """Rows the oracle leaves as they were are bit-identical in ``got``."""
+    for i in range(r.dim):
+        if (want.diag[i] == r.diag[i] and np.array_equal(want.row_cols[i], r.row_cols[i])
+                and np.array_equal(want.row_vals[i], r.row_vals[i])):
+            assert got.diag[i] == r.diag[i]
+            np.testing.assert_array_equal(got.row_cols[i], r.row_cols[i])
+            np.testing.assert_array_equal(got.row_vals[i], r.row_vals[i])
+
+
 class TestLowRankUpdate:
     def test_hand_rank1(self):
         r = UpperTriangular.from_diagonal(np.ones(2))
@@ -370,9 +435,103 @@ class TestLowRankUpdate:
         with pytest.raises(RankDeficientAugmentation):
             lowrank_update(r, u, 1)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.3, 1.7, 0.9]],
+            [[0.3, 1.7, 0.0, 0.9], [0.6, 0.0, 1.1, 0.4]],
+            [[0.3, 1.7, 0.9], [0.3, 1.7, 0.9]],
+            [[0.3, 1.7, 0.9], [-0.6, -3.4, -1.8]],
+        ],
+        ids=["one-row", "two-rows", "repeated-row", "scaled-row"],
+    )
+    def test_rows_run_out_before_the_appended_variables(self, rows):
+        # each appended variable takes one row out of play; the last one finds
+        # none left, however its column is filled.  A repeated or scaled row
+        # is no new row: after the reflections its pivot is rounding noise
+        r = UpperTriangular.from_diagonal([1.3])
+        u = row_block_from_dense(rows)
+        with pytest.raises(RankDeficientAugmentation):
+            givens_update_oracle(r, u, u.n_cols - 1)
+        with pytest.raises(RankDeficientAugmentation, match="appended variable"):
+            lowrank_update(r, u, u.n_cols - 1)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lowrank_update(UpperTriangular.from_diagonal(np.ones(2)), SparseRowBlock.empty(4), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(update_problems())
+    def test_matches_the_givens_oracle(self, problem):
+        """Same pattern, values within 1e-12 of scale, unreached rows bit for
+        bit, and RankDeficientAugmentation in the same cases: where the
+        oracle raises it, or leaves an appended pivot at or below the floor.
+
+        One exception, for rows of appended variables: where the oracle's
+        pattern depends on the order of the update rows, the pattern here
+        is the oracle's plus entries that are zero in exact arithmetic
+        (see ``test_order_independent_where_the_oracle_is_not``)."""
+        r, u, n_new = problem
+        try:
+            want = givens_update_oracle(r, u, n_new)
+        except RankDeficientAugmentation:
+            want = None
+        if want is None or np.any(want.diag[r.dim:] ** 2 <= PIVOT_FLOOR):
+            with pytest.raises(RankDeficientAugmentation):
+                lowrank_update(r, u, n_new)
+            return
+        got = lowrank_update(r, u, n_new)
+        _assert_unreached_rows_kept(r, want, got)
+        tol = 1e-12 * _scale(want)
+        if all(map(np.array_equal, _pattern(got), _pattern(want))):
+            np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
+            np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
+            return
+        reversed_rows = SparseRowBlock.from_rows(u.n_cols, u.row_cols[::-1], u.row_vals[::-1])
+        assert not all(map(np.array_equal, _pattern(givens_update_oracle(r, reversed_rows, n_new)), _pattern(want)))
+        extra = upper_pattern(got) - upper_pattern(want)
+        assert upper_pattern(want) <= upper_pattern(got)
+        assert min(i for i, _ in extra) >= r.dim
+        np.testing.assert_allclose(got.to_dense(), want.to_dense(), rtol=0, atol=tol)
+
+    def test_order_independent_where_the_oracle_is_not(self):
+        # rows 0 and 1 meet at pivot 0 and travel on to appended variables.
+        # In row order the oracle folds row 0 alone (it ends at variable 2)
+        # and row 1 then ends at variable 1, so no row links 2 and 3; in
+        # reverse order row 0 reaches 2 through 1 and brings column 3 with it
+        r = UpperTriangular.from_diagonal([1.0])
+        rows = np.array([[0.7, 0.0, 1.3, 0.0], [0.4, 0.9, 0.0, 1.1], [0.0, 0.0, 0.0, 0.8]])
+        forward = row_block_from_dense(rows)
+        backward = row_block_from_dense(rows[::-1])
+        assert givens_update_oracle(r, forward, 3).row_cols[2].size == 0
+        np.testing.assert_array_equal(givens_update_oracle(r, backward, 3).row_cols[2], [3])
+        for u in (forward, backward):
+            got = lowrank_update(r, u, 3)
+            np.testing.assert_array_equal(got.row_cols[2], [3])
+            assert abs(got.row_vals[2][0]) <= 1e-15
+            np.testing.assert_allclose(
+                got.to_dense(), givens_update_oracle(r, forward, 3).to_dense(), rtol=0, atol=1e-15
+            )
+
+    def test_every_plan_1k_candidate_matches_the_givens_oracle(self):
+        """The plan-1k prior and its uninvolved and full sparsified beliefs:
+        for every candidate the same pattern, values within 1e-12 of scale
+        and unreached rows bit for bit."""
+        sc = generate(ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5))
+        mask = detect_involvement(sc.prior.layout, sc.candidates)
+        beliefs = [sc.prior] + [
+            sparsify_belief(sc.prior, spec, mask) for spec in (SparsificationSpec.uninvolved(), SparsificationSpec.full())
+        ]
+        for b in beliefs:
+            for a in sc.candidates:
+                want = givens_update_oracle(b.root, a.jacobian, a.n_new_vars)
+                got = lowrank_update(b.root, a.jacobian, a.n_new_vars)
+                for x, y in zip(_pattern(got), _pattern(want)):
+                    np.testing.assert_array_equal(x, y)
+                tol = 1e-12 * _scale(want)
+                np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
+                np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
+                _assert_unreached_rows_kept(b.root, want, got)
 
 
 class TestLogDet:
