@@ -2,8 +2,8 @@
 
 Core pieces:
 
-- ``sparse``: symmetric/triangular sparse kernels (Cholesky, permutations,
-  multiple-rank factor updates, log-determinants);
+- ``sparse``: symmetric/triangular sparse kernels (Cholesky, the
+  panel fold behind factor updates and sparsification, log-determinants);
 - ``belief``: Gaussian beliefs in square-root information form, entropy and
   the posterior-entropy planning objective;
 - ``sparsify``: belief sparsification and uninvolved-variable detection;
@@ -17,7 +17,7 @@ Core pieces:
 
 from .belief import CandidateAction, GaussianBelief, LayoutBlock, VariableLayout
 from .decision import DecisionProblem, Solution
-from .sparse import Permutation, SparseRowBlock, SparseSymmetric, UpperTriangular
+from .sparse import SparseRowBlock, SparseSymmetric, UpperTriangular
 from .sparsify import InvolvementMask, SparsificationSpec
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "GaussianBelief",
     "InvolvementMask",
     "LayoutBlock",
-    "Permutation",
     "Solution",
     "SparseRowBlock",
     "SparseSymmetric",

@@ -12,8 +12,8 @@ the column-sorted ``indices``/``data`` arrays, the layout
   entries as one CSR row block.
 
 Every CSR block is validated once, by whole-array checks, when it is built.
-``row_cols``/``row_vals`` expose each row as a read-only view for the
-kernel that works row by row (the factor update).
+``row_cols``/``row_vals`` expose each row as a read-only view, for per-row
+inspection.
 
 "Structural" means the stored pattern is the symbolic support produced by
 the operation (elimination fill, the pattern unions of an update),
@@ -29,9 +29,23 @@ SuperLU in the given order.  ``SparseRowBlock.gram``, the one Gram kernel
 (J^T J of constraint rows; R^T R of a factor, through ``UpperTriangular``),
 takes its pattern from a 0/1 sparse product and its values from the data
 product.  Both scatter the numeric product onto the structural pattern
-(``_values_on_pattern``).  ``lowrank_update`` adds constraint rows to a
-factor one pivot row at a time: the rows that reach a pivot are merged with
-it into one small dense block and folded in by one Householder reflection.
+(``_values_on_pattern``).
+
+Changing a factor is one panel kernel, ``_fold``: it re-triangularizes
+factor rows stacked over extra rows, a panel of consecutive pivot rows per
+LAPACK QR (``dgeqrf`` on the pivot columns, ``dormqr`` on the rest), and
+carries the rows left over to the next panel.  Its two callers fix the
+stored pattern separately, by set arithmetic:
+
+- ``lowrank_update`` adds constraint rows to a factor (the multiple-rank
+  update of Davis & Hager); its pattern pass reproduces the row-merge
+  structure of a Givens sequence.
+- ``sparsify_factor`` reorders a factor so that selected scalars come
+  first and cuts their rows to the diagonal, without re-forming the
+  information matrix (Elimelech & Indelman, RA-L 2021): the kept rows that
+  the reordering makes non-triangular are folded back in as extra rows.
+  The kept rows' pattern is the fill of re-factoring in that order, by the
+  fill-path rule.
 
 All types are immutable after construction and every operation returns a
 new object; instances can be shared freely.
@@ -41,19 +55,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     RankDeficientAugmentation,
-    ShapeViolation,
 )
 
 # Pivots at or below this floor are treated as numerically singular.
@@ -61,6 +75,12 @@ from .errors import (
 # which the zero-offset guarantee of uninvolved-variable sparsification
 # depends on.
 PIVOT_FLOOR = 1e-12
+
+# Consecutive pivot rows that ``_fold`` re-triangularizes per LAPACK call.
+# Measured on the 16 plan-1k candidate updates (one BLAS thread, 2-vCPU
+# x86_64 VM): widths 32 to 64 tie, 16 is 1.5x and 8 is 2.5x slower.  Up to
+# 32 reflections ``dormqr`` applies them one at a time.
+_PANEL = 32
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -342,26 +362,6 @@ class UpperTriangular:
         """Drop every off-diagonal entry, keeping the diagonal."""
         return UpperTriangular.from_diagonal(self.diag)
 
-    def trailing(self, k: int) -> "UpperTriangular":
-        """The principal block of rows and columns ``k..dim-1``."""
-        u = self.upper
-        start = u.indptr[k]
-        m = self.dim - k
-        return UpperTriangular(
-            self.diag[k:], SparseRowBlock(m, m, u.indptr[k:] - start, u.indices[start:] - k, u.data[start:])
-        )
-
-    def with_diagonal_head(self, head) -> "UpperTriangular":
-        """Block-diagonal factor diag(head) (+) self."""
-        head = _as_value_array(head)
-        k = head.size
-        u = self.upper
-        n = self.dim + k
-        indptr = np.concatenate([np.zeros(k, dtype=np.int64), u.indptr])
-        return UpperTriangular(
-            np.concatenate([head, self.diag]), SparseRowBlock(n, n, indptr, u.indices + k, u.data)
-        )
-
     def gram_nnz(self) -> int:
         return self.as_row_block().gram_nnz()
 
@@ -374,52 +374,6 @@ class UpperTriangular:
         out = self.diag ** 2
         np.add.at(out, self.upper.indices, self.upper.data ** 2)
         return out
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Index permutation with its precomputed inverse.
-
-    ``forward[i]`` is the source index that lands at position ``i`` of the
-    permuted object, so applying the permutation reads
-    ``out[i, j] = m[forward[i], forward[j]]``.
-    """
-
-    forward: np.ndarray
-    inverse: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        forward = _as_index_array(self.forward)
-        n = forward.size
-        inverse = np.empty(n, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            raise ValueError("permutation must be non-empty")
-        if forward.min() < 0 or forward.max() >= n:
-            raise ValueError("permutation indices out of range")
-        np.add.at(counts, forward, 1)
-        if np.any(counts != 1):
-            raise ValueError("permutation indices must be distinct")
-        inverse[forward] = np.arange(n, dtype=np.int64)
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "inverse", inverse)
-
-    @classmethod
-    def move_to_front(cls, dim: int, first: list[int]) -> "Permutation":
-        """Stable permutation placing ``first`` (in their original relative
-        order) ahead of all remaining indices (also order-preserving)."""
-        first_arr = _as_index_array(np.sort(np.asarray(list(first), dtype=np.int64)))
-        mask = np.zeros(dim, dtype=bool)
-        mask[first_arr] = True
-        rest = np.nonzero(~mask)[0]
-        return cls(np.concatenate([first_arr, rest]))
-
-    @property
-    def dim(self) -> int:
-        return int(self.forward.size)
-
-    def inverted(self) -> "Permutation":
-        return Permutation(self.inverse.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -530,83 +484,218 @@ def cholesky(m: SparseSymmetric) -> UpperTriangular:
     return UpperTriangular(diag, SparseRowBlock(n, n, indptr, indices, vals))
 
 
-def permute_symmetric(m: SparseSymmetric, p: Permutation) -> SparseSymmetric:
-    """Symmetric reordering: out[i, j] = m[p(i), p(j)].  nnz is unchanged."""
-    if p.dim != m.dim:
-        raise DimensionMismatch(f"permutation dim {p.dim} != matrix dim {m.dim}")
-    u = m.upper
-    new_r = p.inverse[u.row_ids]
-    new_c = p.inverse[u.indices]
-    lo = np.minimum(new_r, new_c)
-    hi = np.maximum(new_r, new_c)
-    return SparseSymmetric(SparseRowBlock.from_coo(m.dim, m.dim, lo, hi, u.data))
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` over the given starts and counts."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)
 
 
-def permute_triangular_back(
-    r: UpperTriangular, p: Permutation, sparsified: set[int] | frozenset[int]
-) -> UpperTriangular:
-    """Reorder a factor whose ``sparsified`` rows are diagonal-only.
+def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indptr, out_indices) -> tuple:
+    """Re-triangularize the factor rows at ``pivots`` stacked over the rows
+    of ``u``, one LAPACK QR per panel of ``_PANEL`` consecutive pivots.
 
-    Because those rows carry no off-diagonal entries, applying the
-    permutation directly to the factor keeps it upper triangular; the
-    result squares to the correspondingly permuted symmetric product.
-    Raises ShapeViolation if any stored entry would land below the
-    diagonal, which indicates the named rows were not actually sparsified
-    (or the permutation does not match the sparsified-first ordering).
+    ``diag`` is the factor diagonal, 0 on an empty row; ``upper`` holds the
+    strictly-upper entries of the first ``upper.n_rows`` rows, any later
+    row being empty.  ``pivots`` lists the rows to re-form in elimination
+    order and ``rank`` gives the elimination position of every column.  A
+    row of ``u`` joins at the panel of its first nonzero column, which must
+    be a pivot.  For each panel, the panel's factor rows (a zero row where a
+    row is empty), the rows travelling on from earlier panels and the rows
+    that join form one dense Fortran-order array: the pivot columns, the
+    other columns the rows store, and one zero column.  ``dgeqrf``
+    triangularizes the pivot columns and ``dormqr`` applies the reflections
+    to the rest.  The first rows of the result, sign-normalized, are the
+    new factor rows; the others travel on over the columns after the panel.
+
+    Returns the new diagonal at the pivots, 0 where no row supports a
+    pivot, and the new values at the columns that the CSR ``(out_indptr,
+    out_indices)`` lists for each pivot in turn; a listed column that no
+    row of the panel stores reads 0.
     """
-    if p.dim != r.dim:
-        raise DimensionMismatch(f"permutation dim {p.dim} != factor dim {r.dim}")
-    named = np.fromiter(sparsified, dtype=np.int64, count=len(sparsified))
-    still_dense = named[np.diff(r.upper.indptr)[named] > 0]
-    if still_dense.size:
-        raise ShapeViolation(
-            f"row {int(still_dense.min())} was named as sparsified but still has off-diagonal entries"
-        )
-    inv = p.inverse
-    new_diag = np.empty(r.dim)
-    new_diag[inv] = r.diag
-    new_rows = inv[r.upper.row_ids]
-    new_cols = inv[r.upper.indices]
-    below = np.nonzero(new_cols < new_rows)[0]
-    if below.size:
-        raise ShapeViolation(
-            f"entry of row {int(r.upper.row_ids[below[0]])} would land below the diagonal after "
-            "permutation; rows selected for sparsification still carry off-diagonal entries"
-        )
-    return UpperTriangular(new_diag, SparseRowBlock.from_coo(r.dim, r.dim, new_rows, new_cols, r.upper.data))
+    n_cols = u.n_cols
+    piv_rank = rank[pivots]
+    d = diag[pivots]
+    n_panels = -(-pivots.size // _PANEL)
+    panel_ends = np.minimum(np.arange(1, n_panels + 1) * _PANEL, pivots.size)
+
+    # the factor rows' entries, panel by panel
+    full = np.flatnonzero(d)
+    full_bounds = np.searchsorted(full, panel_ends).tolist()
+    starts = upper.indptr[pivots[full]]
+    counts = upper.indptr[pivots[full] + 1] - starts
+    f_at = _ranges(starts, counts)
+    f_row = np.repeat(full, counts)
+    f_col = rank[upper.indices[f_at]]
+    f_val = upper.data[f_at]
+    f_bounds = np.searchsorted(f_row, panel_ends).tolist()
+
+    # every update row joins at the panel of its first nonzero column
+    nz = np.flatnonzero(u.data)
+    nz_rows = u.row_ids[nz]
+    lead = np.flatnonzero(np.diff(nz_rows, prepend=-1))
+    first = np.minimum.reduceat(rank[u.indices[nz]], lead) if nz.size else _EMPTY_I
+    joins = np.searchsorted(piv_rank, first) // _PANEL
+    order = np.argsort(joins, kind="stable")
+    joining = nz_rows[lead][order]
+    starts = u.indptr[joining]
+    counts = u.indptr[joining + 1] - starts
+    u_at = _ranges(starts, counts)
+    u_row = np.repeat(np.arange(joining.size), counts)
+    u_col = rank[u.indices[u_at]]
+    u_val = u.data[u_at]
+    j_bounds = np.searchsorted(joins[order], np.arange(n_panels + 1)).tolist()
+    u_bounds = np.concatenate(([0], np.cumsum(counts)))[j_bounds].tolist()
+
+    out_row = np.repeat(np.arange(pivots.size), np.diff(out_indptr))
+    out_col = rank[out_indices]
+    o_bounds = out_indptr[np.concatenate(([0], panel_ends))].tolist()
+    out = np.empty(out_indices.size)
+
+    new_diag = np.empty(pivots.size)
+    mark = np.zeros(n_cols, dtype=bool)
+    # a column's place in the panel's array; -1, its last column, stays zero
+    slot = np.full(n_cols, -1, dtype=np.int64)
+    t_cols = _EMPTY_I
+    t_rows = np.empty((0, 0))
+    lo = 0
+    for p, hi in enumerate(panel_ends.tolist()):
+        piv = piv_rank[lo:hi]
+        w = hi - lo
+        fa, fb = f_bounds[p - 1] if p else 0, f_bounds[p]
+        ua, ub = u_bounds[p], u_bounds[p + 1]
+        mark[f_col[fa:fb]] = True
+        mark[u_col[ua:ub]] = True
+        mark[t_cols] = True
+        mark[piv] = False
+        other = np.flatnonzero(mark)
+        mark[other] = False
+        slot[piv] = np.arange(w)
+        slot[other] = np.arange(w, w + other.size)
+
+        m = t_rows.shape[0]
+        joined = j_bounds[p + 1] - j_bounds[p]
+        a = np.zeros((w + m + joined, w + other.size + 1), order="F")
+        k = full[full_bounds[p - 1] if p else 0:full_bounds[p]] - lo
+        a[k, k] = d[lo + k]
+        a[f_row[fa:fb] - lo, slot[f_col[fa:fb]]] = f_val[fa:fb]
+        a[w:w + m, slot[t_cols]] = t_rows
+        a[u_row[ua:ub] - j_bounds[p] + w + m, slot[u_col[ua:ub]]] = u_val[ua:ub]
+
+        # in place: the pivot columns become R and the reflectors, the rest Q^T times itself
+        qr, tau, _, _ = lapack.dgeqrf(a[:, :w], overwrite_a=True)
+        lapack.dormqr("L", "T", qr, tau, a[:, w:], other.size + 1, overwrite_c=True)
+        head = np.diagonal(a)[:w]
+        new_diag[lo:hi] = np.abs(head)
+        oa, ob = o_bounds[p], o_bounds[p + 1]
+        rows = out_row[oa:ob] - lo
+        out[oa:ob] = a[rows, slot[out_col[oa:ob]]] * np.where(head < 0.0, -1.0, 1.0)[rows]
+
+        split = int(np.searchsorted(other, piv[-1]))
+        t_cols = other[split:]
+        t_rows = a[w:, w + split:-1]
+        t_rows = t_rows[t_rows.any(axis=1)]
+        slot[piv] = -1
+        slot[other] = -1
+        lo = hi
+    return new_diag, out
 
 
-def _merge_onto_row(t: int, d: float, row_c, row_v, groups) -> tuple:
-    """Factor row ``t`` (diagonal ``d``, tail ``row_c``/``row_v``) stacked over
-    the ``(columns, block)`` groups that start at column ``t``, as one dense
-    ``(1 + m) x |pattern|`` array on the union of their patterns."""
-    pattern = np.concatenate([row_c, *(cols for cols, _ in groups)])
-    pattern.sort()
-    pattern = pattern[np.concatenate(([True], pattern[1:] != pattern[:-1]))]
-    out = np.zeros((1 + sum(block.shape[0] for _, block in groups), pattern.size))
-    out[0, 0] = d
-    out[0, pattern.searchsorted(row_c)] = row_v
-    i = 1
-    for cols, block in groups:
-        out[i:i + block.shape[0], pattern.searchsorted(cols)] = block
-        i += block.shape[0]
-    return pattern, out
+def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
+    """The rows that ``lowrank_update`` re-forms and their new columns, by
+    set arithmetic on the stored patterns, with no numerics.
+
+    The update rows travel in groups.  A group holds the union of its
+    rows' columns and knows at which of them all its rows store zeros; it
+    reaches the pivot of its first column that is not all zeros, and the
+    all-zero columns before it drop without touching their rows.  Every
+    group that reaches pivot ``t`` merges with factor row ``t``: the row
+    gets the union of their columns, and the merged group travels on over
+    the same columns, one row fewer when ``t`` is an appended variable (the
+    row that moved into place).
+
+    Returns the reached pivots, ascending, and their new strictly-upper
+    columns as CSR ``(indptr, indices)`` over those pivots.
+    """
+    bounds = r.upper.indptr.tolist()
+    indices, data = r.upper.indices, r.upper.data
+    stores_zero = set(r.upper.row_ids[data == 0.0].tolist())
+
+    # (first column, tie-break, columns, nonzero columns or None if all, rows)
+    heap = []
+    u_bounds = u.indptr.tolist()
+    u_cols = u.indices.tolist()
+    u_zero = (u.data == 0.0).tolist()
+    for k in range(u.n_rows):
+        lo, hi = u_bounds[k], u_bounds[k + 1]
+        nz = [u_cols[j] for j in range(lo, hi) if not u_zero[j]]
+        if nz:
+            lead = u_cols.index(nz[0], lo, hi)
+            heap.append((nz[0], k, u_cols[lead:hi], set(nz) if len(nz) < hi - lead else None, 1))
+    heapq.heapify(heap)
+    tick = itertools.count(u.n_rows)
+
+    reached, patterns = [], []
+    dim = r.dim
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        t, _, group_cols, nz, n_rows = pop(heap)
+        merged = set(group_cols)
+        nz_parts = None if nz is None else [nz]
+        while heap and heap[0][0] == t:
+            _, _, other_cols, other_nz, other_rows = pop(heap)
+            merged.update(other_cols)
+            n_rows += other_rows
+            if nz_parts is None:
+                nz_parts = [group_cols]
+            nz_parts.append(other_cols if other_nz is None else other_nz)
+        if t < dim:
+            lo, hi = bounds[t], bounds[t + 1]
+            row = indices[lo:hi].tolist()
+            merged.update(row)
+            if t in stores_zero:
+                nonzero = indices[lo:hi][data[lo:hi] != 0.0].tolist()
+                nz_parts = [nonzero, group_cols] if nz_parts is None else nz_parts + [nonzero]
+            elif nz_parts is not None:
+                nz_parts.append(row)
+        else:
+            n_rows -= 1
+        rest = sorted(merged)
+        del rest[0]
+        reached.append(t)
+        patterns.append(rest)
+        if not n_rows or not rest:
+            continue
+        j = 0
+        if nz_parts is not None:
+            nz = set().union(*nz_parts)
+            while j < len(rest) and rest[j] not in nz:
+                j += 1
+            if j == len(rest):
+                continue
+            if merged.issubset(nz):
+                nz = None
+        push(heap, (rest[j], next(tick), rest[j:] if j else rest, nz, n_rows))
+
+    indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns)), out=indptr[1:])
+    cols = np.fromiter(itertools.chain.from_iterable(patterns), dtype=np.int64, count=int(indptr[-1]))
+    return np.array(reached, dtype=np.int64), indptr, cols
 
 
 def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
-    """Rank-k information update of a triangular factor, one pivot row at a
-    time (the multiple-rank update of Davis & Hager, SIAM J. Matrix Anal.
-    Appl. 2001).
+    """Rank-k information update of a triangular factor (the multiple-rank
+    update of Davis & Hager, SIAM J. Matrix Anal. Appl. 2001).
 
     Returns upper-triangular R+ of dimension ``r.dim + n_new`` satisfying
-    (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  The update rows travel in
-    groups, each a dense block over the union of its rows' columns, kept in
-    a heap by first column.  At pivot ``t`` every group that starts there is
-    merged with factor row ``t`` and folded in by one Householder
-    reflection, the blocked form of a Givens sequence; the block left over
-    travels on to its next column.  A group whose leading column holds only
-    zeros drops that column without touching the row.  Rows no group
-    reaches keep their stored entries, bit for bit.
+    (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  A pattern pass
+    (``_update_pattern``) fixes which factor rows the update rows reach and
+    each reached row's new columns: the union of the groups of update rows
+    that reach it, where a group whose leading entries are all stored zeros
+    drops that column without touching the row.  The panel fold
+    (``_fold``) then re-triangularizes the reached rows stacked over the
+    update rows, a panel of consecutive reached rows per LAPACK QR, and
+    the new values are read at those columns.  Rows no update row reaches
+    keep their stored entries, bit for bit.
 
     Raises RankDeficientAugmentation if any of the ``n_new`` appended
     variables ends up without diagonal support, its squared diagonal at or
@@ -618,53 +707,11 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     if u.n_cols != nd:
         raise DimensionMismatch(f"update has {u.n_cols} columns, expected {nd}")
 
+    pivots, p_indptr, p_indices = _update_pattern(r, u)
     diag = np.zeros(nd)
     diag[: r.dim] = r.diag
-    rows_cols = list(r.row_cols) + [_EMPTY_I] * n_new
-    rows_vals = list(r.row_vals) + [_EMPTY_F] * n_new
-
-    # (first column, tie-break, columns, dense block of rows over them)
-    heap = [(int(c[0]), k, c, v[np.newaxis]) for k, (c, v) in enumerate(zip(u.row_cols, u.row_vals)) if c.size]
-    heapq.heapify(heap)
-    tick = itertools.count(u.n_rows)
-    while heap:
-        t = heap[0][0]
-        groups = []
-        while heap and heap[0][0] == t:
-            _, _, cols, block = heapq.heappop(heap)
-            if np.count_nonzero(block[:, 0]):
-                groups.append((cols, block))
-            elif cols.size > 1:
-                # a column of stored zeros is eliminated without a reflection
-                heapq.heappush(heap, (int(cols[1]), next(tick), cols[1:], block[:, 1:]))
-        if not groups:
-            continue
-        pattern, a = _merge_onto_row(t, diag[t], rows_cols[t], rows_vals[t], groups)
-        if diag[t] == 0.0:
-            # an appended variable no row reached yet: the first row that
-            # supports it moves into place, sign-normalized, and leaves the
-            # block; a reflection would leave a rounding residue of it that
-            # could pose as support for a later appended variable
-            i = 1 + int(np.flatnonzero(a[1:, 0])[0])
-            a[0] = a[i] if a[i, 0] > 0 else -a[i]
-            a = np.delete(a, i, axis=0)
-        v = a[:, 0].copy()
-        ww = float(v[1:] @ v[1:])
-        if ww > 0.0:
-            # H = I - beta v v^T with v = (d - hyp, w) maps (d, w) to (hyp, 0);
-            # d - hyp is formed as -w.w / (d + hyp), without cancellation
-            d = v[0]
-            hyp = math.hypot(d, math.sqrt(ww))
-            v[0] = -ww / (d + hyp)
-            beta = (d + hyp) / (hyp * ww)
-            a[:, 1:] -= np.multiply.outer(beta * v, v @ a[:, 1:])
-            a[0, 0] = hyp
-        diag[t] = a[0, 0]
-        rows_cols[t] = pattern[1:]
-        rows_vals[t] = a[0, 1:].copy()
-        if a.shape[0] > 1 and pattern.size > 1:
-            heapq.heappush(heap, (int(pattern[1]), next(tick), pattern[1:], a[1:, 1:]))
-
+    new_diag, vals = _fold(diag, r.upper, u, pivots, np.arange(nd), p_indptr, p_indices)
+    diag[pivots] = new_diag
     # a pivot at or below the floor is no support: the variable's column was
     # empty, or its rows depend on rows that other variables already used
     weak = np.nonzero(diag[r.dim:] ** 2 <= PIVOT_FLOOR)[0]
@@ -672,7 +719,144 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
         raise RankDeficientAugmentation(
             f"appended variable {int(weak[0]) + r.dim} has no supporting row (pivot at or below {PIVOT_FLOOR:.0e})"
         )
-    return UpperTriangular.from_rows(diag, rows_cols, rows_vals)
+
+    # splice: reached rows take their new entries, the others keep theirs
+    reached = np.zeros(nd, dtype=bool)
+    reached[pivots] = True
+    lengths = np.zeros(nd, dtype=np.int64)
+    lengths[: r.dim] = np.diff(r.upper.indptr)
+    lengths[pivots] = np.diff(p_indptr)
+    indptr = np.zeros(nd + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    fresh = np.repeat(reached, lengths)
+    kept = ~reached[r.upper.row_ids]
+    indices = np.empty(fresh.size, dtype=np.int64)
+    data = np.empty(fresh.size)
+    indices[fresh] = p_indices
+    data[fresh] = vals
+    indices[~fresh] = r.upper.indices[kept]
+    data[~fresh] = r.upper.data[kept]
+    return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
+
+
+def _kept_fill(r: UpperTriangular, block: SparseRowBlock, selected: np.ndarray, split: int) -> tuple:
+    """Strictly-upper fill pattern of the kept rows when the trailing rows
+    of ``r`` (from ``split`` on) are re-factored with the ``selected``
+    scalars eliminated first, as CSR ``(indptr, indices)`` over all rows;
+    selected rows are empty.  ``block`` is ``r.as_row_block()``.
+
+    By the fill-path theorem, kept scalars are linked when a factor row
+    links them or when they touch the same connected component of the
+    selected subgraph; the pattern is then the symbolic elimination of that
+    graph in kept order, as in ``_symbolic_fill``.  Each factor row and each
+    component links a clique, so its members are given to its least member
+    only: the elimination carries them up the elimination tree to the rest.
+    """
+    n = r.dim
+    lo = block.indptr[split]
+    rows, cols = block.row_ids[lo:], block.indices[lo:]
+    sel = selected[cols]
+    s_rows, s_cols = rows[sel], cols[sel]
+    link = np.flatnonzero(s_rows[1:] == s_rows[:-1])
+    graph = sp.csr_matrix((np.ones(link.size), (s_cols[link], s_cols[link + 1])), shape=(n, n))
+    component = connected_components(graph, directed=False)[1]
+    touches = np.full(n, -1, dtype=np.int64)
+    first = np.flatnonzero(np.diff(s_rows, prepend=-1))
+    touches[s_rows[first]] = component[s_cols[first]]
+
+    # the kept members of all rows that touch one component form its clique
+    k_rows, k_cols = rows[~sel], cols[~sel]
+    via = touches[k_rows]
+    comp, members = np.divmod(np.unique(via[via >= 0] * n + k_cols[via >= 0]), n)
+    cliques: dict = {}
+    edges = np.flatnonzero(np.diff(comp, append=-1)) + 1
+    for a, b in zip(np.concatenate(([0], edges[:-1])).tolist(), edges.tolist()):
+        if b - a > 1:
+            cliques.setdefault(int(members[a]), []).append(members[a + 1:b].tolist())
+
+    kept = np.flatnonzero(~selected[split:]) + split
+    bounds = r.upper.indptr[kept].tolist()
+    ends = r.upper.indptr[kept + 1].tolist()
+    children: dict = {}
+    rows_fill = []
+    for i, a, b, plain in zip(kept.tolist(), bounds, ends, (touches[kept] < 0).tolist()):
+        fill = set(r.upper.indices[a:b].tolist()) if plain else set()
+        fill.update(*cliques.get(i, ()), *children.pop(i, ()))
+        fill.discard(i)
+        row = sorted(fill)
+        rows_fill.append(row)
+        if row:
+            children.setdefault(row[0], []).append(row)
+    lengths = np.zeros(n, dtype=np.int64)
+    lengths[kept] = np.fromiter(map(len, rows_fill), dtype=np.int64, count=kept.size)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(rows_fill), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular:
+    """The factor of the belief with the ``selected`` scalars sparsified:
+    ``r`` re-triangularized with the selected scalars eliminated first, the
+    selected rows cut to their diagonal, and the result read in the
+    original order, which the diagonal selected rows allow.
+
+    The reordering is a modification of the factor itself (Elimelech &
+    Indelman, RA-L 2021), not a re-factorization: in the selected-first
+    order the selected rows and the kept rows without a selected entry are
+    still triangular, and each kept row with an entry in a (later) selected
+    column leaves its place and is folded back in by ``_fold``, through
+    the selected rows from the first one it reaches and then through the
+    kept rows up to the last one that moved.  The other rows keep their
+    values.  The kept rows' stored pattern is the fill pattern of the
+    re-factored trailing block (``_kept_fill``), so stored entries that are
+    zero in exact arithmetic are kept, as ``cholesky`` keeps them.  When no
+    selected scalar follows the first kept one, no reordering is needed and
+    the rows are only cut.
+    """
+    n = r.dim
+    kept = np.flatnonzero(~selected)
+    if not kept.size:
+        return r.diagonal_only()
+    split = int(kept[0])
+    u = r.upper
+    start = u.indptr[split]
+    if not selected[split:].any():
+        indptr = np.concatenate([np.zeros(split, dtype=np.int64), u.indptr[split:] - start])
+        return UpperTriangular(r.diag, SparseRowBlock(n, n, indptr, u.indices[start:], u.data[start:]))
+
+    block = r.as_row_block()
+    indptr, indices = _kept_fill(r, block, selected, split)
+    lengths = np.diff(indptr)
+    crossing = ~selected[u.row_ids] & selected[u.indices]
+    moved = np.unique(u.row_ids[crossing])
+    first = u.indices[crossing].min(initial=n)
+    pivots = np.concatenate([
+        np.flatnonzero(selected[first:]) + first,
+        kept[(kept >= moved.min(initial=n)) & (kept <= moved.max(initial=-1))],
+    ])
+    refolded = pivots[~selected[pivots]]
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.concatenate([np.flatnonzero(selected), kept])] = np.arange(n)
+    counts = block.indptr[moved + 1] - block.indptr[moved]
+    at = _ranges(block.indptr[moved], counts)
+    extra = SparseRowBlock(moved.size, n, np.concatenate(([0], np.cumsum(counts))), block.indices[at], block.data[at])
+    # the selected pivots read no columns, the kept ones their fill pattern
+    p_indptr = np.zeros(pivots.size + 1, dtype=np.int64)
+    np.cumsum(lengths[pivots] * ~selected[pivots], out=p_indptr[1:])
+    p_at = _ranges(indptr[refolded], lengths[refolded])
+    fold_diag = r.diag.copy()
+    fold_diag[moved] = 0.0
+    new_diag, vals = _fold(fold_diag, u, extra, pivots, rank, p_indptr, indices[p_at])
+
+    diag = r.diag.copy()
+    diag[pivots] = new_diag
+    same = ~selected
+    same[refolded] = False
+    same = same[u.row_ids]
+    data = _values_on_pattern(indptr, indices, u.row_ids[same], u.indices[same], u.data[same])
+    data[p_at] = vals
+    return UpperTriangular(diag, SparseRowBlock(n, n, indptr, indices, data))
 
 
 def logdet_triangular(r: UpperTriangular) -> float:

@@ -2,19 +2,25 @@
 
 Sparsifying a set S of blocks replaces the conditional distribution of each
 scalar in S with an independent one while leaving every other conditional
-untouched.  Operationally on the square-root factor:
+untouched.  Operationally on the square-root factor
+(``sparse.sparsify_factor``):
 
-1. reorder the variables so S comes first (stable within S and outside S),
-   re-forming and re-factorizing the information matrix when reordering is
-   needed;
-2. zero the off-diagonal entries of the rows belonging to S;
-3. permute back to the original order, which the diagonal S-rows allow
-   directly on the factor without breaking triangularity.
+1. reorder the variables so S comes first (stable within S and outside S).
+   This is done on the factor itself, as a fold: in that order only the
+   kept rows with an entry in an S column break triangularity, and they
+   are folded back in through the S rows and the kept rows by the panel
+   kernel that also updates factors.  The information matrix is neither
+   re-formed nor re-factored;
+2. cut the rows belonging to S to their diagonal;
+3. read the factor in the original order, which the diagonal S-rows allow
+   directly without breaking triangularity.
 
-The factor diagonal is untouched throughout, so the information determinant
-and hence the belief entropy are preserved exactly for any S.  Blocks whose
-columns are structurally zero in every candidate Jacobian ("uninvolved")
-can be sparsified with zero effect on any candidate's objective value.
+Step 1 is an orthogonal re-triangularization, so it keeps the product of
+the diagonal, and step 2 keeps the diagonal itself: the information
+determinant and hence the belief entropy are preserved for any S.  Blocks
+whose columns are structurally zero in every candidate Jacobian
+("uninvolved") can be sparsified with zero effect on any candidate's
+objective value.
 """
 
 from __future__ import annotations
@@ -25,12 +31,7 @@ import numpy as np
 
 from .belief import GaussianBelief, VariableLayout
 from .errors import InvalidSpec, LayoutMismatch
-from .sparse import (
-    Permutation,
-    cholesky,
-    permute_symmetric,
-    permute_triangular_back,
-)
+from .sparse import sparsify_factor
 
 MODES = ("none", "uninvolved", "full", "custom")
 
@@ -128,32 +129,14 @@ def sparsify_belief(
 ) -> GaussianBelief:
     """Sparsify the blocks selected by ``spec``; mean and layout are kept.
 
-    When the selected scalars already sit first in the ordering (always the
-    case for full sparsification) the factor rows are zeroed directly.
-    Otherwise the information matrix is re-formed, stably permuted so the
-    selected scalars come first, re-factorized, zeroed, and permuted back.
+    The factor is reordered with the selected scalars first by a fold of
+    the rows that the reordering moves (``sparse.sparsify_factor``), and the
+    selected rows are cut to their diagonal; when nothing needs reordering
+    (always the case for full sparsification) the rows are only cut.
     """
     s_blocks = resolve_blocks(spec, b.layout, mask)
     if not s_blocks:
         return b
-    s_scalars = b.layout.scalar_indices(sorted(s_blocks))
     selected = np.zeros(b.dim, dtype=bool)
-    selected[s_scalars] = True
-    kept = np.nonzero(~selected)[0]
-    if kept.size == 0:
-        return GaussianBelief(b.mean, b.root.diagonal_only(), b.layout)
-
-    # every scalar before the first kept one is selected, keeps its position
-    # under the stable selected-first ordering, and its row is zeroed anyway;
-    # so only the trailing block from that point on needs re-factorization
-    # (the leading factor block is untouched by the reordering)
-    split = int(kept[0])
-    suffix_s = s_scalars[s_scalars >= split] - split
-    tail = b.root.trailing(split)
-    if suffix_s.size:
-        k = suffix_s.size
-        perm = Permutation.move_to_front(tail.dim, suffix_s)
-        root_p = cholesky(permute_symmetric(tail.gram(), perm))
-        root_p_s = root_p.trailing(k).with_diagonal_head(root_p.diag[:k])
-        tail = permute_triangular_back(root_p_s, perm.inverted(), set(range(k)))
-    return GaussianBelief(b.mean, tail.with_diagonal_head(b.root.diag[:split]), b.layout)
+    selected[b.layout.scalar_indices(sorted(s_blocks))] = True
+    return GaussianBelief(b.mean, sparsify_factor(b.root, selected), b.layout)

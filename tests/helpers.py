@@ -10,8 +10,10 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
-from beliefplan.errors import DimensionMismatch, NotPositiveDefinite, RankDeficientAugmentation
-from beliefplan.sparse import PIVOT_FLOOR, SparseRowBlock, SparseSymmetric, UpperTriangular
+from dataclasses import dataclass
+
+from beliefplan.errors import DimensionMismatch, NotPositiveDefinite, RankDeficientAugmentation, ShapeViolation
+from beliefplan.sparse import PIVOT_FLOOR, SparseRowBlock, SparseSymmetric, UpperTriangular, cholesky
 
 
 def row_block_from_dense(a, n_cols=None) -> SparseRowBlock:
@@ -58,6 +60,19 @@ def dense_logdet_oracle(m: SparseSymmetric) -> float:
     except np.linalg.LinAlgError as e:
         raise NotPositiveDefinite(str(e)) from e
     return float(2.0 * np.sum(np.log(chol.diagonal())))
+
+
+def batch_small_configs(n=8):
+    """The first ``n`` scenario configurations of the acceptance batch
+    (40-120 poses, 5-8 candidates of 4 poses)."""
+    from beliefplan.scenario import ScenarioConfig
+
+    rng = np.random.default_rng(7)
+    return tuple(
+        ScenarioConfig(seed=seed, n_prior_poses=int(rng.integers(40, 121)), n_candidates=int(rng.integers(5, 9)),
+                       candidate_length=4, loop_closure_radius=2.2)
+        for seed in range(n)
+    )
 
 
 def random_sparse_spd(rng, dim, density=0.3, shift=1.0):
@@ -153,6 +168,126 @@ def givens_update_oracle(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) 
         missing = int(np.nonzero(diag[r.dim:] == 0.0)[0][0]) + r.dim
         raise RankDeficientAugmentation(f"appended variable {missing} has no supporting row")
     return UpperTriangular.from_rows(diag, rows_cols, rows_vals)
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """Index permutation with its precomputed inverse.
+
+    ``forward[i]`` is the source index that lands at position ``i`` of the
+    permuted object, so applying the permutation reads
+    ``out[i, j] = m[forward[i], forward[j]]``.
+    """
+
+    forward: np.ndarray
+    inverse: np.ndarray = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        forward = np.asarray(self.forward, dtype=np.int64)
+        n = forward.size
+        if forward.ndim != 1 or n == 0:
+            raise ValueError("permutation must be a non-empty 1-d index array")
+        if forward.min() < 0 or forward.max() >= n:
+            raise ValueError("permutation indices out of range")
+        if np.any(np.bincount(forward, minlength=n) != 1):
+            raise ValueError("permutation indices must be distinct")
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[forward] = np.arange(n, dtype=np.int64)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "inverse", inverse)
+
+    @classmethod
+    def move_to_front(cls, dim: int, first) -> "Permutation":
+        """Stable permutation placing ``first`` (in their original relative
+        order) ahead of all remaining indices (also order-preserving)."""
+        mask = np.zeros(dim, dtype=bool)
+        mask[np.asarray(list(first), dtype=np.int64)] = True
+        return cls(np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)]))
+
+    @property
+    def dim(self) -> int:
+        return int(self.forward.size)
+
+    def inverted(self) -> "Permutation":
+        return Permutation(self.inverse.copy())
+
+
+def permute_symmetric(m: SparseSymmetric, p: Permutation) -> SparseSymmetric:
+    """Symmetric reordering: out[i, j] = m[p(i), p(j)].  nnz is unchanged."""
+    if p.dim != m.dim:
+        raise DimensionMismatch(f"permutation dim {p.dim} != matrix dim {m.dim}")
+    u = m.upper
+    new_r = p.inverse[u.row_ids]
+    new_c = p.inverse[u.indices]
+    return SparseSymmetric(
+        SparseRowBlock.from_coo(m.dim, m.dim, np.minimum(new_r, new_c), np.maximum(new_r, new_c), u.data)
+    )
+
+
+def permute_triangular_back(r: UpperTriangular, p: Permutation, sparsified) -> UpperTriangular:
+    """Reorder a factor whose ``sparsified`` rows are diagonal-only.
+
+    Because those rows carry no off-diagonal entries, applying the
+    permutation directly to the factor keeps it upper triangular.  Raises
+    ShapeViolation if a named row still has off-diagonal entries or any
+    entry would land below the diagonal.
+    """
+    if p.dim != r.dim:
+        raise DimensionMismatch(f"permutation dim {p.dim} != factor dim {r.dim}")
+    named = np.fromiter(sparsified, dtype=np.int64, count=len(sparsified))
+    still_dense = named[np.diff(r.upper.indptr)[named] > 0]
+    if still_dense.size:
+        raise ShapeViolation(
+            f"row {int(still_dense.min())} was named as sparsified but still has off-diagonal entries"
+        )
+    inv = p.inverse
+    new_diag = np.empty(r.dim)
+    new_diag[inv] = r.diag
+    new_rows = inv[r.upper.row_ids]
+    new_cols = inv[r.upper.indices]
+    if np.any(new_cols < new_rows):
+        raise ShapeViolation("an entry would land below the diagonal after permutation")
+    return UpperTriangular(new_diag, SparseRowBlock.from_coo(r.dim, r.dim, new_rows, new_cols, r.upper.data))
+
+
+def trailing(r: UpperTriangular, k: int) -> UpperTriangular:
+    """The principal block of rows and columns ``k..dim-1``."""
+    u = r.upper
+    start = u.indptr[k]
+    m = r.dim - k
+    return UpperTriangular(r.diag[k:], SparseRowBlock(m, m, u.indptr[k:] - start, u.indices[start:] - k, u.data[start:]))
+
+
+def with_diagonal_head(r: UpperTriangular, head) -> UpperTriangular:
+    """Block-diagonal factor diag(head) (+) r."""
+    head = np.asarray(head, dtype=np.float64)
+    k = head.size
+    u = r.upper
+    n = r.dim + k
+    indptr = np.concatenate([np.zeros(k, dtype=np.int64), u.indptr])
+    return UpperTriangular(np.concatenate([head, r.diag]), SparseRowBlock(n, n, indptr, u.indices + k, u.data))
+
+
+def sparsify_oracle(r: UpperTriangular, selected) -> UpperTriangular:
+    """``sparse.sparsify_factor`` by re-factorization: form the information
+    of the trailing block from the first kept scalar on, permute the
+    selected scalars first, factor it, cut the selected rows to their
+    diagonal and permute back."""
+    selected = np.asarray(selected, dtype=bool)
+    kept = np.flatnonzero(~selected)
+    if kept.size == 0:
+        return r.diagonal_only()
+    split = int(kept[0])
+    s = np.flatnonzero(selected)
+    suffix_s = s[s >= split] - split
+    tail = trailing(r, split)
+    if suffix_s.size:
+        k = suffix_s.size
+        perm = Permutation.move_to_front(tail.dim, suffix_s)
+        root_p = cholesky(permute_symmetric(tail.gram(), perm))
+        root_p_s = with_diagonal_head(trailing(root_p, k), root_p.diag[:k])
+        tail = permute_triangular_back(root_p_s, perm.inverted(), set(range(k)))
+    return with_diagonal_head(tail, r.diag[:split])
 
 
 def dense_inverse_block(b, scalar_idx):

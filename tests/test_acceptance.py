@@ -30,18 +30,24 @@ from beliefplan.scenario import (
     topological_constants,
 )
 from beliefplan.sparse import (
-    Permutation,
     UpperTriangular,
     cholesky,
     logdet_triangular,
     lowrank_update,
-    permute_symmetric,
-    permute_triangular_back,
 )
 from beliefplan.bounds import rank1_offset_bound
 from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
-from helpers import dense_logdet_oracle, random_sparse_spd, random_update, single_row_problem, symmetric_from_dense
+from helpers import (
+    Permutation,
+    dense_logdet_oracle,
+    permute_symmetric,
+    permute_triangular_back,
+    random_sparse_spd,
+    random_update,
+    single_row_problem,
+    symmetric_from_dense,
+)
 from test_bounds import count_spanning_trees_brute_force
 
 
@@ -408,3 +414,26 @@ def test_criterion_11_performance_trend():
     )
     report(ordering and share_uninv <= 0.10 and share_full <= 0.10,
            "criterion 11: performance trend", detail)
+
+
+def test_criterion_11_performance_trend_at_dim_3000():
+    """Criterion 11 at the next benchmarked size: the 3000-dim scenario,
+    16 candidates, phase medians over 3 runs.  The same ordering of the
+    decision totals and the same 10% gate on the sparsification share."""
+    cfg = ScenarioConfig(seed=1, n_prior_poses=1000, n_candidates=16, candidate_length=5)
+    sc = generate(cfg)
+    assert sc.prior.dim >= 3000 and len(sc.candidates) >= 10
+    rep = run_session(sc, timing_repeats=3)
+    base_total = rep.baseline.total_seconds
+    uninv = rep.mode("uninvolved")
+    full = rep.mode("full")
+    ordering = full.total_seconds <= uninv.total_seconds <= base_total
+    share_uninv = uninv.sparsify_seconds / base_total
+    share_full = full.sparsify_seconds / base_total
+    detail = (
+        f"totals: original {base_total:.2f}s, uninvolved {uninv.total_seconds:.2f}s, "
+        f"full {full.total_seconds:.2f}s; sparsification share of the original "
+        f"decision time: uninvolved {share_uninv:.1%}, full {share_full:.2%}"
+    )
+    report(ordering and share_uninv <= 0.10 and share_full <= 0.10,
+           "criterion 11: performance trend at dim 3000", detail)

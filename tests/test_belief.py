@@ -255,7 +255,37 @@ class TestSerialization:
             pass
 
 
+def loop_block_of_scalar(layout):
+    """Block id of every scalar, filled block by block."""
+    out = np.empty(layout.dim, dtype=np.int64)
+    for blk in layout.blocks:
+        out[blk.offset:blk.offset + blk.size] = blk.block_id
+    return out
+
+
+def loop_scalar_indices(layout, block_ids):
+    """Sorted scalars of the given blocks, looked up one block at a time."""
+    parts = [layout.block(bid).scalar_indices for bid in block_ids]
+    return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+
+
 class TestLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_array_lookups_equal_the_block_loops(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=40), label="sizes")
+        ids = data.draw(st.lists(st.integers(-50, 10**6), min_size=len(sizes), max_size=len(sizes), unique=True),
+                        label="ids")
+        layout = VariableLayout.from_sizes(sizes, ids=ids)
+        np.testing.assert_array_equal(layout.block_of_scalar(), loop_block_of_scalar(layout))
+        chosen = data.draw(st.lists(st.sampled_from(ids), max_size=60), label="chosen")
+        got = layout.scalar_indices(chosen)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, loop_scalar_indices(layout, chosen))
+        missing = data.draw(st.integers(-60, 10**6).filter(lambda b: b not in ids), label="missing")
+        with pytest.raises(KeyError, match=f"unknown block id {missing}"):
+            layout.scalar_indices(chosen + [missing])
+
     def test_block_lookup_and_scalars(self):
         layout = VariableLayout.from_sizes([3, 3, 2], kind="pose")
         assert layout.dim == 8

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from beliefplan.belief import VariableLayout, entropy, objective
 from beliefplan.bounds import PoseGraph, topological_bounds
 from beliefplan.errors import InfeasibleConfig, LayoutMismatch
+from beliefplan.decision import action_consistent, rank_correlation
 from beliefplan.scenario import (
+    CONSISTENCY_TOLERANCE,
     Factor,
     ScenarioConfig,
     _lever_mass,
@@ -305,17 +307,27 @@ class TestSession:
             assert res.consistent
 
     def test_rank_correlation_ties_at_the_consistency_tolerance(self):
-        # the sixth acceptance-batch draw: two candidates of the uninvolved
-        # mode swap order by a last-bit difference, within 1e-9
+        # the sixth acceptance-batch draw: three candidates tie to within
+        # 1e-9.  A sparsified belief can split such a tie by a last-bit
+        # difference (re-factoring the information did, here); values split
+        # that way must still rank as the baseline at the session tolerance
         rng = np.random.default_rng(7)
         for seed in range(7):
             cfg = ScenarioConfig(seed=seed, n_prior_poses=int(rng.integers(40, 121)),
                                  n_candidates=int(rng.integers(5, 9)), candidate_length=4,
                                  loop_closure_radius=2.2)
         rep = run_session(generate(cfg))
+        base = rep.baseline.values
+        tied = np.flatnonzero(np.abs(base - base[1]) <= CONSISTENCY_TOLERANCE)
+        assert tied.size == 3
+        split = base.copy()
+        split[tied[0]] = np.nextafter(split[tied[0]], np.inf)
+        split[tied[-1]] = np.nextafter(split[tied[-1]], -np.inf)
+        assert not np.array_equal(np.argsort(split), np.argsort(base))
+        assert rank_correlation(base, split, CONSISTENCY_TOLERANCE) == 1.0
+        assert action_consistent(base, split, CONSISTENCY_TOLERANCE)
         res = rep.mode("uninvolved")
-        assert not np.array_equal(np.argsort(res.values), np.argsort(rep.baseline.values))
-        assert res.rho == 1.0
+        assert res.rho == rank_correlation(base, res.values, CONSISTENCY_TOLERANCE) == 1.0
         assert res.consistent
 
     def test_full_mode_reports_metrics(self):

@@ -19,25 +19,26 @@ from beliefplan.errors import (
 )
 from beliefplan.scenario import ScenarioConfig, generate
 from beliefplan.sparse import (
+    _PANEL,
     PIVOT_FLOOR,
-    Permutation,
     SparseRowBlock,
     SparseSymmetric,
     UpperTriangular,
     cholesky,
     logdet_triangular,
     lowrank_update,
-    permute_symmetric,
-    permute_triangular_back,
 )
 from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
 from helpers import (
+    Permutation,
     dense_cholesky,
     dense_logdet,
     dense_logdet_oracle,
     givens_update_oracle,
     lexsort_from_coo,
+    permute_symmetric,
+    permute_triangular_back,
     random_sparse_spd,
     random_update,
     row_block_from_dense,
@@ -45,6 +46,7 @@ from helpers import (
     symmetric_diagonal,
     symmetric_from_coo,
     symmetric_from_dense,
+    trailing,
     triangular_from_dense,
     upper_pattern,
 )
@@ -93,7 +95,7 @@ class TestCholesky:
         layout = sc.prior.layout
         s = layout.scalar_indices(sorted(detect_involvement(layout, sc.candidates).never_involved(layout)))
         split = int(np.setdiff1d(np.arange(layout.dim), s)[0])
-        tail = sc.prior.root.trailing(split)
+        tail = trailing(sc.prior.root, split)
         matrices += [
             sc.prior.root.gram(),
             permute_symmetric(tail.gram(), Permutation.move_to_front(tail.dim, s[s >= split] - split)),
@@ -382,6 +384,75 @@ def _assert_unreached_rows_kept(r: UpperTriangular, want: UpperTriangular, got: 
             np.testing.assert_array_equal(got.row_vals[i], r.row_vals[i])
 
 
+@st.composite
+def panel_update_problems(draw):
+    """``(r, u, n_new)`` whose reached rows span several panels of the
+    fold: the factor of a banded SPD prior (dim 60-200) whose every row
+    links to the next, so a row reaches every factor row from its first
+    nonzero column on.  That column is
+    placed so that a panel edge falls between the 2-4 appended variables.
+    Some factor rows store zeros, and some update rows lead with stored
+    zeros, at the columns on either side of each panel edge.  As in
+    ``update_problems``, each appended variable has a dedicated row, one
+    may lose it or its information, and a row may be repeated."""
+    n = draw(st.integers(60, 200))
+    n_new = draw(st.integers(2, 4))
+    n_cols = n + n_new
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bandwidth = draw(st.integers(1, 4))
+    band = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7))
+    band -= np.triu(band, bandwidth + 1)
+    band[np.arange(n), np.arange(n)] = rng.normal(size=n) + 3.0
+    band[np.arange(n - 1), np.arange(1, n)] = rng.normal(size=n - 1) + 3.0
+    r = cholesky(symmetric_from_dense(band.T @ band + np.eye(n)))
+
+    # the k-th panel ends between appended variables n + j - 1 and n + j
+    j = draw(st.integers(1, n_new - 1))
+    k = draw(st.integers(1, (n + j) // _PANEL))
+    start = n + j - k * _PANEL
+    edges = np.array([start + q * _PANEL + d for q in range(1, k + 1) for d in (-1, 0)])
+    prior_edges = edges[edges < n]
+    data = r.upper.data.copy()
+    # the entry that links each row to the next stays, so the reach goes on
+    link = r.upper.indices == r.upper.row_ids + 1
+    data[np.isin(r.upper.indices, prior_edges) & ~link & (rng.random(data.size) < 0.5)] = 0.0
+    r = UpperTriangular(r.diag, SparseRowBlock(n, n, r.upper.indptr, r.upper.indices, data))
+
+    extra = draw(st.integers(1, 6))
+    rows = extra + n_new
+    mask = rng.random((rows, n_cols)) < draw(st.sampled_from([0.05, 0.2, 0.5]))
+    mask[:, :start] = False
+    vals = rng.normal(size=mask.shape)
+    mask[0, start] = True
+    vals[0, start] = rng.normal() + 3.0
+    own = (np.arange(extra, rows), np.arange(n, n_cols))
+    for q, col in zip(*own):
+        mask[q, col + 1:] = False
+    mask[own] = True
+    vals[own] = rng.normal(size=n_new) + 3.0
+    for q in range(1, extra):
+        if draw(st.booleans()):
+            edge = int(draw(st.sampled_from(edges.tolist())))
+            mask[q, :edge] = False
+            mask[q, edge] = True
+            vals[q, edge] = 0.0
+            mask[q, edge + 1:] |= rng.random(n_cols - edge - 1) < 0.3
+    if draw(st.booleans()):
+        q = draw(st.integers(0, rows - 1))
+        mask = np.vstack([mask, mask[q]])
+        vals = np.vstack([vals, vals[q]])
+    loss = draw(st.sampled_from(["none", "dedicated row", "information"]))
+    if loss != "none":
+        var = draw(st.integers(0, n_new - 1))
+        keep = np.arange(mask.shape[0]) != extra + var
+        mask, vals = mask[keep], vals[keep]
+        if loss == "information":
+            vals[:, n + var] = 0.0
+    order = rng.permutation(mask.shape[0])
+    rows_i, cols_i = np.nonzero(mask[order])
+    return r, SparseRowBlock.from_coo(order.size, n_cols, rows_i, cols_i, vals[order][rows_i, cols_i]), n_new
+
+
 class TestLowRankUpdate:
     def test_hand_rank1(self):
         r = UpperTriangular.from_diagonal(np.ones(2))
@@ -481,6 +552,36 @@ class TestLowRankUpdate:
                 lowrank_update(r, u, n_new)
             return
         got = lowrank_update(r, u, n_new)
+        _assert_unreached_rows_kept(r, want, got)
+        tol = 1e-12 * _scale(want)
+        if all(map(np.array_equal, _pattern(got), _pattern(want))):
+            np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
+            np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
+            return
+        reversed_rows = SparseRowBlock.from_rows(u.n_cols, u.row_cols[::-1], u.row_vals[::-1])
+        assert not all(map(np.array_equal, _pattern(givens_update_oracle(r, reversed_rows, n_new)), _pattern(want)))
+        extra = upper_pattern(got) - upper_pattern(want)
+        assert upper_pattern(want) <= upper_pattern(got)
+        assert min(i for i, _ in extra) >= r.dim
+        np.testing.assert_allclose(got.to_dense(), want.to_dense(), rtol=0, atol=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(panel_update_problems())
+    def test_multi_panel_updates_match_the_givens_oracle(self, problem):
+        """The contract of ``test_matches_the_givens_oracle`` on updates
+        whose reached rows fill several panels, with appended variables
+        and stored zeros on the panel edges."""
+        r, u, n_new = problem
+        try:
+            want = givens_update_oracle(r, u, n_new)
+        except RankDeficientAugmentation:
+            want = None
+        if want is None or np.any(want.diag[r.dim:] ** 2 <= PIVOT_FLOOR):
+            with pytest.raises(RankDeficientAugmentation):
+                lowrank_update(r, u, n_new)
+            return
+        got = lowrank_update(r, u, n_new)
+        assert np.flatnonzero(want.diag != np.concatenate([r.diag, np.zeros(n_new)])).size > _PANEL
         _assert_unreached_rows_kept(r, want, got)
         tol = 1e-12 * _scale(want)
         if all(map(np.array_equal, _pattern(got), _pattern(want))):

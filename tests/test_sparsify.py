@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefplan.belief import (
     CandidateAction,
@@ -14,7 +16,8 @@ from beliefplan.belief import (
     objective,
 )
 from beliefplan.errors import InvalidSpec, LayoutMismatch
-from beliefplan.sparse import SparseRowBlock, cholesky, logdet_triangular
+from beliefplan.scenario import ScenarioConfig, generate
+from beliefplan.sparse import SparseRowBlock, UpperTriangular, cholesky, logdet_triangular, lowrank_update
 from beliefplan.sparsify import (
     InvolvementMask,
     SparsificationSpec,
@@ -24,10 +27,13 @@ from beliefplan.sparsify import (
 )
 
 from helpers import (
+    batch_small_configs,
     build_toy_full_slam,
     pair_row,
     random_sparse_spd,
+    random_update,
     row_block_from_dense,
+    sparsify_oracle,
     symbolic_cholesky_pattern,
     symmetric_from_coo,
     symmetric_from_dense,
@@ -206,6 +212,71 @@ class TestSparsifyBelief:
             b_s = sparsify_belief(b, SparsificationSpec.uninvolved(), mask)
             for cand in candidates:
                 assert abs(objective(b, cand) - objective(b_s, cand)) <= 1e-6
+
+
+@st.composite
+def factors_with_selections(draw):
+    """A factor (dim 2-40) and a nonempty selection of its scalars.  The
+    factor is the Cholesky factor of a random sparse SPD matrix, that
+    factor after a rank-k update (whose pattern is no fill pattern), or a
+    random sparse upper-triangular matrix with some zeros stored.  Its
+    off-diagonal entries are small enough to keep it well conditioned: the
+    oracle forms R^T R, which squares the condition number, and at 1e5
+    (random triangular matrices of this size reach it) its own error
+    passes 1e-9 while the fold still matches a dense QR to 1e-15."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    kind = draw(st.sampled_from(["cholesky", "updated", "arbitrary"]))
+    if kind == "arbitrary":
+        a = np.triu(0.2 * rng.normal(size=(n, n)) * (rng.random((n, n)) < density), 1)
+        a[np.arange(n), np.arange(n)] = 0.5 + rng.random(n)
+        r = triangular_from_dense(a)
+        zero = rng.random(r.upper.nnz) < draw(st.sampled_from([0.0, 0.2]))
+        r = UpperTriangular(r.diag, SparseRowBlock(n, n, r.upper.indptr, r.upper.indices, np.where(zero, 0.0, r.upper.data)))
+    else:
+        r = cholesky(symmetric_from_dense(random_sparse_spd(rng, n, density=density)))
+        if kind == "updated":
+            r = lowrank_update(r, random_update(rng, n, 0, extra_rows=int(rng.integers(1, 4)), density=0.2))
+    selected = rng.random(n) < draw(st.sampled_from([0.2, 0.5, 0.8]))
+    selected[int(rng.integers(n))] = True
+    return r, selected
+
+
+def _assert_matches_the_sparsify_oracle(b: GaussianBelief, blocks):
+    """Same stored pattern as re-forming, permuting and re-factoring the
+    information; diagonal and values within 1e-9 of scale."""
+    got = sparsify_belief(b, SparsificationSpec.custom(blocks)).root
+    selected = np.zeros(b.dim, dtype=bool)
+    selected[b.layout.scalar_indices(blocks)] = True
+    want = sparsify_oracle(b.root, selected)
+    np.testing.assert_array_equal(got.upper.indptr, want.upper.indptr)
+    np.testing.assert_array_equal(got.upper.indices, want.upper.indices)
+    tol = 1e-9 * max(np.abs(want.diag).max(), np.abs(want.upper.data).max(initial=0.0))
+    np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
+    np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
+
+
+class TestSparsifyOracle:
+    """The factor fold of ``sparsify_belief`` against the re-factorization
+    pipeline it replaced (``helpers.sparsify_oracle``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(factors_with_selections())
+    def test_custom_selections_match_the_oracle(self, case):
+        r, selected = case
+        b = GaussianBelief(np.zeros(r.dim), r, VariableLayout.from_sizes([1] * r.dim))
+        _assert_matches_the_sparsify_oracle(b, np.flatnonzero(selected).tolist())
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5)] + list(batch_small_configs()),
+        ids=["plan-1k"] + [f"batch-small-{k}" for k in range(8)],
+    )
+    def test_uninvolved_mode_matches_the_oracle(self, cfg):
+        sc = generate(cfg)
+        mask = detect_involvement(sc.prior.layout, sc.candidates)
+        _assert_matches_the_sparsify_oracle(sc.prior, sorted(mask.never_involved(sc.prior.layout)))
 
 
 class TestMemory:
