@@ -12,8 +12,8 @@ the column-sorted ``indices``/``data`` arrays, the layout
   entries as one CSR row block.
 
 Every CSR block is validated once, by whole-array checks, when it is built.
-``row_cols``/``row_vals`` expose each row as a read-only view, for per-row
-inspection.
+``row_cols``/``row_vals`` give read-only per-row views; no kernel uses them,
+the benchmark's trace counters and the tests do.
 
 "Structural" means the stored pattern is the symbolic support produced by
 the operation (elimination fill, the pattern unions of an update),
@@ -164,21 +164,6 @@ class SparseRowBlock:
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def from_rows(cls, n_cols: int, row_cols, row_vals) -> "SparseRowBlock":
-        """Pack per-row sorted column/value arrays."""
-        n_rows = len(row_cols)
-        lengths = np.fromiter(map(len, row_cols), dtype=np.int64, count=n_rows)
-        if len(row_vals) != n_rows or not np.array_equal(
-            lengths, np.fromiter(map(len, row_vals), dtype=np.int64, count=len(row_vals))
-        ):
-            raise ValueError("row arrays must have equal length")
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        if not n_rows:
-            return cls(0, n_cols, indptr, _EMPTY_I, _EMPTY_F)
-        return cls(n_rows, n_cols, indptr, np.concatenate(row_cols), np.concatenate(row_vals))
-
-    @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, vals) -> "SparseRowBlock":
         """Build from coordinates in any order; a repeated coordinate is
         rejected, not summed."""
@@ -315,11 +300,6 @@ class UpperTriangular:
         object.__setattr__(self, "diag", diag)
 
     @classmethod
-    def from_rows(cls, diag, row_cols, row_vals) -> "UpperTriangular":
-        """Build from the diagonal plus per-row strictly-upper column/value arrays."""
-        return cls(diag, SparseRowBlock.from_rows(len(diag), row_cols, row_vals))
-
-    @classmethod
     def from_diagonal(cls, values) -> "UpperTriangular":
         values = _as_value_array(values)
         return cls(values, SparseRowBlock.empty(values.size, values.size))
@@ -381,31 +361,40 @@ class UpperTriangular:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly-upper fill pattern of the factor as CSR ``(indptr,
-    indices)``, in one sweep over the rows.
+def _elimination_sweep(n: int, rows, initial) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly-upper pattern of the symbolic elimination of ``rows``, in
+    increasing order, as CSR ``(indptr, indices)`` over ``n`` rows.
 
-    Row i of the factor holds the columns stored in row i of ``m`` plus the
-    columns of every factor row whose first column is i (its children in
-    the elimination tree), less i itself (Liu 1990).  The pattern depends
-    only on the stored coordinates, so stored zeros are structural.
+    Row i holds its set in ``initial`` plus the columns of every earlier
+    row whose first column is i (its children in the elimination tree),
+    less i itself (Liu 1990).  Rows not listed are empty.
     """
-    n = m.dim
-    bounds = m.upper.indptr.tolist()
-    cols = m.upper.indices.tolist()
-    children: list[list[list[int]]] = [[] for _ in range(n)]
+    children: dict = {}
     rows_fill = []
-    for i in range(n):
-        fill = set(cols[bounds[i]:bounds[i + 1]]).union(*children[i])
+    for i, fill in zip(rows, initial):
+        fill.update(*children.pop(i, ()))
         fill.discard(i)
         row = sorted(fill)
         rows_fill.append(row)
         if row:
-            children[row[0]].append(row)
+            children.setdefault(row[0], []).append(row)
+    lengths = np.zeros(n, dtype=np.int64)
+    lengths[rows] = np.fromiter(map(len, rows_fill), dtype=np.int64, count=len(rows_fill))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, rows_fill), dtype=np.int64, count=n), out=indptr[1:])
+    np.cumsum(lengths, out=indptr[1:])
     indices = np.fromiter(itertools.chain.from_iterable(rows_fill), dtype=np.int64, count=int(indptr[-1]))
     return indptr, indices
+
+
+def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly-upper fill pattern of the factor as CSR ``(indptr,
+    indices)``: the elimination sweep over the rows of ``m``.  The pattern
+    depends only on the stored coordinates, so stored zeros are structural.
+    """
+    n = m.dim
+    bounds = m.upper.indptr.tolist()
+    cols = m.upper.indices.tolist()
+    return _elimination_sweep(n, range(n), (set(cols[bounds[i]:bounds[i + 1]]) for i in range(n)))
 
 
 def _unpivoted_lu(m: SparseSymmetric, k: int):
@@ -582,8 +571,11 @@ def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indp
         a[u_row[ua:ub] - j_bounds[p] + w + m, slot[u_col[ua:ub]]] = u_val[ua:ub]
 
         # in place: the pivot columns become R and the reflectors, the rest Q^T times itself
-        qr, tau, _, _ = lapack.dgeqrf(a[:, :w], overwrite_a=True)
-        lapack.dormqr("L", "T", qr, tau, a[:, w:], other.size + 1, overwrite_c=True)
+        left, right = a[:, :w], a[:, w:]
+        qr, tau, _, _ = lapack.dgeqrf(left, overwrite_a=True)
+        cq, _, _ = lapack.dormqr("L", "T", qr, tau, right, other.size + 1, overwrite_c=True)
+        if qr is not left or cq is not right:
+            raise RuntimeError("LAPACK worked on a copy of the panel, not in place")
         head = np.diagonal(a)[:w]
         new_diag[lo:hi] = np.abs(head)
         oa, ob = o_bounds[p], o_bounds[p + 1]
@@ -748,7 +740,7 @@ def _kept_fill(r: UpperTriangular, block: SparseRowBlock, selected: np.ndarray, 
     By the fill-path theorem, kept scalars are linked when a factor row
     links them or when they touch the same connected component of the
     selected subgraph; the pattern is then the symbolic elimination of that
-    graph in kept order, as in ``_symbolic_fill``.  Each factor row and each
+    graph in kept order (``_elimination_sweep``).  Each factor row and each
     component links a clique, so its members are given to its least member
     only: the elimination carries them up the elimination tree to the rest.
     """
@@ -777,22 +769,11 @@ def _kept_fill(r: UpperTriangular, block: SparseRowBlock, selected: np.ndarray, 
     kept = np.flatnonzero(~selected[split:]) + split
     bounds = r.upper.indptr[kept].tolist()
     ends = r.upper.indptr[kept + 1].tolist()
-    children: dict = {}
-    rows_fill = []
-    for i, a, b, plain in zip(kept.tolist(), bounds, ends, (touches[kept] < 0).tolist()):
-        fill = set(r.upper.indices[a:b].tolist()) if plain else set()
-        fill.update(*cliques.get(i, ()), *children.pop(i, ()))
-        fill.discard(i)
-        row = sorted(fill)
-        rows_fill.append(row)
-        if row:
-            children.setdefault(row[0], []).append(row)
-    lengths = np.zeros(n, dtype=np.int64)
-    lengths[kept] = np.fromiter(map(len, rows_fill), dtype=np.int64, count=kept.size)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(rows_fill), dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
+    initial = (
+        set(r.upper.indices[a:b].tolist() if plain else ()).union(*cliques.get(i, ()))
+        for i, a, b, plain in zip(kept.tolist(), bounds, ends, (touches[kept] < 0).tolist())
+    )
+    return _elimination_sweep(n, kept, initial)
 
 
 def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular:

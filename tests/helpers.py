@@ -30,6 +30,26 @@ def triangular_from_dense(a) -> UpperTriangular:
     return UpperTriangular(a.diagonal().copy(), row_block_from_dense(np.triu(a, 1)))
 
 
+def row_block_from_rows(n_cols, row_cols, row_vals) -> SparseRowBlock:
+    """Pack per-row sorted column/value arrays into one CSR row block."""
+    n_rows = len(row_cols)
+    lengths = np.fromiter(map(len, row_cols), dtype=np.int64, count=n_rows)
+    if len(row_vals) != n_rows or not np.array_equal(
+        lengths, np.fromiter(map(len, row_vals), dtype=np.int64, count=len(row_vals))
+    ):
+        raise ValueError("row arrays must have equal length")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    if not n_rows:
+        return SparseRowBlock(0, n_cols, indptr, np.empty(0, dtype=np.int64), np.empty(0))
+    return SparseRowBlock(n_rows, n_cols, indptr, np.concatenate(row_cols), np.concatenate(row_vals))
+
+
+def triangular_from_rows(diag, row_cols, row_vals) -> UpperTriangular:
+    """The diagonal plus per-row strictly-upper column/value arrays."""
+    return UpperTriangular(diag, row_block_from_rows(len(diag), row_cols, row_vals))
+
+
 def symmetric_from_coo(dim, rows, cols, vals) -> SparseSymmetric:
     """Upper-triangle coordinates in any order; a repeat is rejected."""
     return SparseSymmetric(SparseRowBlock.from_coo(dim, dim, rows, cols, vals))
@@ -167,7 +187,7 @@ def givens_update_oracle(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) 
     if n_new and np.any(diag[r.dim:] == 0.0):
         missing = int(np.nonzero(diag[r.dim:] == 0.0)[0][0]) + r.dim
         raise RankDeficientAugmentation(f"appended variable {missing} has no supporting row")
-    return UpperTriangular.from_rows(diag, rows_cols, rows_vals)
+    return triangular_from_rows(diag, rows_cols, rows_vals)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from helpers import (
     random_update,
     single_row_problem,
     symmetric_from_dense,
+    triangular_from_rows,
 )
 from test_bounds import count_spanning_trees_brute_force
 
@@ -162,7 +163,7 @@ def test_criterion_3_back_permuted_factor_stays_triangular():
         root_p = cholesky(permute_symmetric(info, perm))
         empty_i = np.empty(0, dtype=np.int64)
         empty_f = np.empty(0)
-        root_p_s = UpperTriangular.from_rows(
+        root_p_s = triangular_from_rows(
             root_p.diag,
             tuple(empty_i if i < k else root_p.row_cols[i] for i in range(n)),
             tuple(empty_f if i < k else root_p.row_vals[i] for i in range(n)),

@@ -31,6 +31,7 @@ from helpers import (
     random_update,
     row_block_from_dense,
     symmetric_from_dense,
+    triangular_from_rows,
 )
 
 
@@ -196,7 +197,7 @@ class TestNnzReport:
                 assert block.gram_nnz() == block.gram().nnz
 
     def test_root_nnz_counts_stored_entries(self):
-        r = UpperTriangular.from_rows(
+        r = triangular_from_rows(
             np.array([1.0, 1.0, 1.0]),
             (np.array([2]), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
             (np.array([0.5]), np.empty(0), np.empty(0)),

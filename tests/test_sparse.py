@@ -42,12 +42,14 @@ from helpers import (
     random_sparse_spd,
     random_update,
     row_block_from_dense,
+    row_block_from_rows,
     symbolic_cholesky_pattern,
     symmetric_diagonal,
     symmetric_from_coo,
     symmetric_from_dense,
     trailing,
     triangular_from_dense,
+    triangular_from_rows,
     upper_pattern,
 )
 
@@ -309,7 +311,7 @@ class TestPermuteTriangularBack:
             k = len(s_vars)
             rows_c = tuple(np.empty(0, dtype=np.int64) if i < k else rp.row_cols[i] for i in range(n))
             rows_v = tuple(np.empty(0) if i < k else rp.row_vals[i] for i in range(n))
-            rp_s = UpperTriangular.from_rows(rp.diag, rows_c, rows_v)
+            rp_s = triangular_from_rows(rp.diag, rows_c, rows_v)
             out = permute_triangular_back(rp_s, perm.inverted(), set(range(k)))
             # triangularity is guaranteed by the type; check the product
             target = permute_symmetric(rp_s.gram(), perm.inverted()).to_dense()
@@ -558,7 +560,7 @@ class TestLowRankUpdate:
             np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
             np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
             return
-        reversed_rows = SparseRowBlock.from_rows(u.n_cols, u.row_cols[::-1], u.row_vals[::-1])
+        reversed_rows = row_block_from_rows(u.n_cols, u.row_cols[::-1], u.row_vals[::-1])
         assert not all(map(np.array_equal, _pattern(givens_update_oracle(r, reversed_rows, n_new)), _pattern(want)))
         extra = upper_pattern(got) - upper_pattern(want)
         assert upper_pattern(want) <= upper_pattern(got)
@@ -588,7 +590,7 @@ class TestLowRankUpdate:
             np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
             np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
             return
-        reversed_rows = SparseRowBlock.from_rows(u.n_cols, u.row_cols[::-1], u.row_vals[::-1])
+        reversed_rows = row_block_from_rows(u.n_cols, u.row_cols[::-1], u.row_vals[::-1])
         assert not all(map(np.array_equal, _pattern(givens_update_oracle(r, reversed_rows, n_new)), _pattern(want)))
         extra = upper_pattern(got) - upper_pattern(want)
         assert upper_pattern(want) <= upper_pattern(got)
@@ -679,7 +681,7 @@ class TestTypes:
 
     def test_triangular_rejects_subdiagonal(self):
         with pytest.raises(ValueError):
-            UpperTriangular.from_rows([1.0, 1.0], (np.array([0]), np.array([], dtype=np.int64)),
+            triangular_from_rows([1.0, 1.0], (np.array([0]), np.array([], dtype=np.int64)),
                                       (np.array([1.0]), np.array([])))
 
     def test_row_block_allows_vacuous_rows(self):
@@ -831,9 +833,9 @@ class TestCompressedRows:
     @given(rows_maybe_invalid())
     def test_validator_agrees_with_the_per_row_rules(self, case):
         n, diag, row_cols, row_vals = case
-        assert _accepts(lambda: UpperTriangular.from_rows(diag, row_cols, row_vals)) == _per_row_valid(
+        assert _accepts(lambda: triangular_from_rows(diag, row_cols, row_vals)) == _per_row_valid(
             n, row_cols, row_vals, diag)
-        assert _accepts(lambda: SparseRowBlock.from_rows(n, row_cols, row_vals)) == _per_row_valid(
+        assert _accepts(lambda: row_block_from_rows(n, row_cols, row_vals)) == _per_row_valid(
             n, row_cols, row_vals)
 
     @pytest.mark.parametrize("diag, cols, vals", [
@@ -847,7 +849,7 @@ class TestCompressedRows:
     ], ids=["unsorted", "repeated", "diagonal", "below", "out-of-range", "non-finite", "diag"])
     def test_validator_rejects(self, diag, cols, vals):
         with pytest.raises(ValueError):
-            UpperTriangular.from_rows(diag, [np.array(c, dtype=np.int64) for c in cols],
+            triangular_from_rows(diag, [np.array(c, dtype=np.int64) for c in cols],
                                       [np.array(v, dtype=np.float64) for v in vals])
 
     def test_row_views_are_read_only(self):

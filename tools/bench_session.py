@@ -2,20 +2,21 @@
 checkout and of this one, and one-shot planning sessions at prior dims
 1020, 3000 and 9000.
 
-    python3 tools/bench_session.py --parent DIR [--parent-commit HASH] [--change TEXT]
+    python3 tools/bench_session.py --parent DIR --parent-commit HASH [--change TEXT]
 
 ``DIR`` is a checkout of the commit to compare against, for example made
 with ``git archive HASH | tar -x -C DIR``.  For each seed and workload both
 sides run ``perfbench/run.py`` one after the other, the parent first on odd
 seeds; the final JSON line of every run is kept, with the medians,
-quartiles and pairs of every metric.  Then each side runs ``--runs``
-one-shot sessions per dim, each in a fresh process so that its peak RSS is
+quartiles and pairs of every metric.  Then each side runs three one-shot
+sessions per dim, each in a fresh process so that its peak RSS is
 the session's own: ``generate``, ``run_session`` with the default modes and
 ratios, then ``candidate_bounds``.  The criterion-11 share is the
 sparsification time over the original decision time, both
-``run_session``'s own figures.  The defaults (seeds 1-10, 50 s runs, three
-sessions per dim) take about 45 minutes on a 2-vCPU machine.  Records of
-other parent commits already in the file are kept.
+``run_session``'s own figures.  Seeds 1-10 at the benchmark's 50 s run
+length and three sessions per dim take about 45 minutes on a 2-vCPU
+machine.  Records of other parent commits already in the file are kept; a
+record of the same parent commit is replaced.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_session.json"
 WORKLOADS = ("plan-1k", "batch-small")
+SEEDS = tuple(range(1, 11))
+SECONDS = 50  # run_seconds of BENCHMARK.json
+DIMS = (1020, 3000, 9000)
+RUNS = 3  # one-shot sessions per side and dim
 
 SESSION = r"""
 import json, resource, sys, time
@@ -75,9 +81,9 @@ def _last_json(stdout: str) -> dict:
     return json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
 
 
-def bench_run(side_dir: Path, workload: str, seed: int, seconds: int) -> dict:
+def bench_run(side_dir: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(cmd, cwd=side_dir, env=_env(), capture_output=True, text=True)
     return _last_json(done.stdout)
 
@@ -137,18 +143,11 @@ def dims_summary(rows: list) -> list:
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the commit to compare against")
-    p.add_argument("--parent-commit", default="unknown", help="its commit hash, for the record")
+    p.add_argument("--parent-commit", required=True, help="its commit hash, which keys the record")
     p.add_argument("--change", default="", help="one line naming the change")
-    p.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    p.add_argument("--seconds", type=int, default=50)
-    p.add_argument("--dims", type=int, nargs="+", default=[1020, 3000, 9000])
-    p.add_argument("--runs", type=int, default=3, help="one-shot sessions per side and dim")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_session.json")
     args = p.parse_args(argv)
     if not (args.parent / "perfbench" / "run.py").is_file():
         p.error(f"{args.parent} is not a checkout with perfbench/run.py")
-    if args.runs < 1 or args.seconds < 1:
-        p.error("--runs and --seconds must be at least 1")
     return args
 
 
@@ -156,33 +155,32 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = []
-    for seed in args.seeds:
+    for seed in SEEDS:
         for workload in WORKLOADS:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for k, side in enumerate(order):
-                line = bench_run(sides[side], workload, seed, args.seconds)
+                line = bench_run(sides[side], workload, seed)
                 runs.append({"workload": workload, "seed": seed, "side": side, "first_in_pair": k == 0,
                              "final_json_line": line})
                 print(f"{workload} seed {seed} {side}: correct={line.get('correct')}", file=sys.stderr)
     rows = []
-    for dim in args.dims:
-        for run in range(1, args.runs + 1):
+    for dim in DIMS:
+        for run in range(1, RUNS + 1):
             for side in ("parent", "change"):
                 rows.append(dict(session_row(sides[side], dim), side=side, run=run))
                 print(f"dim {dim} run {run} {side}: {rows[-1]}", file=sys.stderr)
     record = {
         "what": "Planning-session benchmark runs of the parent commit and of this change, and one-shot "
-                "sessions at prior dims " + ", ".join(map(str, args.dims)) + ".",
+                "sessions at prior dims " + ", ".join(map(str, DIMS)) + ".",
         "parent_commit": args.parent_commit,
         "change": args.change,
         "command": f"python3 tools/bench_session.py --parent <checkout of {args.parent_commit}> "
-                   f"--seeds {' '.join(map(str, args.seeds))} --seconds {args.seconds} "
-                   f"--dims {' '.join(map(str, args.dims))} --runs {args.runs}",
+                   f"--parent-commit {args.parent_commit}",
         "machine": f"{os.cpu_count()}-CPU machine, Python {sys.version.split()[0]}, one BLAS thread",
         "benchmark": {
             "command": "python3 perfbench/run.py --workload {plan-1k,batch-small} --seed S "
-                       f"--seconds {args.seconds} --trace 0",
-            "seeds": args.seeds,
+                       f"--seconds {SECONDS} --trace 0",
+            "seeds": list(SEEDS),
             "order": "parent and change alternate; parent runs first on odd seeds",
             "units": "timings are CPU seconds scaled to the benchmark's reference speed (perfbench/README.md)",
             "summary": bench_summary(runs),
@@ -193,12 +191,12 @@ def main(argv=None) -> int:
                    "run_session with default modes and ratios (timing_repeats=1), then candidate_bounds at the "
                    "default ratios, in a fresh process; CPU seconds except the run_session phase times, which "
                    "are its own perf_counter figures; criterion_11_share = sparsify_seconds / original decision "
-                   f"time; {args.runs} runs per side and dim, summary = medians",
+                   f"time; {RUNS} runs per side and dim, summary = medians",
             "summary": dims_summary(rows),
             "runs": rows,
         },
     }
-    args.out.write_text(json.dumps(merged(args.out, record), indent=1) + "\n")
+    OUT.write_text(json.dumps(merged(OUT, record), indent=1) + "\n")
     return 0
 
 
