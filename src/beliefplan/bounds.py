@@ -10,8 +10,11 @@ Three bound families over the posterior-entropy objective:
   noise-model constants supplied by the caller (the synthetic scenario
   derives them from its own factor model, see ``scenario``).  ln t(G)
   and the degrees do not depend on the noise constants: a ``PoseGraph``
-  is immutable and computes them once, with array operations and one
-  dense ``slogdet``, however many noise ratios are bounded with it;
+  is immutable and computes them once, however many noise ratios are
+  bounded with it.  A graph factors its reduced Laplacian sparsely
+  (SuperLU) on first use; a graph grown from it by ``extended`` adds the
+  determinant-lemma increment of its new edges (``lemma_logdet_increment``)
+  to the base count, so no dense Laplacian is ever formed;
 - determinant: a Minkowski lower bound and a Hadamard upper bound on the
   posterior log-determinant; assumption-free, useful when the information
   matrix is diagonally dominant;
@@ -31,8 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .belief import LN_2PI_E, CandidateAction, GaussianBelief
 from .errors import (
@@ -44,7 +46,7 @@ from .errors import (
     NotRankOne,
     RankDeficientAugmentation,
 )
-from .sparse import logdet_triangular
+from .sparse import PIVOT_FLOOR, logdet_triangular
 from .sparsify import InvolvementMask
 
 
@@ -66,6 +68,47 @@ def _checked_edges(n_nodes: int, edges) -> np.ndarray:
     return np.sort(pairs, axis=1)
 
 
+def _connected(n_nodes: int, pairs: np.ndarray) -> bool:
+    """Whether ``pairs`` connect all ``n_nodes`` nodes (union-find)."""
+    parent = list(range(n_nodes))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    components = n_nodes
+    for i, j in pairs.tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            components -= 1
+    return components == 1
+
+
+def lemma_logdet_increment(sigma_kk: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """ln|M+| - ln|M| for ``M+ = [[M + AᵀA, AᵀB], [BᵀA, BᵀB]]``: k rows
+    ``[A | B]`` added to a symmetric positive definite ``M`` and ``m`` new
+    variables that only those rows touch.
+
+    ``A`` (k x |K|) holds the rows' entries on the old variables ``K`` they
+    touch, ``B`` (k x m) those on the new ones, and ``sigma_kk`` is the
+    ``K`` x ``K`` block of ``M⁻¹``.  The increment is
+    ``ln|S| + ln|Bᵀ S⁻¹ B|`` with ``S = I + A Σ_KK Aᵀ`` (determinant lemma
+    and Schur complement), one k x k and one m x m Cholesky.  Raises
+    ``numpy.linalg.LinAlgError`` when ``Bᵀ S⁻¹ B`` is not numerically
+    positive definite, i.e. the rows do not pin the new variables down.
+    """
+    s = a @ sigma_kk @ a.T
+    s.flat[:: len(s) + 1] += 1.0
+    chol_s = np.linalg.cholesky(s)  # reads the lower triangle only
+    increment = 2.0 * float(np.sum(np.log(chol_s.diagonal())))
+    if b.shape[1]:
+        w = np.linalg.solve(chol_s, b)
+        increment += 2.0 * float(np.sum(np.log(np.linalg.cholesky(w.T @ w).diagonal())))
+    return increment
+
+
 @dataclass(frozen=True)
 class PoseGraph:
     """Undirected graph over pose nodes (no self-loops; parallel edges sum
@@ -73,23 +116,30 @@ class PoseGraph:
     the reduced Laplacian.
 
     ``edges`` is normalised to ``(min, max)`` pairs; ``pairs`` holds the
-    same edges as a read-only ``(E, 2)`` int array.  The graph is immutable,
-    so its tree count and degrees are computed once, on first use.
+    same edges as a read-only ``(E, 2)`` int array.  A graph made by
+    ``extended`` keeps the graph it grew from in ``base`` (the root of a
+    chain of extensions), so its tree count is the base's plus a lemma
+    increment over the new edges.  The graph is immutable, so its tree
+    count and degrees are computed once, on first use.
     """
 
     n_nodes: int
     edges: tuple
     pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    base: "PoseGraph | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise ValueError("graph needs at least one node")
         self._set_pairs(_checked_edges(self.n_nodes, self.edges))
 
-    def _set_pairs(self, pairs: np.ndarray):
+    def _set_pairs(self, pairs: np.ndarray, leading: tuple = ()):
+        """Store ``pairs`` and their ``edges``; ``leading`` is the edges
+        tuple of the first pairs, reused as it is."""
         pairs.flags.writeable = False
+        rest = pairs[len(leading):]
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "edges", tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())))
+        object.__setattr__(self, "edges", leading + tuple(zip(rest[:, 0].tolist(), rest[:, 1].tolist())))
 
     def extended(self, n_nodes: int, edges) -> "PoseGraph":
         """This graph grown to ``n_nodes`` nodes plus ``edges``; only the
@@ -98,20 +148,9 @@ class PoseGraph:
             raise ValueError("an extended graph cannot lose nodes")
         grown = object.__new__(PoseGraph)
         object.__setattr__(grown, "n_nodes", n_nodes)
-        grown._set_pairs(np.concatenate([self.pairs, _checked_edges(n_nodes, edges)]))
+        object.__setattr__(grown, "base", self.base or self)
+        grown._set_pairs(np.concatenate([self.pairs, _checked_edges(n_nodes, edges)]), self.edges)
         return grown
-
-    def laplacian(self) -> np.ndarray:
-        n = self.n_nodes
-        i, j = self.pairs[:, 0], self.pairs[:, 1]
-        lap = np.zeros((n, n))
-        np.add.at(lap, (i, j), -1.0)
-        np.add.at(lap, (j, i), -1.0)
-        lap[np.diag_indices(n)] = np.bincount(self.pairs.ravel(), minlength=n)
-        return lap
-
-    def reduced_laplacian(self) -> np.ndarray:
-        return self.laplacian()[1:, 1:]
 
     @cached_property
     def reduced_degrees(self) -> np.ndarray:
@@ -121,23 +160,71 @@ class PoseGraph:
         degrees.flags.writeable = False
         return degrees
 
-    def is_connected(self) -> bool:
-        n = self.n_nodes
-        ones = np.ones(len(self.pairs))
-        adjacency = sp.coo_matrix((ones, (self.pairs[:, 0], self.pairs[:, 1])), shape=(n, n))
-        n_components, _ = connected_components(adjacency, directed=False)
-        return bool(n_components == 1)
+    @cached_property
+    def _factor(self) -> tuple:
+        """(SuperLU factor of the reduced Laplacian, ln t(G)).
+
+        The factor is sparse, in a fill-reducing symmetric order and without
+        pivoting, so ln t(G) is the sum of the log pivots.  A disconnected
+        graph, a pivot at or below ``PIVOT_FLOOR`` or a pivot off the
+        diagonal raises ``DisconnectedGraph`` (and caches nothing).
+        """
+        if not _connected(self.n_nodes, self.pairs):
+            raise DisconnectedGraph("spanning tree count needs a connected graph")
+        n = self.n_nodes - 1
+        if n == 0:
+            return None, 0.0
+        i, j = self.pairs[self.pairs[:, 0] > 0].T - 1  # edges to the ground only add degree
+        diag = np.arange(n)
+        lap = sp.csc_matrix(
+            (np.concatenate([np.full(2 * i.size, -1.0), self.reduced_degrees]),
+             (np.concatenate([i, j, diag]), np.concatenate([j, i, diag]))),
+            shape=(n, n),
+        )
+        lu = splu(lap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        pivots = lu.U.diagonal()
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > PIVOT_FLOOR)):
+            raise DisconnectedGraph("reduced Laplacian is numerically singular")
+        return lu, float(np.sum(np.log(pivots)))
 
     @cached_property
     def log_tree_count(self) -> float:
-        """ln of the spanning tree count, via the dense reduced-Laplacian
-        determinant.  A disconnected graph raises on every access."""
-        if not self.is_connected():
+        """ln of the spanning tree count.  A disconnected graph raises
+        ``DisconnectedGraph`` on every access.
+
+        A graph grown from a connected base adds the determinant-lemma
+        increment of its new edges' grounded incidence rows to the base's
+        count, with one multi-RHS solve against the base's factor; its
+        connectivity is read from the new edges alone, because a component
+        of new nodes only makes the increment singular in exact arithmetic
+        but not after rounding.  Other graphs factor their own Laplacian.
+        """
+        root = self.base
+        if root is None:
+            return self._factor[1]
+        try:
+            lu, log_t = root._factor
+        except DisconnectedGraph:
+            return self._factor[1]
+        n0, m = root.n_nodes, self.n_nodes - root.n_nodes
+        new = self.pairs[len(root.pairs):]
+        # old nodes are one connected super-node 0, new node v is v - n0 + 1
+        if m and not _connected(m + 1, np.maximum(new - (n0 - 1), 0)):
             raise DisconnectedGraph("spanning tree count needs a connected graph")
-        sign, logdet = np.linalg.slogdet(self.reduced_laplacian())
-        if self.n_nodes > 1 and sign <= 0:
-            raise DisconnectedGraph("reduced Laplacian is numerically singular")
-        return float(logdet)
+        rows = np.repeat(np.arange(len(new)), 2)
+        ends, signs = new.ravel(), np.tile([1.0, -1.0], len(new))
+        old, fresh = (ends > 0) & (ends < n0), ends >= n0
+        touched, col = np.unique(ends[old], return_inverse=True)
+        a = np.zeros((len(new), touched.size))
+        a[rows[old], col] = signs[old]
+        b = np.zeros((len(new), m))
+        b[rows[fresh], ends[fresh] - n0] = signs[fresh]
+        sigma_kk = np.zeros((touched.size, touched.size))
+        if touched.size:
+            rhs = np.zeros((n0 - 1, touched.size))
+            rhs[touched - 1, np.arange(touched.size)] = 1.0
+            sigma_kk = lu.solve(rhs)[touched - 1]
+        return log_t + lemma_logdet_increment(sigma_kk, a, b)
 
 
 @dataclass(frozen=True)
@@ -166,7 +253,7 @@ class TopologicalNoiseConfig:
 
 
 def spanning_tree_count(g: PoseGraph) -> float:
-    """ln of the spanning tree count, via the reduced-Laplacian determinant."""
+    """ln of the spanning tree count, ``g.log_tree_count``."""
     return g.log_tree_count
 
 
@@ -213,7 +300,9 @@ def determinant_bounds(b: GaussianBelief, a: CandidateAction) -> tuple[float, fl
     logdet_prior = logdet_triangular(b.root)
     core = logdet_prior
     if a.n_new_vars:
-        dense = u.to_dense()[:, b.dim:]
+        appended = u.indices >= b.dim
+        dense = np.zeros((u.n_rows, a.n_new_vars))
+        dense[u.row_ids[appended], u.indices[appended] - b.dim] = u.data[appended]
         sign, logdet_new = np.linalg.slogdet(dense.T @ dense)
         if sign <= 0:
             raise RankDeficientAugmentation("appended variables are not jointly supported")

@@ -67,7 +67,7 @@ DEFAULT_NOISE_RATIOS = (0.01, 0.25, 0.85)
 CONSISTENCY_TOLERANCE = 1e-9
 
 SCENARIO_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,14 @@ class Scenario:
     def prior_factor_ends(self) -> np.ndarray:
         """``(i, j)`` pose ids of the relative prior factors, in order."""
         return _factor_ends(self.prior_factors)
+
+    @cached_property
+    def prior_lever_mass(self) -> np.ndarray:
+        """Per-pose summed squared lever arms of the prior factors (see
+        ``_lever_mass``), read-only."""
+        mass = _add_lever_mass(np.zeros(self.n_poses), self.executed_path[:, :2], self.prior_factor_ends)
+        mass.flags.writeable = False
+        return mass
 
 
 def _factor_ends(factors) -> np.ndarray:
@@ -396,22 +404,28 @@ def posterior_pose_graph(scenario: Scenario, plan: CandidatePlan) -> PoseGraph:
 # ---------------------------------------------------------------------------
 
 
+def _add_lever_mass(mass: np.ndarray, positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Add each factor's dx^2, then dy^2, to the mass of the pose whose
+    frame its residual is expressed in, factor by factor, in place."""
+    lever = positions[ends[:, 1]] - positions[ends[:, 0]]
+    np.add.at(mass, np.repeat(ends[:, 0], 2), (lever * lever).ravel())
+    return mass
+
+
 def _lever_mass(scenario: Scenario, plan: CandidatePlan | None) -> float:
     """max over poses of the summed squared lever arms of factors whose
     residual is expressed in that pose's frame.
 
     New poses are numbered on from the prior (``_check_scenario_doc``), so
     a pose id indexes the stacked positions directly.  Each pose's sum adds
-    dx^2, then dy^2, factor by factor (prior factors first), the order that
-    fixes the bounds' last bits.
+    dx^2, then dy^2, factor by factor (prior factors first, their sums
+    cached on the scenario), the order that fixes the bounds' last bits.
     """
-    positions = scenario.executed_path[:, :2]
-    ends = scenario.prior_factor_ends
+    mass = scenario.prior_lever_mass
     if plan is not None:
-        positions = np.concatenate([positions, plan.new_pose_means[:, :2]])
-        ends = np.concatenate([ends, _factor_ends(plan.factors)])
-    lever = positions[ends[:, 1]] - positions[ends[:, 0]]
-    mass = np.bincount(np.repeat(ends[:, 0], 2), weights=(lever * lever).ravel())
+        positions = np.concatenate([scenario.executed_path[:, :2], plan.new_pose_means[:, :2]])
+        mass = np.concatenate([mass, np.zeros(len(plan.new_pose_ids))])
+        _add_lever_mass(mass, positions, _factor_ends(plan.factors))
     return float(mass.max(initial=0.0))
 
 
@@ -503,7 +517,8 @@ class ModeResult:
     values: np.ndarray
     best_index: int
     sparsify_seconds: float
-    evaluate_seconds: float
+    evaluate_seconds: float  # sum of the per-candidate medians
+    evaluate_wall_seconds: float  # the phase's own wall time, per pass over the candidates
     candidate_seconds: np.ndarray
     root_nnz: int
     info_nnz: int
@@ -532,6 +547,7 @@ class SessionReport:
     bound_lb_det: np.ndarray
     bound_ub_det: np.ndarray
     loss_bounds: dict
+    bounds_seconds: float  # wall time of candidate_bounds
 
     def mode(self, label: str) -> ModeResult:
         for m in self.modes:
@@ -564,6 +580,14 @@ def _evaluate_all(belief: GaussianBelief, candidates, repeats: int):
     return values, per_candidate
 
 
+def _evaluate_phase(belief: GaussianBelief, candidates, repeats: int):
+    """``_evaluate_all`` plus the phase's wall time, per pass over the
+    candidates (the whole phase runs ``repeats`` passes)."""
+    t0 = time.perf_counter()
+    values, per_candidate = _evaluate_all(belief, candidates, repeats)
+    return values, per_candidate, (time.perf_counter() - t0) / repeats
+
+
 def run_session(
     scenario: Scenario,
     modes=(SparsificationSpec.uninvolved(), SparsificationSpec.full()),
@@ -575,10 +599,14 @@ def run_session(
 
     The original problem is always evaluated (it provides the ground-truth
     values for loss and offsets); a requested "none" mode is reported as
-    that baseline.  Wall-clock figures are medians over ``timing_repeats``
-    repetitions of each phase.  Fewer than one repetition, a mode requested
-    twice, a repeated noise ratio, or a sparsified mode with fewer than two
-    candidates to rank is a ValueError, raised before any evaluation.
+    that baseline.  Sparsification and per-candidate wall-clock figures are
+    medians over ``timing_repeats`` repetitions (``evaluate_seconds`` sums
+    the candidates' medians); ``evaluate_wall_seconds`` is an evaluation
+    phase's own wall time per pass over the candidates, and
+    ``bounds_seconds`` the wall time of the one ``candidate_bounds`` call.
+    Fewer than one repetition, a mode requested twice, a repeated noise
+    ratio, or a sparsified mode with fewer than two candidates to rank is a
+    ValueError, raised before any evaluation.
     """
     if timing_repeats < 1:
         raise ValueError(f"timing_repeats must be at least 1, got {timing_repeats}")
@@ -595,7 +623,7 @@ def run_session(
     never = mask.never_involved(layout)
     uninvolved_ratio = len(never) / len(layout.block_ids)
 
-    values_orig, cand_secs = _evaluate_all(scenario.prior, candidates, timing_repeats)
+    values_orig, cand_secs, wall = _evaluate_phase(scenario.prior, candidates, timing_repeats)
     root_nnz, info_nnz = nnz_report(scenario.prior)
     baseline = ModeResult(
         label="original",
@@ -603,6 +631,7 @@ def run_session(
         best_index=int(np.argmax(values_orig)),
         sparsify_seconds=0.0,
         evaluate_seconds=float(cand_secs.sum()),
+        evaluate_wall_seconds=wall,
         candidate_seconds=cand_secs,
         root_nnz=root_nnz,
         info_nnz=info_nnz,
@@ -615,7 +644,7 @@ def run_session(
         sparsified, sp_secs = _median_timed(
             lambda s=spec: sparsify_belief(scenario.prior, s, mask), timing_repeats
         )
-        values, cand_secs_m = _evaluate_all(sparsified, candidates, timing_repeats)
+        values, cand_secs_m, wall_m = _evaluate_phase(sparsified, candidates, timing_repeats)
         best = int(np.argmax(values))
         r_nnz, i_nnz = nnz_report(sparsified)
         mode_results.append(
@@ -625,6 +654,7 @@ def run_session(
                 best_index=best,
                 sparsify_seconds=sp_secs,
                 evaluate_seconds=float(cand_secs_m.sum()),
+                evaluate_wall_seconds=wall_m,
                 candidate_seconds=cand_secs_m,
                 root_nnz=r_nnz,
                 info_nnz=i_nnz,
@@ -636,7 +666,9 @@ def run_session(
             )
         )
 
+    t0 = time.perf_counter()
     bounds = candidate_bounds(scenario, noise_ratios)
+    bounds_seconds = time.perf_counter() - t0
 
     def loss_bound(res: ModeResult, pair: tuple) -> float:
         lb, ub = pair
@@ -664,6 +696,7 @@ def run_session(
         bound_lb_det=bounds.det[0],
         bound_ub_det=bounds.det[1],
         loss_bounds=loss_bounds,
+        bounds_seconds=bounds_seconds,
     )
 
 
@@ -837,6 +870,7 @@ def _mode_doc(res: ModeResult) -> dict:
         "best_index": res.best_index,
         "sparsify_seconds": res.sparsify_seconds,
         "evaluate_seconds": res.evaluate_seconds,
+        "evaluate_wall_seconds": res.evaluate_wall_seconds,
         "root_nnz": res.root_nnz,
         "info_nnz": res.info_nnz,
     }
@@ -860,6 +894,7 @@ def report_to_json(report: SessionReport) -> str:
         "uninvolved_block_ratio": report.uninvolved_block_ratio,
         "noise_ratios": list(report.noise_ratios),
         "consistency_tolerance": CONSISTENCY_TOLERANCE,
+        "bounds_seconds": report.bounds_seconds,
         "baseline": _mode_doc(report.baseline),
         "modes": [_mode_doc(res) for res in report.modes],
         "bounds": {

@@ -41,6 +41,7 @@ from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify
 from helpers import (
     Permutation,
     dense_logdet_oracle,
+    loop_is_connected,
     permute_symmetric,
     permute_triangular_back,
     random_sparse_spd,
@@ -361,35 +362,48 @@ def test_criterion_9_ordering_and_offset_laws():
     report(True, "criterion 9: ordering/offset law suite", "1000 trials per law, zero violations")
 
 
+def _whole_and_grown(n, edges):
+    """The graph on ``n`` nodes with ``edges``, built whole and with its last
+    one and two nodes, and every edge that touches them, added through
+    ``PoseGraph.extended``."""
+    graphs = [PoseGraph(n, edges)]
+    for n0 in (n - 1, n - 2):
+        if n0 >= 1:
+            base = tuple(e for e in edges if max(e) < n0)
+            graphs.append(PoseGraph(n0, base).extended(n, [e for e in edges if max(e) >= n0]))
+    return graphs
+
+
 def test_criterion_10_matrix_tree_vs_enumeration():
     """Spanning-tree counts agree with brute-force enumeration for every
-    connected graph on <= 5 nodes and for 200 random 6-node samples."""
+    connected graph on <= 5 nodes and for 200 random 6-node samples, built
+    whole and with their last one or two nodes added by ``extended``."""
     checked = 0
     for n in range(2, 6):
         all_edges = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(all_edges)):
             edges = tuple(e for k, e in enumerate(all_edges) if bits >> k & 1)
-            g = PoseGraph(n, edges)
-            if not g.is_connected():
+            if not loop_is_connected(n, edges):
                 continue
-            brute = count_spanning_trees_brute_force(n, g.edges)
-            np.testing.assert_allclose(spanning_tree_count(g), math.log(brute), rtol=1e-9, atol=1e-12)
+            brute = count_spanning_trees_brute_force(n, edges)
+            for g in _whole_and_grown(n, edges):
+                np.testing.assert_allclose(spanning_tree_count(g), math.log(brute), rtol=1e-9, atol=1e-12)
             checked += 1
     rng = np.random.default_rng(101)
     sampled = 0
     all_edges6 = list(itertools.combinations(range(6), 2))
     while sampled < 200:
         edges = tuple(e for e in all_edges6 if rng.random() < 0.5)
-        g = PoseGraph(6, edges)
-        if not g.is_connected():
+        if not loop_is_connected(6, edges):
             continue
-        brute = count_spanning_trees_brute_force(6, g.edges)
-        np.testing.assert_allclose(spanning_tree_count(g), math.log(brute), rtol=1e-9, atol=1e-12)
+        brute = count_spanning_trees_brute_force(6, edges)
+        for g in _whole_and_grown(6, edges):
+            np.testing.assert_allclose(spanning_tree_count(g), math.log(brute), rtol=1e-9, atol=1e-12)
         sampled += 1
     report(
         True,
         "criterion 10: matrix-tree correctness",
-        f"{checked} exhaustive small graphs + {sampled} six-node samples",
+        f"{checked} exhaustive small graphs + {sampled} six-node samples, each whole and grown by 1 and 2 nodes",
     )
 
 

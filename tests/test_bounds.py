@@ -127,8 +127,46 @@ def multigraphs(draw, max_nodes=8):
     return n, draw(st.lists(edge, max_size=20))
 
 
+def dense_log_tree_count(n_nodes, edges):
+    """ln t(G) from a dense ``slogdet`` of the edge-by-edge reduced Laplacian."""
+    sign, logdet = np.linalg.slogdet(loop_laplacian(n_nodes, edges)[1:, 1:])
+    assert sign > 0 or n_nodes == 1
+    return float(logdet)
+
+
+def assert_tree_count(g, n_nodes, edges):
+    """``g`` counts the oracle's trees within 1e-12 relative, or raises
+    ``DisconnectedGraph`` (on every access) exactly where the graph is
+    disconnected."""
+    if not loop_is_connected(n_nodes, edges):
+        for _ in range(2):  # a failed count is never cached
+            with pytest.raises(DisconnectedGraph):
+                spanning_tree_count(g)
+        return None
+    expected = dense_log_tree_count(n_nodes, edges)
+    assert abs(spanning_tree_count(g) - expected) <= 1e-12 * max(1.0, abs(expected))
+    return expected
+
+
+@st.composite
+def extensions(draw):
+    """(base nodes, base edges, [(nodes, new edges), ...]): a base multigraph
+    and one or two extensions of it, each new edge drawn so that parallel
+    edges, edges to node 0, edges among old nodes only, isolated new nodes,
+    components of new nodes only and edges that connect a disconnected base
+    all occur."""
+    n0, base_edges = draw(multigraphs(max_nodes=7))
+    steps, n = [], n0
+    for _ in range(draw(st.integers(1, 2))):
+        n += draw(st.integers(0, 3))
+        node = st.integers(0, n - 1)
+        pool = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=6))
+        steps.append((n, pool + draw(st.lists(st.sampled_from(pool), max_size=2)) if pool else pool))
+    return n0, base_edges, steps
+
+
 class TestPoseGraphKernels:
-    """Array kernels of ``PoseGraph`` against the edge-by-edge oracles."""
+    """``PoseGraph`` against the edge-by-edge oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(multigraphs())
@@ -137,11 +175,8 @@ class TestPoseGraphKernels:
         g = PoseGraph(n, tuple(edges))
         lap = loop_laplacian(n, edges)
         assert g.edges == tuple((min(i, j), max(i, j)) for i, j in edges)
-        np.testing.assert_array_equal(g.laplacian(), lap)
-        np.testing.assert_array_equal(g.reduced_laplacian(), lap[1:, 1:])
         np.testing.assert_array_equal(g.reduced_degrees, lap.diagonal()[1:])
         assert not g.reduced_degrees.flags.writeable
-        assert g.is_connected() == loop_is_connected(n, edges)
 
     @settings(max_examples=150, deadline=None)
     @given(multigraphs())
@@ -149,19 +184,52 @@ class TestPoseGraphKernels:
         n, edges = graph
         g = PoseGraph(n, tuple(edges))
         cfg = TopologicalNoiseConfig(mu=0.5, psi=2.0)
-        if not loop_is_connected(n, edges):
-            for _ in range(2):  # a failed count is never cached
-                with pytest.raises(DisconnectedGraph):
-                    spanning_tree_count(g)
-                with pytest.raises(DisconnectedGraph):
-                    topological_bounds(g, cfg)
+        expected = assert_tree_count(g, n, edges)
+        if expected is None:
+            with pytest.raises(DisconnectedGraph):
+                topological_bounds(g, cfg)
             return
-        sign, logdet = np.linalg.slogdet(loop_laplacian(n, edges)[1:, 1:])
-        assert sign > 0 or n == 1
-        assert spanning_tree_count(g) == float(logdet)
-        assert spanning_tree_count(g) == float(logdet)
+        assert spanning_tree_count(g) == spanning_tree_count(g)
         lb, ub = topological_bounds(g, cfg)
-        assert lb == 3.0 * float(logdet) + 0.5
+        assert lb == 3.0 * spanning_tree_count(g) + 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(extensions())
+    def test_extended_tree_count_is_the_dense_slogdet(self, case):
+        n0, base_edges, steps = case
+        base = PoseGraph(n0, tuple(base_edges))
+        g, edges = base, list(base_edges)
+        for n, new_edges in steps:
+            g = g.extended(n, new_edges)
+            edges += new_edges
+            assert g.base is base
+            assert_tree_count(g, n, edges)
+        assert_tree_count(base, n0, base_edges)
+
+    @pytest.mark.parametrize(
+        "n0, base_edges, n, new_edges",
+        [
+            (3, [(0, 1), (1, 2)], 3, [(1, 2), (1, 2), (0, 2)]),  # parallel, to node 0, m = 0
+            (3, [(0, 1), (1, 2)], 5, [(2, 3), (2, 3), (0, 4), (3, 4)]),  # parallel new edges, to node 0
+            (3, [(0, 1), (1, 2)], 5, [(2, 3)]),  # node 4 isolated
+            (3, [(0, 1), (1, 2)], 6, [(2, 3), (4, 5)]),  # nodes 4, 5 only reach each other
+            (4, [(0, 1), (2, 3)], 5, [(1, 4), (3, 4)]),  # new edges connect a disconnected base
+            (4, [(0, 1), (2, 3)], 4, [(1, 2)]),  # ... with old nodes only
+            (4, [(0, 1), (2, 3)], 5, [(0, 4)]),  # ... or do not
+            (1, [], 3, [(0, 1), (1, 2), (0, 2)]),  # a one-node base
+        ],
+    )
+    def test_named_extensions(self, n0, base_edges, n, new_edges):
+        g = PoseGraph(n0, tuple(base_edges)).extended(n, new_edges)
+        assert_tree_count(g, n, base_edges + new_edges)
+
+    def test_component_of_new_nodes_rounds_to_a_positive_increment(self):
+        """The case the structural check exists for: a component of new
+        nodes only makes ``Bᵀ S⁻¹ B`` singular in exact arithmetic, yet its
+        rounded Cholesky need not fail."""
+        g = PoseGraph(3, ((0, 1), (1, 2))).extended(6, [(2, 3), (4, 5), (4, 5)])
+        with pytest.raises(DisconnectedGraph):
+            spanning_tree_count(g)
 
     @settings(max_examples=100, deadline=None)
     @given(multigraphs(), st.integers(0, 3), st.data())
@@ -174,8 +242,14 @@ class TestPoseGraphKernels:
         whole = PoseGraph(n, tuple(base_edges) + tuple(new_edges))
         assert grown == whole
         np.testing.assert_array_equal(grown.pairs, whole.pairs)
-        np.testing.assert_array_equal(grown.laplacian(), whole.laplacian())
-        assert grown.is_connected() == whole.is_connected()
+        np.testing.assert_array_equal(grown.reduced_degrees, whole.reduced_degrees)
+        try:
+            expected = whole.log_tree_count
+        except DisconnectedGraph:
+            with pytest.raises(DisconnectedGraph):
+                grown.log_tree_count
+            return
+        assert abs(grown.log_tree_count - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_extended_validates_new_edges(self):
         g = PoseGraph(3, ((0, 1), (1, 2)))

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +287,21 @@ class TestTopologicalConstants:
             sc = generate(cfg)
             for plan in (None,) + sc.plans:
                 assert _lever_mass(sc, plan) == loop_lever_mass(sc, plan)
+            assert not sc.prior_lever_mass.flags.writeable
+
+    def test_candidate_bounds_stay_under_a_tenth_of_one_dense_reduced_laplacian(self):
+        """No n x n array: the peak of the whole bounds loop at 1000 poses,
+        factoring the prior pose graph included, stays under 0.8 MB."""
+        sc = generate(ScenarioConfig(seed=1, n_prior_poses=1000, n_candidates=4, candidate_length=5))
+        n = sc.pose_graph.n_nodes - 1
+        tracemalloc.start()
+        try:
+            bounds = candidate_bounds(sc, scenario_module.DEFAULT_NOISE_RATIOS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(bounds.top[0] <= bounds.top[1])
+        assert peak < 8 * n * n / 10
 
     def test_posterior_graph_equals_the_graph_built_whole(self):
         sc = generate(SMALL)
@@ -293,7 +310,8 @@ class TestTopologicalConstants:
             whole = PoseGraph(sc.n_poses + len(plan.new_pose_ids) + 1, edges)
             graph = posterior_pose_graph(sc, plan)
             assert graph == whole
-            assert graph.log_tree_count == whole.log_tree_count
+            assert graph.base is sc.pose_graph
+            assert abs(graph.log_tree_count - whole.log_tree_count) <= 1e-12 * abs(whole.log_tree_count)
 
 
 class TestSession:
@@ -403,6 +421,22 @@ class TestSession:
         rep = run_session(generate(SMALL), modes=[SparsificationSpec.none()])
         assert rep.modes == ()
         assert rep.baseline.loss is None
+
+    def test_report_times_the_bounds_and_each_evaluation_phase(self):
+        """The phase wall times are true: the bounds call and every
+        evaluation phase's passes fit inside the session's wall time."""
+        repeats = 2
+        t0 = time.perf_counter()
+        rep = run_session(generate(SMALL), timing_repeats=repeats)
+        total = time.perf_counter() - t0
+        walls = [res.evaluate_wall_seconds for res in rep.all_results()]
+        assert rep.bounds_seconds > 0.0 and all(w > 0.0 for w in walls)
+        assert rep.bounds_seconds + repeats * sum(walls) <= total
+        doc = json.loads(report_to_json(rep))
+        assert doc["schema_version"] == 3
+        assert doc["bounds_seconds"] == rep.bounds_seconds
+        for res, mode_doc in zip(rep.all_results(), [doc["baseline"]] + doc["modes"]):
+            assert mode_doc["evaluate_wall_seconds"] == res.evaluate_wall_seconds
 
 
 class TestSerialization:

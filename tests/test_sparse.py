@@ -698,6 +698,15 @@ class TestTypes:
         r = cholesky(symmetric_from_dense(dense))
         np.testing.assert_allclose(r.gram_diagonal(), np.diag(dense), rtol=1e-10)
 
+    def test_gram_diagonal_in_steps_equals_one_pass_bit_for_bit(self):
+        """A factor with entries for several steps of squares sums them in
+        the order of a single ``np.add.at`` over all entries."""
+        r = generate(ScenarioConfig(seed=1, n_prior_poses=400, n_candidates=2, candidate_length=2)).prior.root
+        assert r.nnz > 2 * (1 << 14)
+        one_pass = r.diag ** 2
+        np.add.at(one_pass, r.upper.indices, r.upper.data ** 2)
+        assert np.array_equal(r.gram_diagonal().view(np.int64), one_pass.view(np.int64))
+
 
 class TestMatrixMarket:
     def test_triangular_round_trip_exact(self):

@@ -11,7 +11,9 @@ seeds; the final JSON line of every run is kept, with the medians,
 quartiles and pairs of every metric.  Then each side runs three one-shot
 sessions per dim, each in a fresh process so that its peak RSS is
 the session's own: ``generate``, ``run_session`` with the default modes and
-ratios, then ``candidate_bounds``.  The criterion-11 share is the
+ratios and three timing repeats (phase medians, so that one slow repeat does
+not decide the baseline >= uninvolved >= full ordering), then
+``candidate_bounds``.  The criterion-11 share is the
 sparsification time over the original decision time, both
 ``run_session``'s own figures.  Seeds 1-10 at the benchmark's 50 s run
 length and three sessions per dim take about 45 minutes on a 2-vCPU
@@ -46,7 +48,7 @@ t = time.process_time()
 sc = generate(ScenarioConfig(seed=1, n_prior_poses=dim // 3, n_candidates=16, candidate_length=5))
 generate_s = time.process_time() - t
 t, w = time.process_time(), time.perf_counter()
-rep = run_session(sc)
+rep = run_session(sc, timing_repeats=3)
 session_s, session_wall = time.process_time() - t, time.perf_counter() - w
 t = time.process_time()
 candidate_bounds(sc, DEFAULT_NOISE_RATIOS)
@@ -188,7 +190,7 @@ def main(argv=None) -> int:
         },
         "dims": {
             "how": "ScenarioConfig(seed=1, n_prior_poses=dim/3, n_candidates=16, candidate_length=5); generate, "
-                   "run_session with default modes and ratios (timing_repeats=1), then candidate_bounds at the "
+                   "run_session with default modes and ratios (timing_repeats=3), then candidate_bounds at the "
                    "default ratios, in a fresh process; CPU seconds except the run_session phase times, which "
                    "are its own perf_counter figures; criterion_11_share = sparsify_seconds / original decision "
                    f"time; {RUNS} runs per side and dim, summary = medians",
