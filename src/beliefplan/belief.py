@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mmio
-from .errors import DimensionMismatch, EvaluationError, InvalidBelief
+from .errors import DimensionMismatch, EvaluationError, InvalidBelief, json_fields, json_value
 from .sparse import SparseRowBlock, UpperTriangular, logdet_triangular, lowrank_update
 
 LN_2PI_E = math.log(2.0 * math.pi) + 1.0
@@ -283,14 +283,18 @@ def belief_from_json(text: str) -> GaussianBelief:
     """Load a belief file; a malformed file raises ``InvalidBelief`` or
     ``ValueError``."""
     try:
-        doc = json.loads(text)
+        layout, mean, root_mm = json_fields(json.loads(text), ("layout", "mean", "root_mm"), InvalidBelief, "a belief")
         blocks = []
         offset = 0
-        for entry in doc["layout"]:
-            blocks.append(LayoutBlock(int(entry["id"]), entry["kind"], int(entry["size"]), offset))
-            offset += int(entry["size"])
-        root = mmio.mm_to_triangular(doc["root_mm"])
-        mean = np.asarray(doc["mean"], dtype=np.float64)
+        for k, entry in enumerate(json_value(layout, list, InvalidBelief, "the layout")):
+            block_id, kind, size = json_fields(entry, ("id", "kind", "size"), InvalidBelief, f"layout block {k}")
+            what = f"the id and size of layout block {k}"
+            block_id, size = (json_value(v, int, InvalidBelief, what) for v in (block_id, size))
+            blocks.append(LayoutBlock(block_id, kind, size, offset))
+            offset += size
+        root = mmio.mm_to_triangular(root_mm)
+        mean = json_value(mean, list, InvalidBelief, "the mean")
+        mean = np.array([json_value(v, float, InvalidBelief, "a mean entry") for v in mean], dtype=np.float64)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
         raise InvalidBelief(f"malformed belief file: {type(e).__name__}: {e}") from e
     return GaussianBelief(mean, root, VariableLayout(tuple(blocks)))

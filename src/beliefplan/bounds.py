@@ -291,7 +291,7 @@ def determinant_bounds(b: GaussianBelief, a: CandidateAction) -> tuple[float, fl
     u = a.jacobian
 
     post_diag = np.zeros(n_post)
-    post_diag[: b.dim] = b.root.gram_diagonal()
+    post_diag[: b.dim] = b.root.gram_diagonal
     np.add.at(post_diag, u.indices, u.data ** 2)
     if np.any(post_diag <= 0.0):
         raise RankDeficientAugmentation("posterior diagonal has a non-positive entry")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the strict readers of
+parsed JSON that the file loaders raise them from.
 
 Every failure mode that callers are expected to branch on gets its own
 class; generic misuse (bad argument types, malformed containers) raises
@@ -77,3 +78,26 @@ class EvaluationError(BeliefPlanError):
         super().__init__(f"objective evaluation failed for candidate {candidate_id}: {cause}")
         self.candidate_id = candidate_id
         self.cause = cause
+
+
+# a JSON integer is never a boolean, and a JSON number may be an integer
+_JSON_TYPES = {int: (int,), float: (int, float), list: (list,)}
+
+
+def json_value(value, kind: type, error: type, what: str):
+    """``value`` as ``kind`` (int, float or list) if JSON holds it as one,
+    else ``error``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise error(f"{what} must be a JSON {kind.__name__}, got {value!r:.60}")
+    return kind(value)
+
+
+def json_fields(doc, keys: tuple, error: type, what: str) -> tuple:
+    """The values of ``keys``, in order, if ``doc`` is a JSON object with
+    exactly these keys, else ``error``."""
+    if type(doc) is not dict:
+        raise error(f"{what} must be a JSON object, got {doc!r:.60}")
+    if doc.keys() != set(keys):
+        unknown, missing = sorted(doc.keys() - set(keys)), sorted(set(keys) - doc.keys())
+        raise error(f"{what} must have exactly the keys {', '.join(keys)}; unknown {unknown}, missing {missing}")
+    return tuple(doc[k] for k in keys)

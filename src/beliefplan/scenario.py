@@ -24,6 +24,12 @@ sparse factor), ``_candidate_actions`` (one whitened Jacobian per plan) and
 ``_prior_pose_graph``.  ``build_collective_jacobian`` whitens the 3x3
 blocks of all factors as one array stack.
 
+A scenario file (schema 2) states each fact once: a pose's id is its
+position in ``poses``, a candidate's in ``candidates`` (its new poses are
+numbered on from the prior's), every factor is whitened by the config's
+noise model, and the counts are the lengths of the lists.  The loader reads
+exact key sets and JSON integers, so a field it does not know is an error.
+
 A planning session evaluates all candidates on the original belief and on
 each requested sparsified version, then reports values, selections, loss,
 offsets, rank correlation and consistency (both tying values within
@@ -43,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .belief import CandidateAction, GaussianBelief, VariableLayout, evaluate_candidates, nnz_report
+from .belief import LN_2PI_E, CandidateAction, GaussianBelief, VariableLayout, evaluate_candidates, nnz_report
 from .bounds import (
     PoseGraph,
     TopologicalNoiseConfig,
@@ -58,7 +64,7 @@ from .decision import (
     rank_correlation,
     simplification_loss,
 )
-from .errors import InfeasibleConfig, InvalidScenario, LayoutMismatch
+from .errors import InfeasibleConfig, InvalidScenario, LayoutMismatch, json_fields, json_value
 from .sparse import SparseRowBlock, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
@@ -66,7 +72,7 @@ DEFAULT_NOISE_RATIOS = (0.01, 0.25, 0.85)
 # objective values within this distance count as tied by rho and consistency
 CONSISTENCY_TOLERANCE = 1e-9
 
-SCENARIO_SCHEMA_VERSION = 1
+SCENARIO_SCHEMA_VERSION = 2
 REPORT_SCHEMA_VERSION = 3
 
 
@@ -145,15 +151,10 @@ class Scenario:
         return self.executed_path.shape[0]
 
     @cached_property
-    def prior_factor_ends(self) -> np.ndarray:
-        """``(i, j)`` pose ids of the relative prior factors, in order."""
-        return _factor_ends(self.prior_factors)
-
-    @cached_property
     def prior_lever_mass(self) -> np.ndarray:
         """Per-pose summed squared lever arms of the prior factors (see
         ``_lever_mass``), read-only."""
-        mass = _add_lever_mass(np.zeros(self.n_poses), self.executed_path[:, :2], self.prior_factor_ends)
+        mass = _add_lever_mass(np.zeros(self.n_poses), self.executed_path[:, :2], _factor_ends(self.prior_factors))
         mass.flags.writeable = False
         return mass
 
@@ -416,10 +417,11 @@ def _lever_mass(scenario: Scenario, plan: CandidatePlan | None) -> float:
     """max over poses of the summed squared lever arms of factors whose
     residual is expressed in that pose's frame.
 
-    New poses are numbered on from the prior (``_check_scenario_doc``), so
-    a pose id indexes the stacked positions directly.  Each pose's sum adds
-    dx^2, then dy^2, factor by factor (prior factors first, their sums
-    cached on the scenario), the order that fixes the bounds' last bits.
+    New poses are numbered on from the prior (a scenario file states no
+    pose ids), so a pose id indexes the stacked positions directly.  Each
+    pose's sum adds dx^2, then dy^2, factor by factor (prior factors first,
+    their sums cached on the scenario), the order that fixes the bounds'
+    last bits.
     """
     mass = scenario.prior_lever_mass
     if plan is not None:
@@ -447,6 +449,14 @@ def topological_constants(
     actual angular:position variance ratio to explore hypothetical noise
     models (the Hadamard side is only guaranteed when ratio >= actual).
     """
+    return _constants_at(scenario, plan, _lever_mass(scenario, plan), ratio)
+
+
+def _constants_at(
+    scenario: Scenario, plan: CandidatePlan | None, lever_mass: float, ratio: float | None
+) -> TopologicalNoiseConfig:
+    """``topological_constants`` from the plan's ``_lever_mass``, which does
+    not depend on the ratio."""
     cfg = scenario.config
     actual_ratio = cfg.noise_ratio
     use_ratio = actual_ratio if ratio is None else float(ratio)
@@ -455,15 +465,13 @@ def topological_constants(
     w_th = 1.0 / ang_var
     n_poses = scenario.n_poses + (len(plan.new_pose_ids) if plan is not None else 0)
     mu = n_poses * (2.0 * math.log(w_p) + math.log(w_th))
-    psi = use_ratio * _lever_mass(scenario, plan)
+    psi = use_ratio * lever_mass
     return TopologicalNoiseConfig(mu=mu, psi=psi, ratio=use_ratio)
 
 
 def objective_scale_bounds(lb_logdet: float, ub_logdet: float, n_vars: int) -> tuple[float, float]:
     """Convert log-determinant bounds to objective-scale bounds via the
     increasing affine map J = (x - N ln(2 pi e)) / 2."""
-    from .belief import LN_2PI_E
-
     c = n_vars * LN_2PI_E
     return 0.5 * (lb_logdet - c), 0.5 * (ub_logdet - c)
 
@@ -499,8 +507,9 @@ def candidate_bounds(scenario: Scenario, noise_ratios) -> CandidateBounds:
     for idx, (cand, plan) in enumerate(zip(scenario.candidates, scenario.plans)):
         graph = posterior_pose_graph(scenario, plan)
         n_vars = 3 * (scenario.n_poses + len(plan.new_pose_ids))
+        mass = _lever_mass(scenario, plan)
         for ratio, (lb, ub) in [(None, top), *by_ratio.items()]:
-            lbl, ubl = topological_bounds(graph, topological_constants(scenario, plan, ratio=ratio))
+            lbl, ubl = topological_bounds(graph, _constants_at(scenario, plan, mass, ratio))
             lb[idx], ub[idx] = objective_scale_bounds(lbl, ubl, n_vars)
         det[0][idx], det[1][idx] = determinant_bounds(scenario.prior, cand)
     return CandidateBounds(top, det, by_ratio)
@@ -705,124 +714,80 @@ def run_session(
 # ---------------------------------------------------------------------------
 
 
-def _factor_doc(f: Factor, sqrt_info: np.ndarray) -> dict:
-    return {
-        "type": f.kind,
-        "i": f.i,
-        "j": f.j,
-        "sqrt_info": [float(v) for v in sqrt_info.reshape(-1)],
-    }
+# the config keys of a scenario file; the seed is a key of its own and the
+# counts are the lengths of the lists
+_CONFIG_TYPES = {"world_extent": float, "position_std": float, "angular_std": float, "loop_closure_radius": float,
+                 "loop_index_window": int}
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    """Schema: {seed, config, poses, factors, candidates}; the anchor on
-    pose 0 is implicit (re-added on load), factor types are odom|loop."""
+    """Schema 2, which states each fact once (see the package README)."""
     cfg = scenario.config
-    sqrt_info = noise_sqrt_info(cfg)
     doc = {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "seed": cfg.seed,
-        "config": {
-            "n_prior_poses": cfg.n_prior_poses,
-            "world_extent": cfg.world_extent,
-            "position_std": cfg.position_std,
-            "angular_std": cfg.angular_std,
-            "loop_closure_radius": cfg.loop_closure_radius,
-            "n_candidates": cfg.n_candidates,
-            "candidate_length": cfg.candidate_length,
-            "loop_index_window": cfg.loop_index_window,
-        },
-        "poses": [
-            {"id": k, "x": float(p[0]), "y": float(p[1]), "theta": float(p[2])}
-            for k, p in enumerate(scenario.executed_path)
-        ],
-        "factors": [
-            _factor_doc(f, sqrt_info) for f in scenario.prior_factors if f.kind != "anchor"
-        ],
+        "config": {name: getattr(cfg, name) for name in _CONFIG_TYPES},
+        "poses": scenario.executed_path.tolist(),
+        "factors": [[f.kind, f.i, f.j] for f in scenario.prior_factors if f.kind != "anchor"],
         "candidates": [
-            {
-                "id": plan.candidate_id,
-                "new_poses": [
-                    {"id": int(pid), "x": float(p[0]), "y": float(p[1]), "theta": float(p[2])}
-                    for pid, p in zip(plan.new_pose_ids, plan.new_pose_means)
-                ],
-                "factors": [_factor_doc(f, sqrt_info) for f in plan.factors],
-            }
+            {"new_poses": plan.new_pose_means.tolist(), "factors": [[f.kind, f.i, f.j] for f in plan.factors]}
             for plan in scenario.plans
         ],
     }
     return json.dumps(doc, indent=1)
 
 
-def _check_scenario_doc(doc: dict, cfg: ScenarioConfig):
-    """Reject what the loader would otherwise crash on or silently ignore."""
-    n, n_cand, length = cfg.n_prior_poses, cfg.n_candidates, cfg.candidate_length
-    if len(doc["poses"]) != n or len(doc["candidates"]) != n_cand:
-        raise InvalidScenario(
-            f"config declares {n} poses and {n_cand} candidates, "
-            f"the file has {len(doc['poses'])} and {len(doc['candidates'])}"
-        )
-    ids = np.sort(np.array([int(p["id"]) for p in doc["poses"]], dtype=np.int64))
-    if not np.array_equal(ids, np.arange(n)):
-        raise InvalidScenario(f"pose ids must be 0..{n - 1}, each exactly once")
-    for cd in doc["candidates"]:
-        new_ids = [int(p["id"]) for p in cd["new_poses"]]
-        # compare lengths first: a huge declared length must not build its range
-        if len(new_ids) != length or new_ids != list(range(n, n + length)):
-            raise InvalidScenario(
-                f"candidate {cd['id']}: new pose ids must be {n}..{n + length - 1} (candidate_length {length})"
-            )
-    factor_docs = doc["factors"] + [fd for cd in doc["candidates"] for fd in cd["factors"]]
-    got = np.array([fd["sqrt_info"] for fd in factor_docs], dtype=np.float64)
-    expected = noise_sqrt_info(cfg).reshape(1, -1)
-    if got.size and (got.shape[1:] != expected.shape[1:] or not np.allclose(got, expected, rtol=1e-12, atol=0)):
-        raise InvalidScenario(
-            "a factor sqrt_info differs from the noise model of the config "
-            f"(position_std {cfg.position_std}, angular_std {cfg.angular_std})"
-        )
+def _rows(rows, form: str, fits, what: str) -> list:
+    """``rows`` if it is a JSON list of three-item lists that each ``fits``."""
+    if not all(type(r) is list and len(r) == 3 and fits(r) for r in json_value(rows, list, InvalidScenario, what)):
+        raise InvalidScenario(f"{what} must each be {form}")
+    return rows
 
 
-def _read_scenario_doc(doc: dict) -> tuple:
+def _poses(rows, what: str) -> np.ndarray:
+    rows = _rows(rows, "[x, y, theta], three numbers", lambda r: all(type(v) in (int, float) for v in r), what)
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def _factors(rows, what: str) -> tuple:
+    rows = _rows(rows, "[odom|loop, i, j] with integers i, j",
+                 lambda r: r[0] in ("odom", "loop") and type(r[1]) is int and type(r[2]) is int, what)
+    return tuple(Factor(*r) for r in rows)
+
+
+def _read_scenario_doc(doc) -> tuple:
     """(config, poses, prior factors, plans) of a parsed scenario file."""
-    if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
-        raise InvalidScenario(
-            f"scenario schema_version {doc.get('schema_version')!r} is not {SCENARIO_SCHEMA_VERSION}"
-        )
-    cfg = ScenarioConfig(
-        seed=int(doc["seed"]),
-        n_prior_poses=int(doc["config"]["n_prior_poses"]),
-        world_extent=float(doc["config"]["world_extent"]),
-        position_std=float(doc["config"]["position_std"]),
-        angular_std=float(doc["config"]["angular_std"]),
-        loop_closure_radius=float(doc["config"]["loop_closure_radius"]),
-        n_candidates=int(doc["config"]["n_candidates"]),
-        candidate_length=int(doc["config"]["candidate_length"]),
-        loop_index_window=int(doc["config"].get("loop_index_window", 40)),
+    version, seed, config, poses, factors, candidates = json_fields(
+        doc, ("schema_version", "seed", "config", "poses", "factors", "candidates"), InvalidScenario, "the file"
     )
-    _check_scenario_doc(doc, cfg)
-    poses = np.zeros((len(doc["poses"]), 3))
-    for entry in doc["poses"]:
-        poses[int(entry["id"])] = (entry["x"], entry["y"], entry["theta"])
-
-    prior_factors = [Factor("anchor", 0, 0)]
-    for fd in doc["factors"]:
-        prior_factors.append(Factor(fd["type"], int(fd["i"]), int(fd["j"])))
-
+    if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
+        raise InvalidScenario(f"scenario schema_version {version!r:.60} is not {SCENARIO_SCHEMA_VERSION}")
+    values = json_fields(config, tuple(_CONFIG_TYPES), InvalidScenario, "the config")
+    config = {name: json_value(v, kind, InvalidScenario, f"config {name}")
+              for (name, kind), v in zip(_CONFIG_TYPES.items(), values)}
+    poses = _poses(poses, "the poses")
+    n = poses.shape[0]
     plans = []
-    for cd in doc["candidates"]:
-        new_ids = tuple(int(p["id"]) for p in cd["new_poses"])
-        new_means = np.array([[p["x"], p["y"], p["theta"]] for p in cd["new_poses"]], dtype=np.float64)
-        factors = tuple(Factor(fd["type"], int(fd["i"]), int(fd["j"])) for fd in cd["factors"])
-        plans.append(CandidatePlan(int(cd["id"]), new_ids, new_means.reshape(-1, 3), factors))
-    return cfg, poses, tuple(prior_factors), tuple(plans)
+    for c, cd in enumerate(json_value(candidates, list, InvalidScenario, "the candidates")):
+        new_poses, cand_factors = json_fields(cd, ("new_poses", "factors"), InvalidScenario, f"candidate {c}")
+        new_means = _poses(new_poses, f"the new poses of candidate {c}")
+        new_ids = tuple(range(n, n + new_means.shape[0]))
+        plans.append(CandidatePlan(c, new_ids, new_means, _factors(cand_factors, f"the factors of candidate {c}")))
+    lengths = sorted({len(plan.new_pose_ids) for plan in plans})
+    if len(lengths) > 1:
+        raise InvalidScenario(f"every candidate must add the same number of poses, not {lengths}")
+    seed = json_value(seed, int, InvalidScenario, "the seed")
+    cfg = ScenarioConfig(seed=seed, n_prior_poses=n, n_candidates=len(plans),
+                         candidate_length=lengths[0] if lengths else 0, **config)
+    return cfg, poses, (Factor("anchor", 0, 0),) + _factors(factors, "the factors"), tuple(plans)
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Load a scenario file; a malformed or inconsistent file raises
-    ``InvalidScenario`` or ``ValueError``."""
+    """Load a scenario file; a malformed file raises ``InvalidScenario`` or
+    ``ValueError``."""
     try:
         cfg, poses, prior_factors, plans = _read_scenario_doc(json.loads(text))
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
+    except (OverflowError, ValueError) as e:  # JSON syntax, a config or factor out of range
         raise InvalidScenario(f"malformed scenario file: {type(e).__name__}: {e}") from e
     prior = _prior_belief(cfg, poses, prior_factors)
     candidates = _candidate_actions(cfg, poses, plans, prior.layout)

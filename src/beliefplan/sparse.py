@@ -353,14 +353,17 @@ class UpperTriangular:
         """(self)^T (self); see ``SparseRowBlock.gram``."""
         return self.as_row_block().gram()
 
+    @cached_property
     def gram_diagonal(self) -> np.ndarray:
-        """Diagonal of (self)^T (self) without forming the product; the
-        squares are added in storage order."""
+        """Diagonal of (self)^T (self) without forming the product, read-only
+        and computed once per factor; the squares are added in storage
+        order."""
         out = self.diag ** 2
         u = self.upper
         for start in range(0, u.nnz, _SQUARES_AT_ONCE):
             stop = start + _SQUARES_AT_ONCE
             np.add.at(out, u.indices[start:stop], u.data[start:stop] ** 2)
+        out.flags.writeable = False
         return out
 
 

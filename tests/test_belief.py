@@ -20,7 +20,7 @@ from beliefplan.belief import (
     objective,
     propagate,
 )
-from beliefplan.errors import BeliefPlanError, EvaluationError, RankDeficientAugmentation
+from beliefplan.errors import BeliefPlanError, EvaluationError, InvalidBelief, RankDeficientAugmentation
 from beliefplan.sparse import SparseRowBlock, UpperTriangular, cholesky
 
 from helpers import (
@@ -243,6 +243,31 @@ class TestSerialization:
         doc["root_mm"] = "%%MatrixMarket matrix coordinate real general\n1000000000000 1000000000000 0\n"
         monkeypatch.setattr(mmio.SparseRowBlock, "from_coo", no_allocation)
         with pytest.raises(ValueError, match="factor needs at least"):
+            belief_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["layout"][1].update(size=3.9),
+            lambda doc: doc["layout"][1].update(size="3"),
+            lambda doc: doc["layout"][1].update(id=True),
+            lambda doc: doc["layout"][1].update(id=1.0),
+            lambda doc: doc["layout"][1].update(offset=0),
+            lambda doc: doc["layout"][1].pop("kind"),
+            lambda doc: doc.update(layout={}),
+            lambda doc: doc.update(extra=1),
+            lambda doc: doc.pop("mean"),
+            lambda doc: doc["mean"].__setitem__(0, "0.5"),
+            lambda doc: doc["mean"].__setitem__(0, False),
+        ],
+        ids=["float-size", "string-size", "bool-id", "float-id", "unknown-block-key", "missing-block-key",
+             "layout-not-a-list", "unknown-key", "missing-key", "string-mean", "bool-mean"],
+    )
+    def test_malformed_belief_is_an_invalid_belief(self, mutate):
+        belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
+        doc = json.loads(belief_to_json(belief))
+        mutate(doc)
+        with pytest.raises(InvalidBelief):
             belief_from_json(json.dumps(doc))
 
     @settings(max_examples=100, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beliefplan.cli as cli
-from beliefplan.errors import BeliefPlanError
+from beliefplan.errors import BeliefPlanError, InvalidScenario
 from beliefplan.scenario import run_session, scenario_from_json
 
 from helpers import mutate_json
@@ -303,28 +303,41 @@ def _drop_candidates(doc):
     doc["candidates"] = []
 
 
-def _other_noise_model(doc):
-    doc["candidates"][1]["factors"][0]["sqrt_info"][8] = 40.0
+def _factor_with_sqrt_info(doc):
+    kind, i, j = doc["candidates"][1]["factors"][0]
+    sqrt_info = [10.0, 0, 0, 0, 10.0, 0, 0, 0, 40.0]
+    doc["candidates"][1]["factors"][0] = {"type": kind, "i": i, "j": j, "sqrt_info": sqrt_info}
+
+
+def _pose_with_id(doc):
+    x, y, theta = doc["poses"][3]
+    doc["poses"][3] = {"id": 2, "x": x, "y": y, "theta": theta}
 
 
 class TestScenarioValidation:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda doc: doc["poses"][3].update(id=99),
-            lambda doc: doc["poses"][3].update(id=2),
+            lambda doc: doc["poses"][3].append(99),
+            _pose_with_id,
             lambda doc: doc.update(schema_version=99),
             _drop_candidates,
-            _other_noise_model,
-            lambda doc: doc["candidates"][2]["new_poses"][1].update(id=40),
+            _factor_with_sqrt_info,
+            lambda doc: doc["candidates"][2]["new_poses"].pop(),
             lambda doc: doc["config"].update(n_prior_poses=99),
             lambda doc: doc["config"].update(n_candidates=1),
             lambda doc: doc["config"].update(candidate_length=7),
             lambda doc: doc["config"].update(candidate_length=10**12),
+            lambda doc: doc.update(schema_version=1),
+            lambda doc: doc.update(seed=1.7),
+            lambda doc: doc["factors"][0].__setitem__(1, True),
+            lambda doc: doc["factors"].append(["anchor", 0, 0]),
+            lambda doc: doc["candidates"][0].update(id=0),
         ],
         ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info",
              "new-pose-id-gap", "config-n-prior-poses", "config-n-candidates", "config-candidate-length",
-             "config-candidate-length-huge"],
+             "config-candidate-length-huge", "schema-1", "float-seed", "bool-integer", "second-anchor",
+             "unknown-key"],
     )
     def test_bad_scenario_is_a_typed_error_and_exits_1(self, mutate, tmp_path, capsys):
         doc = json.loads(TINY.read_text())
@@ -337,6 +350,13 @@ class TestScenarioValidation:
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_schema_1_file_is_refused_naming_its_version(self):
+        doc = copy.deepcopy(TINY_DOC)
+        poses = [{"id": k, "x": x, "y": y, "theta": t} for k, (x, y, t) in enumerate(doc["poses"])]
+        doc.update(schema_version=1, poses=poses)
+        with pytest.raises(InvalidScenario, match="schema_version 1 is not 2"):
+            scenario_from_json(json.dumps(doc))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -289,6 +289,23 @@ class TestTopologicalConstants:
                 assert _lever_mass(sc, plan) == loop_lever_mass(sc, plan)
             assert not sc.prior_lever_mass.flags.writeable
 
+    def test_candidate_bounds_sum_each_lever_mass_once(self, monkeypatch):
+        """One ``_lever_mass`` per plan, and the bounds of every ratio bit
+        for bit those of ``topological_constants`` at that ratio."""
+        sc = generate(SMALL)
+        ratios = scenario_module.DEFAULT_NOISE_RATIOS
+        calls = []
+        counted = scenario_module._lever_mass
+        monkeypatch.setattr(scenario_module, "_lever_mass", lambda s, p: calls.append(p) or counted(s, p))
+        bounds = candidate_bounds(sc, ratios)
+        assert len(calls) == len(sc.plans) and all(got is plan for got, plan in zip(calls, sc.plans))
+        for idx, plan in enumerate(sc.plans):
+            graph = posterior_pose_graph(sc, plan)
+            n_vars = 3 * (sc.n_poses + len(plan.new_pose_ids))
+            for ratio, (lb, ub) in [(None, bounds.top), *bounds.top_by_ratio.items()]:
+                lbl, ubl = topological_bounds(graph, topological_constants(sc, plan, ratio))
+                assert (lb[idx], ub[idx]) == objective_scale_bounds(lbl, ubl, n_vars)
+
     def test_candidate_bounds_stay_under_a_tenth_of_one_dense_reduced_laplacian(self):
         """No n x n array: the peak of the whole bounds loop at 1000 poses,
         factoring the prior pose graph included, stays under 0.8 MB."""
@@ -443,6 +460,13 @@ class TestSerialization:
     def test_scenario_round_trip(self):
         sc = generate(SMALL)
         loaded = scenario_from_json(scenario_to_json(sc))
+        assert loaded.config == sc.config
+        assert loaded.prior_factors == sc.prior_factors
+        assert [(p.candidate_id, p.new_pose_ids, p.factors) for p in loaded.plans] == [
+            (p.candidate_id, p.new_pose_ids, p.factors) for p in sc.plans
+        ]
+        for a, b in zip(loaded.plans, sc.plans):
+            assert np.array_equal(a.new_pose_means.view(np.int64), b.new_pose_means.view(np.int64))
         np.testing.assert_array_equal(loaded.executed_path, sc.executed_path)
         for got, want in (
             (loaded.prior.root.diag, sc.prior.root.diag),
@@ -460,14 +484,23 @@ class TestSerialization:
         np.testing.assert_allclose(v1, v0, rtol=1e-12)
 
     def test_scenario_schema_fields(self):
-        doc = json.loads(scenario_to_json(generate(SMALL)))
-        assert set(doc) == {"schema_version", "seed", "config", "poses", "factors", "candidates"}
-        assert all(set(p) == {"id", "x", "y", "theta"} for p in doc["poses"])
-        for f in doc["factors"]:
-            assert f["type"] in ("odom", "loop")
-            assert len(f["sqrt_info"]) == 9
-        for cand in doc["candidates"]:
-            assert set(cand) == {"id", "new_poses", "factors"}
+        """Schema 2 states each fact once: positions are the ids, the config
+        holds the noise model and the lists hold the counts."""
+        sc = generate(SMALL)
+        doc = json.loads(scenario_to_json(sc))
+        assert list(doc) == ["schema_version", "seed", "config", "poses", "factors", "candidates"]
+        assert doc["schema_version"] == 2 and doc["seed"] == SMALL.seed
+        assert list(doc["config"]) == [
+            "world_extent", "position_std", "angular_std", "loop_closure_radius", "loop_index_window"
+        ]
+        assert doc["poses"] == sc.executed_path.tolist()
+        assert len(doc["candidates"]) == SMALL.n_candidates
+        for f in doc["factors"] + [f for cand in doc["candidates"] for f in cand["factors"]]:
+            assert len(f) == 3 and f[0] in ("odom", "loop")
+        for cand, plan in zip(doc["candidates"], sc.plans):
+            assert list(cand) == ["new_poses", "factors"]
+            assert cand["new_poses"] == plan.new_pose_means.tolist()
+            assert len(cand["new_poses"]) == SMALL.candidate_length
 
     def test_report_csv_columns_and_rows(self):
         rep = run_session(generate(SMALL))

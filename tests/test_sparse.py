@@ -425,7 +425,10 @@ def panel_update_problems(draw):
     mask = rng.random((rows, n_cols)) < draw(st.sampled_from([0.05, 0.2, 0.5]))
     mask[:, :start] = False
     vals = rng.normal(size=mask.shape)
-    mask[0, start] = True
+    # the first row stores every prior column it reaches: carried by the
+    # links alone, it can decay below the last bit of a diagonal within 30
+    # rows, and the rows after that would keep their diagonals
+    mask[0, start:n] = True
     vals[0, start] = rng.normal() + 3.0
     own = (np.arange(extra, rows), np.arange(n, n_cols))
     for q, col in zip(*own):
@@ -696,7 +699,13 @@ class TestTypes:
         rng = np.random.default_rng(2)
         dense = random_sparse_spd(rng, 12)
         r = cholesky(symmetric_from_dense(dense))
-        np.testing.assert_allclose(r.gram_diagonal(), np.diag(dense), rtol=1e-10)
+        np.testing.assert_allclose(r.gram_diagonal, np.diag(dense), rtol=1e-10)
+
+    def test_gram_diagonal_is_computed_once_and_read_only(self):
+        r = cholesky(symmetric_from_dense(random_sparse_spd(np.random.default_rng(2), 12)))
+        assert r.gram_diagonal is r.gram_diagonal
+        with pytest.raises(ValueError, match="read-only"):
+            r.gram_diagonal[0] = 0.0
 
     def test_gram_diagonal_in_steps_equals_one_pass_bit_for_bit(self):
         """A factor with entries for several steps of squares sums them in
@@ -705,7 +714,7 @@ class TestTypes:
         assert r.nnz > 2 * (1 << 14)
         one_pass = r.diag ** 2
         np.add.at(one_pass, r.upper.indices, r.upper.data ** 2)
-        assert np.array_equal(r.gram_diagonal().view(np.int64), one_pass.view(np.int64))
+        assert np.array_equal(r.gram_diagonal.view(np.int64), one_pass.view(np.int64))
 
 
 class TestMatrixMarket:

@@ -13,12 +13,13 @@ sessions per dim, each in a fresh process so that its peak RSS is
 the session's own: ``generate``, ``run_session`` with the default modes and
 ratios and three timing repeats (phase medians, so that one slow repeat does
 not decide the baseline >= uninvolved >= full ordering), then
-``candidate_bounds``.  The criterion-11 share is the
-sparsification time over the original decision time, both
-``run_session``'s own figures.  Seeds 1-10 at the benchmark's 50 s run
-length and three sessions per dim take about 45 minutes on a 2-vCPU
-machine.  Records of other parent commits already in the file are kept; a
-record of the same parent commit is replaced.
+``candidate_bounds``, then ``scenario_to_json`` and ``scenario_from_json``
+of the scenario (the file's bytes and their CPU seconds; peak RSS is read
+before them).  The criterion-11 share is the sparsification time over the
+original decision time, both ``run_session``'s own figures.  Seeds 1-10 at
+the benchmark's 50 s run length and three sessions per dim take about 45
+minutes on a 2-vCPU machine.  Records of other parent commits already in
+the file are kept; a record of the same parent commit is replaced.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ RUNS = 3  # one-shot sessions per side and dim
 SESSION = r"""
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from beliefplan.scenario import DEFAULT_NOISE_RATIOS, ScenarioConfig, candidate_bounds, generate, run_session
+from beliefplan.scenario import (DEFAULT_NOISE_RATIOS, ScenarioConfig, candidate_bounds, generate, run_session,
+                                 scenario_from_json, scenario_to_json)
 dim = int(sys.argv[2])
 t = time.process_time()
 sc = generate(ScenarioConfig(seed=1, n_prior_poses=dim // 3, n_candidates=16, candidate_length=5))
@@ -53,6 +55,11 @@ session_s, session_wall = time.process_time() - t, time.perf_counter() - w
 t = time.process_time()
 candidate_bounds(sc, DEFAULT_NOISE_RATIOS)
 bounds_s = time.process_time() - t
+peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # the session's own, before the file I/O
+t = time.process_time()
+text = scenario_to_json(sc)
+scenario_from_json(text)
+scenario_io_s = time.process_time() - t
 base = rep.baseline.total_seconds
 unin, full = rep.mode("uninvolved"), rep.mode("full")
 print(json.dumps({
@@ -69,7 +76,9 @@ print(json.dumps({
     "criterion_11_share_full": round(full.sparsify_seconds / base, 4),
     "criterion_11_ordering": bool(full.total_seconds <= unin.total_seconds <= base),
     "candidate_bounds_cpu_s": round(bounds_s, 3),
-    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "scenario_json_bytes": len(text.encode()),
+    "scenario_io_cpu_s": round(scenario_io_s, 4),
+    "peak_rss_mb": round(peak_rss_mb, 1),
 }))
 """
 
@@ -191,9 +200,11 @@ def main(argv=None) -> int:
         "dims": {
             "how": "ScenarioConfig(seed=1, n_prior_poses=dim/3, n_candidates=16, candidate_length=5); generate, "
                    "run_session with default modes and ratios (timing_repeats=3), then candidate_bounds at the "
-                   "default ratios, in a fresh process; CPU seconds except the run_session phase times, which "
-                   "are its own perf_counter figures; criterion_11_share = sparsify_seconds / original decision "
-                   f"time; {RUNS} runs per side and dim, summary = medians",
+                   "default ratios, then scenario_to_json + scenario_from_json of the scenario (scenario_io_cpu_s, "
+                   "and the file's scenario_json_bytes; peak_rss_mb is read before them), in a fresh process; "
+                   "CPU seconds except the run_session phase times, which are its own perf_counter figures; "
+                   "criterion_11_share = sparsify_seconds / original decision time; "
+                   f"{RUNS} runs per side and dim, summary = medians",
             "summary": dims_summary(rows),
             "runs": rows,
         },
