@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mmio
-from .errors import DimensionMismatch, EvaluationError, InvalidBelief, json_fields, json_value
+from .errors import DimensionMismatch, EvaluationError, InvalidBelief, json_document, json_fields, json_value
 from .sparse import SparseRowBlock, UpperTriangular, logdet_triangular, lowrank_update
 
 LN_2PI_E = math.log(2.0 * math.pi) + 1.0
@@ -283,7 +283,8 @@ def belief_from_json(text: str) -> GaussianBelief:
     """Load a belief file; a malformed file raises ``InvalidBelief`` or
     ``ValueError``."""
     try:
-        layout, mean, root_mm = json_fields(json.loads(text), ("layout", "mean", "root_mm"), InvalidBelief, "a belief")
+        doc = json_document(text, InvalidBelief, "a belief")
+        layout, mean, root_mm = json_fields(doc, ("layout", "mean", "root_mm"), InvalidBelief, "a belief")
         blocks = []
         offset = 0
         for k, entry in enumerate(json_value(layout, list, InvalidBelief, "the layout")):

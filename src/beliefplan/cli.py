@@ -122,13 +122,7 @@ def _out_dir(args) -> Path:
 
 
 def _specs_from_modes(mode_names, blocks) -> list:
-    specs = []
-    for name in mode_names:
-        if name == "custom":
-            specs.append(SparsificationSpec.custom(blocks))
-        else:
-            specs.append(SparsificationSpec(name))
-    return specs
+    return [SparsificationSpec.custom(blocks) if name == "custom" else SparsificationSpec(name) for name in mode_names]
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -306,7 +300,7 @@ def _print_bench_table(rows, mode_names, medians):
     for name in mode_names:
         headers += [f"time {name}", f"sparx {name}", f"nnz {name}", f"rho {name}", f"loss {name}"]
     print("  ".join(f"{h:>12}" for h in headers))
-    for row in rows:
+    for row in rows + [{**medians, "seed": "median", "prior_dim": int(medians["prior_dim"])}]:
         cells = [str(row["seed"]), str(row["prior_dim"]), f"{100 * row['uninvolved_ratio']:.0f}%"]
         for name in mode_names:
             cells += [
@@ -317,16 +311,6 @@ def _print_bench_table(rows, mode_names, medians):
                 f"{row[f'loss_{name}']:.2e}",
             ]
         print("  ".join(f"{c:>12}" for c in cells))
-    cells = ["median", str(int(medians["prior_dim"])), f"{100 * medians['uninvolved_ratio']:.0f}%"]
-    for name in mode_names:
-        cells += [
-            f"{100 * medians[f'runtime_delta_{name}']:+.0f}%",
-            f"{100 * medians[f'sparsify_share_{name}']:.1f}%",
-            f"{100 * medians[f'nnz_delta_{name}']:+.0f}%",
-            f"{medians[f'rho_{name}']:.3f}",
-            f"{medians[f'loss_{name}']:.2e}",
-        ]
-    print("  ".join(f"{c:>12}" for c in cells))
 
 
 def cmd_bounds(args) -> int:

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the strict readers of
-parsed JSON that the file loaders raise them from.
+"""Exception types shared across the package, and the strict JSON readers
+that the file loaders raise them from.
 
 Every failure mode that callers are expected to branch on gets its own
 class; generic misuse (bad argument types, malformed containers) raises
 plain ValueError at construction time instead.
 """
+
+import json
 
 
 class BeliefPlanError(Exception):
@@ -78,6 +80,17 @@ class EvaluationError(BeliefPlanError):
         super().__init__(f"objective evaluation failed for candidate {candidate_id}: {cause}")
         self.candidate_id = candidate_id
         self.cause = cause
+
+
+def json_document(text: str, error: type, what: str):
+    """``text`` parsed as JSON, ``error`` if an object names a key twice."""
+
+    def unique_keys(pairs):
+        if len(doc := dict(pairs)) < len(pairs):
+            raise error(f"{what} names a key twice in one object: {[k for k, _ in pairs]}")
+        return doc
+
+    return json.loads(text, object_pairs_hook=unique_keys)
 
 
 # a JSON integer is never a boolean, and a JSON number may be an integer

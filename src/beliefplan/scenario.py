@@ -28,7 +28,8 @@ A scenario file (schema 2) states each fact once: a pose's id is its
 position in ``poses``, a candidate's in ``candidates`` (its new poses are
 numbered on from the prior's), every factor is whitened by the config's
 noise model, and the counts are the lengths of the lists.  The loader reads
-exact key sets and JSON integers, so a field it does not know is an error.
+exact key sets and JSON integers, so a field it does not know or finds
+twice is an error.
 
 A planning session evaluates all candidates on the original belief and on
 each requested sparsified version, then reports values, selections, loss,
@@ -64,7 +65,7 @@ from .decision import (
     rank_correlation,
     simplification_loss,
 )
-from .errors import InfeasibleConfig, InvalidScenario, LayoutMismatch, json_fields, json_value
+from .errors import InfeasibleConfig, InvalidScenario, LayoutMismatch, json_document, json_fields, json_value
 from .sparse import SparseRowBlock, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
@@ -786,7 +787,7 @@ def scenario_from_json(text: str) -> Scenario:
     """Load a scenario file; a malformed file raises ``InvalidScenario`` or
     ``ValueError``."""
     try:
-        cfg, poses, prior_factors, plans = _read_scenario_doc(json.loads(text))
+        cfg, poses, prior_factors, plans = _read_scenario_doc(json_document(text, InvalidScenario, "the scenario file"))
     except (OverflowError, ValueError) as e:  # JSON syntax, a config or factor out of range
         raise InvalidScenario(f"malformed scenario file: {type(e).__name__}: {e}") from e
     prior = _prior_belief(cfg, poses, prior_factors)

@@ -5,6 +5,7 @@ factorizations for values, and plain set arithmetic for symbolic sparsity
 patterns.
 """
 
+import json
 import math
 
 import numpy as np
@@ -551,6 +552,26 @@ def mutate_json(data, doc, max_depth=6):
     else:
         parent[key] = data.draw(junk, label="value")
     return doc
+
+
+@dataclass(frozen=True)
+class KeyTwice:
+    """A malformed-file case: the first object holding ``key`` names it
+    twice, the first time with the value ``first``.  A dict cannot hold a
+    key twice, so the case edits the file's text, not its parsed document."""
+
+    key: str
+    first: object
+
+
+def malformed_text(mutate, doc) -> str:
+    """The file text of ``doc`` after one malformed-file case: a
+    ``KeyTwice`` or a function that edits ``doc`` in place."""
+    if isinstance(mutate, KeyTwice):
+        key = json.dumps(mutate.key)
+        return json.dumps(doc).replace(f"{key}: ", f"{key}: {json.dumps(mutate.first)}, {key}: ", 1)
+    mutate(doc)
+    return json.dumps(doc)
 
 
 def loop_collective_jacobian(factors, means, layout, sqrt_info, new_pose_ids=()):

@@ -24,8 +24,10 @@ from beliefplan.errors import BeliefPlanError, EvaluationError, InvalidBelief, R
 from beliefplan.sparse import SparseRowBlock, UpperTriangular, cholesky
 
 from helpers import (
+    KeyTwice,
     build_toy_full_slam,
     dense_logdet,
+    malformed_text,
     mutate_json,
     random_sparse_spd,
     random_update,
@@ -259,16 +261,18 @@ class TestSerialization:
             lambda doc: doc.pop("mean"),
             lambda doc: doc["mean"].__setitem__(0, "0.5"),
             lambda doc: doc["mean"].__setitem__(0, False),
+            KeyTwice("layout", []),
+            KeyTwice("size", 3),
         ],
         ids=["float-size", "string-size", "bool-id", "float-id", "unknown-block-key", "missing-block-key",
-             "layout-not-a-list", "unknown-key", "missing-key", "string-mean", "bool-mean"],
+             "layout-not-a-list", "unknown-key", "missing-key", "string-mean", "bool-mean", "dup-key",
+             "dup-block-key"],
     )
     def test_malformed_belief_is_an_invalid_belief(self, mutate):
         belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
         doc = json.loads(belief_to_json(belief))
-        mutate(doc)
         with pytest.raises(InvalidBelief):
-            belief_from_json(json.dumps(doc))
+            belief_from_json(malformed_text(mutate, doc))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -19,7 +19,7 @@ import beliefplan.cli as cli
 from beliefplan.errors import BeliefPlanError, InvalidScenario
 from beliefplan.scenario import run_session, scenario_from_json
 
-from helpers import mutate_json
+from helpers import KeyTwice, malformed_text, mutate_json
 
 DATA = Path(__file__).parent / "data"
 TINY = DATA / "tiny_scenario.json"
@@ -333,16 +333,17 @@ class TestScenarioValidation:
             lambda doc: doc["factors"][0].__setitem__(1, True),
             lambda doc: doc["factors"].append(["anchor", 0, 0]),
             lambda doc: doc["candidates"][0].update(id=0),
+            KeyTwice("seed", 12),
+            KeyTwice("world_extent", 1.0),
         ],
         ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info",
              "new-pose-id-gap", "config-n-prior-poses", "config-n-candidates", "config-candidate-length",
              "config-candidate-length-huge", "schema-1", "float-seed", "bool-integer", "second-anchor",
-             "unknown-key"],
+             "unknown-key", "dup-key-seed", "dup-key-config"],
     )
     def test_bad_scenario_is_a_typed_error_and_exits_1(self, mutate, tmp_path, capsys):
         doc = json.loads(TINY.read_text())
-        mutate(doc)
-        text = json.dumps(doc)
+        text = malformed_text(mutate, doc)
         with pytest.raises(BeliefPlanError):
             scenario_from_json(text)
         bad = tmp_path / "bad.json"

@@ -425,11 +425,13 @@ def panel_update_problems(draw):
     mask = rng.random((rows, n_cols)) < draw(st.sampled_from([0.05, 0.2, 0.5]))
     mask[:, :start] = False
     vals = rng.normal(size=mask.shape)
-    # the first row stores every prior column it reaches: carried by the
-    # links alone, it can decay below the last bit of a diagonal within 30
-    # rows, and the rows after that would keep their diagonals
-    mask[0, start:n] = True
-    vals[0, start] = rng.normal() + 3.0
+    # the first row leads at ``start`` and stores one more entry every 16
+    # prior columns: carried by the links alone, it can fade below the last
+    # bit of a diagonal within 30 rows, and the rows after that would
+    # keep their diagonals
+    lead = np.arange(start, n, 16)
+    mask[0, lead] = True
+    vals[0, lead] = rng.normal(size=lead.size) + 3.0
     own = (np.arange(extra, rows), np.arange(n, n_cols))
     for q, col in zip(*own):
         mask[q, col + 1:] = False
