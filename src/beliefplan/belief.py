@@ -222,10 +222,13 @@ def objective(b: GaussianBelief, a: CandidateAction) -> float:
     negative because of the normalization term, and is reported as-is.
 
     The whole updated factor is built although only its diagonal is read.
-    A diagonal-only path would score the 16 plan-1k candidates several
-    times faster, but then the one-time uninvolved sparsification would
-    cost more than 10% of the original decision (acceptance criterion 11),
-    so the sparsified modes would no longer pay off within one session.
+    Since the update's pattern pass follows the factor's elimination tree
+    with carried columns, the one-time uninvolved sparsification already
+    costs about 7% of the original decision at dims 1020 and 3000 and about
+    11% at dim 9000 (acceptance criterion 11 allows 10%; medians of three
+    sessions in ``BENCH_session.json``).  A diagonal-only path would score
+    the candidates faster still and break the criterion at every size, so
+    it waits for a cheaper sparsification.
     """
     root_plus = posterior_root(b, a)
     n_post = b.dim + a.n_new_vars

@@ -217,15 +217,24 @@ def build_collective_jacobian(
     ends = np.array(ends, dtype=np.float64).reshape(-1, 2, 3)
     cos, sin = np.cos(ends[:, 0, 2]), np.sin(ends[:, 0, 2])
     rot_t = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=1)
-    lever = ends[:, 1, :2] - ends[:, 0, :2]
     blocks = np.zeros((len(factors), 2, 3, 3))
     blocks[~relative, 0] = np.eye(3)
     blocks[relative, 0, :2, :2] = -rot_t
-    blocks[relative, 0, :2, 2] = ((_S_T @ rot_t) @ lever[..., None])[..., 0]
     blocks[relative, 0, 2, 2] = -1.0
     blocks[relative, 1, :2, :2] = rot_t
     blocks[relative, 1, 2, 2] = 1.0
-    whitened = sqrt_info @ blocks
+    # coordinates near the float range overflow here; the check below names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        lever = ends[:, 1, :2] - ends[:, 0, :2]
+        blocks[relative, 0, :2, 2] = ((_S_T @ rot_t) @ lever[..., None])[..., 0]
+        whitened = sqrt_info @ blocks
+    finite = np.isfinite(whitened).all(axis=(1, 2, 3))
+    if not finite.all():
+        f = factors[int(np.argmin(finite))]
+        new_ids = list(new_pose_ids)
+        i, j = (f"pose {new_ids.index(p)} of the new poses of candidate {action_id}" if p in new_ids
+                else f"pose {p} of the poses" for p in (f.i, f.j))
+        raise InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] overflows: {i} or {j} has coordinates too large")
     k, side, r, c = np.nonzero(whitened)
 
     n_new = 3 * len(new_pose_ids)
@@ -746,7 +755,8 @@ def _rows(rows, form: str, fits, what: str) -> list:
 
 
 def _poses(rows, what: str) -> np.ndarray:
-    rows = _rows(rows, "[x, y, theta], three numbers", lambda r: all(type(v) in (int, float) for v in r), what)
+    rows = _rows(rows, "[x, y, theta], three finite numbers",
+                 lambda r: all(type(v) in (int, float) and math.isfinite(v) for v in r), what)
     return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 

@@ -35,11 +35,13 @@ Changing a factor is one panel kernel, ``_fold``: it re-triangularizes
 factor rows stacked over extra rows, a panel of consecutive pivot rows per
 LAPACK QR (``dgeqrf`` on the pivot columns, ``dormqr`` on the rest), and
 carries the rows left over to the next panel.  Its two callers fix the
-stored pattern separately, by set arithmetic:
+stored pattern separately:
 
 - ``lowrank_update`` adds constraint rows to a factor (the multiple-rank
-  update of Davis & Hager); its pattern pass reproduces the row-merge
-  structure of a Givens sequence.
+  update of Davis & Hager); its pattern pass follows the groups of update
+  rows up the factor, each carrying only the columns that the rows it
+  reaches do not already store, and forms every reached row in one array
+  merge at the end.
 - ``sparsify_factor`` reorders a factor so that selected scalars come
   first and cuts their rows to the diagonal, without re-forming the
   information matrix (Elimelech & Indelman, RA-L 2021): the kept rows that
@@ -53,6 +55,7 @@ new object; instances can be shared freely.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -366,6 +369,50 @@ class UpperTriangular:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _row_links(self) -> tuple:
+        """Per-row facts that ``_update_pattern`` reads, computed once per
+        factor, as ``(first, settles, zeros, shared)``:
+
+        - ``first[t]``: row t's first stored column, -1 for an empty row;
+        - ``settles[t]``: row t is not empty, its other stored columns are
+          all stored in row ``first[t]`` too, and it stores no zero at
+          ``first[t]`` nor at a column where row ``first[t]`` stores one;
+        - ``zeros``: ``{t: stored-zero columns of row t}`` for rows with any;
+        - ``shared``: ``{t: columns that row t stores and row first[t]
+          stores as zeros}`` for rows with any.
+        """
+        u = self.upper
+        n = self.dim
+        starts = u.indptr[:-1]
+        nonempty = np.diff(u.indptr) > 0
+        first = np.full(n, -1, dtype=np.int64)
+        first[nonempty] = u.indices[starts[nonempty]]
+        leading = np.zeros(u.nnz, dtype=bool)
+        leading[starts[nonempty]] = True
+        keys = u.row_ids * n + u.indices
+        above = first[u.row_ids] * n + u.indices
+        at = np.minimum(np.searchsorted(keys, above), keys.size - 1)
+        found = keys[at] == above
+        zero = u.data == 0.0
+        shared = found & zero[at]
+        unsettled = (~found & ~leading) | (zero & (leading | shared))
+        settles = nonempty & (np.bincount(u.row_ids[unsettled], minlength=n) == 0)
+        return (
+            first.tolist(),
+            settles.tolist(),
+            _column_sets(u.row_ids[zero], u.indices[zero]),
+            _column_sets(u.row_ids[shared], u.indices[shared]),
+        )
+
+
+def _column_sets(rows: np.ndarray, cols: np.ndarray) -> dict:
+    """``{row: frozenset of its columns}`` for the coordinates given."""
+    out: dict = {}
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        out.setdefault(i, set()).add(j)
+    return {i: frozenset(c) for i, c in out.items()}
+
 
 # ---------------------------------------------------------------------------
 # Factorization and updates
@@ -604,85 +651,147 @@ def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indp
 
 
 def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
-    """The rows that ``lowrank_update`` re-forms and their new columns, by
-    set arithmetic on the stored patterns, with no numerics.
+    """The rows that ``lowrank_update`` re-forms and their new columns, from
+    the stored patterns alone, with no numerics.
 
-    The update rows travel in groups.  A group holds the union of its
-    rows' columns and knows at which of them all its rows store zeros; it
-    reaches the pivot of its first column that is not all zeros, and the
-    all-zero columns before it drop without touching their rows.  Every
-    group that reaches pivot ``t`` merges with factor row ``t``: the row
-    gets the union of their columns, and the merged group travels on over
-    the same columns, one row fewer when ``t`` is an appended variable (the
-    row that moved into place).
+    The update rows travel in groups, and every group that reaches pivot
+    ``t`` merges with factor row ``t``: the row's new columns are its own
+    plus the groups' columns after ``t``, and the merged group travels on
+    to the first of those columns at which not all its rows store zeros,
+    one row fewer when ``t`` is an appended variable (the row that moved
+    into place).  Columns the merged group skips, all stored zeros, drop
+    without touching their rows.
+
+    A group that leaves row ``t`` holds row ``t``'s columns, which it does
+    not copy, plus the columns it carries beyond them.  When it moves on to
+    the row's first column and the rest of the row is stored in that row
+    too (``UpperTriangular._row_links``), as in every Cholesky fill, the
+    row it reaches gets the carried columns alone; otherwise row ``t`` is
+    read again.  Until another group or a carried column comes first, a
+    group climbs such rows one after another without the heap.  The
+    columns at which all of a group's rows store zeros are
+    worked out only where a row stores a zero that can decide where a group
+    goes, and a group keeps only those that its next row does not settle.
+    At the end each reached row's stored columns and its carried ones are
+    merged in one sort of ``position * width + column`` keys.
 
     Returns the reached pivots, ascending, and their new strictly-upper
     columns as CSR ``(indptr, indices)`` over those pivots.
     """
-    bounds = r.upper.indptr.tolist()
-    indices, data = r.upper.indices, r.upper.data
-    stores_zero = set(r.upper.row_ids[data == 0.0].tolist())
+    dim = r.dim
+    width = u.n_cols
+    first, settles, zeros, shared = r._row_links
+    bounds = r.upper.indptr
+    indices = r.upper.indices
+    no_zero = frozenset()
 
-    # (first column, tie-break, columns, nonzero columns or None if all, rows)
+    def stored(t) -> np.ndarray:
+        return indices[bounds[t]:bounds[t + 1]] if t < dim else indices[:0]
+
+    def later(t, c) -> list:
+        """Stored columns of row ``t`` after column ``c``."""
+        row = stored(t)
+        return row[row > c].tolist()
+
+    # a group: (lead, tie-break, the row it left if row ``lead`` stores the
+    # rest of that row, else -1; the columns it carries beyond those; its
+    # zero columns; its number of rows)
     heap = []
     u_bounds = u.indptr.tolist()
     u_cols = u.indices.tolist()
-    u_zero = (u.data == 0.0).tolist()
+    u_vals = u.data.tolist()
+    stores_zero = not u.data.all()
     for k in range(u.n_rows):
-        lo, hi = u_bounds[k], u_bounds[k + 1]
-        nz = [u_cols[j] for j in range(lo, hi) if not u_zero[j]]
-        if nz:
-            lead = u_cols.index(nz[0], lo, hi)
-            heap.append((nz[0], k, u_cols[lead:hi], set(nz) if len(nz) < hi - lead else None, 1))
+        lead, hi = u_bounds[k], u_bounds[k + 1]
+        while lead < hi and u_vals[lead] == 0.0:
+            lead += 1
+        if lead < hi:
+            zero = no_zero
+            if stores_zero:
+                zero = frozenset(c for c, v in zip(u_cols[lead:hi], u_vals[lead:hi]) if v == 0.0)
+            heap.append((u_cols[lead], k, -1, tuple(u_cols[lead + 1:hi]), zero, 1))
     heapq.heapify(heap)
     tick = itertools.count(u.n_rows)
 
-    reached, patterns = [], []
-    dim = r.dim
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        t, _, group_cols, nz, n_rows = pop(heap)
-        merged = set(group_cols)
-        nz_parts = None if nz is None else [nz]
+    reached, carried, rows_each = [], [], []
+    pop, pushpop = heapq.heappop, heapq.heappushpop
+    following = None
+    while heap or following is not None:
+        t, _, src, x, zero, n_rows = pop(heap) if following is None else pushpop(heap, following)
+        following = None
+        arrived = [(src, x, zero)]
         while heap and heap[0][0] == t:
-            _, _, other_cols, other_nz, other_rows = pop(heap)
-            merged.update(other_cols)
-            n_rows += other_rows
-            if nz_parts is None:
-                nz_parts = [group_cols]
-            nz_parts.append(other_cols if other_nz is None else other_nz)
-        if t < dim:
-            lo, hi = bounds[t], bounds[t + 1]
-            row = indices[lo:hi].tolist()
-            merged.update(row)
-            if t in stores_zero:
-                nonzero = indices[lo:hi][data[lo:hi] != 0.0].tolist()
-                nz_parts = [nonzero, group_cols] if nz_parts is None else nz_parts + [nonzero]
-            elif nz_parts is not None:
-                nz_parts.append(row)
-        else:
+            _, _, src, x, zero, k = pop(heap)
+            arrived.append((src, x, zero))
+            n_rows += k
+        if len(arrived) > 1:
+            x = tuple(sorted(set().union(*(g[1] for g in arrived))))
+            zero = no_zero.union(*(g[2] for g in arrived))
+        if t >= dim:
             n_rows -= 1
-        rest = sorted(merged)
-        del rest[0]
+        mark = len(reached)
         reached.append(t)
-        patterns.append(rest)
-        if not n_rows or not rest:
+        if n_rows and t < dim and not zero:
+            # climb while each row hands the group on to its first column as it is
+            stop = min(x[0] if x else width, heap[0][0] if heap else width)
+            start = t
+            while settles[t] and first[t] < stop:
+                src, t = t, first[t]
+                reached.append(t)
+            if t != start:
+                arrived = [(src, x, zero)]
+        # the rows reached in this step carry ``x``
+        carried.append(x)
+        rows_each.append(len(reached) - mark)
+        if not n_rows:
             continue
-        j = 0
-        if nz_parts is not None:
-            nz = set().union(*nz_parts)
-            while j < len(rest) and rest[j] not in nz:
-                j += 1
-            if j == len(rest):
-                continue
-            if merged.issubset(nz):
-                nz = None
-        push(heap, (rest[j], next(tick), rest[j:] if j else rest, nz, n_rows))
 
-    indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns)), out=indptr[1:])
-    cols = np.fromiter(itertools.chain.from_iterable(patterns), dtype=np.int64, count=int(indptr[-1]))
-    return np.array(reached, dtype=np.int64), indptr, cols
+        p = first[t] if t < dim else -1
+        lead = x[0] if x and (p < 0 or x[0] < p) else p
+        if lead < 0:
+            continue
+        inside = lead == p and settles[t]
+        own_zero = zeros.get(t, no_zero)
+        if zero or (own_zero and not inside):
+
+            def all_zero(c) -> bool:
+                """Whether row t and every group store a zero or nothing at c."""
+                if c not in own_zero and c in stored(t):
+                    return False
+                return not any(c not in z and (c in gx or c in shared.get(s, no_zero)) for s, gx, z in arrived)
+
+            zero = frozenset(filter(all_zero, own_zero | zero))
+            if lead in zero:
+                lead = next((c for c in sorted(set(x).union(later(t, t))) if c not in zero), -1)
+                if lead < 0:
+                    continue
+                inside = lead == p and settles[t]
+            # row ``lead`` then stores row t's zero columns after it, as nonzeros
+            zero = frozenset(c for c in zero if c > lead and not (inside and c in own_zero))
+        x = x[bisect.bisect_right(x, lead):]
+        if not inside and p >= 0:
+            x = tuple(sorted(set(x).union(later(t, lead))))
+        following = (lead, next(tick), t if inside else -1, x, zero, n_rows)
+
+    n_own = bisect.bisect_left(reached, dim)
+    reached = np.array(reached, dtype=np.int64)
+    starts = bounds[reached[:n_own]]
+    counts = bounds[reached[:n_own] + 1] - starts
+    segments = list(zip(carried, rows_each))
+    lengths = np.fromiter(itertools.chain.from_iterable(itertools.repeat(len(x), k) for x, k in segments),
+                          dtype=np.int64, count=reached.size)
+    flat = np.fromiter(itertools.chain.from_iterable(x * k for x, k in segments), dtype=np.int64)
+    # two runs that are sorted already, which the stable sort merges
+    keys = np.concatenate([
+        np.repeat(np.arange(n_own, dtype=np.int64), counts) * width + indices[_ranges(starts, counts)],
+        np.repeat(np.arange(reached.size, dtype=np.int64), lengths) * width + flat,
+    ])
+    keys.sort(kind="stable")
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    pos, cols = np.divmod(keys, width)
+    indptr = np.zeros(reached.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pos, minlength=reached.size), out=indptr[1:])
+    return reached, indptr, cols
 
 
 def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
@@ -692,9 +801,12 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     Returns upper-triangular R+ of dimension ``r.dim + n_new`` satisfying
     (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  A pattern pass
     (``_update_pattern``) fixes which factor rows the update rows reach and
-    each reached row's new columns: the union of the groups of update rows
-    that reach it, where a group whose leading entries are all stored zeros
-    drops that column without touching the row.  The panel fold
+    each reached row's new columns: its own plus those of the groups of
+    update rows that reach it, where a group whose leading entries are all
+    stored zeros drops that column without touching the row.  The pass
+    reads only the stored patterns; what it needs of each factor row is
+    worked out once per factor and kept on it, and the rows it reaches are
+    formed in one array merge.  The panel fold
     (``_fold``) then re-triangularizes the reached rows stacked over the
     update rows, a panel of consecutive reached rows per LAPACK QR, and
     the new values are read at those columns.  Rows no update row reaches
@@ -742,11 +854,11 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
 
 
-def _kept_fill(r: UpperTriangular, block: SparseRowBlock, selected: np.ndarray, split: int) -> tuple:
+def _kept_fill(r: UpperTriangular, selected: np.ndarray, split: int) -> tuple:
     """Strictly-upper fill pattern of the kept rows when the trailing rows
     of ``r`` (from ``split`` on) are re-factored with the ``selected``
     scalars eliminated first, as CSR ``(indptr, indices)`` over all rows;
-    selected rows are empty.  ``block`` is ``r.as_row_block()``.
+    selected rows are empty.
 
     By the fill-path theorem, kept scalars are linked when a factor row
     links them or when they touch the same connected component of the
@@ -756,19 +868,25 @@ def _kept_fill(r: UpperTriangular, block: SparseRowBlock, selected: np.ndarray, 
     only: the elimination carries them up the elimination tree to the rest.
     """
     n = r.dim
-    lo = block.indptr[split]
-    rows, cols = block.row_ids[lo:], block.indices[lo:]
+    u = r.upper
+    lo = u.indptr[split]
+    rows, cols = u.row_ids[lo:], u.indices[lo:]
     sel = selected[cols]
-    s_rows, s_cols = rows[sel], cols[sel]
-    link = np.flatnonzero(s_rows[1:] == s_rows[:-1])
-    graph = sp.csr_matrix((np.ones(link.size), (s_cols[link], s_cols[link + 1])), shape=(n, n))
+    # a row joins its selected columns and, through its diagonal, itself:
+    # one edge from the row's node to each of them
+    counts = np.bincount(rows[sel], minlength=n)
+    graph = sp.csr_matrix((np.ones(int(counts.sum())), cols[sel], np.concatenate(([0], np.cumsum(counts)))),
+                          shape=(n, n))
     component = connected_components(graph, directed=False)[1]
     touches = np.full(n, -1, dtype=np.int64)
-    first = np.flatnonzero(np.diff(s_rows, prepend=-1))
-    touches[s_rows[first]] = component[s_cols[first]]
+    trailing = np.arange(split, n)
+    touching = trailing[selected[split:] | (counts[split:] > 0)]
+    touches[touching] = component[touching]
 
     # the kept members of all rows that touch one component form its clique
-    k_rows, k_cols = rows[~sel], cols[~sel]
+    kept = np.flatnonzero(~selected[split:]) + split
+    k_rows = np.concatenate([rows[~sel], kept])
+    k_cols = np.concatenate([cols[~sel], kept])
     via = touches[k_rows]
     comp, members = np.divmod(np.unique(via[via >= 0] * n + k_cols[via >= 0]), n)
     cliques: dict = {}
@@ -777,7 +895,6 @@ def _kept_fill(r: UpperTriangular, block: SparseRowBlock, selected: np.ndarray, 
         if b - a > 1:
             cliques.setdefault(int(members[a]), []).append(members[a + 1:b].tolist())
 
-    kept = np.flatnonzero(~selected[split:]) + split
     bounds = r.upper.indptr[kept].tolist()
     ends = r.upper.indptr[kept + 1].tolist()
     initial = (
@@ -817,8 +934,7 @@ def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular
         indptr = np.concatenate([np.zeros(split, dtype=np.int64), u.indptr[split:] - start])
         return UpperTriangular(r.diag, SparseRowBlock(n, n, indptr, u.indices[start:], u.data[start:]))
 
-    block = r.as_row_block()
-    indptr, indices = _kept_fill(r, block, selected, split)
+    indptr, indices = _kept_fill(r, selected, split)
     lengths = np.diff(indptr)
     crossing = ~selected[u.row_ids] & selected[u.indices]
     moved = np.unique(u.row_ids[crossing])
@@ -830,9 +946,14 @@ def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular
     refolded = pivots[~selected[pivots]]
     rank = np.empty(n, dtype=np.int64)
     rank[np.concatenate([np.flatnonzero(selected), kept])] = np.arange(n)
-    counts = block.indptr[moved + 1] - block.indptr[moved]
-    at = _ranges(block.indptr[moved], counts)
-    extra = SparseRowBlock(moved.size, n, np.concatenate(([0], np.cumsum(counts))), block.indices[at], block.data[at])
+    # the moved rows, diagonal first
+    counts = u.indptr[moved + 1] - u.indptr[moved]
+    at = _ranges(u.indptr[moved], counts)
+    heads = np.cumsum(counts) - counts
+    extra = SparseRowBlock(
+        moved.size, n, np.concatenate(([0], np.cumsum(counts + 1))),
+        np.insert(u.indices[at], heads, moved), np.insert(u.data[at], heads, r.diag[moved]),
+    )
     # the selected pivots read no columns, the kept ones their fill pattern
     p_indptr = np.zeros(pivots.size + 1, dtype=np.int64)
     np.cumsum(lengths[pivots] * ~selected[pivots], out=p_indptr[1:])

@@ -5,6 +5,8 @@ factorizations for values, and plain set arithmetic for symbolic sparsity
 patterns.
 """
 
+import heapq
+import itertools
 import json
 import math
 
@@ -14,6 +16,7 @@ from scipy.linalg import lapack
 from dataclasses import dataclass
 
 from beliefplan.errors import DimensionMismatch, NotPositiveDefinite, RankDeficientAugmentation, ShapeViolation
+from beliefplan import sparse
 from beliefplan.sparse import PIVOT_FLOOR, SparseRowBlock, SparseSymmetric, UpperTriangular, cholesky
 
 
@@ -190,6 +193,116 @@ def givens_update_oracle(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) 
         raise RankDeficientAugmentation(f"appended variable {missing} has no supporting row")
     return triangular_from_rows(diag, rows_cols, rows_vals)
 
+
+def update_pattern_oracle(r: UpperTriangular, u: SparseRowBlock) -> tuple:
+    """``sparse._update_pattern`` by set arithmetic on whole column sets,
+    one set build and sort per reached row.
+
+    The update rows travel in groups.  A group holds the union of its
+    rows' columns and knows at which of them all its rows store zeros; it
+    reaches the pivot of its first column that is not all zeros, and the
+    all-zero columns before it drop without touching their rows.  Every
+    group that reaches pivot ``t`` merges with factor row ``t``: the row
+    gets the union of their columns, and the merged group travels on over
+    the same columns, one row fewer when ``t`` is an appended variable (the
+    row that moved into place).
+
+    Returns the reached pivots, ascending, and their new strictly-upper
+    columns as CSR ``(indptr, indices)`` over those pivots.
+    """
+    bounds = r.upper.indptr.tolist()
+    indices, data = r.upper.indices, r.upper.data
+    stores_zero = set(r.upper.row_ids[data == 0.0].tolist())
+
+    # (first column, tie-break, columns, nonzero columns or None if all, rows)
+    heap = []
+    u_bounds = u.indptr.tolist()
+    u_cols = u.indices.tolist()
+    u_zero = (u.data == 0.0).tolist()
+    for k in range(u.n_rows):
+        lo, hi = u_bounds[k], u_bounds[k + 1]
+        nz = [u_cols[j] for j in range(lo, hi) if not u_zero[j]]
+        if nz:
+            lead = u_cols.index(nz[0], lo, hi)
+            heap.append((nz[0], k, u_cols[lead:hi], set(nz) if len(nz) < hi - lead else None, 1))
+    heapq.heapify(heap)
+    tick = itertools.count(u.n_rows)
+
+    reached, patterns = [], []
+    dim = r.dim
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        t, _, group_cols, nz, n_rows = pop(heap)
+        merged = set(group_cols)
+        nz_parts = None if nz is None else [nz]
+        while heap and heap[0][0] == t:
+            _, _, other_cols, other_nz, other_rows = pop(heap)
+            merged.update(other_cols)
+            n_rows += other_rows
+            if nz_parts is None:
+                nz_parts = [group_cols]
+            nz_parts.append(other_cols if other_nz is None else other_nz)
+        if t < dim:
+            lo, hi = bounds[t], bounds[t + 1]
+            row = indices[lo:hi].tolist()
+            merged.update(row)
+            if t in stores_zero:
+                nonzero = indices[lo:hi][data[lo:hi] != 0.0].tolist()
+                nz_parts = [nonzero, group_cols] if nz_parts is None else nz_parts + [nonzero]
+            elif nz_parts is not None:
+                nz_parts.append(row)
+        else:
+            n_rows -= 1
+        rest = sorted(merged)
+        del rest[0]
+        reached.append(t)
+        patterns.append(rest)
+        if not n_rows or not rest:
+            continue
+        j = 0
+        if nz_parts is not None:
+            nz = set().union(*nz_parts)
+            while j < len(rest) and rest[j] not in nz:
+                j += 1
+            if j == len(rest):
+                continue
+            if merged.issubset(nz):
+                nz = None
+        push(heap, (rest[j], next(tick), rest[j:] if j else rest, nz, n_rows))
+
+    indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns)), out=indptr[1:])
+    cols = np.fromiter(itertools.chain.from_iterable(patterns), dtype=np.int64, count=int(indptr[-1]))
+    return np.array(reached, dtype=np.int64), indptr, cols
+
+
+
+def fold_on_oracle_pattern(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
+    """``sparse.lowrank_update`` with the pattern of ``update_pattern_oracle``:
+    the same panel fold (``sparse._fold``) on the reached rows and the same
+    splice of their new entries among the rows no update row reaches."""
+    nd = r.dim + n_new
+    pivots, p_indptr, p_indices = update_pattern_oracle(r, u)
+    diag = np.zeros(nd)
+    diag[: r.dim] = r.diag
+    new_diag, vals = sparse._fold(diag, r.upper, u, pivots, np.arange(nd), p_indptr, p_indices)
+    diag[pivots] = new_diag
+    reached = np.zeros(nd, dtype=bool)
+    reached[pivots] = True
+    lengths = np.zeros(nd, dtype=np.int64)
+    lengths[: r.dim] = np.diff(r.upper.indptr)
+    lengths[pivots] = np.diff(p_indptr)
+    indptr = np.zeros(nd + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    fresh = np.repeat(reached, lengths)
+    kept = ~reached[r.upper.row_ids]
+    indices = np.empty(fresh.size, dtype=np.int64)
+    data = np.empty(fresh.size)
+    indices[fresh] = p_indices
+    data[fresh] = vals
+    indices[~fresh] = r.upper.indices[kept]
+    data[~fresh] = r.upper.data[kept]
+    return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
 
 @dataclass(frozen=True)
 class Permutation:

@@ -359,6 +359,24 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="schema_version 1 is not 2"):
             scenario_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("where", ["the poses", "the new poses of candidate 1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308],
+                             ids=["nan", "inf", "-inf", "1e308", "-1e308"])
+    def test_non_finite_or_huge_pose_is_a_typed_error_without_warnings(self, where, value, tmp_path, capsys):
+        # json writes NaN, Infinity and -Infinity, and its parser reads them back;
+        # a warning would be an error here, and escape ``main``
+        doc = copy.deepcopy(TINY_DOC)
+        rows = doc["poses"] if where == "the poses" else doc["candidates"][1]["new_poses"]
+        rows[1][0] = value
+        text = json.dumps(doc)
+        with pytest.raises(InvalidScenario, match=where):
+            scenario_from_json(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err and "Warning" not in err
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_mutated_scenario_fails_typed_and_exits_without_traceback(self, data):

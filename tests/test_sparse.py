@@ -9,6 +9,7 @@ import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from io import BytesIO
+from pathlib import Path
 
 from beliefplan import mmio
 from beliefplan.errors import (
@@ -17,9 +18,10 @@ from beliefplan.errors import (
     RankDeficientAugmentation,
     ShapeViolation,
 )
-from beliefplan.scenario import ScenarioConfig, generate
+from beliefplan.scenario import ScenarioConfig, generate, scenario_from_json
 from beliefplan.sparse import (
     _PANEL,
+    _update_pattern,
     PIVOT_FLOOR,
     SparseRowBlock,
     SparseSymmetric,
@@ -32,9 +34,11 @@ from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify
 
 from helpers import (
     Permutation,
+    batch_small_configs,
     dense_cholesky,
     dense_logdet,
     dense_logdet_oracle,
+    fold_on_oracle_pattern,
     givens_update_oracle,
     lexsort_from_coo,
     permute_symmetric,
@@ -50,8 +54,11 @@ from helpers import (
     trailing,
     triangular_from_dense,
     triangular_from_rows,
+    update_pattern_oracle,
     upper_pattern,
 )
+
+TINY = Path(__file__).parent / "data" / "tiny_scenario.json"
 
 
 class TestCholesky:
@@ -386,6 +393,67 @@ def _assert_unreached_rows_kept(r: UpperTriangular, want: UpperTriangular, got: 
             np.testing.assert_array_equal(got.row_vals[i], r.row_vals[i])
 
 
+def _assert_oracle_pattern(r: UpperTriangular, u: SparseRowBlock):
+    """``_update_pattern`` is array-equal to ``update_pattern_oracle``."""
+    got, want = _update_pattern(r, u), update_pattern_oracle(r, u)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+def arbitrary_update_problem(rng, dim, n_new, density, zero_share) -> tuple:
+    """``(r, u)``: a factor with an arbitrary strictly-upper pattern, not a
+    Cholesky fill, so a row's columns need not be stored in the row of its
+    first column; a ``zero_share`` of its entries, a row's first one
+    included, are stored zeros.  1-6 update rows over ``dim + n_new``
+    columns store zeros in the same share, leading ones included."""
+    row_cols, row_vals = [], []
+    for i in range(dim):
+        cols = np.flatnonzero(rng.random(dim - i - 1) < density).astype(np.int64) + i + 1
+        row_cols.append(cols)
+        row_vals.append(rng.normal(size=cols.size) * (rng.random(cols.size) >= zero_share))
+    r = triangular_from_rows(rng.random(dim) + 0.5, row_cols, row_vals)
+    n_rows = int(rng.integers(1, 7))
+    mask = rng.random((n_rows, dim + n_new)) < density
+    vals = rng.normal(size=mask.shape) * (rng.random(mask.shape) >= zero_share)
+    rows, cols = np.nonzero(mask)
+    return r, SparseRowBlock.from_coo(n_rows, dim + n_new, rows, cols, vals[rows, cols])
+
+
+@st.composite
+def arbitrary_update_problems(draw):
+    """``arbitrary_update_problem`` at a drawn size, density and share of
+    stored zeros."""
+    return arbitrary_update_problem(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        draw(st.integers(1, 30)),
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from([0.1, 0.3, 0.6])),
+        draw(st.sampled_from([0.0, 0.2, 0.5])),
+    )
+
+
+def _shortcut_exceptions(r: UpperTriangular, u: SparseRowBlock) -> set:
+    """Which of the cases that the pattern pass cannot take row by row the
+    oracle's pattern shows: a reached row whose other columns are not all
+    in the row of its first column, a reached row whose new first column
+    comes before its old one, and a reached row whose group skips its new
+    first column (all stored zeros) to go on further."""
+    reached, indptr, indices = update_pattern_oracle(r, u)
+    seen = set(reached.tolist())
+    found = set()
+    for k, t in enumerate(reached.tolist()):
+        new = indices[indptr[k]:indptr[k + 1]]
+        own = r.row_cols[t] if t < r.dim else new[:0]
+        if own.size and not set(own[1:].tolist()) <= set(r.row_cols[own[0]].tolist()):
+            found.add("not contained")
+        if own.size and new[0] < own[0]:
+            found.add("pivot before the first column")
+        if t < r.dim and new.size and int(new[0]) not in seen:
+            found.add("zero columns skipped")
+    return found
+
+
 @st.composite
 def panel_update_problems(draw):
     """``(r, u, n_new)`` whose reached rows span several panels of the
@@ -550,6 +618,7 @@ class TestLowRankUpdate:
         is the oracle's plus entries that are zero in exact arithmetic
         (see ``test_order_independent_where_the_oracle_is_not``)."""
         r, u, n_new = problem
+        _assert_oracle_pattern(r, u)
         try:
             want = givens_update_oracle(r, u, n_new)
         except RankDeficientAugmentation:
@@ -579,6 +648,7 @@ class TestLowRankUpdate:
         whose reached rows fill several panels, with appended variables
         and stored zeros on the panel edges."""
         r, u, n_new = problem
+        _assert_oracle_pattern(r, u)
         try:
             want = givens_update_oracle(r, u, n_new)
         except RankDeficientAugmentation:
@@ -625,12 +695,8 @@ class TestLowRankUpdate:
         """The plan-1k prior and its uninvolved and full sparsified beliefs:
         for every candidate the same pattern, values within 1e-12 of scale
         and unreached rows bit for bit."""
-        sc = generate(ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5))
-        mask = detect_involvement(sc.prior.layout, sc.candidates)
-        beliefs = [sc.prior] + [
-            sparsify_belief(sc.prior, spec, mask) for spec in (SparsificationSpec.uninvolved(), SparsificationSpec.full())
-        ]
-        for b in beliefs:
+        sc = _plan_1k()
+        for b in _session_beliefs(sc):
             for a in sc.candidates:
                 want = givens_update_oracle(b.root, a.jacobian, a.n_new_vars)
                 got = lowrank_update(b.root, a.jacobian, a.n_new_vars)
@@ -640,6 +706,91 @@ class TestLowRankUpdate:
                 np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
                 np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
                 _assert_unreached_rows_kept(b.root, want, got)
+
+
+class TestUpdatePattern:
+    """The pattern pass of ``lowrank_update`` against the set-arithmetic
+    oracle, and the factor it leads to against the fold on the oracle's
+    pattern."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_update_problems())
+    def test_arbitrary_factors_match_the_oracle(self, problem):
+        _assert_oracle_pattern(*problem)
+
+    def test_arbitrary_factors_reach_every_case(self):
+        # the drawn problems take the pass off its row-by-row shortcut in
+        # each way it can be taken off it
+        rng = np.random.default_rng(3)
+        found = set()
+        for _ in range(200):
+            r, u = arbitrary_update_problem(rng, int(rng.integers(1, 31)), int(rng.integers(0, 4)),
+                                            rng.choice([0.1, 0.3, 0.6]), rng.choice([0.0, 0.2, 0.5]))
+            _assert_oracle_pattern(r, u)
+            found |= _shortcut_exceptions(r, u)
+        assert found == {"not contained", "pivot before the first column", "zero columns skipped"}
+
+    @pytest.mark.parametrize(
+        "factor, update, reached, patterns",
+        [
+            # row 0's column 3 is not in row 1, its first column, so row 1 gets it from row 0
+            ([{1: 1.0, 3: 1.0}, {2: 1.0}, {}, {}], [{0: 1.0}], [0, 1, 2, 3], [[1, 3], [2, 3], [3], []]),
+            # the update row brings column 1, before row 0's first column 2
+            ([{2: 1.0}, {3: 1.0}, {}, {}], [{0: 1.0, 1: 1.0}], [0, 1, 2, 3], [[1, 2], [2, 3], [3], []]),
+            # row 0 stores a zero at column 1 and the update row nothing there: row 1 is skipped
+            ([{1: 0.0, 2: 1.0}, {2: 1.0}, {}], [{0: 1.0}], [0, 2], [[1, 2], []]),
+            # the update row stores a zero at column 1 and row 0 nothing there: row 1 is skipped
+            ([{}, {2: 1.0}, {}], [{0: 1.0, 1: 0.0, 2: 1.0}], [0, 2], [[1, 2], []]),
+        ],
+        ids=["not-contained", "pivot-before-first-column", "factor-zero-skipped", "update-zero-skipped"],
+    )
+    def test_shortcut_exceptions_by_hand(self, factor, update, reached, patterns):
+        def rows(entries):
+            return ([np.array(sorted(e), dtype=np.int64) for e in entries],
+                    [np.array([e[c] for c in sorted(e)]) for e in entries])
+
+        n = len(factor)
+        r = triangular_from_rows(np.ones(n), *rows(factor))
+        u = row_block_from_rows(n, *rows(update))
+        got_reached, indptr, indices = _update_pattern(r, u)
+        assert got_reached.tolist() == reached
+        assert [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == patterns
+        _assert_oracle_pattern(r, u)
+
+    def test_every_scenario_candidate_matches_the_oracle(self):
+        """The tiny scenario, plan-1k and the 8 batch-small configurations:
+        the prior and its uninvolved and full sparsified beliefs, every
+        candidate."""
+        scenarios = [scenario_from_json(TINY.read_text()), _plan_1k()]
+        scenarios += [generate(c) for c in batch_small_configs()]
+        for sc in scenarios:
+            for b in _session_beliefs(sc):
+                for a in sc.candidates:
+                    _assert_oracle_pattern(b.root, a.jacobian)
+
+    def test_factor_is_the_fold_on_the_oracle_pattern_bit_for_bit(self):
+        """plan-1k and the 8 batch-small configurations: ``lowrank_update``
+        is the same fold and splice on the oracle's pattern, bit for bit."""
+        for sc in [_plan_1k()] + [generate(c) for c in batch_small_configs()]:
+            for b in _session_beliefs(sc):
+                for a in sc.candidates:
+                    got = lowrank_update(b.root, a.jacobian, a.n_new_vars)
+                    want = fold_on_oracle_pattern(b.root, a.jacobian, a.n_new_vars)
+                    for x, y in ((got.diag, want.diag), (got.upper.indptr, want.upper.indptr),
+                                 (got.upper.indices, want.upper.indices), (got.upper.data, want.upper.data)):
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _plan_1k():
+    return generate(ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5))
+
+
+def _session_beliefs(sc) -> list:
+    """The prior and its uninvolved and full sparsified beliefs."""
+    mask = detect_involvement(sc.prior.layout, sc.candidates)
+    return [sc.prior] + [
+        sparsify_belief(sc.prior, spec, mask) for spec in (SparsificationSpec.uninvolved(), SparsificationSpec.full())
+    ]
 
 
 class TestLogDet:

@@ -1,0 +1,48 @@
+"""The benchmark record tool's gate: which runs and dims it names as failing."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_session.py"
+_spec = importlib.util.spec_from_file_location("bench_session", TOOL)
+bench_session = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_session)
+
+
+def _run(workload, seed, side, correct):
+    return {"workload": workload, "seed": seed, "side": side, "final_json_line": {"correct": correct}}
+
+
+def _dim(dim, side, uninvolved=0.05, full=0.001, ordering=True):
+    return {"dim": dim, "side": side, "criterion_11_share_uninvolved": uninvolved,
+            "criterion_11_share_full": full, "criterion_11_ordering": ordering}
+
+
+def test_a_clean_record_has_no_failures():
+    runs = [_run("plan-1k", 1, "parent", True), _run("plan-1k", 1, "change", True)]
+    assert bench_session.failures(runs, [_dim(1020, "parent"), _dim(1020, "change")]) == []
+
+
+def test_each_failure_is_named():
+    runs = [_run("plan-1k", 3, "change", False), _run("batch-small", 4, "parent", True),
+            {"workload": "batch-small", "seed": 5, "side": "parent", "final_json_line": {"metrics": {}}}]
+    dims = [
+        _dim(1020, "change"),
+        _dim(3000, "change", uninvolved=0.11),
+        _dim(9000, "change", full=0.2, ordering=False),
+        # the parent side is measured, not gated
+        _dim(9000, "parent", uninvolved=0.5, ordering=False),
+    ]
+    got = bench_session.failures(runs, dims)
+    assert got == [
+        "plan-1k seed 3 change: the run's final line is not correct",
+        "batch-small seed 5 parent: the run's final line is not correct",
+        "dim 3000: criterion 11, uninvolved sparsification is 11.0% of the original decision time (gate 10%)",
+        "dim 9000: criterion 11, full sparsification is 20.0% of the original decision time (gate 10%)",
+        "dim 9000: criterion 11, decision totals not ordered baseline >= uninvolved >= full",
+    ]
+
+
+def test_the_gate_is_criterion_11s_ten_percent():
+    assert bench_session.CRITERION_11_SHARE == 0.10
+    assert bench_session.failures([], [_dim(1020, "change", uninvolved=0.10, full=0.10)]) == []

@@ -20,6 +20,12 @@ original decision time, both ``run_session``'s own figures.  Seeds 1-10 at
 the benchmark's 50 s run length and three sessions per dim take about 45
 minutes on a 2-vCPU machine.  Records of other parent commits already in
 the file are kept; a record of the same parent commit is replaced.
+
+The exit status is 1, after the record is written, when a benchmark run's
+final line is not ``correct`` or when this change breaks criterion 11 at a
+dim: a sparsification share above 10% of the original decision time
+(medians of the sessions), or decision totals not ordered baseline >=
+uninvolved >= full in every session; each failure is named on stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ SEEDS = tuple(range(1, 11))
 SECONDS = 50  # run_seconds of BENCHMARK.json
 DIMS = (1020, 3000, 9000)
 RUNS = 3  # one-shot sessions per side and dim
+CRITERION_11_SHARE = 0.10  # sparsification over the original decision time
 
 SESSION = r"""
 import json, resource, sys, time
@@ -210,7 +217,30 @@ def main(argv=None) -> int:
         },
     }
     OUT.write_text(json.dumps(merged(OUT, record), indent=1) + "\n")
-    return 0
+    problems = failures(runs, record["dims"]["summary"])
+    for problem in problems:
+        print(f"FAILED: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def failures(runs: list, dims: list) -> list:
+    """What the record shows failing: a benchmark run whose final line is not
+    ``correct``, and a dim at which this change breaks criterion 11 (either
+    sparsification share above ``CRITERION_11_SHARE`` of the original
+    decision time, or totals not ordered baseline >= uninvolved >= full)."""
+    out = [f"{r['workload']} seed {r['seed']} {r['side']}: the run's final line is not correct"
+           for r in runs if r["final_json_line"].get("correct") is not True]
+    for row in dims:
+        if row["side"] != "change":
+            continue
+        for mode in ("uninvolved", "full"):
+            share = row[f"criterion_11_share_{mode}"]
+            if share > CRITERION_11_SHARE:
+                out.append(f"dim {row['dim']}: criterion 11, {mode} sparsification is {share:.1%} of the original "
+                           f"decision time (gate {CRITERION_11_SHARE:.0%})")
+        if not row["criterion_11_ordering"]:
+            out.append(f"dim {row['dim']}: criterion 11, decision totals not ordered baseline >= uninvolved >= full")
+    return out
 
 
 def merged(out: Path, record: dict) -> dict:
