@@ -1,9 +1,10 @@
 """Matrix Market coordinate-format interchange.
 
 Writers emit 17 significant digits so float64 values round-trip exactly,
-which keeps externally cross-checked determinants bit-comparable.  Factors
-and constraint-row blocks are written, and factors read back, as
-``general`` matrices; no other qualifier is read.
+which keeps externally cross-checked determinants bit-comparable; all
+entries of a block are formatted by one ``%`` call.  Factors and
+constraint-row blocks are written, and factors read back, as ``general``
+matrices; no other qualifier is read.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ import numpy as np
 from .sparse import SparseRowBlock, UpperTriangular
 
 _HEADER = "%%MatrixMarket matrix coordinate real general"
-
-
-def _format_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[str]:
-    return [f"{i + 1} {j + 1} {v:.17g}" for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
 
 
 def _int64(tokens) -> np.ndarray:
@@ -78,6 +75,9 @@ def mm_to_triangular(text: str) -> UpperTriangular:
 
 
 def row_block_to_mm(u: SparseRowBlock) -> str:
-    lines = [_HEADER, f"{u.n_rows} {u.n_cols} {u.nnz}"]
-    lines += _format_entries(u.row_ids, u.indices, u.data)
-    return "\n".join(lines) + "\n"
+    # one-based row, column and value of every entry, interleaved for one format call
+    entries = [None] * (3 * u.nnz)
+    entries[0::3] = (u.row_ids + 1).tolist()
+    entries[1::3] = (u.indices + 1).tolist()
+    entries[2::3] = u.data.tolist()
+    return f"{_HEADER}\n{u.n_rows} {u.n_cols} {u.nnz}\n" + ("%d %d %.17g\n" * u.nnz) % tuple(entries)

@@ -18,11 +18,20 @@ graph incidence, so the information log-determinant is pinned to the tree
 count up to a noise constant, plus an angular correction controlled by the
 squared lever arms (scaled by the angular:position variance ratio).
 
-``generate`` and ``scenario_from_json`` build a scenario the same way:
+``generate`` and ``scenario_from_json`` build a scenario the same way, in
+array passes per scenario rather than per pose or per candidate:
 ``_prior_belief`` (whitened prior rows, their information ``gram()``, its
-sparse factor), ``_candidate_actions`` (one whitened Jacobian per plan) and
-``_prior_pose_graph``.  ``build_collective_jacobian`` whitens the 3x3
-blocks of all factors as one array stack.
+sparse factor), ``_candidate_actions`` (the rows of every plan whitened as
+one stack, each candidate's Jacobian a slice of it) and
+``_prior_pose_graph``.  One kernel, ``_whitened_rows``, whitens the 3x3
+blocks of many factors from pose-id arrays and a means array;
+``build_collective_jacobian`` calls it for one list of factors.  The
+generator draws its random walk and candidate steps one at a time, in a
+fixed order, so that a config always gives the same file; it finds prior
+loop closures in one pass over every pair of poses within the index window
+and the nearest prior pose of every candidate step in one pass.  A pose so
+far out that a whitened entry or a lever mass (see ``_lever_mass``)
+overflows when squared is refused by name.
 
 A scenario file (schema 2) states each fact once: a pose's id is its
 position in ``poses``, a candidate's in ``candidates`` (its new poses are
@@ -180,6 +189,69 @@ def noise_sqrt_info(cfg: ScenarioConfig) -> np.ndarray:
 _S_T = np.array([[0.0, 1.0], [-1.0, 0.0]])  # transpose of the 90-degree rotation
 
 
+def _pose_ends(factors, n_poses: int) -> np.ndarray:
+    """``(F, 2)`` pose ids ``(i, j)`` of ``factors``; the first id outside
+    ``[0, n_poses)`` is a LayoutMismatch."""
+    ids = [p for f in factors for p in (f.i, f.j)]
+    try:
+        ends = np.array(ids, dtype=np.int64)
+        if ends.size == 0 or (ends.min() >= 0 and ends.max() < n_poses):
+            return ends.reshape(-1, 2)
+    except OverflowError:
+        pass
+    bad = next(p for p in ids if not 0 <= p < n_poses)
+    raise LayoutMismatch(f"factor references unknown pose {bad}")
+
+
+def _overflow(f: Factor, name) -> InvalidScenario:
+    """The error for factor ``f`` whose whitened rows overflow; ``name``
+    words a pose id."""
+    return InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] overflows: {name(f.i)} or {name(f.j)} "
+                           "has coordinates too large")
+
+
+def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, refuse) -> SparseRowBlock:
+    """The whitened rows of many factors as one row block.
+
+    Factor ``k`` owns rows ``3k..3k+2`` and joins the poses at rows
+    ``ends[k]`` of ``means`` (one pose twice for an anchor), whose 3x3
+    blocks start at columns ``cols[k]``.  Its relative-pose residual has
+    two unwhitened blocks: one on pose ``i`` (the identity for an anchor)
+    and one on pose ``j`` (zero for an anchor).  All blocks are built and
+    whitened as one stack; batched ``matmul`` gives every entry the bits of
+    a separate 3x3 product per factor, and exact zeros are not stored.
+    ``refuse(k)`` raises for the first factor with an entry whose square
+    overflows, before anything reads the rows.
+    """
+    relative = ends[:, 0] != ends[:, 1]
+    at = means[ends[relative]]
+    cos, sin = np.cos(at[:, 0, 2]), np.sin(at[:, 0, 2])
+    rot_t = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=1)
+    blocks = np.zeros((ends.shape[0], 2, 3, 3))
+    blocks[~relative, 0] = np.eye(3)
+    blocks[relative, 0, :2, :2] = -rot_t
+    blocks[relative, 0, 2, 2] = -1.0
+    blocks[relative, 1, :2, :2] = rot_t
+    blocks[relative, 1, 2, 2] = 1.0
+    # coordinates near the float range overflow here; the check below names them
+    with np.errstate(over="ignore", invalid="ignore"):
+        lever = at[:, 1, :2] - at[:, 0, :2]
+        blocks[relative, 0, :2, 2] = ((_S_T @ rot_t) @ lever[..., None])[..., 0]
+        whitened = sqrt_info @ blocks
+        fits = np.isfinite(whitened * whitened).all(axis=(1, 2, 3))
+    if not fits.all():
+        refuse(int(np.argmin(fits)))
+    # each row is the block of its lower-column pose, then the other's
+    swap = cols[:, 0] > cols[:, 1]
+    whitened[swap] = whitened[swap, ::-1]
+    cols = np.sort(cols, axis=1)
+    by_row = whitened.transpose(0, 2, 1, 3)
+    k, r, side, c = np.nonzero(by_row)
+    indptr = np.zeros(3 * ends.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(3 * k + r, minlength=3 * ends.shape[0]), out=indptr[1:])
+    return SparseRowBlock(3 * ends.shape[0], n_cols, indptr, cols[k, side] + c, by_row[k, r, side, c])
+
+
 def build_collective_jacobian(
     factors,
     means: dict,
@@ -193,14 +265,8 @@ def build_collective_jacobian(
 
     ``means`` maps global pose id to its (x, y, theta) linearization point,
     covering both prior poses (laid out by ``layout``) and the appended
-    ``new_pose_ids`` (columns after the prior, in the given order).
-
-    Factor ``k`` owns rows ``3k..3k+2`` and two unwhitened 3x3 blocks of
-    its relative-pose residual: one on pose ``i`` (the identity for an
-    anchor) and one on pose ``j`` (zero for an anchor).  All blocks are
-    built and whitened as one stack; batched ``matmul`` gives every entry
-    the bits of a separate 3x3 product per factor, and exact zeros are not
-    stored.
+    ``new_pose_ids`` (columns after the prior, in the given order).  Factor
+    ``k`` owns rows ``3k..3k+2`` (see ``_whitened_rows``).
     """
     col_of_pose = {blk.block_id: blk.offset for blk in layout.blocks}
     for k, pid in enumerate(new_pose_ids):
@@ -211,36 +277,16 @@ def build_collective_jacobian(
         cols = np.array([(col_of_pose[f.i], col_of_pose[f.j]) for f in factors], dtype=np.int64).reshape(-1, 2)
     except KeyError as e:
         raise LayoutMismatch(f"factor references unknown pose {e.args[0]}") from None
+    ids, ends = np.unique(np.array([(f.i, f.j) for f in factors], dtype=np.int64), return_inverse=True)
+    points = np.array([means[p] for p in ids.tolist()], dtype=np.float64).reshape(-1, 3)
+    new_ids = list(new_pose_ids)
 
-    relative = np.array([f.kind != "anchor" for f in factors], dtype=bool)
-    ends = [(means[f.i], means[f.j]) for f in factors if f.kind != "anchor"]
-    ends = np.array(ends, dtype=np.float64).reshape(-1, 2, 3)
-    cos, sin = np.cos(ends[:, 0, 2]), np.sin(ends[:, 0, 2])
-    rot_t = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=1)
-    blocks = np.zeros((len(factors), 2, 3, 3))
-    blocks[~relative, 0] = np.eye(3)
-    blocks[relative, 0, :2, :2] = -rot_t
-    blocks[relative, 0, 2, 2] = -1.0
-    blocks[relative, 1, :2, :2] = rot_t
-    blocks[relative, 1, 2, 2] = 1.0
-    # coordinates near the float range overflow here; the check below names them
-    with np.errstate(over="ignore", invalid="ignore"):
-        lever = ends[:, 1, :2] - ends[:, 0, :2]
-        blocks[relative, 0, :2, 2] = ((_S_T @ rot_t) @ lever[..., None])[..., 0]
-        whitened = sqrt_info @ blocks
-    finite = np.isfinite(whitened).all(axis=(1, 2, 3))
-    if not finite.all():
-        f = factors[int(np.argmin(finite))]
-        new_ids = list(new_pose_ids)
-        i, j = (f"pose {new_ids.index(p)} of the new poses of candidate {action_id}" if p in new_ids
-                else f"pose {p} of the poses" for p in (f.i, f.j))
-        raise InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] overflows: {i} or {j} has coordinates too large")
-    k, side, r, c = np.nonzero(whitened)
+    def refuse(k):
+        raise _overflow(factors[k], lambda p: f"pose {new_ids.index(p)} of the new poses of candidate {action_id}"
+                        if p in new_ids else f"pose {p} of the poses")
 
     n_new = 3 * len(new_pose_ids)
-    jac = SparseRowBlock.from_coo(
-        3 * len(factors), layout.dim + n_new, 3 * k + r, cols[k, side] + c, whitened[k, side, r, c]
-    )
+    jac = _whitened_rows(ends.reshape(-1, 2), points, cols, sqrt_info, layout.dim + n_new, refuse)
     if new_pose_means is None:
         predicted = np.empty(0)
     else:
@@ -261,18 +307,18 @@ def build_collective_jacobian(
 
 def _sample_trajectory(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     half = cfg.world_extent / 2.0
-    poses = np.zeros((cfg.n_prior_poses, 3))
-    poses[0, 2] = rng.uniform(-math.pi, math.pi)
+    heading = rng.uniform(-math.pi, math.pi)
     # curl the walk so it re-approaches itself and loop closures can form
     curl = rng.choice([-1.0, 1.0]) * 2.0 * math.pi / (cfg.n_prior_poses * rng.uniform(0.6, 1.4))
-    heading = poses[0, 2]
-    for k in range(1, cfg.n_prior_poses):
+    x = y = 0.0
+    poses = [(x, y, heading)]
+    for _ in range(1, cfg.n_prior_poses):
         heading += curl + rng.normal(0.0, 0.15)
         step = rng.uniform(0.6, 1.2)
-        x = poses[k - 1, 0] + step * math.cos(heading)
-        y = poses[k - 1, 1] + step * math.sin(heading)
-        poses[k] = (np.clip(x, -half, half), np.clip(y, -half, half), _wrap(heading))
-    return poses
+        x = min(max(x + step * math.cos(heading), -half), half)
+        y = min(max(y + step * math.sin(heading), -half), half)
+        poses.append((x, y, _wrap(heading)))
+    return np.array(poses)
 
 
 def _wrap(theta: float) -> float:
@@ -280,55 +326,61 @@ def _wrap(theta: float) -> float:
 
 
 def _prior_loop_closures(poses: np.ndarray, radius: float, window: int, max_per_pose: int = 2) -> list:
-    factors = []
+    """Loop closures from each pose ``j`` to its ``max_per_pose`` nearest
+    poses ``i`` within ``radius``, ``2 <= j - i <= window + 1`` (ties to
+    the lower ``i``), ordered by ``(j, i)``; one pass over every pair."""
     n = poses.shape[0]
-    for j in range(2, n):
-        lo = max(0, j - 1 - window)
-        deltas = poses[lo: j - 1, :2] - poses[j, :2]
-        dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        near = np.nonzero(dists <= radius)[0]
-        if near.size:
-            order = near[np.argsort(dists[near], kind="stable")][:max_per_pose]
-            for i in sorted(order.tolist()):
-                factors.append(Factor("loop", int(i) + lo, j))
-    return factors
+    gap = np.arange(2, window + 2)
+    j = np.repeat(np.arange(n), gap.size)
+    i = j - np.tile(gap, n)
+    inside = i >= 0
+    i, j = i[inside], j[inside]
+    dists = np.hypot(poses[i, 0] - poses[j, 0], poses[i, 1] - poses[j, 1])
+    near = dists <= radius
+    i, j, dists = i[near], j[near], dists[near]
+    order = np.lexsort((i, dists, j))
+    i, j = i[order], j[order]
+    # rank within its pose j: the distance from the first pair of that j
+    keep = np.arange(j.size) - np.searchsorted(j, j) < max_per_pose
+    i, j = i[keep], j[keep]
+    order = np.lexsort((i, j))
+    return [Factor("loop", a, b) for a, b in zip(i[order].tolist(), j[order].tolist())]
 
 
 def _candidate_plans(
     cfg: ScenarioConfig, poses: np.ndarray, goal: np.ndarray, rng: np.random.Generator
 ) -> tuple:
-    n = poses.shape[0]
-    plans = []
+    """Candidate plans toward ``goal``: their new poses, drawn candidate by
+    candidate and step by step, then the nearest-prior-pose search of every
+    step in one pass."""
+    n, length = poses.shape[0], cfg.candidate_length
+    start = poses[n - 1, :2].copy()
+    to_goal = goal - start
+    base_heading = math.atan2(to_goal[1], to_goal[0])
+    step = min(max(np.linalg.norm(to_goal) / length, 0.5), 1.5)
     spread = np.linspace(-0.9, 0.9, cfg.n_candidates)
+    new_means = np.zeros((cfg.n_candidates, length, 3))
     for c in range(cfg.n_candidates):
-        start = poses[n - 1, :2].copy()
-        to_goal = goal - start
-        base_heading = math.atan2(to_goal[1], to_goal[0])
         detour = spread[c] + rng.normal(0.0, 0.1)
-        step = np.linalg.norm(to_goal) / cfg.candidate_length
-        step = min(max(step, 0.5), 1.5)
-        new_means = np.zeros((cfg.candidate_length, 3))
-        at = start
-        for t in range(cfg.candidate_length):
+        x, y = start
+        for t in range(length):
             # detour fades so every candidate closes in on the shared goal
-            fade = 1.0 - t / max(cfg.candidate_length - 1, 1)
+            fade = 1.0 - t / max(length - 1, 1)
             heading = base_heading + detour * fade + rng.normal(0.0, 0.05)
-            at = at + step * np.array([math.cos(heading), math.sin(heading)])
-            new_means[t] = (at[0], at[1], _wrap(heading))
-        new_ids = tuple(range(n, n + cfg.candidate_length))
-        factors = [Factor("odom", n - 1, new_ids[0])]
-        factors += [Factor("odom", new_ids[t], new_ids[t + 1]) for t in range(cfg.candidate_length - 1)]
-        for t, pid in enumerate(new_ids):
-            deltas = poses[:, :2] - new_means[t, :2]
-            dists = np.hypot(deltas[:, 0], deltas[:, 1])
-            near = np.nonzero(dists <= cfg.loop_closure_radius)[0]
-            near = near[near != n - 1]  # the branching pose is already constrained
-            order = near[np.argsort(dists[near], kind="stable")][:1]
-            for q in order.tolist():
-                factors.append(Factor("loop", int(q), pid))
-        plans.append(
-            CandidatePlan(c, new_ids, new_means, tuple(factors))
-        )
+            x, y = x + step * math.cos(heading), y + step * math.sin(heading)
+            new_means[c, t] = (x, y, _wrap(heading))
+    # the nearest prior pose within the radius of each step, ties to the
+    # lower id; the branching pose is already constrained
+    dists = np.hypot(poses[:, 0] - new_means[:, :, 0, None], poses[:, 1] - new_means[:, :, 1, None])
+    dists[:, :, n - 1] = np.inf
+    nearest = np.argmin(dists, axis=2)
+    closes = dists.min(axis=2) <= cfg.loop_closure_radius
+    new_ids = tuple(range(n, n + length))
+    chain = [Factor("odom", n - 1, n)] + [Factor("odom", p, p + 1) for p in new_ids[:-1]]
+    plans = []
+    for c in range(cfg.n_candidates):
+        loops = [Factor("loop", q, p) for q, p, hit in zip(nearest[c].tolist(), new_ids, closes[c].tolist()) if hit]
+        plans.append(CandidatePlan(c, new_ids, new_means[c], tuple(chain + loops)))
     return tuple(plans)
 
 
@@ -346,8 +398,8 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     prior_factors = [Factor("anchor", 0, 0)]
     prior_factors += [Factor("odom", k, k + 1) for k in range(n - 1)]
     prior_factors += _prior_loop_closures(poses, cfg.loop_closure_radius, cfg.loop_index_window)
-
-    prior = _prior_belief(cfg, poses, prior_factors)
+    prior_ends = _pose_ends(prior_factors, n)
+    prior = _prior_belief(cfg, poses, prior_factors, prior_ends)
 
     half = cfg.world_extent / 2.0
     for _attempt in range(40):
@@ -355,10 +407,10 @@ def generate(cfg: ScenarioConfig) -> Scenario:
         goal = poses[anchor_pose, :2] + rng.normal(0.0, cfg.loop_closure_radius, size=2)
         goal = np.clip(goal, -half, half)
         plans = _candidate_plans(cfg, poses, goal, rng)
-        candidates = _candidate_actions(cfg, poses, plans, prior.layout)
+        candidates = _candidate_actions(cfg, poses, prior_ends, plans)
         if n < 10 or detect_involvement(prior.layout, candidates).never_involved(prior.layout):
             return Scenario(
-                cfg, prior, poses, tuple(prior_factors), candidates, plans, _prior_pose_graph(prior_factors, n)
+                cfg, prior, poses, tuple(prior_factors), candidates, plans, _prior_pose_graph(prior_ends, n)
             )
     raise InfeasibleConfig(
         "could not place a goal leaving at least one prior pose uninvolved; "
@@ -371,37 +423,82 @@ def _graph_node(pose_id: int) -> int:
     return pose_id + 1
 
 
-def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, prior_factors) -> GaussianBelief:
-    """The prior: whitened prior factor rows, their information, its factor."""
-    layout = VariableLayout.from_sizes([3] * poses.shape[0], kind="pose")
-    means = dict(enumerate(poses.tolist()))
-    rows = build_collective_jacobian(prior_factors, means, layout, noise_sqrt_info(cfg)).jacobian
-    return GaussianBelief(poses.reshape(-1), cholesky(rows.gram()), layout)
+def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, prior_factors, ends: np.ndarray) -> GaussianBelief:
+    """The prior: whitened prior factor rows (``ends`` are the factors'
+    pose ids), their information, its factor."""
+    n = poses.shape[0]
+
+    def refuse(k):
+        raise _overflow(prior_factors[k], lambda p: f"pose {p} of the poses")
+
+    rows = _whitened_rows(ends, poses, 3 * ends, noise_sqrt_info(cfg), 3 * n, refuse)
+    return GaussianBelief(poses.reshape(-1), cholesky(rows.gram()), VariableLayout.from_sizes([3] * n, kind="pose"))
 
 
-def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, plans, layout: VariableLayout) -> tuple:
+def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, prior_ends: np.ndarray, plans) -> tuple:
     """One whitened CandidateAction per plan, linearized at the prior poses
-    and the plan's new pose means."""
-    sqrt_info = noise_sqrt_info(cfg)
-    means = dict(enumerate(poses.tolist()))
-    return tuple(
-        build_collective_jacobian(
-            plan.factors,
-            {**means, **dict(zip(plan.new_pose_ids, plan.new_pose_means.tolist()))},
-            layout,
-            sqrt_info,
-            new_pose_ids=plan.new_pose_ids,
-            new_pose_means=plan.new_pose_means,
-            action_id=plan.candidate_id,
-        )
-        for plan in plans
-    )
+    and the plan's new pose means.  The rows of all plans are whitened as
+    one stack, each plan's new poses numbered on from the prior's, and each
+    candidate's Jacobian is a slice of it.
+
+    A pose is refused, by name, when an entry of the rows or the summed
+    squared lever arms of the factors framed at it (``_lever_mass``, prior
+    factors included) overflow.
+    """
+    n, length = poses.shape[0], cfg.candidate_length
+    ends = _pose_ends([f for plan in plans for f in plan.factors], n + length)
+    counts = np.array([len(plan.factors) for plan in plans])
+    first = np.concatenate(([0], np.cumsum(counts)))
+    plan_of = np.repeat(np.arange(len(plans)), counts)
+    # rows of ``means``: the prior poses, then each plan's new poses
+    stacked = np.where(ends < n, ends, ends + length * plan_of[:, None])
+    means = np.concatenate([poses] + [plan.new_pose_means for plan in plans])
+
+    def name(c, p):
+        return f"pose {p} of the poses" if p < n else f"pose {p - n} of the new poses of candidate {plans[c].candidate_id}"
+
+    def refuse(k):
+        c = int(plan_of[k])
+        raise _overflow(plans[c].factors[k - first[c]], lambda p: name(c, p))
+
+    stack = _whitened_rows(stacked, means, 3 * ends, noise_sqrt_info(cfg), 3 * (n + length), refuse)
+
+    # the lever mass of each plan's poses: its own factors' and the prior's
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _framed_mass(means, stacked, plan_of * (n + length) + ends[:, 0], len(plans) * (n + length))
+        mass = mass.reshape(len(plans), n + length)
+        mass[:, :n] += _framed_mass(poses, prior_ends, prior_ends[:, 0], n)
+    if not np.isfinite(mass).all():
+        c, p = np.argwhere(~np.isfinite(mass))[0].tolist()
+        raise InvalidScenario(f"the squared lever arms of the factors framed at {name(c, p)} overflow: "
+                              "a pose they join has coordinates too large")
+
+    candidates = []
+    for c, plan in enumerate(plans):
+        rows = stack.indptr[3 * first[c]: 3 * first[c + 1] + 1]
+        lo, hi = rows[0], rows[-1]
+        jac = SparseRowBlock(3 * int(counts[c]), stack.n_cols, rows - lo, stack.indices[lo:hi], stack.data[lo:hi])
+        candidates.append(CandidateAction(plan.candidate_id, jac, n_new_vars=3 * length,
+                                          predicted_new_means=plan.new_pose_means.reshape(-1),
+                                          new_blocks=(("pose", 3),) * length))
+    return tuple(candidates)
 
 
-def _prior_pose_graph(prior_factors, n_poses: int) -> PoseGraph:
-    """Pose graph of the prior factors; an anchor ties its pose to node 0."""
-    edges = [(0 if f.kind == "anchor" else _graph_node(f.i), _graph_node(f.j)) for f in prior_factors]
-    return PoseGraph(n_poses + 1, tuple(edges))
+def _framed_mass(points: np.ndarray, ends: np.ndarray, frame: np.ndarray, size: int) -> np.ndarray:
+    """Per ``frame`` id, the summed squared lever arms of the relative
+    factors among them, whose pose ids ``ends`` are rows of ``points``."""
+    relative = ends[:, 0] != ends[:, 1]
+    lever = points[ends[relative, 1], :2] - points[ends[relative, 0], :2]
+    # a bincount of no factors is integer
+    return np.bincount(frame[relative], weights=(lever * lever).sum(axis=1), minlength=size).astype(np.float64)
+
+
+def _prior_pose_graph(ends: np.ndarray, n_poses: int) -> PoseGraph:
+    """Pose graph of the prior factors (``ends`` their pose ids); an anchor
+    ties its pose to node 0."""
+    edges = _graph_node(ends)
+    edges[ends[:, 0] == ends[:, 1], 0] = 0
+    return PoseGraph(n_poses + 1, edges)
 
 
 def posterior_pose_graph(scenario: Scenario, plan: CandidatePlan) -> PoseGraph:
@@ -800,10 +897,10 @@ def scenario_from_json(text: str) -> Scenario:
         cfg, poses, prior_factors, plans = _read_scenario_doc(json_document(text, InvalidScenario, "the scenario file"))
     except (OverflowError, ValueError) as e:  # JSON syntax, a config or factor out of range
         raise InvalidScenario(f"malformed scenario file: {type(e).__name__}: {e}") from e
-    prior = _prior_belief(cfg, poses, prior_factors)
-    candidates = _candidate_actions(cfg, poses, plans, prior.layout)
-    pose_graph = _prior_pose_graph(prior_factors, poses.shape[0])
-    return Scenario(cfg, prior, poses, prior_factors, candidates, plans, pose_graph)
+    prior_ends = _pose_ends(prior_factors, poses.shape[0])
+    prior = _prior_belief(cfg, poses, prior_factors, prior_ends)
+    candidates = _candidate_actions(cfg, poses, prior_ends, plans)
+    return Scenario(cfg, prior, poses, prior_factors, candidates, plans, _prior_pose_graph(prior_ends, poses.shape[0]))
 
 
 CANDIDATE_CSV_BASE_COLUMNS = ("candidate_id",)

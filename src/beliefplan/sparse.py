@@ -828,8 +828,10 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     new_diag, vals = _fold(diag, r.upper, u, pivots, np.arange(nd), p_indptr, p_indices)
     diag[pivots] = new_diag
     # a pivot at or below the floor is no support: the variable's column was
-    # empty, or its rows depend on rows that other variables already used
-    weak = np.nonzero(diag[r.dim:] ** 2 <= PIVOT_FLOOR)[0]
+    # empty, or its rows depend on rows that other variables already used;
+    # a pivot whose square overflows is support, not a warning
+    with np.errstate(over="ignore"):
+        weak = np.nonzero(diag[r.dim:] ** 2 <= PIVOT_FLOOR)[0]
     if weak.size:
         raise RankDeficientAugmentation(
             f"appended variable {int(weak[0]) + r.dim} has no supporting row (pivot at or below {PIVOT_FLOOR:.0e})"

@@ -722,3 +722,172 @@ def loop_collective_jacobian(factors, means, layout, sqrt_info, new_pose_ids=())
             vals.append(whitened[r, c])
     coo = [np.concatenate(part) if part else [] for part in (rows, cols, vals)]
     return SparseRowBlock.from_coo(3 * len(factors), layout.dim + 3 * len(new_pose_ids), *coo)
+
+
+# ---------------------------------------------------------------------------
+# Scenario construction, one pose and one candidate at a time: the per-pose
+# and per-candidate forms of the generator's passes, kept as their oracles
+# ---------------------------------------------------------------------------
+
+
+def stack_collective_jacobian(factors, means, layout, sqrt_info, new_pose_ids=(), new_pose_means=None,
+                              action_id=0):
+    """One candidate's whitened rows as a CandidateAction: the 3x3 blocks of
+    its factors as one stack, ordered by ``from_coo``; a non-finite entry
+    is refused naming the factor's poses."""
+    from beliefplan.belief import CandidateAction
+    from beliefplan.errors import InvalidScenario, LayoutMismatch
+
+    col_of_pose = {blk.block_id: blk.offset for blk in layout.blocks}
+    for k, pid in enumerate(new_pose_ids):
+        if pid in col_of_pose:
+            raise LayoutMismatch(f"new pose id {pid} collides with the prior layout")
+        col_of_pose[pid] = layout.dim + 3 * k
+    try:
+        cols = np.array([(col_of_pose[f.i], col_of_pose[f.j]) for f in factors], dtype=np.int64).reshape(-1, 2)
+    except KeyError as e:
+        raise LayoutMismatch(f"factor references unknown pose {e.args[0]}") from None
+
+    relative = np.array([f.kind != "anchor" for f in factors], dtype=bool)
+    ends = [(means[f.i], means[f.j]) for f in factors if f.kind != "anchor"]
+    ends = np.array(ends, dtype=np.float64).reshape(-1, 2, 3)
+    cos, sin = np.cos(ends[:, 0, 2]), np.sin(ends[:, 0, 2])
+    rot_t = np.stack([np.stack([cos, sin], axis=-1), np.stack([-sin, cos], axis=-1)], axis=1)
+    blocks = np.zeros((len(factors), 2, 3, 3))
+    blocks[~relative, 0] = np.eye(3)
+    blocks[relative, 0, :2, :2] = -rot_t
+    blocks[relative, 0, 2, 2] = -1.0
+    blocks[relative, 1, :2, :2] = rot_t
+    blocks[relative, 1, 2, 2] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lever = ends[:, 1, :2] - ends[:, 0, :2]
+        blocks[relative, 0, :2, 2] = ((np.array([[0.0, 1.0], [-1.0, 0.0]]) @ rot_t) @ lever[..., None])[..., 0]
+        whitened = sqrt_info @ blocks
+    finite = np.isfinite(whitened).all(axis=(1, 2, 3))
+    if not finite.all():
+        f = factors[int(np.argmin(finite))]
+        new_ids = list(new_pose_ids)
+        i, j = (f"pose {new_ids.index(p)} of the new poses of candidate {action_id}" if p in new_ids
+                else f"pose {p} of the poses" for p in (f.i, f.j))
+        raise InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] overflows: {i} or {j} has coordinates too large")
+    k, side, r, c = np.nonzero(whitened)
+    n_new = 3 * len(new_pose_ids)
+    jac = SparseRowBlock.from_coo(
+        3 * len(factors), layout.dim + n_new, 3 * k + r, cols[k, side] + c, whitened[k, side, r, c]
+    )
+    predicted = np.empty(0) if new_pose_means is None else np.asarray(new_pose_means, dtype=np.float64).reshape(-1)
+    return CandidateAction(action_id, jac, n_new_vars=n_new, predicted_new_means=predicted,
+                           new_blocks=(("pose", 3),) * len(new_pose_ids))
+
+
+def sample_trajectory_oracle(cfg, rng) -> np.ndarray:
+    """The prior walk, one pose row and two ``np.clip`` calls per step."""
+    half = cfg.world_extent / 2.0
+    poses = np.zeros((cfg.n_prior_poses, 3))
+    poses[0, 2] = rng.uniform(-math.pi, math.pi)
+    curl = rng.choice([-1.0, 1.0]) * 2.0 * math.pi / (cfg.n_prior_poses * rng.uniform(0.6, 1.4))
+    heading = poses[0, 2]
+    for k in range(1, cfg.n_prior_poses):
+        heading += curl + rng.normal(0.0, 0.15)
+        step = rng.uniform(0.6, 1.2)
+        x = poses[k - 1, 0] + step * math.cos(heading)
+        y = poses[k - 1, 1] + step * math.sin(heading)
+        poses[k] = (np.clip(x, -half, half), np.clip(y, -half, half), math.atan2(math.sin(heading), math.cos(heading)))
+    return poses
+
+
+def prior_loop_closures_oracle(poses, radius, window, max_per_pose=2) -> list:
+    """Prior loop closures, one distance search per pose."""
+    from beliefplan.scenario import Factor
+
+    factors = []
+    for j in range(2, poses.shape[0]):
+        lo = max(0, j - 1 - window)
+        deltas = poses[lo: j - 1, :2] - poses[j, :2]
+        dists = np.hypot(deltas[:, 0], deltas[:, 1])
+        near = np.nonzero(dists <= radius)[0]
+        if near.size:
+            order = near[np.argsort(dists[near], kind="stable")][:max_per_pose]
+            for i in sorted(order.tolist()):
+                factors.append(Factor("loop", int(i) + lo, j))
+    return factors
+
+
+def candidate_plans_oracle(cfg, poses, goal, rng) -> tuple:
+    """Candidate plans, one nearest-prior-pose search per new pose."""
+    from beliefplan.scenario import CandidatePlan, Factor
+
+    n = poses.shape[0]
+    plans = []
+    spread = np.linspace(-0.9, 0.9, cfg.n_candidates)
+    for c in range(cfg.n_candidates):
+        start = poses[n - 1, :2].copy()
+        to_goal = goal - start
+        base_heading = math.atan2(to_goal[1], to_goal[0])
+        detour = spread[c] + rng.normal(0.0, 0.1)
+        step = np.linalg.norm(to_goal) / cfg.candidate_length
+        step = min(max(step, 0.5), 1.5)
+        new_means = np.zeros((cfg.candidate_length, 3))
+        at = start
+        for t in range(cfg.candidate_length):
+            fade = 1.0 - t / max(cfg.candidate_length - 1, 1)
+            heading = base_heading + detour * fade + rng.normal(0.0, 0.05)
+            at = at + step * np.array([math.cos(heading), math.sin(heading)])
+            new_means[t] = (at[0], at[1], math.atan2(math.sin(heading), math.cos(heading)))
+        new_ids = tuple(range(n, n + cfg.candidate_length))
+        factors = [Factor("odom", n - 1, new_ids[0])]
+        factors += [Factor("odom", new_ids[t], new_ids[t + 1]) for t in range(cfg.candidate_length - 1)]
+        for t, pid in enumerate(new_ids):
+            deltas = poses[:, :2] - new_means[t, :2]
+            dists = np.hypot(deltas[:, 0], deltas[:, 1])
+            near = np.nonzero(dists <= cfg.loop_closure_radius)[0]
+            near = near[near != n - 1]
+            for q in near[np.argsort(dists[near], kind="stable")][:1].tolist():
+                factors.append(Factor("loop", int(q), pid))
+        plans.append(CandidatePlan(c, new_ids, new_means, tuple(factors)))
+    return tuple(plans)
+
+
+def generate_oracle(cfg):
+    """``scenario.generate`` from the oracles above, every candidate's rows
+    whitened on their own: ``(poses, prior factors, prior rows, plans,
+    candidates)``."""
+    from beliefplan.belief import VariableLayout
+    from beliefplan.errors import InfeasibleConfig
+    from beliefplan.scenario import Factor, noise_sqrt_info
+    from beliefplan.sparsify import detect_involvement
+
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_prior_poses
+    poses = sample_trajectory_oracle(cfg, rng)
+    prior_factors = [Factor("anchor", 0, 0)] + [Factor("odom", k, k + 1) for k in range(n - 1)]
+    prior_factors += prior_loop_closures_oracle(poses, cfg.loop_closure_radius, cfg.loop_index_window)
+    layout = VariableLayout.from_sizes([3] * n, kind="pose")
+    sqrt_info = noise_sqrt_info(cfg)
+    means = dict(enumerate(poses.tolist()))
+    rows = stack_collective_jacobian(prior_factors, means, layout, sqrt_info).jacobian
+    half = cfg.world_extent / 2.0
+    for _attempt in range(40):
+        anchor_pose = int(rng.integers(0, n))
+        goal = np.clip(poses[anchor_pose, :2] + rng.normal(0.0, cfg.loop_closure_radius, size=2), -half, half)
+        plans = candidate_plans_oracle(cfg, poses, goal, rng)
+        candidates = tuple(
+            stack_collective_jacobian(
+                plan.factors, {**means, **dict(zip(plan.new_pose_ids, plan.new_pose_means.tolist()))}, layout,
+                sqrt_info, new_pose_ids=plan.new_pose_ids, new_pose_means=plan.new_pose_means,
+                action_id=plan.candidate_id)
+            for plan in plans
+        )
+        if n < 10 or detect_involvement(layout, candidates).never_involved(layout):
+            return poses, tuple(prior_factors), rows, plans, candidates
+    raise InfeasibleConfig(
+        "could not place a goal leaving at least one prior pose uninvolved; "
+        "shrink the loop-closure radius or use more prior poses"
+    )
+
+
+def row_block_to_mm_oracle(u: SparseRowBlock) -> str:
+    """A row block in Matrix Market text, one f-string per entry."""
+    lines = ["%%MatrixMarket matrix coordinate real general", f"{u.n_rows} {u.n_cols} {u.nnz}"]
+    lines += [f"{i + 1} {j + 1} {v:.17g}" for i, j, v in zip(u.row_ids.tolist(), u.indices.tolist(), u.data.tolist())]
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -360,22 +361,38 @@ class TestScenarioValidation:
             scenario_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["the poses", "the new poses of candidate 1"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308],
-                             ids=["nan", "inf", "-inf", "1e308", "-1e308"])
-    def test_non_finite_or_huge_pose_is_a_typed_error_without_warnings(self, where, value, tmp_path, capsys):
+    @pytest.mark.parametrize("axis, value", [
+        pytest.param(axis, value, id=f"{value:g}".replace("e+", "e") + ("-y" if axis else ""))
+        for axis in (0, 1)
+        for value in (float("nan"), float("inf"), float("-inf"), 1e154, -1e154, 1e160, -1e160, 1e200, -1e200,
+                      1e308, -1e308)
+    ])
+    def test_non_finite_or_huge_pose_is_a_typed_error_without_warnings(self, where, axis, value, tmp_path, capsys):
         # json writes NaN, Infinity and -Infinity, and its parser reads them back;
-        # a warning would be an error here, and escape ``main``
+        # a finite coordinate is refused when a whitened entry or a lever mass
+        # overflows when squared; a warning would be an error here, and escape ``main``
         doc = copy.deepcopy(TINY_DOC)
         rows = doc["poses"] if where == "the poses" else doc["candidates"][1]["new_poses"]
-        rows[1][0] = value
+        rows[1][axis] = value
         text = json.dumps(doc)
-        with pytest.raises(InvalidScenario, match=where):
+        with pytest.raises(InvalidScenario, match=where) as refused:
             scenario_from_json(text)
+        if math.isfinite(value):
+            assert f"pose 1 of {where}" in str(refused.value)
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err and "Warning" not in err
+
+    def test_overflowing_lever_mass_is_refused_by_name(self):
+        # with a wide position noise the whitened rows stay finite, but the
+        # squared lever arms of the loop closure from prior pose 14 overflow
+        doc = copy.deepcopy(TINY_DOC)
+        doc["config"]["position_std"] = 100.0
+        doc["candidates"][0]["new_poses"][0][0] = 1e156
+        with pytest.raises(InvalidScenario, match="lever arms of the factors framed at pose 14 of the poses overflow"):
+            scenario_from_json(json.dumps(doc))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -13,14 +13,17 @@ from hypothesis import strategies as st
 
 from beliefplan.belief import VariableLayout, entropy, objective
 from beliefplan.bounds import PoseGraph, topological_bounds
-from beliefplan.errors import InfeasibleConfig, LayoutMismatch
+from beliefplan.errors import BeliefPlanError, InfeasibleConfig, LayoutMismatch
 from beliefplan import scenario as scenario_module
 from beliefplan.decision import action_consistent, rank_correlation
 from beliefplan.scenario import (
     CONSISTENCY_TOLERANCE,
     Factor,
     ScenarioConfig,
+    _candidate_plans,
     _lever_mass,
+    _prior_loop_closures,
+    _sample_trajectory,
     build_collective_jacobian,
     candidate_bounds,
     generate,
@@ -35,10 +38,20 @@ from beliefplan.scenario import (
     scenario_to_json,
     topological_constants,
 )
-from beliefplan.sparse import SparseRowBlock, logdet_triangular
+from beliefplan.sparse import SparseRowBlock, cholesky, logdet_triangular
 from beliefplan.sparsify import SparsificationSpec, detect_involvement
 
-from helpers import loop_collective_jacobian, loop_information_from_rows, loop_lever_mass, row_block_from_rows
+from helpers import (
+    batch_small_configs,
+    candidate_plans_oracle,
+    generate_oracle,
+    loop_collective_jacobian,
+    loop_information_from_rows,
+    loop_lever_mass,
+    prior_loop_closures_oracle,
+    row_block_from_rows,
+    sample_trajectory_oracle,
+)
 
 
 SMALL = ScenarioConfig(seed=5, n_prior_poses=25, n_candidates=4, candidate_length=3)
@@ -226,6 +239,104 @@ class TestJacobianKernel:
                         plan.factors, cand_means, sc.prior.layout, sqrt_info, new_pose_ids=plan.new_pose_ids
                     ),
                 )
+
+
+def assert_bits(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# sha256 of ``scenario_to_json(generate(cfg))``, as written by the per-pose
+# and per-candidate construction these passes replaced
+SCENARIO_DIGESTS = {
+    "tiny": "1f4b77a101adf3f3321dd5aa5985660af58804ab8a08b44c0115cc364feb2ca1",
+    "plan-1k": "5d2147f20bc44bdb3a322780fdf164a24d31f9562a9d6b78b4e7c0ce81f46afe",
+    "batch-0": "6db3cb1930ae0cb2b5c0d939921ef1db61f37ea0c6a7aa67d2034cfba1a3e852",
+    "batch-1": "f601067cd214d1edc8630d4e5d91a1682b3fd18079b95407db18ab31c304711b",
+    "batch-2": "ce6e8e9e47b12df3b5669c08318432a30e1050388e1a6dab0a41ce7ac57cc7e6",
+    "batch-3": "2d5a0d9dd0aead0628c0159f8c4c6e954579f15a3504f55ef7985470c5941520",
+    "batch-4": "7a21cbc2e5e87cf5010d3225bdf7cd1e1415d76030848ef37ba29178d7f6506d",
+    "batch-5": "2adf8866da7a4cc7a6a13c97d9a3e33e89b71928de59e70a0b303f6319b108f3",
+    "batch-6": "fd8aa87563d0b9b12b86735c3faeefc43aec2543bbfcecd2d55dc4cd074bc4c0",
+    "batch-7": "a1a00d8b83ffce8be830605d7c25de6fe2d68458a09392bdbff1c7da8b419024",
+}
+
+
+class TestConstructionPasses:
+    """The array passes that build a scenario against the per-pose and
+    per-candidate oracles they replaced, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(2, 150), window=st.integers(1, 60),
+           radius=st.one_of(st.floats(0.05, 8.0), st.sampled_from([1e-9, 2.0, 50.0])),
+           n_candidates=st.integers(1, 10), length=st.integers(1, 6))
+    def test_generate_equals_the_oracles(self, seed, n_poses, window, radius, n_candidates, length):
+        def outcome(build):
+            try:
+                return build(ScenarioConfig(seed=seed, n_prior_poses=n_poses, loop_index_window=window,
+                                            loop_closure_radius=radius, n_candidates=n_candidates,
+                                            candidate_length=length))
+            except (ValueError, BeliefPlanError) as e:
+                return f"{type(e).__name__}: {e}"
+
+        got, want = outcome(generate), outcome(generate_oracle)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        poses, prior_factors, prior_rows, plans, candidates = want
+        assert_bits(got.executed_path, poses)
+        assert got.prior_factors == prior_factors
+        assert got.pose_graph == PoseGraph(n_poses + 1, tuple(
+            (0 if f.kind == "anchor" else f.i + 1, f.j + 1) for f in prior_factors))
+        root = cholesky(prior_rows.gram())
+        assert_bits(got.prior.root.diag, root.diag)
+        assert_bit_equal(got.prior.root.upper, root.upper)
+        for plan, cand, want_plan, want_cand in zip(got.plans, got.candidates, plans, candidates, strict=True):
+            assert (plan.candidate_id, plan.new_pose_ids, plan.factors) == (
+                want_plan.candidate_id, want_plan.new_pose_ids, want_plan.factors)
+            assert_bits(plan.new_pose_means, want_plan.new_pose_means)
+            assert_bit_equal(cand.jacobian, want_cand.jacobian)
+            assert_bits(cand.predicted_new_means, want_cand.predicted_new_means)
+            assert (cand.action_id, cand.n_new_vars, cand.new_blocks) == (
+                want_cand.action_id, want_cand.n_new_vars, want_cand.new_blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_poses=st.integers(2, 150), window=st.integers(1, 60),
+           radius=st.floats(0.05, 8.0), per_pose=st.integers(1, 3), n_candidates=st.integers(1, 10),
+           length=st.integers(1, 6))
+    def test_each_pass_equals_its_oracle(self, seed, n_poses, window, radius, per_pose, n_candidates, length):
+        cfg = ScenarioConfig(seed=seed, n_prior_poses=n_poses, loop_closure_radius=radius,
+                             n_candidates=n_candidates, candidate_length=length)
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        poses = _sample_trajectory(cfg, rngs[0])
+        assert_bits(poses, sample_trajectory_oracle(cfg, rngs[1]))
+        assert _prior_loop_closures(poses, radius, window, per_pose) == prior_loop_closures_oracle(
+            poses, radius, window, per_pose)
+        goal = poses[seed % n_poses, :2] + np.random.default_rng(seed + 1).normal(0.0, radius, size=2)
+        got, want = _candidate_plans(cfg, poses, goal, rngs[0]), candidate_plans_oracle(cfg, poses, goal, rngs[1])
+        for plan, want_plan in zip(got, want, strict=True):
+            assert plan.factors == want_plan.factors
+            assert_bits(plan.new_pose_means, want_plan.new_pose_means)
+        # both passes drew the same numbers
+        assert rngs[0].integers(2**62) == rngs[1].integers(2**62)
+
+    def test_candidates_without_factors_load_as_empty_rows(self):
+        doc = json.loads(scenario_to_json(generate(SMALL)))
+        for cand in doc["candidates"]:
+            cand["factors"] = []
+        sc = scenario_from_json(json.dumps(doc))
+        assert [(c.jacobian.n_rows, c.jacobian.n_cols, c.jacobian.nnz) for c in sc.candidates] == [
+            (0, 3 * (SMALL.n_prior_poses + SMALL.candidate_length), 0)] * SMALL.n_candidates
+
+    def test_generated_files_keep_their_bytes(self):
+        import hashlib
+
+        configs = {"tiny": ScenarioConfig(seed=11, n_prior_poses=16, n_candidates=4, candidate_length=3),
+                   "plan-1k": ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5)}
+        configs.update((f"batch-{k}", cfg) for k, cfg in enumerate(batch_small_configs()))
+        got = {name: hashlib.sha256(scenario_to_json(generate(cfg)).encode()).hexdigest()
+               for name, cfg in configs.items()}
+        assert got == SCENARIO_DIGESTS
 
 
 @st.composite

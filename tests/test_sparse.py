@@ -47,6 +47,7 @@ from helpers import (
     random_update,
     row_block_from_dense,
     row_block_from_rows,
+    row_block_to_mm_oracle,
     symbolic_cholesky_pattern,
     symmetric_diagonal,
     symmetric_from_coo,
@@ -547,6 +548,12 @@ class TestLowRankUpdate:
         out = lowrank_update(r, u, 1)
         np.testing.assert_allclose(out.to_dense(), np.eye(2))
 
+    def test_appended_pivot_whose_square_overflows_is_support_without_a_warning(self):
+        # warnings are errors here; the pivot-floor check squares the pivot
+        r = UpperTriangular.from_diagonal([1.0])
+        out = lowrank_update(r, row_block_from_dense([[0.0, 1e200]], n_cols=2), 1)
+        np.testing.assert_array_equal(np.abs(out.diag), [1.0, 1e200])
+
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -973,6 +980,37 @@ def _accepts(build) -> bool:
     except ValueError:
         return False
     return True
+
+
+# stored zeros of both signs, subnormals and values near the float range
+extreme_values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                                  1.7976931348623157e308, -1.7976931348623157e308, 1.2e308, -1.5e308])
+
+
+@st.composite
+def extreme_factors(draw):
+    n = draw(st.integers(1, 7))
+    value = st.one_of(extreme_values, st.floats(allow_nan=False, allow_infinity=False))
+    diag = draw(st.lists(st.one_of(st.sampled_from([5e-324, 1e-310, 1.7976931348623157e308]),
+                                   st.floats(min_value=5e-324, max_value=1.7976931348623157e308)),
+                         min_size=n, max_size=n))
+    row_cols = [np.array(sorted(draw(st.sets(st.integers(i + 1, n - 1)))) if i + 1 < n else [], dtype=np.int64)
+                for i in range(n)]
+    row_vals = [np.array(draw(st.lists(value, min_size=c.size, max_size=c.size)), dtype=np.float64) for c in row_cols]
+    return triangular_from_rows(diag, row_cols, row_vals)
+
+
+class TestMatrixMarketWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_factors())
+    def test_writer_bytes_equal_the_per_entry_writer(self, r):
+        assert mmio.triangular_to_mm(r) == row_block_to_mm_oracle(r.as_row_block())
+        assert mmio.row_block_to_mm(r.upper) == row_block_to_mm_oracle(r.upper)
+
+    def test_empty_block(self):
+        u = SparseRowBlock.empty(3, n_rows=2)
+        assert mmio.row_block_to_mm(u) == row_block_to_mm_oracle(u) == (
+            "%%MatrixMarket matrix coordinate real general\n2 3 0\n")
 
 
 class TestCompressedRows:

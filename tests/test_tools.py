@@ -46,3 +46,16 @@ def test_each_failure_is_named():
 def test_the_gate_is_criterion_11s_ten_percent():
     assert bench_session.CRITERION_11_SHARE == 0.10
     assert bench_session.failures([], [_dim(1020, "change", uninvolved=0.10, full=0.10)]) == []
+
+
+def test_a_failed_session_is_recorded_named_and_kept_out_of_the_medians(tmp_path):
+    # a checkout whose package cannot run a session: the row records why
+    (tmp_path / "src" / "beliefplan").mkdir(parents=True)
+    (tmp_path / "src" / "beliefplan" / "__init__.py").write_text("raise SystemExit('no package here')\n")
+    row = bench_session.session_row(tmp_path, 1020)
+    assert row == {"dim": 1020, "exit_code": 1, "stderr_tail": ["no package here"]}
+    good = dict(_dim(1020, "change"), run=1)
+    rows = [dict(row, side="change", run=2), good]
+    dims = bench_session.dims_summary(rows)
+    assert [(d["dim"], d["side"], d["n"]) for d in dims] == [(1020, "change", 1)]
+    assert bench_session.failures([], dims, rows) == ["dim 1020 run 2 change: the session exited 1: no package here"]

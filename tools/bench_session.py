@@ -21,11 +21,14 @@ the benchmark's 50 s run length and three sessions per dim take about 45
 minutes on a 2-vCPU machine.  Records of other parent commits already in
 the file are kept; a record of the same parent commit is replaced.
 
-The exit status is 1, after the record is written, when a benchmark run's
-final line is not ``correct`` or when this change breaks criterion 11 at a
-dim: a sparsification share above 10% of the original decision time
-(medians of the sessions), or decision totals not ordered baseline >=
-uninvolved >= full in every session; each failure is named on stderr.
+A session that exits non-zero is recorded as its dim, exit code and the
+tail of its stderr, and left out of the dim's medians.  The exit status is
+1, after the record is written, when a benchmark run's final line is not
+``correct``, when a session exits non-zero, or when this change breaks
+criterion 11 at a dim: a sparsification share above 10% of the original
+decision time (medians of the sessions), or decision totals not ordered
+baseline >= uninvolved >= full in every session; each failure is named on
+stderr.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ SEEDS = tuple(range(1, 11))
 SECONDS = 50  # run_seconds of BENCHMARK.json
 DIMS = (1020, 3000, 9000)
 RUNS = 3  # one-shot sessions per side and dim
+STDERR_LINES = 5  # of a failed session, kept in its row
 CRITERION_11_SHARE = 0.10  # sparsification over the original decision time
 
 SESSION = r"""
@@ -107,8 +111,12 @@ def bench_run(side_dir: Path, workload: str, seed: int) -> dict:
 
 
 def session_row(side_dir: Path, dim: int) -> dict:
+    """The session's final JSON line, or, when it exits non-zero, its exit
+    code and the last lines of its stderr."""
     cmd = [sys.executable, "-c", SESSION, str(side_dir / "src"), str(dim)]
-    done = subprocess.run(cmd, env=_env(), capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, env=_env(), capture_output=True, text=True)
+    if done.returncode:
+        return {"dim": dim, "exit_code": done.returncode, "stderr_tail": done.stderr.splitlines()[-STDERR_LINES:]}
     return _last_json(done.stdout)
 
 
@@ -143,7 +151,7 @@ def dims_summary(rows: list) -> list:
     out = []
     for dim in sorted({r["dim"] for r in rows}):
         for side in ("parent", "change"):
-            mine = [r for r in rows if r["dim"] == dim and r["side"] == side]
+            mine = [r for r in rows if r["dim"] == dim and r["side"] == side and "exit_code" not in r]
             if not mine:
                 continue
             row = {"dim": dim, "side": side, "n": len(mine)}
@@ -217,19 +225,23 @@ def main(argv=None) -> int:
         },
     }
     OUT.write_text(json.dumps(merged(OUT, record), indent=1) + "\n")
-    problems = failures(runs, record["dims"]["summary"])
+    problems = failures(runs, record["dims"]["summary"], rows)
     for problem in problems:
         print(f"FAILED: {problem}", file=sys.stderr)
     return 1 if problems else 0
 
 
-def failures(runs: list, dims: list) -> list:
+def failures(runs: list, dims: list, sessions: list = ()) -> list:
     """What the record shows failing: a benchmark run whose final line is not
-    ``correct``, and a dim at which this change breaks criterion 11 (either
+    ``correct``, a one-shot session (of either side) that exited non-zero,
+    and a dim at which this change breaks criterion 11 (either
     sparsification share above ``CRITERION_11_SHARE`` of the original
     decision time, or totals not ordered baseline >= uninvolved >= full)."""
     out = [f"{r['workload']} seed {r['seed']} {r['side']}: the run's final line is not correct"
            for r in runs if r["final_json_line"].get("correct") is not True]
+    out += [f"dim {r['dim']} run {r['run']} {r['side']}: the session exited {r['exit_code']}: "
+            + (r["stderr_tail"][-1] if r["stderr_tail"] else "no stderr")
+            for r in sessions if "exit_code" in r]
     for row in dims:
         if row["side"] != "change":
             continue
