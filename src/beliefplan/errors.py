@@ -14,7 +14,12 @@ class BeliefPlanError(Exception):
 
 
 class NotPositiveDefinite(BeliefPlanError):
-    """A factorization pivot fell at or below the pivot floor."""
+    """A factorization pivot fell at or below the pivot floor; ``index`` is
+    the first failing pivot's, where the factorization names it."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionMismatch(BeliefPlanError):

@@ -22,7 +22,8 @@ squared lever arms (scaled by the angular:position variance ratio).
 array passes per scenario rather than per pose or per candidate:
 ``_prior_belief`` (whitened prior rows, their information ``gram()``, its
 sparse factor), ``_candidate_actions`` (the rows of every plan whitened as
-one stack, each candidate's Jacobian a slice of it) and
+one stack, each candidate's Jacobian a slice of it, and the lever mass of
+the prior and of every plan, summed once for the bounds) and
 ``_prior_pose_graph``.  One kernel, ``_whitened_rows``, whitens the 3x3
 blocks of many factors from pose-id arrays and a means array;
 ``build_collective_jacobian`` calls it for one list of factors.  The
@@ -30,8 +31,9 @@ generator draws its random walk and candidate steps one at a time, in a
 fixed order, so that a config always gives the same file; it finds prior
 loop closures in one pass over every pair of poses within the index window
 and the nearest prior pose of every candidate step in one pass.  A pose so
-far out that a whitened entry or a lever mass (see ``_lever_mass``)
-overflows when squared is refused by name.
+far out that a whitened entry, an information diagonal entry or a lever
+mass overflows, or that the prior information loses positive definiteness,
+is refused by name (``_pose_name``).
 
 A scenario file (schema 2) states each fact once: a pose's id is its
 position in ``poses``, a candidate's in ``candidates`` (its new poses are
@@ -54,7 +56,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +75,8 @@ from .decision import (
     rank_correlation,
     simplification_loss,
 )
-from .errors import InfeasibleConfig, InvalidScenario, LayoutMismatch, json_document, json_fields, json_value
+from .errors import (InfeasibleConfig, InvalidScenario, LayoutMismatch, NotPositiveDefinite, json_document, json_fields,
+                     json_value)
 from .sparse import SparseRowBlock, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
@@ -110,6 +112,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("position_std", "angular_std"):
+            weight = 1.0 / getattr(self, name)  # whitens a factor; its square weighs the information
+            if not math.isfinite(weight * weight):
+                raise ValueError(f"{name} is so small that 1/{name}^2 overflows, got {getattr(self, name)}")
         if self.n_candidates < 1 or self.candidate_length < 1:
             raise ValueError("need at least one candidate with one pose")
 
@@ -155,25 +161,13 @@ class Scenario:
     candidates: tuple
     plans: tuple
     pose_graph: PoseGraph
+    # read-only lever mass (see ``_candidate_actions``) of the prior, then of
+    # each plan in order
+    lever_mass: np.ndarray
 
     @property
     def n_poses(self) -> int:
         return self.executed_path.shape[0]
-
-    @cached_property
-    def prior_lever_mass(self) -> np.ndarray:
-        """Per-pose summed squared lever arms of the prior factors (see
-        ``_lever_mass``), read-only."""
-        mass = _add_lever_mass(np.zeros(self.n_poses), self.executed_path[:, :2], _factor_ends(self.prior_factors))
-        mass.flags.writeable = False
-        return mass
-
-
-def _factor_ends(factors) -> np.ndarray:
-    """Read-only ``(F, 2)`` pose ids of the non-anchor factors, in order."""
-    ends = np.array([(f.i, f.j) for f in factors if f.kind != "anchor"], dtype=np.int64).reshape(-1, 2)
-    ends.flags.writeable = False
-    return ends
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +197,22 @@ def _pose_ends(factors, n_poses: int) -> np.ndarray:
     raise LayoutMismatch(f"factor references unknown pose {bad}")
 
 
-def _overflow(f: Factor, name) -> InvalidScenario:
-    """The error for factor ``f`` whose whitened rows overflow; ``name``
-    words a pose id."""
-    return InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] overflows: {name(f.i)} or {name(f.j)} "
-                           "has coordinates too large")
+def _pose_name(p: int, new_pose_ids=(), candidate_id: int = 0) -> str:
+    """How an error names pose id ``p``: by its place among the new poses
+    ``new_pose_ids`` of candidate ``candidate_id``, or else as a prior pose."""
+    if p in new_pose_ids:
+        return f"pose {new_pose_ids.index(p)} of the new poses of candidate {candidate_id}"
+    return f"pose {p} of the poses"
 
 
-def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, refuse) -> SparseRowBlock:
+def _overflow(f: Factor, *new_poses) -> InvalidScenario:
+    """The error for factor ``f`` whose whitened rows overflow; ``new_poses``
+    name its poses as in ``_pose_name``."""
+    names = " or ".join(dict.fromkeys(_pose_name(p, *new_poses) for p in (f.i, f.j)))
+    return InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] overflows: {names} has coordinates too large")
+
+
+def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, factors, new_poses=None) -> SparseRowBlock:
     """The whitened rows of many factors as one row block.
 
     Factor ``k`` owns rows ``3k..3k+2`` and joins the poses at rows
@@ -220,8 +222,9 @@ def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, refuse) -> SparseR
     and one on pose ``j`` (zero for an anchor).  All blocks are built and
     whitened as one stack; batched ``matmul`` gives every entry the bits of
     a separate 3x3 product per factor, and exact zeros are not stored.
-    ``refuse(k)`` raises for the first factor with an entry whose square
-    overflows, before anything reads the rows.
+    The first factor with an entry whose square overflows is refused before
+    anything reads the rows, as ``factors[k]`` with its poses named by
+    ``new_poses[k]`` (new pose ids, candidate id; prior poses if None).
     """
     relative = ends[:, 0] != ends[:, 1]
     at = means[ends[relative]]
@@ -240,7 +243,8 @@ def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, refuse) -> SparseR
         whitened = sqrt_info @ blocks
         fits = np.isfinite(whitened * whitened).all(axis=(1, 2, 3))
     if not fits.all():
-        refuse(int(np.argmin(fits)))
+        k = int(np.argmin(fits))
+        raise _overflow(factors[k], *(new_poses[k] if new_poses else ()))
     # each row is the block of its lower-column pose, then the other's
     swap = cols[:, 0] > cols[:, 1]
     whitened[swap] = whitened[swap, ::-1]
@@ -279,14 +283,9 @@ def build_collective_jacobian(
         raise LayoutMismatch(f"factor references unknown pose {e.args[0]}") from None
     ids, ends = np.unique(np.array([(f.i, f.j) for f in factors], dtype=np.int64), return_inverse=True)
     points = np.array([means[p] for p in ids.tolist()], dtype=np.float64).reshape(-1, 3)
-    new_ids = list(new_pose_ids)
-
-    def refuse(k):
-        raise _overflow(factors[k], lambda p: f"pose {new_ids.index(p)} of the new poses of candidate {action_id}"
-                        if p in new_ids else f"pose {p} of the poses")
-
     n_new = 3 * len(new_pose_ids)
-    jac = _whitened_rows(ends.reshape(-1, 2), points, cols, sqrt_info, layout.dim + n_new, refuse)
+    jac = _whitened_rows(ends.reshape(-1, 2), points, cols, sqrt_info, layout.dim + n_new, factors,
+                         [(tuple(new_pose_ids), action_id)] * len(factors))
     if new_pose_means is None:
         predicted = np.empty(0)
     else:
@@ -407,11 +406,10 @@ def generate(cfg: ScenarioConfig) -> Scenario:
         goal = poses[anchor_pose, :2] + rng.normal(0.0, cfg.loop_closure_radius, size=2)
         goal = np.clip(goal, -half, half)
         plans = _candidate_plans(cfg, poses, goal, rng)
-        candidates = _candidate_actions(cfg, poses, prior_ends, plans)
+        candidates, lever_mass = _candidate_actions(cfg, poses, prior_ends, plans)
         if n < 10 or detect_involvement(prior.layout, candidates).never_involved(prior.layout):
-            return Scenario(
-                cfg, prior, poses, tuple(prior_factors), candidates, plans, _prior_pose_graph(prior_ends, n)
-            )
+            return Scenario(cfg, prior, poses, tuple(prior_factors), candidates, plans,
+                            _prior_pose_graph(prior_ends, n), lever_mass)
     raise InfeasibleConfig(
         "could not place a goal leaving at least one prior pose uninvolved; "
         "shrink the loop-closure radius or use more prior poses"
@@ -423,55 +421,71 @@ def _graph_node(pose_id: int) -> int:
     return pose_id + 1
 
 
+_COMPONENTS = ("x", "y", "heading")
+
+
 def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, prior_factors, ends: np.ndarray) -> GaussianBelief:
     """The prior: whitened prior factor rows (``ends`` are the factors'
-    pose ids), their information, its factor."""
+    pose ids), their information, its factor.
+
+    A pose is refused, by name, where the summed squares of its column's
+    entries overflow (that information diagonal bounds every information
+    entry) or where the factorization meets a pivot that is not positive.
+    """
     n = poses.shape[0]
-
-    def refuse(k):
-        raise _overflow(prior_factors[k], lambda p: f"pose {p} of the poses")
-
-    rows = _whitened_rows(ends, poses, 3 * ends, noise_sqrt_info(cfg), 3 * n, refuse)
-    return GaussianBelief(poses.reshape(-1), cholesky(rows.gram()), VariableLayout.from_sizes([3] * n, kind="pose"))
+    rows = _whitened_rows(ends, poses, 3 * ends, noise_sqrt_info(cfg), 3 * n, prior_factors)
+    # every square fits (see ``_whitened_rows``); only their sums can overflow
+    diagonal = np.bincount(rows.indices, weights=rows.data * rows.data, minlength=3 * n)
+    if not np.isfinite(diagonal).all():
+        col = int(np.argmin(np.isfinite(diagonal)))
+        raise InvalidScenario(f"the information of the {_COMPONENTS[col % 3]} of {_pose_name(col // 3)} overflows: "
+                              "a pose its factors join has coordinates too large")
+    try:
+        root = cholesky(rows.gram())
+    except NotPositiveDefinite as e:
+        raise InvalidScenario(f"the prior information is not positive definite at the {_COMPONENTS[e.index % 3]} "
+                              f"of {_pose_name(e.index // 3)}: {e}") from e
+    return GaussianBelief(poses.reshape(-1), root, VariableLayout.from_sizes([3] * n, kind="pose"))
 
 
 def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, prior_ends: np.ndarray, plans) -> tuple:
     """One whitened CandidateAction per plan, linearized at the prior poses
-    and the plan's new pose means.  The rows of all plans are whitened as
-    one stack, each plan's new poses numbered on from the prior's, and each
-    candidate's Jacobian is a slice of it.
+    and the plan's new pose means, and the read-only lever mass of the prior
+    and of each plan.  The rows of all plans are whitened as one stack, each
+    plan's new poses numbered on from the prior's, and each candidate's
+    Jacobian is a slice of it.
 
-    A pose is refused, by name, when an entry of the rows or the summed
-    squared lever arms of the factors framed at it (``_lever_mass``, prior
-    factors included) overflow.
+    A pose's lever mass is the summed squared lever arms of the factors
+    whose residual is framed at it; the lever mass of the prior or of a plan
+    is its maximum over the poses.  Each sum adds a factor's dx^2, then its
+    dy^2, factor by factor and prior factors first, the order that fixes the
+    bounds' last bits.  A pose is refused, by name, when an entry of the
+    rows or its lever mass overflows.
     """
     n, length = poses.shape[0], cfg.candidate_length
-    ends = _pose_ends([f for plan in plans for f in plan.factors], n + length)
+    factors = [f for plan in plans for f in plan.factors]
+    ends = _pose_ends(factors, n + length)
     counts = np.array([len(plan.factors) for plan in plans])
     first = np.concatenate(([0], np.cumsum(counts)))
     plan_of = np.repeat(np.arange(len(plans)), counts)
     # rows of ``means``: the prior poses, then each plan's new poses
     stacked = np.where(ends < n, ends, ends + length * plan_of[:, None])
     means = np.concatenate([poses] + [plan.new_pose_means for plan in plans])
+    stack = _whitened_rows(stacked, means, 3 * ends, noise_sqrt_info(cfg), 3 * (n + length), factors,
+                           [(plan.new_pose_ids, plan.candidate_id) for plan in plans for _ in plan.factors])
 
-    def name(c, p):
-        return f"pose {p} of the poses" if p < n else f"pose {p - n} of the new poses of candidate {plans[c].candidate_id}"
-
-    def refuse(k):
-        c = int(plan_of[k])
-        raise _overflow(plans[c].factors[k - first[c]], lambda p: name(c, p))
-
-    stack = _whitened_rows(stacked, means, 3 * ends, noise_sqrt_info(cfg), 3 * (n + length), refuse)
-
-    # the lever mass of each plan's poses: its own factors' and the prior's
     with np.errstate(over="ignore", invalid="ignore"):
-        mass = _framed_mass(means, stacked, plan_of * (n + length) + ends[:, 0], len(plans) * (n + length))
-        mass = mass.reshape(len(plans), n + length)
-        mass[:, :n] += _framed_mass(poses, prior_ends, prior_ends[:, 0], n)
+        prior_mass = _add_lever_mass(np.zeros(n), poses, prior_ends, prior_ends[:, 0])
+        mass = np.tile(np.concatenate([prior_mass, np.zeros(length)]), len(plans))
+        _add_lever_mass(mass, means, stacked, plan_of * (n + length) + ends[:, 0])
+    mass = mass.reshape(len(plans), n + length)
     if not np.isfinite(mass).all():
         c, p = np.argwhere(~np.isfinite(mass))[0].tolist()
-        raise InvalidScenario(f"the squared lever arms of the factors framed at {name(c, p)} overflow: "
+        raise InvalidScenario(f"the squared lever arms of the factors framed at "
+                              f"{_pose_name(p, plans[c].new_pose_ids, plans[c].candidate_id)} overflow: "
                               "a pose they join has coordinates too large")
+    lever_mass = np.concatenate([prior_mass.max(keepdims=True), mass.max(axis=1)])
+    lever_mass.flags.writeable = False
 
     candidates = []
     for c, plan in enumerate(plans):
@@ -481,16 +495,16 @@ def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, prior_ends: np.nd
         candidates.append(CandidateAction(plan.candidate_id, jac, n_new_vars=3 * length,
                                           predicted_new_means=plan.new_pose_means.reshape(-1),
                                           new_blocks=(("pose", 3),) * length))
-    return tuple(candidates)
+    return tuple(candidates), lever_mass
 
 
-def _framed_mass(points: np.ndarray, ends: np.ndarray, frame: np.ndarray, size: int) -> np.ndarray:
-    """Per ``frame`` id, the summed squared lever arms of the relative
-    factors among them, whose pose ids ``ends`` are rows of ``points``."""
-    relative = ends[:, 0] != ends[:, 1]
-    lever = points[ends[relative, 1], :2] - points[ends[relative, 0], :2]
-    # a bincount of no factors is integer
-    return np.bincount(frame[relative], weights=(lever * lever).sum(axis=1), minlength=size).astype(np.float64)
+def _add_lever_mass(mass: np.ndarray, points: np.ndarray, ends: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Add the dx^2, then the dy^2, of each factor's lever arm to
+    ``mass[frames[k]]``, factor by factor, in place; ``ends`` are the
+    factors' rows of ``points``."""
+    lever = points[ends[:, 1], :2] - points[ends[:, 0], :2]
+    np.add.at(mass, np.repeat(frames, 2), (lever * lever).ravel())
+    return mass
 
 
 def _prior_pose_graph(ends: np.ndarray, n_poses: int) -> PoseGraph:
@@ -512,32 +526,6 @@ def posterior_pose_graph(scenario: Scenario, plan: CandidatePlan) -> PoseGraph:
 # ---------------------------------------------------------------------------
 
 
-def _add_lever_mass(mass: np.ndarray, positions: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Add each factor's dx^2, then dy^2, to the mass of the pose whose
-    frame its residual is expressed in, factor by factor, in place."""
-    lever = positions[ends[:, 1]] - positions[ends[:, 0]]
-    np.add.at(mass, np.repeat(ends[:, 0], 2), (lever * lever).ravel())
-    return mass
-
-
-def _lever_mass(scenario: Scenario, plan: CandidatePlan | None) -> float:
-    """max over poses of the summed squared lever arms of factors whose
-    residual is expressed in that pose's frame.
-
-    New poses are numbered on from the prior (a scenario file states no
-    pose ids), so a pose id indexes the stacked positions directly.  Each
-    pose's sum adds dx^2, then dy^2, factor by factor (prior factors first,
-    their sums cached on the scenario), the order that fixes the bounds'
-    last bits.
-    """
-    mass = scenario.prior_lever_mass
-    if plan is not None:
-        positions = np.concatenate([scenario.executed_path[:, :2], plan.new_pose_means[:, :2]])
-        mass = np.concatenate([mass, np.zeros(len(plan.new_pose_ids))])
-        _add_lever_mass(mass, positions, _factor_ends(plan.factors))
-    return float(mass.max(initial=0.0))
-
-
 def topological_constants(
     scenario: Scenario, plan: CandidatePlan | None = None, ratio: float | None = None
 ) -> TopologicalNoiseConfig:
@@ -552,18 +540,17 @@ def topological_constants(
 
     and the angular lever-arm surplus is diagonal-bounded by
     psi = ratio * max_i sum_{factors framed at i} |lever|^2, giving the
-    matching Hadamard upper bound.  ``ratio`` overrides the scenario's
+    matching Hadamard upper bound.  That lever mass is read from
+    ``scenario.lever_mass``, summed once when the scenario was built; a
+    ``plan`` is found there by its ``candidate_id``, and a plan that is not
+    the scenario's own is a ValueError.  ``ratio`` overrides the scenario's
     actual angular:position variance ratio to explore hypothetical noise
     models (the Hadamard side is only guaranteed when ratio >= actual).
     """
-    return _constants_at(scenario, plan, _lever_mass(scenario, plan), ratio)
-
-
-def _constants_at(
-    scenario: Scenario, plan: CandidatePlan | None, lever_mass: float, ratio: float | None
-) -> TopologicalNoiseConfig:
-    """``topological_constants`` from the plan's ``_lever_mass``, which does
-    not depend on the ratio."""
+    if plan is not None and not (0 <= plan.candidate_id < len(scenario.plans)
+                                 and scenario.plans[plan.candidate_id] is plan):
+        raise ValueError(f"plan {plan.candidate_id} is not a plan of this scenario")
+    lever_mass = float(scenario.lever_mass[0 if plan is None else 1 + plan.candidate_id])
     cfg = scenario.config
     actual_ratio = cfg.noise_ratio
     use_ratio = actual_ratio if ratio is None else float(ratio)
@@ -614,9 +601,8 @@ def candidate_bounds(scenario: Scenario, noise_ratios) -> CandidateBounds:
     for idx, (cand, plan) in enumerate(zip(scenario.candidates, scenario.plans)):
         graph = posterior_pose_graph(scenario, plan)
         n_vars = 3 * (scenario.n_poses + len(plan.new_pose_ids))
-        mass = _lever_mass(scenario, plan)
         for ratio, (lb, ub) in [(None, top), *by_ratio.items()]:
-            lbl, ubl = topological_bounds(graph, _constants_at(scenario, plan, mass, ratio))
+            lbl, ubl = topological_bounds(graph, topological_constants(scenario, plan, ratio))
             lb[idx], ub[idx] = objective_scale_bounds(lbl, ubl, n_vars)
         det[0][idx], det[1][idx] = determinant_bounds(scenario.prior, cand)
     return CandidateBounds(top, det, by_ratio)
@@ -739,48 +725,39 @@ def run_session(
     never = mask.never_involved(layout)
     uninvolved_ratio = len(never) / len(layout.block_ids)
 
-    values_orig, cand_secs, wall = _evaluate_phase(scenario.prior, candidates, timing_repeats)
-    root_nnz, info_nnz = nnz_report(scenario.prior)
-    baseline = ModeResult(
-        label="original",
-        values=values_orig,
-        best_index=int(np.argmax(values_orig)),
-        sparsify_seconds=0.0,
-        evaluate_seconds=float(cand_secs.sum()),
-        evaluate_wall_seconds=wall,
-        candidate_seconds=cand_secs,
-        root_nnz=root_nnz,
-        info_nnz=info_nnz,
-    )
-
-    mode_results = []
-    for spec in modes:
-        if spec.mode == "none":
-            continue
-        sparsified, sp_secs = _median_timed(
-            lambda s=spec: sparsify_belief(scenario.prior, s, mask), timing_repeats
-        )
-        values, cand_secs_m, wall_m = _evaluate_phase(sparsified, candidates, timing_repeats)
+    # the original problem is the first pass; it is what the others compare to
+    results = []
+    for spec in [None] + [spec for spec in modes if spec.mode != "none"]:
+        if spec is None:
+            belief, sp_secs = scenario.prior, 0.0
+        else:
+            belief, sp_secs = _median_timed(lambda s=spec: sparsify_belief(scenario.prior, s, mask), timing_repeats)
+        values, cand_secs, wall = _evaluate_phase(belief, candidates, timing_repeats)
         best = int(np.argmax(values))
-        r_nnz, i_nnz = nnz_report(sparsified)
-        mode_results.append(
-            ModeResult(
-                label=spec.mode,
-                values=values,
-                best_index=best,
-                sparsify_seconds=sp_secs,
-                evaluate_seconds=float(cand_secs_m.sum()),
-                evaluate_wall_seconds=wall_m,
-                candidate_seconds=cand_secs_m,
-                root_nnz=r_nnz,
-                info_nnz=i_nnz,
-                loss=simplification_loss(values_orig, best),
-                offset_identity=offset(values_orig, values),
-                offset_shift_upper=balanced_offset_upper(values_orig, values),
-                rho=rank_correlation(values_orig, values, CONSISTENCY_TOLERANCE),
-                consistent=action_consistent(values_orig, values, CONSISTENCY_TOLERANCE),
+        comparison = {}
+        if results:
+            original = results[0].values
+            comparison = dict(
+                loss=simplification_loss(original, best),
+                offset_identity=offset(original, values),
+                offset_shift_upper=balanced_offset_upper(original, values),
+                rho=rank_correlation(original, values, CONSISTENCY_TOLERANCE),
+                consistent=action_consistent(original, values, CONSISTENCY_TOLERANCE),
             )
-        )
+        root_nnz, info_nnz = nnz_report(belief)
+        results.append(ModeResult(
+            label="original" if spec is None else spec.mode,
+            values=values,
+            best_index=best,
+            sparsify_seconds=sp_secs,
+            evaluate_seconds=float(cand_secs.sum()),
+            evaluate_wall_seconds=wall,
+            candidate_seconds=cand_secs,
+            root_nnz=root_nnz,
+            info_nnz=info_nnz,
+            **comparison,
+        ))
+    baseline, *mode_results = results
 
     t0 = time.perf_counter()
     bounds = candidate_bounds(scenario, noise_ratios)
@@ -899,8 +876,9 @@ def scenario_from_json(text: str) -> Scenario:
         raise InvalidScenario(f"malformed scenario file: {type(e).__name__}: {e}") from e
     prior_ends = _pose_ends(prior_factors, poses.shape[0])
     prior = _prior_belief(cfg, poses, prior_factors, prior_ends)
-    candidates = _candidate_actions(cfg, poses, prior_ends, plans)
-    return Scenario(cfg, prior, poses, prior_factors, candidates, plans, _prior_pose_graph(prior_ends, poses.shape[0]))
+    candidates, lever_mass = _candidate_actions(cfg, poses, prior_ends, plans)
+    return Scenario(cfg, prior, poses, prior_factors, candidates, plans, _prior_pose_graph(prior_ends, poses.shape[0]),
+                    lever_mass)
 
 
 CANDIDATE_CSV_BASE_COLUMNS = ("candidate_id",)

@@ -510,15 +510,16 @@ def cholesky(m: SparseSymmetric) -> UpperTriangular:
     from SuperLU's unpivoted LU = L D L^T of the full symmetric matrix:
     ``R_ii = sqrt(U_ii)`` and ``R_ij = U_ij / R_ii``, gathered onto the fill
     pattern, which also restores entries SuperLU dropped as zero.  Raises
-    NotPositiveDefinite, naming the first failing pivot, when a pivot is at
-    or below the pivot floor or SuperLU had to pivot or found the matrix
-    singular; the input is never jittered.  No dense matrix is formed.
+    NotPositiveDefinite, naming the first failing pivot (its ``index``), when
+    a pivot is at or below the pivot floor or SuperLU had to pivot or found
+    the matrix singular; the input is never jittered.  No dense matrix is
+    formed.
     """
     n = m.dim
     lu = _unpivoted_lu(m, n)
     i = _failing_pivot(m) if lu is None else _first_bad_pivot(lu)
     if i is not None:
-        raise NotPositiveDefinite(f"pivot at index {i} is at or below {PIVOT_FLOOR:.0e} or off the diagonal")
+        raise NotPositiveDefinite(f"pivot at index {i} is at or below {PIVOT_FLOOR:.0e} or off the diagonal", i)
 
     u = lu.U.tocsr()
     u_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(u.indptr))

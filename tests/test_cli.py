@@ -62,6 +62,19 @@ class TestGenerate:
         assert f"{field} must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pos-std", "1e-160", "position_std is so small that 1/position_std^2 overflows"),
+        ("--ang-std", "1e-160", "angular_std is so small that 1/angular_std^2 overflows"),
+        ("--pos-std", "1e10", "not positive definite at the x of pose 0 of the poses"),
+        ("--ang-std", "1e10", "not positive definite at the heading of pose 4 of the poses"),
+    ])
+    def test_extreme_noise_std_exits_1_naming_the_field_or_the_pose(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "sc.json"
+        assert run(["generate", flag, value, "--out", str(out)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Warning" not in err
+        assert not out.exists()
+
     def test_wider_loop_radius_densifies_information(self, tmp_path):
         narrow = tmp_path / "narrow.json"
         wide = tmp_path / "wide.json"
@@ -315,6 +328,10 @@ def _pose_with_id(doc):
     doc["poses"][3] = {"id": 2, "x": x, "y": y, "theta": theta}
 
 
+def _value_id(value: float, axis: int) -> str:
+    return f"{value:g}".replace("e+", "e") + ("-y" if axis else "")
+
+
 class TestScenarioValidation:
     @pytest.mark.parametrize(
         "mutate",
@@ -360,30 +377,44 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="schema_version 1 is not 2"):
             scenario_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("where", ["the poses", "the new poses of candidate 1"])
-    @pytest.mark.parametrize("axis, value", [
-        pytest.param(axis, value, id=f"{value:g}".replace("e+", "e") + ("-y" if axis else ""))
+    @pytest.mark.parametrize("where, pose, axis, value", [
+        pytest.param(where, 1, axis, value, id=f"{_value_id(value, axis)}-{where}")
         for axis in (0, 1)
         for value in (float("nan"), float("inf"), float("-inf"), 1e154, -1e154, 1e160, -1e160, 1e200, -1e200,
                       1e308, -1e308)
+        for where in ("the poses", "the new poses of candidate 1")
+    ] + [
+        # just below the entry refusal: the prior information overflows or is
+        # not positive definite at pose 2 (pose 1 at x = 1e152 loads and solves)
+        pytest.param("the poses", 2, axis, value, id=f"{_value_id(value, axis)}-pose 2-the poses")
+        for axis in (0, 1)
+        for value in (1e140, -1e140, 1e152, -1e152, 1e153, -1e153)
     ])
-    def test_non_finite_or_huge_pose_is_a_typed_error_without_warnings(self, where, axis, value, tmp_path, capsys):
+    def test_non_finite_or_huge_pose_is_a_typed_error_without_warnings(self, where, pose, axis, value, tmp_path,
+                                                                       capsys):
         # json writes NaN, Infinity and -Infinity, and its parser reads them back;
-        # a finite coordinate is refused when a whitened entry or a lever mass
-        # overflows when squared; a warning would be an error here, and escape ``main``
+        # a finite coordinate is refused by name when a whitened entry or a lever
+        # mass overflows when squared, or the prior information overflows or is
+        # not positive definite; a warning would be an error here, and escape ``main``
         doc = copy.deepcopy(TINY_DOC)
         rows = doc["poses"] if where == "the poses" else doc["candidates"][1]["new_poses"]
-        rows[1][axis] = value
+        rows[pose][axis] = value
         text = json.dumps(doc)
         with pytest.raises(InvalidScenario, match=where) as refused:
             scenario_from_json(text)
-        if math.isfinite(value):
-            assert f"pose 1 of {where}" in str(refused.value)
+        named = f"pose {pose} of {where}" if math.isfinite(value) else where
+        assert named in str(refused.value)
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and where in err and "Warning" not in err
+        assert err.startswith("error: ") and named in err and "Warning" not in err
+
+    def test_noise_std_whose_weight_overflows_is_refused_naming_the_field(self):
+        doc = copy.deepcopy(TINY_DOC)
+        doc["config"]["angular_std"] = 1e-160
+        with pytest.raises(InvalidScenario, match="angular_std is so small"):
+            scenario_from_json(json.dumps(doc))
 
     def test_overflowing_lever_mass_is_refused_by_name(self):
         # with a wide position noise the whitened rows stay finite, but the

@@ -5,6 +5,7 @@ import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from beliefplan.belief import VariableLayout, entropy, objective
 from beliefplan.bounds import PoseGraph, topological_bounds
-from beliefplan.errors import BeliefPlanError, InfeasibleConfig, LayoutMismatch
+from beliefplan.errors import BeliefPlanError, InfeasibleConfig, InvalidScenario, LayoutMismatch
 from beliefplan import scenario as scenario_module
 from beliefplan.decision import action_consistent, rank_correlation
 from beliefplan.scenario import (
@@ -21,7 +22,6 @@ from beliefplan.scenario import (
     Factor,
     ScenarioConfig,
     _candidate_plans,
-    _lever_mass,
     _prior_loop_closures,
     _sample_trajectory,
     build_collective_jacobian,
@@ -55,6 +55,7 @@ from helpers import (
 
 
 SMALL = ScenarioConfig(seed=5, n_prior_poses=25, n_candidates=4, candidate_length=3)
+TINY = Path(__file__).parent / "data" / "tiny_scenario.json"
 
 
 class TestGeneration:
@@ -107,9 +108,15 @@ class TestGeneration:
         ("position_std", math.nan), ("world_extent", math.nan), ("loop_closure_radius", math.nan),
         ("angular_std", math.inf), ("world_extent", math.inf), ("position_std", -math.inf),
         ("angular_std", 0.0), ("loop_closure_radius", -1.0),
+        ("position_std", 1e-160), ("angular_std", 1e-155), ("position_std", 5e-324),
     ])
     def test_config_requires_finite_positive_scales(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        # a noise std must also leave its information weight 1/std^2 finite
+        if math.isfinite(value) and value > 0:
+            message = f"{field} is so small that 1/{field}\\^2 overflows"
+        else:
+            message = f"{field} must be finite and positive"
+        with pytest.raises(ValueError, match=message):
             ScenarioConfig(**{field: value})
 
     def test_infeasible_config_raises(self, monkeypatch):
@@ -129,6 +136,11 @@ class TestGeneration:
 
 
 class TestJacobianAssembly:
+    def test_overflowing_anchor_names_its_pose_once(self):
+        layout = VariableLayout.from_sizes([3], kind="pose")
+        with pytest.raises(InvalidScenario, match=r"\[anchor, 0, 0\] overflows: pose 0 of the poses has coordinates"):
+            build_collective_jacobian([Factor("anchor", 0, 0)], {0: (0.0, 0.0, 0.0)}, layout, 1e160 * np.eye(3))
+
     def test_identity_linearization_gives_signed_identity_blocks(self):
         layout = VariableLayout.from_sizes([3, 3], kind="pose")
         means = {0: (2.0, -1.0, 0.0), 1: (2.0, -1.0, 0.0)}  # coincident, zero heading
@@ -394,28 +406,39 @@ class TestTopologicalConstants:
             assert lb - 1e-9 <= j <= ub + 1e-9
 
     def test_lever_mass_is_the_loop_oracle_bit_for_bit(self):
-        for cfg in (SMALL, ScenarioConfig(seed=3, n_prior_poses=90, n_candidates=5, loop_closure_radius=2.2)):
-            sc = generate(cfg)
-            for plan in (None,) + sc.plans:
-                assert _lever_mass(sc, plan) == loop_lever_mass(sc, plan)
-            assert not sc.prior_lever_mass.flags.writeable
+        """The lever mass summed at construction, of the prior and of every
+        plan, on a loaded file and on generated scenarios."""
+        configs = (SMALL, ScenarioConfig(seed=3, n_prior_poses=90, n_candidates=5, loop_closure_radius=2.2),
+                   ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5),
+                   *batch_small_configs())
+        for sc in (scenario_from_json(TINY.read_text()), *map(generate, configs)):
+            expected = [loop_lever_mass(sc, plan) for plan in (None,) + sc.plans]
+            assert sc.lever_mass.tolist() == expected
+            assert not sc.lever_mass.flags.writeable
 
-    def test_candidate_bounds_sum_each_lever_mass_once(self, monkeypatch):
-        """One ``_lever_mass`` per plan, and the bounds of every ratio bit
-        for bit those of ``topological_constants`` at that ratio."""
+    def test_candidate_bounds_sum_each_lever_mass_once(self):
+        """The lever mass is summed once, when the scenario is built, and the
+        bounds of every ratio are bit for bit those of
+        ``topological_constants`` at that ratio."""
         sc = generate(SMALL)
         ratios = scenario_module.DEFAULT_NOISE_RATIOS
-        calls = []
-        counted = scenario_module._lever_mass
-        monkeypatch.setattr(scenario_module, "_lever_mass", lambda s, p: calls.append(p) or counted(s, p))
         bounds = candidate_bounds(sc, ratios)
-        assert len(calls) == len(sc.plans) and all(got is plan for got, plan in zip(calls, sc.plans))
         for idx, plan in enumerate(sc.plans):
             graph = posterior_pose_graph(sc, plan)
             n_vars = 3 * (sc.n_poses + len(plan.new_pose_ids))
             for ratio, (lb, ub) in [(None, bounds.top), *bounds.top_by_ratio.items()]:
                 lbl, ubl = topological_bounds(graph, topological_constants(sc, plan, ratio))
                 assert (lb[idx], ub[idx]) == objective_scale_bounds(lbl, ubl, n_vars)
+
+    def test_foreign_plan_is_a_value_error(self):
+        """A plan is found by its candidate id; one that is not the
+        scenario's own never reads another plan's lever mass."""
+        sc, other = generate(SMALL), generate(dataclasses.replace(SMALL, seed=6))
+        for plan in (other.plans[0], dataclasses.replace(sc.plans[0]),
+                     dataclasses.replace(sc.plans[0], candidate_id=len(sc.plans)),
+                     dataclasses.replace(sc.plans[-1], candidate_id=-1)):
+            with pytest.raises(ValueError, match="is not a plan of this scenario"):
+                topological_constants(sc, plan)
 
     def test_candidate_bounds_stay_under_a_tenth_of_one_dense_reduced_laplacian(self):
         """No n x n array: the peak of the whole bounds loop at 1000 poses,
