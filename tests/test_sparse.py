@@ -16,7 +16,6 @@ from beliefplan.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     RankDeficientAugmentation,
-    ShapeViolation,
 )
 from beliefplan.scenario import ScenarioConfig, generate, scenario_from_json
 from beliefplan.sparse import (
@@ -34,6 +33,7 @@ from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify
 
 from helpers import (
     Permutation,
+    ShapeViolation,
     batch_small_configs,
     dense_cholesky,
     dense_logdet,
@@ -58,6 +58,7 @@ from helpers import (
     update_pattern_oracle,
     upper_pattern,
 )
+from test_scenario import SMALL
 
 TINY = Path(__file__).parent / "data" / "tiny_scenario.json"
 
@@ -437,11 +438,9 @@ def arbitrary_update_problems(draw):
 def _shortcut_exceptions(r: UpperTriangular, u: SparseRowBlock) -> set:
     """Which of the cases that the pattern pass cannot take row by row the
     oracle's pattern shows: a reached row whose other columns are not all
-    in the row of its first column, a reached row whose new first column
-    comes before its old one, and a reached row whose group skips its new
-    first column (all stored zeros) to go on further."""
+    in the row of its first column, and a reached row whose new first
+    column comes before its old one."""
     reached, indptr, indices = update_pattern_oracle(r, u)
-    seen = set(reached.tolist())
     found = set()
     for k, t in enumerate(reached.tolist()):
         new = indices[indptr[k]:indptr[k + 1]]
@@ -450,8 +449,6 @@ def _shortcut_exceptions(r: UpperTriangular, u: SparseRowBlock) -> set:
             found.add("not contained")
         if own.size and new[0] < own[0]:
             found.add("pivot before the first column")
-        if t < r.dim and new.size and int(new[0]) not in seen:
-            found.add("zero columns skipped")
     return found
 
 
@@ -735,7 +732,7 @@ class TestUpdatePattern:
                                             rng.choice([0.1, 0.3, 0.6]), rng.choice([0.0, 0.2, 0.5]))
             _assert_oracle_pattern(r, u)
             found |= _shortcut_exceptions(r, u)
-        assert found == {"not contained", "pivot before the first column", "zero columns skipped"}
+        assert found == {"not contained", "pivot before the first column"}
 
     @pytest.mark.parametrize(
         "factor, update, reached, patterns",
@@ -744,12 +741,12 @@ class TestUpdatePattern:
             ([{1: 1.0, 3: 1.0}, {2: 1.0}, {}, {}], [{0: 1.0}], [0, 1, 2, 3], [[1, 3], [2, 3], [3], []]),
             # the update row brings column 1, before row 0's first column 2
             ([{2: 1.0}, {3: 1.0}, {}, {}], [{0: 1.0, 1: 1.0}], [0, 1, 2, 3], [[1, 2], [2, 3], [3], []]),
-            # row 0 stores a zero at column 1 and the update row nothing there: row 1 is skipped
-            ([{1: 0.0, 2: 1.0}, {2: 1.0}, {}], [{0: 1.0}], [0, 2], [[1, 2], []]),
-            # the update row stores a zero at column 1 and row 0 nothing there: row 1 is skipped
-            ([{}, {2: 1.0}, {}], [{0: 1.0, 1: 0.0, 2: 1.0}], [0, 2], [[1, 2], []]),
+            # row 0 stores a zero at column 1 and the update row nothing there: a stored zero is an entry
+            ([{1: 0.0, 2: 1.0}, {2: 1.0}, {}], [{0: 1.0}], [0, 1, 2], [[1, 2], [2], []]),
+            # the update row stores a zero at column 1 and row 0 nothing there: a stored zero is an entry
+            ([{}, {2: 1.0}, {}], [{0: 1.0, 1: 0.0, 2: 1.0}], [0, 1, 2], [[1, 2], [2], []]),
         ],
-        ids=["not-contained", "pivot-before-first-column", "factor-zero-skipped", "update-zero-skipped"],
+        ids=["not-contained", "pivot-before-first-column", "factor-zero-is-an-entry", "update-zero-is-an-entry"],
     )
     def test_shortcut_exceptions_by_hand(self, factor, update, reached, patterns):
         def rows(entries):
@@ -774,6 +771,20 @@ class TestUpdatePattern:
             for b in _session_beliefs(sc):
                 for a in sc.candidates:
                     _assert_oracle_pattern(b.root, a.jacobian)
+
+    def test_scenario_factors_that_store_zeros_match_the_oracle(self):
+        """The tiny scenario and ``test_scenario.SMALL``: the prior and its
+        uninvolved and full sparsified beliefs, every candidate.  Cholesky
+        leaves exact zeros in the fill of both priors and of the tiny
+        uninvolved belief, so stored zeros reach the pattern pass here as
+        they do in every session."""
+        stored_zeros = []
+        for sc in (scenario_from_json(TINY.read_text()), generate(SMALL)):
+            for b in _session_beliefs(sc):
+                stored_zeros.append(int(np.count_nonzero(b.root.upper.data == 0.0)))
+                for a in sc.candidates:
+                    _assert_oracle_pattern(b.root, a.jacobian)
+        assert stored_zeros[0] and stored_zeros[1] and stored_zeros[3]
 
     def test_factor_is_the_fold_on_the_oracle_pattern_bit_for_bit(self):
         """plan-1k and the 8 batch-small configurations: ``lowrank_update``
