@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beliefplan.cli as cli
-from beliefplan.errors import BeliefPlanError, InvalidScenario
+from beliefplan.errors import BeliefPlanError, InvalidScenario, LayoutMismatch
 from beliefplan.scenario import run_session, scenario_from_json
 
 from helpers import KeyTwice, malformed_text, mutate_json
@@ -369,6 +369,32 @@ class TestScenarioValidation:
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("where, row, error, message", [
+        ("the factors", ["odom", 3, 3], InvalidScenario,
+         "malformed scenario file: ValueError: anchor factors are unary; others connect distinct poses"),
+        ("candidate 0", ["loop", 16, 16], InvalidScenario,
+         "malformed scenario file: ValueError: anchor factors are unary; others connect distinct poses"),
+        ("the factors", ["loop", 1, 21], LayoutMismatch, "factor references unknown pose 21"),
+        # pose 16 is the first new pose: the prior's factors cannot name it
+        ("the factors", ["loop", 1, 16], LayoutMismatch, "factor references unknown pose 16"),
+        ("the factors", ["loop", -1, 3], LayoutMismatch, "factor references unknown pose -1"),
+        ("candidate 0", ["loop", 2, 19], LayoutMismatch, "factor references unknown pose 19"),
+        # beyond int64, and still a pose the file does not have
+        ("the factors", ["loop", 2**70, 3], LayoutMismatch, "factor references unknown pose 1180591620717411303424"),
+    ])
+    def test_bad_factor_is_refused_with_its_message(self, where, row, error, message, tmp_path, capsys):
+        # the tiny scenario has 16 poses and 3 new poses per candidate
+        doc = copy.deepcopy(TINY_DOC)
+        (doc["factors"] if where == "the factors" else doc["candidates"][0]["factors"]).append(row)
+        text = json.dumps(doc)
+        with pytest.raises(BeliefPlanError) as refused:
+            scenario_from_json(text)
+        assert (type(refused.value), str(refused.value)) == (error, message)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_schema_1_file_is_refused_naming_its_version(self):
         doc = copy.deepcopy(TINY_DOC)
