@@ -51,7 +51,7 @@ from .sparsify import InvolvementMask
 
 
 def _checked_edges(n_nodes: int, edges) -> np.ndarray:
-    """Edges as an ``(E, 2)`` int array with ``i < j`` in every row; the
+    """Edges as a new ``(E, 2)`` int array with ``i < j`` in every row; the
     first self-loop or out-of-range edge is reported."""
     pairs = np.asarray(edges, dtype=np.int64)
     if pairs.size == 0:
@@ -109,14 +109,14 @@ def lemma_logdet_increment(sigma_kk: np.ndarray, a: np.ndarray, b: np.ndarray) -
     return increment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseGraph:
     """Undirected graph over pose nodes (no self-loops; parallel edges sum
     into the Laplacian).  Node 0 is the grounded node removed when forming
     the reduced Laplacian.
 
-    ``edges`` is normalised to ``(min, max)`` pairs; ``pairs`` holds the
-    same edges as a read-only ``(E, 2)`` int array.  A graph made by
+    ``edges``, given as any sequence of node pairs, is held as a validated,
+    read-only ``(E, 2)`` int array of ``(min, max)`` pairs.  A graph made by
     ``extended`` keeps the graph it grew from in ``base`` (the root of a
     chain of extensions), so its tree count is the base's plus a lemma
     increment over the new edges.  The graph is immutable, so its tree
@@ -124,22 +124,17 @@ class PoseGraph:
     """
 
     n_nodes: int
-    edges: tuple
-    pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    base: "PoseGraph | None" = field(default=None, init=False, repr=False, compare=False)
+    edges: np.ndarray
+    base: "PoseGraph | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise ValueError("graph needs at least one node")
-        self._set_pairs(_checked_edges(self.n_nodes, self.edges))
+        self._hold(_checked_edges(self.n_nodes, self.edges))
 
-    def _set_pairs(self, pairs: np.ndarray, leading: tuple = ()):
-        """Store ``pairs`` and their ``edges``; ``leading`` is the edges
-        tuple of the first pairs, reused as it is."""
-        pairs.flags.writeable = False
-        rest = pairs[len(leading):]
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "edges", leading + tuple(zip(rest[:, 0].tolist(), rest[:, 1].tolist())))
+    def _hold(self, edges: np.ndarray):
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     def extended(self, n_nodes: int, edges) -> "PoseGraph":
         """This graph grown to ``n_nodes`` nodes plus ``edges``; only the
@@ -149,14 +144,14 @@ class PoseGraph:
         grown = object.__new__(PoseGraph)
         object.__setattr__(grown, "n_nodes", n_nodes)
         object.__setattr__(grown, "base", self.base or self)
-        grown._set_pairs(np.concatenate([self.pairs, _checked_edges(n_nodes, edges)]), self.edges)
+        grown._hold(np.concatenate([self.edges, _checked_edges(n_nodes, edges)]))
         return grown
 
     @cached_property
     def reduced_degrees(self) -> np.ndarray:
         """Degrees of the non-grounded nodes (the reduced Laplacian
         diagonal), read-only."""
-        degrees = np.bincount(self.pairs.ravel(), minlength=self.n_nodes)[1:].astype(np.float64)
+        degrees = np.bincount(self.edges.ravel(), minlength=self.n_nodes)[1:].astype(np.float64)
         degrees.flags.writeable = False
         return degrees
 
@@ -169,12 +164,12 @@ class PoseGraph:
         graph, a pivot at or below ``PIVOT_FLOOR`` or a pivot off the
         diagonal raises ``DisconnectedGraph`` (and caches nothing).
         """
-        if not _connected(self.n_nodes, self.pairs):
+        if not _connected(self.n_nodes, self.edges):
             raise DisconnectedGraph("spanning tree count needs a connected graph")
         n = self.n_nodes - 1
         if n == 0:
             return None, 0.0
-        i, j = self.pairs[self.pairs[:, 0] > 0].T - 1  # edges to the ground only add degree
+        i, j = self.edges[self.edges[:, 0] > 0].T - 1  # edges to the ground only add degree
         diag = np.arange(n)
         lap = sp.csc_matrix(
             (np.concatenate([np.full(2 * i.size, -1.0), self.reduced_degrees]),
@@ -207,7 +202,7 @@ class PoseGraph:
         except DisconnectedGraph:
             return self._factor[1]
         n0, m = root.n_nodes, self.n_nodes - root.n_nodes
-        new = self.pairs[len(root.pairs):]
+        new = self.edges[len(root.edges):]
         # old nodes are one connected super-node 0, new node v is v - n0 + 1
         if m and not _connected(m + 1, np.maximum(new - (n0 - 1), 0)):
             raise DisconnectedGraph("spanning tree count needs a connected graph")

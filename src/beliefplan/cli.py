@@ -36,6 +36,7 @@ from .belief import evaluate_candidates, nnz_report
 from .errors import BeliefPlanError
 from .scenario import (
     DEFAULT_NOISE_RATIOS,
+    KINDS,
     Scenario,
     ScenarioConfig,
     SessionReport,
@@ -177,7 +178,7 @@ def cmd_generate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
     root_nnz, info_nnz = nnz_report(scenario.prior)
-    n_loops = sum(1 for f in scenario.prior_factors if f.kind == "loop")
+    n_loops = int(np.count_nonzero(scenario.prior_table[:, 0] == KINDS.index("loop")))
     print(f"wrote {out}")
     print(
         f"dim={scenario.prior.dim} poses={scenario.n_poses} loop_closures={n_loops} "

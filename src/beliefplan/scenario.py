@@ -18,22 +18,27 @@ graph incidence, so the information log-determinant is pinned to the tree
 count up to a noise constant, plus an angular correction controlled by the
 squared lever arms (scaled by the angular:position variance ratio).
 
+The prior's factors and each plan's are held as one read-only ``(F, 3)``
+int64 factor table each: a kind code into ``KINDS``, then pose ids ``i``
+and ``j``.  ``_factor_table`` checks a table once, as a whole, where the
+generator or the loader makes it.  The prior belief, the candidate
+Jacobians, the lever mass, the pose graph and the scenario file read the
+tables; ``Scenario.prior_factors`` and ``CandidatePlan.factors`` are tuple
+views of them, as ``Factor``s, that no build, load, session or bounds path
+reads.
+
 ``generate`` and ``scenario_from_json`` build a scenario the same way, in
-array passes per scenario rather than per pose or per candidate:
-``_prior_belief`` (whitened prior rows, their information ``gram()``, its
-sparse factor), ``_candidate_actions`` (the rows of every plan whitened as
-one stack, each candidate's Jacobian a slice of it, and the lever mass of
+array passes per scenario: ``_prior_belief`` (whitened prior rows, their
+information, its sparse factor), ``_candidate_actions`` (the rows of every
+plan whitened as one stack and sliced per candidate, and the lever mass of
 the prior and of every plan, summed once for the bounds) and
-``_prior_pose_graph``.  One kernel, ``_whitened_rows``, whitens the 3x3
-blocks of many factors from pose-id arrays and a means array;
-``build_collective_jacobian`` calls it for one list of factors.  The
-generator draws its random walk and candidate steps one at a time, in a
-fixed order, so that a config always gives the same file; it finds prior
-loop closures in one pass over every pair of poses within the index window
-and the nearest prior pose of every candidate step in one pass.  A pose so
-far out that a whitened entry, an information diagonal entry or a lever
-mass overflows, or that the prior information loses positive definiteness,
-is refused by name (``_pose_name``).
+``_prior_pose_graph``.  ``_whitened_rows`` whitens the 3x3 blocks of many
+factors; ``build_collective_jacobian`` calls it for one list of factors.
+The generator draws its random numbers one at a time, in a fixed order, so
+that a config always gives the same file.  A pose so far out that a
+whitened entry, an information diagonal entry or a lever mass overflows,
+or that the prior information loses positive definiteness, is refused by
+name (``_pose_name``).
 
 A scenario file (schema 2) states each fact once: a pose's id is its
 position in ``poses``, a candidate's in ``candidates`` (its new poses are
@@ -125,31 +130,37 @@ class ScenarioConfig:
         return (self.angular_std / self.position_std) ** 2
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One probabilistic constraint: a global anchor (i == j) or a relative
-    pose measurement from pose ``i`` to pose ``j``."""
+# a factor table's first column is a code into these; the anchor's is 0
+KINDS = ("anchor", "odom", "loop")
+
+
+class Factor(NamedTuple):
+    """One probabilistic constraint, a factor table's row in its tuple view:
+    a global anchor (i == j) or a relative pose measurement from ``i`` to ``j``."""
 
     kind: str  # anchor | odom | loop
     i: int
     j: int
 
-    def __post_init__(self):
-        if self.kind not in ("anchor", "odom", "loop"):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if (self.kind == "anchor") != (self.i == self.j):
-            raise ValueError("anchor factors are unary; others connect distinct poses")
+
+def _factor_view(table: np.ndarray) -> tuple:
+    """The rows of a factor table as ``Factor``s."""
+    return tuple(Factor(KINDS[c], i, j) for c, i, j in table.tolist())
 
 
 @dataclass(frozen=True)
 class CandidatePlan:
     """Geometry behind one CandidateAction: its new pose means and the
-    factors (over global pose ids) it would add."""
+    factors (over global pose ids) it would add, as a factor table."""
 
     candidate_id: int
     new_pose_ids: tuple
     new_pose_means: np.ndarray
-    factors: tuple
+    table: np.ndarray  # read-only (F, 3) factor table, see ``_factor_table``
+
+    @property
+    def factors(self) -> tuple:
+        return _factor_view(self.table)
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,7 @@ class Scenario:
     config: ScenarioConfig
     prior: GaussianBelief
     executed_path: np.ndarray
-    prior_factors: tuple
+    prior_table: np.ndarray  # read-only (F, 3) factor table, the anchor first
     candidates: tuple
     plans: tuple
     pose_graph: PoseGraph
@@ -168,6 +179,52 @@ class Scenario:
     @property
     def n_poses(self) -> int:
         return self.executed_path.shape[0]
+
+    @property
+    def prior_factors(self) -> tuple:
+        return _factor_view(self.prior_table)
+
+
+def _factor_table(rows, n_poses: int, what: str, anchored: bool = False) -> np.ndarray:
+    """``rows`` of (kind code into ``KINDS``, i, j) as a read-only ``(F, 3)``
+    int64 factor table, checked as a whole: every code names a kind, a
+    factor is an anchor exactly when ``i == j``, every pose id is in
+    ``[0, n_poses)``, and the only anchor is the first row, on pose 0, if
+    ``anchored`` (a prior's table), else there is none.  The first faulty
+    row is named as a factor of ``what``."""
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # an id beyond int64, so out of range: check the exact integers
+        table = np.array(rows, dtype=object).reshape(-1, 3)
+    code, ends = table[:, 0], table[:, 1:]
+    bad = (code < 0) | (code >= len(KINDS))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidScenario(f"factor {k} of {what} has kind code {code[k]}, which names no kind")
+    bad = (code == 0) != (ends[:, 0] == ends[:, 1])
+    if bad.any():
+        f = _factor_at(table, int(np.argmax(bad)))
+        raise InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] of {what} "
+                              + (f"joins pose {f.i} to itself" if f.i == f.j else "anchors two poses"))
+    bad = (ends < 0) | (ends >= n_poses)
+    if bad.any():
+        k, side = divmod(int(np.argmax(bad)), 2)
+        f = _factor_at(table, k)
+        raise LayoutMismatch(f"factor [{f.kind}, {f.i}, {f.j}] of {what} references unknown pose {f[1 + side]}")
+    if np.flatnonzero(code == 0).tolist() != ([0] if anchored else []) or anchored and table[0, 1] != 0:
+        raise InvalidScenario(f"{what} must have {'one anchor, on pose 0, first' if anchored else 'no anchor'}")
+    table.flags.writeable = False
+    return table
+
+
+def _factor_at(table: np.ndarray, k: int) -> Factor:
+    c, i, j = table[k].tolist()
+    return Factor(KINDS[c], i, j)
+
+
+def _kind_rows(kind: str, i, j) -> np.ndarray:
+    """Factor table rows of one ``kind`` from pose ids ``i`` to ``j``."""
+    return np.column_stack((np.full(len(i), KINDS.index(kind)), i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +238,6 @@ def noise_sqrt_info(cfg: ScenarioConfig) -> np.ndarray:
 
 
 _S_T = np.array([[0.0, 1.0], [-1.0, 0.0]])  # transpose of the 90-degree rotation
-
-
-def _pose_ends(factors, n_poses: int) -> np.ndarray:
-    """``(F, 2)`` pose ids ``(i, j)`` of ``factors``; the first id outside
-    ``[0, n_poses)`` is a LayoutMismatch."""
-    ids = [p for f in factors for p in (f.i, f.j)]
-    try:
-        ends = np.array(ids, dtype=np.int64)
-        if ends.size == 0 or (ends.min() >= 0 and ends.max() < n_poses):
-            return ends.reshape(-1, 2)
-    except OverflowError:
-        pass
-    bad = next(p for p in ids if not 0 <= p < n_poses)
-    raise LayoutMismatch(f"factor references unknown pose {bad}")
 
 
 def _pose_name(p: int, new_pose_ids=(), candidate_id: int = 0) -> str:
@@ -212,7 +255,7 @@ def _overflow(f: Factor, *new_poses) -> InvalidScenario:
     return InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] overflows: {names} has coordinates too large")
 
 
-def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, factors, new_poses=None) -> SparseRowBlock:
+def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, overflow) -> SparseRowBlock:
     """The whitened rows of many factors as one row block.
 
     Factor ``k`` owns rows ``3k..3k+2`` and joins the poses at rows
@@ -222,9 +265,8 @@ def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, factors, new_poses
     and one on pose ``j`` (zero for an anchor).  All blocks are built and
     whitened as one stack; batched ``matmul`` gives every entry the bits of
     a separate 3x3 product per factor, and exact zeros are not stored.
-    The first factor with an entry whose square overflows is refused before
-    anything reads the rows, as ``factors[k]`` with its poses named by
-    ``new_poses[k]`` (new pose ids, candidate id; prior poses if None).
+    The first factor ``k`` with an entry whose square overflows is refused,
+    by ``overflow(k)``, before anything reads the rows.
     """
     relative = ends[:, 0] != ends[:, 1]
     at = means[ends[relative]]
@@ -243,8 +285,7 @@ def _whitened_rows(ends, means, cols, sqrt_info, n_cols: int, factors, new_poses
         whitened = sqrt_info @ blocks
         fits = np.isfinite(whitened * whitened).all(axis=(1, 2, 3))
     if not fits.all():
-        k = int(np.argmin(fits))
-        raise _overflow(factors[k], *(new_poses[k] if new_poses else ()))
+        raise overflow(int(np.argmin(fits)))
     # each row is the block of its lower-column pose, then the other's
     swap = cols[:, 0] > cols[:, 1]
     whitened[swap] = whitened[swap, ::-1]
@@ -284,8 +325,8 @@ def build_collective_jacobian(
     ids, ends = np.unique(np.array([(f.i, f.j) for f in factors], dtype=np.int64), return_inverse=True)
     points = np.array([means[p] for p in ids.tolist()], dtype=np.float64).reshape(-1, 3)
     n_new = 3 * len(new_pose_ids)
-    jac = _whitened_rows(ends.reshape(-1, 2), points, cols, sqrt_info, layout.dim + n_new, factors,
-                         [(tuple(new_pose_ids), action_id)] * len(factors))
+    jac = _whitened_rows(ends.reshape(-1, 2), points, cols, sqrt_info, layout.dim + n_new,
+                         lambda k: _overflow(factors[k], tuple(new_pose_ids), action_id))
     if new_pose_means is None:
         predicted = np.empty(0)
     else:
@@ -324,10 +365,11 @@ def _wrap(theta: float) -> float:
     return math.atan2(math.sin(theta), math.cos(theta))
 
 
-def _prior_loop_closures(poses: np.ndarray, radius: float, window: int, max_per_pose: int = 2) -> list:
-    """Loop closures from each pose ``j`` to its ``max_per_pose`` nearest
-    poses ``i`` within ``radius``, ``2 <= j - i <= window + 1`` (ties to
-    the lower ``i``), ordered by ``(j, i)``; one pass over every pair."""
+def _prior_loop_closures(poses: np.ndarray, radius: float, window: int, max_per_pose: int = 2) -> np.ndarray:
+    """Factor table rows of the loop closures from each pose ``j`` to its
+    ``max_per_pose`` nearest poses ``i`` within ``radius``,
+    ``2 <= j - i <= window + 1`` (ties to the lower ``i``), ordered by
+    ``(j, i)``; one pass over every pair."""
     n = poses.shape[0]
     gap = np.arange(2, window + 2)
     j = np.repeat(np.arange(n), gap.size)
@@ -343,7 +385,7 @@ def _prior_loop_closures(poses: np.ndarray, radius: float, window: int, max_per_
     keep = np.arange(j.size) - np.searchsorted(j, j) < max_per_pose
     i, j = i[keep], j[keep]
     order = np.lexsort((i, j))
-    return [Factor("loop", a, b) for a, b in zip(i[order].tolist(), j[order].tolist())]
+    return _kind_rows("loop", i[order], j[order])
 
 
 def _candidate_plans(
@@ -374,13 +416,14 @@ def _candidate_plans(
     dists[:, :, n - 1] = np.inf
     nearest = np.argmin(dists, axis=2)
     closes = dists.min(axis=2) <= cfg.loop_closure_radius
-    new_ids = tuple(range(n, n + length))
-    chain = [Factor("odom", n - 1, n)] + [Factor("odom", p, p + 1) for p in new_ids[:-1]]
-    plans = []
-    for c in range(cfg.n_candidates):
-        loops = [Factor("loop", q, p) for q, p, hit in zip(nearest[c].tolist(), new_ids, closes[c].tolist()) if hit]
-        plans.append(CandidatePlan(c, new_ids, new_means[c], tuple(chain + loops)))
-    return tuple(plans)
+    new_ids = np.arange(n, n + length)
+    chain = _kind_rows("odom", new_ids - 1, new_ids)
+    return tuple(
+        CandidatePlan(c, tuple(new_ids.tolist()), new_means[c], _factor_table(
+            np.concatenate([chain, _kind_rows("loop", nearest[c, closes[c]], new_ids[closes[c]])]),
+            n + length, f"the factors of candidate {c}"))
+        for c in range(cfg.n_candidates)
+    )
 
 
 def generate(cfg: ScenarioConfig) -> Scenario:
@@ -394,11 +437,12 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     n = cfg.n_prior_poses
     poses = _sample_trajectory(cfg, rng)
 
-    prior_factors = [Factor("anchor", 0, 0)]
-    prior_factors += [Factor("odom", k, k + 1) for k in range(n - 1)]
-    prior_factors += _prior_loop_closures(poses, cfg.loop_closure_radius, cfg.loop_index_window)
-    prior_ends = _pose_ends(prior_factors, n)
-    prior = _prior_belief(cfg, poses, prior_factors, prior_ends)
+    odom = np.arange(1, n)
+    prior_table = _factor_table(np.concatenate([
+        _kind_rows("anchor", [0], [0]), _kind_rows("odom", odom - 1, odom),
+        _prior_loop_closures(poses, cfg.loop_closure_radius, cfg.loop_index_window),
+    ]), n, "the factors", anchored=True)
+    prior = _prior_belief(cfg, poses, prior_table)
 
     half = cfg.world_extent / 2.0
     for _attempt in range(40):
@@ -406,34 +450,29 @@ def generate(cfg: ScenarioConfig) -> Scenario:
         goal = poses[anchor_pose, :2] + rng.normal(0.0, cfg.loop_closure_radius, size=2)
         goal = np.clip(goal, -half, half)
         plans = _candidate_plans(cfg, poses, goal, rng)
-        candidates, lever_mass = _candidate_actions(cfg, poses, prior_ends, plans)
+        candidates, lever_mass = _candidate_actions(cfg, poses, prior_table, plans)
         if n < 10 or detect_involvement(prior.layout, candidates).never_involved(prior.layout):
-            return Scenario(cfg, prior, poses, tuple(prior_factors), candidates, plans,
-                            _prior_pose_graph(prior_ends, n), lever_mass)
+            return Scenario(cfg, prior, poses, prior_table, candidates, plans, _prior_pose_graph(prior_table, n),
+                            lever_mass)
     raise InfeasibleConfig(
         "could not place a goal leaving at least one prior pose uninvolved; "
         "shrink the loop-closure radius or use more prior poses"
     )
 
 
-def _graph_node(pose_id: int) -> int:
-    # node 0 is the ground node the anchor ties pose 0 to
-    return pose_id + 1
-
-
 _COMPONENTS = ("x", "y", "heading")
 
 
-def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, prior_factors, ends: np.ndarray) -> GaussianBelief:
-    """The prior: whitened prior factor rows (``ends`` are the factors'
-    pose ids), their information, its factor.
+def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, table: np.ndarray) -> GaussianBelief:
+    """The prior: the whitened rows of its factor table, their information,
+    its factor.
 
     A pose is refused, by name, where the summed squares of its column's
     entries overflow (that information diagonal bounds every information
     entry) or where the factorization meets a pivot that is not positive.
     """
-    n = poses.shape[0]
-    rows = _whitened_rows(ends, poses, 3 * ends, noise_sqrt_info(cfg), 3 * n, prior_factors)
+    n, ends = poses.shape[0], table[:, 1:]
+    rows = _whitened_rows(ends, poses, 3 * ends, noise_sqrt_info(cfg), 3 * n, lambda k: _overflow(_factor_at(table, k)))
     # every square fits (see ``_whitened_rows``); only their sums can overflow
     diagonal = np.bincount(rows.indices, weights=rows.data * rows.data, minlength=3 * n)
     if not np.isfinite(diagonal).all():
@@ -448,7 +487,7 @@ def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, prior_factors, ends: n
     return GaussianBelief(poses.reshape(-1), root, VariableLayout.from_sizes([3] * n, kind="pose"))
 
 
-def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, prior_ends: np.ndarray, plans) -> tuple:
+def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, prior_table: np.ndarray, plans) -> tuple:
     """One whitened CandidateAction per plan, linearized at the prior poses
     and the plan's new pose means, and the read-only lever mass of the prior
     and of each plan.  The rows of all plans are whitened as one stack, each
@@ -463,16 +502,16 @@ def _candidate_actions(cfg: ScenarioConfig, poses: np.ndarray, prior_ends: np.nd
     rows or its lever mass overflows.
     """
     n, length = poses.shape[0], cfg.candidate_length
-    factors = [f for plan in plans for f in plan.factors]
-    ends = _pose_ends(factors, n + length)
-    counts = np.array([len(plan.factors) for plan in plans])
+    table = np.concatenate([plan.table for plan in plans])
+    ends, prior_ends = table[:, 1:], prior_table[:, 1:]
+    counts = np.array([len(plan.table) for plan in plans])
     first = np.concatenate(([0], np.cumsum(counts)))
     plan_of = np.repeat(np.arange(len(plans)), counts)
     # rows of ``means``: the prior poses, then each plan's new poses
     stacked = np.where(ends < n, ends, ends + length * plan_of[:, None])
     means = np.concatenate([poses] + [plan.new_pose_means for plan in plans])
-    stack = _whitened_rows(stacked, means, 3 * ends, noise_sqrt_info(cfg), 3 * (n + length), factors,
-                           [(plan.new_pose_ids, plan.candidate_id) for plan in plans for _ in plan.factors])
+    stack = _whitened_rows(stacked, means, 3 * ends, noise_sqrt_info(cfg), 3 * (n + length), lambda k: _overflow(
+        _factor_at(table, k), plans[plan_of[k]].new_pose_ids, plans[plan_of[k]].candidate_id))
 
     with np.errstate(over="ignore", invalid="ignore"):
         prior_mass = _add_lever_mass(np.zeros(n), poses, prior_ends, prior_ends[:, 0])
@@ -507,18 +546,18 @@ def _add_lever_mass(mass: np.ndarray, points: np.ndarray, ends: np.ndarray, fram
     return mass
 
 
-def _prior_pose_graph(ends: np.ndarray, n_poses: int) -> PoseGraph:
-    """Pose graph of the prior factors (``ends`` their pose ids); an anchor
-    ties its pose to node 0."""
-    edges = _graph_node(ends)
-    edges[ends[:, 0] == ends[:, 1], 0] = 0
+def _prior_pose_graph(table: np.ndarray, n_poses: int) -> PoseGraph:
+    """Pose graph of the prior's factor table: pose ``p`` is node ``p + 1``,
+    and an anchor ties its pose to the ground node 0."""
+    edges = table[:, 1:] + 1
+    edges[table[:, 0] == 0, 0] = 0
     return PoseGraph(n_poses + 1, edges)
 
 
 def posterior_pose_graph(scenario: Scenario, plan: CandidatePlan) -> PoseGraph:
     """Pose graph of the prior plus one candidate's predicted factors."""
     n_nodes = scenario.n_poses + len(plan.new_pose_ids) + 1
-    return scenario.pose_graph.extended(n_nodes, [(_graph_node(f.i), _graph_node(f.j)) for f in plan.factors])
+    return scenario.pose_graph.extended(n_nodes, plan.table[:, 1:] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -812,13 +851,17 @@ def scenario_to_json(scenario: Scenario) -> str:
         "seed": cfg.seed,
         "config": {name: getattr(cfg, name) for name in _CONFIG_TYPES},
         "poses": scenario.executed_path.tolist(),
-        "factors": [[f.kind, f.i, f.j] for f in scenario.prior_factors if f.kind != "anchor"],
+        "factors": _factor_rows(scenario.prior_table[1:]),  # the loader adds the anchor
         "candidates": [
-            {"new_poses": plan.new_pose_means.tolist(), "factors": [[f.kind, f.i, f.j] for f in plan.factors]}
+            {"new_poses": plan.new_pose_means.tolist(), "factors": _factor_rows(plan.table)}
             for plan in scenario.plans
         ],
     }
     return json.dumps(doc, indent=1)
+
+
+def _factor_rows(table: np.ndarray) -> list:
+    return [[KINDS[c], i, j] for c, i, j in table.tolist()]
 
 
 def _rows(rows, form: str, fits, what: str) -> list:
@@ -834,14 +877,17 @@ def _poses(rows, what: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
-def _factors(rows, what: str) -> tuple:
+def _factors(rows, what: str, n_poses: int, anchored: bool = False) -> np.ndarray:
+    """The checked factor table of a file's factor list, behind the anchor
+    on pose 0 if ``anchored``."""
     rows = _rows(rows, "[odom|loop, i, j] with integers i, j",
                  lambda r: r[0] in ("odom", "loop") and type(r[1]) is int and type(r[2]) is int, what)
-    return tuple(Factor(*r) for r in rows)
+    lead = [(0, 0, 0)] if anchored else []
+    return _factor_table(lead + [(KINDS.index(kind), i, j) for kind, i, j in rows], n_poses, what, anchored)
 
 
 def _read_scenario_doc(doc) -> tuple:
-    """(config, poses, prior factors, plans) of a parsed scenario file."""
+    """(config, poses, prior factor table, plans) of a parsed scenario file."""
     version, seed, config, poses, factors, candidates = json_fields(
         doc, ("schema_version", "seed", "config", "poses", "factors", "candidates"), InvalidScenario, "the file"
     )
@@ -857,27 +903,27 @@ def _read_scenario_doc(doc) -> tuple:
         new_poses, cand_factors = json_fields(cd, ("new_poses", "factors"), InvalidScenario, f"candidate {c}")
         new_means = _poses(new_poses, f"the new poses of candidate {c}")
         new_ids = tuple(range(n, n + new_means.shape[0]))
-        plans.append(CandidatePlan(c, new_ids, new_means, _factors(cand_factors, f"the factors of candidate {c}")))
+        table = _factors(cand_factors, f"the factors of candidate {c}", n + len(new_ids))
+        plans.append(CandidatePlan(c, new_ids, new_means, table))
     lengths = sorted({len(plan.new_pose_ids) for plan in plans})
     if len(lengths) > 1:
         raise InvalidScenario(f"every candidate must add the same number of poses, not {lengths}")
     seed = json_value(seed, int, InvalidScenario, "the seed")
     cfg = ScenarioConfig(seed=seed, n_prior_poses=n, n_candidates=len(plans),
                          candidate_length=lengths[0] if lengths else 0, **config)
-    return cfg, poses, (Factor("anchor", 0, 0),) + _factors(factors, "the factors"), tuple(plans)
+    return cfg, poses, _factors(factors, "the factors", n, anchored=True), tuple(plans)
 
 
 def scenario_from_json(text: str) -> Scenario:
     """Load a scenario file; a malformed file raises ``InvalidScenario`` or
     ``ValueError``."""
     try:
-        cfg, poses, prior_factors, plans = _read_scenario_doc(json_document(text, InvalidScenario, "the scenario file"))
-    except (OverflowError, ValueError) as e:  # JSON syntax, a config or factor out of range
+        cfg, poses, prior_table, plans = _read_scenario_doc(json_document(text, InvalidScenario, "the scenario file"))
+    except (OverflowError, ValueError) as e:  # JSON syntax, a config out of range
         raise InvalidScenario(f"malformed scenario file: {type(e).__name__}: {e}") from e
-    prior_ends = _pose_ends(prior_factors, poses.shape[0])
-    prior = _prior_belief(cfg, poses, prior_factors, prior_ends)
-    candidates, lever_mass = _candidate_actions(cfg, poses, prior_ends, plans)
-    return Scenario(cfg, prior, poses, prior_factors, candidates, plans, _prior_pose_graph(prior_ends, poses.shape[0]),
+    prior = _prior_belief(cfg, poses, prior_table)
+    candidates, lever_mass = _candidate_actions(cfg, poses, prior_table, plans)
+    return Scenario(cfg, prior, poses, prior_table, candidates, plans, _prior_pose_graph(prior_table, poses.shape[0]),
                     lever_mass)
 
 

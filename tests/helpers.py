@@ -771,8 +771,15 @@ def sample_trajectory_oracle(cfg, rng) -> np.ndarray:
     return poses
 
 
+def factor_table_oracle(factors) -> np.ndarray:
+    """``Factor``s as an ``(F, 3)`` factor table, one row per factor."""
+    from beliefplan.scenario import KINDS
+
+    return np.array([(KINDS.index(f.kind), f.i, f.j) for f in factors], dtype=np.int64).reshape(-1, 3)
+
+
 def prior_loop_closures_oracle(poses, radius, window, max_per_pose=2) -> list:
-    """Prior loop closures, one distance search per pose."""
+    """Prior loop closures as ``Factor``s, one distance search per pose."""
     from beliefplan.scenario import Factor
 
     factors = []
@@ -819,7 +826,7 @@ def candidate_plans_oracle(cfg, poses, goal, rng) -> tuple:
             near = near[near != n - 1]
             for q in near[np.argsort(dists[near], kind="stable")][:1].tolist():
                 factors.append(Factor("loop", int(q), pid))
-        plans.append(CandidatePlan(c, new_ids, new_means, tuple(factors)))
+        plans.append(CandidatePlan(c, new_ids, new_means, factor_table_oracle(factors)))
     return tuple(plans)
 
 

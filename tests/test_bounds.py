@@ -174,7 +174,8 @@ class TestPoseGraphKernels:
         n, edges = graph
         g = PoseGraph(n, tuple(edges))
         lap = loop_laplacian(n, edges)
-        assert g.edges == tuple((min(i, j), max(i, j)) for i, j in edges)
+        assert g.edges.tolist() == [[min(i, j), max(i, j)] for i, j in edges]
+        assert not g.edges.flags.writeable
         np.testing.assert_array_equal(g.reduced_degrees, lap.diagonal()[1:])
         assert not g.reduced_degrees.flags.writeable
 
@@ -240,8 +241,9 @@ class TestPoseGraphKernels:
         new_edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=6))
         grown = PoseGraph(n0, tuple(base_edges)).extended(n, new_edges)
         whole = PoseGraph(n, tuple(base_edges) + tuple(new_edges))
-        assert grown == whole
-        np.testing.assert_array_equal(grown.pairs, whole.pairs)
+        assert grown.n_nodes == whole.n_nodes
+        np.testing.assert_array_equal(grown.edges, whole.edges)
+        assert not grown.edges.flags.writeable
         np.testing.assert_array_equal(grown.reduced_degrees, whole.reduced_degrees)
         try:
             expected = whole.log_tree_count

@@ -371,17 +371,21 @@ class TestScenarioValidation:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("where, row, error, message", [
-        ("the factors", ["odom", 3, 3], InvalidScenario,
-         "malformed scenario file: ValueError: anchor factors are unary; others connect distinct poses"),
-        ("candidate 0", ["loop", 16, 16], InvalidScenario,
-         "malformed scenario file: ValueError: anchor factors are unary; others connect distinct poses"),
-        ("the factors", ["loop", 1, 21], LayoutMismatch, "factor references unknown pose 21"),
+        ("the factors", ["odom", 3, 3], InvalidScenario, "factor [odom, 3, 3] of the factors joins pose 3 to itself"),
+        ("the factors of candidate 0", ["loop", 16, 16], InvalidScenario,
+         "factor [loop, 16, 16] of the factors of candidate 0 joins pose 16 to itself"),
+        ("the factors", ["loop", 1, 21], LayoutMismatch,
+         "factor [loop, 1, 21] of the factors references unknown pose 21"),
         # pose 16 is the first new pose: the prior's factors cannot name it
-        ("the factors", ["loop", 1, 16], LayoutMismatch, "factor references unknown pose 16"),
-        ("the factors", ["loop", -1, 3], LayoutMismatch, "factor references unknown pose -1"),
-        ("candidate 0", ["loop", 2, 19], LayoutMismatch, "factor references unknown pose 19"),
+        ("the factors", ["loop", 1, 16], LayoutMismatch,
+         "factor [loop, 1, 16] of the factors references unknown pose 16"),
+        ("the factors", ["loop", -1, 3], LayoutMismatch,
+         "factor [loop, -1, 3] of the factors references unknown pose -1"),
+        ("the factors of candidate 0", ["loop", 2, 19], LayoutMismatch,
+         "factor [loop, 2, 19] of the factors of candidate 0 references unknown pose 19"),
         # beyond int64, and still a pose the file does not have
-        ("the factors", ["loop", 2**70, 3], LayoutMismatch, "factor references unknown pose 1180591620717411303424"),
+        ("the factors", ["loop", 2**70, 3], LayoutMismatch,
+         "factor [loop, 1180591620717411303424, 3] of the factors references unknown pose 1180591620717411303424"),
     ])
     def test_bad_factor_is_refused_with_its_message(self, where, row, error, message, tmp_path, capsys):
         # the tiny scenario has 16 poses and 3 new poses per candidate

@@ -44,6 +44,7 @@ from beliefplan.sparsify import SparsificationSpec, detect_involvement
 from helpers import (
     batch_small_configs,
     candidate_plans_oracle,
+    factor_table_oracle,
     generate_oracle,
     loop_collective_jacobian,
     loop_information_from_rows,
@@ -297,15 +298,16 @@ class TestConstructionPasses:
             return
         poses, prior_factors, prior_rows, plans, candidates = want
         assert_bits(got.executed_path, poses)
-        assert got.prior_factors == prior_factors
-        assert got.pose_graph == PoseGraph(n_poses + 1, tuple(
-            (0 if f.kind == "anchor" else f.i + 1, f.j + 1) for f in prior_factors))
+        assert np.array_equal(got.prior_table, factor_table_oracle(prior_factors))
+        want_graph = PoseGraph(n_poses + 1, [(0 if f.kind == "anchor" else f.i + 1, f.j + 1) for f in prior_factors])
+        assert got.pose_graph.n_nodes == want_graph.n_nodes
+        assert np.array_equal(got.pose_graph.edges, want_graph.edges)
         root = cholesky(prior_rows.gram())
         assert_bits(got.prior.root.diag, root.diag)
         assert_bit_equal(got.prior.root.upper, root.upper)
         for plan, cand, want_plan, want_cand in zip(got.plans, got.candidates, plans, candidates, strict=True):
-            assert (plan.candidate_id, plan.new_pose_ids, plan.factors) == (
-                want_plan.candidate_id, want_plan.new_pose_ids, want_plan.factors)
+            assert (plan.candidate_id, plan.new_pose_ids) == (want_plan.candidate_id, want_plan.new_pose_ids)
+            assert np.array_equal(plan.table, want_plan.table)
             assert_bits(plan.new_pose_means, want_plan.new_pose_means)
             assert_bit_equal(cand.jacobian, want_cand.jacobian)
             assert_bits(cand.predicted_new_means, want_cand.predicted_new_means)
@@ -322,12 +324,12 @@ class TestConstructionPasses:
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
         poses = _sample_trajectory(cfg, rngs[0])
         assert_bits(poses, sample_trajectory_oracle(cfg, rngs[1]))
-        assert _prior_loop_closures(poses, radius, window, per_pose) == prior_loop_closures_oracle(
-            poses, radius, window, per_pose)
+        assert np.array_equal(_prior_loop_closures(poses, radius, window, per_pose),
+                              factor_table_oracle(prior_loop_closures_oracle(poses, radius, window, per_pose)))
         goal = poses[seed % n_poses, :2] + np.random.default_rng(seed + 1).normal(0.0, radius, size=2)
         got, want = _candidate_plans(cfg, poses, goal, rngs[0]), candidate_plans_oracle(cfg, poses, goal, rngs[1])
         for plan, want_plan in zip(got, want, strict=True):
-            assert plan.factors == want_plan.factors
+            assert np.array_equal(plan.table, want_plan.table)
             assert_bits(plan.new_pose_means, want_plan.new_pose_means)
         # both passes drew the same numbers
         assert rngs[0].integers(2**62) == rngs[1].integers(2**62)
@@ -457,10 +459,10 @@ class TestTopologicalConstants:
     def test_posterior_graph_equals_the_graph_built_whole(self):
         sc = generate(SMALL)
         for plan in sc.plans:
-            edges = sc.pose_graph.edges + tuple((f.i + 1, f.j + 1) for f in plan.factors)
+            edges = np.concatenate([sc.pose_graph.edges, plan.table[:, 1:] + 1])
             whole = PoseGraph(sc.n_poses + len(plan.new_pose_ids) + 1, edges)
             graph = posterior_pose_graph(sc, plan)
-            assert graph == whole
+            assert (graph.n_nodes, graph.edges.tolist()) == (whole.n_nodes, whole.edges.tolist())
             assert graph.base is sc.pose_graph
             assert abs(graph.log_tree_count - whole.log_tree_count) <= 1e-12 * abs(whole.log_tree_count)
 
@@ -590,6 +592,56 @@ class TestSession:
             assert mode_doc["evaluate_wall_seconds"] == res.evaluate_wall_seconds
 
 
+class TestFactorTables:
+    def test_working_paths_never_build_the_tuple_views(self, monkeypatch, tmp_path):
+        import beliefplan.cli as cli
+
+        def refuse(table):
+            raise AssertionError("a factor tuple view was built")
+
+        monkeypatch.setattr(scenario_module, "_factor_view", refuse)
+        with pytest.raises(AssertionError, match="tuple view"):
+            scenario_from_json(TINY.read_text()).prior_factors
+        cfg = ScenarioConfig(seed=3, n_prior_poses=60, n_candidates=5, candidate_length=4)
+        for sc in (scenario_from_json(TINY.read_text()), generate(cfg)):
+            loaded = scenario_from_json(scenario_to_json(sc))
+            run_session(loaded)
+            candidate_bounds(loaded, (0.25, 2.0))
+        out = tmp_path / "sc.json"
+        argv = ["generate", "--seed", "3", "--n-poses", "60", "--candidates", "5", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert cli.main(["solve", "--scenario", str(TINY), "--out-dir", str(tmp_path)]) == 0
+
+    def test_tables_and_edges_are_read_only_and_the_views_read_them(self):
+        sc = generate(SMALL)
+        for table in [sc.prior_table, sc.pose_graph.edges] + [plan.table for plan in sc.plans]:
+            assert table.dtype == np.int64 and not table.flags.writeable
+        assert sc.prior_factors[0] == Factor("anchor", 0, 0)
+        assert [tuple(f) for f in sc.prior_factors] == [
+            (("anchor", "odom", "loop")[c], i, j) for c, i, j in sc.prior_table.tolist()]
+        assert all(type(f) is Factor for plan in sc.plans for f in plan.factors)
+
+    @pytest.mark.parametrize("rows, anchored, message", [
+        ([(0, 0, 0), (3, 0, 1)], True, "factor 1 of the list has kind code 3, which names no kind"),
+        ([(0, 0, 0), (-1, 0, 1)], True, "factor 1 of the list has kind code -1, which names no kind"),
+        ([(0, 0, 1)], True, r"factor \[anchor, 0, 1\] of the list anchors two poses"),
+        ([(1, 0, 1), (0, 0, 0)], True, "the list must have one anchor, on pose 0, first"),
+        ([(0, 0, 0), (0, 1, 1)], True, "the list must have one anchor, on pose 0, first"),
+        ([(0, 1, 1)], True, "the list must have one anchor, on pose 0, first"),
+        ([], True, "the list must have one anchor, on pose 0, first"),
+        ([(1, 0, 1), (0, 1, 1)], False, "the list must have no anchor"),
+    ])
+    def test_faulty_table_is_refused_naming_its_first_fault(self, rows, anchored, message):
+        with pytest.raises(InvalidScenario, match=message):
+            scenario_module._factor_table(rows, 4, "the list", anchored)
+
+    def test_an_id_beyond_int64_is_named_exactly(self):
+        for p in (2**63, -(2**63) - 1, 10**400):
+            with pytest.raises(LayoutMismatch) as refused:
+                scenario_module._factor_table([(1, 0, 1), (2, 1, p)], 4, "the list")
+            assert str(refused.value) == f"factor [loop, 1, {p}] of the list references unknown pose {p}"
+
+
 class TestSerialization:
     def test_scenario_round_trip(self):
         sc = generate(SMALL)
@@ -609,7 +661,9 @@ class TestSerialization:
             (loaded.prior.root.upper.data, sc.prior.root.upper.data),
         ):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert loaded.pose_graph.edges == sc.pose_graph.edges
+        assert np.array_equal(loaded.prior_table, sc.prior_table)
+        assert all(np.array_equal(a.table, b.table) for a, b in zip(loaded.plans, sc.plans, strict=True))
+        assert np.array_equal(loaded.pose_graph.edges, sc.pose_graph.edges)
         assert loaded.pose_graph.n_nodes == sc.pose_graph.n_nodes
         for a, b in zip(loaded.candidates, sc.candidates):
             np.testing.assert_array_equal(a.jacobian.to_dense(), b.jacobian.to_dense())

@@ -1,4 +1,5 @@
-"""The benchmark record tool's gate: which runs and dims it names as failing."""
+"""The benchmark record tool: its gate (which runs and dims it names as
+failing) and the source line count it records."""
 
 import importlib.util
 from pathlib import Path
@@ -59,3 +60,17 @@ def test_a_failed_session_is_recorded_named_and_kept_out_of_the_medians(tmp_path
     dims = bench_session.dims_summary(rows)
     assert [(d["dim"], d["side"], d["n"]) for d in dims] == [(1020, "change", 1)]
     assert bench_session.failures([], dims, rows) == ["dim 1020 run 2 change: the session exited 1: no package here"]
+
+
+def test_src_loc_counts_the_physical_lines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "beliefplan"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\n\nX = 1\n')
+    (package / "b.py").write_text("def f():\n    return 2  # no final newline")
+    (package / "empty.py").write_text("")
+    # neither a module of the package itself nor Python
+    (package / "sub" / "c.py").write_text("Y = 3\n")
+    (package / "notes.txt").write_text("one\ntwo\n")
+    (tmp_path / "tools.py").write_text("Z = 4\n")
+    # as ``cat src/beliefplan/*.py | wc -l`` counts them: newline characters
+    assert bench_session.src_loc(tmp_path) == 3 + 1

@@ -18,8 +18,11 @@ of the scenario (the file's bytes and their CPU seconds; peak RSS is read
 before them).  The criterion-11 share is the sparsification time over the
 original decision time, both ``run_session``'s own figures.  Seeds 1-10 at
 the benchmark's 50 s run length and three sessions per dim take about 45
-minutes on a 2-vCPU machine.  Records of other parent commits already in
-the file are kept; a record of the same parent commit is replaced.
+minutes on a 2-vCPU machine.  The record also holds each side's
+``src_loc``, the physical lines of ``src/beliefplan/*.py`` (what
+``cat src/beliefplan/*.py | wc -l`` prints), and the change is printed on
+stderr.  Records of other parent commits already in the file are kept; a
+record of the same parent commit is replaced.
 
 A session that exits non-zero is recorded as its dim, exit code and the
 tail of its stderr, and left out of the dim's medians.  The exit status is
@@ -120,6 +123,11 @@ def session_row(side_dir: Path, dim: int) -> dict:
     return _last_json(done.stdout)
 
 
+def src_loc(side_dir: Path) -> int:
+    """Physical lines of the side's ``src/beliefplan/*.py``."""
+    return sum(path.read_bytes().count(b"\n") for path in (side_dir / "src" / "beliefplan").glob("*.py"))
+
+
 def _spread(values: list) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
@@ -180,6 +188,8 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    loc = {side: src_loc(path) for side, path in sides.items()}
+    print(f"src LOC {loc['parent']} -> {loc['change']} ({loc['change'] - loc['parent']:+d})", file=sys.stderr)
     runs = []
     for seed in SEEDS:
         for workload in WORKLOADS:
@@ -203,6 +213,7 @@ def main(argv=None) -> int:
         "command": f"python3 tools/bench_session.py --parent <checkout of {args.parent_commit}> "
                    f"--parent-commit {args.parent_commit}",
         "machine": f"{os.cpu_count()}-CPU machine, Python {sys.version.split()[0]}, one BLAS thread",
+        "src_loc": loc,
         "benchmark": {
             "command": "python3 perfbench/run.py --workload {plan-1k,batch-small} --seed S "
                        f"--seconds {SECONDS} --trace 0",
