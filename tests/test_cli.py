@@ -386,7 +386,8 @@ class TestScenarioValidation:
         # beyond int64, and still a pose the file does not have
         ("the factors", ["loop", 2**70, 3], LayoutMismatch,
          "factor [loop, 1180591620717411303424, 3] of the factors references unknown pose 1180591620717411303424"),
-    ])
+    ], ids=["self-join", "self-join-in-candidate", "beyond-the-poses", "new-pose-in-the-prior", "negative-id",
+            "beyond-the-candidate-poses", "beyond-int64"])
     def test_bad_factor_is_refused_with_its_message(self, where, row, error, message, tmp_path, capsys):
         # the tiny scenario has 16 poses and 3 new poses per candidate
         doc = copy.deepcopy(TINY_DOC)
