@@ -27,7 +27,13 @@ class DimensionMismatch(BeliefPlanError):
 
 
 class RankDeficientAugmentation(BeliefPlanError):
-    """A newly introduced variable has no supporting constraint row."""
+    """A newly introduced variable has no supporting constraint row;
+    ``index`` is the first such appended variable's, where the update names
+    it."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class LayoutMismatch(BeliefPlanError):

@@ -80,8 +80,8 @@ from .decision import (
     rank_correlation,
     simplification_loss,
 )
-from .errors import (InfeasibleConfig, InvalidScenario, LayoutMismatch, NotPositiveDefinite, json_document, json_fields,
-                     json_value)
+from .errors import (EvaluationError, InfeasibleConfig, InvalidScenario, LayoutMismatch, NotPositiveDefinite,
+                     RankDeficientAugmentation, json_document, json_fields, json_value)
 from .sparse import SparseRowBlock, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
@@ -148,7 +148,7 @@ def _factor_view(table: np.ndarray) -> tuple:
     return tuple(Factor(KINDS[c], i, j) for c, i, j in table.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePlan:
     """Geometry behind one CandidateAction: its new pose means and the
     factors (over global pose ids) it would add, as a factor table."""
@@ -163,7 +163,7 @@ class CandidatePlan:
         return _factor_view(self.table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     config: ScenarioConfig
     prior: GaussianBelief
@@ -729,6 +729,19 @@ def _evaluate_phase(belief: GaussianBelief, candidates, repeats: int):
     return values, per_candidate, (time.perf_counter() - t0) / repeats
 
 
+def _unsupported_pose(scenario: Scenario, e: EvaluationError) -> EvaluationError:
+    """``e``, with an appended variable that no row supports named by its
+    pose (``_pose_name``) when the update names the variable."""
+    cause = e.cause
+    if not isinstance(cause, RankDeficientAugmentation) or cause.index is None:
+        return e
+    plan = scenario.plans[e.candidate_id]
+    col = cause.index - scenario.prior.dim
+    pose = _pose_name(plan.new_pose_ids[col // 3], plan.new_pose_ids, plan.candidate_id)
+    return EvaluationError(e.candidate_id,
+                           RankDeficientAugmentation(f"{cause}: the {_COMPONENTS[col % 3]} of {pose}", cause.index))
+
+
 def run_session(
     scenario: Scenario,
     modes=(SparsificationSpec.uninvolved(), SparsificationSpec.full()),
@@ -771,7 +784,10 @@ def run_session(
             belief, sp_secs = scenario.prior, 0.0
         else:
             belief, sp_secs = _median_timed(lambda s=spec: sparsify_belief(scenario.prior, s, mask), timing_repeats)
-        values, cand_secs, wall = _evaluate_phase(belief, candidates, timing_repeats)
+        try:
+            values, cand_secs, wall = _evaluate_phase(belief, candidates, timing_repeats)
+        except EvaluationError as e:
+            raise _unsupported_pose(scenario, e) from e
         best = int(np.argmax(values))
         comparison = {}
         if results:

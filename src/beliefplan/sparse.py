@@ -36,9 +36,12 @@ product.  Both scatter the numeric product onto the structural pattern
 
 Changing a factor is one panel kernel, ``_fold``: it re-triangularizes
 factor rows stacked over extra rows, a panel of consecutive pivot rows per
-LAPACK QR (``dgeqrf`` on the pivot columns, ``dormqr`` on the rest), and
-carries the rows left over to the next panel.  Its two callers fix the
-stored pattern separately:
+triangular-pentagonal LAPACK QR (``dtpqrt`` annihilates the stacked rows
+under the panel's triangle of factor rows, ``dtpmqrt`` applies the
+reflections to the other columns), and carries the rows left over to the
+next panel.  Every panel's columns and every scatter and gather position
+follow from the patterns, so they are planned before the loop.  Its two
+callers fix the stored pattern separately:
 
 - ``lowrank_update`` adds constraint rows to a factor (the multiple-rank
   update of Davis & Hager); its pattern pass follows the groups of update
@@ -86,10 +89,11 @@ PIVOT_FLOOR = 1e-12
 # factor size.
 _SQUARES_AT_ONCE = 1 << 14
 
-# Consecutive pivot rows that ``_fold`` re-triangularizes per LAPACK call.
-# Measured on the 16 plan-1k candidate updates (one BLAS thread, 2-vCPU
-# x86_64 VM): widths 32 to 64 tie, 16 is 1.5x and 8 is 2.5x slower.  Up to
-# 32 reflections ``dormqr`` applies them one at a time.
+# Consecutive pivot rows that ``_fold`` re-triangularizes per LAPACK call,
+# also the block of reflections that ``dtpmqrt`` applies at once.  Measured
+# on the plan-1k candidate updates and uninvolved fold (one BLAS thread,
+# 2-vCPU x86_64 VM): 32 is fastest, 16 is about 1.2x slower and 64 ties or
+# is slower.
 _PANEL = 32
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
@@ -517,26 +521,37 @@ def cholesky(m: SparseSymmetric) -> UpperTriangular:
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(s, s + c)`` over the given starts and counts."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    # array methods, not numpy functions: this runs on small arrays per factor update
+    out = (starts - counts.cumsum() + counts).repeat(counts)
+    out += np.arange(out.size)
+    return out
 
 
 def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indptr, out_indices) -> tuple:
     """Re-triangularize the factor rows at ``pivots`` stacked over the rows
-    of ``u``, one LAPACK QR per panel of ``_PANEL`` consecutive pivots.
+    of ``u``, one triangular-pentagonal LAPACK QR per panel of ``_PANEL``
+    consecutive pivots.
 
     ``diag`` is the factor diagonal, 0 on an empty row; ``upper`` holds the
     strictly-upper entries of the first ``upper.n_rows`` rows, any later
     row being empty.  ``pivots`` lists the rows to re-form in elimination
     order and ``rank`` gives the elimination position of every column.  A
-    row of ``u`` joins at the panel of its first nonzero column, which must
-    be a pivot.  For each panel, the panel's factor rows (a zero row where a
-    row is empty), the rows travelling on from earlier panels and the rows
-    that join form one dense Fortran-order array: the pivot columns, the
-    other columns the rows store, and one zero column.  ``dgeqrf``
-    triangularizes the pivot columns and ``dormqr`` applies the reflections
-    to the rest.  The first rows of the result, sign-normalized, are the
-    new factor rows; the others travel on over the columns after the panel.
+    row of ``u`` joins at the panel of its first stored column, which must
+    be a pivot.
+
+    A panel's columns follow from the patterns alone: its pivots, then every
+    column after the previous panel's last pivot that a factor row or an
+    update row that has joined by this panel stores.  The column sets and
+    every scatter and gather position are worked out in whole-array passes
+    before the loop.  Each panel is then two dense Fortran-order arrays over
+    its columns: the panel's factor rows, upper-triangular in the pivot
+    columns (a zero row where a row is empty), and the stacked rows, those
+    that join here over those travelling on from earlier panels.
+    ``dtpqrt`` annihilates the stacked rows' pivot columns and ``dtpmqrt``
+    applies the reflections to the other columns, both in place; a panel
+    without stacked rows is left as it is.  The factor rows are then the new
+    rows, and the stacked rows that are not zero travel on over the columns
+    after the panel.  The signs are made positive once, after the loop.
 
     Returns the new diagonal at the pivots, 0 where no row supports a
     pivot, and the new values at the columns that the CSR ``(out_indptr,
@@ -544,94 +559,131 @@ def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indp
     row of the panel stores reads 0.
     """
     n_cols = u.n_cols
+    n_piv = pivots.size
     piv_rank = rank[pivots]
     d = diag[pivots]
-    n_panels = -(-pivots.size // _PANEL)
-    panel_ends = np.minimum(np.arange(1, n_panels + 1) * _PANEL, pivots.size)
+    n_panels = -(-n_piv // _PANEL)
+    edges = np.array([*range(0, n_piv, _PANEL), n_piv])
+    widths = edges[1:] - edges[:-1]
+    last = piv_rank[edges[1:] - 1]
+    piv_pan = np.arange(n_piv) // _PANEL
+    # the panel of each pivot column, -1 for the other columns
+    home = np.full(n_cols, -1)
+    home[piv_rank] = piv_pan
 
-    # the factor rows' entries, panel by panel
-    full = np.flatnonzero(d)
-    full_bounds = np.searchsorted(full, panel_ends).tolist()
+    # the factor rows' strictly-upper entries, by panel
+    full = d.nonzero()[0]
     starts = upper.indptr[pivots[full]]
     counts = upper.indptr[pivots[full] + 1] - starts
-    f_at = _ranges(starts, counts)
-    f_row = np.repeat(full, counts)
-    f_col = rank[upper.indices[f_at]]
-    f_val = upper.data[f_at]
-    f_bounds = np.searchsorted(f_row, panel_ends).tolist()
+    at = _ranges(starts, counts)
+    f_pan = piv_pan[full].repeat(counts)
+    f_off = (full % _PANEL).repeat(counts)
+    f_col = rank[upper.indices[at]]
+    f_val = upper.data[at]
 
-    # every update row joins at the panel of its first nonzero column
-    nz = np.flatnonzero(u.data)
-    nz_rows = u.row_ids[nz]
-    lead = np.flatnonzero(np.diff(nz_rows, prepend=-1))
-    first = np.minimum.reduceat(rank[u.indices[nz]], lead) if nz.size else _EMPTY_I
-    joins = np.searchsorted(piv_rank, first) // _PANEL
-    order = np.argsort(joins, kind="stable")
-    joining = nz_rows[lead][order]
-    starts = u.indptr[joining]
-    counts = u.indptr[joining + 1] - starts
-    u_at = _ranges(starts, counts)
-    u_row = np.repeat(np.arange(joining.size), counts)
-    u_col = rank[u.indices[u_at]]
-    u_val = u.data[u_at]
-    j_bounds = np.searchsorted(joins[order], np.arange(n_panels + 1)).tolist()
-    u_bounds = np.concatenate(([0], np.cumsum(counts)))[j_bounds].tolist()
+    # the update rows, by the panel of their first stored column
+    lengths = u.indptr[1:] - u.indptr[:-1]
+    rows = lengths.nonzero()[0]
+    first = np.minimum.reduceat(rank[u.indices], u.indptr[rows]) if rows.size else _EMPTY_I
+    joins = piv_rank.searchsorted(first) // _PANEL
+    by_panel = joins.argsort(kind="stable")
+    joins = joins[by_panel]
+    rows = rows[by_panel]
+    counts = lengths[rows]
+    at = _ranges(u.indptr[rows], counts)
+    j_edges = joins.searchsorted(np.arange(n_panels + 1))
+    u_pan = joins.repeat(counts)
+    u_row = (np.arange(rows.size) - j_edges[joins]).repeat(counts)
+    u_col = rank[u.indices[at]]
+    u_val = u.data[at]
 
-    out_row = np.repeat(np.arange(pivots.size), np.diff(out_indptr))
-    out_col = rank[out_indices]
-    o_bounds = out_indptr[np.concatenate(([0], panel_ends))].tolist()
+    # a column belongs to the panels from the one where a row storing it
+    # joins to the one where it is a pivot or passes the last pivot: one
+    # (panel, column) pair each, made column by column, then sorted by a
+    # key that puts a panel's pivots before its other columns
+    enter = np.full(n_cols, n_panels)
+    np.minimum.at(enter, np.concatenate([piv_rank, f_col, u_col]), np.concatenate([piv_pan, f_pan, u_pan]))
+    c = (enter < n_panels).nonzero()[0]
+    e = enter[c]
+    span = last.searchsorted(c)
+    np.minimum(span, n_panels - 1, out=span)
+    span += 1 - e
+    pair_pan = _ranges(e, span)
+    pair_col = c.repeat(span)
+    step = 2 * n_cols
+    key = pair_pan * step + pair_col + n_cols * (home[pair_col] != pair_pan)
+    by_key = key.argsort()
+    key = key[by_key]
+    k_edges = key.searchsorted(np.arange(n_panels + 1) * step)
+    sizes = k_edges[1:] - k_edges[:-1]
+    # each pair's slot among its panel's columns; column c's pair in panel p
+    # is pair ``pair_at[c] + p``
+    pair_slot = np.empty(key.size, dtype=np.int64)
+    pair_slot[by_key] = np.arange(key.size)
+    pair_slot -= k_edges[pair_pan]
+    pair_at = np.zeros(n_cols, dtype=np.int64)
+    pair_at[c] = span.cumsum() - span - e
+    pair_flat = widths[pair_pan] * pair_slot
+    # the columns after a panel's last pivot travel on to the next panel,
+    # at the slot of their next pair, in key order
+    t_from = key.searchsorted(np.arange(n_panels) * step + n_cols + last + 1)
+    t_slot = pair_slot.take(by_key + 1, mode="clip")
+
+    # where every entry goes, and where every listed value is read; a
+    # listed column that the panel lacks reads the zero column after it
+    f_flat = f_off + pair_flat[pair_at[f_col] + f_pan]
+    u_slot = pair_slot[pair_at[u_col] + u_pan]
+    out_lengths = out_indptr[1:] - out_indptr[:-1]
+    g_pan = piv_pan.repeat(out_lengths)
+    g_col = rank[out_indices]
+    g_flat = pair_flat.take(pair_at[g_col] + g_pan, mode="clip")
+    lacks = enter[g_col] > g_pan
+    g_flat[lacks] = (widths * sizes)[g_pan[lacks]]
+    g_flat += (np.arange(n_piv) % _PANEL).repeat(out_lengths)
+
+    panels = np.arange(n_panels + 1)
+    f_bounds = f_pan.searchsorted(panels).tolist()
+    u_bounds = u_pan.searchsorted(panels).tolist()
+    g_bounds = out_indptr[edges].tolist()
+    j_bounds = j_edges.tolist()
+    # panel p's travelling rows come from key positions t_lo[p]:t_hi[p]
+    t_lo, t_hi = [0, *t_from.tolist()], k_edges.tolist()
+    t_first = (t_from - k_edges[:-1]).tolist()
+    head = np.empty(n_piv)
     out = np.empty(out_indices.size)
-
-    new_diag = np.empty(pivots.size)
-    mark = np.zeros(n_cols, dtype=bool)
-    # a column's place in the panel's array; -1, its last column, stays zero
-    slot = np.full(n_cols, -1, dtype=np.int64)
-    t_cols = _EMPTY_I
     t_rows = np.empty((0, 0))
-    lo = 0
-    for p, hi in enumerate(panel_ends.tolist()):
-        piv = piv_rank[lo:hi]
+    for p, (lo, hi, k) in enumerate(zip(edges.tolist(), edges[1:].tolist(), sizes.tolist())):
         w = hi - lo
-        fa, fb = f_bounds[p - 1] if p else 0, f_bounds[p]
+        fa, fb = f_bounds[p], f_bounds[p + 1]
         ua, ub = u_bounds[p], u_bounds[p + 1]
-        mark[f_col[fa:fb]] = True
-        mark[u_col[ua:ub]] = True
-        mark[t_cols] = True
-        mark[piv] = False
-        other = np.flatnonzero(mark)
-        mark[other] = False
-        slot[piv] = np.arange(w)
-        slot[other] = np.arange(w, w + other.size)
-
-        m = t_rows.shape[0]
+        ga, gb = g_bounds[p], g_bounds[p + 1]
         joined = j_bounds[p + 1] - j_bounds[p]
-        a = np.zeros((w + m + joined, w + other.size + 1), order="F")
-        k = full[full_bounds[p - 1] if p else 0:full_bounds[p]] - lo
-        a[k, k] = d[lo + k]
-        a[f_row[fa:fb] - lo, slot[f_col[fa:fb]]] = f_val[fa:fb]
-        a[w:w + m, slot[t_cols]] = t_rows
-        a[u_row[ua:ub] - j_bounds[p] + w + m, slot[u_col[ua:ub]]] = u_val[ua:ub]
+        buf = np.zeros(w * (k + 1))
+        tri = buf.reshape((w, k + 1), order="F")
+        buf[:w * w:w + 1] = d[lo:hi]
+        buf[f_flat[fa:fb]] = f_val[fa:fb]
+        stk = np.zeros((joined + t_rows.shape[0], k), order="F")
+        stk[u_row[ua:ub], u_slot[ua:ub]] = u_val[ua:ub]
+        stk[joined:, t_slot[t_lo[p]:t_hi[p]]] = t_rows
+        if stk.shape[0]:
+            # in place: the triangle becomes R, the stacked pivot columns the
+            # reflectors, the other columns Q^T times themselves
+            left, below, right, rest = tri[:, :w], stk[:, :w], tri[:, w:k], stk[:, w:]
+            r, v, t, _ = lapack.dtpqrt(0, w, left, below, overwrite_a=True, overwrite_b=True)
+            cr, cs = right, rest
+            if k > w:
+                cr, cs, _ = lapack.dtpmqrt(0, v, t, right, rest, trans="T", overwrite_a=True, overwrite_b=True)
+            if r is not left or v is not below or cr is not right or cs is not rest:
+                raise RuntimeError("LAPACK worked on a copy of the panel, not in place")
+        head[lo:hi] = buf[:w * w:w + 1]
+        out[ga:gb] = buf[g_flat[ga:gb]]
+        t_rows = stk[:, t_first[p]:]
+        live = t_rows.any(axis=1)
+        if not live.all():
+            t_rows = t_rows[live]
 
-        # in place: the pivot columns become R and the reflectors, the rest Q^T times itself
-        left, right = a[:, :w], a[:, w:]
-        qr, tau, _, _ = lapack.dgeqrf(left, overwrite_a=True)
-        cq, _, _ = lapack.dormqr("L", "T", qr, tau, right, other.size + 1, overwrite_c=True)
-        if qr is not left or cq is not right:
-            raise RuntimeError("LAPACK worked on a copy of the panel, not in place")
-        head = np.diagonal(a)[:w]
-        new_diag[lo:hi] = np.abs(head)
-        oa, ob = o_bounds[p], o_bounds[p + 1]
-        rows = out_row[oa:ob] - lo
-        out[oa:ob] = a[rows, slot[out_col[oa:ob]]] * np.where(head < 0.0, -1.0, 1.0)[rows]
-
-        split = int(np.searchsorted(other, piv[-1]))
-        t_cols = other[split:]
-        t_rows = a[w:, w + split:-1]
-        t_rows = t_rows[t_rows.any(axis=1)]
-        slot[piv] = -1
-        slot[other] = -1
-        lo = hi
-    return new_diag, out
+    out *= np.where(head < 0.0, -1.0, 1.0).repeat(out_lengths)
+    return np.abs(head), out
 
 
 def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
@@ -750,13 +802,16 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     factor row is worked out once per factor and kept on it, and the rows
     it reaches are formed in one array merge.  The panel fold (``_fold``)
     then re-triangularizes the reached rows stacked over the update rows,
-    a panel of consecutive reached rows per LAPACK QR, and the new values
-    are read at those columns.  Rows no update row reaches keep their
-    stored entries, bit for bit.
+    a panel of consecutive reached rows per triangular-pentagonal QR, each
+    update row joining at its first stored column (an appended variable
+    is a zero row of the triangle until a row moves into place), and the
+    new values are read at those columns.  Rows no update row reaches keep
+    their stored entries, bit for bit.
 
-    Raises RankDeficientAugmentation if any of the ``n_new`` appended
-    variables ends up without diagonal support, its squared diagonal at or
-    below ``PIVOT_FLOOR`` as for ``cholesky`` (singular posterior).
+    Raises RankDeficientAugmentation, naming the first such variable (its
+    ``index``), if any of the ``n_new`` appended variables ends up without
+    diagonal support, its squared diagonal at or below ``PIVOT_FLOOR`` as
+    for ``cholesky`` (singular posterior).
     """
     if n_new < 0:
         raise ValueError("n_new must be non-negative")
@@ -775,8 +830,9 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     with np.errstate(over="ignore"):
         weak = np.nonzero(diag[r.dim:] ** 2 <= PIVOT_FLOOR)[0]
     if weak.size:
+        i = int(weak[0]) + r.dim
         raise RankDeficientAugmentation(
-            f"appended variable {int(weak[0]) + r.dim} has no supporting row (pivot at or below {PIVOT_FLOOR:.0e})"
+            f"appended variable {i} has no supporting row (pivot at or below {PIVOT_FLOOR:.0e})", i
         )
 
     # splice: reached rows take their new entries, the others keep theirs

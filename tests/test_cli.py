@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beliefplan.cli as cli
-from beliefplan.errors import BeliefPlanError, InvalidScenario, LayoutMismatch
+from beliefplan.errors import (BeliefPlanError, EvaluationError, InvalidScenario, LayoutMismatch,
+                               RankDeficientAugmentation)
 from beliefplan.scenario import run_session, scenario_from_json
 
 from helpers import KeyTwice, malformed_text, mutate_json
@@ -440,6 +441,25 @@ class TestScenarioValidation:
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Warning" not in err
+
+    @pytest.mark.parametrize("value", [1e140, 1e153])
+    def test_new_pose_without_support_is_named_at_evaluation(self, value, tmp_path, capsys):
+        # the file loads; the update then leaves an appended variable without
+        # support, and the session names that variable's pose, not its index only
+        doc = copy.deepcopy(TINY_DOC)
+        doc["candidates"][0]["new_poses"][0][0] = value
+        text = json.dumps(doc)
+        named = "appended variable 55 has no supporting row (pivot at or below 1e-12): " \
+                "the y of pose 2 of the new poses of candidate 0"
+        with pytest.raises(EvaluationError) as failed:
+            run_session(scenario_from_json(text))
+        assert failed.value.candidate_id == 0 and str(failed.value.cause) == named
+        assert isinstance(failed.value.cause, RankDeficientAugmentation) and failed.value.cause.index == 55
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: objective evaluation failed for candidate 0: {named}\n"
 
     def test_noise_std_whose_weight_overflows_is_refused_naming_the_field(self):
         doc = copy.deepcopy(TINY_DOC)

@@ -641,6 +641,20 @@ class TestFactorTables:
                 scenario_module._factor_table([(1, 0, 1), (2, 1, p)], 4, "the list")
             assert str(refused.value) == f"factor [loop, 1, {p}] of the list references unknown pose {p}"
 
+    def test_scenarios_and_plans_compare_by_identity_without_raising(self):
+        a, b = generate(SMALL), generate(SMALL)
+        assert (a.plans[0] == b.plans[0]) is False and (a == b) is False
+        assert a.plans[0] == a.plans[0] and a == a
+        assert a.plans[0] != b.plans[0] and a != b
+
+    def test_dataclasses_replace_still_builds_both(self):
+        sc = generate(SMALL)
+        moved = dataclasses.replace(sc.plans[0], new_pose_means=sc.plans[0].new_pose_means + 1.0)
+        assert moved.table is sc.plans[0].table
+        np.testing.assert_array_equal(moved.new_pose_means, sc.plans[0].new_pose_means + 1.0)
+        out = dataclasses.replace(sc, plans=(moved,) + sc.plans[1:])
+        assert out.plans[0] is moved and out.prior is sc.prior and out.pose_graph is sc.pose_graph
+
 
 class TestSerialization:
     def test_scenario_round_trip(self):

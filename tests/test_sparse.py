@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from io import BytesIO
 from pathlib import Path
 
-from beliefplan import mmio
+from beliefplan import mmio, sparse
 from beliefplan.errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -28,6 +28,7 @@ from beliefplan.sparse import (
     cholesky,
     logdet_triangular,
     lowrank_update,
+    sparsify_factor,
 )
 from beliefplan.sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
@@ -48,6 +49,7 @@ from helpers import (
     row_block_from_dense,
     row_block_from_rows,
     row_block_to_mm_oracle,
+    sparsify_oracle,
     symbolic_cholesky_pattern,
     symmetric_diagonal,
     symmetric_from_coo,
@@ -797,6 +799,122 @@ class TestUpdatePattern:
                     for x, y in ((got.diag, want.diag), (got.upper.indptr, want.upper.indptr),
                                  (got.upper.indices, want.upper.indices), (got.upper.data, want.upper.data)):
                         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.fixture
+def panels(monkeypatch):
+    """Every panel the fold hands to ``dtpqrt``, as copies of its triangle
+    and its stacked rows in the pivot columns, taken before the call."""
+    seen = []
+    real = sparse.lapack.dtpqrt
+
+    def spy(l, nb, a, b, **kwargs):
+        seen.append((a.copy(), b.copy()))
+        return real(l, nb, a, b, **kwargs)
+
+    monkeypatch.setattr(sparse.lapack, "dtpqrt", spy)
+    return seen
+
+
+def _banded_factor(n: int, bandwidth: int, seed: int) -> UpperTriangular:
+    rng = np.random.default_rng(seed)
+    band = np.triu(rng.normal(size=(n, n)))
+    band -= np.triu(band, bandwidth + 1)
+    band[np.arange(n), np.arange(n)] = rng.normal(size=n) + 3.0
+    return cholesky(symmetric_from_dense(band.T @ band + np.eye(n)))
+
+
+def _assert_matches(r: UpperTriangular, want: UpperTriangular, got: UpperTriangular):
+    """The oracle's pattern, every stored entry within 1e-12 of the
+    factor's scale, and the rows the oracle leaves alone bit for bit."""
+    for x, y in zip(_pattern(got), _pattern(want)):
+        np.testing.assert_array_equal(x, y)
+    tol = 1e-12 * _scale(want)
+    np.testing.assert_allclose(got.diag, want.diag, rtol=0, atol=tol)
+    np.testing.assert_allclose(got.upper.data, want.upper.data, rtol=0, atol=tol)
+    _assert_unreached_rows_kept(r, want, got)
+
+
+def _rows(n_cols: int, *rows) -> SparseRowBlock:
+    """Update rows given as ``{column: value}``, a stored zero included."""
+    return row_block_from_rows(n_cols, [np.array(sorted(row), dtype=np.int64) for row in rows],
+                               [np.array([row[c] for c in sorted(row)], dtype=np.float64) for row in rows])
+
+
+class TestFoldShapes:
+    """``_fold`` at the shapes that its triangular-pentagonal panel QR
+    treats specially, through ``lowrank_update`` against
+    ``givens_update_oracle`` and ``sparsify_factor`` against
+    ``sparsify_oracle``."""
+
+    def test_appended_variables_are_zero_rows_of_the_triangle(self, panels):
+        r = _banded_factor(20, 3, seed=1)
+        u = _rows(23, {5: 0.7, 12: -1.1, 20: 2.0}, {18: 0.3, 21: 1.5, 22: -0.4}, {22: 2.5}, {3: 0.2, 19: -0.9})
+        _assert_matches(r, givens_update_oracle(r, u, 3), lowrank_update(r, u, 3))
+        assert any((np.diagonal(tri) == 0.0).any() for tri, _ in panels)
+
+    @pytest.mark.parametrize("selected", [
+        np.arange(40, 46),  # one panel: six selected pivots, then the rows that moved
+        np.arange(10, 90, 2),  # forty selected pivots and the moved rows between them: three panels
+    ])
+    def test_moved_rows_are_zero_rows_of_the_triangle(self, panels, selected):
+        r = _banded_factor(100, 4, seed=2)
+        mask = np.zeros(r.dim, dtype=bool)
+        mask[selected] = True
+        _assert_matches(r, sparsify_oracle(r, mask), sparsify_factor(r, mask))
+        assert any((np.diagonal(tri) == 0.0).any() for tri, _ in panels)
+
+    def test_a_panel_without_stacked_rows_is_left_as_it_is(self, panels):
+        # the first row stores only zeros, so it reaches pivot 100 but is cut
+        # after the first panel; the second runs out at pivot 63.  The third
+        # panel, pivot 100 alone, has no stacked rows: no LAPACK call
+        r = UpperTriangular.from_diagonal(np.random.default_rng(3).random(120) + 0.5)
+        u = _rows(120, {0: 0.0, 100: 0.0}, {c: 0.1 * c - 2.0 for c in range(1, 64)})
+        got = lowrank_update(r, u)
+        _assert_matches(r, givens_update_oracle(r, u), got)
+        assert len(panels) == 2 and got.diag[100] == r.diag[100]
+        np.testing.assert_array_equal(got.row_cols[0], [100])
+
+    def test_stacked_row_whose_lead_lies_beyond_the_panel(self, panels):
+        # the first row travels from pivot 0 over column 100 alone, through the
+        # second panel (pivots 32-63) without an entry in its pivot columns
+        r = UpperTriangular.from_diagonal(np.random.default_rng(4).random(120) + 0.5)
+        u = _rows(120, {0: 1.3, 100: -0.8}, {c: 1.0 + 0.01 * c for c in range(1, 71)})
+        _assert_matches(r, givens_update_oracle(r, u), lowrank_update(r, u))
+        assert len(panels) > 2 and not panels[1][1].any(axis=1).all()
+
+    def test_last_panel_shorter_than_the_panel_width(self, panels):
+        r = _banded_factor(80, 3, seed=5)
+        u = _rows(82, {c: np.sin(c) for c in range(5, 82, 3)}, {80: 1.0}, {81: 2.0, 40: 0.5})
+        _assert_matches(r, givens_update_oracle(r, u, 2), lowrank_update(r, u, 2))
+        widths = [tri.shape[0] for tri, _ in panels]
+        assert len(widths) > 1 and widths[:-1] == [_PANEL] * (len(widths) - 1) and widths[-1] < _PANEL
+
+    def test_a_listed_column_that_no_row_of_the_panel_stores_reads_zero(self):
+        # not a Cholesky fill: row 1 lacks column 2, which row 0 links it to.
+        # Selecting scalar 3 moves row 1 and refolds it alone; its re-factored
+        # pattern gains column 2, which no row of its panel stores, and the
+        # value there is zero in exact arithmetic
+        r = triangular_from_dense([[1.445, -0.193, -0.203, 0.0], [0.0, 0.581, 0.0, -0.048],
+                                   [0.0, 0.0, 1.337, 0.0], [0.0, 0.0, 0.0, 1.487]])
+        selected = np.array([False, False, False, True])
+        got = sparsify_factor(r, selected)
+        _assert_matches(r, sparsify_oracle(r, selected), got)
+        np.testing.assert_array_equal(got.row_cols[1], [2])
+        assert got.row_vals[1][0] == 0.0
+
+    @pytest.mark.parametrize("routine", ["dtpqrt", "dtpmqrt"])
+    def test_lapack_working_on_a_copy_is_refused(self, monkeypatch, routine):
+        real = getattr(sparse.lapack, routine)
+
+        def on_a_copy(l, *args, **kwargs):
+            *before, a, b = args
+            return real(l, *before, a.copy(order="F"), b, **kwargs)
+
+        monkeypatch.setattr(sparse.lapack, routine, on_a_copy)
+        r = _banded_factor(40, 3, seed=6)
+        with pytest.raises(RuntimeError, match="LAPACK worked on a copy of the panel, not in place"):
+            lowrank_update(r, _rows(40, {c: 1.0 for c in range(2, 40, 5)}))
 
 
 def _plan_1k():
