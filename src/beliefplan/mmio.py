@@ -36,7 +36,10 @@ def _parse(text: str):
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
         raise ValueError("missing MatrixMarket size line")
-    n_rows, n_cols, nnz = _int64(body[0].split()).tolist()
+    sizes = body[0].split()
+    if len(sizes) != 3:
+        raise ValueError(f"size line needs rows, columns and entries, found {body[0].strip()!r}")
+    n_rows, n_cols, nnz = _int64(sizes).tolist()
     if len(body) - 1 != nnz:
         raise ValueError(f"declared {nnz} entries, found {len(body) - 1}")
     tokens = " ".join(body[1:]).split()

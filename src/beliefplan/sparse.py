@@ -18,21 +18,25 @@ the benchmark's trace counters and the tests do.
 "Structural" means the stored pattern is the symbolic support produced by
 the operation (elimination fill, the pattern unions of an update),
 independent of values that happen to cancel to zero.  All three pattern
-passes (``cholesky``'s elimination sweep, the update pattern of
+passes (``cholesky``'s symbolic elimination, the update pattern of
 ``lowrank_update`` and the fill-path rule of ``sparsify_factor``) read the
 stored coordinates alone, so a stored zero is an entry like any other.
 Nonzero counts reported elsewhere in the package are counts of stored
 entries, so they are exact and reproducible.
 
 The kernels never form a dense n x n matrix (``to_dense`` exists for tests
-and small inputs).  ``cholesky`` splits into a symbolic fill, one sweep
-that builds each factor row from its own entries and its elimination-tree
-children and so fixes the pattern, and a numeric sparse factorization by
-SuperLU in the given order.  ``SparseRowBlock.gram``, the one Gram kernel
+and small inputs).  ``cholesky`` splits into a symbolic elimination, which
+fixes the pattern, and a numeric sparse factorization by SuperLU in the
+given order.  The symbolic elimination (``_elimination_fill``, which
+``sparsify_factor`` shares) is one array pass when the elimination tree is
+a chain, as it is for every scenario prior and kept tail: then the rows of
+each factor column form one contiguous range (Liu 1990).  Other patterns
+go through a sweep that builds each row from its own entries and its
+elimination-tree children.  ``SparseRowBlock.gram``, the one Gram kernel
 (J^T J of constraint rows; R^T R of a factor, through ``UpperTriangular``),
 takes its pattern from a 0/1 sparse product and its values from the data
 product.  Both scatter the numeric product onto the structural pattern
-(``_values_on_pattern``).
+(``_values_on_pattern``, which refuses a coordinate the pattern lacks).
 
 Changing a factor is one panel kernel, ``_fold``: it re-triangularizes
 factor rows stacked over extra rows, a panel of consecutive pivot rows per
@@ -125,14 +129,21 @@ def _row_views(a: np.ndarray, indptr: np.ndarray) -> tuple:
 
 def _values_on_pattern(indptr: np.ndarray, indices: np.ndarray, rows, cols, vals) -> np.ndarray:
     """Values for the square CSR pattern ``(indptr, indices)``: ``vals`` at
-    their ``(rows, cols)``, which the pattern must contain, and zero at every
-    other stored position, so entries a numeric product dropped stay
-    structural."""
+    their ``(rows, cols)``, and zero at every other stored position, so
+    entries a numeric product dropped stay structural.  A coordinate that
+    the pattern lacks is refused with ``ValueError``, naming it."""
     n = indptr.size - 1
     # n is the size of an in-memory matrix, so n**2 fits int64
     keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+    want = np.asarray(rows, dtype=np.int64) * n + cols
+    at = np.searchsorted(keys, want)
+    # a coordinate past the last key reads the last key, which differs
+    lacks = (keys.take(at, mode="clip") != want).nonzero()[0] if keys.size else np.arange(want.size)
+    if lacks.size:
+        r, c = divmod(int(want[lacks[0]]), n)
+        raise ValueError(f"coordinate ({r}, {c}) is not in the pattern")
     out = np.zeros(indices.size)
-    out[np.searchsorted(keys, np.asarray(rows, dtype=np.int64) * n + cols)] = vals
+    out[at] = vals
     return out
 
 
@@ -406,40 +417,69 @@ class UpperTriangular:
 # ---------------------------------------------------------------------------
 
 
-def _elimination_sweep(n: int, rows, initial) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly-upper pattern of the symbolic elimination of ``rows``, in
-    increasing order, as CSR ``(indptr, indices)`` over ``n`` rows.
+def _elimination_sweep(m: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly-upper pattern of the symbolic elimination of positions
+    ``0..m-1`` whose initial rows hold the pairs ``(rows, cols)``, as each
+    position's entry count and the columns, row by row and ascending.
 
-    Row i holds its set in ``initial`` plus the columns of every earlier
-    row whose first column is i (its children in the elimination tree),
-    less i itself (Liu 1990).  Rows not listed are empty.
+    Row i holds its initial columns plus the columns of every earlier row
+    whose first column is i (its children in the elimination tree), less i
+    itself (Liu 1990).  One set per row: this is the general case that
+    ``_elimination_fill`` falls back on.
     """
+    by_row = rows.argsort(kind="stable")
+    bounds = rows[by_row].searchsorted(np.arange(m + 1)).tolist()
+    cols = cols[by_row].tolist()
     children: dict = {}
     rows_fill = []
-    for i, fill in zip(rows, initial):
+    for i in range(m):
+        fill = set(cols[bounds[i]:bounds[i + 1]])
         fill.update(*children.pop(i, ()))
         fill.discard(i)
         row = sorted(fill)
         rows_fill.append(row)
         if row:
             children.setdefault(row[0], []).append(row)
-    lengths = np.zeros(n, dtype=np.int64)
-    lengths[rows] = np.fromiter(map(len, rows_fill), dtype=np.int64, count=len(rows_fill))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(rows_fill), dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
+    lengths = np.fromiter(map(len, rows_fill), dtype=np.int64, count=m)
+    indices = np.fromiter(itertools.chain.from_iterable(rows_fill), dtype=np.int64, count=int(lengths.sum()))
+    return lengths, indices
 
 
-def _symbolic_fill(m: SparseSymmetric) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly-upper fill pattern of the factor as CSR ``(indptr,
-    indices)``: the elimination sweep over the rows of ``m``.  The pattern
-    depends only on the stored coordinates, so stored zeros are structural.
+def _elimination_fill(n: int, order: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly-upper pattern of the symbolic elimination of the rows
+    ``order`` (ascending) in that order, as CSR ``(indptr, indices)`` over
+    ``n`` rows; rows not listed are empty.
+
+    The initial pattern is the pairs ``(rows, cols)`` of positions in
+    ``order``, in any order and with repeats, each column at or after its
+    row; a diagonal pair adds nothing.  Let ``first(j)`` be the first
+    position whose initial row stores ``j``.  When every position in some
+    ``first(j) + 1 .. j`` is itself a stored column, every nonempty row's
+    first column is the next position: the elimination tree is a chain (or
+    a forest of chains), and by induction down it row i is ``{j > i :
+    first(j) <= i}``, so column ``j`` covers rows ``first(j) .. j - 1``.
+    Any other pattern goes through the set sweep, ``_elimination_sweep``.
     """
-    n = m.dim
-    bounds = m.upper.indptr.tolist()
-    cols = m.upper.indices.tolist()
-    return _elimination_sweep(n, range(n), (set(cols[bounds[i]:bounds[i + 1]]) for i in range(n)))
+    m = order.size
+    first = np.full(m, m)
+    # a diagonal pair stores nothing
+    np.minimum.at(first, cols, np.where(rows == cols, m, rows))
+    is_stored = first < m
+    stored = is_stored.nonzero()[0]
+    starts = first[stored]
+    covered = np.bincount(starts + 1, minlength=m + 1) - np.bincount(stored + 1, minlength=m + 1)
+    if np.array_equal(covered.cumsum()[:m] > 0, is_stored):
+        counts = stored - starts
+        fill_rows = _ranges(starts, counts)
+        lengths = np.bincount(fill_rows, minlength=m)
+        fill_cols = stored.repeat(counts)[fill_rows.argsort(kind="stable")]
+    else:
+        lengths, fill_cols = _elimination_sweep(m, rows, cols)
+    by_row = np.zeros(n, dtype=np.int64)
+    by_row[order] = lengths
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(by_row, out=indptr[1:])
+    return indptr, order[fill_cols]
 
 
 def _unpivoted_lu(m: SparseSymmetric, k: int):
@@ -492,8 +532,9 @@ def _failing_pivot(m: SparseSymmetric) -> int:
 def cholesky(m: SparseSymmetric) -> UpperTriangular:
     """Sparse Cholesky: upper-triangular R with R^T R = m, in the given order.
 
-    The stored pattern is the exact symbolic fill of ``_symbolic_fill`` (no
-    reordering is attempted; stored zeros are structural).  The values come
+    The stored pattern is the exact symbolic fill of eliminating the rows
+    of ``m`` in their order (``_elimination_fill``; no reordering is
+    attempted; stored zeros are structural).  The values come
     from SuperLU's unpivoted LU = L D L^T of the full symmetric matrix:
     ``R_ii = sqrt(U_ii)`` and ``R_ij = U_ij / R_ii``, gathered onto the fill
     pattern, which also restores entries SuperLU dropped as zero.  Raises
@@ -512,7 +553,7 @@ def cholesky(m: SparseSymmetric) -> UpperTriangular:
     u_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(u.indptr))
     u_off = u.indices != u_rows
     diag = np.sqrt(u.diagonal())
-    indptr, indices = _symbolic_fill(m)
+    indptr, indices = _elimination_fill(n, np.arange(n), m.upper.row_ids, m.upper.indices)
     vals = _values_on_pattern(
         indptr, indices, u_rows[u_off], u.indices[u_off], u.data[u_off] / diag[u_rows[u_off]]
     )
@@ -863,9 +904,10 @@ def _kept_fill(r: UpperTriangular, selected: np.ndarray, split: int) -> tuple:
     By the fill-path theorem, kept scalars are linked when a factor row
     links them or when they touch the same connected component of the
     selected subgraph; the pattern is then the symbolic elimination of that
-    graph in kept order (``_elimination_sweep``).  Each factor row and each
+    graph in kept order (``_elimination_fill``).  Each factor row and each
     component links a clique, so its members are given to its least member
-    only: the elimination carries them up the elimination tree to the rest.
+    only, as pairs: the elimination carries them up the elimination tree to
+    the rest.
     """
     n = r.dim
     u = r.upper
@@ -883,25 +925,26 @@ def _kept_fill(r: UpperTriangular, selected: np.ndarray, split: int) -> tuple:
     touching = trailing[selected[split:] | (counts[split:] > 0)]
     touches[touching] = component[touching]
 
-    # the kept members of all rows that touch one component form its clique
+    # the kept members of all rows that touch one component form its clique,
+    # given to its least member as one pair per other member
     kept = np.flatnonzero(~selected[split:]) + split
     k_rows = np.concatenate([rows[~sel], kept])
     k_cols = np.concatenate([cols[~sel], kept])
     via = touches[k_rows]
     comp, members = np.divmod(np.unique(via[via >= 0] * n + k_cols[via >= 0]), n)
-    cliques: dict = {}
-    edges = np.flatnonzero(np.diff(comp, append=-1)) + 1
-    for a, b in zip(np.concatenate(([0], edges[:-1])).tolist(), edges.tolist()):
-        if b - a > 1:
-            cliques.setdefault(int(members[a]), []).append(members[a + 1:b].tolist())
-
-    bounds = r.upper.indptr[kept].tolist()
-    ends = r.upper.indptr[kept + 1].tolist()
-    initial = (
-        set(r.upper.indices[a:b].tolist() if plain else ()).union(*cliques.get(i, ()))
-        for i, a, b, plain in zip(kept.tolist(), bounds, ends, (touches[kept] < 0).tolist())
+    least = np.diff(comp, prepend=-1) != 0
+    c_rows = members[least][least.cumsum() - 1]
+    # the other kept rows give their own entries, all of them kept columns
+    plain = kept[touches[kept] < 0]
+    counts = u.indptr[plain + 1] - u.indptr[plain]
+    pos = np.empty(n, dtype=np.int64)
+    pos[kept] = np.arange(kept.size)
+    return _elimination_fill(
+        n,
+        kept,
+        pos[np.concatenate([plain.repeat(counts), c_rows[~least]])],
+        pos[np.concatenate([u.indices[_ranges(u.indptr[plain], counts)], members[~least]])],
     )
-    return _elimination_sweep(n, kept, initial)
 
 
 def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular:

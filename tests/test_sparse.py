@@ -17,7 +17,7 @@ from beliefplan.errors import (
     NotPositiveDefinite,
     RankDeficientAugmentation,
 )
-from beliefplan.scenario import ScenarioConfig, generate, scenario_from_json
+from beliefplan.scenario import ScenarioConfig, generate, scenario_from_json, scenario_to_json
 from beliefplan.sparse import (
     _PANEL,
     _update_pattern,
@@ -221,6 +221,194 @@ class TestSparseFactorKernels:
         rows, cols = g.upper.row_ids, g.upper.indices
         assert set(zip(rows.tolist(), cols.tolist())) == set(zip(j.tolist(), (j + e).tolist()))
         np.testing.assert_allclose(g.upper.data, vals[cols - rows, rows], rtol=0, atol=1e-13 * np.abs(vals).max())
+
+
+def _fill_oracle(n, order, rows, cols) -> list:
+    """Per-row column sets of eliminating ``order`` over the pairs, by the
+    set-arithmetic oracle run on elimination positions; rows not in
+    ``order`` are empty."""
+    order = np.asarray(order, dtype=np.int64)
+    pos = {int(i): k for k, i in enumerate(order)}
+    adjacency = [set() for _ in range(order.size)]
+    for i, j in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
+        if i != j:
+            adjacency[pos[i]].add(pos[j])
+    fill = symbolic_cholesky_pattern(adjacency, order.size)
+    out = [set() for _ in range(n)]
+    for k, i in enumerate(order.tolist()):
+        out[i] = {int(order[j]) for j in fill[k]}
+    return out
+
+
+def _as_sets(n, indptr, indices) -> list:
+    return [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(n)]
+
+
+# the set sweep itself, whatever a test patches in its place
+_SET_SWEEP = sparse._elimination_sweep
+
+
+def _sweep_fill(n, order, rows, cols) -> tuple:
+    """The set sweep alone on pairs of positions in ``order``, as CSR
+    ``(indptr, indices)`` over ``n`` rows."""
+    lengths, fill = _SET_SWEEP(order.size, rows, cols)
+    counts = np.zeros(n, dtype=np.int64)
+    counts[order] = lengths
+    return np.concatenate(([0], np.cumsum(counts))), order[fill]
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """The set sweep raises: only the array pass may run."""
+    def refuse(*args):
+        raise AssertionError("the set sweep ran")
+
+    monkeypatch.setattr(sparse, "_elimination_sweep", refuse)
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts the set sweep's calls, which still run."""
+    calls = []
+    sweep = sparse._elimination_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(sparse, "_elimination_sweep", counted)
+    return calls
+
+
+def _banded_pairs(n, bandwidth):
+    i, d = np.divmod(np.arange(n * (bandwidth + 1)), bandwidth + 1)
+    keep = i + d < n
+    return i[keep], (i + d)[keep]
+
+
+def _plan_1k_fill_inputs() -> list:
+    """``(n, order, rows, cols)`` of every elimination that factoring the
+    plan-1k prior and sparsifying it (uninvolved and full) asks for."""
+    seen = []
+    fill = sparse._elimination_fill
+
+    def record(*args):
+        seen.append(args)
+        return fill(*args)
+
+    sc = _plan_1k()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_elimination_fill", record)
+        cholesky(sc.prior.root.gram())
+        _session_beliefs(sc)
+    return seen
+
+
+class TestEliminationFill:
+    """The one array pass of symbolic elimination: the prefix rule on chain
+    elimination trees, the set sweep on the others, both equal to the set
+    oracle."""
+
+    @staticmethod
+    def _check(n, order, rows, cols):
+        """The pass on pairs of row indices, against the set oracle and,
+        array for array, the set sweep."""
+        order, rows, cols = (np.asarray(a, dtype=np.int64) for a in (order, rows, cols))
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(order.size)
+        indptr, indices = sparse._elimination_fill(n, order, pos[rows], pos[cols])
+        assert indptr.dtype == indices.dtype == np.int64
+        assert _as_sets(n, indptr, indices) == _fill_oracle(n, order, rows, cols)
+        want = _sweep_fill(n, order, pos[rows], pos[cols])
+        assert np.array_equal(indptr, want[0]) and np.array_equal(indices, want[1])
+        return indptr, indices
+
+    @pytest.mark.parametrize("n, bandwidth", [(2, 1), (40, 3), (97, 8)])
+    def test_banded_patterns_take_the_prefix_rule(self, no_sweep, n, bandwidth):
+        rows, cols = _banded_pairs(n, bandwidth)
+        self._check(n, np.arange(n), rows, cols)
+
+    def test_banded_spd_cholesky_takes_the_prefix_rule(self, no_sweep):
+        n, b = 60, 4
+        rng = np.random.default_rng(3)
+        rows, cols = _banded_pairs(n, b)
+        dense = np.zeros((n, n))
+        dense[rows, cols] = rng.normal(size=rows.size)
+        dense = dense + dense.T + np.eye(n) * 4 * b
+        m = symmetric_from_dense(dense)
+        r = cholesky(m)
+        assert [set(c.tolist()) for c in r.row_cols] == _fill_oracle(n, np.arange(n), m.upper.row_ids,
+                                                                      m.upper.indices)
+
+    def test_kept_order_subset_takes_the_prefix_rule(self, no_sweep):
+        # a band read over every index not divisible by 3, rows 0..4 left out
+        n = 50
+        order = np.array([i for i in range(5, n) if i % 3])
+        rows, cols = _banded_pairs(n, 4)
+        inside = np.isin(rows, order) & np.isin(cols, order)
+        indptr, _ = self._check(n, order, rows[inside], cols[inside])
+        assert np.all(np.diff(indptr)[np.setdiff1d(np.arange(n), order)] == 0)
+
+    def test_plan_1k_prior_and_kept_tails_take_the_prefix_rule(self, no_sweep):
+        inputs = _plan_1k_fill_inputs()
+        # the prior's factorization, then each kept tail
+        assert len(inputs) >= 2 and inputs[0][1].size == 1020
+        for n, order, rows, cols in inputs:
+            got = sparse._elimination_fill(n, order, rows, cols)
+            want = _sweep_fill(n, order, rows, cols)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [
+            # an arrow: every row links the last variable only
+            (6, [(i, 5) for i in range(5)]),
+            # two leaves under one root, next to a block that is a chain
+            (7, [(0, 2), (1, 2), (3, 4), (3, 5), (4, 6)]),
+            # the same with rows that store nothing between them
+            (10, [(0, 5), (2, 5), (5, 9), (7, 9)]),
+        ],
+        ids=["arrow", "branching-block-diagonal", "empty-rows"],
+    )
+    def test_branching_trees_take_the_set_sweep(self, sweep_calls, n, pairs):
+        rows, cols = np.array(pairs).T
+        order = np.arange(n)
+        self._check(n, order, np.r_[rows, order], np.r_[cols, order])
+        assert len(sweep_calls) == 1
+
+    @pytest.mark.parametrize(
+        "n, order, pairs",
+        [(1, [0], [(0, 0)]), (1, [0], []), (4, [0, 1, 2, 3], []), (5, [1, 3], [(1, 1), (3, 3)]), (3, [], [])],
+        ids=["n-1", "n-1-no-pairs", "no-pairs", "diagonal-only-subset", "nothing-eliminated"],
+    )
+    def test_patterns_without_fill(self, n, order, pairs):
+        rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        indptr, indices = self._check(n, order, rows, cols)
+        assert indices.size == 0 and np.all(indptr == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_pattern_equals_the_oracle_and_the_sweep(self, data):
+        n = data.draw(st.integers(1, 16))
+        order = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.int64)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, order.size - 1), st.integers(0, order.size - 1)),
+                                   max_size=40))
+        # repeats and diagonal pairs included, in any order, column at or after its row
+        rows = np.array([order[min(a, b)] for a, b in pairs], dtype=np.int64)
+        cols = np.array([order[max(a, b)] for a, b in pairs], dtype=np.int64)
+        self._check(n, order, rows, cols)
+
+    def test_benchmark_scenarios_never_take_the_set_sweep(self, no_sweep):
+        """plan-1k, the 8 batch-small scenarios and the benchmark's warm-up
+        scenario, each generated and reloaded, factor their priors and
+        sparsify them by the prefix rule alone."""
+        warm_up = ScenarioConfig(seed=0, n_prior_poses=60, n_candidates=6, candidate_length=4)
+        for cfg in (ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5),
+                    *batch_small_configs(), warm_up):
+            sc = scenario_from_json(scenario_to_json(generate(cfg)))
+            mask = detect_involvement(sc.prior.layout, sc.candidates)
+            for spec in (SparsificationSpec.uninvolved(), SparsificationSpec.full()):
+                sparsify_belief(sc.prior, spec, mask)
 
 
 @st.composite
@@ -984,6 +1172,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             Permutation(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize(
+        "rows, cols, named",
+        [([0], [0], "(0, 0)"), ([0, 1], [1, 1], "(1, 1)"), ([1], [0], "(1, 0)")],
+        ids=["before-the-entry", "past-the-last-entry", "empty-row"],
+    )
+    def test_scatter_refuses_a_coordinate_the_pattern_lacks(self, rows, cols, named):
+        # the pattern stores (0, 1) only; a lacking coordinate was once
+        # written onto its neighbouring entry
+        indptr, indices = np.array([0, 1, 1]), np.array([1])
+        with pytest.raises(ValueError, match=re.escape(f"coordinate {named} is not in the pattern")):
+            sparse._values_on_pattern(indptr, indices, rows, cols, np.ones(len(rows)))
+        assert sparse._values_on_pattern(indptr, indices, [0], [1], [5.0]).tolist() == [5.0]
+        assert sparse._values_on_pattern(indptr, indices, [], [], []).tolist() == [0.0]
+
     def test_gram_diagonal_matches_dense(self):
         rng = np.random.default_rng(2)
         dense = random_sparse_spd(rng, 12)
@@ -1032,6 +1234,12 @@ class TestMatrixMarket:
         monkeypatch.setattr(mmio.SparseRowBlock, "from_coo", no_allocation)
         with pytest.raises(ValueError, match="factor"):
             mmio.mm_to_triangular(f"%%MatrixMarket matrix coordinate real general\n{size_line}\n")
+
+    @pytest.mark.parametrize("size_line", ["2 2", "2 2 2 9", "2"], ids=["two-values", "four-values", "one-value"])
+    def test_size_line_without_three_integers_is_named(self, size_line):
+        text = f"%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n2 2 1.0\n"
+        with pytest.raises(ValueError, match=f"size line .*'{size_line}'"):
+            mmio.mm_to_triangular(text)
 
     def test_external_reader_agrees(self):
         # scipy.io acts as the external oracle for format compliance
