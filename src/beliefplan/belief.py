@@ -223,13 +223,12 @@ def objective(b: GaussianBelief, a: CandidateAction) -> float:
 
     The whole updated factor is built although only its diagonal is read.
     Scoring is already fast enough that the one-time uninvolved
-    sparsification is close to the 10% of the original decision that
-    acceptance criterion 11 allows: about 7.5% at dims 1020 and 3000 and
-    10.5% at dim 9000, which fails it (``BENCH_session.json`` has the shares
-    of each change).  Both run through the same panel fold, so a faster
-    fold moves both.  A diagonal-only path would score the candidates
-    faster still and break the criterion at every size, so it waits for a
-    cheaper sparsification.
+    sparsification takes a large part of the 10% of the original decision
+    that acceptance criterion 11 allows: about 6.0%, 5.4% and 7.5% at dims
+    1020, 3000 and 9000 (``BENCH_session.json`` has the shares of each
+    change).  Both run through the same panel fold, so a faster fold moves
+    both.  A diagonal-only path would score the candidates faster still and
+    could break the criterion, so it waits for a cheaper sparsification.
     """
     root_plus = posterior_root(b, a)
     n_post = b.dim + a.n_new_vars

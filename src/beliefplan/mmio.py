@@ -42,9 +42,11 @@ def _parse(text: str):
     n_rows, n_cols, nnz = _int64(sizes).tolist()
     if len(body) - 1 != nnz:
         raise ValueError(f"declared {nnz} entries, found {len(body) - 1}")
-    tokens = " ".join(body[1:]).split()
-    if len(tokens) != 3 * nnz:
-        raise ValueError("each entry needs a row, a column and a value")
+    entries = body[1:]
+    misaligned = next((ln for ln in entries if len(ln.split()) != 3), None)
+    if misaligned is not None:
+        raise ValueError(f"entry line needs a row, a column and a value, found {misaligned.strip()!r}")
+    tokens = " ".join(entries).split()
     rows = _int64(tokens[0::3]) - 1
     cols = _int64(tokens[1::3]) - 1
     vals = np.array(tokens[2::3], dtype=np.float64)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -708,7 +709,7 @@ def _median_timed(fn, repeats: int):
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
-    return result, float(np.median(times))
+    return result, statistics.median(times)
 
 
 def _evaluate_all(belief: GaussianBelief, candidates, repeats: int):

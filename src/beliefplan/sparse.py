@@ -37,6 +37,9 @@ elimination-tree children.  ``SparseRowBlock.gram``, the one Gram kernel
 takes its pattern from a 0/1 sparse product and its values from the data
 product.  Both scatter the numeric product onto the structural pattern
 (``_values_on_pattern``, which refuses a coordinate the pattern lacks).
+A factor's Gram count (``UpperTriangular.gram_nnz``) needs no product
+when its pattern is fill-closed, as every Cholesky fill is: it is then
+its own Gram pattern.
 
 Changing a factor is one panel kernel, ``_fold``: it re-triangularizes
 factor rows stacked over extra rows, a panel of consecutive pivot rows per
@@ -57,7 +60,9 @@ callers fix the stored pattern separately:
   information matrix (Elimelech & Indelman, RA-L 2021): the kept rows that
   the reordering makes non-triangular are folded back in as extra rows.
   The kept rows' pattern is the fill of re-factoring in that order, by the
-  fill-path rule.
+  fill-path rule.  On a column skyline, as every scenario prior is, that
+  plan is read from the first row of each column in arrays of length n;
+  other patterns go through a graph of the trailing entries.
 
 All types are immutable after construction and every operation returns a
 new object; instances can be shared freely.
@@ -368,6 +373,15 @@ class UpperTriangular:
         return UpperTriangular.from_diagonal(self.diag)
 
     def gram_nnz(self) -> int:
+        """``gram().nnz``.  A fill-closed pattern, in which every nonempty
+        row settles (``_row_links``), as every Cholesky fill does, is its own
+        Gram pattern: each row's later columns form a clique, so every pair
+        of columns that a row stores is stored in the earlier one's row
+        (Rose, Tarjan & Lueker 1976).  Its count is then ``nnz``; any other
+        pattern is counted by the sparse product."""
+        first, settles = self._row_links
+        if all(s or f < 0 for f, s in zip(first, settles)):
+            return self.nnz
         return self.as_row_block().gram_nnz()
 
     def gram(self) -> SparseSymmetric:
@@ -895,56 +909,123 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
 
 
-def _kept_fill(r: UpperTriangular, selected: np.ndarray, split: int) -> tuple:
-    """Strictly-upper fill pattern of the kept rows when the trailing rows
-    of ``r`` (from ``split`` on) are re-factored with the ``selected``
-    scalars eliminated first, as CSR ``(indptr, indices)`` over all rows;
-    selected rows are empty.
+def _rows_at(indptr: np.ndarray, rows: np.ndarray) -> tuple:
+    """Entry counts of ``rows`` and the positions of their entries, row by
+    row."""
+    counts = indptr[rows + 1] - indptr[rows]
+    return counts, _ranges(indptr[rows], counts)
 
-    By the fill-path theorem, kept scalars are linked when a factor row
-    links them or when they touch the same connected component of the
-    selected subgraph; the pattern is then the symbolic elimination of that
-    graph in kept order (``_elimination_fill``).  Each factor row and each
-    component links a clique, so its members are given to its least member
-    only, as pairs: the elimination carries them up the elimination tree to
-    the rest.
+
+def _skyline_components(r: UpperTriangular, selected: np.ndarray, kept: np.ndarray):
+    """``_kept_fill``'s components read from the column heads, or ``None``
+    when the trailing rows (from the first kept one on) are not a column
+    skyline.
+
+    Let ``head[j]`` be the first trailing row that stores column ``j``
+    (``j`` itself if none does).  The trailing rows store at most
+    ``sum(j - head[j])`` entries, exactly that many when column ``j`` covers
+    every row ``head[j] .. j - 1``: a column skyline, as every scenario
+    prior is.  Then selected column ``j`` links the rows ``head[j] .. j``
+    (its own row by the diagonal), so the components are the merged
+    overlapping intervals, kept ``k`` joins component ``[a, b]`` when
+    ``a <= k`` and ``head[k] <= b``, the moved rows are the kept rows inside
+    a component, and the first crossing column is the least selected ``j``
+    whose interval holds a kept row.  One minimum pass over the trailing
+    entries, then arrays of length ``n``.
     """
     n = r.dim
     u = r.upper
+    split = int(kept[0])
+    lo = u.indptr[split]
+    every = np.arange(n)
+    head = every.copy()
+    np.minimum.at(head, u.indices[lo:], u.row_ids[lo:])
+    if int((every - head).sum()) != u.nnz - lo:
+        return None
+    s = np.flatnonzero(selected[split:]) + split
+    # rows i and i + 1 are linked when an interval holds both; a row is in a
+    # component when an interval holds it, so when it is linked to the next
+    # row or ends an interval
+    links = (np.bincount(head[s], minlength=n) - np.bincount(s, minlength=n)).cumsum() > 0
+    inside = links.copy()
+    inside[s] = True
+    a = np.flatnonzero(inside & ~np.concatenate(([False], links[:-1])))
+    b = np.flatnonzero(inside & ~links)
+    lo_c = b.searchsorted(head[kept])
+    counts = np.maximum(a.searchsorted(kept, side="right") - lo_c, 0)
+    comp, members = np.divmod(np.sort(_ranges(lo_c, counts) * n + kept.repeat(counts)), n)
+    kept_before = np.concatenate(([0], np.cumsum(~selected)))
+    crossing = s[kept_before[s] > kept_before[head[s]]]
+    return comp, members, kept[inside[kept]], int(crossing[0]) if crossing.size else n
+
+
+def _graph_components(r: UpperTriangular, selected: np.ndarray, kept: np.ndarray) -> tuple:
+    """``_kept_fill``'s components for any pattern, from a graph of the
+    trailing entries (from the first kept row on): a row joins its selected
+    columns and, through its diagonal, itself, by one edge from the row's
+    node to each of them, and a kept scalar joins the component of every
+    row that stores it."""
+    n = r.dim
+    u = r.upper
+    split = int(kept[0])
     lo = u.indptr[split]
     rows, cols = u.row_ids[lo:], u.indices[lo:]
     sel = selected[cols]
-    # a row joins its selected columns and, through its diagonal, itself:
-    # one edge from the row's node to each of them
-    counts = np.bincount(rows[sel], minlength=n)
-    graph = sp.csr_matrix((np.ones(int(counts.sum())), cols[sel], np.concatenate(([0], np.cumsum(counts)))),
-                          shape=(n, n))
+    s_rows, s_cols = rows[sel], cols[sel]
+    counts = np.bincount(s_rows, minlength=n)
+    graph = sp.csr_matrix((np.ones(s_cols.size), s_cols, np.concatenate(([0], np.cumsum(counts)))), shape=(n, n))
     component = connected_components(graph, directed=False)[1]
     touches = np.full(n, -1, dtype=np.int64)
     trailing = np.arange(split, n)
     touching = trailing[selected[split:] | (counts[split:] > 0)]
     touches[touching] = component[touching]
 
-    # the kept members of all rows that touch one component form its clique,
-    # given to its least member as one pair per other member
-    kept = np.flatnonzero(~selected[split:]) + split
     k_rows = np.concatenate([rows[~sel], kept])
     k_cols = np.concatenate([cols[~sel], kept])
     via = touches[k_rows]
     comp, members = np.divmod(np.unique(via[via >= 0] * n + k_cols[via >= 0]), n)
+    first = s_cols[~selected[s_rows]].min(initial=n)
+    return comp, members, kept[counts[kept] > 0], int(first)
+
+
+def _kept_fill(r: UpperTriangular, selected: np.ndarray, kept: np.ndarray) -> tuple:
+    """The plan of ``sparsify_factor``, from the stored pattern alone: the
+    strictly-upper fill pattern of the ``kept`` rows when the trailing rows
+    of ``r`` (from the first kept one on) are re-factored with the
+    ``selected`` scalars eliminated first, as CSR ``(indptr, indices)`` over
+    all rows (selected rows are empty); the kept rows that the reordering
+    moves, those with an entry in a selected column, ascending; and the
+    first selected column that such a row stores, ``r.dim`` if none does.
+
+    By the fill-path theorem, kept scalars are linked when a factor row
+    links them or when they touch the same connected component of the
+    selected subgraph; the pattern is then the symbolic elimination of that
+    graph in kept order (``_elimination_fill``).  A column skyline, as
+    every scenario prior is, gives the components, the moved rows and the
+    first column from its column heads (``_skyline_components``); any other
+    pattern goes through a graph of its trailing entries
+    (``_graph_components``).  Each component links a clique, so its members
+    are given to its least member only, as pairs: the elimination carries
+    them up the elimination tree to the rest.
+    """
+    n = r.dim
+    u = r.upper
+    found = _skyline_components(r, selected, kept)
+    comp, members, moved, first = _graph_components(r, selected, kept) if found is None else found
     least = np.diff(comp, prepend=-1) != 0
     c_rows = members[least][least.cumsum() - 1]
     # the other kept rows give their own entries, all of them kept columns
-    plain = kept[touches[kept] < 0]
-    counts = u.indptr[plain + 1] - u.indptr[plain]
+    plain = np.setdiff1d(kept, moved, assume_unique=True)
+    counts, at = _rows_at(u.indptr, plain)
     pos = np.empty(n, dtype=np.int64)
     pos[kept] = np.arange(kept.size)
-    return _elimination_fill(
+    indptr, indices = _elimination_fill(
         n,
         kept,
         pos[np.concatenate([plain.repeat(counts), c_rows[~least]])],
-        pos[np.concatenate([u.indices[_ranges(u.indptr[plain], counts)], members[~least]])],
+        pos[np.concatenate([u.indices[at], members[~least]])],
     )
+    return indptr, indices, moved, first
 
 
 def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular:
@@ -960,11 +1041,14 @@ def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular
     column leaves its place and is folded back in by ``_fold``, through
     the selected rows from the first one it reaches and then through the
     kept rows up to the last one that moved.  The other rows keep their
-    values.  The kept rows' stored pattern is the fill pattern of the
-    re-factored trailing block (``_kept_fill``), so stored entries that are
-    zero in exact arithmetic are kept, as ``cholesky`` keeps them.  When no
-    selected scalar follows the first kept one, no reordering is needed and
-    the rows are only cut.
+    values, read by row.  The kept rows' stored pattern is the fill pattern
+    of the re-factored trailing block, so stored entries that are zero in
+    exact arithmetic are kept, as ``cholesky`` keeps them; it comes with the
+    moved rows and the first selected column they store from one plan
+    (``_kept_fill``), which reads them off the column heads of a skyline
+    factor instead of a graph of its entries.  When no selected
+    scalar follows the first kept one, no reordering is needed and the rows
+    are only cut.
     """
     n = r.dim
     kept = np.flatnonzero(~selected)
@@ -977,21 +1061,15 @@ def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular
         indptr = np.concatenate([np.zeros(split, dtype=np.int64), u.indptr[split:] - start])
         return UpperTriangular(r.diag, SparseRowBlock(n, n, indptr, u.indices[start:], u.data[start:]))
 
-    indptr, indices = _kept_fill(r, selected, split)
+    indptr, indices, moved, first = _kept_fill(r, selected, kept)
     lengths = np.diff(indptr)
-    crossing = ~selected[u.row_ids] & selected[u.indices]
-    moved = np.unique(u.row_ids[crossing])
-    first = u.indices[crossing].min(initial=n)
-    pivots = np.concatenate([
-        np.flatnonzero(selected[first:]) + first,
-        kept[(kept >= moved.min(initial=n)) & (kept <= moved.max(initial=-1))],
-    ])
-    refolded = pivots[~selected[pivots]]
+    inside = (kept >= moved.min(initial=n)) & (kept <= moved.max(initial=-1))
+    refolded = kept[inside]
+    pivots = np.concatenate([np.flatnonzero(selected[first:]) + first, refolded])
     rank = np.empty(n, dtype=np.int64)
     rank[np.concatenate([np.flatnonzero(selected), kept])] = np.arange(n)
     # the moved rows, diagonal first
-    counts = u.indptr[moved + 1] - u.indptr[moved]
-    at = _ranges(u.indptr[moved], counts)
+    counts, at = _rows_at(u.indptr, moved)
     heads = np.cumsum(counts) - counts
     extra = SparseRowBlock(
         moved.size, n, np.concatenate(([0], np.cumsum(counts + 1))),
@@ -1007,10 +1085,10 @@ def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular
 
     diag = r.diag.copy()
     diag[pivots] = new_diag
-    same = ~selected
-    same[refolded] = False
-    same = same[u.row_ids]
-    data = _values_on_pattern(indptr, indices, u.row_ids[same], u.indices[same], u.data[same])
+    # the other kept rows keep their values, read by row
+    same = kept[~inside]
+    counts, at = _rows_at(u.indptr, same)
+    data = _values_on_pattern(indptr, indices, same.repeat(counts), u.indices[at], u.data[at])
     data[p_at] = vals
     return UpperTriangular(diag, SparseRowBlock(n, n, indptr, indices, data))
 

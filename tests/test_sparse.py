@@ -17,7 +17,7 @@ from beliefplan.errors import (
     NotPositiveDefinite,
     RankDeficientAugmentation,
 )
-from beliefplan.scenario import ScenarioConfig, generate, scenario_from_json, scenario_to_json
+from beliefplan.scenario import ScenarioConfig, generate, run_session, scenario_from_json, scenario_to_json
 from beliefplan.sparse import (
     _PANEL,
     _update_pattern,
@@ -402,13 +402,191 @@ class TestEliminationFill:
         """plan-1k, the 8 batch-small scenarios and the benchmark's warm-up
         scenario, each generated and reloaded, factor their priors and
         sparsify them by the prefix rule alone."""
-        warm_up = ScenarioConfig(seed=0, n_prior_poses=60, n_candidates=6, candidate_length=4)
-        for cfg in (ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5),
-                    *batch_small_configs(), warm_up):
+        for cfg in _benchmark_configs():
             sc = scenario_from_json(scenario_to_json(generate(cfg)))
             mask = detect_involvement(sc.prior.layout, sc.candidates)
             for spec in (SparsificationSpec.uninvolved(), SparsificationSpec.full()):
                 sparsify_belief(sc.prior, spec, mask)
+
+
+def _benchmark_configs() -> tuple:
+    """plan-1k, the 8 batch-small scenarios and the benchmark's warm-up
+    scenario."""
+    return (ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5), *batch_small_configs(),
+            ScenarioConfig(seed=0, n_prior_poses=60, n_candidates=6, candidate_length=4))
+
+
+def _uninvolved(sc) -> np.ndarray:
+    """The scalars of the blocks that no candidate involves."""
+    never = detect_involvement(sc.prior.layout, sc.candidates).never_involved(sc.prior.layout)
+    selected = np.zeros(sc.prior.dim, dtype=bool)
+    selected[sc.prior.layout.scalar_indices(sorted(never))] = True
+    return selected
+
+
+# the graph pass itself, whatever a test patches in its place
+_GRAPH_COMPONENTS = sparse._graph_components
+
+
+def _graph_plan(r, selected) -> tuple:
+    """``_kept_fill`` with the column heads never read: the graph pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_skyline_components", lambda *args: None)
+        mp.setattr(sparse, "_graph_components", _GRAPH_COMPONENTS)
+        return sparse._kept_fill(r, selected, np.flatnonzero(~selected))
+
+
+@pytest.fixture
+def no_graph_pass(monkeypatch):
+    """The graph pass raises: only the column heads may plan."""
+    def refuse(*args):
+        raise AssertionError("the graph pass ran")
+
+    monkeypatch.setattr(sparse, "_graph_components", refuse)
+
+
+def _skyline(heads) -> UpperTriangular:
+    """A factor whose column ``j`` stores rows ``heads[j] .. j - 1``."""
+    rows = [i for j, h in enumerate(heads) for i in range(h, j)]
+    cols = [j for j, h in enumerate(heads) for _ in range(h, j)]
+    vals = np.linspace(-1.0, 1.0, len(rows))
+    return UpperTriangular(np.full(len(heads), 2.0), SparseRowBlock.from_coo(len(heads), len(heads), rows, cols, vals))
+
+
+class TestSparsificationPlan:
+    """``_kept_fill``'s plan (fill pattern, moved rows, first crossing
+    column) from the column heads of a skyline factor, array-equal to the
+    graph pass; other factors take the graph pass."""
+
+    @staticmethod
+    def _check(r, selected):
+        kept = np.flatnonzero(~selected)
+        assert sparse._skyline_components(r, selected, kept) is not None
+        got = sparse._kept_fill(r, selected, kept)
+        want = _graph_plan(r, selected)
+        assert [a.dtype for a in got[:3]] == [np.int64] * 3 and type(got[3]) is int
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        return got
+
+    def test_uninvolved_selections_of_the_benchmark_scenarios(self):
+        moving = 0
+        for cfg in _benchmark_configs():
+            sc = generate(cfg)
+            _, _, moved, first = self._check(sc.prior.root, _uninvolved(sc))
+            moving += moved.size > 0
+            assert (first < sc.prior.dim) == (moved.size > 0)
+        assert moving > 5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_block_selections(self, seed):
+        sc = _plan_1k() if seed < 3 else generate(batch_small_configs()[seed])
+        rng = np.random.default_rng(seed)
+        layout = sc.prior.layout
+        for share in (0.1, 0.5, 0.9):
+            selected = np.zeros(sc.prior.dim, dtype=bool)
+            selected[layout.scalar_indices([b for b in layout.block_ids if rng.random() < share])] = True
+            if selected.all() or not selected[np.flatnonzero(~selected)[0]:].any():
+                continue
+            self._check(sc.prior.root, selected)
+
+    @pytest.mark.parametrize(
+        "heads, selected",
+        [
+            # two intervals that touch but share no row: two components
+            ([0, 0, 1, 3, 3, 4, 6], [2, 5]),
+            # overlapping intervals merge: one component
+            ([0, 0, 0, 1, 2, 3, 4], [3, 5]),
+            # a selected column that no row stores links only its own row
+            ([0, 1, 1, 3, 2, 5], [3]),
+            # selected rows before the first kept one, which store its column
+            ([0, 0, 0, 0, 2, 5], [0, 1, 4]),
+            # no kept row stores a selected column: nothing moves
+            ([0, 1, 2, 3, 4], [2, 4]),
+        ],
+        ids=["touching-intervals", "overlapping-intervals", "empty-selected-column", "selected-lead",
+             "nothing-moves"],
+    )
+    def test_hand_made_skylines(self, heads, selected):
+        r = _skyline(heads)
+        mask = np.zeros(r.dim, dtype=bool)
+        mask[selected] = True
+        self._check(r, mask)
+        _assert_matches(r, sparsify_oracle(r, mask), sparsify_factor(r, mask))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_skyline_and_selection(self, data):
+        n = data.draw(st.integers(1, 18))
+        heads = [data.draw(st.integers(0, j)) for j in range(n)]
+        selected = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if not selected.all():
+            self._check(_skyline(heads), selected)
+
+    def test_an_uninvolved_sparsified_factor_takes_the_graph_pass(self, monkeypatch):
+        # the first batch-small scenario: its uninvolved factor is no skyline
+        sc = generate(batch_small_configs()[0])
+        r = sparsify_factor(sc.prior.root, _uninvolved(sc))
+        selected = np.zeros(r.dim, dtype=bool)
+        selected[1:r.dim:4] = True
+        assert sparse._skyline_components(r, selected, np.flatnonzero(~selected)) is None
+        calls = []
+        monkeypatch.setattr(sparse, "_graph_components", lambda *args: calls.append(args) or _GRAPH_COMPONENTS(*args))
+        _assert_matches(r, sparsify_oracle(r, selected), sparsify_factor(r, selected))
+        assert len(calls) == 1
+
+    def test_a_hand_made_pattern_takes_the_graph_pass(self):
+        # column 2 is stored in row 0 but not in row 1: no skyline
+        r = triangular_from_dense([[1.4, -0.2, -0.2, 0.3], [0.0, 0.6, 0.0, -0.1],
+                                   [0.0, 0.0, 1.3, 0.5], [0.0, 0.0, 0.0, 1.5]])
+        selected = np.array([False, True, False, True])
+        assert sparse._skyline_components(r, selected, np.flatnonzero(~selected)) is None
+        indptr, indices, moved, first = sparse._kept_fill(r, selected, np.flatnonzero(~selected))
+        assert _as_sets(4, indptr, indices) == [{2}, set(), set(), set()]
+        assert moved.tolist() == [0, 2] and first == 1
+        _assert_matches(r, sparsify_oracle(r, selected), sparsify_factor(r, selected))
+
+    def test_benchmark_sessions_never_take_the_graph_pass(self, no_graph_pass):
+        """plan-1k, the 8 batch-small scenarios and the warm-up scenario
+        plan every sparsification of a session from the column heads."""
+        for cfg in _benchmark_configs():
+            run_session(generate(cfg))
+
+
+def _refuse_product(*args):
+    raise AssertionError("the Gram product ran")
+
+
+class TestGramCount:
+    """``UpperTriangular.gram_nnz``: ``nnz`` for a fill-closed pattern, the
+    product's count for any other."""
+
+    def test_random_patterns_count_as_the_product(self):
+        rng = np.random.default_rng(21)
+        closed = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 16))
+            dense = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.7), 1) * rng.normal(size=(n, n))
+            r = triangular_from_dense(dense + np.eye(n))
+            first, settles = r._row_links
+            closed += all(s or f < 0 for f, s in zip(first, settles))
+            assert r.gram_nnz() == r.as_row_block().gram_nnz() == r.gram().nnz
+        # both kinds were drawn, closed ones the fewer
+        assert 50 < closed < 300
+
+    def test_cholesky_fill_is_its_own_gram_pattern(self, monkeypatch):
+        r = cholesky(symmetric_from_dense(random_sparse_spd(np.random.default_rng(22), 30)))
+        want = r.as_row_block().gram_nnz()
+        monkeypatch.setattr(SparseRowBlock, "_upper_gram", _refuse_product)
+        assert r.gram_nnz() == r.nnz == want
+
+    def test_plan_1k_session_counts_without_the_product(self, monkeypatch):
+        sc = _plan_1k()
+        want = [b.root.as_row_block().gram_nnz() for b in _session_beliefs(sc)]
+        monkeypatch.setattr(SparseRowBlock, "_upper_gram", _refuse_product)
+        report = run_session(sc)
+        assert [m.info_nnz for m in report.all_results()] == want
+        assert [m.root_nnz for m in report.all_results()] == want
 
 
 @st.composite
@@ -1239,6 +1417,18 @@ class TestMatrixMarket:
     def test_size_line_without_three_integers_is_named(self, size_line):
         text = f"%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n2 2 1.0\n"
         with pytest.raises(ValueError, match=f"size line .*'{size_line}'"):
+            mmio.mm_to_triangular(text)
+
+    @pytest.mark.parametrize(
+        "entries, named",
+        [("1 1\n1.5 2 2 3.0", "1 1"), ("1 1 1.5\n2 2 3.0 4", "2 2 3.0 4"), ("1 1 1.5 2\n2 3.0", "1 1 1.5 2")],
+        ids=["short-then-long", "trailing-token", "long-then-short"],
+    )
+    def test_entry_line_without_three_values_is_named(self, entries, named):
+        # the token count alone is right in the first and third cases, so
+        # counting all tokens together would read a diagonal [1.5, 3.0]
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n{entries}\n"
+        with pytest.raises(ValueError, match=f"entry line .*'{named}'"):
             mmio.mm_to_triangular(text)
 
     def test_external_reader_agrees(self):

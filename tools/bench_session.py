@@ -8,7 +8,7 @@ checkout and of this one, and one-shot planning sessions at prior dims
 with ``git archive HASH | tar -x -C DIR``.  For each seed and workload both
 sides run ``perfbench/run.py`` one after the other, the parent first on odd
 seeds; the final JSON line of every run is kept, with the medians,
-quartiles and pairs of every metric.  Then each side runs three one-shot
+quartiles and pairs of every metric.  Then each side runs five one-shot
 sessions per dim, each in a fresh process so that its peak RSS is
 the session's own: ``generate``, ``run_session`` with the default modes and
 ratios and three timing repeats (phase medians, so that one slow repeat does
@@ -17,7 +17,7 @@ not decide the baseline >= uninvolved >= full ordering), then
 of the scenario (the file's bytes and their CPU seconds; peak RSS is read
 before them).  The criterion-11 share is the sparsification time over the
 original decision time, both ``run_session``'s own figures.  Seeds 1-10 at
-the benchmark's 50 s run length and three sessions per dim take about 45
+the benchmark's 50 s run length and five sessions per dim take about 50
 minutes on a 2-vCPU machine.  The record also holds each side's
 ``src_loc``, the physical lines of ``src/beliefplan/*.py`` (what
 ``cat src/beliefplan/*.py | wc -l`` prints), and the change is printed on
@@ -50,7 +50,7 @@ WORKLOADS = ("plan-1k", "batch-small")
 SEEDS = tuple(range(1, 11))
 SECONDS = 50  # run_seconds of BENCHMARK.json
 DIMS = (1020, 3000, 9000)
-RUNS = 3  # one-shot sessions per side and dim
+RUNS = 5  # one-shot sessions per side and dim (with three, the dim-9000 verdict flipped)
 STDERR_LINES = 5  # of a failed session, kept in its row
 CRITERION_11_SHARE = 0.10  # sparsification over the original decision time
 
