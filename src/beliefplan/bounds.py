@@ -317,7 +317,7 @@ def determinant_bounds(b: GaussianBelief, a: CandidateAction) -> tuple[float, fl
 def _inverse_block(b: GaussianBelief, scalar_idx: np.ndarray) -> np.ndarray:
     """Rows/columns ``scalar_idx`` of the covariance, via two sparse
     triangular solves against the root factor (no inverse, no dense n x n
-    array)."""
+    array).  ``rank1_offset_bound`` is its caller."""
     r = b.root.as_row_block().to_scipy()
     rhs = np.zeros((b.dim, scalar_idx.size))
     rhs[scalar_idx, np.arange(scalar_idx.size)] = 1.0
@@ -338,7 +338,9 @@ def rank1_offset_bound(
     ``alpha`` must dominate the squared Jacobian entries of every
     candidate; pass ``candidates`` to have the single-row and alpha
     preconditions checked.  Returns +inf when the log argument is
-    non-positive (the bound degenerates conservatively).
+    non-positive (the bound degenerates conservatively).  No scenario
+    candidate has a single row, so no report carries this bound; it is
+    public API that acceptance criterion 5 checks.
     """
     if b.dim != b_s.dim:
         raise LengthMismatch("beliefs differ in dimension")

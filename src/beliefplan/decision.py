@@ -10,7 +10,10 @@ compared to the original through:
   vectors, which implies zero loss;
 - simplification offset: the max per-candidate value discrepancy, possibly
   after re-calibrating the simplified values with a monotone balance map;
-- rank correlation, with the tie rule (``_pair_signs``) of consistency.
+- rank correlation, with the tie rule (``_pair_signs``) of consistency:
+  both count values within ``CONSISTENCY_TOLERANCE`` as tied unless given
+  a ``tol`` (``tol=0.0`` compares the exact order), the rule a session
+  ranks at, since a sparsified belief can split an exact tie by a last bit.
 
 The minimum offset over all monotone balance maps is not computable in
 general; ``balanced_offset_upper`` returns the minimum over constant
@@ -26,6 +29,9 @@ import numpy as np
 
 from .belief import GaussianBelief, evaluate_candidates
 from .errors import IndexOutOfRange, LengthMismatch
+
+# objective values within this distance count as tied by rho and consistency
+CONSISTENCY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ def _pair_signs(v: np.ndarray, tol: float) -> np.ndarray:
     return np.where(np.abs(d) <= tol, 0.0, np.sign(d))
 
 
-def action_consistent(values_1, values_2, tol: float = 0.0) -> bool:
+def action_consistent(values_1, values_2, tol: float = CONSISTENCY_TOLERANCE) -> bool:
     """True iff the two vectors order every candidate pair identically
     (strict inequalities match in both directions; ties co-occur), where
     differences within ``tol`` count as ties."""
@@ -132,7 +138,7 @@ def balanced_offset_upper(values_orig, values_simp) -> float:
     return float((d.max() - d.min()) / 2.0)
 
 
-def rank_correlation(values_1, values_2, tol: float = 0.0) -> float:
+def rank_correlation(values_1, values_2, tol: float = CONSISTENCY_TOLERANCE) -> float:
     """Pearson correlation of the two rank vectors (average ranks on ties,
     differences within ``tol`` counting as ties, as in ``action_consistent``).
 

@@ -20,12 +20,14 @@ squared lever arms (scaled by the angular:position variance ratio).
 
 The prior's factors and each plan's are held as one read-only ``(F, 3)``
 int64 factor table each: a kind code into ``KINDS``, then pose ids ``i``
-and ``j``.  ``_factor_table`` checks a table once, as a whole, where the
-generator or the loader makes it.  The prior belief, the candidate
-Jacobians, the lever mass, the pose graph and the scenario file read the
-tables; ``Scenario.prior_factors`` and ``CandidatePlan.factors`` are tuple
-views of them, as ``Factor``s, that no build, load, session or bounds path
-reads.
+and ``j``.  One builder, ``_trajectory_table``, makes every table, in the
+generator and the loader alike, from its trajectory's loop closures: the
+anchor and the odometry follow from pose order, and only the loops need a
+check.  The prior belief, the candidate Jacobians, the lever mass, the pose
+graph and the scenario file read the tables; ``Scenario.prior_factors`` and
+``CandidatePlan.factors`` are tuple views of them, as ``Factor``s, that no
+build, load, session or bounds path reads (the tests and the benchmark
+compare them across a file round trip).
 
 ``generate`` and ``scenario_from_json`` build a scenario the same way, in
 array passes per scenario: ``_prior_belief`` (whitened prior rows, their
@@ -33,19 +35,22 @@ information, its sparse factor), ``_candidate_actions`` (the rows of every
 plan whitened as one stack and sliced per candidate, and the lever mass of
 the prior and of every plan, summed once for the bounds) and
 ``_prior_pose_graph``.  ``_whitened_rows`` whitens the 3x3 blocks of many
-factors; ``build_collective_jacobian`` calls it for one list of factors.
+factors; ``build_collective_jacobian`` calls it for one list of factors,
+which the benchmark's probe times against the loaded candidates.
 The generator draws its random numbers one at a time, in a fixed order, so
 that a config always gives the same file.  A pose so far out that a
 whitened entry, an information diagonal entry or a lever mass overflows,
 or that the prior information loses positive definiteness, is refused by
 name (``_pose_name``).
 
-A scenario file (schema 2) states each fact once: a pose's id is its
+A scenario file (schema 3) states each fact once: a pose's id is its
 position in ``poses``, a candidate's in ``candidates`` (its new poses are
-numbered on from the prior's), every factor is whitened by the config's
-noise model, and the counts are the lengths of the lists.  The loader reads
-exact key sets and JSON integers, so a field it does not know or finds
-twice is an error.
+numbered on from the prior's), the anchor and the odometry follow from
+pose order so only loop closures are listed, every factor is whitened by
+the config's noise model, and the counts are the lengths of the lists.
+The loader reads the version first, then exact key sets and JSON integers,
+so a file of another schema is named by its version, and a field it does
+not know or finds twice is an error.
 
 A planning session evaluates all candidates on the original belief and on
 each requested sparsified version, then reports values, selections, loss,
@@ -75,6 +80,7 @@ from .bounds import (
     topological_bounds,
 )
 from .decision import (
+    CONSISTENCY_TOLERANCE,
     action_consistent,
     balanced_offset_upper,
     offset,
@@ -87,10 +93,8 @@ from .sparse import SparseRowBlock, cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
 DEFAULT_NOISE_RATIOS = (0.01, 0.25, 0.85)
-# objective values within this distance count as tied by rho and consistency
-CONSISTENCY_TOLERANCE = 1e-9
 
-SCENARIO_SCHEMA_VERSION = 2
+SCENARIO_SCHEMA_VERSION = 3
 REPORT_SCHEMA_VERSION = 3
 
 
@@ -145,7 +149,7 @@ class Factor(NamedTuple):
 
 
 def _factor_view(table: np.ndarray) -> tuple:
-    """The rows of a factor table as ``Factor``s."""
+    """The rows of a factor table as ``Factor``s, which the tests and the benchmark compare."""
     return tuple(Factor(KINDS[c], i, j) for c, i, j in table.tolist())
 
 
@@ -157,7 +161,7 @@ class CandidatePlan:
     candidate_id: int
     new_pose_ids: tuple
     new_pose_means: np.ndarray
-    table: np.ndarray  # read-only (F, 3) factor table, see ``_factor_table``
+    table: np.ndarray  # read-only (F, 3) factor table, see ``_trajectory_table``
 
     @property
     def factors(self) -> tuple:
@@ -186,34 +190,26 @@ class Scenario:
         return _factor_view(self.prior_table)
 
 
-def _factor_table(rows, n_poses: int, what: str, anchored: bool = False) -> np.ndarray:
-    """``rows`` of (kind code into ``KINDS``, i, j) as a read-only ``(F, 3)``
-    int64 factor table, checked as a whole: every code names a kind, a
-    factor is an anchor exactly when ``i == j``, every pose id is in
-    ``[0, n_poses)``, and the only anchor is the first row, on pose 0, if
-    ``anchored`` (a prior's table), else there is none.  The first faulty
-    row is named as a factor of ``what``."""
+def _trajectory_table(n_poses: int, first: int, loops, what: str) -> np.ndarray:
+    """The read-only ``(F, 3)`` int64 factor table of a trajectory over pose
+    ids ``[0, n_poses)``: pose 0 anchored if ``first`` is 0, the odometry
+    into each later pose ``k >= first`` from pose ``k - 1``, then ``loops``,
+    its loop closures as ``[i, j]`` pose-id pairs in order.  Only the loops
+    are checked, as a whole: each joins two distinct poses in range, and the
+    first faulty one is named as a loop of ``what``."""
     try:
-        table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        loops = np.array(loops, dtype=np.int64).reshape(-1, 2)
     except OverflowError:  # an id beyond int64, so out of range: check the exact integers
-        table = np.array(rows, dtype=object).reshape(-1, 3)
-    code, ends = table[:, 0], table[:, 1:]
-    bad = (code < 0) | (code >= len(KINDS))
+        loops = np.array(loops, dtype=object).reshape(-1, 2)
+    bad = (loops[:, 0] == loops[:, 1]) | ((loops < 0) | (loops >= n_poses)).any(axis=1)
     if bad.any():
-        k = int(np.argmax(bad))
-        raise InvalidScenario(f"factor {k} of {what} has kind code {code[k]}, which names no kind")
-    bad = (code == 0) != (ends[:, 0] == ends[:, 1])
-    if bad.any():
-        f = _factor_at(table, int(np.argmax(bad)))
-        raise InvalidScenario(f"factor [{f.kind}, {f.i}, {f.j}] of {what} "
-                              + (f"joins pose {f.i} to itself" if f.i == f.j else "anchors two poses"))
-    bad = (ends < 0) | (ends >= n_poses)
-    if bad.any():
-        k, side = divmod(int(np.argmax(bad)), 2)
-        f = _factor_at(table, k)
-        raise LayoutMismatch(f"factor [{f.kind}, {f.i}, {f.j}] of {what} references unknown pose {f[1 + side]}")
-    if np.flatnonzero(code == 0).tolist() != ([0] if anchored else []) or anchored and table[0, 1] != 0:
-        raise InvalidScenario(f"{what} must have {'one anchor, on pose 0, first' if anchored else 'no anchor'}")
+        i, j = loops[int(np.argmax(bad))].tolist()
+        if i == j:
+            raise InvalidScenario(f"loop [{i}, {j}] of {what} joins pose {i} to itself")
+        raise LayoutMismatch(f"loop [{i}, {j}] of {what} references unknown pose {j if 0 <= i < n_poses else i}")
+    odom = np.arange(max(first, 1), n_poses)
+    ends = np.concatenate([np.zeros((int(first == 0), 2), dtype=np.int64), np.column_stack((odom - 1, odom)), loops])
+    table = np.column_stack((np.repeat(np.arange(len(KINDS)), [first == 0, odom.size, len(loops)]), ends))
     table.flags.writeable = False
     return table
 
@@ -221,11 +217,6 @@ def _factor_table(rows, n_poses: int, what: str, anchored: bool = False) -> np.n
 def _factor_at(table: np.ndarray, k: int) -> Factor:
     c, i, j = table[k].tolist()
     return Factor(KINDS[c], i, j)
-
-
-def _kind_rows(kind: str, i, j) -> np.ndarray:
-    """Factor table rows of one ``kind`` from pose ids ``i`` to ``j``."""
-    return np.column_stack((np.full(len(i), KINDS.index(kind)), i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +303,8 @@ def build_collective_jacobian(
     ``means`` maps global pose id to its (x, y, theta) linearization point,
     covering both prior poses (laid out by ``layout``) and the appended
     ``new_pose_ids`` (columns after the prior, in the given order).  Factor
-    ``k`` owns rows ``3k..3k+2`` (see ``_whitened_rows``).
+    ``k`` owns rows ``3k..3k+2`` (see ``_whitened_rows``).  No build path
+    calls it; it is public API, which the benchmark's probe times.
     """
     col_of_pose = {blk.block_id: blk.offset for blk in layout.blocks}
     for k, pid in enumerate(new_pose_ids):
@@ -367,7 +359,7 @@ def _wrap(theta: float) -> float:
 
 
 def _prior_loop_closures(poses: np.ndarray, radius: float, window: int, max_per_pose: int = 2) -> np.ndarray:
-    """Factor table rows of the loop closures from each pose ``j`` to its
+    """The loop closures, as ``(i, j)`` rows, from each pose ``j`` to its
     ``max_per_pose`` nearest poses ``i`` within ``radius``,
     ``2 <= j - i <= window + 1`` (ties to the lower ``i``), ordered by
     ``(j, i)``; one pass over every pair."""
@@ -386,7 +378,7 @@ def _prior_loop_closures(poses: np.ndarray, radius: float, window: int, max_per_
     keep = np.arange(j.size) - np.searchsorted(j, j) < max_per_pose
     i, j = i[keep], j[keep]
     order = np.lexsort((i, j))
-    return _kind_rows("loop", i[order], j[order])
+    return np.column_stack((i[order], j[order]))
 
 
 def _candidate_plans(
@@ -418,11 +410,10 @@ def _candidate_plans(
     nearest = np.argmin(dists, axis=2)
     closes = dists.min(axis=2) <= cfg.loop_closure_radius
     new_ids = np.arange(n, n + length)
-    chain = _kind_rows("odom", new_ids - 1, new_ids)
     return tuple(
-        CandidatePlan(c, tuple(new_ids.tolist()), new_means[c], _factor_table(
-            np.concatenate([chain, _kind_rows("loop", nearest[c, closes[c]], new_ids[closes[c]])]),
-            n + length, f"the factors of candidate {c}"))
+        CandidatePlan(c, tuple(new_ids.tolist()), new_means[c], _trajectory_table(
+            n + length, n, np.column_stack((nearest[c, closes[c]], new_ids[closes[c]])),
+            f"the loops of candidate {c}"))
         for c in range(cfg.n_candidates)
     )
 
@@ -438,11 +429,8 @@ def generate(cfg: ScenarioConfig) -> Scenario:
     n = cfg.n_prior_poses
     poses = _sample_trajectory(cfg, rng)
 
-    odom = np.arange(1, n)
-    prior_table = _factor_table(np.concatenate([
-        _kind_rows("anchor", [0], [0]), _kind_rows("odom", odom - 1, odom),
-        _prior_loop_closures(poses, cfg.loop_closure_radius, cfg.loop_index_window),
-    ]), n, "the factors", anchored=True)
+    prior_table = _trajectory_table(n, 0, _prior_loop_closures(poses, cfg.loop_closure_radius, cfg.loop_index_window),
+                                    "the loops")
     prior = _prior_belief(cfg, poses, prior_table)
 
     half = cfg.world_extent / 2.0
@@ -712,21 +700,14 @@ def _median_timed(fn, repeats: int):
     return result, statistics.median(times)
 
 
-def _evaluate_all(belief: GaussianBelief, candidates, repeats: int):
-    """Per-candidate values and median seconds, one candidate at a time."""
-    outcomes = [
-        _median_timed(lambda a=a: evaluate_candidates(belief, [a])[0], repeats) for a in candidates
-    ]
+def _evaluate_phase(belief: GaussianBelief, candidates, repeats: int):
+    """Per-candidate values and median seconds, one candidate at a time, and
+    the phase's wall time per pass over the candidates (the whole phase runs
+    ``repeats`` passes)."""
+    t0 = time.perf_counter()
+    outcomes = [_median_timed(lambda a=a: evaluate_candidates(belief, [a])[0], repeats) for a in candidates]
     values = np.array([val for val, _ in outcomes], dtype=np.float64)
     per_candidate = np.array([secs for _, secs in outcomes], dtype=np.float64)
-    return values, per_candidate
-
-
-def _evaluate_phase(belief: GaussianBelief, candidates, repeats: int):
-    """``_evaluate_all`` plus the phase's wall time, per pass over the
-    candidates (the whole phase runs ``repeats`` passes)."""
-    t0 = time.perf_counter()
-    values, per_candidate = _evaluate_all(belief, candidates, repeats)
     return values, per_candidate, (time.perf_counter() - t0) / repeats
 
 
@@ -797,8 +778,8 @@ def run_session(
                 loss=simplification_loss(original, best),
                 offset_identity=offset(original, values),
                 offset_shift_upper=balanced_offset_upper(original, values),
-                rho=rank_correlation(original, values, CONSISTENCY_TOLERANCE),
-                consistent=action_consistent(original, values, CONSISTENCY_TOLERANCE),
+                rho=rank_correlation(original, values),
+                consistent=action_consistent(original, values),
             )
         root_nnz, info_nnz = nnz_report(belief)
         results.append(ModeResult(
@@ -861,55 +842,57 @@ _CONFIG_TYPES = {"world_extent": float, "position_std": float, "angular_std": fl
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    """Schema 2, which states each fact once (see the package README)."""
+    """Schema 3, which states each fact once and lists only the loop
+    closures (see the package README)."""
     cfg = scenario.config
     doc = {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "seed": cfg.seed,
         "config": {name: getattr(cfg, name) for name in _CONFIG_TYPES},
         "poses": scenario.executed_path.tolist(),
-        "factors": _factor_rows(scenario.prior_table[1:]),  # the loader adds the anchor
+        "loops": _loops_of(scenario.prior_table),
         "candidates": [
-            {"new_poses": plan.new_pose_means.tolist(), "factors": _factor_rows(plan.table)}
-            for plan in scenario.plans
+            {"new_poses": plan.new_pose_means.tolist(), "loops": _loops_of(plan.table)} for plan in scenario.plans
         ],
     }
     return json.dumps(doc, indent=1)
 
 
-def _factor_rows(table: np.ndarray) -> list:
-    return [[KINDS[c], i, j] for c, i, j in table.tolist()]
+def _loops_of(table: np.ndarray) -> list:
+    """A factor table's loop closures as ``[i, j]`` pairs: what a file lists of it."""
+    return table[table[:, 0] == KINDS.index("loop"), 1:].tolist()
 
 
-def _rows(rows, form: str, fits, what: str) -> list:
-    """``rows`` if it is a JSON list of three-item lists that each ``fits``."""
-    if not all(type(r) is list and len(r) == 3 and fits(r) for r in json_value(rows, list, InvalidScenario, what)):
+def _rows(rows, size: int, fits, form: str, what: str) -> list:
+    """``rows`` if it is a JSON list of lists of ``size`` values that each ``fits``."""
+    if not all(type(r) is list and len(r) == size and all(map(fits, r))
+               for r in json_value(rows, list, InvalidScenario, what)):
         raise InvalidScenario(f"{what} must each be {form}")
     return rows
 
 
 def _poses(rows, what: str) -> np.ndarray:
-    rows = _rows(rows, "[x, y, theta], three finite numbers",
-                 lambda r: all(type(v) in (int, float) and math.isfinite(v) for v in r), what)
+    rows = _rows(rows, 3, lambda v: type(v) in (int, float) and math.isfinite(v),
+                 "[x, y, theta], three finite numbers", what)
     return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
-def _factors(rows, what: str, n_poses: int, anchored: bool = False) -> np.ndarray:
-    """The checked factor table of a file's factor list, behind the anchor
-    on pose 0 if ``anchored``."""
-    rows = _rows(rows, "[odom|loop, i, j] with integers i, j",
-                 lambda r: r[0] in ("odom", "loop") and type(r[1]) is int and type(r[2]) is int, what)
-    lead = [(0, 0, 0)] if anchored else []
-    return _factor_table(lead + [(KINDS.index(kind), i, j) for kind, i, j in rows], n_poses, what, anchored)
+def _loops(rows, n_poses: int, first: int, what: str) -> np.ndarray:
+    """The trajectory table (``_trajectory_table``) of a file's loop list."""
+    rows = _rows(rows, 2, lambda v: type(v) is int, "[i, j], two integer pose ids", what)
+    return _trajectory_table(n_poses, first, rows, what)
 
 
 def _read_scenario_doc(doc) -> tuple:
     """(config, poses, prior factor table, plans) of a parsed scenario file."""
-    version, seed, config, poses, factors, candidates = json_fields(
-        doc, ("schema_version", "seed", "config", "poses", "factors", "candidates"), InvalidScenario, "the file"
-    )
+    # the version before the keys, which differ between schemas; json_fields
+    # refuses a document that is not an object
+    version = doc.get("schema_version") if type(doc) is dict else SCENARIO_SCHEMA_VERSION
     if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
         raise InvalidScenario(f"scenario schema_version {version!r:.60} is not {SCENARIO_SCHEMA_VERSION}")
+    _, seed, config, poses, loops, candidates = json_fields(
+        doc, ("schema_version", "seed", "config", "poses", "loops", "candidates"), InvalidScenario, "the file"
+    )
     values = json_fields(config, tuple(_CONFIG_TYPES), InvalidScenario, "the config")
     config = {name: json_value(v, kind, InvalidScenario, f"config {name}")
               for (name, kind), v in zip(_CONFIG_TYPES.items(), values)}
@@ -917,10 +900,10 @@ def _read_scenario_doc(doc) -> tuple:
     n = poses.shape[0]
     plans = []
     for c, cd in enumerate(json_value(candidates, list, InvalidScenario, "the candidates")):
-        new_poses, cand_factors = json_fields(cd, ("new_poses", "factors"), InvalidScenario, f"candidate {c}")
+        new_poses, cand_loops = json_fields(cd, ("new_poses", "loops"), InvalidScenario, f"candidate {c}")
         new_means = _poses(new_poses, f"the new poses of candidate {c}")
         new_ids = tuple(range(n, n + new_means.shape[0]))
-        table = _factors(cand_factors, f"the factors of candidate {c}", n + len(new_ids))
+        table = _loops(cand_loops, n + len(new_ids), n, f"the loops of candidate {c}")
         plans.append(CandidatePlan(c, new_ids, new_means, table))
     lengths = sorted({len(plan.new_pose_ids) for plan in plans})
     if len(lengths) > 1:
@@ -928,7 +911,7 @@ def _read_scenario_doc(doc) -> tuple:
     seed = json_value(seed, int, InvalidScenario, "the seed")
     cfg = ScenarioConfig(seed=seed, n_prior_poses=n, n_candidates=len(plans),
                          candidate_length=lengths[0] if lengths else 0, **config)
-    return cfg, poses, _factors(factors, "the factors", n, anchored=True), tuple(plans)
+    return cfg, poses, _loops(loops, n, 0, "the loops"), tuple(plans)
 
 
 def scenario_from_json(text: str) -> Scenario:

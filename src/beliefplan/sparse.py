@@ -29,17 +29,19 @@ and small inputs).  ``cholesky`` splits into a symbolic elimination, which
 fixes the pattern, and a numeric sparse factorization by SuperLU in the
 given order.  The symbolic elimination (``_elimination_fill``, which
 ``sparsify_factor`` shares) is one array pass when the elimination tree is
-a chain, as it is for every scenario prior and kept tail: then the rows of
-each factor column form one contiguous range (Liu 1990).  Other patterns
-go through a sweep that builds each row from its own entries and its
-elimination-tree children.  ``SparseRowBlock.gram``, the one Gram kernel
-(J^T J of constraint rows; R^T R of a factor, through ``UpperTriangular``),
-takes its pattern from a 0/1 sparse product and its values from the data
-product.  Both scatter the numeric product onto the structural pattern
-(``_values_on_pattern``, which refuses a coordinate the pattern lacks).
-A factor's Gram count (``UpperTriangular.gram_nnz``) needs no product
-when its pattern is fill-closed, as every Cholesky fill is: it is then
-its own Gram pattern.
+a chain, the usual case for a scenario prior and kept tail: then the rows
+of each factor column form one contiguous range (Liu 1990).  Other
+patterns go through a sweep that builds each row from its own entries and
+its elimination-tree children; legal input reaches it, since a scenario
+pose at heading exactly 0.0 whitens to exact zeros, which are not stored,
+and its prior's tree is then no chain.  ``SparseRowBlock.gram``, the one
+Gram kernel (J^T J of constraint rows; R^T R of a factor, through
+``UpperTriangular``), takes its pattern from a 0/1 sparse product and its
+values from the data product.  Both scatter the numeric product onto the
+structural pattern (``_values_on_pattern``, which refuses a coordinate the
+pattern lacks).  A factor's Gram count (``UpperTriangular.gram_nnz``) needs
+no product when its pattern is fill-closed, as every Cholesky fill is: it
+is then its own Gram pattern.
 
 Changing a factor is one panel kernel, ``_fold``: it re-triangularizes
 factor rows stacked over extra rows, a panel of consecutive pivot rows per
@@ -60,9 +62,9 @@ callers fix the stored pattern separately:
   information matrix (Elimelech & Indelman, RA-L 2021): the kept rows that
   the reordering makes non-triangular are folded back in as extra rows.
   The kept rows' pattern is the fill of re-factoring in that order, by the
-  fill-path rule.  On a column skyline, as every scenario prior is, that
-  plan is read from the first row of each column in arrays of length n;
-  other patterns go through a graph of the trailing entries.
+  fill-path rule.  On a column skyline, the usual shape of a scenario
+  prior, that plan is read from the first row of each column in arrays of
+  length n; other patterns go through a graph of the trailing entries.
 
 All types are immutable after construction and every operation returns a
 new object; instances can be shared freely.
@@ -227,12 +229,12 @@ class SparseRowBlock:
 
     @cached_property
     def row_cols(self) -> tuple:
-        """Read-only per-row views of ``indices``."""
+        """Read-only per-row views of ``indices``, which the tests and the benchmark's counters read."""
         return _row_views(self.indices, self.indptr)
 
     @cached_property
     def row_vals(self) -> tuple:
-        """Read-only per-row views of ``data``."""
+        """Read-only per-row views of ``data``, which the tests and the benchmark's counters read."""
         return _row_views(self.data, self.indptr)
 
     def to_dense(self) -> np.ndarray:
@@ -439,7 +441,9 @@ def _elimination_sweep(m: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.n
     Row i holds its initial columns plus the columns of every earlier row
     whose first column is i (its children in the elimination tree), less i
     itself (Liu 1990).  One set per row: this is the general case that
-    ``_elimination_fill`` falls back on.
+    ``_elimination_fill`` falls back on, kept because legal input needs it
+    (see the module docstring) and acceptance criteria 2-5 factor random
+    SPD beliefs through it.
     """
     by_row = rows.argsort(kind="stable")
     bounds = rows[by_row].searchsorted(np.arange(m + 1)).tolist()
@@ -924,14 +928,14 @@ def _skyline_components(r: UpperTriangular, selected: np.ndarray, kept: np.ndarr
     Let ``head[j]`` be the first trailing row that stores column ``j``
     (``j`` itself if none does).  The trailing rows store at most
     ``sum(j - head[j])`` entries, exactly that many when column ``j`` covers
-    every row ``head[j] .. j - 1``: a column skyline, as every scenario
-    prior is.  Then selected column ``j`` links the rows ``head[j] .. j``
-    (its own row by the diagonal), so the components are the merged
-    overlapping intervals, kept ``k`` joins component ``[a, b]`` when
-    ``a <= k`` and ``head[k] <= b``, the moved rows are the kept rows inside
-    a component, and the first crossing column is the least selected ``j``
-    whose interval holds a kept row.  One minimum pass over the trailing
-    entries, then arrays of length ``n``.
+    every row ``head[j] .. j - 1``: a column skyline, the usual shape of a
+    scenario prior.  Then selected column ``j`` links the rows
+    ``head[j] .. j`` (its own row by the diagonal), so the components are
+    the merged overlapping intervals, kept ``k`` joins component
+    ``[a, b]`` when ``a <= k`` and ``head[k] <= b``, the moved rows are the
+    kept rows inside a component, and the first crossing column is the
+    least selected ``j`` whose interval holds a kept row.  One minimum pass
+    over the trailing entries, then arrays of length ``n``.
     """
     n = r.dim
     u = r.upper
@@ -964,7 +968,9 @@ def _graph_components(r: UpperTriangular, selected: np.ndarray, kept: np.ndarray
     trailing entries (from the first kept row on): a row joins its selected
     columns and, through its diagonal, itself, by one edge from the row's
     node to each of them, and a kept scalar joins the component of every
-    row that stores it."""
+    row that stores it.  Kept for factors that are no skyline: any belief a
+    file or a caller supplies, and acceptance criteria 2-5's random SPD
+    beliefs."""
     n = r.dim
     u = r.upper
     split = int(kept[0])
@@ -1000,10 +1006,10 @@ def _kept_fill(r: UpperTriangular, selected: np.ndarray, kept: np.ndarray) -> tu
     By the fill-path theorem, kept scalars are linked when a factor row
     links them or when they touch the same connected component of the
     selected subgraph; the pattern is then the symbolic elimination of that
-    graph in kept order (``_elimination_fill``).  A column skyline, as
-    every scenario prior is, gives the components, the moved rows and the
-    first column from its column heads (``_skyline_components``); any other
-    pattern goes through a graph of its trailing entries
+    graph in kept order (``_elimination_fill``).  A column skyline, the
+    usual shape of a scenario prior, gives the components, the moved rows
+    and the first column from its column heads (``_skyline_components``);
+    any other pattern goes through a graph of its trailing entries
     (``_graph_components``).  Each component links a clique, so its members
     are given to its least member only, as pairs: the elimination carries
     them up the elimination tree to the rest.

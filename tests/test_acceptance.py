@@ -7,6 +7,7 @@ observations (sparsity ratios, rank-correlation fidelity, timing order)
 are checked as trends on seeded synthetic sessions.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -311,6 +312,7 @@ def test_criterion_9_ordering_and_offset_laws():
     offset implies consistency; loss sits in [0, 2x offset bound]; the
     offset bound satisfies the triangle inequality."""
     rng = np.random.default_rng(91)
+    exact_consistent = functools.partial(action_consistent, tol=0.0)  # the paper's order, ties only when equal
 
     def vec(n=None):
         n = int(rng.integers(2, 8)) if n is None else n
@@ -319,11 +321,11 @@ def test_criterion_9_ordering_and_offset_laws():
 
     for _ in range(1000):
         v = vec()
-        assert action_consistent(v, v)
+        assert exact_consistent(v, v)
     for _ in range(1000):
         v1 = vec()
         v2 = vec(v1.size)
-        assert action_consistent(v1, v2) == action_consistent(v2, v1)
+        assert exact_consistent(v1, v2) == exact_consistent(v2, v1)
     for _ in range(1000):
         v1 = vec()
         # build a consistent chain half the time so the premise is often met
@@ -331,21 +333,21 @@ def test_criterion_9_ordering_and_offset_laws():
             v2, v3 = 2.0 * v1, 0.5 * v1 + 8.0
         else:
             v2, v3 = vec(v1.size), vec(v1.size)
-        if action_consistent(v1, v2) and action_consistent(v2, v3):
-            assert action_consistent(v1, v3)
+        if exact_consistent(v1, v2) and exact_consistent(v2, v3):
+            assert exact_consistent(v1, v3)
     for _ in range(1000):
         v = vec()
         mapped = 4.0 * v
-        assert action_consistent(v, mapped)
+        assert exact_consistent(v, mapped)
         assert int(np.argmax(v)) == int(np.argmax(mapped))
     for _ in range(1000):
         v1 = vec()
         v2 = 2.0 * v1 + rng.integers(-8, 8)
-        assert action_consistent(v1, v2)
+        assert exact_consistent(v1, v2)
         assert simplification_loss(v1, int(np.argmax(v2))) == 0.0
         shifted = v1 + float(rng.integers(-64, 64))
         if balanced_offset_upper(v1, shifted) == 0.0:
-            assert action_consistent(v1, shifted)
+            assert exact_consistent(v1, shifted)
     for _ in range(1000):
         v1 = vec()
         v2 = vec(v1.size)

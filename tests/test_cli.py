@@ -43,6 +43,12 @@ class TestGenerate:
         summary = capsys.readouterr().out
         assert "dim=72" in summary and "candidates=5" in summary
 
+    def test_the_tiny_fixture_is_what_generate_writes(self, tmp_path):
+        out = tmp_path / "tiny.json"
+        argv = ["generate", "--seed", "11", "--n-poses", "16", "--candidates", "4", "--candidate-length", "3"]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == TINY.read_bytes()
+
     def test_same_seed_gives_identical_files(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -318,10 +324,21 @@ def _drop_candidates(doc):
     doc["candidates"] = []
 
 
-def _factor_with_sqrt_info(doc):
-    kind, i, j = doc["candidates"][1]["factors"][0]
+def _loop_with_sqrt_info(doc):
+    i, j = doc["candidates"][1]["loops"][0]
     sqrt_info = [10.0, 0, 0, 0, 10.0, 0, 0, 0, 40.0]
-    doc["candidates"][1]["factors"][0] = {"type": kind, "i": i, "j": j, "sqrt_info": sqrt_info}
+    doc["candidates"][1]["loops"][0] = {"i": i, "j": j, "sqrt_info": sqrt_info}
+
+
+def _schema_2(doc):
+    """The file as schema 2 wrote it: every factor but the anchor listed
+    with its kind."""
+    n = len(doc["poses"])
+    doc["schema_version"] = 2
+    doc["factors"] = [["odom", k - 1, k] for k in range(1, n)] + [["loop", i, j] for i, j in doc.pop("loops")]
+    for cand in doc["candidates"]:
+        new = range(n, n + len(cand["new_poses"]))
+        cand["factors"] = [["odom", k - 1, k] for k in new] + [["loop", i, j] for i, j in cand.pop("loops")]
 
 
 def _pose_with_id(doc):
@@ -341,7 +358,7 @@ class TestScenarioValidation:
             _pose_with_id,
             lambda doc: doc.update(schema_version=99),
             _drop_candidates,
-            _factor_with_sqrt_info,
+            _loop_with_sqrt_info,
             lambda doc: doc["candidates"][2]["new_poses"].pop(),
             lambda doc: doc["config"].update(n_prior_poses=99),
             lambda doc: doc["config"].update(n_candidates=1),
@@ -349,16 +366,20 @@ class TestScenarioValidation:
             lambda doc: doc["config"].update(candidate_length=10**12),
             lambda doc: doc.update(schema_version=1),
             lambda doc: doc.update(seed=1.7),
-            lambda doc: doc["factors"][0].__setitem__(1, True),
-            lambda doc: doc["factors"].append(["anchor", 0, 0]),
+            lambda doc: doc["loops"][0].__setitem__(1, True),
+            lambda doc: doc["loops"][0].__setitem__(0, 2.0),
+            lambda doc: doc["loops"].append(["odom", 0, 1]),
+            lambda doc: doc["candidates"][0]["loops"].append([3]),
+            lambda doc: doc["candidates"][0].update(loops={"i": 3, "j": 17}),
+            _schema_2,
             lambda doc: doc["candidates"][0].update(id=0),
             KeyTwice("seed", 12),
             KeyTwice("world_extent", 1.0),
         ],
         ids=["pose-id-out-of-range", "pose-id-repeated", "schema-version", "no-candidates", "sqrt-info",
              "new-pose-id-gap", "config-n-prior-poses", "config-n-candidates", "config-candidate-length",
-             "config-candidate-length-huge", "schema-1", "float-seed", "bool-integer", "second-anchor",
-             "unknown-key", "dup-key-seed", "dup-key-config"],
+             "config-candidate-length-huge", "schema-1", "float-seed", "bool-id", "float-id", "loop-with-kind",
+             "loop-not-a-pair", "loops-not-a-list", "schema-2", "unknown-key", "dup-key-seed", "dup-key-config"],
     )
     def test_bad_scenario_is_a_typed_error_and_exits_1(self, mutate, tmp_path, capsys):
         doc = json.loads(TINY.read_text())
@@ -372,27 +393,26 @@ class TestScenarioValidation:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("where, row, error, message", [
-        ("the factors", ["odom", 3, 3], InvalidScenario, "factor [odom, 3, 3] of the factors joins pose 3 to itself"),
-        ("the factors of candidate 0", ["loop", 16, 16], InvalidScenario,
-         "factor [loop, 16, 16] of the factors of candidate 0 joins pose 16 to itself"),
-        ("the factors", ["loop", 1, 21], LayoutMismatch,
-         "factor [loop, 1, 21] of the factors references unknown pose 21"),
-        # pose 16 is the first new pose: the prior's factors cannot name it
-        ("the factors", ["loop", 1, 16], LayoutMismatch,
-         "factor [loop, 1, 16] of the factors references unknown pose 16"),
-        ("the factors", ["loop", -1, 3], LayoutMismatch,
-         "factor [loop, -1, 3] of the factors references unknown pose -1"),
-        ("the factors of candidate 0", ["loop", 2, 19], LayoutMismatch,
-         "factor [loop, 2, 19] of the factors of candidate 0 references unknown pose 19"),
+        ("the loops", [3, 3], InvalidScenario, "loop [3, 3] of the loops joins pose 3 to itself"),
+        ("the loops of candidate 0", [16, 16], InvalidScenario,
+         "loop [16, 16] of the loops of candidate 0 joins pose 16 to itself"),
+        ("the loops", [1, 21], LayoutMismatch, "loop [1, 21] of the loops references unknown pose 21"),
+        # pose 16 is the first new pose: the prior's loops cannot name it
+        ("the loops", [1, 16], LayoutMismatch, "loop [1, 16] of the loops references unknown pose 16"),
+        ("the loops", [-1, 3], LayoutMismatch, "loop [-1, 3] of the loops references unknown pose -1"),
+        ("the loops of candidate 0", [2, 19], LayoutMismatch,
+         "loop [2, 19] of the loops of candidate 0 references unknown pose 19"),
         # beyond int64, and still a pose the file does not have
-        ("the factors", ["loop", 2**70, 3], LayoutMismatch,
-         "factor [loop, 1180591620717411303424, 3] of the factors references unknown pose 1180591620717411303424"),
+        ("the loops", [2**70, 3], LayoutMismatch,
+         "loop [1180591620717411303424, 3] of the loops references unknown pose 1180591620717411303424"),
+        ("the loops of candidate 0", [3, -2**64], LayoutMismatch,
+         "loop [3, -18446744073709551616] of the loops of candidate 0 references unknown pose -18446744073709551616"),
     ], ids=["self-join", "self-join-in-candidate", "beyond-the-poses", "new-pose-in-the-prior", "negative-id",
-            "beyond-the-candidate-poses", "beyond-int64"])
-    def test_bad_factor_is_refused_with_its_message(self, where, row, error, message, tmp_path, capsys):
+            "beyond-the-candidate-poses", "beyond-int64", "below-int64-in-candidate"])
+    def test_bad_loop_is_refused_with_its_message(self, where, row, error, message, tmp_path, capsys):
         # the tiny scenario has 16 poses and 3 new poses per candidate
         doc = copy.deepcopy(TINY_DOC)
-        (doc["factors"] if where == "the factors" else doc["candidates"][0]["factors"]).append(row)
+        (doc["loops"] if where == "the loops" else doc["candidates"][0]["loops"]).append(row)
         text = json.dumps(doc)
         with pytest.raises(BeliefPlanError) as refused:
             scenario_from_json(text)
@@ -402,11 +422,14 @@ class TestScenarioValidation:
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_schema_1_file_is_refused_naming_its_version(self):
+    def test_schema_1_and_2_files_are_refused_naming_their_version(self):
         doc = copy.deepcopy(TINY_DOC)
+        _schema_2(doc)
+        with pytest.raises(InvalidScenario, match="^scenario schema_version 2 is not 3$"):
+            scenario_from_json(json.dumps(doc))
         poses = [{"id": k, "x": x, "y": y, "theta": t} for k, (x, y, t) in enumerate(doc["poses"])]
         doc.update(schema_version=1, poses=poses)
-        with pytest.raises(InvalidScenario, match="schema_version 1 is not 2"):
+        with pytest.raises(InvalidScenario, match="^scenario schema_version 1 is not 3$"):
             scenario_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("where, pose, axis, value", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from beliefplan.belief import LN_2PI_E, CandidateAction
 from beliefplan.decision import (
+    CONSISTENCY_TOLERANCE,
     DecisionProblem,
     Solution,
     action_consistent,
@@ -100,14 +101,14 @@ class TestActionConsistency:
     @settings(max_examples=200, deadline=None)
     @given(value_vectors)
     def test_reflexive(self, v):
-        assert action_consistent(v, v)
+        assert action_consistent(v, v, tol=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(value_vectors, value_vectors)
     def test_symmetric(self, v1, v2):
         if len(v1) != len(v2):
             v2 = (v2 * len(v1))[: len(v1)]
-        assert action_consistent(v1, v2) == action_consistent(v2, v1)
+        assert action_consistent(v1, v2, tol=0.0) == action_consistent(v2, v1, tol=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -115,8 +116,9 @@ class TestActionConsistency:
         n = data.draw(st.integers(min_value=2, max_value=6))
         vec = st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=n, max_size=n)
         v1, v2, v3 = data.draw(vec), data.draw(vec), data.draw(vec)
-        if action_consistent(v1, v2) and action_consistent(v2, v3):
-            assert action_consistent(v1, v3)
+        # ties within a positive tolerance are not transitive; exact order is
+        if action_consistent(v1, v2, tol=0.0) and action_consistent(v2, v3, tol=0.0):
+            assert action_consistent(v1, v3, tol=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(value_vectors)
@@ -125,7 +127,7 @@ class TestActionConsistency:
         # scaling by a power of two is exact, so the map is strictly
         # increasing even at float resolution
         mapped = 4.0 * v
-        assert action_consistent(v, mapped)
+        assert action_consistent(v, mapped, tol=0.0)
         assert int(np.argmax(v)) == int(np.argmax(mapped))
 
     def test_consistency_implies_zero_loss(self):
@@ -133,7 +135,7 @@ class TestActionConsistency:
         for _ in range(300):
             v1 = rng.normal(size=int(rng.integers(2, 7)))
             v2 = 2.5 * v1 - 1.0  # monotone image, hence consistent
-            assert action_consistent(v1, v2)
+            assert action_consistent(v1, v2, tol=0.0)
             assert simplification_loss(v1, int(np.argmax(v2))) == 0.0
 
 
@@ -231,17 +233,19 @@ class TestRankCorrelation:
         n = data.draw(st.integers(2, 10))
         tie_prone = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-1e3, 1e3))
         v1, v2 = (data.draw(st.lists(tie_prone, min_size=n, max_size=n)) for _ in range(2))
-        got = np.float64(rank_correlation(v1, v2))
+        got = np.float64(rank_correlation(v1, v2, tol=0.0))
         assert got.view(np.int64) == np.float64(rankdata_correlation(v1, v2)).view(np.int64)
 
     def test_ties_within_the_tolerance_rank_together(self):
-        # the first two candidates swap by one part in 10^12: a tie at 1e-9
+        # the first two candidates swap by one part in 10^12: a tie at the
+        # default tolerance, 1e-9, and a swap in the exact order
+        assert CONSISTENCY_TOLERANCE == 1e-9
         v1 = [1.0, 1.0 + 1e-12, 3.0]
         v2 = [1.0 + 1e-12, 1.0, 3.0]
-        assert rank_correlation(v1, v2) == 0.5
-        assert not action_consistent(v1, v2)
-        assert rank_correlation(v1, v2, 1e-9) == 1.0
-        assert action_consistent(v1, v2, 1e-9)
+        assert rank_correlation(v1, v2, tol=0.0) == 0.5
+        assert not action_consistent(v1, v2, tol=0.0)
+        assert rank_correlation(v1, v2) == rank_correlation(v1, v2, 1e-9) == 1.0
+        assert action_consistent(v1, v2) and action_consistent(v1, v2, 1e-9)
         # every candidate tied in one vector only
-        assert rank_correlation([1.0, 1.0 + 1e-12], [1.0, 2.0], 1e-9) == 0.0
-        assert rank_correlation([1.0, 1.0 + 1e-12], [2.0, 2.0 - 1e-12], 1e-9) == 1.0
+        assert rank_correlation([1.0, 1.0 + 1e-12], [1.0, 2.0]) == 0.0
+        assert rank_correlation([1.0, 1.0 + 1e-12], [2.0, 2.0 - 1e-12]) == 1.0

@@ -16,9 +16,8 @@ from beliefplan.belief import VariableLayout, entropy, objective
 from beliefplan.bounds import PoseGraph, topological_bounds
 from beliefplan.errors import BeliefPlanError, InfeasibleConfig, InvalidScenario, LayoutMismatch
 from beliefplan import scenario as scenario_module
-from beliefplan.decision import action_consistent, rank_correlation
+from beliefplan.decision import CONSISTENCY_TOLERANCE, action_consistent, rank_correlation
 from beliefplan.scenario import (
-    CONSISTENCY_TOLERANCE,
     Factor,
     ScenarioConfig,
     _candidate_plans,
@@ -259,19 +258,31 @@ def assert_bits(got: np.ndarray, want: np.ndarray):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# sha256 of ``scenario_to_json(generate(cfg))``, as written by the per-pose
-# and per-candidate construction these passes replaced
+# sha256 of ``scenario_to_json(generate(cfg))`` (schema 3), then of the
+# bytes of its prior table and plan tables in order, as the per-pose and
+# per-candidate construction these passes replaced made them; schema 2 files
+# held the same tables
 SCENARIO_DIGESTS = {
-    "tiny": "1f4b77a101adf3f3321dd5aa5985660af58804ab8a08b44c0115cc364feb2ca1",
-    "plan-1k": "5d2147f20bc44bdb3a322780fdf164a24d31f9562a9d6b78b4e7c0ce81f46afe",
-    "batch-0": "6db3cb1930ae0cb2b5c0d939921ef1db61f37ea0c6a7aa67d2034cfba1a3e852",
-    "batch-1": "f601067cd214d1edc8630d4e5d91a1682b3fd18079b95407db18ab31c304711b",
-    "batch-2": "ce6e8e9e47b12df3b5669c08318432a30e1050388e1a6dab0a41ce7ac57cc7e6",
-    "batch-3": "2d5a0d9dd0aead0628c0159f8c4c6e954579f15a3504f55ef7985470c5941520",
-    "batch-4": "7a21cbc2e5e87cf5010d3225bdf7cd1e1415d76030848ef37ba29178d7f6506d",
-    "batch-5": "2adf8866da7a4cc7a6a13c97d9a3e33e89b71928de59e70a0b303f6319b108f3",
-    "batch-6": "fd8aa87563d0b9b12b86735c3faeefc43aec2543bbfcecd2d55dc4cd074bc4c0",
-    "batch-7": "a1a00d8b83ffce8be830605d7c25de6fe2d68458a09392bdbff1c7da8b419024",
+    "tiny": ("a3e202c8db7cd216acf8fd054eb343b5ae1829015b4fb9d89eb4301f9d2f5ad2",
+             "d5a4dbe436c8fcde4a3175f9f01469a64d641d1c0e5a5aec4c0dfca46a10f5e4"),
+    "plan-1k": ("b482275f495f8ab97e0d3d1b8bd74aaecd15f7dbbb41266e5ccb1f55b6e9b026",
+                "61bfc5414101ade5fad7585d05783115232098b9ed42a27fd56e2b2147d0cfa1"),
+    "batch-0": ("20299f028b037c28ecc921f06fbd7e306d7ea428cd49edfac9be1151bb1e2dab",
+                "bcbec76269ece2fff9fd0d2b478a1d65acf869642c1e8145a2f7a1a946820629"),
+    "batch-1": ("e4a3ed0d53dc11bed58c84342501d95891a85bfa95cc338d8d4efa1586a4d14f",
+                "09f2bdd6aad86f6318de8f9857d5c2c5893f6b1e8c7afc3d8963d765f8a4fc33"),
+    "batch-2": ("67cd701483c0bb62821bf14dc7e7c1777bb5b10da2f8c47f290e3b70dbfeb76f",
+                "b30f06bd3bf541dfaeaec8e85bf5eee900acf4a324e8d342c6a1eaee50c4482e"),
+    "batch-3": ("e0967699c3589fbcfa2ad8d6e6f95c13633ff582de4924cfee3d1254c18c7051",
+                "e9c817c436c7e8f22ba638800f1d53bcd9625bf7da39e56e5291fff992c9224f"),
+    "batch-4": ("2743029e64651b760a15bf0e076e0778357145d522b7beddbfad0ebe667d3837",
+                "7d952fb7661498f8c004dda2c16ab0772b4d47c4372efdfe5cf8f3c806364e50"),
+    "batch-5": ("b930519e8918664d9fa01f5f131f8681a793eac0e548cbaf25f0e8b2f7b01552",
+                "3a534a03da6887351d7b9a29e2882d5534e92fd20bc59d9b6204d8ef29549a87"),
+    "batch-6": ("920115faca004ed2dcb7cd10f957b4640806808f870cd9c52afc63f91d80dc8f",
+                "dd72cbca801653574be64e92030c05169e47a978ed0ebd9e9743d66596661caa"),
+    "batch-7": ("14329866eaabd09b1305c26c9575c0c04fdf1887ed057aa823d40a7aac00a8b9",
+                "bccb652f65360ec6ba877518327c26030ac1623610d0d1f132dfd84241375869"),
 }
 
 
@@ -325,7 +336,7 @@ class TestConstructionPasses:
         poses = _sample_trajectory(cfg, rngs[0])
         assert_bits(poses, sample_trajectory_oracle(cfg, rngs[1]))
         assert np.array_equal(_prior_loop_closures(poses, radius, window, per_pose),
-                              factor_table_oracle(prior_loop_closures_oracle(poses, radius, window, per_pose)))
+                              factor_table_oracle(prior_loop_closures_oracle(poses, radius, window, per_pose))[:, 1:])
         goal = poses[seed % n_poses, :2] + np.random.default_rng(seed + 1).normal(0.0, radius, size=2)
         got, want = _candidate_plans(cfg, poses, goal, rngs[0]), candidate_plans_oracle(cfg, poses, goal, rngs[1])
         for plan, want_plan in zip(got, want, strict=True):
@@ -334,13 +345,15 @@ class TestConstructionPasses:
         # both passes drew the same numbers
         assert rngs[0].integers(2**62) == rngs[1].integers(2**62)
 
-    def test_candidates_without_factors_load_as_empty_rows(self):
+    def test_candidates_without_loops_load_with_their_odometry_only(self):
         doc = json.loads(scenario_to_json(generate(SMALL)))
         for cand in doc["candidates"]:
-            cand["factors"] = []
+            cand["loops"] = []
         sc = scenario_from_json(json.dumps(doc))
-        assert [(c.jacobian.n_rows, c.jacobian.n_cols, c.jacobian.nnz) for c in sc.candidates] == [
-            (0, 3 * (SMALL.n_prior_poses + SMALL.candidate_length), 0)] * SMALL.n_candidates
+        n, length = SMALL.n_prior_poses, SMALL.candidate_length
+        for plan, cand in zip(sc.plans, sc.candidates, strict=True):
+            assert plan.factors == tuple(Factor("odom", k - 1, k) for k in range(n, n + length))
+            assert (cand.jacobian.n_rows, cand.jacobian.n_cols) == (3 * length, 3 * (n + length))
 
     def test_generated_files_keep_their_bytes(self):
         import hashlib
@@ -348,9 +361,11 @@ class TestConstructionPasses:
         configs = {"tiny": ScenarioConfig(seed=11, n_prior_poses=16, n_candidates=4, candidate_length=3),
                    "plan-1k": ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5)}
         configs.update((f"batch-{k}", cfg) for k, cfg in enumerate(batch_small_configs()))
-        got = {name: hashlib.sha256(scenario_to_json(generate(cfg)).encode()).hexdigest()
-               for name, cfg in configs.items()}
-        assert got == SCENARIO_DIGESTS
+        def digests(sc):
+            tables = b"".join(t.tobytes() for t in (sc.prior_table, *(plan.table for plan in sc.plans)))
+            return hashlib.sha256(scenario_to_json(sc).encode()).hexdigest(), hashlib.sha256(tables).hexdigest()
+
+        assert {name: digests(generate(cfg)) for name, cfg in configs.items()} == SCENARIO_DIGESTS
 
 
 @st.composite
@@ -489,26 +504,27 @@ class TestSession:
                                  n_candidates=int(rng.integers(5, 9)), candidate_length=4,
                                  loop_closure_radius=2.2)
         scen = generate(cfg)
-        evaluate_all = scenario_module._evaluate_all
+        evaluate_phase = scenario_module._evaluate_phase
 
         def split_ties(belief, candidates, repeats):
-            values, secs = evaluate_all(belief, candidates, repeats)
+            values, secs, wall = evaluate_phase(belief, candidates, repeats)
             if belief is not scen.prior:
                 tied = np.flatnonzero(np.abs(values - values[1]) <= CONSISTENCY_TOLERANCE)
                 values[tied[0]] = np.nextafter(values[tied[0]], np.inf)
                 values[tied[-1]] = np.nextafter(values[tied[-1]], -np.inf)
-            return values, secs
+            return values, secs, wall
 
-        monkeypatch.setattr(scenario_module, "_evaluate_all", split_ties)
+        monkeypatch.setattr(scenario_module, "_evaluate_phase", split_ties)
         rep = run_session(scen)
         base = rep.baseline.values
         assert np.flatnonzero(np.abs(base - base[1]) <= CONSISTENCY_TOLERANCE).size == 3
         res = rep.mode("uninvolved")
         assert not np.array_equal(np.argsort(res.values), np.argsort(base))
-        assert rank_correlation(base, res.values) < 1.0
-        assert not action_consistent(base, res.values)
-        assert res.rho == rank_correlation(base, res.values, CONSISTENCY_TOLERANCE) == 1.0
-        assert res.consistent
+        assert rank_correlation(base, res.values, tol=0.0) < 1.0
+        assert not action_consistent(base, res.values, tol=0.0)
+        # the session ranks at the comparisons' default rule
+        assert res.rho == rank_correlation(base, res.values) == 1.0
+        assert res.consistent == action_consistent(base, res.values) is True
 
     def test_full_mode_reports_metrics(self):
         rep = run_session(generate(SMALL))
@@ -621,25 +637,29 @@ class TestFactorTables:
             (("anchor", "odom", "loop")[c], i, j) for c, i, j in sc.prior_table.tolist()]
         assert all(type(f) is Factor for plan in sc.plans for f in plan.factors)
 
-    @pytest.mark.parametrize("rows, anchored, message", [
-        ([(0, 0, 0), (3, 0, 1)], True, "factor 1 of the list has kind code 3, which names no kind"),
-        ([(0, 0, 0), (-1, 0, 1)], True, "factor 1 of the list has kind code -1, which names no kind"),
-        ([(0, 0, 1)], True, r"factor \[anchor, 0, 1\] of the list anchors two poses"),
-        ([(1, 0, 1), (0, 0, 0)], True, "the list must have one anchor, on pose 0, first"),
-        ([(0, 0, 0), (0, 1, 1)], True, "the list must have one anchor, on pose 0, first"),
-        ([(0, 1, 1)], True, "the list must have one anchor, on pose 0, first"),
-        ([], True, "the list must have one anchor, on pose 0, first"),
-        ([(1, 0, 1), (0, 1, 1)], False, "the list must have no anchor"),
-    ])
-    def test_faulty_table_is_refused_naming_its_first_fault(self, rows, anchored, message):
-        with pytest.raises(InvalidScenario, match=message):
-            scenario_module._factor_table(rows, 4, "the list", anchored)
+    def test_a_trajectory_table_implies_the_anchor_and_the_odometry(self):
+        prior = scenario_module._trajectory_table(4, 0, [[0, 2], [3, 1]], "the loops")
+        assert prior.tolist() == [[0, 0, 0], [1, 0, 1], [1, 1, 2], [1, 2, 3], [2, 0, 2], [2, 3, 1]]
+        plan = scenario_module._trajectory_table(6, 4, [], "the loops of candidate 0")
+        assert plan.tolist() == [[1, 3, 4], [1, 4, 5]]
+        for table in (prior, plan):
+            assert table.dtype == np.int64 and not table.flags.writeable
+
+    @pytest.mark.parametrize("loops, error, message", [
+        ([[0, 2], [1, 9], [2, 2]], LayoutMismatch, "loop [1, 9] of the list references unknown pose 9"),
+        ([[0, 2], [9, 9], [1, 7]], InvalidScenario, "loop [9, 9] of the list joins pose 9 to itself"),
+    ], ids=["unknown-pose-first", "self-join-first"])
+    def test_the_first_faulty_loop_is_refused_by_name(self, loops, error, message):
+        with pytest.raises(BeliefPlanError) as refused:
+            scenario_module._trajectory_table(4, 0, loops, "the list")
+        assert (type(refused.value), str(refused.value)) == (error, message)
 
     def test_an_id_beyond_int64_is_named_exactly(self):
         for p in (2**63, -(2**63) - 1, 10**400):
-            with pytest.raises(LayoutMismatch) as refused:
-                scenario_module._factor_table([(1, 0, 1), (2, 1, p)], 4, "the list")
-            assert str(refused.value) == f"factor [loop, 1, {p}] of the list references unknown pose {p}"
+            for loop in ([1, p], [p, 1]):
+                with pytest.raises(LayoutMismatch) as refused:
+                    scenario_module._trajectory_table(4, 0, [[0, 1], loop], "the list")
+                assert str(refused.value) == f"loop [{loop[0]}, {loop[1]}] of the list references unknown pose {p}"
 
     def test_scenarios_and_plans_compare_by_identity_without_raising(self):
         a, b = generate(SMALL), generate(SMALL)
@@ -659,7 +679,9 @@ class TestFactorTables:
 class TestSerialization:
     def test_scenario_round_trip(self):
         sc = generate(SMALL)
-        loaded = scenario_from_json(scenario_to_json(sc))
+        text = scenario_to_json(sc)
+        loaded = scenario_from_json(text)
+        assert scenario_to_json(loaded) == text
         assert loaded.config == sc.config
         assert loaded.prior_factors == sc.prior_factors
         assert [(p.candidate_id, p.new_pose_ids, p.factors) for p in loaded.plans] == [
@@ -686,23 +708,50 @@ class TestSerialization:
         np.testing.assert_allclose(v1, v0, rtol=1e-12)
 
     def test_scenario_schema_fields(self):
-        """Schema 2 states each fact once: positions are the ids, the config
-        holds the noise model and the lists hold the counts."""
+        """Schema 3 states each fact once: positions are the ids, the config
+        holds the noise model, the lists hold the counts, and pose order
+        holds the anchor and the odometry, so only loop closures are
+        listed, as pose-id pairs."""
         sc = generate(SMALL)
         doc = json.loads(scenario_to_json(sc))
-        assert list(doc) == ["schema_version", "seed", "config", "poses", "factors", "candidates"]
-        assert doc["schema_version"] == 2 and doc["seed"] == SMALL.seed
+        assert list(doc) == ["schema_version", "seed", "config", "poses", "loops", "candidates"]
+        assert doc["schema_version"] == 3 and doc["seed"] == SMALL.seed
         assert list(doc["config"]) == [
             "world_extent", "position_std", "angular_std", "loop_closure_radius", "loop_index_window"
         ]
         assert doc["poses"] == sc.executed_path.tolist()
+        assert doc["loops"] == [[f.i, f.j] for f in sc.prior_factors if f.kind == "loop"]
         assert len(doc["candidates"]) == SMALL.n_candidates
-        for f in doc["factors"] + [f for cand in doc["candidates"] for f in cand["factors"]]:
-            assert len(f) == 3 and f[0] in ("odom", "loop")
         for cand, plan in zip(doc["candidates"], sc.plans):
-            assert list(cand) == ["new_poses", "factors"]
+            assert list(cand) == ["new_poses", "loops"]
             assert cand["new_poses"] == plan.new_pose_means.tolist()
             assert len(cand["new_poses"]) == SMALL.candidate_length
+            assert cand["loops"] == [[f.i, f.j] for f in plan.factors if f.kind == "loop"]
+
+    def test_a_first_heading_of_exactly_zero_takes_the_general_symbolic_pass(self, monkeypatch):
+        """Legal input reaches ``_elimination_sweep``: at heading 0.0 the
+        prior's whitened rows hold exact zeros, which are not stored, so its
+        elimination tree is no chain.  The session's picks and values equal
+        those of the same file at heading 1e-13, which takes the chain pass."""
+        import beliefplan.sparse as sparse_module
+
+        cfg = ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5)
+        doc = json.loads(scenario_to_json(generate(cfg)))
+        sweep, calls, reports = sparse_module._elimination_sweep, {}, {}
+        for heading in (0.0, 1e-13):
+            doc["poses"][0][2] = heading
+            calls[heading] = 0
+
+            def counted(*args, heading=heading):
+                calls[heading] += 1
+                return sweep(*args)
+
+            monkeypatch.setattr(sparse_module, "_elimination_sweep", counted)
+            reports[heading] = run_session(scenario_from_json(json.dumps(doc)))
+        assert calls == {0.0: 1, 1e-13: 0}
+        assert reports[0.0].baseline.root_nnz < reports[1e-13].baseline.root_nnz
+        for a, b in zip(reports[0.0].all_results(), reports[1e-13].all_results(), strict=True):
+            assert a.best_index == b.best_index and np.array_equal(a.values, b.values)
 
     def test_report_csv_columns_and_rows(self):
         rep = run_session(generate(SMALL))
