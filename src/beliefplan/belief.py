@@ -279,7 +279,7 @@ def belief_to_json(b: GaussianBelief) -> str:
         "mean": b.mean.tolist(),
         "root_mm": mmio.triangular_to_mm(b.root),
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def belief_from_json(text: str) -> GaussianBelief:

@@ -71,7 +71,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--candidates", type=int, default=d.n_candidates)
     parser.add_argument("--candidate-length", type=int, default=d.candidate_length)
     parser.add_argument("--loop-window", type=int, default=d.loop_index_window,
-                        help="max pose-index gap for prior loop closures")
+                        help="prior loop closures join poses at most this + 1 ids apart, which bounds the band "
+                             "of the prior's factor; a file's longer prior loop is refused")
 
 
 def _config_from_args(args, seed: int | None = None) -> ScenarioConfig:

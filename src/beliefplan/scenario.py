@@ -48,9 +48,12 @@ position in ``poses``, a candidate's in ``candidates`` (its new poses are
 numbered on from the prior's), the anchor and the odometry follow from
 pose order so only loop closures are listed, every factor is whitened by
 the config's noise model, and the counts are the lengths of the lists.
-The loader reads the version first, then exact key sets and JSON integers,
-so a file of another schema is named by its version, and a field it does
-not know or finds twice is an error.
+A prior loop joins poses at most ``loop_index_window + 1`` ids apart, the
+span ``generate`` keeps, which bounds the band that ``cholesky`` factors
+the prior on; a file's longer one is refused by name.  The loader reads
+the version first, then exact key sets and JSON integers, so a file of
+another schema is named by its version, and a field it does not know or
+finds twice is an error.
 
 A planning session evaluates all candidates on the original belief and on
 each requested sparsified version, then reports values, selections, loss,
@@ -190,22 +193,29 @@ class Scenario:
         return _factor_view(self.prior_table)
 
 
-def _trajectory_table(n_poses: int, first: int, loops, what: str) -> np.ndarray:
+def _trajectory_table(n_poses: int, first: int, loops, what: str, reach: int | None = None) -> np.ndarray:
     """The read-only ``(F, 3)`` int64 factor table of a trajectory over pose
     ids ``[0, n_poses)``: pose 0 anchored if ``first`` is 0, the odometry
     into each later pose ``k >= first`` from pose ``k - 1``, then ``loops``,
     its loop closures as ``[i, j]`` pose-id pairs in order.  Only the loops
-    are checked, as a whole: each joins two distinct poses in range, and the
-    first faulty one is named as a loop of ``what``."""
+    are checked, as a whole: each joins two distinct poses in range, at most
+    ``reach`` ids apart when it is given (a prior's loops, which bound the
+    band of its factor), and the first faulty one is named as a loop of
+    ``what``."""
     try:
         loops = np.array(loops, dtype=np.int64).reshape(-1, 2)
     except OverflowError:  # an id beyond int64, so out of range: check the exact integers
         loops = np.array(loops, dtype=object).reshape(-1, 2)
     bad = (loops[:, 0] == loops[:, 1]) | ((loops < 0) | (loops >= n_poses)).any(axis=1)
+    if reach is not None:
+        bad |= abs(loops[:, 1] - loops[:, 0]) > reach
     if bad.any():
         i, j = loops[int(np.argmax(bad))].tolist()
         if i == j:
             raise InvalidScenario(f"loop [{i}, {j}] of {what} joins pose {i} to itself")
+        if 0 <= min(i, j) and max(i, j) < n_poses:
+            raise InvalidScenario(f"loop [{i}, {j}] of {what} joins poses {abs(j - i)} apart, "
+                                  f"more than loop_index_window + 1 = {reach}")
         raise LayoutMismatch(f"loop [{i}, {j}] of {what} references unknown pose {j if 0 <= i < n_poses else i}")
     odom = np.arange(max(first, 1), n_poses)
     ends = np.concatenate([np.zeros((int(first == 0), 2), dtype=np.int64), np.column_stack((odom - 1, odom)), loops])
@@ -855,7 +865,7 @@ def scenario_to_json(scenario: Scenario) -> str:
             {"new_poses": plan.new_pose_means.tolist(), "loops": _loops_of(plan.table)} for plan in scenario.plans
         ],
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def _loops_of(table: np.ndarray) -> list:
@@ -877,10 +887,10 @@ def _poses(rows, what: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
-def _loops(rows, n_poses: int, first: int, what: str) -> np.ndarray:
+def _loops(rows, n_poses: int, first: int, what: str, reach: int | None = None) -> np.ndarray:
     """The trajectory table (``_trajectory_table``) of a file's loop list."""
     rows = _rows(rows, 2, lambda v: type(v) is int, "[i, j], two integer pose ids", what)
-    return _trajectory_table(n_poses, first, rows, what)
+    return _trajectory_table(n_poses, first, rows, what, reach)
 
 
 def _read_scenario_doc(doc) -> tuple:
@@ -911,7 +921,7 @@ def _read_scenario_doc(doc) -> tuple:
     seed = json_value(seed, int, InvalidScenario, "the seed")
     cfg = ScenarioConfig(seed=seed, n_prior_poses=n, n_candidates=len(plans),
                          candidate_length=lengths[0] if lengths else 0, **config)
-    return cfg, poses, _loops(loops, n, 0, "the loops"), tuple(plans)
+    return cfg, poses, _loops(loops, n, 0, "the loops", cfg.loop_index_window + 1), tuple(plans)
 
 
 def scenario_from_json(text: str) -> Scenario:

@@ -26,8 +26,11 @@ entries, so they are exact and reproducible.
 
 The kernels never form a dense n x n matrix (``to_dense`` exists for tests
 and small inputs).  ``cholesky`` splits into a symbolic elimination, which
-fixes the pattern, and a numeric sparse factorization by SuperLU in the
-given order.  The symbolic elimination (``_elimination_fill``, which
+fixes the pattern, and one LAPACK band Cholesky (``dpbtrf``) in the given
+order, whose values are gathered onto it: the fill stays inside the band
+of the matrix, so this costs (kd + 1) * n doubles and O(n * kd^2) time for
+half-bandwidth kd, which a scenario file bounds through its loop index
+window.  The symbolic elimination (``_elimination_fill``, which
 ``sparsify_factor`` shares) is one array pass when the elimination tree is
 a chain, the usual case for a scenario prior and kept tail: then the rows
 of each factor column form one contiguous range (Liu 1990).  Other
@@ -80,7 +83,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
@@ -500,82 +502,38 @@ def _elimination_fill(n: int, order: np.ndarray, rows: np.ndarray, cols: np.ndar
     return indptr, order[fill_cols]
 
 
-def _unpivoted_lu(m: SparseSymmetric, k: int):
-    """SuperLU factorization of the leading ``k`` x ``k`` block of ``m`` in
-    the given order, asked never to pivot; ``None`` if SuperLU finds an
-    exactly singular column."""
-    u = m.upper
-    off = u.row_ids != u.indices
-    keep = u.indices < k
-    rows = np.concatenate([u.row_ids[keep], u.indices[keep & off]])
-    cols = np.concatenate([u.indices[keep], u.row_ids[keep & off]])
-    vals = np.concatenate([u.data[keep], u.data[keep & off]])
-    full = sp.csc_matrix((vals, (rows, cols)), shape=(k, k))
-    try:
-        return spla.splu(full, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError as e:
-        if "singular" not in str(e):
-            raise
-        return None
-
-
-def _first_bad_pivot(lu) -> int | None:
-    """Index of the first pivot of a factorization that is at or below the
-    floor, or where SuperLU permuted a row or column."""
-    pivots = lu.U.diagonal()
-    bad = np.nonzero(~(pivots > PIVOT_FLOOR))[0]
-    ident = np.arange(lu.shape[0])
-    moved = np.nonzero((lu.perm_r != ident) | (lu.perm_c != ident))[0]
-    found = [int(a[0]) for a in (bad, moved) if a.size]
-    return min(found) if found else None
-
-
-def _failing_pivot(m: SparseSymmetric) -> int:
-    """First failing pivot of a matrix whose full factorization failed.
-
-    A leading block factors cleanly exactly when every pivot it contains
-    does, so bisect on the block size; each probe is one factorization.
-    """
-    good, bad = 0, m.dim
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        lu = _unpivoted_lu(m, mid)
-        if lu is not None and _first_bad_pivot(lu) is None:
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
 def cholesky(m: SparseSymmetric) -> UpperTriangular:
     """Sparse Cholesky: upper-triangular R with R^T R = m, in the given order.
 
     The stored pattern is the exact symbolic fill of eliminating the rows
     of ``m`` in their order (``_elimination_fill``; no reordering is
-    attempted; stored zeros are structural).  The values come
-    from SuperLU's unpivoted LU = L D L^T of the full symmetric matrix:
-    ``R_ii = sqrt(U_ii)`` and ``R_ij = U_ij / R_ii``, gathered onto the fill
-    pattern, which also restores entries SuperLU dropped as zero.  Raises
-    NotPositiveDefinite, naming the first failing pivot (its ``index``), when
-    a pivot is at or below the pivot floor or SuperLU had to pivot or found
-    the matrix singular; the input is never jittered.  No dense matrix is
+    attempted; stored zeros are structural).  The fill stays inside the
+    band of ``m``, kd = the largest ``col - row`` of the pattern, so the
+    values come from one LAPACK band Cholesky (``dpbtrf``) of ``m`` packed
+    as a ``(kd + 1) x n`` upper band, gathered onto the fill pattern: it
+    costs (kd + 1) * n doubles and O(n * kd^2) time, whatever the fill
+    inside the band.  Raises NotPositiveDefinite, naming the first failing
+    pivot (its ``index``): the first factored pivot whose square is at or
+    below the pivot floor, else the one ``dpbtrf`` stopped at, the rule of
+    a dense ``dpotrf``; the input is never jittered.  No dense matrix is
     formed.
     """
     n = m.dim
-    lu = _unpivoted_lu(m, n)
-    i = _failing_pivot(m) if lu is None else _first_bad_pivot(lu)
-    if i is not None:
-        raise NotPositiveDefinite(f"pivot at index {i} is at or below {PIVOT_FLOOR:.0e} or off the diagonal", i)
-
-    u = lu.U.tocsr()
-    u_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(u.indptr))
-    u_off = u.indices != u_rows
-    diag = np.sqrt(u.diagonal())
-    indptr, indices = _elimination_fill(n, np.arange(n), m.upper.row_ids, m.upper.indices)
-    vals = _values_on_pattern(
-        indptr, indices, u_rows[u_off], u.indices[u_off], u.data[u_off] / diag[u_rows[u_off]]
-    )
-    return UpperTriangular(diag, SparseRowBlock(n, n, indptr, indices, vals))
+    u = m.upper
+    indptr, indices = _elimination_fill(n, np.arange(n), u.row_ids, u.indices)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    kd = int((indices - rows).max(initial=0))
+    # band[kd + i - j, j] = m[i, j], LAPACK's upper band storage
+    band = np.zeros((kd + 1, n), order="F")
+    band[kd + u.row_ids - u.indices, u.indices] = u.data
+    band, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+    # dpbtrf stops at the first pivot that is not positive (info is 1-based)
+    done = info - 1 if info > 0 else n
+    bad = np.flatnonzero(band[kd, :done] ** 2 <= PIVOT_FLOOR)
+    if bad.size or info > 0:
+        i = int(bad[0]) if bad.size else done
+        raise NotPositiveDefinite(f"pivot at index {i} is at or below {PIVOT_FLOOR:.0e}", i)
+    return UpperTriangular(band[kd].copy(), SparseRowBlock(n, n, indptr, indices, band[kd + rows - indices, indices]))
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

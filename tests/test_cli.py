@@ -20,6 +20,7 @@ import beliefplan.cli as cli
 from beliefplan.errors import (BeliefPlanError, EvaluationError, InvalidScenario, LayoutMismatch,
                                RankDeficientAugmentation)
 from beliefplan.scenario import run_session, scenario_from_json
+from beliefplan.sparse import cholesky
 
 from helpers import KeyTwice, malformed_text, mutate_json
 
@@ -407,19 +408,34 @@ class TestScenarioValidation:
          "loop [1180591620717411303424, 3] of the loops references unknown pose 1180591620717411303424"),
         ("the loops of candidate 0", [3, -2**64], LayoutMismatch,
          "loop [3, -18446744073709551616] of the loops of candidate 0 references unknown pose -18446744073709551616"),
+        # a prior loop may join poses at most loop_index_window + 1 = 3 apart,
+        # which bounds the band of the prior's factor; a candidate's loops have no such bound
+        ("the loops", [1, 5], InvalidScenario,
+         "loop [1, 5] of the loops joins poses 4 apart, more than loop_index_window + 1 = 3"),
+        ("the loops", [5, 1], InvalidScenario,
+         "loop [5, 1] of the loops joins poses 4 apart, more than loop_index_window + 1 = 3"),
+        ("the loops", [1, 4], None, None),
+        ("the loops of candidate 0", [2, 17], None, None),
     ], ids=["self-join", "self-join-in-candidate", "beyond-the-poses", "new-pose-in-the-prior", "negative-id",
-            "beyond-the-candidate-poses", "beyond-int64", "below-int64-in-candidate"])
+            "beyond-the-candidate-poses", "beyond-int64", "below-int64-in-candidate", "beyond-the-window",
+            "reversed-beyond-the-window", "at-the-window-loads", "candidate-beyond-the-window-loads"])
     def test_bad_loop_is_refused_with_its_message(self, where, row, error, message, tmp_path, capsys):
-        # the tiny scenario has 16 poses and 3 new poses per candidate
+        # the tiny scenario has 16 poses and 3 new poses per candidate, and
+        # every loop of its file joins poses 2 apart
         doc = copy.deepcopy(TINY_DOC)
+        doc["config"]["loop_index_window"] = 2
         (doc["loops"] if where == "the loops" else doc["candidates"][0]["loops"]).append(row)
         text = json.dumps(doc)
+        path = tmp_path / "sc.json"
+        path.write_text(text)
+        if error is None:
+            scenario_from_json(text)
+            assert run(["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 0
+            return
         with pytest.raises(BeliefPlanError) as refused:
             scenario_from_json(text)
         assert (type(refused.value), str(refused.value)) == (error, message)
-        bad = tmp_path / "bad.json"
-        bad.write_text(text)
-        assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
+        assert run(["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_schema_1_and_2_files_are_refused_naming_their_version(self):
@@ -440,10 +456,10 @@ class TestScenarioValidation:
         for where in ("the poses", "the new poses of candidate 1")
     ] + [
         # just below the entry refusal: the prior information overflows or is
-        # not positive definite at pose 2 (pose 1 at x = 1e152 loads and solves)
+        # not positive definite at pose 2 (at 1e152 it loads and solves, below)
         pytest.param("the poses", 2, axis, value, id=f"{_value_id(value, axis)}-pose 2-the poses")
         for axis in (0, 1)
-        for value in (1e140, -1e140, 1e152, -1e152, 1e153, -1e153)
+        for value in (1e140, -1e140, 1e153, -1e153)
     ])
     def test_non_finite_or_huge_pose_is_a_typed_error_without_warnings(self, where, pose, axis, value, tmp_path,
                                                                        capsys):
@@ -464,6 +480,34 @@ class TestScenarioValidation:
         assert run(["solve", "--scenario", str(bad), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Warning" not in err
+
+    @pytest.mark.parametrize("pose, axis, value", [
+        pytest.param(pose, axis, value, id=f"{_value_id(value, axis)}-pose {pose}")
+        for pose in (1, 2)
+        for axis in (0, 1)
+        for value in (1e152, -1e152)
+    ])
+    def test_pose_at_1e152_loads_and_solves(self, pose, axis, value, tmp_path, capsys, monkeypatch):
+        # between the refusals above: the prior information is factored to
+        # rounding level, and a warning would be an error here
+        doc = copy.deepcopy(TINY_DOC)
+        doc["poses"][pose][axis] = value
+        text = json.dumps(doc)
+        factored = []
+
+        def keep(m):
+            factored.append((m, cholesky(m)))
+            return factored[-1][1]
+
+        monkeypatch.setattr("beliefplan.scenario.cholesky", keep)
+        scenario_from_json(text)
+        (info, root), = factored
+        lam = info.to_dense()
+        assert np.abs(root.gram().to_dense() - lam).max() <= 4 * np.finfo(float).eps * np.abs(lam).max()
+        path = tmp_path / "sc.json"
+        path.write_text(text)
+        assert run(["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [1e140, 1e153])
     def test_new_pose_without_support_is_named_at_evaluation(self, value, tmp_path, capsys):

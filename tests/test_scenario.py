@@ -258,30 +258,30 @@ def assert_bits(got: np.ndarray, want: np.ndarray):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# sha256 of ``scenario_to_json(generate(cfg))`` (schema 3), then of the
+# sha256 of ``scenario_to_json(generate(cfg))`` (schema 3, compact JSON), then of the
 # bytes of its prior table and plan tables in order, as the per-pose and
 # per-candidate construction these passes replaced made them; schema 2 files
 # held the same tables
 SCENARIO_DIGESTS = {
-    "tiny": ("a3e202c8db7cd216acf8fd054eb343b5ae1829015b4fb9d89eb4301f9d2f5ad2",
+    "tiny": ("6e2b734c7814ab715ca81686a5391cda38974beef63d9be2827237c51c1ad423",
              "d5a4dbe436c8fcde4a3175f9f01469a64d641d1c0e5a5aec4c0dfca46a10f5e4"),
-    "plan-1k": ("b482275f495f8ab97e0d3d1b8bd74aaecd15f7dbbb41266e5ccb1f55b6e9b026",
+    "plan-1k": ("edebc8c81dbf2b400e062e10114caffd48b0a8549c1bbb3f1b70c08865dc6747",
                 "61bfc5414101ade5fad7585d05783115232098b9ed42a27fd56e2b2147d0cfa1"),
-    "batch-0": ("20299f028b037c28ecc921f06fbd7e306d7ea428cd49edfac9be1151bb1e2dab",
+    "batch-0": ("c09822c52b4e2db5d8b59d0918fbc6e510e76c08094048aa63ff7c6585656758",
                 "bcbec76269ece2fff9fd0d2b478a1d65acf869642c1e8145a2f7a1a946820629"),
-    "batch-1": ("e4a3ed0d53dc11bed58c84342501d95891a85bfa95cc338d8d4efa1586a4d14f",
+    "batch-1": ("42d841d7d8971639ec9e69bd65126355000af3505844bbeeb317b4ffa0809a6a",
                 "09f2bdd6aad86f6318de8f9857d5c2c5893f6b1e8c7afc3d8963d765f8a4fc33"),
-    "batch-2": ("67cd701483c0bb62821bf14dc7e7c1777bb5b10da2f8c47f290e3b70dbfeb76f",
+    "batch-2": ("2020248c3ad33722e2110671ac9943f49a47c89d58148aaf2cb46ede7963115e",
                 "b30f06bd3bf541dfaeaec8e85bf5eee900acf4a324e8d342c6a1eaee50c4482e"),
-    "batch-3": ("e0967699c3589fbcfa2ad8d6e6f95c13633ff582de4924cfee3d1254c18c7051",
+    "batch-3": ("82311a71d5e6853e6eac33c5160f735865df0bb9998dd918c40a0b19f9f2d49f",
                 "e9c817c436c7e8f22ba638800f1d53bcd9625bf7da39e56e5291fff992c9224f"),
-    "batch-4": ("2743029e64651b760a15bf0e076e0778357145d522b7beddbfad0ebe667d3837",
+    "batch-4": ("85759ebe0a6284b2a06e123c701330212355a77cdd94eecee6ba91f8b6ad9bd3",
                 "7d952fb7661498f8c004dda2c16ab0772b4d47c4372efdfe5cf8f3c806364e50"),
-    "batch-5": ("b930519e8918664d9fa01f5f131f8681a793eac0e548cbaf25f0e8b2f7b01552",
+    "batch-5": ("45af3a78a67826d2c5481bbccb7c0544de9d21226ab694073a310820139ecdc5",
                 "3a534a03da6887351d7b9a29e2882d5534e92fd20bc59d9b6204d8ef29549a87"),
-    "batch-6": ("920115faca004ed2dcb7cd10f957b4640806808f870cd9c52afc63f91d80dc8f",
+    "batch-6": ("1978e6e93f6d144de1eb595711d7fd113746f6367307f73b723db95d4c6852e7",
                 "dd72cbca801653574be64e92030c05169e47a978ed0ebd9e9743d66596661caa"),
-    "batch-7": ("14329866eaabd09b1305c26c9575c0c04fdf1887ed057aa823d40a7aac00a8b9",
+    "batch-7": ("5067d2101e6d9f2f2cc2e2ebe024ec7e4a6c78b6de2b9616da8581cfa15e0f10",
                 "bccb652f65360ec6ba877518327c26030ac1623610d0d1f132dfd84241375869"),
 }
 

@@ -2,6 +2,7 @@
 log-determinants, and the Matrix Market interchange."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,13 +98,34 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(symmetric_diagonal([1.0, 0.0]))
 
+    def test_long_narrow_band_peaks_near_its_band(self):
+        # the band factorization holds (kd + 1) * n doubles; the pattern, the
+        # gather and the factor itself are a few more such arrays
+        n, kd = 100_000, 3
+        offset = np.arange(kd + 1).repeat(n)
+        rows = np.tile(np.arange(n), kd + 1)
+        keep = rows + offset < n
+        rows, cols = rows[keep], (rows + offset)[keep]
+        m = SparseSymmetric(SparseRowBlock.from_coo(n, n, rows, cols, np.where(rows == cols, 2.0 * kd + 1.0, -1.0)))
+        m.upper.row_ids  # cached on the input, so not the factorization's
+        tracemalloc.start()
+        try:
+            r = cholesky(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (kd + 1) * n * 8
+        g = r.gram()
+        assert np.array_equal(g.upper.indptr, m.upper.indptr) and np.array_equal(g.upper.indices, m.upper.indices)
+        np.testing.assert_allclose(g.upper.data, m.upper.data, rtol=0, atol=1e-13 * (2 * kd + 1))
+
     def test_fill_pattern_matches_symbolic_elimination(self):
         rng = np.random.default_rng(5)
         matrices = [symmetric_from_dense(random_sparse_spd(rng, int(rng.integers(2, 30)), density=0.2))
                     for _ in range(20)]
-        # the plan-1k prior information (dim 1020, where SuperLU drops 342
-        # exactly-cancelled fill entries) and the selected-first tail that
-        # uninvolved sparsification re-factors
+        # the plan-1k prior information (dim 1020, whose factor stores 342
+        # fill entries that cancel to exact zeros) and the selected-first
+        # tail that uninvolved sparsification re-factors
         sc = generate(ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5))
         layout = sc.prior.layout
         s = layout.scalar_indices(sorted(detect_involvement(layout, sc.candidates).never_involved(layout)))
@@ -189,8 +211,8 @@ class TestSparseFactorKernels:
         assert _pivot_index(got) == _pivot_index(oracle) == k
 
     def test_negative_pivot_ahead_of_a_singular_column(self):
-        # SuperLU stops at the empty column 2 without a factor; the first
-        # failing pivot is still the negative one at index 1
+        # the empty column 2 would fail too; the first failing pivot is the
+        # negative one at index 1, where the factorization stops
         m = symmetric_from_dense([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1.0]])
         with pytest.raises(NotPositiveDefinite, match="at index 1 "):
             dense_cholesky(m)
