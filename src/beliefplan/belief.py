@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import mmio
 from .errors import DimensionMismatch, EvaluationError, InvalidBelief, json_document, json_fields, json_value
 from .sparse import SparseRowBlock, UpperTriangular, logdet_triangular, lowrank_update
 
@@ -267,38 +267,112 @@ def nnz_report(b: GaussianBelief) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON header (layout, mean) + Matrix Market payload (root)
+# Serialization, schema 2: JSON header (version, layout) + the mean and the
+# root's diag, indptr, indices and data as little-endian base64 arrays, so
+# every value round-trips bit for bit and no number is spelled as text
 # ---------------------------------------------------------------------------
+
+BELIEF_SCHEMA_VERSION = 2
+
+# each stored array: its one file dtype and the native dtype it is read into
+_ARRAYS = {
+    "mean": ("<f8", np.float64),
+    "diag": ("<f8", np.float64),
+    "indptr": ("<i8", np.int64),
+    "indices": ("<i8", np.int64),
+    "data": ("<f8", np.float64),
+}
+_ITEM_BYTES = 8
+
+
+def _array_doc(a, name: str) -> dict:
+    dtype = _ARRAYS[name][0]
+    raw = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"dtype": dtype, "length": len(raw) // _ITEM_BYTES, "base64": b64encode(raw).decode("ascii")}
 
 
 def belief_to_json(b: GaussianBelief) -> str:
+    u = b.root.upper
+    arrays = (b.mean, b.root.diag, u.indptr, u.indices, u.data)
     doc = {
-        "layout": [
-            {"id": blk.block_id, "kind": blk.kind, "size": blk.size} for blk in b.layout.blocks
-        ],
-        "mean": b.mean.tolist(),
-        "root_mm": mmio.triangular_to_mm(b.root),
+        "schema_version": BELIEF_SCHEMA_VERSION,
+        "layout": [{"id": blk.block_id, "kind": blk.kind, "size": blk.size} for blk in b.layout.blocks],
+        **{name: _array_doc(a, name) for name, a in zip(_ARRAYS, arrays)},
     }
     return json.dumps(doc)
 
 
-def belief_from_json(text: str) -> GaussianBelief:
-    """Load a belief file; a malformed file raises ``InvalidBelief`` or
-    ``ValueError``."""
+def _built(what: str, make, *args):
+    """``make(*args)``, its ``ValueError`` re-raised as ``InvalidBelief``
+    naming ``what``."""
     try:
-        doc = json_document(text, InvalidBelief, "a belief")
-        layout, mean, root_mm = json_fields(doc, ("layout", "mean", "root_mm"), InvalidBelief, "a belief")
-        blocks = []
-        offset = 0
-        for k, entry in enumerate(json_value(layout, list, InvalidBelief, "the layout")):
-            block_id, kind, size = json_fields(entry, ("id", "kind", "size"), InvalidBelief, f"layout block {k}")
-            what = f"the id and size of layout block {k}"
-            block_id, size = (json_value(v, int, InvalidBelief, what) for v in (block_id, size))
-            blocks.append(LayoutBlock(block_id, kind, size, offset))
-            offset += size
-        root = mmio.mm_to_triangular(root_mm)
-        mean = json_value(mean, list, InvalidBelief, "the mean")
-        mean = np.array([json_value(v, float, InvalidBelief, "a mean entry") for v in mean], dtype=np.float64)
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
-        raise InvalidBelief(f"malformed belief file: {type(e).__name__}: {e}") from e
-    return GaussianBelief(mean, root, VariableLayout(tuple(blocks)))
+        return make(*args)
+    except ValueError as e:
+        raise InvalidBelief(f"{what}: {e}") from e
+
+
+def _layout(value) -> VariableLayout:
+    blocks = []
+    offset = 0
+    for k, entry in enumerate(json_value(value, list, InvalidBelief, "the layout")):
+        block_id, kind, size = json_fields(entry, ("id", "kind", "size"), InvalidBelief, f"layout block {k}")
+        what = f"the id and size of layout block {k}"
+        block_id, size = (json_value(v, int, InvalidBelief, what) for v in (block_id, size))
+        blocks.append(_built(f"layout block {k}", LayoutBlock, block_id, kind, size, offset))
+        offset += size
+    return _built("the layout", VariableLayout, tuple(blocks))
+
+
+def _array_header(value, name: str) -> tuple:
+    """The declared length and the base64 text of array ``name``, its keys
+    and dtype checked."""
+    dtype, length, text = json_fields(value, ("dtype", "length", "base64"), InvalidBelief, f"array {name}")
+    if dtype != _ARRAYS[name][0]:
+        raise InvalidBelief(f"array {name} must have dtype {_ARRAYS[name][0]}, got {dtype!r:.60}")
+    length = json_value(length, int, InvalidBelief, f"the length of array {name}")
+    return length, json_value(text, str, InvalidBelief, f"the base64 of array {name}")
+
+
+def _decoded(name: str, length: int, text: str) -> np.ndarray:
+    """Array ``name`` as a native array of its own, its text's length
+    checked against ``length`` before anything is decoded."""
+    if len(text) != 4 * -(-length * _ITEM_BYTES // 3):
+        raise InvalidBelief(f"array {name} declares length {length}, but its base64 has {len(text)} characters")
+    try:
+        raw = b64decode(text, validate=True)
+    except ValueError as e:  # a character outside the alphabet, misplaced padding
+        raise InvalidBelief(f"array {name} is not base64: {e}") from e
+    if len(raw) != length * _ITEM_BYTES:
+        raise InvalidBelief(f"array {name} declares length {length}, but its base64 holds {len(raw)} bytes")
+    dtype, native = _ARRAYS[name]
+    return np.frombuffer(raw, dtype=dtype).astype(native)
+
+
+def belief_from_json(text: str) -> GaussianBelief:
+    """Load a belief file of schema 2; a malformed file, or one of another
+    schema, raises ``InvalidBelief``."""
+    try:
+        doc = json_document(text, InvalidBelief, "the belief file")
+    except ValueError as e:  # JSON syntax
+        raise InvalidBelief(f"the belief file is not JSON: {e}") from e
+    # the version before the keys, which differ between schemas; schema 1
+    # had no version, and the root as Matrix Market text under root_mm
+    version = doc.get("schema_version", 1) if type(doc) is dict else BELIEF_SCHEMA_VERSION
+    if type(version) is not int or version != BELIEF_SCHEMA_VERSION:
+        raise InvalidBelief(f"belief schema_version {version!r:.60} is not {BELIEF_SCHEMA_VERSION}")
+    _, layout, *arrays = json_fields(doc, ("schema_version", "layout", *_ARRAYS), InvalidBelief, "the belief file")
+    headers = {name: _array_header(value, name) for name, value in zip(_ARRAYS, arrays)}
+    layout = _layout(layout)
+    # the declared lengths are checked against the layout before anything is
+    # decoded, and each base64 text against its length before its decoding,
+    # so no allocation is sized by a number the file merely declares
+    n = layout.dim
+    wanted = {"mean": (n, "the layout's size"), "diag": (n, "the layout's size"),
+              "indptr": (n + 1, "the layout's size plus one"), "data": (headers["indices"][0], "that of indices")}
+    for name, (want, why) in wanted.items():
+        if headers[name][0] != want:
+            raise InvalidBelief(f"array {name} declares length {headers[name][0]}, not {why}, {want}")
+    mean, diag, indptr, indices, data = (_decoded(name, *headers[name]) for name in _ARRAYS)
+    upper = _built("the root's indptr, indices and data", SparseRowBlock, n, n, indptr, indices, data)
+    root = _built("the root's diag and indices", UpperTriangular, diag, upper)
+    return _built("the mean", GaussianBelief, mean, root, layout)

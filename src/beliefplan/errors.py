@@ -101,11 +101,11 @@ def json_document(text: str, error: type, what: str):
 
 
 # a JSON integer is never a boolean, and a JSON number may be an integer
-_JSON_TYPES = {int: (int,), float: (int, float), list: (list,)}
+_JSON_TYPES = {int: (int,), float: (int, float), list: (list,), str: (str,)}
 
 
 def json_value(value, kind: type, error: type, what: str):
-    """``value`` as ``kind`` (int, float or list) if JSON holds it as one,
+    """``value`` as ``kind`` (int, float, list or str) if JSON holds it as one,
     else ``error``."""
     if type(value) not in _JSON_TYPES[kind]:
         raise error(f"{what} must be a JSON {kind.__name__}, got {value!r:.60}")

@@ -1,4 +1,10 @@
-"""Matrix Market coordinate-format interchange.
+"""Matrix Market coordinate-format export, and import of factors.
+
+An export module: no other module of the package calls it, since belief
+files store the factor as binary arrays (``belief``, schema 2).  It is kept
+as the text interchange with Matrix Market readers such as
+``scipy.io.mmread``, and the benchmark's probe times its round trip of the
+prior factor (the ``mmio.*`` metrics).
 
 Writers emit 17 significant digits so float64 values round-trip exactly,
 which keeps externally cross-checked determinants bit-comparable; all

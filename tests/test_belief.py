@@ -1,6 +1,8 @@
 """Belief representation, entropy, objective, propagation, and serialization."""
 
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +213,64 @@ class TestNnzReport:
         assert info_nnz == 4  # (0,0) (0,2) (1,1) (2,2)
 
 
+ARRAYS = ("mean", "diag", "indptr", "indices", "data")
+
+
+def array_doc(values, dtype):
+    """One stored array of a belief file, as a test writes it."""
+    raw = np.asarray(values, dtype=dtype).tobytes()
+    return {"dtype": dtype, "length": len(raw) // 8, "base64": base64.b64encode(raw).decode()}
+
+
+def stored(doc, name):
+    """The values of stored array ``name`` of a parsed belief file."""
+    return np.frombuffer(base64.b64decode(doc[name]["base64"]), dtype=doc[name]["dtype"])
+
+
+def entry_below_diagonal(doc):
+    """Move the first entry of the first non-empty row past row 0 onto the
+    column left of the diagonal; the row's columns still rise."""
+    indptr, indices = stored(doc, "indptr"), stored(doc, "indices").copy()
+    row = next(i for i in range(1, indptr.size - 1) if indptr[i + 1] > indptr[i])
+    indices[indptr[row]] = row - 1
+    doc["indices"] = array_doc(indices, "<i8")
+
+
+def schema_1(doc):
+    """The file as schema 1 wrote it: no version, the mean as a list and the
+    root as Matrix Market text."""
+    from beliefplan import mmio
+
+    mean, diag, indptr, indices, data = (stored(doc, k) for k in ARRAYS)
+    root = UpperTriangular(diag, SparseRowBlock(diag.size, diag.size, indptr, indices, data))
+    for key in ("schema_version", *ARRAYS):
+        doc.pop(key)
+    doc.update(mean=mean.tolist(), root_mm=mmio.triangular_to_mm(root))
+
+
+@st.composite
+def random_beliefs(draw):
+    """A belief whose factor has random rows, stored zeros (of both signs)
+    and empty rows among them, over a random layout."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8), label="sizes")
+    n = sum(sizes)
+    row_cols, row_vals = [], []
+    for i in range(n):
+        cols = np.flatnonzero(rng.random(n - i - 1) < draw(st.sampled_from([0.0, 0.3, 1.0]), label="density")) + i + 1
+        vals = rng.normal(size=cols.size) * (rng.random(cols.size) < 0.7)
+        vals[rng.random(cols.size) < 0.1] = -0.0
+        row_cols.append(cols)
+        row_vals.append(vals)
+    root = triangular_from_rows(rng.random(n) + 1e-3, row_cols, row_vals)
+    layout = VariableLayout.from_sizes(sizes, kind=draw(st.sampled_from(["pose", "landmark", "generic"])))
+    return GaussianBelief(rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n), root, layout)
+
+
+def belief_arrays(b):
+    return (b.mean, b.root.diag, b.root.upper.indptr, b.root.upper.indices, b.root.upper.data)
+
+
 class TestSerialization:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(19)
@@ -222,57 +282,134 @@ class TestSerialization:
         assert back.layout.blocks == belief.layout.blocks
         assert entropy(back) == entropy(belief)
 
-    @pytest.mark.parametrize(
-        "root_mm",
-        ["%%MatrixMarket matrix coordinate real general\n", "%%MatrixMarket matrix coordinate real\n6 6 0\n"],
-        ids=["no-size-line", "four-token-header"],
-    )
-    def test_short_matrix_market_text_is_a_value_error(self, root_mm):
+    @settings(max_examples=60, deadline=None)
+    @given(random_beliefs())
+    def test_round_trip_keeps_every_array_bit_for_bit(self, belief):
+        text = belief_to_json(belief)
+        assert belief_to_json(belief) == text
+        back = belief_from_json(text)
+        for before, after in zip(belief_arrays(belief), belief_arrays(back)):
+            assert after.dtype == before.dtype and after.tobytes() == before.tobytes()
+            assert after.flags.writeable and after.flags.owndata
+        assert back.layout.blocks == belief.layout.blocks
+        swapped = GaussianBelief(
+            belief.mean.astype(">f8"),
+            UpperTriangular(
+                belief.root.diag.astype(">f8"),
+                SparseRowBlock(
+                    belief.dim,
+                    belief.dim,
+                    belief.root.upper.indptr.astype(">i8"),
+                    belief.root.upper.indices.astype(">i8"),
+                    belief.root.upper.data.astype(">f8"),
+                ),
+            ),
+            belief.layout,
+        )
+        assert belief_to_json(swapped) == text
+
+    def test_file_holds_little_endian_arrays(self):
         belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
         doc = json.loads(belief_to_json(belief))
-        doc["root_mm"] = root_mm
-        with pytest.raises(ValueError, match="MatrixMarket"):
-            belief_from_json(json.dumps(doc))
+        assert list(doc) == ["schema_version", "layout", *ARRAYS]
+        assert doc["schema_version"] == 2
+        assert [doc[k]["dtype"] for k in ARRAYS] == ["<f8", "<f8", "<i8", "<i8", "<f8"]
+        for key, want in zip(ARRAYS, belief_arrays(belief)):
+            assert doc[key]["length"] == want.size
+            np.testing.assert_array_equal(stored(doc, key), want)
 
-    def test_oversized_factor_size_line_is_a_value_error(self, monkeypatch):
-        from beliefplan import mmio
+    def test_readme_example_is_what_the_writer_writes(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("**Beliefs**", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        rows = SparseRowBlock(6, 6, np.array([0, 2, 3, 3, 3, 3, 3]), np.array([1, 3, 2]), np.array([0.5, -1.0, 0.25]))
+        belief = GaussianBelief(
+            np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
+            UpperTriangular(np.full(6, 2.0), rows),
+            VariableLayout.from_sizes([3, 3], kind="pose"),
+        )
+        assert json.loads(example) == json.loads(belief_to_json(belief))
 
-        def no_allocation(*args):
-            raise AssertionError("row storage built from an unchecked size line")
+    def test_oversized_layout_is_refused_before_decoding(self, monkeypatch):
+        from beliefplan import belief as belief_module
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an array decoded before its length was checked")
 
         belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
         doc = json.loads(belief_to_json(belief))
-        doc["root_mm"] = "%%MatrixMarket matrix coordinate real general\n1000000000000 1000000000000 0\n"
-        monkeypatch.setattr(mmio.SparseRowBlock, "from_coo", no_allocation)
-        with pytest.raises(ValueError, match="factor needs at least"):
+        doc["layout"] = [{"id": 0, "kind": "generic", "size": 10**12}]
+        monkeypatch.setattr(belief_module, "b64decode", no_allocation)
+        with pytest.raises(InvalidBelief, match="array mean declares length 6, not the layout's size, 1000000000000"):
             belief_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
-            lambda doc: doc["layout"][1].update(size=3.9),
-            lambda doc: doc["layout"][1].update(size="3"),
-            lambda doc: doc["layout"][1].update(id=True),
-            lambda doc: doc["layout"][1].update(id=1.0),
-            lambda doc: doc["layout"][1].update(offset=0),
-            lambda doc: doc["layout"][1].pop("kind"),
-            lambda doc: doc.update(layout={}),
-            lambda doc: doc.update(extra=1),
-            lambda doc: doc.pop("mean"),
-            lambda doc: doc["mean"].__setitem__(0, "0.5"),
-            lambda doc: doc["mean"].__setitem__(0, False),
-            KeyTwice("layout", []),
-            KeyTwice("size", 3),
+            (lambda doc: doc["layout"][1].update(size=3.9), "layout block 1"),
+            (lambda doc: doc["layout"][1].update(size="3"), "layout block 1"),
+            (lambda doc: doc["layout"][1].update(id=True), "layout block 1"),
+            (lambda doc: doc["layout"][1].update(id=1.0), "layout block 1"),
+            (lambda doc: doc["layout"][1].update(offset=0), "layout block 1"),
+            (lambda doc: doc["layout"][1].pop("kind"), "layout block 1"),
+            (lambda doc: doc["layout"][1].update(kind="robot"), "layout block 1: unknown block kind"),
+            (lambda doc: doc["layout"][1].update(size=0), "layout block 1: block size must be positive"),
+            (lambda doc: doc["layout"][1].update(id=0), "the layout: duplicate block id 0"),
+            (lambda doc: doc.update(layout={}), "the layout"),
+            (lambda doc: doc.update(extra=1), "unknown \\['extra'\\]"),
+            (lambda doc: doc.pop("mean"), "missing \\['mean'\\]"),
+            (lambda doc: doc.update(mean=[0.0] * 6), "array mean must be a JSON object"),
+            (schema_1, "schema_version 1 is not 2"),
+            (lambda doc: doc.update(schema_version=3), "schema_version 3 is not 2"),
+            (lambda doc: doc.update(schema_version="2"), "schema_version '2' is not 2"),
+            (lambda doc: doc.pop("schema_version"), "schema_version 1 is not 2"),
+            (lambda doc: doc["data"].update(base64="!" + doc["data"]["base64"][1:]), "array data is not base64"),
+            (lambda doc: doc["mean"].update(base64=doc["mean"]["base64"][:-4]), "array mean declares length 6, but"),
+            (lambda doc: doc["indptr"].update(base64=doc["indptr"]["base64"][:-1] + "A"),
+             "array indptr declares length 7, but its base64 holds 57 bytes"),
+            (lambda doc: doc["indices"].update(length=float(doc["indices"]["length"])), "length of array indices"),
+            (lambda doc: doc["indices"].update(length=True), "length of array indices"),
+            (lambda doc: doc["data"].update(base64=None), "the base64 of array data"),
+            (lambda doc: doc["mean"].update(dtype="<f4"), "array mean must have dtype <f8, got '<f4'"),
+            (lambda doc: doc["data"].update(dtype=">f8"), "array data must have dtype <f8, got '>f8'"),
+            (lambda doc: doc["indptr"].update(dtype="<f8"), "array indptr must have dtype <i8"),
+            (lambda doc: doc["diag"].pop("dtype"), "array diag must have exactly the keys"),
+            (lambda doc: doc["diag"].update(order="C"), "array diag must have exactly the keys"),
+            (lambda doc: doc.update(indptr=array_doc(stored(doc, "indptr")[:-1], "<i8")),
+             "array indptr declares length 6, not the layout's size plus one, 7"),
+            (lambda doc: doc.update(data=array_doc(stored(doc, "data")[:-1], "<f8")),
+             "array data declares length .*, not that of indices"),
+            (lambda doc: doc.update(data=array_doc(np.append(stored(doc, "data")[:-1], np.nan), "<f8")),
+             "the root's indptr, indices and data: matrix values must be finite"),
+            (lambda doc: doc.update(mean=array_doc(np.append(stored(doc, "mean")[:-1], np.inf), "<f8")),
+             "the mean: mean must be finite"),
+            (entry_below_diagonal, "the root's diag and indices: row entries must satisfy row < col < dim"),
+            (lambda doc: doc.update(diag=array_doc(np.append(0.0, stored(doc, "diag")[1:]), "<f8")),
+             "the root's diag and indices: diagonal entries must be strictly positive"),
+            (lambda doc: doc.update(indptr=array_doc(stored(doc, "indptr")[::-1], "<i8")),
+             "the root's indptr, indices and data: indptr must rise"),
+            (KeyTwice("layout", []), "names a key twice"),
+            (KeyTwice("size", 3), "names a key twice"),
+            (KeyTwice("base64", ""), "names a key twice"),
+            (KeyTwice("length", 6), "names a key twice"),
         ],
         ids=["float-size", "string-size", "bool-id", "float-id", "unknown-block-key", "missing-block-key",
-             "layout-not-a-list", "unknown-key", "missing-key", "string-mean", "bool-mean", "dup-key",
-             "dup-block-key"],
+             "unknown-kind", "zero-size", "repeated-id", "layout-not-a-list", "unknown-key", "missing-key",
+             "mean-as-list", "schema-1", "schema-3", "string-version", "no-version", "base64-alphabet",
+             "base64-too-short", "base64-no-padding", "float-length", "bool-length", "base64-not-text",
+             "dtype-f4", "dtype-big-endian", "dtype-swapped", "missing-dtype", "unknown-array-key",
+             "indptr-short", "data-short", "data-nan", "mean-inf", "below-diagonal", "zero-diagonal",
+             "indptr-falling", "dup-key", "dup-block-key", "dup-array-key", "dup-length-key"],
     )
-    def test_malformed_belief_is_an_invalid_belief(self, mutate):
+    def test_malformed_belief_is_an_invalid_belief(self, mutate, message):
         belief, _, _ = build_toy_full_slam(np.random.default_rng(19))
         doc = json.loads(belief_to_json(belief))
-        with pytest.raises(InvalidBelief):
+        with pytest.raises(InvalidBelief, match=message):
             belief_from_json(malformed_text(mutate, doc))
+
+    @pytest.mark.parametrize("text", ["", "{", "[1, 2", "not json"], ids=["empty", "open-brace", "open-list", "word"])
+    def test_json_syntax_is_an_invalid_belief(self, text):
+        with pytest.raises(InvalidBelief, match="the belief file is not JSON"):
+            belief_from_json(text)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -281,7 +418,7 @@ class TestSerialization:
         doc = mutate_json(data, json.loads(belief_to_json(belief)))
         try:
             belief_from_json(json.dumps(doc))
-        except (BeliefPlanError, ValueError):
+        except BeliefPlanError:
             pass
 
 
