@@ -11,7 +11,9 @@ the column-sorted ``indices``/``data`` arrays, the layout
 - triangular factors keep a dense diagonal vector plus their strictly-upper
   entries as one CSR row block.
 
-Every CSR block is validated once, by whole-array checks, when it is built.
+Every CSR block is validated once, by whole-array checks, when it is built;
+a factor's triangularity is read at each row's first column, since its
+columns already rise.
 ``row_cols``/``row_vals`` give read-only per-row views; no kernel uses them,
 the benchmark's trace counters and the tests do.
 
@@ -52,14 +54,21 @@ triangular-pentagonal LAPACK QR (``dtpqrt`` annihilates the stacked rows
 under the panel's triangle of factor rows, ``dtpmqrt`` applies the
 reflections to the other columns), and carries the rows left over to the
 next panel.  Every panel's columns and every scatter and gather position
-follow from the patterns, so they are planned before the loop.  Its two
-callers fix the stored pattern separately:
+follow from the patterns, so they are planned before the loop
+(``_fold_panels``).  Up to ``_PANEL`` pivots are one panel, folded
+without the plan on the same arrays, so with the same result bit for bit:
+a candidate's update of a sparsified belief reaches a few dozen rows, and
+then the plan, not LAPACK, was most of the cost.  Its two callers fix the
+stored pattern separately:
 
 - ``lowrank_update`` adds constraint rows to a factor (the multiple-rank
   update of Davis & Hager); its pattern pass follows the groups of update
   rows up the factor, each carrying only the columns that the rows it
-  reaches do not already store, and forms every reached row in one array
-  merge at the end.
+  reaches do not already store, and forms the reached rows at the end, as
+  a sorted set union per row when they are at most ``_PANEL``, else in one
+  array merge.  The new factor is spliced from slices: the rows between
+  two runs of consecutive reached rows keep their entries as one range,
+  with no entry-sized mask.
 - ``sparsify_factor`` reorders a factor so that selected scalars come
   first and cuts their rows to the diagonal, without re-forming the
   information matrix (Elimelech & Indelman, RA-L 2021): the kept rows that
@@ -124,7 +133,7 @@ def _as_value_array(a) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 1:
         raise ValueError("expected a 1-d value array")
-    if out.size and not np.all(np.isfinite(out)):
+    if out.size and not np.isfinite(out).all():
         raise ValueError("matrix values must be finite")
     return out
 
@@ -180,14 +189,14 @@ class SparseRowBlock:
         indptr = _as_index_array(self.indptr)
         indices = _as_index_array(self.indices)
         data = _as_value_array(self.data)
-        if indptr.size != self.n_rows + 1 or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        if indptr.size != self.n_rows + 1 or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
             raise ValueError("indptr must rise from 0 with one entry per row boundary")
         if indices.size != data.size or indptr[-1] != indices.size:
             raise ValueError("row arrays must have equal length")
         if indices.size:
             if indices.min() < 0 or indices.max() >= self.n_cols:
                 raise ValueError("row entry column out of range")
-            rising = np.diff(indices) > 0
+            rising = indices[1:] > indices[:-1]
             starts = indptr[1:-1]
             # a new row may restart at any column
             rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
@@ -324,12 +333,15 @@ class UpperTriangular:
 
     def __post_init__(self):
         diag = _as_value_array(self.diag)
-        if np.any(diag <= 0.0):
+        if (diag <= 0.0).any():
             raise ValueError("diagonal entries must be strictly positive")
         # n_cols is positive, so this also rejects an empty diagonal
-        if self.upper.n_rows != diag.size or self.upper.n_cols != diag.size:
+        u = self.upper
+        if u.n_rows != diag.size or u.n_cols != diag.size:
             raise ValueError("off-diagonal block must be dim x dim")
-        if np.any(self.upper.indices <= self.upper.row_ids):
+        # a row's columns rise, so its first is its least: O(n), not O(nnz)
+        rows = (u.indptr[1:] > u.indptr[:-1]).nonzero()[0]
+        if (u.indices[u.indptr[rows]] <= rows).any():
             raise ValueError("row entries must satisfy row < col < dim")
         object.__setattr__(self, "diag", diag)
 
@@ -544,17 +556,97 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _panel_qr(tri: np.ndarray, stk: np.ndarray, w: int, k: int) -> None:
+    """One panel's triangular-pentagonal QR, in place: the ``w`` x ``k + 1``
+    triangle of factor rows ``tri`` (a zero column last) over the stacked
+    rows ``stk``, both Fortran-order, the panel's ``w`` pivot columns
+    first.  ``dtpqrt`` turns the triangle into R and the stacked pivot
+    columns into the reflectors, ``dtpmqrt`` applies the reflections to
+    the other columns; nothing is done without stacked rows."""
+    if not stk.shape[0]:
+        return
+    left, below, right, rest = tri[:, :w], stk[:, :w], tri[:, w:k], stk[:, w:]
+    r, v, t, _ = lapack.dtpqrt(0, w, left, below, overwrite_a=True, overwrite_b=True)
+    cr, cs = right, rest
+    if k > w:
+        cr, cs, _ = lapack.dtpmqrt(0, v, t, right, rest, trans="T", overwrite_a=True, overwrite_b=True)
+    if r is not left or v is not below or cr is not right or cs is not rest:
+        raise RuntimeError("LAPACK worked on a copy of the panel, not in place")
+
+
 def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indptr, out_indices) -> tuple:
     """Re-triangularize the factor rows at ``pivots`` stacked over the rows
-    of ``u``, one triangular-pentagonal LAPACK QR per panel of ``_PANEL``
-    consecutive pivots.
+    of ``u``, one triangular-pentagonal LAPACK QR (``_panel_qr``) per panel
+    of ``_PANEL`` consecutive pivots.
 
     ``diag`` is the factor diagonal, 0 on an empty row; ``upper`` holds the
     strictly-upper entries of the first ``upper.n_rows`` rows, any later
     row being empty.  ``pivots`` lists the rows to re-form in elimination
-    order and ``rank`` gives the elimination position of every column.  A
-    row of ``u`` joins at the panel of its first stored column, which must
-    be a pivot.
+    order and ``rank`` gives the elimination position of every column, or
+    is ``None`` for the identity order.  A row of ``u`` joins at the panel
+    of its first stored column, which must be a pivot.
+
+    More than ``_PANEL`` pivots take the planned panel loop,
+    ``_fold_panels``.  Up to ``_PANEL`` pivots are one panel, folded here
+    without a plan: its columns are the pivots, then every other column
+    that a factor row or an update row stores, ascending in rank, and its
+    stacked rows are the nonempty rows of ``u`` in order.  That is the
+    single panel ``_fold_panels`` would form, so LAPACK sees the same
+    arrays and the result is the same bit for bit.
+
+    Returns the new diagonal at the pivots, 0 where no row supports a
+    pivot, and the new values at the columns that the CSR ``(out_indptr,
+    out_indices)`` lists for each pivot in turn; a listed column that no
+    row of the panel stores reads 0.
+    """
+    if pivots.size > _PANEL:
+        return _fold_panels(diag, upper, u, pivots, np.arange(u.n_cols) if rank is None else rank,
+                            out_indptr, out_indices)
+    w = pivots.size
+    d = diag[pivots]
+    full = d.nonzero()[0]
+    counts, at = _rows_at(upper.indptr, pivots[full])
+    f_row = full.repeat(counts)
+    f_col = upper.indices[at]
+    f_val = upper.data[at]
+    lengths = u.indptr[1:] - u.indptr[:-1]
+    live = lengths > 0
+    u_row = (live.cumsum() - 1).repeat(lengths)
+    u_col, g_col = u.indices, out_indices
+    piv_rank = pivots
+    if rank is not None:
+        piv_rank, f_col, u_col, g_col = rank[pivots], rank[f_col], rank[u_col], rank[g_col]
+
+    # every column the panel holds, ascending, and its slot: the pivots
+    # first, then the others in turn
+    every = np.unique(np.concatenate([piv_rank, f_col, u_col]))
+    k = every.size
+    at_piv = every.searchsorted(piv_rank)
+    other = np.ones(k, dtype=bool)
+    other[at_piv] = False
+    slot = other.cumsum() + (w - 1)
+    slot[at_piv] = np.arange(w)
+    # a listed column that the panel lacks reads the zero column after it
+    g_at = every.searchsorted(g_col)
+    g_slot = np.where(every.take(g_at, mode="clip") == g_col, slot.take(g_at, mode="clip"), k)
+    out_lengths = out_indptr[1:] - out_indptr[:-1]
+
+    buf = np.zeros(w * (k + 1))
+    tri = buf.reshape((w, k + 1), order="F")
+    buf[:w * w:w + 1] = d
+    buf[f_row + w * slot[every.searchsorted(f_col)]] = f_val
+    stk = np.zeros((int(live.sum()), k), order="F")
+    stk[u_row, slot[every.searchsorted(u_col)]] = u.data
+    _panel_qr(tri, stk, w, k)
+    head = buf[:w * w:w + 1]
+    out = buf[w * g_slot + np.arange(w).repeat(out_lengths)]
+    out *= np.where(head < 0.0, -1.0, 1.0).repeat(out_lengths)
+    return np.abs(head), out
+
+
+def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indptr, out_indices) -> tuple:
+    """``_fold`` by a panel loop planned before it, for any number of
+    pivots; ``rank`` is an array here.
 
     A panel's columns follow from the patterns alone: its pivots, then every
     column after the previous panel's last pivot that a factor row or an
@@ -569,11 +661,6 @@ def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indp
     without stacked rows is left as it is.  The factor rows are then the new
     rows, and the stacked rows that are not zero travel on over the columns
     after the panel.  The signs are made positive once, after the loop.
-
-    Returns the new diagonal at the pivots, 0 where no row supports a
-    pivot, and the new values at the columns that the CSR ``(out_indptr,
-    out_indices)`` lists for each pivot in turn; a listed column that no
-    row of the panel stores reads 0.
     """
     n_cols = u.n_cols
     n_piv = pivots.size
@@ -682,16 +769,7 @@ def _fold(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, out_indp
         stk = np.zeros((joined + t_rows.shape[0], k), order="F")
         stk[u_row[ua:ub], u_slot[ua:ub]] = u_val[ua:ub]
         stk[joined:, t_slot[t_lo[p]:t_hi[p]]] = t_rows
-        if stk.shape[0]:
-            # in place: the triangle becomes R, the stacked pivot columns the
-            # reflectors, the other columns Q^T times themselves
-            left, below, right, rest = tri[:, :w], stk[:, :w], tri[:, w:k], stk[:, w:]
-            r, v, t, _ = lapack.dtpqrt(0, w, left, below, overwrite_a=True, overwrite_b=True)
-            cr, cs = right, rest
-            if k > w:
-                cr, cs, _ = lapack.dtpmqrt(0, v, t, right, rest, trans="T", overwrite_a=True, overwrite_b=True)
-            if r is not left or v is not below or cr is not right or cs is not rest:
-                raise RuntimeError("LAPACK worked on a copy of the panel, not in place")
+        _panel_qr(tri, stk, w, k)
         head[lo:hi] = buf[:w * w:w + 1]
         out[ga:gb] = buf[g_flat[ga:gb]]
         t_rows = stk[:, t_first[p]:]
@@ -720,13 +798,26 @@ def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
     too (``UpperTriangular._row_links``), as in every Cholesky fill, the
     row it reaches gets the carried columns alone; otherwise row ``t`` is
     read again.  Until another group or a carried column comes first, a
-    group climbs such rows one after another without the heap.  At the end
-    each reached row's stored columns and its carried ones are merged in
-    one sort of ``position * width + column`` keys.
+    group climbs such rows one after another without the heap
+    (``_update_walk``).  At the end each reached row's stored columns and
+    its carried ones are merged: row by row as sorted sets when at most
+    ``_PANEL`` rows are reached (``_merge_by_row``), else in one sort of
+    ``position * width + column`` keys (``_merge_by_keys``).
 
     Returns the reached pivots, ascending, and their new strictly-upper
     columns as CSR ``(indptr, indices)`` over those pivots.
     """
+    walk = _update_walk(r, u)
+    if len(walk[0]) <= _PANEL:
+        return _merge_by_row(r, *walk)
+    return _merge_by_keys(r, u.n_cols, *walk)
+
+
+def _update_walk(r: UpperTriangular, u: SparseRowBlock) -> tuple:
+    """The walk of ``_update_pattern``'s groups up the factor, as lists:
+    the reached pivots, ascending; and in steps, each step's carried
+    columns (a sorted tuple) and its number of reached rows, which all
+    carry them."""
     dim = r.dim
     width = u.n_cols
     first, settles = r._row_links
@@ -781,7 +872,37 @@ def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
             row = indices[bounds[t]:bounds[t + 1]]
             x = tuple(sorted(set(x).union(row[row > lead].tolist())))
         following = (lead, next(tick), x, n_rows)
+    return reached, carried, rows_each
 
+
+def _merge_by_row(r: UpperTriangular, reached: list, carried: list, rows_each: list) -> tuple:
+    """``_update_pattern``'s result from its walk, each reached row's stored
+    and carried columns merged as a sorted set union of its own."""
+    dim = r.dim
+    bounds = r.upper.indptr
+    indices = r.upper.indices
+    rows = []
+    at = iter(reached)
+    for x, k in zip(carried, rows_each):
+        for t in itertools.islice(at, k):
+            if t >= dim:
+                rows.append(x)
+            else:
+                own = indices[bounds[t]:bounds[t + 1]].tolist()
+                rows.append(sorted(set(own).union(x)) if x else own)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)).cumsum(out=indptr[1:])
+    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+    return np.array(reached, dtype=np.int64), indptr, cols
+
+
+def _merge_by_keys(r: UpperTriangular, width: int, reached: list, carried: list, rows_each: list) -> tuple:
+    """``_update_pattern``'s result from its walk, every reached row's stored
+    and carried columns merged in one sort of ``position * width + column``
+    keys."""
+    dim = r.dim
+    bounds = r.upper.indptr
+    indices = r.upper.indices
     n_own = bisect.bisect_left(reached, dim)
     reached = np.array(reached, dtype=np.int64)
     starts = bounds[reached[:n_own]]
@@ -817,13 +938,18 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     the result may store more zero entries than a pattern that reads the
     values would; it is the same factor.  What the pass needs of each
     factor row is worked out once per factor and kept on it, and the rows
-    it reaches are formed in one array merge.  The panel fold (``_fold``)
-    then re-triangularizes the reached rows stacked over the update rows,
-    a panel of consecutive reached rows per triangular-pentagonal QR, each
-    update row joining at its first stored column (an appended variable
-    is a zero row of the triangle until a row moves into place), and the
-    new values are read at those columns.  Rows no update row reaches keep
-    their stored entries, bit for bit.
+    it reaches are merged row by row when they are at most ``_PANEL``, in
+    one array merge otherwise.  The panel fold (``_fold``) then
+    re-triangularizes the reached rows stacked over the update rows, a
+    panel of consecutive reached rows per triangular-pentagonal QR (one
+    panel, without a plan, for at most ``_PANEL`` rows), each update row
+    joining at its first stored column (an appended variable is a zero row
+    of the triangle until a row moves into place), and the new values are
+    read at those columns.  Rows no update row reaches keep their stored
+    entries, bit for bit: the new factor is spliced from slices, each run
+    of consecutive reached rows taking its new entries and each range of
+    rows between two runs its old ones, so the splice reads the row bounds
+    only at the ends of the runs and makes no nnz-sized temporary.
 
     Raises RankDeficientAugmentation, naming the first such variable (its
     ``index``), if any of the ``n_new`` appended variables ends up without
@@ -839,7 +965,7 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     pivots, p_indptr, p_indices = _update_pattern(r, u)
     diag = np.zeros(nd)
     diag[: r.dim] = r.diag
-    new_diag, vals = _fold(diag, r.upper, u, pivots, np.arange(nd), p_indptr, p_indices)
+    new_diag, vals = _fold(diag, r.upper, u, pivots, None, p_indptr, p_indices)
     diag[pivots] = new_diag
     # a pivot at or below the floor is no support: the variable's column was
     # empty, or its rows depend on rows that other variables already used;
@@ -853,21 +979,31 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
         )
 
     # splice: reached rows take their new entries, the others keep theirs
-    reached = np.zeros(nd, dtype=bool)
-    reached[pivots] = True
+    old = r.upper
     lengths = np.zeros(nd, dtype=np.int64)
-    lengths[: r.dim] = np.diff(r.upper.indptr)
-    lengths[pivots] = np.diff(p_indptr)
+    lengths[: r.dim] = old.indptr[1:] - old.indptr[:-1]
+    lengths[pivots] = p_indptr[1:] - p_indptr[:-1]
     indptr = np.zeros(nd + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    fresh = np.repeat(reached, lengths)
-    kept = ~reached[r.upper.row_ids]
-    indices = np.empty(fresh.size, dtype=np.int64)
-    data = np.empty(fresh.size)
-    indices[fresh] = p_indices
-    data[fresh] = vals
-    indices[~fresh] = r.upper.indices[kept]
-    data[~fresh] = r.upper.data[kept]
+    lengths.cumsum(out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    data = np.empty(indices.size)
+    # the rows where a run of consecutive pivots starts (a pivot after a row
+    # that is none) or stops (a row that is none after a pivot) are those in
+    # just one of ``pivots`` and ``pivots + 1``.  Rows ends[2j]..ends[2j + 1]
+    # - 1 keep theirs, rows ends[2j + 1]..ends[2j + 2] - 1 are the j-th run
+    ends = np.concatenate(([0], np.setxor1d(pivots, pivots + 1, assume_unique=True), [nd]))
+    new_at = indptr[ends].tolist()
+    old_at = old.indptr[np.minimum(ends, r.dim)].tolist()
+    taken = 0
+    for j in range(0, ends.size - 1, 2):
+        a, b = new_at[j], new_at[j + 1]
+        indices[a:b] = old.indices[old_at[j]:old_at[j + 1]]
+        data[a:b] = old.data[old_at[j]:old_at[j + 1]]
+        if j + 2 < ends.size:
+            c = new_at[j + 2]
+            indices[b:c] = p_indices[taken:taken + c - b]
+            data[b:c] = vals[taken:taken + c - b]
+            taken += c - b
     return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
 
 

@@ -249,14 +249,16 @@ def update_pattern_oracle(r: UpperTriangular, u: SparseRowBlock) -> tuple:
 
 
 def fold_on_oracle_pattern(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> UpperTriangular:
-    """``sparse.lowrank_update`` with the pattern of ``update_pattern_oracle``:
-    the same panel fold (``sparse._fold``) on the reached rows and the same
-    splice of their new entries among the rows no update row reaches."""
+    """``sparse.lowrank_update`` as a reference: the pattern of
+    ``update_pattern_oracle``, the planned panel fold
+    (``sparse._fold_panels``) at any number of reached rows, and a splice of
+    their new entries among the rows no update row reaches by whole-entry
+    masks."""
     nd = r.dim + n_new
     pivots, p_indptr, p_indices = update_pattern_oracle(r, u)
     diag = np.zeros(nd)
     diag[: r.dim] = r.diag
-    new_diag, vals = sparse._fold(diag, r.upper, u, pivots, np.arange(nd), p_indptr, p_indices)
+    new_diag, vals = sparse._fold_panels(diag, r.upper, u, pivots, np.arange(nd), p_indptr, p_indices)
     diag[pivots] = new_diag
     reached = np.zeros(nd, dtype=bool)
     reached[pivots] = True

@@ -1301,8 +1301,141 @@ class TestFoldShapes:
 
         monkeypatch.setattr(sparse.lapack, routine, on_a_copy)
         r = _banded_factor(40, 3, seed=6)
-        with pytest.raises(RuntimeError, match="LAPACK worked on a copy of the panel, not in place"):
-            lowrank_update(r, _rows(40, {c: 1.0 for c in range(2, 40, 5)}))
+        # 38 reached rows take the planned panels; 11 take the one-panel fold,
+        # whose row runs out at appended variable 40 and leaves column 41 to dtpmqrt
+        for u, n_new in [(_rows(40, {c: 1.0 for c in range(2, 40, 5)}), 0),
+                         (_rows(42, {30: 1.0, 35: 1.0, 40: 1.0, 41: 1.0}), 2)]:
+            with pytest.raises(RuntimeError, match="LAPACK worked on a copy of the panel, not in place"):
+                lowrank_update(r, u, n_new)
+
+
+def _same_bits(got, want):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _factor_arrays(r: UpperTriangular) -> tuple:
+    return r.diag, r.upper.indptr, r.upper.indices, r.upper.data
+
+
+def _folds_agree(r: UpperTriangular, u: SparseRowBlock, n_new: int):
+    """On ``lowrank_update``'s pattern: ``_fold`` (the one-panel fold for at
+    most ``_PANEL`` reached rows) equals the planned ``_fold_panels`` bit
+    for bit, and the per-row merge equals the key-sort merge."""
+    walk = sparse._update_walk(r, u)
+    by_row = sparse._merge_by_row(r, *walk)
+    _same_bits(by_row, sparse._merge_by_keys(r, u.n_cols, *walk))
+    pivots, p_indptr, p_indices = by_row
+    nd = r.dim + n_new
+    diag = np.zeros(nd)
+    diag[: r.dim] = r.diag
+    _same_bits(sparse._fold(diag, r.upper, u, pivots, None, p_indptr, p_indices),
+               sparse._fold_panels(diag, r.upper, u, pivots, np.arange(nd), p_indptr, p_indices))
+    return pivots.size
+
+
+def _update_is_the_reference(r: UpperTriangular, u: SparseRowBlock, n_new: int):
+    """``lowrank_update`` equals ``fold_on_oracle_pattern`` (the planned fold
+    and a splice by whole-entry masks) bit for bit, or it refuses where the
+    reference leaves an appended pivot at or below the floor."""
+    try:
+        got = lowrank_update(r, u, n_new)
+    except RankDeficientAugmentation:
+        try:
+            want = fold_on_oracle_pattern(r, u, n_new)
+        except ValueError:  # a zero pivot
+            return
+        with np.errstate(over="ignore"):
+            assert (want.diag[r.dim:] ** 2 <= PIVOT_FLOOR).any()
+        return
+    _same_bits(_factor_arrays(got), _factor_arrays(fold_on_oracle_pattern(r, u, n_new)))
+
+
+class TestFastPaths:
+    """The one-panel fold, the per-row merge and the range splice against
+    the planned fold, the key-sort merge and the splice by masks, bit for
+    bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(update_problems())
+    def test_updates_of_cholesky_factors(self, problem):
+        _folds_agree(*problem)
+        _update_is_the_reference(*problem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arbitrary_update_problems())
+    def test_updates_of_arbitrary_factors_with_empty_rows_and_stored_zeros(self, problem):
+        r, u = problem
+        n_new = u.n_cols - r.dim
+        _folds_agree(r, u, n_new)
+        _update_is_the_reference(r, u, n_new)
+
+    def test_the_drawn_problems_reach_both_sides_of_the_panel_width(self):
+        rng = np.random.default_rng(5)
+        sizes = set()
+        for _ in range(300):
+            dim, n_new = int(rng.integers(1, 41)), int(rng.integers(0, 4))
+            r, u = arbitrary_update_problem(rng, dim, n_new, rng.choice([0.1, 0.3, 0.6]), rng.choice([0.0, 0.2, 0.5]))
+            sizes.add(_folds_agree(r, u, n_new))
+        assert {0, 1, _PANEL, _PANEL + 1} <= sizes
+
+    @pytest.mark.parametrize("reached, n_new", [
+        (1, 0), (1, 1), (_PANEL, 0), (_PANEL, 2), (_PANEL + 1, 0), (_PANEL + 1, 2),
+    ])
+    def test_pivot_counts_at_the_panel_width(self, panels, reached, n_new):
+        # the banded factor links every row to the next, so an update row
+        # from column 60 - m on reaches the last m rows, then the appended
+        # ones, each of which has a row of its own
+        r = _banded_factor(60, 2, seed=7)
+        m = reached - n_new
+        appended = {60 + j: 2.0 + j for j in range(n_new)}
+        own = [{60 + j: 1.5, 60 + n_new - 1: 0.3} for j in range(n_new)]
+        u = _rows(60 + n_new, *([{60 - m: 1.1, 59: 0.0, **appended}] if m else []), *own)
+        assert _folds_agree(r, u, n_new) == reached
+        _update_is_the_reference(r, u, n_new)
+        panels.clear()
+        lowrank_update(r, u, n_new)
+        assert len(panels) == (1 if reached <= _PANEL else 2)
+
+    def test_a_fold_without_stacked_rows(self):
+        r = _banded_factor(30, 3, seed=8)
+        pivots = np.arange(4, 20)
+        counts, at = sparse._rows_at(r.upper.indptr, pivots)
+        p_indptr = np.concatenate(([0], counts.cumsum()))
+        u = SparseRowBlock.empty(30, 2)
+        got = sparse._fold(r.diag, r.upper, u, pivots, None, p_indptr, r.upper.indices[at])
+        _same_bits(got, sparse._fold_panels(r.diag, r.upper, u, pivots, np.arange(30), p_indptr, r.upper.indices[at]))
+        _same_bits(got, (r.diag[pivots], r.upper.data[at]))
+
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_an_empty_update_reaches_no_row(self, n_rows):
+        r = _banded_factor(30, 3, seed=9)
+        u = SparseRowBlock.empty(30, n_rows)
+        assert _folds_agree(r, u, 0) == 0
+        got = lowrank_update(r, u)
+        _same_bits(_factor_arrays(got), _factor_arrays(r))
+        _update_is_the_reference(r, u, 0)
+
+    def test_a_sparsify_fold_of_one_panel_under_a_permuted_order(self, monkeypatch):
+        r = _banded_factor(100, 4, seed=2)
+        mask = np.zeros(r.dim, dtype=bool)
+        mask[40:46] = True
+        want = sparsify_factor(r, mask)
+        seen = []
+
+        def planned(diag, upper, u, pivots, rank, out_indptr, out_indices):
+            seen.append(pivots.size)
+            assert rank is not None and not np.array_equal(rank, np.arange(rank.size))
+            return sparse._fold_panels(diag, upper, u, pivots, rank, out_indptr, out_indices)
+
+        monkeypatch.setattr(sparse, "_fold", planned)
+        _same_bits(_factor_arrays(sparsify_factor(r, mask)), _factor_arrays(want))
+        assert len(seen) == 1 and seen[0] <= _PANEL
+
+    def test_a_new_factor_keeps_no_entry_sized_row_ids(self):
+        r = _banded_factor(60, 3, seed=10)
+        got = lowrank_update(r, _rows(60, {40: 1.0, 50: 2.0}))
+        assert "row_ids" not in vars(got.upper)
 
 
 def _plan_1k():
@@ -1363,6 +1496,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             triangular_from_rows([1.0, 1.0], (np.array([0]), np.array([], dtype=np.int64)),
                                       (np.array([1.0]), np.array([])))
+
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 1, 2, 3, 3, 3], [3, 3, 2]),  # on the diagonal in row 2
+        ([0, 0, 0, 1, 2, 2], [1, 4]),  # below the diagonal in row 2, after two empty rows
+        ([0, 1, 1, 1, 1, 2], [2, 3]),  # in the last row
+    ], ids=["diagonal-middle-row", "below-after-empty-rows", "last-row"])
+    def test_triangular_refuses_an_entry_at_or_below_the_diagonal(self, indptr, indices):
+        upper = SparseRowBlock(5, 5, indptr, indices, np.ones(len(indices)))
+        with pytest.raises(ValueError, match=re.escape("row entries must satisfy row < col < dim")):
+            UpperTriangular(np.ones(5), upper)
 
     def test_row_block_allows_vacuous_rows(self):
         u = row_block_from_dense(np.zeros((2, 3)))

@@ -15,7 +15,11 @@ ratios and three timing repeats (phase medians, so that one slow repeat does
 not decide the baseline >= uninvolved >= full ordering), then
 ``candidate_bounds``, then ``scenario_to_json`` and ``scenario_from_json``
 of the scenario (the file's bytes and their CPU seconds; peak RSS is read
-before them).  The criterion-11 share is the sparsification time over the
+before them).  Around ``run_session`` each session also reads
+``resource.getrusage``: ``session_minor_faults`` is the number of minor
+page faults the call took (pages the allocator handed back to the system
+and touched again count here) and ``session_system_cpu_s`` its system CPU
+seconds.  The criterion-11 share is the sparsification time over the
 original decision time, both ``run_session``'s own figures.  Seeds 1-10 at
 the benchmark's 50 s run length and five sessions per dim take about 50
 minutes on a 2-vCPU machine.  The record also holds each side's
@@ -63,9 +67,11 @@ dim = int(sys.argv[2])
 t = time.process_time()
 sc = generate(ScenarioConfig(seed=1, n_prior_poses=dim // 3, n_candidates=16, candidate_length=5))
 generate_s = time.process_time() - t
+before = resource.getrusage(resource.RUSAGE_SELF)
 t, w = time.process_time(), time.perf_counter()
 rep = run_session(sc, timing_repeats=3)
 session_s, session_wall = time.process_time() - t, time.perf_counter() - w
+after = resource.getrusage(resource.RUSAGE_SELF)
 t = time.process_time()
 candidate_bounds(sc, DEFAULT_NOISE_RATIOS)
 bounds_s = time.process_time() - t
@@ -81,6 +87,8 @@ print(json.dumps({
     "generate_cpu_s": round(generate_s, 3),
     "session_cpu_s": round(session_s, 3),
     "session_wall_s": round(session_wall, 3),
+    "session_minor_faults": after.ru_minflt - before.ru_minflt,
+    "session_system_cpu_s": round(after.ru_stime - before.ru_stime, 3),
     "original_eval_s": round(base, 3),
     "uninvolved_sparsify_s": round(unin.sparsify_seconds, 4),
     "uninvolved_eval_s": round(unin.evaluate_seconds, 3),
@@ -228,6 +236,7 @@ def main(argv=None) -> int:
                    "run_session with default modes and ratios (timing_repeats=3), then candidate_bounds at the "
                    "default ratios, then scenario_to_json + scenario_from_json of the scenario (scenario_io_cpu_s, "
                    "and the file's scenario_json_bytes; peak_rss_mb is read before them), in a fresh process; "
+                   "session_minor_faults and session_system_cpu_s are getrusage differences around run_session; "
                    "CPU seconds except the run_session phase times, which are its own perf_counter figures; "
                    "criterion_11_share = sparsify_seconds / original decision time; "
                    f"{RUNS} runs per side and dim, summary = medians",
