@@ -30,8 +30,8 @@ build, load, session or bounds path reads (the tests and the benchmark
 compare them across a file round trip).
 
 ``generate`` and ``scenario_from_json`` build a scenario the same way, in
-array passes per scenario: ``_prior_belief`` (whitened prior rows, their
-information, its sparse factor), ``_candidate_actions`` (the rows of every
+array passes per scenario: ``_prior_belief`` (whitened prior rows and the
+sparse factor of their information), ``_candidate_actions`` (the rows of every
 plan whitened as one stack and sliced per candidate, and the lever mass of
 the prior and of every plan, summed once for the bounds) and
 ``_prior_pose_graph``.  ``_whitened_rows`` whitens the 3x3 blocks of many
@@ -65,6 +65,7 @@ per-candidate objective bounds come from ``candidate_bounds``, which the
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import statistics
@@ -92,7 +93,7 @@ from .decision import (
 )
 from .errors import (EvaluationError, InfeasibleConfig, InvalidScenario, LayoutMismatch, NotPositiveDefinite,
                      RankDeficientAugmentation, json_document, json_fields, json_value)
-from .sparse import SparseRowBlock, cholesky
+from .sparse import SparseRowBlock, gram_cholesky
 from .sparsify import SparsificationSpec, detect_involvement, sparsify_belief
 
 DEFAULT_NOISE_RATIOS = (0.01, 0.25, 0.85)
@@ -463,8 +464,9 @@ _COMPONENTS = ("x", "y", "heading")
 
 
 def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, table: np.ndarray) -> GaussianBelief:
-    """The prior: the whitened rows of its factor table, their information,
-    its factor.
+    """The prior: the whitened rows J of its factor table and the factor of
+    their information J^T J, made from the rows by ``gram_cholesky``
+    without forming J^T J.
 
     A pose is refused, by name, where the summed squares of its column's
     entries overflow (that information diagonal bounds every information
@@ -479,7 +481,7 @@ def _prior_belief(cfg: ScenarioConfig, poses: np.ndarray, table: np.ndarray) -> 
         raise InvalidScenario(f"the information of the {_COMPONENTS[col % 3]} of {_pose_name(col // 3)} overflows: "
                               "a pose its factors join has coordinates too large")
     try:
-        root = cholesky(rows.gram())
+        root = gram_cholesky(rows)
     except NotPositiveDefinite as e:
         raise InvalidScenario(f"the prior information is not positive definite at the {_COMPONENTS[e.index % 3]} "
                               f"of {_pose_name(e.index // 3)}: {e}") from e
@@ -873,23 +875,30 @@ def _loops_of(table: np.ndarray) -> list:
     return table[table[:, 0] == KINDS.index("loop"), 1:].tolist()
 
 
-def _rows(rows, size: int, fits, form: str, what: str) -> list:
-    """``rows`` if it is a JSON list of lists of ``size`` values that each ``fits``."""
-    if not all(type(r) is list and len(r) == size and all(map(fits, r))
-               for r in json_value(rows, list, InvalidScenario, what)):
+def _rows(rows, size: int, types: set, form: str, what: str) -> list:
+    """``rows`` if it is a JSON list of lists of ``size`` values, each of one
+    of the ``types``, checked in three passes over the whole list."""
+    rows = json_value(rows, list, InvalidScenario, what)
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {size}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= types):
         raise InvalidScenario(f"{what} must each be {form}")
     return rows
 
 
+_POSE_FORM = "[x, y, theta], three finite numbers"
+
+
 def _poses(rows, what: str) -> np.ndarray:
-    rows = _rows(rows, 3, lambda v: type(v) in (int, float) and math.isfinite(v),
-                 "[x, y, theta], three finite numbers", what)
-    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+    # an integer beyond the float range raises OverflowError here
+    poses = np.array(_rows(rows, 3, {int, float}, _POSE_FORM, what), dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(poses).all():
+        raise InvalidScenario(f"{what} must each be {_POSE_FORM}")
+    return poses
 
 
 def _loops(rows, n_poses: int, first: int, what: str, reach: int | None = None) -> np.ndarray:
     """The trajectory table (``_trajectory_table``) of a file's loop list."""
-    rows = _rows(rows, 2, lambda v: type(v) is int, "[i, j], two integer pose ids", what)
+    rows = _rows(rows, 2, {int}, "[i, j], two integer pose ids", what)
     return _trajectory_table(n_poses, first, rows, what, reach)
 
 

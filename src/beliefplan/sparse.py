@@ -27,21 +27,28 @@ Nonzero counts reported elsewhere in the package are counts of stored
 entries, so they are exact and reproducible.
 
 The kernels never form a dense n x n matrix (``to_dense`` exists for tests
-and small inputs).  ``cholesky`` splits into a symbolic elimination, which
-fixes the pattern, and one LAPACK band Cholesky (``dpbtrf``) in the given
-order, whose values are gathered onto it: the fill stays inside the band
-of the matrix, so this costs (kd + 1) * n doubles and O(n * kd^2) time for
-half-bandwidth kd, which a scenario file bounds through its loop index
-window.  The symbolic elimination (``_elimination_fill``, which
-``sparsify_factor`` shares) is one array pass when the elimination tree is
-a chain, the usual case for a scenario prior and kept tail: then the rows
-of each factor column form one contiguous range (Liu 1990).  Other
-patterns go through a sweep that builds each row from its own entries and
-its elimination-tree children; legal input reaches it, since a scenario
-pose at heading exactly 0.0 whitens to exact zeros, which are not stored,
-and its prior's tree is then no chain.  ``SparseRowBlock.gram``, the one
-Gram kernel (J^T J of constraint rows; R^T R of a factor, through
-``UpperTriangular``), takes its pattern from a 0/1 sparse product and its
+and small inputs).  A Cholesky factor comes from one kernel,
+``_band_cholesky``: the matrix packed as its upper band (``_band``), one
+LAPACK band Cholesky (``dpbtrf``) in the given order, and the values
+gathered onto the pattern of a symbolic elimination.  The fill stays inside
+the band of the matrix, so this costs (kd + 1) * n doubles and
+O(n * kd^2) time for half-bandwidth kd, which a scenario file bounds
+through its loop index window.  ``cholesky`` feeds the kernel a symmetric
+matrix's stored entries; ``gram_cholesky`` feeds it the pairwise products
+of constraint rows J, summed into the band of J^T J in the order the
+sparse product of ``gram`` sums them, so it gives ``cholesky(J.gram())``
+bit for bit without forming J^T J.  The symbolic elimination
+(``_elimination_fill``, which ``sparsify_factor`` shares) is one array
+pass when the elimination tree is a chain, the usual case for a scenario
+prior and kept tail: then the rows of each factor column form one
+contiguous range (Liu 1990).  Other patterns go through a sweep that
+builds each row from its own entries and its elimination-tree children;
+legal input reaches it, since a scenario pose at heading exactly 0.0
+whitens to exact zeros, which are not stored, and its prior's tree is then
+no chain.  ``SparseRowBlock.gram``, the one
+Gram kernel that forms the matrix (R^T R of a factor, through
+``UpperTriangular``; J^T J of constraint rows for the tests and the
+benchmark's probe), takes its pattern from a 0/1 sparse product and its
 values from the data product.  Both scatter the numeric product onto the
 structural pattern (``_values_on_pattern``, which refuses a coordinate the
 pattern lacks).  A factor's Gram count (``UpperTriangular.gram_nnz``) needs
@@ -514,30 +521,35 @@ def _elimination_fill(n: int, order: np.ndarray, rows: np.ndarray, cols: np.ndar
     return indptr, order[fill_cols]
 
 
-def cholesky(m: SparseSymmetric) -> UpperTriangular:
-    """Sparse Cholesky: upper-triangular R with R^T R = m, in the given order.
+def _band(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The ``(kd + 1) x n`` upper band, in LAPACK's Fortran-order band
+    storage, of the n x n symmetric matrix whose upper triangle is the sum of
+    the entries ``vals`` at ``(rows, cols)`` (row <= col, repeats allowed),
+    kd being their largest ``col - row``.  Each position sums its values in
+    the order given, from 0, so a stored -0.0 packs as 0.0."""
+    kd = int((cols - rows).max(initial=0))
+    # m[i, j] is band[kd + i - j, j], at j * kd + i + kd of the flat band;
+    # bincount adds the values in turn
+    at = cols * kd
+    at += rows
+    at += kd
+    return np.bincount(at, vals, (kd + 1) * n).reshape((kd + 1, n), order="F")
 
-    The stored pattern is the exact symbolic fill of eliminating the rows
-    of ``m`` in their order (``_elimination_fill``; no reordering is
-    attempted; stored zeros are structural).  The fill stays inside the
-    band of ``m``, kd = the largest ``col - row`` of the pattern, so the
-    values come from one LAPACK band Cholesky (``dpbtrf``) of ``m`` packed
-    as a ``(kd + 1) x n`` upper band, gathered onto the fill pattern: it
-    costs (kd + 1) * n doubles and O(n * kd^2) time, whatever the fill
-    inside the band.  Raises NotPositiveDefinite, naming the first failing
-    pivot (its ``index``): the first factored pivot whose square is at or
-    below the pivot floor, else the one ``dpbtrf`` stopped at, the rule of
-    a dense ``dpotrf``; the input is never jittered.  No dense matrix is
-    formed.
+
+def _band_cholesky(band: np.ndarray, pattern: tuple) -> UpperTriangular:
+    """The kernel of ``cholesky`` and ``gram_cholesky``: upper-triangular R
+    with R^T R = m, m given by its upper band (``_band``), whose
+    half-bandwidth kd is that of m.  ``pattern``, pairs ``(rows, cols)`` as
+    ``_elimination_fill`` takes them, must have the elimination fill of m's
+    stored pattern, which fixes R's pattern; the fill stays inside the band.
+
+    One ``dpbtrf`` factors the band in place, and its values are gathered
+    onto the fill pattern.  Raises NotPositiveDefinite, naming the first
+    failing pivot (its ``index``): the first factored pivot whose square is
+    at or below the pivot floor, else the one ``dpbtrf`` stopped at, the
+    rule of a dense ``dpotrf``.
     """
-    n = m.dim
-    u = m.upper
-    indptr, indices = _elimination_fill(n, np.arange(n), u.row_ids, u.indices)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    kd = int((indices - rows).max(initial=0))
-    # band[kd + i - j, j] = m[i, j], LAPACK's upper band storage
-    band = np.zeros((kd + 1, n), order="F")
-    band[kd + u.row_ids - u.indices, u.indices] = u.data
+    kd, n = band.shape[0] - 1, band.shape[1]
     band, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
     # dpbtrf stops at the first pivot that is not positive (info is 1-based)
     done = info - 1 if info > 0 else n
@@ -545,7 +557,57 @@ def cholesky(m: SparseSymmetric) -> UpperTriangular:
     if bad.size or info > 0:
         i = int(bad[0]) if bad.size else done
         raise NotPositiveDefinite(f"pivot at index {i} is at or below {PIVOT_FLOOR:.0e}", i)
-    return UpperTriangular(band[kd].copy(), SparseRowBlock(n, n, indptr, indices, band[kd + rows - indices, indices]))
+    indptr, indices = _elimination_fill(n, np.arange(n), *pattern)
+    # R[i, j] at j * kd + i + kd of the flat band, as in ``_band``
+    at = indices * kd
+    at += np.repeat(np.arange(kd, n + kd, dtype=np.int64), np.diff(indptr))
+    return UpperTriangular(band[kd].copy(), SparseRowBlock(n, n, indptr, indices, band.ravel(order="F")[at]))
+
+
+def cholesky(m: SparseSymmetric) -> UpperTriangular:
+    """Sparse Cholesky: upper-triangular R with R^T R = m, in the given order.
+
+    The stored pattern is the exact symbolic fill of eliminating the rows
+    of ``m`` in their order (``_elimination_fill``; no reordering is
+    attempted; stored zeros are structural).  The values come from one
+    LAPACK band Cholesky of ``m`` packed as its ``(kd + 1) x n`` upper band
+    (``_band``, ``_band_cholesky``), kd the largest ``col - row`` of the
+    pattern: (kd + 1) * n doubles and O(n * kd^2) time, whatever the fill
+    inside the band.  Raises NotPositiveDefinite, naming the first failing
+    pivot by the rule of a dense ``dpotrf`` (see ``_band_cholesky``); the
+    input is never jittered, and no dense matrix is formed.
+    """
+    u = m.upper
+    return _band_cholesky(_band(m.dim, u.row_ids, u.indices, u.data), (u.row_ids, u.indices))
+
+
+def gram_cholesky(rows: SparseRowBlock) -> UpperTriangular:
+    """``cholesky(rows.gram())``, the same arrays bit for bit, without
+    forming the Gram matrix J^T J of the rows J.
+
+    Each row's pairwise products, its diagonal pairs included, are summed
+    straight into the band of J^T J (``_gram_band``) in row order, the
+    order in which the sparse product behind ``gram`` sums them, so the
+    band holds the same bits.  The symbolic pass takes only each row's
+    pairs of its first column with every column: a row's columns form a
+    clique in J^T J, and eliminating its first column fills in that
+    clique, so the fill is the same (Rose, Tarjan & Lueker 1976) from one
+    pair per entry.
+    """
+    return _band_cholesky(_gram_band(rows), (rows.indices[rows.indptr[rows.row_ids]], rows.indices))
+
+
+def _gram_band(rows: SparseRowBlock) -> np.ndarray:
+    """``_band`` of J^T J, J the rows, from each row's pairwise products;
+    its pair arrays are freed when it returns, before the factorization."""
+    nnz = rows.nnz
+    # entry e pairs with itself and the later entries of its row, row by row
+    counts = rows.indptr[rows.row_ids + 1] - np.arange(nnz)
+    left = np.arange(nnz).repeat(counts)
+    right = _ranges(np.arange(nnz), counts)
+    products = rows.data[left]
+    products *= rows.data[right]
+    return _band(rows.n_cols, rows.indices[left], rows.indices[right], products)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import beliefplan.cli as cli
 from beliefplan.errors import (BeliefPlanError, EvaluationError, InvalidScenario, LayoutMismatch,
                                RankDeficientAugmentation)
 from beliefplan.scenario import run_session, scenario_from_json
-from beliefplan.sparse import cholesky
+from beliefplan.sparse import gram_cholesky
 
 from helpers import KeyTwice, malformed_text, mutate_json
 
@@ -438,6 +438,35 @@ class TestScenarioValidation:
         assert run(["solve", "--scenario", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("where, mutate, message", [
+        ("the poses", lambda rows: rows[4].__setitem__(0, True), "[x, y, theta], three finite numbers"),
+        ("the poses", lambda rows: rows[4].__setitem__(1, "1.5"), "[x, y, theta], three finite numbers"),
+        ("the new poses of candidate 1", lambda rows: rows[2].append(0.0), "[x, y, theta], three finite numbers"),
+        ("the new poses of candidate 1", lambda rows: rows[0].__setitem__(2, float("nan")),
+         "[x, y, theta], three finite numbers"),
+        ("the poses", lambda rows: rows.__setitem__(7, {"x": 0.0, "y": 0.0, "theta": 0.0}),
+         "[x, y, theta], three finite numbers"),
+        ("the loops", lambda rows: rows[0].__setitem__(0, 1.0), "[i, j], two integer pose ids"),
+        ("the loops of candidate 0", lambda rows: rows.__setitem__(0, 3), "[i, j], two integer pose ids"),
+    ], ids=["bool-coordinate", "string-number", "four-value-pose", "nan", "non-list-row", "float-id",
+            "non-list-loop"])
+    def test_a_faulty_row_value_is_refused_naming_its_list(self, where, mutate, message):
+        doc = copy.deepcopy(TINY_DOC)
+        rows = {"the poses": doc["poses"], "the loops": doc["loops"],
+                "the new poses of candidate 1": doc["candidates"][1]["new_poses"],
+                "the loops of candidate 0": doc["candidates"][0]["loops"]}[where]
+        mutate(rows)
+        with pytest.raises(InvalidScenario) as refused:
+            scenario_from_json(json.dumps(doc))
+        assert str(refused.value) == f"{where} must each be {message}"
+
+    def test_an_integer_coordinate_beyond_the_float_range_is_refused(self):
+        doc = copy.deepcopy(TINY_DOC)
+        doc["poses"][5][0] = 10**400
+        with pytest.raises(InvalidScenario) as refused:
+            scenario_from_json(json.dumps(doc))
+        assert str(refused.value) == "malformed scenario file: OverflowError: int too large to convert to float"
+
     def test_schema_1_and_2_files_are_refused_naming_their_version(self):
         doc = copy.deepcopy(TINY_DOC)
         _schema_2(doc)
@@ -495,14 +524,14 @@ class TestScenarioValidation:
         text = json.dumps(doc)
         factored = []
 
-        def keep(m):
-            factored.append((m, cholesky(m)))
+        def keep(rows):
+            factored.append((rows, gram_cholesky(rows)))
             return factored[-1][1]
 
-        monkeypatch.setattr("beliefplan.scenario.cholesky", keep)
+        monkeypatch.setattr("beliefplan.scenario.gram_cholesky", keep)
         scenario_from_json(text)
-        (info, root), = factored
-        lam = info.to_dense()
+        (rows, root), = factored
+        lam = rows.gram().to_dense()
         assert np.abs(root.gram().to_dense() - lam).max() <= 4 * np.finfo(float).eps * np.abs(lam).max()
         path = tmp_path / "sc.json"
         path.write_text(text)

@@ -404,6 +404,48 @@ class TestInformationAssembly:
         assert np.array_equal(got.upper.indices, oracle.upper.indices)
 
 
+def _moved(doc: dict, phi: float, shift: tuple) -> dict:
+    """The scenario file with every pose turned by ``phi`` and shifted by
+    ``shift``, as the benchmark moves its scenarios."""
+    c, s = math.cos(phi), math.sin(phi)
+
+    def move(rows):
+        return [[c * x - s * y + shift[0], s * x + c * y + shift[1], math.atan2(math.sin(t + phi), math.cos(t + phi))]
+                for x, y, t in rows]
+
+    return dict(doc, poses=move(doc["poses"]),
+                candidates=[dict(cand, new_poses=move(cand["new_poses"])) for cand in doc["candidates"]])
+
+
+class TestPriorFactor:
+    """The prior's factor, made by ``gram_cholesky`` from the whitened rows,
+    is the Cholesky factor of their Gram matrix, every array bit for bit."""
+
+    @staticmethod
+    def _assert_gram_path(sc):
+        layout = VariableLayout.from_sizes([3] * sc.n_poses, kind="pose")
+        means = {k: tuple(p) for k, p in enumerate(sc.executed_path)}
+        rows = build_collective_jacobian(sc.prior_factors, means, layout, noise_sqrt_info(sc.config)).jacobian
+        want = cholesky(rows.gram())
+        got = sc.prior.root
+        for a, b in [(got.diag, want.diag), (got.upper.indptr, want.upper.indptr),
+                     (got.upper.indices, want.upper.indices), (got.upper.data, want.upper.data)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_the_tiny_file(self):
+        self._assert_gram_path(scenario_from_json(TINY.read_text()))
+
+    @pytest.mark.parametrize("name", ["plan-1k", *(f"batch-{k}" for k in range(8))])
+    def test_the_benchmark_scenarios_generated_and_moved(self, name):
+        cfg = (ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5) if name == "plan-1k"
+               else batch_small_configs()[int(name[-1])])
+        sc = generate(cfg)
+        self._assert_gram_path(sc)
+        doc = json.loads(scenario_to_json(sc))
+        for phi, shift in [(0.7, (12.5, -40.0)), (-2.9, (-3.25, 49.0))]:
+            self._assert_gram_path(scenario_from_json(json.dumps(_moved(doc, phi, shift))))
+
+
 class TestTopologicalConstants:
     def test_prior_logdet_within_bounds(self):
         for seed in range(6):

@@ -27,6 +27,7 @@ from beliefplan.sparse import (
     SparseSymmetric,
     UpperTriangular,
     cholesky,
+    gram_cholesky,
     logdet_triangular,
     lowrank_update,
     sparsify_factor,
@@ -243,6 +244,68 @@ class TestSparseFactorKernels:
         rows, cols = g.upper.row_ids, g.upper.indices
         assert set(zip(rows.tolist(), cols.tolist())) == set(zip(j.tolist(), (j + e).tolist()))
         np.testing.assert_allclose(g.upper.data, vals[cols - rows, rows], rtol=0, atol=1e-13 * np.abs(vals).max())
+
+
+@st.composite
+def gram_row_blocks(draw):
+    """Rows of 1-6 entries, sharing columns and storing some zeros, over a
+    one-entry row per column that makes the Gram matrix positive definite,
+    as ``(rows, tree)``.  A "chain" block also links every column to the
+    next, so its elimination tree is a chain; a "sweep" block never stores
+    column 1 after a row's first column yet links columns 0 and 2, so its
+    tree is no chain and the symbolic pass takes the set sweep."""
+    tree = draw(st.sampled_from(["chain", "sweep"]))
+    n = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    rows = [{c: rng.uniform(0.5, 2.0)} for c in range(n)]
+    if tree == "chain":
+        rows += [{c: rng.normal(), c + 1: rng.normal()} for c in range(n - 1)]
+    else:
+        rows.append({0: rng.normal(), 2: rng.normal()})
+    others = [c for c in range(n) if tree == "chain" or c != 1]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        cols = rng.choice(others, size=min(int(rng.integers(1, 7)), len(others)), replace=False)
+        vals = rng.normal(size=cols.size) * (rng.random(cols.size) >= zero_share)
+        rows.append(dict(zip(cols.tolist(), vals.tolist())))
+    rng.shuffle(rows)
+    return _rows(n, *rows), tree
+
+
+class TestGramCholesky:
+    """``gram_cholesky(rows)`` is ``cholesky(rows.gram())`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gram_row_blocks())
+    def test_equals_the_cholesky_of_the_gram_matrix(self, drawn):
+        rows, tree = drawn
+        calls = []
+        sweep = sparse._elimination_sweep
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "_elimination_sweep", lambda *args: calls.append(args) or sweep(*args))
+            got = gram_cholesky(rows)
+            want = cholesky(rows.gram())
+        assert len(calls) == (2 if tree == "sweep" else 0)
+        _same_bits(_factor_arrays(got), _factor_arrays(want))
+
+    @pytest.mark.parametrize("n, rows, index", [
+        # column 1 is never stored
+        (3, [{0: 1.0}, {2: 2.0}, {0: 1.0, 2: 1.0}], 1),
+        # columns 0 and 1 are always equal
+        (3, [{0: 1.0, 1: 1.0}, {0: 2.0, 1: 2.0, 2: 1.0}, {2: 3.0}], 1),
+        # a stored zero is no support
+        (2, [{0: 1.0, 1: 0.0}], 1),
+        # no entries at all
+        (2, [{}, {}], 0),
+    ], ids=["empty-column", "equal-columns", "stored-zero", "no-entries"])
+    def test_a_singular_block_fails_at_the_same_pivot(self, n, rows, index):
+        block = _rows(n, *rows)
+        with pytest.raises(NotPositiveDefinite) as want:
+            cholesky(block.gram())
+        with pytest.raises(NotPositiveDefinite) as got:
+            gram_cholesky(block)
+        assert got.value.index == want.value.index == index
+        assert str(got.value) == str(want.value)
 
 
 def _fill_oracle(n, order, rows, cols) -> list:

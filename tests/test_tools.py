@@ -62,6 +62,15 @@ def test_a_failed_session_is_recorded_named_and_kept_out_of_the_medians(tmp_path
     assert bench_session.failures([], dims, rows) == ["dim 1020 run 2 change: the session exited 1: no package here"]
 
 
+def test_a_session_row_times_the_load_beside_the_file_io():
+    # a small dim of this checkout, in a fresh process as the record runs it
+    row = bench_session.session_row(bench_session.ROOT, 150)
+    assert row["dim"] == 150 and "exit_code" not in row
+    assert 0 <= row["scenario_from_json_cpu_s"] <= row["scenario_io_cpu_s"]
+    summary, = bench_session.dims_summary([dict(row, side="change", run=1)])
+    assert summary["scenario_from_json_cpu_s"] == row["scenario_from_json_cpu_s"]
+
+
 def test_src_loc_counts_the_physical_lines_of_the_package_modules(tmp_path):
     package = tmp_path / "src" / "beliefplan"
     (package / "sub").mkdir(parents=True)

@@ -14,12 +14,14 @@ the session's own: ``generate``, ``run_session`` with the default modes and
 ratios and three timing repeats (phase medians, so that one slow repeat does
 not decide the baseline >= uninvolved >= full ordering), then
 ``candidate_bounds``, then ``scenario_to_json`` and ``scenario_from_json``
-of the scenario (the file's bytes and their CPU seconds; peak RSS is read
-before them).  Around ``run_session`` each session also reads
-``resource.getrusage``: ``session_minor_faults`` is the number of minor
-page faults the call took (pages the allocator handed back to the system
-and touched again count here) and ``session_system_cpu_s`` its system CPU
-seconds.  The criterion-11 share is the sparsification time over the
+of the scenario (the file's bytes, and the CPU seconds of both together,
+``scenario_io_cpu_s``, and of the load alone, ``scenario_from_json_cpu_s``,
+which parses the file, checks it, factors the prior and whitens the
+candidates; peak RSS is read before them).  Around ``run_session`` each
+session also reads ``resource.getrusage``: ``session_minor_faults`` is the
+number of minor page faults the call took (pages the allocator handed back
+to the system and touched again count here) and ``session_system_cpu_s``
+its system CPU seconds.  The criterion-11 share is the sparsification time over the
 original decision time, both ``run_session``'s own figures.  Seeds 1-10 at
 the benchmark's 50 s run length and five sessions per dim take about 50
 minutes on a 2-vCPU machine.  The record also holds each side's
@@ -78,8 +80,10 @@ bounds_s = time.process_time() - t
 peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # the session's own, before the file I/O
 t = time.process_time()
 text = scenario_to_json(sc)
+loading = time.process_time()
 scenario_from_json(text)
-scenario_io_s = time.process_time() - t
+done = time.process_time()
+scenario_io_s, from_json_s = done - t, done - loading
 base = rep.baseline.total_seconds
 unin, full = rep.mode("uninvolved"), rep.mode("full")
 print(json.dumps({
@@ -100,6 +104,7 @@ print(json.dumps({
     "candidate_bounds_cpu_s": round(bounds_s, 3),
     "scenario_json_bytes": len(text.encode()),
     "scenario_io_cpu_s": round(scenario_io_s, 4),
+    "scenario_from_json_cpu_s": round(from_json_s, 4),
     "peak_rss_mb": round(peak_rss_mb, 1),
 }))
 """
@@ -235,7 +240,8 @@ def main(argv=None) -> int:
             "how": "ScenarioConfig(seed=1, n_prior_poses=dim/3, n_candidates=16, candidate_length=5); generate, "
                    "run_session with default modes and ratios (timing_repeats=3), then candidate_bounds at the "
                    "default ratios, then scenario_to_json + scenario_from_json of the scenario (scenario_io_cpu_s, "
-                   "and the file's scenario_json_bytes; peak_rss_mb is read before them), in a fresh process; "
+                   "of which scenario_from_json_cpu_s is the load alone, and the file's scenario_json_bytes; "
+                   "peak_rss_mb is read before them), in a fresh process; "
                    "session_minor_faults and session_system_cpu_s are getrusage differences around run_session; "
                    "CPU seconds except the run_session phase times, which are its own perf_counter figures; "
                    "criterion_11_share = sparsify_seconds / original decision time; "
