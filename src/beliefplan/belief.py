@@ -224,11 +224,11 @@ def objective(b: GaussianBelief, a: CandidateAction) -> float:
     The whole updated factor is built although only its diagonal is read.
     Scoring is already fast enough that the one-time uninvolved
     sparsification takes a large part of the 10% of the original decision
-    that acceptance criterion 11 allows: about 6.4%, 4.7% and 9.9% at dims
-    1020, 3000 and 9000 (``BENCH_session.json`` has the shares of each
-    change).  Both run through the same panel fold, so a faster fold moves
-    both.  A diagonal-only path would score the candidates faster still and
-    could break the criterion, so it waits for a cheaper sparsification.
+    that acceptance criterion 11 allows; the shares at dims 1020, 3000 and
+    9000 are in each record of ``BENCH_session.json``.  Both run through
+    the same panel fold, so a faster fold moves both.  A diagonal-only path
+    would score the candidates faster still and could break the criterion,
+    so it waits for a cheaper sparsification.
     """
     root_plus = posterior_root(b, a)
     n_post = b.dim + a.n_new_vars

@@ -69,13 +69,21 @@ then the plan, not LAPACK, was most of the cost.  Its two callers fix the
 stored pattern separately:
 
 - ``lowrank_update`` adds constraint rows to a factor (the multiple-rank
-  update of Davis & Hager); its pattern pass follows the groups of update
-  rows up the factor, each carrying only the columns that the rows it
-  reaches do not already store, and forms the reached rows at the end, as
-  a sorted set union per row when they are at most ``_PANEL``, else in one
-  array merge.  The new factor is spliced from slices: the rows between
-  two runs of consecutive reached rows keep their entries as one range,
-  with no entry-sized mask.
+  update of Davis & Hager).  On a chain skyline, the shape of every
+  scenario prior (row i stores column i + 1, column j every row from its
+  head ``head[j]`` on), its pattern is read from the column heads
+  (``_heads_pattern``): an update row moves the head of each column it
+  stores up to its own first column, every row from the least first
+  column on is reached, and the new entries are inserted into those rows'
+  one contiguous slice, so the rows before it keep theirs as one range.
+  Other factors (diagonal, sparsified or arbitrary) take the general
+  pattern pass: it follows the groups of update rows up the factor, each
+  carrying only the columns that the rows it reaches do not already
+  store, and forms the reached rows at the end, as a sorted set union per
+  row when they are at most ``_PANEL``, else in one array merge; the new
+  factor is spliced from slices, the rows between two runs of consecutive
+  reached rows keeping their entries as one range, with no entry-sized
+  mask.
 - ``sparsify_factor`` reorders a factor so that selected scalars come
   first and cuts their rows to the diagonal, without re-forming the
   information matrix (Elimelech & Indelman, RA-L 2021): the kept rows that
@@ -448,6 +456,25 @@ class UpperTriangular:
         settles = nonempty & (np.bincount(u.row_ids[unsettled], minlength=n) == 0)
         return first.tolist(), settles.tolist()
 
+    @cached_property
+    def _chain_heads(self):
+        """The column heads that ``lowrank_update``'s heads path reads
+        (``_heads_pattern``), computed once per factor, when the factor is a
+        chain skyline: row i stores column i + 1, and column j stores every
+        row ``head[j] .. j - 1`` and no other.  ``None`` for any other
+        pattern.  Row i's first column is i + 1 or the factor is no chain,
+        which rules out a diagonal or cut factor in O(n); then the skyline
+        test is ``_skyline_components``' count."""
+        u = self.upper
+        first = u.indptr[:-2]
+        # an empty row fails before its first column is read
+        if (u.indptr[1:-1] == first).any() or (u.indices[first] != np.arange(1, self.dim)).any():
+            return None
+        head = _column_heads(u, 0)
+        if int((np.arange(self.dim) - head).sum()) == u.nnz:
+            return head
+        return None
+
 
 # ---------------------------------------------------------------------------
 # Factorization and updates
@@ -739,13 +766,20 @@ def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, o
 
     # the factor rows' strictly-upper entries, by panel
     full = d.nonzero()[0]
-    starts = upper.indptr[pivots[full]]
-    counts = upper.indptr[pivots[full] + 1] - starts
-    at = _ranges(starts, counts)
-    f_pan = piv_pan[full].repeat(counts)
-    f_off = (full % _PANEL).repeat(counts)
-    f_col = rank[upper.indices[at]]
-    f_val = upper.data[at]
+    f_rows = pivots[full]
+    starts = upper.indptr[f_rows]
+    f_counts = upper.indptr[f_rows + 1] - starts
+    if f_rows.size and (f_rows[1:] - f_rows[:-1] == 1).all():
+        # consecutive rows, as the heads pattern reaches, are one slice
+        lo, hi = starts[0], starts[-1] + f_counts[-1]
+        f_col, f_val = upper.indices[lo:hi], upper.data[lo:hi]
+    else:
+        at = _ranges(starts, f_counts)
+        f_col, f_val = upper.indices[at], upper.data[at]
+        del at
+    f_col = rank[f_col]
+    f_pan = piv_pan[full].repeat(f_counts)
+    f_bounds = f_pan.searchsorted(np.arange(n_panels + 1)).tolist()
 
     # the update rows, by the panel of their first stored column
     lengths = u.indptr[1:] - u.indptr[:-1]
@@ -768,7 +802,8 @@ def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, o
     # (panel, column) pair each, made column by column, then sorted by a
     # key that puts a panel's pivots before its other columns
     enter = np.full(n_cols, n_panels)
-    np.minimum.at(enter, np.concatenate([piv_rank, f_col, u_col]), np.concatenate([piv_pan, f_pan, u_pan]))
+    np.minimum.at(enter, f_col, f_pan)
+    np.minimum.at(enter, np.concatenate([piv_rank, u_col]), np.concatenate([piv_pan, u_pan]))
     c = (enter < n_panels).nonzero()[0]
     e = enter[c]
     span = last.searchsorted(c)
@@ -796,8 +831,15 @@ def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, o
     t_slot = pair_slot.take(by_key + 1, mode="clip")
 
     # where every entry goes, and where every listed value is read; a
-    # listed column that the panel lacks reads the zero column after it
-    f_flat = f_off + pair_flat[pair_at[f_col] + f_pan]
+    # listed column that the panel lacks reads the zero column after it.
+    # The arrays as long as the pivots' entries are the plan's largest, so
+    # each is freed at its last use and fewer fresh pages are faulted in
+    f_flat = pair_at[f_col]
+    del f_col
+    f_flat += f_pan
+    del f_pan
+    f_flat = pair_flat[f_flat]
+    f_flat += (full % _PANEL).repeat(f_counts)
     u_slot = pair_slot[pair_at[u_col] + u_pan]
     out_lengths = out_indptr[1:] - out_indptr[:-1]
     g_pan = piv_pan.repeat(out_lengths)
@@ -808,7 +850,6 @@ def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, o
     g_flat += (np.arange(n_piv) % _PANEL).repeat(out_lengths)
 
     panels = np.arange(n_panels + 1)
-    f_bounds = f_pan.searchsorted(panels).tolist()
     u_bounds = u_pan.searchsorted(panels).tolist()
     g_bounds = out_indptr[edges].tolist()
     j_bounds = j_edges.tolist()
@@ -843,9 +884,107 @@ def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, o
     return np.abs(head), out
 
 
+def _heads_pattern(r: UpperTriangular, u: SparseRowBlock, nd: int):
+    """``lowrank_update``'s pattern on a chain-skyline factor
+    (``UpperTriangular._chain_heads``), read from the column heads with no
+    walk and no merge; ``None`` for any other factor, and for an update
+    that does not keep the appended variables a chain.
+
+    Every update row joins the chain at its first column and climbs it row
+    by row, so the reached rows are every row from the least first column
+    on, and the updated factor is a chain skyline again, with ``head'[j] =
+    min(head[j], first column of each update row storing j)``; an appended
+    variable starts at ``head = j``.  Row i's columns are then ``{j > i :
+    head'[j] <= i}``.  Past the old rows the chain holds only when an
+    update row carries each appended variable on to the next and the rows
+    have not all moved into place before the last one; otherwise
+    ``_update_pattern`` gives the pattern.
+
+    The new ``(row, column)`` pairs, those of the columns whose head moved
+    up, are inserted into the reached rows' one contiguous slice of the old
+    entries: each at its row's start, after the row's old columns below it
+    (all of them for an appended column, else a search of the row) and its
+    new ones below it.  Returns the first reached row and the new factor's
+    CSR ``(indptr, indices)``; the rows before it keep their entries.
+    """
+    head = r._chain_heads
+    if head is None:
+        return None
+    counts = u.indptr[1:] - u.indptr[:-1]
+    rows = counts.nonzero()[0]
+    if not rows.size:
+        return None
+    n = r.dim
+    first = u.indices[u.indptr[rows]]
+    start = int(first.min())
+    was = np.arange(nd)
+    was[:n] = head
+    now = was.copy()
+    np.minimum.at(now, u.indices, first.repeat(counts[rows]))
+    past = max(n, start + 1)
+    if (now[past:] >= np.arange(past, nd)).any():
+        return None
+    top = max(n, start)
+    if top < nd - 1:
+        # appended variable t takes one of the update rows that reach it,
+        # and one must be left to travel on to t + 1
+        reach = np.bincount(np.maximum(first - top, 0), minlength=nd - top).cumsum()[:-1]
+        if (reach < np.arange(2, nd - top + 1)).any():
+            return None
+
+    # the new pairs, row by row: one row of ``holds`` per reached row, one
+    # column per column whose head moved up
+    changed = (now < was).nonzero()[0]
+    span = np.arange(start, nd)[:, None]
+    holds = (now[changed] <= span) & (span < was[changed])
+    new_rows, new_at = holds.nonzero()
+    new_rows += start
+    cols = changed[new_at]
+    extra = np.count_nonzero(holds, axis=1)
+    old = r.upper
+    lengths = np.zeros(nd, dtype=np.int64)
+    lengths[:n] = old.indptr[1:] - old.indptr[:-1]
+    # a pair's place in its row: after the row's old columns below it and
+    # its new ones below it
+    below = lengths[new_rows]
+    inside = cols < n
+    if inside.any():
+        below[inside] = _ranks_in_rows(old.indptr, old.indices, new_rows[inside], cols[inside])
+    below += np.arange(cols.size) - (extra.cumsum() - extra)[new_rows - start]
+    lengths[start:] += extra
+    indptr = np.zeros(nd + 1, dtype=np.int64)
+    lengths.cumsum(out=indptr[1:])
+    a = int(indptr[start])
+    place = indptr[new_rows] - a + below
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    indices[:a] = old.indices[:a]
+    tail = indices[a:]
+    keep = np.ones(tail.size, dtype=bool)
+    keep[place] = False
+    tail[keep] = old.indices[a:]
+    tail[place] = cols
+    return start, indptr, indices
+
+
+def _ranks_in_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """How many of row ``rows[k]``'s stored columns lie below ``cols[k]``,
+    for every k: a binary search of each row's slice, all at once."""
+    lo, hi = indptr[rows], indptr[rows + 1]
+    start = lo
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        open_ = lo < hi
+        mid = (lo + hi) >> 1
+        right = open_ & (indices.take(mid, mode="clip") < cols)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+    return lo - start
+
+
 def _update_pattern(r: UpperTriangular, u: SparseRowBlock) -> tuple:
     """The rows that ``lowrank_update`` re-forms and their new columns, from
-    the stored patterns alone, with no numerics.
+    the stored patterns alone, with no numerics: the general pattern pass,
+    for any factor.  On a chain skyline ``_heads_pattern`` gives the same
+    pattern from the column heads.
 
     The update rows travel in groups, each starting at its row's first
     stored column, and every group that reaches pivot ``t`` merges with
@@ -991,27 +1130,33 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     update of Davis & Hager, SIAM J. Matrix Anal. Appl. 2001).
 
     Returns upper-triangular R+ of dimension ``r.dim + n_new`` satisfying
-    (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  A pattern pass
-    (``_update_pattern``) fixes which factor rows the update rows reach and
-    each reached row's new columns: its own plus those of the groups of
-    update rows that reach it.  The pass reads only the stored patterns,
-    so a stored zero, in the factor or in an update row, is an entry like
-    any other, as in ``cholesky``.  Where the inputs store exact zeros,
-    the result may store more zero entries than a pattern that reads the
-    values would; it is the same factor.  What the pass needs of each
-    factor row is worked out once per factor and kept on it, and the rows
-    it reaches are merged row by row when they are at most ``_PANEL``, in
-    one array merge otherwise.  The panel fold (``_fold``) then
+    (R+)^T (R+) = [R | 0]^T [R | 0] + u^T u.  A pattern pass fixes which
+    factor rows the update rows reach and each reached row's new columns:
+    its own plus those of the groups of update rows that reach it.  The
+    pass reads only the stored patterns, so a stored zero, in the factor
+    or in an update row, is an entry like any other, as in ``cholesky``.
+    Where the inputs store exact zeros, the result may store more zero
+    entries than a pattern that reads the values would; it is the same
+    factor.  On a chain-skyline factor the pattern is read from the column
+    heads (``_heads_pattern``), which are worked out once per factor and
+    kept on it; the reached rows are then every row from the least first
+    column on, and the new factor keeps the rows before them as one slice.
+    Any other factor, or an update that does not keep the appended
+    variables a chain, takes the walk (``_update_pattern``), whose per-row
+    facts are also kept on the factor, and its rows are merged row by row
+    when they are at most ``_PANEL``, in one array merge otherwise.  The
+    panel fold (``_fold``) then
     re-triangularizes the reached rows stacked over the update rows, a
     panel of consecutive reached rows per triangular-pentagonal QR (one
     panel, without a plan, for at most ``_PANEL`` rows), each update row
     joining at its first stored column (an appended variable is a zero row
     of the triangle until a row moves into place), and the new values are
     read at those columns.  Rows no update row reaches keep their stored
-    entries, bit for bit: the new factor is spliced from slices, each run
-    of consecutive reached rows taking its new entries and each range of
-    rows between two runs its old ones, so the splice reads the row bounds
-    only at the ends of the runs and makes no nnz-sized temporary.
+    entries, bit for bit: after the walk the new factor is spliced from
+    slices, each run of consecutive reached rows taking its new entries and
+    each range of rows between two runs its old ones, so the splice reads
+    the row bounds only at the ends of the runs and makes no nnz-sized
+    temporary.
 
     Raises RankDeficientAugmentation, naming the first such variable (its
     ``index``), if any of the ``n_new`` appended variables ends up without
@@ -1024,7 +1169,14 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     if u.n_cols != nd:
         raise DimensionMismatch(f"update has {u.n_cols} columns, expected {nd}")
 
-    pivots, p_indptr, p_indices = _update_pattern(r, u)
+    heads = _heads_pattern(r, u, nd)
+    if heads is None:
+        pivots, p_indptr, p_indices = _update_pattern(r, u)
+    else:
+        start, indptr, indices = heads
+        a = indptr[start]
+        pivots = np.arange(start, nd)
+        p_indptr, p_indices = indptr[start:] - a, indices[a:]
     diag = np.zeros(nd)
     diag[: r.dim] = r.diag
     new_diag, vals = _fold(diag, r.upper, u, pivots, None, p_indptr, p_indices)
@@ -1039,6 +1191,9 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
         raise RankDeficientAugmentation(
             f"appended variable {i} has no supporting row (pivot at or below {PIVOT_FLOOR:.0e})", i
         )
+
+    if heads is not None:
+        return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, np.concatenate((r.upper.data[:a], vals))))
 
     # splice: reached rows take their new entries, the others keep theirs
     old = r.upper
@@ -1076,6 +1231,15 @@ def _rows_at(indptr: np.ndarray, rows: np.ndarray) -> tuple:
     return counts, _ranges(indptr[rows], counts)
 
 
+def _column_heads(u: SparseRowBlock, split: int) -> np.ndarray:
+    """``head[j]``: the first row from ``split`` on that stores column
+    ``j``, ``j`` itself if none does."""
+    lo = u.indptr[split]
+    head = np.arange(u.n_rows)
+    np.minimum.at(head, u.indices[lo:], u.row_ids[lo:])
+    return head
+
+
 def _skyline_components(r: UpperTriangular, selected: np.ndarray, kept: np.ndarray):
     """``_kept_fill``'s components read from the column heads, or ``None``
     when the trailing rows (from the first kept one on) are not a column
@@ -1091,17 +1255,22 @@ def _skyline_components(r: UpperTriangular, selected: np.ndarray, kept: np.ndarr
     ``[a, b]`` when ``a <= k`` and ``head[k] <= b``, the moved rows are the
     kept rows inside a component, and the first crossing column is the
     least selected ``j`` whose interval holds a kept row.  One minimum pass
-    over the trailing entries, then arrays of length ``n``.
+    over the trailing entries, none when the factor is a chain skyline whose
+    heads it keeps (``UpperTriangular._chain_heads``), then arrays of
+    length ``n``.
     """
     n = r.dim
     u = r.upper
     split = int(kept[0])
-    lo = u.indptr[split]
     every = np.arange(n)
-    head = every.copy()
-    np.minimum.at(head, u.indices[lo:], u.row_ids[lo:])
-    if int((every - head).sum()) != u.nnz - lo:
-        return None
+    if r._chain_heads is not None:
+        # a chain skyline's trailing rows store column j > split from row
+        # max(head[j], split) on
+        head = np.where(every > split, np.maximum(r._chain_heads, split), every)
+    else:
+        head = _column_heads(u, split)
+        if int((every - head).sum()) != u.nnz - u.indptr[split]:
+            return None
     s = np.flatnonzero(selected[split:]) + split
     # rows i and i + 1 are linked when an interval holds both; a row is in a
     # component when an interval holds it, so when it is linked to the next

@@ -1,6 +1,7 @@
 """Sparse kernel tests: factorization, permutations, factor updates,
 log-determinants, and the Matrix Market interchange."""
 
+import json
 import re
 import tracemalloc
 
@@ -1499,6 +1500,218 @@ class TestFastPaths:
         r = _banded_factor(60, 3, seed=10)
         got = lowrank_update(r, _rows(60, {40: 1.0, 50: 2.0}))
         assert "row_ids" not in vars(got.upper)
+
+
+def chain_skyline_problem(rng, dim, n_new, reach, density, zero_share, carried) -> tuple:
+    """``(r, u)``: a chain skyline factor, column ``j`` storing rows
+    ``head[j] .. j - 1`` with ``head[j]`` in ``j - reach .. j - 1``, a
+    ``zero_share`` of its entries stored zeros; 1-6 update rows over
+    ``dim + n_new`` columns, each from a random first column on, zeros
+    stored in the same share.  With ``carried``, each appended variable
+    also has a row that links it to the column before it, as a new pose's
+    odometry does, so the appended variables stay a chain."""
+    heads = [0] + [int(rng.integers(max(0, j - reach), j)) for j in range(1, dim)]
+    rows = [i for j, h in enumerate(heads) for i in range(h, j)]
+    cols = [j for j, h in enumerate(heads) for _ in range(h, j)]
+    vals = rng.normal(size=len(rows)) * (rng.random(len(rows)) >= zero_share)
+    r = UpperTriangular(rng.random(dim) + 0.5, SparseRowBlock.from_coo(dim, dim, rows, cols, vals))
+    n_cols = dim + n_new
+    mask = rng.random((int(rng.integers(1, 7)), n_cols)) < density
+    mask &= np.arange(n_cols) >= rng.integers(0, n_cols, size=(mask.shape[0], 1))
+    if carried:
+        links = np.zeros((n_new, n_cols), dtype=bool)
+        links[np.arange(n_new), np.arange(dim - 1, n_cols - 1)] = True
+        links[np.arange(n_new), np.arange(dim, n_cols)] = True
+        mask = np.vstack([mask, links])
+    data = rng.normal(size=mask.shape) * (rng.random(mask.shape) >= zero_share)
+    at = np.nonzero(mask)
+    return r, SparseRowBlock.from_coo(mask.shape[0], n_cols, *at, data[at])
+
+
+@st.composite
+def chain_skyline_problems(draw):
+    """``(r, u, n_new)`` of ``chain_skyline_problem`` at a drawn size,
+    reach, density and share of stored zeros, with or without the rows
+    that carry the appended variables."""
+    n_new = draw(st.integers(0, 4))
+    r, u = chain_skyline_problem(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        draw(st.integers(1, 40)),
+        n_new,
+        draw(st.integers(1, 8)),
+        draw(st.sampled_from([0.05, 0.15, 0.4])),
+        draw(st.sampled_from([0.0, 0.2, 0.5])),
+        draw(st.booleans()),
+    )
+    return r, u, n_new
+
+
+def _outcome(r: UpperTriangular, u: SparseRowBlock, n_new: int):
+    """``lowrank_update``'s four arrays, or its refusal's type and message."""
+    try:
+        return _factor_arrays(lowrank_update(r, u, n_new))
+    except RankDeficientAugmentation as e:
+        return type(e), str(e), e.index
+
+
+def _heads_agree(r: UpperTriangular, u: SparseRowBlock, n_new: int) -> bool:
+    """Where ``_heads_pattern`` reads the pattern, it is the walk and merges'
+    (``_update_pattern``) bit for bit, with the rows before the first
+    reached one as they were; and ``lowrank_update`` equals itself with the
+    heads path turned off, bit for bit or by the same refusal.  Returns
+    whether the heads path was taken."""
+    nd = r.dim + n_new
+    heads = sparse._heads_pattern(r, u, nd)
+    if heads is not None:
+        start, indptr, indices = heads
+        a = indptr[start]
+        _same_bits((np.arange(start, nd), indptr[start:] - a, indices[a:]), _update_pattern(r, u))
+        kept = min(start, r.dim) + 1
+        _same_bits((indptr[:kept], indices[:a]), (r.upper.indptr[:kept], r.upper.indices[:a]))
+    got = _outcome(r, u, n_new)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_heads_pattern", lambda *args: None)
+        want = _outcome(r, u, n_new)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        _same_bits(got, want)
+    return heads is not None
+
+
+def _head_moves(r: UpperTriangular, u: SparseRowBlock) -> set:
+    """Which columns' heads an update moves up, by a loop over its rows:
+    a factor column's (``"old column"``) or an appended one's."""
+    head = r._chain_heads
+    found = set()
+    for cols in u.row_cols:
+        for c in cols[1:].tolist():
+            if c >= r.dim:
+                found.add("appended column")
+            elif cols[0] < head[c]:
+                found.add("old column")
+    return found
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """A count of the calls of ``_update_walk``, the general pattern pass."""
+    calls = []
+    real = sparse._update_walk
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sparse, "_update_walk", counted)
+    return calls
+
+
+class TestHeadsPath:
+    """``lowrank_update`` on a chain-skyline factor reads its pattern from
+    the column heads (``_heads_pattern``): the same pattern and the same
+    factor as the walk and merges, bit for bit.  Factors that are no chain
+    skyline take the walk and agree with the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chain_skyline_problems())
+    def test_drawn_chain_skylines_agree_with_the_walk(self, problem):
+        assert problem[0]._chain_heads is not None
+        _heads_agree(*problem)
+
+    def test_the_drawn_problems_reach_every_case(self):
+        # the heads path is taken with old and appended columns' heads
+        # moving up, and declined both for updates that factor and for
+        # updates that are refused
+        rng = np.random.default_rng(11)
+        taken, declined = set(), set()
+        for _ in range(600):
+            n_new = int(rng.integers(0, 5))
+            r, u = chain_skyline_problem(rng, int(rng.integers(1, 41)), n_new, int(rng.integers(1, 9)),
+                                         rng.choice([0.05, 0.15, 0.4]), rng.choice([0.0, 0.2, 0.5]),
+                                         bool(rng.integers(0, 2)))
+            if _heads_agree(r, u, n_new):
+                taken |= _head_moves(r, u)
+            elif u.nnz:
+                declined.add("refused" if isinstance(_outcome(r, u, n_new)[0], type) else "factored")
+        assert taken == {"old column", "appended column"}
+        assert declined == {"refused", "factored"}
+
+    @pytest.mark.parametrize("update, patterns", [
+        # appended 1 takes the only row that reaches it, so none carries 3
+        # on to row 2: the rule's head'[3] = 1 would store (2, 3)
+        ([{1: 1.0, 2: 0.5, 3: 0.3}, {2: 1.0}, {3: 1.0}], [[2, 3], [], []]),
+        # no row that reaches appended 1 stores 2, so row 1 does not lead
+        # to row 2: the rule's head'[3] = 0 would store (2, 3)
+        ([{0: 1.0, 1: 0.5, 3: 0.3}, {0: 1.0, 1: 0.2}, {2: 1.0}, {3: 1.0}], [[1, 3], [3], [], []]),
+    ], ids=["rows used up", "chain broken"])
+    def test_appended_variables_off_the_chain_take_the_walk(self, update, patterns):
+        r = UpperTriangular.from_diagonal([2.0])
+        u = _rows(4, *update)
+        assert r._chain_heads is not None and sparse._heads_pattern(r, u, 4) is None
+        reached, indptr, indices = _update_pattern(r, u)
+        assert [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == patterns
+        _heads_agree(r, u, 3)
+
+    def test_every_benchmark_candidate_takes_the_heads_path(self, walks):
+        """plan-1k and the 8 batch-small configurations: every original-mode
+        candidate, pattern and factor, bit for bit."""
+        for sc in [_plan_1k()] + [generate(c) for c in batch_small_configs()]:
+            assert sc.prior.root._chain_heads is not None
+            for a in sc.candidates:
+                assert _heads_agree(sc.prior.root, a.jacobian, a.n_new_vars)
+                walks.clear()
+                lowrank_update(sc.prior.root, a.jacobian, a.n_new_vars)
+                assert not walks
+
+    def test_a_diagonal_factor_takes_the_walk(self, walks):
+        sc = _plan_1k()
+        full = _session_beliefs(sc)[2].root
+        assert full.upper.nnz == 0 and full._chain_heads is None
+        for a in sc.candidates:
+            assert sparse._heads_pattern(full, a.jacobian, full.dim + a.n_new_vars) is None
+            _update_is_the_reference(full, a.jacobian, a.n_new_vars)
+        assert walks
+
+    @pytest.mark.parametrize("hole", ["empty column", "missing link"])
+    def test_a_skyline_without_one_link_takes_the_walk(self, walks, hole):
+        heads = [0] + [max(0, j - 3) for j in range(1, 30)]
+        if hole == "empty column":
+            heads[17] = 17  # row 16 stores nothing at 17: a skyline, no chain
+            r = _skyline(heads)
+        else:
+            # column 17 keeps rows 14 and 15 but not 16: neither
+            r = _skyline(heads)
+            keep = ~((r.upper.row_ids == 16) & (r.upper.indices == 17))
+            counts = np.bincount(r.upper.row_ids[keep], minlength=30)
+            r = UpperTriangular(r.diag, SparseRowBlock(30, 30, np.concatenate(([0], counts.cumsum())),
+                                                      r.upper.indices[keep], r.upper.data[keep]))
+        assert r._chain_heads is None
+        u = _rows(32, {3: 1.0, 20: 0.5, 30: 1.0}, {29: 1.0, 30: 0.2, 31: 1.5}, {31: 2.0})
+        assert sparse._heads_pattern(r, u, 32) is None
+        _update_is_the_reference(r, u, 2)
+        assert walks
+
+    def test_a_prior_at_heading_zero_takes_the_walk(self, walks):
+        # at heading 0.0 the whitened prior rows hold exact zeros, which are
+        # not stored, so the prior's elimination tree is no chain
+        doc = json.loads(scenario_to_json(_plan_1k()))
+        doc["poses"][0][2] = 0.0
+        sc = scenario_from_json(json.dumps(doc))
+        assert sc.prior.root._chain_heads is None
+        for a in sc.candidates:
+            assert sparse._heads_pattern(sc.prior.root, a.jacobian, sc.prior.dim + a.n_new_vars) is None
+            _update_is_the_reference(sc.prior.root, a.jacobian, a.n_new_vars)
+        assert walks
+
+    def test_an_uninvolved_factor_takes_the_walk(self, walks):
+        sc = _plan_1k()
+        uninvolved = _session_beliefs(sc)[1].root
+        assert uninvolved._chain_heads is None
+        for a in sc.candidates:
+            assert sparse._heads_pattern(uninvolved, a.jacobian, uninvolved.dim + a.n_new_vars) is None
+            _update_is_the_reference(uninvolved, a.jacobian, a.n_new_vars)
+        assert walks
 
 
 def _plan_1k():

@@ -38,8 +38,9 @@ def test_each_failure_is_named():
     assert got == [
         "plan-1k seed 3 change: the run's final line is not correct",
         "batch-small seed 5 parent: the run's final line is not correct",
-        "dim 3000: criterion 11, uninvolved sparsification is 11.0% of the original decision time (gate 10%)",
-        "dim 9000: criterion 11, full sparsification is 20.0% of the original decision time (gate 10%)",
+        "dim 3000: criterion 11, uninvolved sparsification is 11.0% of the original decision time "
+        "(parent not measured, gate 10%)",
+        "dim 9000: criterion 11, full sparsification is 20.0% of the original decision time (parent 0.1%, gate 10%)",
         "dim 9000: criterion 11, decision totals not ordered baseline >= uninvolved >= full",
     ]
 

@@ -37,7 +37,7 @@ tail of its stderr, and left out of the dim's medians.  The exit status is
 criterion 11 at a dim: a sparsification share above 10% of the original
 decision time (medians of the sessions), or decision totals not ordered
 baseline >= uninvolved >= full in every session; each failure is named on
-stderr.
+stderr, a share beside the parent side's share at that dim.
 """
 
 from __future__ import annotations
@@ -262,20 +262,26 @@ def failures(runs: list, dims: list, sessions: list = ()) -> list:
     ``correct``, a one-shot session (of either side) that exited non-zero,
     and a dim at which this change breaks criterion 11 (either
     sparsification share above ``CRITERION_11_SHARE`` of the original
-    decision time, or totals not ordered baseline >= uninvolved >= full)."""
+    decision time, or totals not ordered baseline >= uninvolved >= full).
+    A share above the gate is named beside the parent side's share at that
+    dim, which is measured, not gated."""
     out = [f"{r['workload']} seed {r['seed']} {r['side']}: the run's final line is not correct"
            for r in runs if r["final_json_line"].get("correct") is not True]
     out += [f"dim {r['dim']} run {r['run']} {r['side']}: the session exited {r['exit_code']}: "
             + (r["stderr_tail"][-1] if r["stderr_tail"] else "no stderr")
             for r in sessions if "exit_code" in r]
+    parents = {row["dim"]: row for row in dims if row["side"] == "parent"}
     for row in dims:
         if row["side"] != "change":
             continue
         for mode in ("uninvolved", "full"):
-            share = row[f"criterion_11_share_{mode}"]
+            key = f"criterion_11_share_{mode}"
+            share = row[key]
             if share > CRITERION_11_SHARE:
+                parent = parents.get(row["dim"])
+                was = f"parent {parent[key]:.1%}" if parent else "parent not measured"
                 out.append(f"dim {row['dim']}: criterion 11, {mode} sparsification is {share:.1%} of the original "
-                           f"decision time (gate {CRITERION_11_SHARE:.0%})")
+                           f"decision time ({was}, gate {CRITERION_11_SHARE:.0%})")
         if not row["criterion_11_ordering"]:
             out.append(f"dim {row['dim']}: criterion 11, decision totals not ordered baseline >= uninvolved >= full")
     return out
