@@ -84,8 +84,9 @@ class VariableLayout:
         last = self.blocks[-1]
         return last.offset + last.size
 
-    @property
+    @cached_property
     def block_ids(self) -> tuple:
+        """The block ids in layout order, made once per layout."""
         return tuple(blk.block_id for blk in self.blocks)
 
     @cached_property

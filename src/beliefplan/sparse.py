@@ -76,14 +76,20 @@ stored pattern separately:
   stores up to its own first column, every row from the least first
   column on is reached, and the new entries are inserted into those rows'
   one contiguous slice, so the rows before it keep theirs as one range.
-  Other factors (diagonal, sparsified or arbitrary) take the general
+  A sparsified factor is no chain, since its cut rows are empty, but the
+  scalars it stores (its nonempty rows and stored columns) usually are
+  one: the heads path then runs on the factor renumbered to them, and its
+  result is mapped back once.  Other factors (diagonal, arbitrary, or
+  updated in a cut column) take the general
   pattern pass: it follows the groups of update rows up the factor, each
   carrying only the columns that the rows it reaches do not already
   store, and forms the reached rows at the end, as a sorted set union per
-  row when they are at most ``_PANEL``, else in one array merge; the new
+  row when they are at most ``_PANEL``, else in one array merge; a row
+  that stores nothing takes its carried columns as they are.  The new
   factor is spliced from slices, the rows between two runs of consecutive
   reached rows keeping their entries as one range, with no entry-sized
-  mask.
+  mask; a factor that stores nothing, as a fully sparsified one, becomes
+  the new entries alone.
 - ``sparsify_factor`` reorders a factor so that selected scalars come
   first and cuts their rows to the diagonal, without re-forming the
   information matrix (Elimelech & Indelman, RA-L 2021): the kept rows that
@@ -474,6 +480,33 @@ class UpperTriangular:
         if int((np.arange(self.dim) - head).sum()) == u.nnz:
             return head
         return None
+
+    @cached_property
+    def _kept_chain(self):
+        """The factor renumbered to its active scalars, those whose row or
+        column stores an entry, when that is a chain skyline
+        (``_chain_heads``), computed once per factor, as ``(kept, where,
+        chain)``: the active scalars, ascending; each scalar's position among
+        them, -1 for the others; and the renumbered factor, which stores the
+        same entries in the same order.  A sparsified factor's cut rows are
+        empty and no kept row stores a cut column, so this is its kept part.
+        ``None`` when there is nothing to renumber, the factor being a chain
+        skyline itself (all active) or storing nothing, and when the active
+        part is no chain skyline."""
+        u = self.upper
+        if not u.nnz or self._chain_heads is not None:
+            return None
+        active = u.indptr[1:] > u.indptr[:-1]
+        active[u.indices] = True
+        kept = active.nonzero()[0]
+        where = np.where(active, active.cumsum() - 1, -1)
+        m = kept.size
+        # the other rows are empty, so the entries before row kept[k] end there
+        indptr = np.concatenate(([0], u.indptr[kept + 1]))
+        chain = UpperTriangular(self.diag[kept], SparseRowBlock(m, m, indptr, where[u.indices], u.data))
+        if chain._chain_heads is None:
+            return None
+        return kept, where, chain
 
 
 # ---------------------------------------------------------------------------
@@ -1080,13 +1113,15 @@ def _merge_by_row(r: UpperTriangular, reached: list, carried: list, rows_each: l
     """``_update_pattern``'s result from its walk, each reached row's stored
     and carried columns merged as a sorted set union of its own."""
     dim = r.dim
+    first = r._row_links[0]
     bounds = r.upper.indptr
     indices = r.upper.indices
     rows = []
     at = iter(reached)
     for x, k in zip(carried, rows_each):
         for t in itertools.islice(at, k):
-            if t >= dim:
+            if t >= dim or first[t] < 0:
+                # a row that stores nothing takes the carried columns as they are
                 rows.append(x)
             else:
                 own = indices[bounds[t]:bounds[t + 1]].tolist()
@@ -1112,6 +1147,11 @@ def _merge_by_keys(r: UpperTriangular, width: int, reached: list, carried: list,
     lengths = np.fromiter(itertools.chain.from_iterable(itertools.repeat(len(x), k) for x, k in segments),
                           dtype=np.int64, count=reached.size)
     flat = np.fromiter(itertools.chain.from_iterable(x * k for x, k in segments), dtype=np.int64)
+    indptr = np.zeros(reached.size + 1, dtype=np.int64)
+    if not counts.any():
+        # no reached row stores anything: the carried columns are the rows
+        lengths.cumsum(out=indptr[1:])
+        return reached, indptr, flat
     # two runs that are sorted already, which the stable sort merges
     keys = np.concatenate([
         np.repeat(np.arange(n_own, dtype=np.int64), counts) * width + indices[_ranges(starts, counts)],
@@ -1120,7 +1160,6 @@ def _merge_by_keys(r: UpperTriangular, width: int, reached: list, carried: list,
     keys.sort(kind="stable")
     keys = keys[np.diff(keys, prepend=-1) != 0]
     pos, cols = np.divmod(keys, width)
-    indptr = np.zeros(reached.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(pos, minlength=reached.size), out=indptr[1:])
     return reached, indptr, cols
 
@@ -1141,10 +1180,20 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     heads (``_heads_pattern``), which are worked out once per factor and
     kept on it; the reached rows are then every row from the least first
     column on, and the new factor keeps the rows before them as one slice.
+    A factor with empty rows, as a sparsified one, takes the same path on
+    its kept chain (``UpperTriangular._kept_chain``), the factor renumbered
+    to the scalars it stores, when that is a chain skyline and the update
+    stores none of the other columns: the update's columns are renumbered
+    (appended column j to ``m + (j - n)`` for m kept scalars), the pattern
+    and the fold run there, and the result is read back once (the diagonal
+    by scatter, the row bounds from the scattered row lengths, the columns
+    through the map, the values as they are).  The other scalars are
+    isolated, so no update row reaches them and the result is the walk's.
     Any other factor, or an update that does not keep the appended
     variables a chain, takes the walk (``_update_pattern``), whose per-row
     facts are also kept on the factor, and its rows are merged row by row
-    when they are at most ``_PANEL``, in one array merge otherwise.  The
+    when they are at most ``_PANEL``, in one array merge otherwise; a row
+    that stores nothing takes its carried columns without a merge.  The
     panel fold (``_fold``) then
     re-triangularizes the reached rows stacked over the update rows, a
     panel of consecutive reached rows per triangular-pentagonal QR (one
@@ -1156,7 +1205,8 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     slices, each run of consecutive reached rows taking its new entries and
     each range of rows between two runs its old ones, so the splice reads
     the row bounds only at the ends of the runs and makes no nnz-sized
-    temporary.
+    temporary.  A factor that stores nothing keeps nothing: the new entries
+    are the whole factor, placed by the row lengths alone.
 
     Raises RankDeficientAugmentation, naming the first such variable (its
     ``index``), if any of the ``n_new`` appended variables ends up without
@@ -1169,18 +1219,33 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     if u.n_cols != nd:
         raise DimensionMismatch(f"update has {u.n_cols} columns, expected {nd}")
 
-    heads = _heads_pattern(r, u, nd)
+    # the heads path runs on the factor, or on its kept chain ``f`` in the
+    # chain's own numbering when the factor has scalars outside it
+    f, fu = r, u
+    found = r._kept_chain
+    if found is not None:
+        kept, where, f = found
+        fu = _renumbered(u, where, f.dim)
+    heads = None if fu is None else _heads_pattern(f, fu, f.dim + n_new)
     if heads is None:
+        f, fu = r, u
         pivots, p_indptr, p_indices = _update_pattern(r, u)
     else:
         start, indptr, indices = heads
         a = indptr[start]
-        pivots = np.arange(start, nd)
+        pivots = np.arange(start, f.dim + n_new)
         p_indptr, p_indices = indptr[start:] - a, indices[a:]
-    diag = np.zeros(nd)
-    diag[: r.dim] = r.diag
-    new_diag, vals = _fold(diag, r.upper, u, pivots, None, p_indptr, p_indices)
+    diag = np.zeros(f.dim + n_new)
+    diag[: f.dim] = f.diag
+    new_diag, vals = _fold(diag, f.upper, fu, pivots, None, p_indptr, p_indices)
     diag[pivots] = new_diag
+    if f is not r:
+        # back to every scalar: ``to`` maps the chain's numbering to the factor's
+        to = np.concatenate((kept, np.arange(r.dim, nd)))
+        full = np.zeros(nd)
+        full[: r.dim] = r.diag
+        full[to] = diag
+        diag = full
     # a pivot at or below the floor is no support: the variable's column was
     # empty, or its rows depend on rows that other variables already used;
     # a pivot whose square overflows is support, not a warning
@@ -1193,7 +1258,14 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
         )
 
     if heads is not None:
-        return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, np.concatenate((r.upper.data[:a], vals))))
+        data = np.concatenate((f.upper.data[:a], vals))
+        if f is not r:
+            lengths = np.zeros(nd, dtype=np.int64)
+            lengths[to] = indptr[1:] - indptr[:-1]
+            indptr = np.zeros(nd + 1, dtype=np.int64)
+            lengths.cumsum(out=indptr[1:])
+            indices = to[indices]
+        return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
 
     # splice: reached rows take their new entries, the others keep theirs
     old = r.upper
@@ -1202,6 +1274,9 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     lengths[pivots] = p_indptr[1:] - p_indptr[:-1]
     indptr = np.zeros(nd + 1, dtype=np.int64)
     lengths.cumsum(out=indptr[1:])
+    if not old.nnz:
+        # no row keeps an entry: the new ones are the whole factor, in turn
+        return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, p_indices, vals))
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
     data = np.empty(indices.size)
     # the rows where a run of consecutive pivots starts (a pivot after a row
@@ -1222,6 +1297,21 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
             data[b:c] = vals[taken:taken + c - b]
             taken += c - b
     return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
+
+
+def _renumbered(u: SparseRowBlock, where: np.ndarray, m: int):
+    """The update rows ``u`` over the columns of a factor's kept chain
+    (``UpperTriangular._kept_chain``): old column ``c`` at ``where[c]``,
+    appended column ``j`` at ``m + (j - n)``, ``n`` being ``where.size``.
+    ``None`` when a row stores a column outside the chain."""
+    n = where.size
+    cols = u.indices
+    old = cols < n
+    out = cols + (m - n)
+    out[old] = where[cols[old]]
+    if (out < 0).any():
+        return None
+    return SparseRowBlock(u.n_rows, u.n_cols + m - n, u.indptr, out, u.data)
 
 
 def _rows_at(indptr: np.ndarray, rows: np.ndarray) -> tuple:

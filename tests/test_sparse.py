@@ -1704,14 +1704,167 @@ class TestHeadsPath:
             _update_is_the_reference(sc.prior.root, a.jacobian, a.n_new_vars)
         assert walks
 
-    def test_an_uninvolved_factor_takes_the_walk(self, walks):
+    def test_an_uninvolved_factor_takes_the_kept_chain(self, walks):
+        """plan-1k and the 8 batch-small configurations: an uninvolved-mode
+        factor is no chain, but its kept part is, and every candidate update
+        takes the heads path there, with no walk, equal to the reference bit
+        for bit."""
+        for sc in [_plan_1k()] + [generate(c) for c in batch_small_configs()]:
+            uninvolved = _session_beliefs(sc)[1].root
+            kept, where, chain = uninvolved._kept_chain
+            assert uninvolved._chain_heads is None and 0 < kept.size < uninvolved.dim
+            for a in sc.candidates:
+                u = sparse._renumbered(a.jacobian, where, chain.dim)
+                assert sparse._heads_pattern(chain, u, chain.dim + a.n_new_vars) is not None
+                _update_is_the_reference(uninvolved, a.jacobian, a.n_new_vars)
+        assert not walks
+
+    def test_an_update_that_stores_a_cut_column_takes_the_walk(self, walks):
+        # custom mode cuts an involved block too; the candidates that store
+        # its columns leave the kept chain and walk, the others do not
         sc = _plan_1k()
-        uninvolved = _session_beliefs(sc)[1].root
-        assert uninvolved._chain_heads is None
-        for a in sc.candidates:
-            assert sparse._heads_pattern(uninvolved, a.jacobian, uninvolved.dim + a.n_new_vars) is None
-            _update_is_the_reference(uninvolved, a.jacobian, a.n_new_vars)
-        assert walks
+        mask = detect_involvement(sc.prior.layout, sc.candidates)
+        block = min(mask.involved_blocks, key=lambda b: sum(b in per for per in mask.per_candidate))
+        spec = SparsificationSpec.custom(mask.never_involved(sc.prior.layout) | {block})
+        custom = sparsify_belief(sc.prior, spec, mask).root
+        kept, where, chain = custom._kept_chain
+        cut = [block in per for per in mask.per_candidate]
+        assert any(cut) and not all(cut)
+        for a, stores_cut in zip(sc.candidates, cut):
+            walks.clear()
+            assert (sparse._renumbered(a.jacobian, where, chain.dim) is None) == stores_cut
+            _update_is_the_reference(custom, a.jacobian, a.n_new_vars)
+            assert bool(walks) == stores_cut
+
+
+def spread_over_empty_rows(rng, r: UpperTriangular, u: SparseRowBlock, extra: int) -> tuple:
+    """``(r, u)`` moved onto ``r.dim + extra`` scalars: the factor's scalars
+    at drawn places in order, the ``extra`` others between them with a
+    diagonal alone (an empty row and column), and the update's appended
+    columns after all of them.  Returns the spread factor, its update and
+    the places of ``r``'s scalars."""
+    m = r.dim
+    n = m + extra
+    kept = np.sort(rng.choice(n, size=m, replace=False))
+    diag = rng.random(n) + 0.5
+    diag[kept] = r.diag
+    o = r.upper
+    spread = UpperTriangular(diag, SparseRowBlock.from_coo(n, n, kept[o.row_ids], kept[o.indices], o.data))
+    to = np.concatenate([kept, np.arange(n, n + u.n_cols - m)])
+    return spread, SparseRowBlock(u.n_rows, u.n_cols + extra, u.indptr, to[u.indices], u.data), kept
+
+
+@st.composite
+def kept_chain_problems(draw):
+    """``chain_skyline_problems`` spread over 0-20 empty rows
+    (``spread_over_empty_rows``): ``(r, u, n_new, chain, kept)``, ``chain``
+    being the factor before the spread."""
+    chain, u, n_new = draw(chain_skyline_problems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r, u, kept = spread_over_empty_rows(rng, chain, u, draw(st.integers(0, 20)))
+    return r, u, n_new, chain, kept
+
+
+@st.composite
+def storeless_problems(draw):
+    """``(r, u, k)``: a diagonal factor and 1-6 update rows that store ``k``
+    distinct columns in all, ``k`` one, ``_PANEL`` or ``_PANEL + 1``, with
+    a drawn share of stored zeros.  On a factor that stores nothing every
+    column an update row stores is reached, so ``k`` rows are."""
+    k = draw(st.sampled_from([1, _PANEL, _PANEL + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = k + draw(st.integers(0, 30))
+    cols = np.sort(rng.choice(dim, size=k, replace=False))
+    n_rows = draw(st.integers(1, 6))
+    mask = rng.random((n_rows, k)) < draw(st.sampled_from([0.1, 0.4, 0.8]))
+    mask[rng.integers(0, n_rows, size=k), np.arange(k)] = True
+    vals = rng.normal(size=mask.shape) * (rng.random(mask.shape) >= draw(st.sampled_from([0.0, 0.3])))
+    rows, at = mask.nonzero()
+    r = UpperTriangular.from_diagonal(rng.random(dim) + 0.5)
+    return r, SparseRowBlock.from_coo(n_rows, dim, rows, cols[at], vals[rows, at]), k
+
+
+def _walk_outcome(r: UpperTriangular, u: SparseRowBlock, n_new: int):
+    """``_outcome`` with the heads path turned off: the walk and merges."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_heads_pattern", lambda *args: None)
+        return _outcome(r, u, n_new)
+
+
+class TestKeptChain:
+    """``lowrank_update`` on a factor whose active scalars (nonempty rows
+    and stored columns) are a chain skyline runs the heads path on that
+    chain, renumbered (``UpperTriangular._kept_chain``), and on a factor
+    that stores nothing builds the new factor from the pattern alone: both
+    equal the reference, and the walk, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kept_chain_problems())
+    def test_chain_skylines_with_empty_rows_are_the_reference(self, problem):
+        r, u, n_new, chain, kept = problem
+        found = r._kept_chain
+        if kept.size == r.dim:
+            # no empty row: the heads path runs on the factor itself
+            assert found is None
+        elif chain.upper.nnz:
+            _same_bits((found[0], *_factor_arrays(found[2])), (kept, *_factor_arrays(chain)))
+        _update_is_the_reference(r, u, n_new)
+        got, want = _outcome(r, u, n_new), _walk_outcome(r, u, n_new)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            _same_bits(got, want)
+
+    def test_the_drawn_problems_take_the_kept_chain_and_leave_it(self, walks):
+        # with empty rows between the chain's scalars, updates that move old
+        # and appended columns' heads take the kept chain; others walk
+        rng = np.random.default_rng(12)
+        taken, declined = set(), 0
+        for _ in range(300):
+            n_new = int(rng.integers(0, 5))
+            chain, u = chain_skyline_problem(rng, int(rng.integers(2, 41)), n_new, int(rng.integers(1, 9)),
+                                             rng.choice([0.05, 0.15, 0.4]), rng.choice([0.0, 0.2, 0.5]),
+                                             bool(rng.integers(0, 2)))
+            r, spread, _ = spread_over_empty_rows(rng, chain, u, int(rng.integers(1, 21)))
+            walks.clear()
+            _update_is_the_reference(r, spread, n_new)
+            if walks:
+                declined += spread.nnz > 0
+            else:
+                taken |= _head_moves(chain, u)
+        assert taken == {"old column", "appended column"} and declined
+
+    @settings(max_examples=100, deadline=None)
+    @given(kept_chain_problems())
+    def test_an_unsupported_appended_variable_is_named_in_the_full_space(self, problem):
+        # the update's old columns, one appended variable and a row that
+        # stores it only as a zero: its pivot stays 0
+        r, u, _, chain, kept = problem
+        n = r.dim
+        old = u.indices < n
+        rows = np.concatenate([u.row_ids[old], [u.n_rows, u.n_rows]])
+        first = int(kept[np.random.default_rng(n).integers(0, kept.size)])
+        cols = np.concatenate([u.indices[old], [first, n]])
+        u = SparseRowBlock.from_coo(u.n_rows + 1, n + 1, rows, cols, np.concatenate([u.data[old], [1.0, 0.0]]))
+        if chain.upper.nnz and kept.size < n:
+            _, where, found = r._kept_chain
+            assert sparse._heads_pattern(found, sparse._renumbered(u, where, found.dim), found.dim + 1) is not None
+        with pytest.raises(RankDeficientAugmentation) as caught:
+            lowrank_update(r, u, 1)
+        assert caught.value.index == n
+        assert str(caught.value) == f"appended variable {n} has no supporting row (pivot at or below 1e-12)"
+        assert _walk_outcome(r, u, 1) == (RankDeficientAugmentation, str(caught.value), n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(storeless_problems())
+    def test_storeless_factors_at_the_panel_width(self, problem):
+        r, u, k = problem
+        assert _folds_agree(r, u, 0) == k
+        _update_is_the_reference(r, u, 0)
+
+    def test_a_storeless_factor_keeps_no_chain(self):
+        r = UpperTriangular.from_diagonal(np.arange(1.0, 6.0))
+        assert r._chain_heads is None and r._kept_chain is None
 
 
 def _plan_1k():

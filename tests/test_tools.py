@@ -68,6 +68,8 @@ def test_a_session_row_times_the_load_beside_the_file_io():
     row = bench_session.session_row(bench_session.ROOT, 150)
     assert row["dim"] == 150 and "exit_code" not in row
     assert 0 <= row["scenario_from_json_cpu_s"] <= row["scenario_io_cpu_s"]
+    # the ordering's margin: the uninvolved total over the full total
+    assert row["criterion_11_ordering_margin"] > 0
     summary, = bench_session.dims_summary([dict(row, side="change", run=1)])
     assert summary["scenario_from_json_cpu_s"] == row["scenario_from_json_cpu_s"]
 
