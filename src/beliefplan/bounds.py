@@ -13,11 +13,15 @@ Three bound families over the posterior-entropy objective:
   is immutable and computes them once, however many noise ratios are
   bounded with it.  A graph factors its reduced Laplacian sparsely
   (SuperLU) on first use; a graph grown from it by ``extended`` adds the
-  determinant-lemma increment of its new edges (``lemma_logdet_increment``)
-  to the base count, so no dense Laplacian is ever formed;
+  determinant-lemma increment of its new edges (``lemma_logdet_increment``:
+  Choleskys and a triangular solve of a few rows, each one direct LAPACK
+  call, raising ``numpy.linalg.LinAlgError`` on a block that is not
+  positive definite) to the base count, so no dense Laplacian is ever
+  formed;
 - determinant: a Minkowski lower bound and a Hadamard upper bound on the
   posterior log-determinant; assumption-free, useful when the information
-  matrix is diagonally dominant;
+  matrix is diagonally dominant.  The prior's log-determinant is read once
+  per factor (``UpperTriangular.logdet``);
 - rank-1 offset: when every candidate carries a single constraint row, a
   pre-solution bound on the balanced simplification offset from the
   involved-restricted entry sum of the covariance discrepancy.
@@ -34,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .belief import LN_2PI_E, CandidateAction, GaussianBelief
@@ -46,26 +51,29 @@ from .errors import (
     NotRankOne,
     RankDeficientAugmentation,
 )
-from .sparse import PIVOT_FLOOR, logdet_triangular
+from .sparse import PIVOT_FLOOR
 from .sparsify import InvolvementMask
 
 
 def _checked_edges(n_nodes: int, edges) -> np.ndarray:
     """Edges as a new ``(E, 2)`` int array with ``i < j`` in every row; the
-    first self-loop or out-of-range edge is reported."""
+    first self-loop or out-of-range edge is reported.  The sorted rows are
+    checked by their least and greatest ends; the faulty edge is looked for
+    only when there is one."""
     pairs = np.asarray(edges, dtype=np.int64)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be (i, j) node pairs")
-    loops = pairs[:, 0] == pairs[:, 1]
-    bad = np.flatnonzero(loops | np.any((pairs < 0) | (pairs >= n_nodes), axis=1))
-    if bad.size:
+    out = np.sort(pairs, axis=1)
+    low, high = out.T
+    if out.size and (low.min() < 0 or high.max() >= n_nodes or (low == high).any()):
+        bad = np.flatnonzero((low < 0) | (high >= n_nodes) | (low == high))
         i, j = pairs[bad[0]].tolist()
         if i == j:
             raise ValueError(f"self-loop at node {i}")
         raise ValueError(f"edge ({i}, {j}) out of range")
-    return np.sort(pairs, axis=1)
+    return out
 
 
 def _connected(n_nodes: int, pairs: np.ndarray) -> bool:
@@ -86,6 +94,15 @@ def _connected(n_nodes: int, pairs: np.ndarray) -> bool:
     return components == 1
 
 
+def _cholesky(s: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``s`` (its lower triangle read; the upper
+    one of the result is left as it was), by one LAPACK ``dpotrf``."""
+    factor, info = dpotrf(s, lower=1, clean=0)
+    if info:
+        raise np.linalg.LinAlgError("lemma block is not positive definite")
+    return factor
+
+
 def lemma_logdet_increment(sigma_kk: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """ln|M+| - ln|M| for ``M+ = [[M + AᵀA, AᵀB], [BᵀA, BᵀB]]``: k rows
     ``[A | B]`` added to a symmetric positive definite ``M`` and ``m`` new
@@ -95,17 +112,20 @@ def lemma_logdet_increment(sigma_kk: np.ndarray, a: np.ndarray, b: np.ndarray) -
     touch, ``B`` (k x m) those on the new ones, and ``sigma_kk`` is the
     ``K`` x ``K`` block of ``M⁻¹``.  The increment is
     ``ln|S| + ln|Bᵀ S⁻¹ B|`` with ``S = I + A Σ_KK Aᵀ`` (determinant lemma
-    and Schur complement), one k x k and one m x m Cholesky.  Raises
-    ``numpy.linalg.LinAlgError`` when ``Bᵀ S⁻¹ B`` is not numerically
-    positive definite, i.e. the rows do not pin the new variables down.
+    and Schur complement): a k x k Cholesky, one triangular solve for
+    ``L⁻¹ B`` and an m x m Cholesky, each one direct LAPACK call (``dpotrf``,
+    ``dtrtrs``).  Raises ``numpy.linalg.LinAlgError`` when ``Bᵀ S⁻¹ B`` is
+    not numerically positive definite, i.e. the rows do not pin the new
+    variables down.
     """
     s = a @ sigma_kk @ a.T
     s.flat[:: len(s) + 1] += 1.0
-    chol_s = np.linalg.cholesky(s)  # reads the lower triangle only
+    chol_s = _cholesky(s)
     increment = 2.0 * float(np.sum(np.log(chol_s.diagonal())))
     if b.shape[1]:
-        w = np.linalg.solve(chol_s, b)
-        increment += 2.0 * float(np.sum(np.log(np.linalg.cholesky(w.T @ w).diagonal())))
+        # with no rows, L⁻¹ B is B itself, and LAPACK takes no empty factor
+        w = dtrtrs(chol_s, b, lower=1)[0] if len(b) else b
+        increment += 2.0 * float(np.sum(np.log(_cholesky(w.T @ w).diagonal())))
     return increment
 
 
@@ -150,8 +170,14 @@ class PoseGraph:
     @cached_property
     def reduced_degrees(self) -> np.ndarray:
         """Degrees of the non-grounded nodes (the reduced Laplacian
-        diagonal), read-only."""
-        degrees = np.bincount(self.edges.ravel(), minlength=self.n_nodes)[1:].astype(np.float64)
+        diagonal), read-only.  A graph grown from a base adds its new edges'
+        counts to the base's degrees; the counts are integers, so the sum is
+        exact."""
+        root = self.base
+        counted = self.edges if root is None else self.edges[len(root.edges):]
+        degrees = np.bincount(counted.ravel(), minlength=self.n_nodes)[1:].astype(np.float64)
+        if root is not None:
+            degrees[: root.n_nodes - 1] += root.reduced_degrees
         degrees.flags.writeable = False
         return degrees
 
@@ -206,20 +232,26 @@ class PoseGraph:
         # old nodes are one connected super-node 0, new node v is v - n0 + 1
         if m and not _connected(m + 1, np.maximum(new - (n0 - 1), 0)):
             raise DisconnectedGraph("spanning tree count needs a connected graph")
-        rows = np.repeat(np.arange(len(new)), 2)
-        ends, signs = new.ravel(), np.tile([1.0, -1.0], len(new))
-        old, fresh = (ends > 0) & (ends < n0), ends >= n0
-        touched, col = np.unique(ends[old], return_inverse=True)
-        a = np.zeros((len(new), touched.size))
-        a[rows[old], col] = signs[old]
-        b = np.zeros((len(new), m))
-        b[rows[fresh], ends[fresh] - n0] = signs[fresh]
-        sigma_kk = np.zeros((touched.size, touched.size))
-        if touched.size:
-            rhs = np.zeros((n0 - 1, touched.size))
-            rhs[touched - 1, np.arange(touched.size)] = 1.0
+        # one incidence block: touched old node v in column slot[v], new
+        # node v in |K| + v - n0, the grounded node 0 in a last column that
+        # is dropped
+        ends = new.ravel()
+        touched = np.unique(ends[(ends > 0) & (ends < n0)])
+        n_k = touched.size
+        slot = np.empty(self.n_nodes, dtype=np.int64)
+        slot[0] = n_k + m
+        slot[touched] = np.arange(n_k)
+        slot[n0:] = np.arange(n_k, n_k + m)
+        block = np.zeros((len(new), n_k + m + 1))
+        rows = np.arange(len(new))
+        block[rows, slot[new[:, 0]]] = 1.0
+        block[rows, slot[new[:, 1]]] = -1.0
+        sigma_kk = np.zeros((n_k, n_k))
+        if n_k:
+            rhs = np.zeros((n0 - 1, n_k))
+            rhs[touched - 1, np.arange(n_k)] = 1.0
             sigma_kk = lu.solve(rhs)[touched - 1]
-        return log_t + lemma_logdet_increment(sigma_kk, a, b)
+        return log_t + lemma_logdet_increment(sigma_kk, block[:, :n_k], block[:, n_k:-1])
 
 
 @dataclass(frozen=True)
@@ -292,7 +324,7 @@ def determinant_bounds(b: GaussianBelief, a: CandidateAction) -> tuple[float, fl
         raise RankDeficientAugmentation("posterior diagonal has a non-positive entry")
     ub = 0.5 * (float(np.sum(np.log(post_diag))) - n_post * LN_2PI_E)
 
-    logdet_prior = logdet_triangular(b.root)
+    logdet_prior = b.root.logdet
     core = logdet_prior
     if a.n_new_vars:
         appended = u.indices >= b.dim

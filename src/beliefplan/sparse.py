@@ -439,6 +439,11 @@ class UpperTriangular:
         return out
 
     @cached_property
+    def logdet(self) -> float:
+        """log |R^T R| = 2 * sum(log diag(R)), computed once per factor."""
+        return float(2.0 * np.sum(np.log(self.diag)))
+
+    @cached_property
     def _row_links(self) -> tuple:
         """Per-row facts that ``_update_pattern`` reads, computed once per
         factor, as ``(first, settles)``:
@@ -1515,5 +1520,5 @@ def sparsify_factor(r: UpperTriangular, selected: np.ndarray) -> UpperTriangular
 
 
 def logdet_triangular(r: UpperTriangular) -> float:
-    """log |R^T R| = 2 * sum(log diag(R)); linear in the dimension."""
-    return float(2.0 * np.sum(np.log(r.diag)))
+    """log |R^T R|, ``r.logdet``: linear in the dimension on first use."""
+    return r.logdet

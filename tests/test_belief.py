@@ -25,7 +25,7 @@ from beliefplan.belief import (
 )
 from beliefplan.bounds import lemma_logdet_increment
 from beliefplan.errors import BeliefPlanError, EvaluationError, InvalidBelief, RankDeficientAugmentation
-from beliefplan.scenario import ScenarioConfig, generate
+from beliefplan.scenario import ScenarioConfig, generate, scenario_from_json
 from beliefplan.sparse import SparseRowBlock, UpperTriangular, cholesky, logdet_triangular
 
 from helpers import (
@@ -40,6 +40,9 @@ from helpers import (
     symmetric_from_dense,
     triangular_from_rows,
 )
+
+
+TINY = Path(__file__).parent / "data" / "tiny_scenario.json"
 
 
 def belief_from_dense(info, mean=None):
@@ -304,6 +307,17 @@ def belief_arrays(b):
     return (b.mean, b.root.diag, b.root.upper.indptr, b.root.upper.indices, b.root.upper.data)
 
 
+def dumped_document(b):
+    """The belief file as ``json.dumps`` of the whole document spells it."""
+    doc = {
+        "schema_version": 2,
+        "layout": [{"id": blk.block_id, "kind": blk.kind, "size": blk.size} for blk in b.layout.blocks],
+        **{name: array_doc(a, "<i8" if name in ("indptr", "indices") else "<f8")
+           for name, a in zip(ARRAYS, belief_arrays(b))},
+    }
+    return json.dumps(doc)
+
+
 class TestSerialization:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(19)
@@ -319,7 +333,7 @@ class TestSerialization:
     @given(random_beliefs())
     def test_round_trip_keeps_every_array_bit_for_bit(self, belief):
         text = belief_to_json(belief)
-        assert belief_to_json(belief) == text
+        assert belief_to_json(belief) == text == dumped_document(belief)
         back = belief_from_json(text)
         for before, after in zip(belief_arrays(belief), belief_arrays(back)):
             assert after.dtype == before.dtype and after.tobytes() == before.tobytes()
@@ -340,6 +354,18 @@ class TestSerialization:
             belief.layout,
         )
         assert belief_to_json(swapped) == text
+
+    @pytest.mark.parametrize("source", ["tiny", "plan-1k"])
+    def test_file_text_is_the_json_dumps_of_the_document(self, source):
+        """The writer places the arrays after a ``json.dumps`` of the header
+        alone; the text is the one ``json.dumps`` of the whole document
+        writes, for the prior and every candidate's posterior."""
+        if source == "tiny":
+            sc = scenario_from_json(TINY.read_text())
+        else:
+            sc = generate(ScenarioConfig(seed=1, n_prior_poses=340, n_candidates=16, candidate_length=5))
+        for b in (sc.prior, *(propagate(sc.prior, a) for a in sc.candidates)):
+            assert belief_to_json(b) == dumped_document(b)
 
     def test_file_holds_little_endian_arrays(self):
         belief, _, _ = build_toy_full_slam(np.random.default_rng(19))

@@ -16,6 +16,7 @@ from beliefplan.bounds import (
     TopologicalNoiseConfig,
     _inverse_block,
     determinant_bounds,
+    lemma_logdet_increment,
     post_solution_loss_bound,
     rank1_offset_bound,
     spanning_tree_count,
@@ -204,6 +205,7 @@ class TestPoseGraphKernels:
             g = g.extended(n, new_edges)
             edges += new_edges
             assert g.base is base
+            np.testing.assert_array_equal(g.reduced_degrees, loop_laplacian(n, edges).diagonal()[1:])
             assert_tree_count(g, n, edges)
         assert_tree_count(base, n0, base_edges)
 
@@ -266,6 +268,91 @@ class TestPoseGraphKernels:
     def test_malformed_edges_rejected(self, edges):
         with pytest.raises(ValueError):
             PoseGraph(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 5), (2, 2)], "edge (1, 5) out of range"),  # out of range before a self-loop
+            ([(0, 1), (2, 2), (-1, 1)], "self-loop at node 2"),  # self-loop before a negative id
+            ([(5, 1), (2, 2)], "edge (5, 1) out of range"),  # high first end
+            ([(1, 5)], "edge (1, 5) out of range"),  # high second end
+            ([(-1, 1)], "edge (-1, 1) out of range"),  # negative first end
+            ([(1, 2), (1, -1)], "edge (1, -1) out of range"),  # negative second end
+            ([(-1, 7)], "edge (-1, 7) out of range"),  # both ends
+            ([(0, 1), (7, 7), (-1, 0)], "self-loop at node 7"),  # a self-loop out of range
+        ],
+    )
+    def test_first_faulty_edge_is_named(self, edges, message):
+        """Several faults: the first edge in input order is named, as given,
+        by ``PoseGraph`` and by ``extended`` alike."""
+        with pytest.raises(ValueError) as whole:
+            PoseGraph(4, [(2, 3), *edges])
+        assert str(whole.value) == message
+        with pytest.raises(ValueError) as grown:
+            PoseGraph(3, ((0, 1), (1, 2))).extended(4, [(2, 3), *edges])
+        assert str(grown.value) == message
+
+
+def lemma_case(rng, n, n_k, m, k):
+    """(sigma_kk, A, B, ln|M+| - ln|M| by dense ``slogdet``): a random SPD
+    ``M`` over ``n`` variables, k rows on ``n_k`` of them and ``m`` new ones."""
+    q = rng.normal(size=(n, n))
+    info = q @ q.T + n * np.eye(n)
+    touched = np.sort(rng.choice(n, size=n_k, replace=False))
+    a, b = rng.normal(size=(k, n_k)), rng.normal(size=(k, m))
+    rows = np.zeros((k, n + m))
+    rows[:, touched], rows[:, n:] = a, b
+    grown = np.zeros((n + m, n + m))
+    grown[:n, :n] = info
+    grown += rows.T @ rows
+    sign, after = np.linalg.slogdet(grown)
+    assert sign > 0
+    sigma_kk = np.linalg.inv(info)[np.ix_(touched, touched)]
+    return sigma_kk, a, b, after - np.linalg.slogdet(info)[1]
+
+
+class TestLemmaLogdetIncrement:
+    """``lemma_logdet_increment`` against dense ``slogdet`` of the grown
+    matrix, and its documented raise."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_dense_slogdet_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        n_k, m = int(rng.integers(0, n + 1)), int(rng.integers(0, 4))
+        k = m + int(rng.integers(0, 4))  # B has full column rank
+        sigma_kk, a, b, want = lemma_case(rng, n, n_k, m, k)
+        got = lemma_logdet_increment(sigma_kk, a, b)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("m, idle", [(1, 0), (3, 1), (3, 2)])
+    def test_a_new_variable_no_row_touches_raises(self, m, idle):
+        """Rows that do not pin the new variables down: ``Bᵀ S⁻¹ B`` has a
+        zero row and column, so its Cholesky meets a zero pivot."""
+        sigma_kk, a, b, _ = lemma_case(np.random.default_rng(m), 5, 3, m, 4)
+        b[:, idle] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            lemma_logdet_increment(sigma_kk, a, b)
+
+    def test_a_block_that_is_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            lemma_logdet_increment(-np.eye(1), np.ones((1, 1)), np.zeros((1, 0)))
+
+    def test_no_rows(self):
+        sigma_kk = np.eye(2)
+        assert lemma_logdet_increment(sigma_kk, np.zeros((0, 2)), np.zeros((0, 0))) == 0.0
+        with pytest.raises(np.linalg.LinAlgError):  # nothing pins the new variable down
+            lemma_logdet_increment(sigma_kk, np.zeros((0, 2)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_no_old_variables(self, m):
+        """With ``|K| = 0`` the grown matrix is block diagonal: the increment
+        is ``ln|BᵀB|``."""
+        rng = np.random.default_rng(m)
+        b = rng.normal(size=(m + 2, m))
+        got = lemma_logdet_increment(np.zeros((0, 0)), np.zeros((m + 2, 0)), b)
+        want = np.linalg.slogdet(b.T @ b)[1]
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestTopologicalBounds:

@@ -1887,6 +1887,12 @@ class TestLogDet:
     def test_identity(self):
         assert logdet_triangular(UpperTriangular.from_diagonal(np.ones(7))) == 0.0
 
+    def test_computed_once_per_factor(self):
+        r = cholesky(symmetric_from_dense([[2.0, 1.0], [1.0, 2.0]]))
+        assert "logdet" not in vars(r)
+        assert logdet_triangular(r) == r.logdet == float(2.0 * np.sum(np.log(r.diag)))
+        assert vars(r)["logdet"] is r.logdet
+
     def test_factor_of_2x2(self):
         r = cholesky(symmetric_from_dense([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(logdet_triangular(r), 1.0986122886681098, rtol=1e-12)
