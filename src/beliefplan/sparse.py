@@ -69,19 +69,17 @@ then the plan, not LAPACK, was most of the cost.  Its two callers fix the
 stored pattern separately:
 
 - ``lowrank_update`` adds constraint rows to a factor (the multiple-rank
-  update of Davis & Hager).  On a chain skyline, the shape of every
-  scenario prior (row i stores column i + 1, column j every row from its
-  head ``head[j]`` on), its pattern is read from the column heads
-  (``_heads_pattern``): an update row moves the head of each column it
-  stores up to its own first column, every row from the least first
-  column on is reached, and the new entries are inserted into those rows'
-  one contiguous slice, so the rows before it keep theirs as one range.
-  A sparsified factor is no chain, since its cut rows are empty, but the
-  scalars it stores (its nonempty rows and stored columns) usually are
-  one: the heads path then runs on the factor renumbered to them, and its
-  result is mapped back once.  Other factors (diagonal, arbitrary, or
-  updated in a cut column) take the general
-  pattern pass: it follows the groups of update rows up the factor, each
+  update of Davis & Hager).  On a chain skyline over the scalars the
+  factor stores (its nonempty rows and stored columns; each nonempty row
+  stores the next of them, column j each of them from its head ``head[j]``
+  on), the shape of every scenario prior and of a sparsified factor's kept
+  part, its cut rows being empty, the pattern is read from the column
+  heads in place (``_heads_pattern``): an update row moves the head of
+  each column it stores up to its own first column, every such row from
+  the least first column on is reached, and the new entries are inserted
+  into those rows' one contiguous slice, so the rows before it keep theirs
+  as one range.  Other factors (diagonal, arbitrary, or updated in a cut
+  column) take the general pattern pass: it follows the groups of update rows up the factor, each
   carrying only the columns that the rows it reaches do not already
   store, and forms the reached rows at the end, as a sorted set union per
   row when they are at most ``_PANEL``, else in one array merge; a row
@@ -470,48 +468,32 @@ class UpperTriangular:
     @cached_property
     def _chain_heads(self):
         """The column heads that ``lowrank_update``'s heads path reads
-        (``_heads_pattern``), computed once per factor, when the factor is a
-        chain skyline: row i stores column i + 1, and column j stores every
-        row ``head[j] .. j - 1`` and no other.  ``None`` for any other
-        pattern.  Row i's first column is i + 1 or the factor is no chain,
-        which rules out a diagonal or cut factor in O(n); then the skyline
-        test is ``_skyline_components``' count."""
+        (``_heads_pattern``), computed once per factor, as ``(head,
+        active)``, when the factor is a chain skyline over its active
+        scalars, the rows that store an entry and the columns that some row
+        stores (``active``, a mask): each nonempty row stores the next active
+        scalar, and column j stores every active row ``head[j] .. j - 1`` and
+        no other.  A factor that stores nothing is a chain only of one
+        scalar.  ``None`` for any other pattern.  Each active scalar but the
+        last leads on to the next or the factor is no chain, which rules out
+        most others in O(n); then column j stores at most its active rows
+        from ``head[j]`` on, and the skyline test is their count."""
         u = self.upper
-        first = u.indptr[:-2]
-        # an empty row fails before its first column is read
-        if (u.indptr[1:-1] == first).any() or (u.indices[first] != np.arange(1, self.dim)).any():
-            return None
-        head = _column_heads(u, 0)
-        if int((np.arange(self.dim) - head).sum()) == u.nnz:
-            return head
-        return None
-
-    @cached_property
-    def _kept_chain(self):
-        """The factor renumbered to its active scalars, those whose row or
-        column stores an entry, when that is a chain skyline
-        (``_chain_heads``), computed once per factor, as ``(kept, where,
-        chain)``: the active scalars, ascending; each scalar's position among
-        them, -1 for the others; and the renumbered factor, which stores the
-        same entries in the same order.  A sparsified factor's cut rows are
-        empty and no kept row stores a cut column, so this is its kept part.
-        ``None`` when there is nothing to renumber, the factor being a chain
-        skyline itself (all active) or storing nothing, and when the active
-        part is no chain skyline."""
-        u = self.upper
-        if not u.nnz or self._chain_heads is not None:
-            return None
-        active = u.indptr[1:] > u.indptr[:-1]
+        if not u.nnz:
+            return (np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)) if self.dim == 1 else None
+        nonempty = u.indptr[1:] > u.indptr[:-1]
+        active = nonempty.copy()
         active[u.indices] = True
         kept = active.nonzero()[0]
-        where = np.where(active, active.cumsum() - 1, -1)
-        m = kept.size
-        # the other rows are empty, so the entries before row kept[k] end there
-        indptr = np.concatenate(([0], u.indptr[kept + 1]))
-        chain = UpperTriangular(self.diag[kept], SparseRowBlock(m, m, indptr, where[u.indices], u.data))
-        if chain._chain_heads is None:
+        rows = kept[:-1]
+        # an empty row fails before its first column is read
+        if not nonempty[rows].all() or (u.indices[u.indptr[rows]] != kept[1:]).any():
             return None
-        return kept, where, chain
+        head = _column_heads(u, 0)
+        before = active.cumsum()
+        if int((before - before[head]).sum()) == u.nnz:
+            return head, active
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +789,8 @@ def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, o
     f_rows = pivots[full]
     starts = upper.indptr[f_rows]
     f_counts = upper.indptr[f_rows + 1] - starts
-    if f_rows.size and (f_rows[1:] - f_rows[:-1] == 1).all():
-        # consecutive rows, as the heads pattern reaches, are one slice
+    if f_rows.size and (starts[1:] == starts[:-1] + f_counts[:-1]).all():
+        # entries in one run, as the heads pattern reaches them, are one slice
         lo, hi = starts[0], starts[-1] + f_counts[-1]
         f_col, f_val = upper.indices[lo:hi], upper.data[lo:hi]
     else:
@@ -923,36 +905,41 @@ def _fold_panels(diag, upper: SparseRowBlock, u: SparseRowBlock, pivots, rank, o
 
 
 def _heads_pattern(r: UpperTriangular, u: SparseRowBlock, nd: int):
-    """``lowrank_update``'s pattern on a chain-skyline factor
-    (``UpperTriangular._chain_heads``), read from the column heads with no
-    walk and no merge; ``None`` for any other factor, and for an update
-    that does not keep the appended variables a chain.
+    """``lowrank_update``'s pattern on a factor that is a chain skyline over
+    its active scalars (``UpperTriangular._chain_heads``), read from the
+    column heads with no walk and no merge; ``None`` for any other factor,
+    for an update that stores an inactive column, and for an update that
+    does not keep the appended variables a chain.
 
-    Every update row joins the chain at its first column and climbs it row
-    by row, so the reached rows are every row from the least first column
-    on, and the updated factor is a chain skyline again, with ``head'[j] =
-    min(head[j], first column of each update row storing j)``; an appended
-    variable starts at ``head = j``.  Row i's columns are then ``{j > i :
-    head'[j] <= i}``.  Past the old rows the chain holds only when an
-    update row carries each appended variable on to the next and the rows
-    have not all moved into place before the last one; otherwise
-    ``_update_pattern`` gives the pattern.
+    Every update row joins the chain at its first column and climbs it from
+    active row to active row, so the reached rows are every active row from
+    the least first column on, then the appended variables; the inactive
+    rows are empty and stay so.  The updated factor is a chain skyline
+    again, with ``head'[j] = min(head[j], first column of each update row
+    storing j)``; an appended variable starts at ``head = j``.  Reached row
+    i's columns are then ``{j > i : head'[j] <= i}``.  Past the old rows the
+    chain holds only when an update row carries each appended variable on
+    to the next and the rows have not all moved into place before the last
+    one; otherwise ``_update_pattern`` gives the pattern.
 
     The new ``(row, column)`` pairs, those of the columns whose head moved
     up, are inserted into the reached rows' one contiguous slice of the old
     entries: each at its row's start, after the row's old columns below it
     (all of them for an appended column, else a search of the row) and its
-    new ones below it.  Returns the first reached row and the new factor's
-    CSR ``(indptr, indices)``; the rows before it keep their entries.
+    new ones below it.  Returns the reached rows, ascending, then ``nd``,
+    and the new factor's CSR ``(indptr, indices)``; the rows between two
+    reached ones are empty, so ``indptr`` at the returned rows delimits the
+    reached rows' entries, and the rows before the first keep theirs.
     """
-    head = r._chain_heads
-    if head is None:
+    found = r._chain_heads
+    if found is None:
         return None
+    head, active = found
     counts = u.indptr[1:] - u.indptr[:-1]
     rows = counts.nonzero()[0]
-    if not rows.size:
-        return None
     n = r.dim
+    if not rows.size or not active[u.indices[u.indices < n]].all():
+        return None
     first = u.indices[u.indptr[rows]]
     start = int(first.min())
     was = np.arange(nd)
@@ -970,13 +957,16 @@ def _heads_pattern(r: UpperTriangular, u: SparseRowBlock, nd: int):
         if (reach < np.arange(2, nd - top + 1)).any():
             return None
 
+    # the reached rows, then nd
+    ends = np.concatenate((active[start:].nonzero()[0] + start, np.arange(top, nd + 1)))
+    reached = ends[:-1]
     # the new pairs, row by row: one row of ``holds`` per reached row, one
     # column per column whose head moved up
     changed = (now < was).nonzero()[0]
-    span = np.arange(start, nd)[:, None]
+    span = reached[:, None]
     holds = (now[changed] <= span) & (span < was[changed])
-    new_rows, new_at = holds.nonzero()
-    new_rows += start
+    at_row, new_at = holds.nonzero()
+    new_rows = reached[at_row]
     cols = changed[new_at]
     extra = np.count_nonzero(holds, axis=1)
     old = r.upper
@@ -988,8 +978,8 @@ def _heads_pattern(r: UpperTriangular, u: SparseRowBlock, nd: int):
     inside = cols < n
     if inside.any():
         below[inside] = _ranks_in_rows(old.indptr, old.indices, new_rows[inside], cols[inside])
-    below += np.arange(cols.size) - (extra.cumsum() - extra)[new_rows - start]
-    lengths[start:] += extra
+    below += np.arange(cols.size) - (extra.cumsum() - extra)[at_row]
+    lengths[reached] += extra
     indptr = np.zeros(nd + 1, dtype=np.int64)
     lengths.cumsum(out=indptr[1:])
     a = int(indptr[start])
@@ -1001,7 +991,7 @@ def _heads_pattern(r: UpperTriangular, u: SparseRowBlock, nd: int):
     keep[place] = False
     tail[keep] = old.indices[a:]
     tail[place] = cols
-    return start, indptr, indices
+    return ends, indptr, indices
 
 
 def _ranks_in_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -1181,27 +1171,23 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     or in an update row, is an entry like any other, as in ``cholesky``.
     Where the inputs store exact zeros, the result may store more zero
     entries than a pattern that reads the values would; it is the same
-    factor.  On a chain-skyline factor the pattern is read from the column
-    heads (``_heads_pattern``), which are worked out once per factor and
-    kept on it; the reached rows are then every row from the least first
-    column on, and the new factor keeps the rows before them as one slice.
-    A factor with empty rows, as a sparsified one, takes the same path on
-    its kept chain (``UpperTriangular._kept_chain``), the factor renumbered
-    to the scalars it stores, when that is a chain skyline and the update
-    stores none of the other columns: the update's columns are renumbered
-    (appended column j to ``m + (j - n)`` for m kept scalars), the pattern
-    and the fold run there, and the result is read back once (the diagonal
-    by scatter, the row bounds from the scattered row lengths, the columns
-    through the map, the values as they are).  The other scalars are
-    isolated, so no update row reaches them and the result is the walk's.
-    Any other factor, or an update that does not keep the appended
-    variables a chain, takes the walk (``_update_pattern``), whose per-row
+    factor.  On a factor that is a chain skyline over its active scalars,
+    those that a row or column of it stores (``UpperTriangular._chain_heads``:
+    every scalar of a scenario prior, the kept ones of a sparsified factor),
+    the pattern is read from the column heads (``_heads_pattern``), which
+    are worked out once per factor and kept on it; the reached rows are
+    then every active row from the least first column on, and the new
+    factor keeps the rows before them as one slice.  The other scalars'
+    rows are empty and no update row reaches them, so the result is the
+    walk's.  Any other factor, an update that stores an inactive column,
+    or one that does not keep the appended variables a chain, takes the
+    walk (``_update_pattern``), whose per-row
     facts are also kept on the factor, and its rows are merged row by row
     when they are at most ``_PANEL``, in one array merge otherwise; a row
     that stores nothing takes its carried columns without a merge.  The
     panel fold (``_fold``) then
     re-triangularizes the reached rows stacked over the update rows, a
-    panel of consecutive reached rows per triangular-pentagonal QR (one
+    panel of successive reached rows per triangular-pentagonal QR (one
     panel, without a plan, for at most ``_PANEL`` rows), each update row
     joining at its first stored column (an appended variable is a zero row
     of the triangle until a row moves into place), and the new values are
@@ -1224,33 +1210,18 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
     if u.n_cols != nd:
         raise DimensionMismatch(f"update has {u.n_cols} columns, expected {nd}")
 
-    # the heads path runs on the factor, or on its kept chain ``f`` in the
-    # chain's own numbering when the factor has scalars outside it
-    f, fu = r, u
-    found = r._kept_chain
-    if found is not None:
-        kept, where, f = found
-        fu = _renumbered(u, where, f.dim)
-    heads = None if fu is None else _heads_pattern(f, fu, f.dim + n_new)
+    heads = _heads_pattern(r, u, nd)
     if heads is None:
-        f, fu = r, u
         pivots, p_indptr, p_indices = _update_pattern(r, u)
     else:
-        start, indptr, indices = heads
-        a = indptr[start]
-        pivots = np.arange(start, f.dim + n_new)
-        p_indptr, p_indices = indptr[start:] - a, indices[a:]
-    diag = np.zeros(f.dim + n_new)
-    diag[: f.dim] = f.diag
-    new_diag, vals = _fold(diag, f.upper, fu, pivots, None, p_indptr, p_indices)
+        ends, indptr, indices = heads
+        pivots = ends[:-1]
+        a = indptr[ends[0]]
+        p_indptr, p_indices = indptr[ends] - a, indices[a:]
+    diag = np.zeros(nd)
+    diag[: r.dim] = r.diag
+    new_diag, vals = _fold(diag, r.upper, u, pivots, None, p_indptr, p_indices)
     diag[pivots] = new_diag
-    if f is not r:
-        # back to every scalar: ``to`` maps the chain's numbering to the factor's
-        to = np.concatenate((kept, np.arange(r.dim, nd)))
-        full = np.zeros(nd)
-        full[: r.dim] = r.diag
-        full[to] = diag
-        diag = full
     # a pivot at or below the floor is no support: the variable's column was
     # empty, or its rows depend on rows that other variables already used;
     # a pivot whose square overflows is support, not a warning
@@ -1263,13 +1234,7 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
         )
 
     if heads is not None:
-        data = np.concatenate((f.upper.data[:a], vals))
-        if f is not r:
-            lengths = np.zeros(nd, dtype=np.int64)
-            lengths[to] = indptr[1:] - indptr[:-1]
-            indptr = np.zeros(nd + 1, dtype=np.int64)
-            lengths.cumsum(out=indptr[1:])
-            indices = to[indices]
+        data = np.concatenate((r.upper.data[:a], vals))
         return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
 
     # splice: reached rows take their new entries, the others keep theirs
@@ -1302,21 +1267,6 @@ def lowrank_update(r: UpperTriangular, u: SparseRowBlock, n_new: int = 0) -> Upp
             data[b:c] = vals[taken:taken + c - b]
             taken += c - b
     return UpperTriangular(diag, SparseRowBlock(nd, nd, indptr, indices, data))
-
-
-def _renumbered(u: SparseRowBlock, where: np.ndarray, m: int):
-    """The update rows ``u`` over the columns of a factor's kept chain
-    (``UpperTriangular._kept_chain``): old column ``c`` at ``where[c]``,
-    appended column ``j`` at ``m + (j - n)``, ``n`` being ``where.size``.
-    ``None`` when a row stores a column outside the chain."""
-    n = where.size
-    cols = u.indices
-    old = cols < n
-    out = cols + (m - n)
-    out[old] = where[cols[old]]
-    if (out < 0).any():
-        return None
-    return SparseRowBlock(u.n_rows, u.n_cols + m - n, u.indptr, out, u.data)
 
 
 def _rows_at(indptr: np.ndarray, rows: np.ndarray) -> tuple:
@@ -1358,10 +1308,11 @@ def _skyline_components(r: UpperTriangular, selected: np.ndarray, kept: np.ndarr
     u = r.upper
     split = int(kept[0])
     every = np.arange(n)
-    if r._chain_heads is not None:
-        # a chain skyline's trailing rows store column j > split from row
-        # max(head[j], split) on
-        head = np.where(every > split, np.maximum(r._chain_heads, split), every)
+    chain = r._chain_heads
+    if chain is not None and chain[1].all():
+        # a chain skyline with every scalar active: its trailing rows store
+        # column j > split from row max(head[j], split) on
+        head = np.where(every > split, np.maximum(chain[0], split), every)
     else:
         head = _column_heads(u, split)
         if int((every - head).sum()) != u.nnz - u.indptr[split]:

@@ -609,17 +609,26 @@ class TestSparsificationPlan:
         if not selected.all():
             self._check(_skyline(heads), selected)
 
-    def test_an_uninvolved_sparsified_factor_takes_the_graph_pass(self, monkeypatch):
-        # the first batch-small scenario: its uninvolved factor is no skyline
-        sc = generate(batch_small_configs()[0])
+    @pytest.mark.parametrize("cfg", _benchmark_configs()[:9], ids=["plan-1k", *map("batch-small-{}".format, range(8))])
+    def test_an_uninvolved_sparsified_factor_takes_the_graph_pass(self, monkeypatch, cfg):
+        # an uninvolved factor keeps the heads of its active scalars, a chain
+        # skyline, but its cut rows are empty: with one inside the chain it
+        # is no skyline and takes the graph pass; with all of them before
+        # the chain it is one, and its plan is the graph pass's
+        sc = generate(cfg)
         r = sparsify_factor(sc.prior.root, _uninvolved(sc))
+        active = r._chain_heads[1]
+        holed = not active[active.argmax():].all()
+        assert not active.all()
         selected = np.zeros(r.dim, dtype=bool)
         selected[1:r.dim:4] = True
-        assert sparse._skyline_components(r, selected, np.flatnonzero(~selected)) is None
+        assert (sparse._skyline_components(r, selected, np.flatnonzero(~selected)) is None) == holed
+        if not holed:
+            self._check(r, selected)
         calls = []
         monkeypatch.setattr(sparse, "_graph_components", lambda *args: calls.append(args) or _GRAPH_COMPONENTS(*args))
         _assert_matches(r, sparsify_oracle(r, selected), sparsify_factor(r, selected))
-        assert len(calls) == 1
+        assert len(calls) == holed
 
     def test_a_hand_made_pattern_takes_the_graph_pass(self):
         # column 2 is stored in row 0 but not in row 1: no skyline
@@ -1560,12 +1569,12 @@ def _heads_agree(r: UpperTriangular, u: SparseRowBlock, n_new: int) -> bool:
     reached one as they were; and ``lowrank_update`` equals itself with the
     heads path turned off, bit for bit or by the same refusal.  Returns
     whether the heads path was taken."""
-    nd = r.dim + n_new
-    heads = sparse._heads_pattern(r, u, nd)
+    heads = sparse._heads_pattern(r, u, r.dim + n_new)
     if heads is not None:
-        start, indptr, indices = heads
+        ends, indptr, indices = heads
+        start = int(ends[0])
         a = indptr[start]
-        _same_bits((np.arange(start, nd), indptr[start:] - a, indices[a:]), _update_pattern(r, u))
+        _same_bits((ends[:-1], indptr[ends] - a, indices[a:]), _update_pattern(r, u))
         kept = min(start, r.dim) + 1
         _same_bits((indptr[:kept], indices[:a]), (r.upper.indptr[:kept], r.upper.indices[:a]))
     got = _outcome(r, u, n_new)
@@ -1582,7 +1591,7 @@ def _heads_agree(r: UpperTriangular, u: SparseRowBlock, n_new: int) -> bool:
 def _head_moves(r: UpperTriangular, u: SparseRowBlock) -> set:
     """Which columns' heads an update moves up, by a loop over its rows:
     a factor column's (``"old column"``) or an appended one's."""
-    head = r._chain_heads
+    head = r._chain_heads[0]
     found = set()
     for cols in u.row_cols:
         for c in cols[1:].tolist():
@@ -1706,18 +1715,34 @@ class TestHeadsPath:
 
     def test_an_uninvolved_factor_takes_the_kept_chain(self, walks):
         """plan-1k and the 8 batch-small configurations: an uninvolved-mode
-        factor is no chain, but its kept part is, and every candidate update
-        takes the heads path there, with no walk, equal to the reference bit
-        for bit."""
+        factor has empty rows, but its active scalars, the kept ones, are a
+        chain skyline, and every candidate update takes the heads path on
+        the factor, with no walk, the same pattern as the walk and equal to
+        the reference bit for bit."""
         for sc in [_plan_1k()] + [generate(c) for c in batch_small_configs()]:
             uninvolved = _session_beliefs(sc)[1].root
-            kept, where, chain = uninvolved._kept_chain
-            assert uninvolved._chain_heads is None and 0 < kept.size < uninvolved.dim
+            _, active = uninvolved._chain_heads
+            assert 0 < active.sum() < uninvolved.dim
             for a in sc.candidates:
-                u = sparse._renumbered(a.jacobian, where, chain.dim)
-                assert sparse._heads_pattern(chain, u, chain.dim + a.n_new_vars) is not None
+                assert _heads_agree(uninvolved, a.jacobian, a.n_new_vars)
+                walks.clear()
                 _update_is_the_reference(uninvolved, a.jacobian, a.n_new_vars)
-        assert not walks
+                assert not walks
+
+    def test_an_uninvolved_update_builds_one_row_block(self, monkeypatch):
+        # plan-1k and the 8 batch-small configurations: after a first update
+        # has worked out the factor's heads, each candidate's update builds
+        # one CSR block, the new factor's, and validates nothing else
+        built = []
+        real = SparseRowBlock.__post_init__
+        monkeypatch.setattr(SparseRowBlock, "__post_init__", lambda self: built.append(1) or real(self))
+        for sc in [_plan_1k()] + [generate(c) for c in batch_small_configs()]:
+            uninvolved = _session_beliefs(sc)[1].root
+            lowrank_update(uninvolved, sc.candidates[0].jacobian, sc.candidates[0].n_new_vars)
+            for a in sc.candidates:
+                built.clear()
+                lowrank_update(uninvolved, a.jacobian, a.n_new_vars)
+                assert len(built) == 1
 
     def test_an_update_that_stores_a_cut_column_takes_the_walk(self, walks):
         # custom mode cuts an involved block too; the candidates that store
@@ -1727,12 +1752,12 @@ class TestHeadsPath:
         block = min(mask.involved_blocks, key=lambda b: sum(b in per for per in mask.per_candidate))
         spec = SparsificationSpec.custom(mask.never_involved(sc.prior.layout) | {block})
         custom = sparsify_belief(sc.prior, spec, mask).root
-        kept, where, chain = custom._kept_chain
+        assert custom._chain_heads is not None
         cut = [block in per for per in mask.per_candidate]
         assert any(cut) and not all(cut)
         for a, stores_cut in zip(sc.candidates, cut):
             walks.clear()
-            assert (sparse._renumbered(a.jacobian, where, chain.dim) is None) == stores_cut
+            assert (sparse._heads_pattern(custom, a.jacobian, custom.dim + a.n_new_vars) is None) == stores_cut
             _update_is_the_reference(custom, a.jacobian, a.n_new_vars)
             assert bool(walks) == stores_cut
 
@@ -1793,27 +1818,26 @@ def _walk_outcome(r: UpperTriangular, u: SparseRowBlock, n_new: int):
 
 class TestKeptChain:
     """``lowrank_update`` on a factor whose active scalars (nonempty rows
-    and stored columns) are a chain skyline runs the heads path on that
-    chain, renumbered (``UpperTriangular._kept_chain``), and on a factor
-    that stores nothing builds the new factor from the pattern alone: both
-    equal the reference, and the walk, bit for bit."""
+    and stored columns), its kept chain, are a chain skyline runs the heads
+    path on the factor as it is (``UpperTriangular._chain_heads``), and on a
+    factor that stores nothing builds the new factor from the pattern
+    alone: both equal the reference, and the walk, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(kept_chain_problems())
     def test_chain_skylines_with_empty_rows_are_the_reference(self, problem):
         r, u, n_new, chain, kept = problem
-        found = r._kept_chain
-        if kept.size == r.dim:
-            # no empty row: the heads path runs on the factor itself
-            assert found is None
-        elif chain.upper.nnz:
-            _same_bits((found[0], *_factor_arrays(found[2])), (kept, *_factor_arrays(chain)))
-        _update_is_the_reference(r, u, n_new)
-        got, want = _outcome(r, u, n_new), _walk_outcome(r, u, n_new)
-        if isinstance(want[0], type):
-            assert got == want
+        found = r._chain_heads
+        if chain.upper.nnz:
+            # the chain's heads at its scalars' places, each other scalar its own head
+            head = np.arange(r.dim)
+            head[kept] = kept[chain._chain_heads[0]]
+            _same_bits((found[1].nonzero()[0], found[0]), (kept, head))
         else:
-            _same_bits(got, want)
+            # one scalar, spread over empty rows or not
+            assert (found is not None) == (r.dim == 1)
+        _update_is_the_reference(r, u, n_new)
+        _heads_agree(r, u, n_new)
 
     def test_the_drawn_problems_take_the_kept_chain_and_leave_it(self, walks):
         # with empty rows between the chain's scalars, updates that move old
@@ -1846,9 +1870,8 @@ class TestKeptChain:
         first = int(kept[np.random.default_rng(n).integers(0, kept.size)])
         cols = np.concatenate([u.indices[old], [first, n]])
         u = SparseRowBlock.from_coo(u.n_rows + 1, n + 1, rows, cols, np.concatenate([u.data[old], [1.0, 0.0]]))
-        if chain.upper.nnz and kept.size < n:
-            _, where, found = r._kept_chain
-            assert sparse._heads_pattern(found, sparse._renumbered(u, where, found.dim), found.dim + 1) is not None
+        if chain.upper.nnz:
+            assert sparse._heads_pattern(r, u, n + 1) is not None
         with pytest.raises(RankDeficientAugmentation) as caught:
             lowrank_update(r, u, 1)
         assert caught.value.index == n
@@ -1863,8 +1886,9 @@ class TestKeptChain:
         _update_is_the_reference(r, u, 0)
 
     def test_a_storeless_factor_keeps_no_chain(self):
-        r = UpperTriangular.from_diagonal(np.arange(1.0, 6.0))
-        assert r._chain_heads is None and r._kept_chain is None
+        assert UpperTriangular.from_diagonal(np.arange(1.0, 6.0))._chain_heads is None
+        # but one scalar is a chain of one
+        assert UpperTriangular.from_diagonal([2.0])._chain_heads is not None
 
 
 def _plan_1k():

@@ -14,9 +14,10 @@ def _run(workload, seed, side, correct):
     return {"workload": workload, "seed": seed, "side": side, "final_json_line": {"correct": correct}}
 
 
-def _dim(dim, side, uninvolved=0.05, full=0.001, ordering=True):
+def _dim(dim, side, uninvolved=0.05, full=0.001, ordering=True, margin=1.3):
     return {"dim": dim, "side": side, "criterion_11_share_uninvolved": uninvolved,
-            "criterion_11_share_full": full, "criterion_11_ordering": ordering}
+            "criterion_11_share_full": full, "criterion_11_ordering": ordering,
+            "criterion_11_ordering_margin": margin}
 
 
 def test_a_clean_record_has_no_failures():
@@ -29,8 +30,8 @@ def test_each_failure_is_named():
             {"workload": "batch-small", "seed": 5, "side": "parent", "final_json_line": {"metrics": {}}}]
     dims = [
         _dim(1020, "change"),
-        _dim(3000, "change", uninvolved=0.11),
-        _dim(9000, "change", full=0.2, ordering=False),
+        _dim(3000, "change", uninvolved=0.11, ordering=False, margin=1.004),
+        _dim(9000, "change", full=0.2, ordering=False, margin=0.97),
         # the parent side is measured, not gated
         _dim(9000, "parent", uninvolved=0.5, ordering=False),
     ]
@@ -40,8 +41,12 @@ def test_each_failure_is_named():
         "batch-small seed 5 parent: the run's final line is not correct",
         "dim 3000: criterion 11, uninvolved sparsification is 11.0% of the original decision time "
         "(parent not measured, gate 10%)",
+        # a median margin at or above 1 when one session's totals were not ordered
+        "dim 3000: criterion 11, decision totals not ordered baseline >= uninvolved >= full "
+        "(uninvolved/full margin 1.00, parent not measured)",
         "dim 9000: criterion 11, full sparsification is 20.0% of the original decision time (parent 0.1%, gate 10%)",
-        "dim 9000: criterion 11, decision totals not ordered baseline >= uninvolved >= full",
+        "dim 9000: criterion 11, decision totals not ordered baseline >= uninvolved >= full "
+        "(uninvolved/full margin 0.97, parent 1.30)",
     ]
 
 

@@ -41,7 +41,9 @@ tail of its stderr, and left out of the dim's medians.  The exit status is
 criterion 11 at a dim: a sparsification share above 10% of the original
 decision time (medians of the sessions), or decision totals not ordered
 baseline >= uninvolved >= full in every session; each failure is named on
-stderr, a share beside the parent side's share at that dim.
+stderr beside the parent side's figure at that dim: a share beside the
+parent's share, an ordering failure beside both sides'
+``criterion_11_ordering_margin``.
 """
 
 from __future__ import annotations
@@ -269,8 +271,10 @@ def failures(runs: list, dims: list, sessions: list = ()) -> list:
     and a dim at which this change breaks criterion 11 (either
     sparsification share above ``CRITERION_11_SHARE`` of the original
     decision time, or totals not ordered baseline >= uninvolved >= full).
-    A share above the gate is named beside the parent side's share at that
-    dim, which is measured, not gated."""
+    Each is named beside the parent side's figure at that dim, which is
+    measured, not gated: a share above the gate beside the parent's share,
+    an ordering failure beside the change's ordering margin and the
+    parent's (medians of the sessions)."""
     out = [f"{r['workload']} seed {r['seed']} {r['side']}: the run's final line is not correct"
            for r in runs if r["final_json_line"].get("correct") is not True]
     out += [f"dim {r['dim']} run {r['run']} {r['side']}: the session exited {r['exit_code']}: "
@@ -280,16 +284,21 @@ def failures(runs: list, dims: list, sessions: list = ()) -> list:
     for row in dims:
         if row["side"] != "change":
             continue
+        parent = parents.get(row["dim"])
+
+        def was(key, form):
+            return f"parent {parent[key]:{form}}" if parent else "parent not measured"
+
         for mode in ("uninvolved", "full"):
             key = f"criterion_11_share_{mode}"
             share = row[key]
             if share > CRITERION_11_SHARE:
-                parent = parents.get(row["dim"])
-                was = f"parent {parent[key]:.1%}" if parent else "parent not measured"
                 out.append(f"dim {row['dim']}: criterion 11, {mode} sparsification is {share:.1%} of the original "
-                           f"decision time ({was}, gate {CRITERION_11_SHARE:.0%})")
+                           f"decision time ({was(key, '.1%')}, gate {CRITERION_11_SHARE:.0%})")
         if not row["criterion_11_ordering"]:
-            out.append(f"dim {row['dim']}: criterion 11, decision totals not ordered baseline >= uninvolved >= full")
+            key = "criterion_11_ordering_margin"
+            out.append(f"dim {row['dim']}: criterion 11, decision totals not ordered baseline >= uninvolved >= full "
+                       f"(uninvolved/full margin {row[key]:.2f}, {was(key, '.2f')})")
     return out
 
 
